@@ -48,7 +48,7 @@ type Options struct {
 type Conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
-	buf []byte // frame payload scratch
+	buf []byte // query frame scratch
 
 	inQuery bool // a streaming Rows is open
 	broken  bool // protocol desync or I/O error: the conn is unusable
@@ -58,20 +58,32 @@ type Conn struct {
 // An admission rejection (the tenant's connection quota) surfaces as
 // stagedb.ErrAdmissionDenied.
 func Dial(ctx context.Context, addr string, opts Options) (*Conn, error) {
-	timeout := opts.DialTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: opts.dialTimeout()}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c := &Conn{nc: nc, br: bufio.NewReader(nc)}
-	nc.SetDeadline(time.Now().Add(timeout))
-	if dl, ok := ctx.Deadline(); ok && dl.Before(time.Now().Add(timeout)) {
-		nc.SetDeadline(dl)
+	return NewConn(ctx, nc, opts)
+}
+
+func (o Options) dialTimeout() time.Duration {
+	if o.DialTimeout == 0 {
+		return 10 * time.Second
 	}
+	return o.DialTimeout
+}
+
+// NewConn performs the Hello handshake over an established transport — the
+// second half of Dial, and the seam through which tests put their own
+// net.Conn under a client. It owns nc from the call on: a failed handshake
+// closes it.
+func NewConn(ctx context.Context, nc net.Conn, opts Options) (*Conn, error) {
+	c := &Conn{nc: nc, br: bufio.NewReader(nc)}
+	deadline := time.Now().Add(opts.dialTimeout())
+	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+		deadline = dl
+	}
+	nc.SetDeadline(deadline)
 	if err := wire.WriteFrame(nc, wire.MsgHello, wire.Hello{Proto: wire.Proto, Tenant: opts.Tenant}.Append(nil)); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
@@ -220,9 +232,12 @@ func (c *Conn) startQuery(ctx context.Context, sqlText string, args []any, flags
 		}
 		q.DeadlineMs = uint64(ms)
 	}
-	c.buf = q.Append(c.buf[:0])
+	c.buf = q.Append(wire.BeginFrame(c.buf[:0], wire.MsgQuery))
+	if err := wire.EndFrame(c.buf, 0); err != nil {
+		return err
+	}
 	c.nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if err := wire.WriteFrame(c.nc, wire.MsgQuery, c.buf); err != nil {
+	if _, err := c.nc.Write(c.buf); err != nil {
 		return c.fail(err)
 	}
 	return nil

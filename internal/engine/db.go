@@ -153,8 +153,15 @@ func newDBWith(cfg Config, store storage.PageStore) *DB {
 	}
 	// Commit timestamps are stamped after the commit record is durable and
 	// before the transaction's locks release, so any snapshot taken later
-	// sees all of the transaction's versions or none.
-	db.tm.OnCommit = func(id txn.ID) { db.mv.Commit(uint64(id)) }
+	// sees all of the transaction's versions or none. A transaction that
+	// logged no data record stamped no version and leaves no status entry.
+	db.tm.OnCommit = func(id txn.ID, wrote bool) {
+		if wrote {
+			db.mv.Commit(uint64(id))
+		} else {
+			db.mv.CommitReadOnly(uint64(id))
+		}
+	}
 	db.workMem.Store(cfg.WorkMem)
 	db.installLiveRowCount()
 	return db
@@ -287,9 +294,6 @@ func (db *DB) SetPlanOptions(opt plan.Options) {
 	db.cfg.PlanOptions = opt
 	db.installLiveRowCount()
 }
-
-// WAL exposes the write-ahead log (crash-recovery tests, checkpointing).
-func (db *DB) WAL() *txn.WAL { return db.tm.Log }
 
 // MVCC exposes the version manager (tests and tools).
 func (db *DB) MVCC() *mvcc.Manager { return db.mv }
@@ -1167,9 +1171,14 @@ func (db *DB) rollback(id txn.ID) error {
 		}
 	}
 	err = db.tm.FinishAbort(id)
-	// Undo complete: no heap record references the id any more, so the
-	// status entry becomes prunable once concurrent snapshots end.
-	db.mv.AbortDone(uint64(id))
+	if len(undo) == 0 {
+		// No version was ever stamped with the id: nothing consults the entry.
+		db.mv.Forget(uint64(id))
+	} else {
+		// Undo complete: no heap record references the id any more, so the
+		// status entry becomes prunable once concurrent snapshots end.
+		db.mv.AbortDone(uint64(id))
+	}
 	db.mv.End(snap)
 	return err
 }
@@ -1262,108 +1271,6 @@ func (db *DB) undoOne(rec txn.Record) error {
 			}
 			bt.Delete(newRow[ixMeta.ColIdx], rec.RID)
 			bt.Insert(oldRow[ixMeta.ColIdx], rid)
-		}
-	}
-	return nil
-}
-
-// Replay applies the committed operations of a WAL (crash recovery). The
-// schema must already exist (DDL is replayed by the caller); data pages are
-// rebuilt from the log's after-images.
-func (db *DB) Replay(records []txn.Record) error {
-	planned := txn.Analyze(records)
-	// Replayed version headers carry the original txn ids; advance the
-	// counter past them so no future transaction aliases an id that commits
-	// or aborts out from under the replayed versions' visibility.
-	for _, rec := range records {
-		if rec.Txn != 0 {
-			db.tm.SetNext(rec.Txn + 1)
-		}
-	}
-	// Recovered RIDs differ from logged ones; track the mapping.
-	ridMap := make(map[string]map[storage.RID]storage.RID)
-	mapped := func(table string, rid storage.RID) storage.RID {
-		if m, ok := ridMap[table]; ok {
-			if nr, ok := m[rid]; ok {
-				return nr
-			}
-		}
-		return rid
-	}
-	for _, rec := range planned.Ops {
-		tbl, err := db.cat.Get(rec.Table)
-		if err != nil {
-			return fmt.Errorf("engine: replay references unknown table %s (replay DDL first)", rec.Table)
-		}
-		h, err := db.HeapOf(tbl)
-		if err != nil {
-			return err
-		}
-		switch rec.Kind {
-		case txn.RecInsert:
-			row, err := decodeVersioned(tbl.Schema, rec.After)
-			if err != nil {
-				return err
-			}
-			rid, err := h.Insert(rec.After)
-			if err != nil {
-				return err
-			}
-			if ridMap[rec.Table] == nil {
-				ridMap[rec.Table] = make(map[storage.RID]storage.RID)
-			}
-			ridMap[rec.Table][rec.RID] = rid
-			for _, ixMeta := range tbl.Indexes {
-				bt, err := db.IndexOf(ixMeta)
-				if err != nil {
-					return err
-				}
-				bt.Insert(row[ixMeta.ColIdx], rid)
-			}
-		case txn.RecDelete:
-			rid := mapped(rec.Table, rec.RID)
-			row, err := decodeVersioned(tbl.Schema, rec.Before)
-			if err != nil {
-				return err
-			}
-			if err := h.Delete(rid); err != nil {
-				return err
-			}
-			for _, ixMeta := range tbl.Indexes {
-				bt, err := db.IndexOf(ixMeta)
-				if err != nil {
-					return err
-				}
-				bt.Delete(row[ixMeta.ColIdx], rid)
-			}
-		case txn.RecUpdate:
-			rid := mapped(rec.Table, rec.RID)
-			oldRow, err := decodeVersioned(tbl.Schema, rec.Before)
-			if err != nil {
-				return err
-			}
-			newRow, err := decodeVersioned(tbl.Schema, rec.After)
-			if err != nil {
-				return err
-			}
-			newRID, err := h.Update(rid, rec.After)
-			if err != nil {
-				return err
-			}
-			if newRID != rid {
-				if ridMap[rec.Table] == nil {
-					ridMap[rec.Table] = make(map[storage.RID]storage.RID)
-				}
-				ridMap[rec.Table][rec.RID] = newRID
-			}
-			for _, ixMeta := range tbl.Indexes {
-				bt, err := db.IndexOf(ixMeta)
-				if err != nil {
-					return err
-				}
-				bt.Delete(oldRow[ixMeta.ColIdx], rid)
-				bt.Insert(newRow[ixMeta.ColIdx], newRID)
-			}
 		}
 	}
 	return nil

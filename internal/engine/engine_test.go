@@ -167,33 +167,39 @@ func TestDropTable(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryReplay crashes a durable database (no Close, no
+// checkpoint) with committed DML and one transaction still open, and
+// reopens it: recovery replays the log's committed work, loses the open
+// transaction, and rebuilds the primary-key index.
 func TestCrashRecoveryReplay(t *testing.T) {
-	db, s := seed(t)
+	dir := t.TempDir()
+	db := openDurable(t, dir)
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance FLOAT)")
+	mustExec(t, s, "INSERT INTO accounts VALUES (1, 'ann', 100), (2, 'bob', 50), (3, 'carol', 200)")
 	mustExec(t, s, "UPDATE accounts SET balance = 77 WHERE id = 3")
 	mustExec(t, s, "DELETE FROM accounts WHERE id = 2")
 	// An uncommitted transaction lost in the crash.
 	mustExec(t, s, "BEGIN")
 	mustExec(t, s, "UPDATE accounts SET balance = -1 WHERE id = 1")
-	// Crash: rebuild a fresh DB, replay DDL then the log.
-	records := db.WAL().Records()
 
-	db2 := NewDB(Config{})
+	db2 := openDurable(t, dir)
+	defer db2.Close()
 	s2 := db2.NewSession()
-	mustExec(t, s2, "CREATE TABLE accounts (id INT PRIMARY KEY, owner TEXT, balance FLOAT)")
-	if err := db2.Replay(records); err != nil {
-		t.Fatal(err)
-	}
 	res := mustExec(t, s2, "SELECT COUNT(*) FROM accounts")
 	if res.Rows[0][0].Int() != 2 {
 		t.Fatalf("recovered count: %v", res.Rows)
 	}
 	res = mustExec(t, s2, "SELECT balance FROM accounts WHERE id = 3")
-	if res.Rows[0][0].Float() != 77 {
-		t.Fatalf("recovered update: %v", res.Rows)
+	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 77 {
+		t.Fatalf("recovered update (by index): %v", res.Rows)
 	}
 	res = mustExec(t, s2, "SELECT balance FROM accounts WHERE id = 1")
-	if res.Rows[0][0].Float() != 100 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 100 {
 		t.Fatalf("uncommitted update must not be replayed: %v", res.Rows)
+	}
+	if res = mustExec(t, s2, "SELECT owner FROM accounts WHERE id = 2"); len(res.Rows) != 0 {
+		t.Fatalf("recovered delete: %v", res.Rows)
 	}
 }
 

@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"stagedb/internal/plan"
 	"stagedb/internal/sql"
-	"stagedb/internal/txn"
 	"stagedb/internal/value"
 )
 
@@ -92,46 +90,6 @@ func TestIndexScanConsistentAfterChurn(t *testing.T) {
 		if viaIndex.Rows[i][0].Int() != viaSeq.Rows[i][0].Int() {
 			t.Fatalf("row %d differs: %v vs %v", i, viaIndex.Rows[i], viaSeq.Rows[i])
 		}
-	}
-}
-
-func TestCrashRecoveryThroughSerializedLog(t *testing.T) {
-	// Full durability path: run work, serialize the WAL to bytes (the
-	// "log disk"), crash, read the log back, replay.
-	db := NewDB(Config{})
-	s := db.NewSession()
-	loadStars(t, s, 100)
-	mustExec(t, s, "UPDATE stars SET name = 'renamed' WHERE id = 42")
-	mustExec(t, s, "DELETE FROM stars WHERE id = 43")
-
-	var logDisk bytes.Buffer
-	if _, err := db.WAL().WriteTo(&logDisk); err != nil {
-		t.Fatal(err)
-	}
-	records, err := txn.ReadLog(&logDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := NewDB(Config{})
-	s2 := db2.NewSession()
-	mustExec(t, s2, `CREATE TABLE stars (id INT PRIMARY KEY, name TEXT, mag FLOAT, con INT)`)
-	mustExec(t, s2, `CREATE TABLE cons (id INT PRIMARY KEY, cname TEXT)`)
-	if err := db2.Replay(records); err != nil {
-		t.Fatal(err)
-	}
-	res := mustExec(t, s2, "SELECT name FROM stars WHERE id = 42")
-	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "renamed" {
-		t.Fatalf("recovered update: %v", res.Rows)
-	}
-	res = mustExec(t, s2, "SELECT COUNT(*) FROM stars")
-	if res.Rows[0][0].Int() != 99 {
-		t.Fatalf("recovered count: %v", res.Rows)
-	}
-	// Primary-key index must be rebuilt too.
-	res = mustExec(t, s2, "SELECT name FROM stars WHERE id = 44")
-	if len(res.Rows) != 1 {
-		t.Fatal("recovered index lookup failed")
 	}
 }
 

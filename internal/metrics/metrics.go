@@ -153,8 +153,9 @@ func (m *Mean) Max() float64 {
 }
 
 // Histogram records duration samples and answers percentile queries. It keeps
-// raw samples; experiments in this repository observe at most a few hundred
-// thousand, so exactness is worth the memory.
+// raw samples: the simulator experiments observe at most a few hundred
+// thousand, so exactness is worth the memory there. A live engine's monitors
+// (StageStats) must not use it.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
@@ -227,8 +228,9 @@ func (h *Histogram) Reset() {
 	h.mu.Unlock()
 }
 
-// StageStats is the per-stage monitor of §5.2: queue length, busy time,
-// serviced packets, and service-time distribution.
+// StageStats is the per-stage monitor of §5.2: queue length, busy time, and
+// serviced packets. It is a fixed set of counters — a monitor that is always
+// on must not grow with the work it watches.
 type StageStats struct {
 	Name string
 
@@ -236,7 +238,7 @@ type StageStats struct {
 	enqueued  int64
 	dequeued  int64
 	busy      time.Duration
-	service   Histogram
+	serviced  int
 	queueLen  int
 	maxQueue  int
 	ioBlocked int64
@@ -270,8 +272,8 @@ func (s *StageStats) OnDequeue() {
 func (s *StageStats) OnService(d time.Duration) {
 	s.mu.Lock()
 	s.busy += d
+	s.serviced++
 	s.mu.Unlock()
-	s.service.Observe(d)
 }
 
 // OnIOBlock records a worker thread blocking on I/O inside the stage. The
@@ -285,18 +287,20 @@ func (s *StageStats) OnIOBlock() {
 // Snapshot returns a point-in-time copy of the stage's statistics.
 func (s *StageStats) Snapshot() StageSnapshot {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	snap := StageSnapshot{
 		Name:      s.Name,
 		Enqueued:  s.enqueued,
 		Dequeued:  s.dequeued,
+		Serviced:  s.serviced,
 		Busy:      s.busy,
 		QueueLen:  s.queueLen,
 		MaxQueue:  s.maxQueue,
 		IOBlocked: s.ioBlocked,
 	}
-	s.mu.Unlock()
-	snap.MeanService = s.service.Mean()
-	snap.Serviced = s.service.N()
+	if s.serviced > 0 {
+		snap.MeanService = s.busy / time.Duration(s.serviced)
+	}
 	return snap
 }
 

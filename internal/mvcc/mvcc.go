@@ -127,7 +127,7 @@ func (m *Manager) SnapshotOf(id uint64) *Snapshot {
 }
 
 // End closes a snapshot, releasing its pin on the GC horizon. The owning
-// transaction's status entry is unaffected.
+// transaction's status entry is unaffected (see Forget).
 func (m *Manager) End(snap *Snapshot) {
 	if snap == nil {
 		return
@@ -150,6 +150,24 @@ func (m *Manager) Commit(id uint64) {
 	m.txns[id] = &txnStatus{state: stateCommitted, commitTS: ts}
 	m.mu.Unlock()
 	m.commits.Add(1)
+}
+
+// CommitReadOnly commits a transaction that stamped no version. Nothing
+// orders against it, so it draws no timestamp, and its status entry is
+// dropped rather than stamped (see Forget).
+func (m *Manager) CommitReadOnly(id uint64) {
+	m.Forget(id)
+	m.commits.Add(1)
+}
+
+// Forget drops transaction id's status entry without waiting for Prune. Only
+// for a transaction that never stamped a version: no heap record, and no
+// copy of one a reader still holds, carries the id, so no visibility check
+// will ever resolve it — and an entry kept would be one retained per read.
+func (m *Manager) Forget(id uint64) {
+	m.mu.Lock()
+	delete(m.txns, id)
+	m.mu.Unlock()
 }
 
 // Abort stamps transaction id aborted. Must be called before undo starts:

@@ -9,10 +9,13 @@
 //     quotas, plus queue-depth load shedding fed by the engine's own
 //     execute-stage queue. Excess load is rejected with a typed retryable
 //     error before any parse work happens, instead of queueing unboundedly.
-//   - Results stream one wire frame per pooled exchange page. The server
-//     never buffers pages for a slow client: a blocked conn.Write simply
-//     stops pulling from the root exchange, whose bounded buffer parks the
-//     execute-stage producers via the page-recycle protocol.
+//   - Results stream one wire frame per pooled exchange page, written as
+//     each page arrives. The server never buffers pages for a slow client:
+//     a blocked conn.Write simply stops pulling from the root exchange,
+//     whose bounded buffer parks the execute-stage producers via the
+//     page-recycle protocol. A materialized response (Exec) is framed into
+//     one per-session buffer and leaves in a single write — in 64 KB pieces
+//     when it is larger.
 //   - Each session is isolated: a panic in one query's session goroutine
 //     answers that query with an error frame and keeps both the session and
 //     the process alive.
@@ -56,8 +59,8 @@ type Options struct {
 	// QueryTimeout caps every query's execution time (0 = none). A client
 	// deadline shorter than the cap wins.
 	QueryTimeout time.Duration
-	// WriteTimeout bounds each result-frame write (0 = 30s). A client that
-	// cannot accept one frame within it is treated as dead: its query is
+	// WriteTimeout bounds each response write (0 = 30s). A client that
+	// cannot accept one write within it is treated as dead: its query is
 	// canceled and the session closed. Backpressure below this horizon is
 	// free — a parked write parks the pipeline, not a buffer.
 	WriteTimeout time.Duration

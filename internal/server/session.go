@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +27,23 @@ type session struct {
 
 	busy    atomic.Bool
 	cancelQ atomic.Value // context.CancelFunc of the in-flight query
-	wbuf    []byte       // frame payload scratch, reused across pages
+
+	// out accumulates response frames until flush sends them with one
+	// conn.Write; qctx is the in-flight query's context. Both belong to the
+	// worker.
+	out  []byte
+	qctx context.Context
+
+	// wmu orders the worker's write deadlines against cancelInflight's poke,
+	// so that the poke lands on the write it is meant for or on none.
+	wmu    sync.Mutex
+	parked bool // the worker is inside a conn.Write that a Cancel should interrupt
 }
+
+// outBufMax bounds the bytes a session buffers before writing: a response
+// that would grow past it goes out in several writes. Only a single frame
+// larger than this (one page of very wide rows) is ever buffered beyond it.
+const outBufMax = 64 << 10
 
 // run is the session worker: handshake, then the query loop. It owns every
 // write on the connection.
@@ -105,7 +121,9 @@ func (s *session) handshake() bool {
 	}
 	s.tenant, s.admitted = h.Tenant, true
 	s.conn.SetDeadline(time.Time{}) // steady state: reads park, writes set their own deadline
-	return s.writeFrame(wire.MsgHelloOK, wire.AppendHelloOK(nil, wire.Proto)) == nil
+	start := s.beginFrame(wire.MsgHelloOK)
+	s.out = wire.AppendHelloOK(s.out, wire.Proto)
+	return s.endFrame(start) == nil && s.flush(len(s.out)) == nil
 }
 
 // reader owns all reads after the handshake. Query frames flow to the
@@ -160,7 +178,11 @@ func (s *session) reader(frames chan<- wire.Query) {
 func (s *session) cancelInflight() {
 	if cf, ok := s.cancelQ.Load().(context.CancelFunc); ok && cf != nil {
 		cf()
-		s.conn.SetWriteDeadline(time.Now())
+		s.wmu.Lock()
+		if s.parked {
+			s.conn.SetWriteDeadline(time.Now())
+		}
+		s.wmu.Unlock()
 	}
 }
 
@@ -172,8 +194,10 @@ func (s *session) runQuery(q wire.Query) {
 		s.cancelQ.Store(context.CancelFunc(nil))
 		if r := recover(); r != nil {
 			s.srv.adm.counters.Inc("panics")
+			s.out = s.out[:0] // may end in a half-encoded frame
 			s.writeDoneErr(wire.ErrCodePanic, "stagedb: query panicked (session preserved)")
 		}
+		s.qctx = nil
 	}()
 
 	_, execQueue := s.srv.db.EngineLoad()
@@ -185,6 +209,7 @@ func (s *session) runQuery(q wire.Query) {
 
 	qctx, qcancel := s.queryContext(q)
 	defer qcancel()
+	s.qctx = qctx
 	s.cancelQ.Store(qcancel)
 
 	if hook := s.srv.testHookExec; hook != nil {
@@ -206,27 +231,30 @@ func (s *session) runQuery(q wire.Query) {
 		return
 	}
 	// A SELECT through Exec arrives materialized; re-page it at the
-	// engine's page granularity so the wire sees the same frame shape.
+	// engine's page granularity so the wire sees the same frame shape. The
+	// frames only accumulate here: a small result leaves with its Done in
+	// one write, a large one in outBufMax pieces.
 	if len(res.Columns) > 0 {
-		if err := s.writeFrame(wire.MsgColumns, wire.AppendColumns(s.wbuf[:0], res.Columns)); err != nil {
-			s.failWrite(qctx)
+		if err := s.putColumns(res.Columns); err != nil {
+			s.failWrite()
 			return
 		}
 		const pageRows = 64
 		for off := 0; off < len(res.Rows); off += pageRows {
 			end := min(off+pageRows, len(res.Rows))
-			if err := s.writeFrame(wire.MsgPage, wire.AppendPage(s.wbuf[:0], res.Rows[off:end])); err != nil {
-				s.failWrite(qctx)
+			if err := s.putPage(res.Rows[off:end]); err != nil {
+				s.failWrite()
 				return
 			}
 		}
 	}
-	s.writeDone(wire.Done{Affected: res.Affected})
+	s.finish(res.Affected)
 }
 
 // streamQuery is the SELECT fast path: one wire frame per pooled exchange
-// page, pulled from the pipeline only as fast as the client accepts frames.
-// The bounded root exchange turns a stalled write into parked execute-stage
+// page, written as soon as it is encoded (Columns rides with the first) and
+// pulled from the pipeline only as fast as the client accepts frames. The
+// bounded root exchange turns a stalled write into parked execute-stage
 // producers — backpressure, not buffering.
 func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) {
 	rows, err := s.dbc.QueryContext(qctx, sqlText, args...)
@@ -234,9 +262,14 @@ func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) 
 		s.writeDoneErr(codeFor(err), err.Error())
 		return
 	}
-	if err := s.writeFrame(wire.MsgColumns, wire.AppendColumns(s.wbuf[:0], rows.Columns())); err != nil {
+	// Slow or gone client: abandon the pipeline (recycles every outstanding
+	// page, like an early Rows.Close) and the session.
+	abandon := func() {
 		rows.Close()
-		s.failWrite(qctx)
+		s.failWrite()
+	}
+	if err := s.putColumns(rows.Columns()); err != nil {
+		abandon()
 		return
 	}
 	for {
@@ -249,11 +282,11 @@ func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) 
 		if batch == nil {
 			break
 		}
-		if err := s.writeFrame(wire.MsgPage, wire.AppendPage(s.wbuf[:0], batch)); err != nil {
-			// Slow or gone client: abandon the pipeline (recycles every
-			// outstanding page, like an early Rows.Close) and the session.
-			rows.Close()
-			s.failWrite(qctx)
+		if err = s.putPage(batch); err == nil {
+			err = s.flush(len(s.out))
+		}
+		if err != nil {
+			abandon()
 			return
 		}
 	}
@@ -261,7 +294,7 @@ func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) 
 		s.writeDoneErr(codeFor(err), err.Error())
 		return
 	}
-	s.writeDone(wire.Done{})
+	s.finish(0)
 }
 
 // queryContext derives the query's context from the session's: the client
@@ -281,42 +314,135 @@ func (s *session) queryContext(q wire.Query) (context.Context, context.CancelFun
 	return context.WithCancel(s.ctx)
 }
 
-// failWrite handles a result-frame write failure. Two causes look alike —
-// the write deadline fired — but mean opposite things: a Cancel frame pokes
-// the deadline to interrupt a parked write (the session must live on and
-// answer Done(canceled)), while a client that is slow past WriteTimeout or
-// gone is dead weight (cancel its query, end the session).
-func (s *session) failWrite(qctx context.Context) {
-	if err := qctx.Err(); err != nil {
+// failWrite handles a response write failure. Two causes look alike — the
+// write deadline fired — but mean opposite things: a Cancel frame pokes the
+// deadline to interrupt a parked write (the session must live on and answer
+// Done(canceled)), while a client that is slow past WriteTimeout or gone is
+// dead weight (cancel its query, end the session). Either way a session
+// whose terminal frame cannot be written must not go on to read the next
+// query over a half-written stream.
+func (s *session) failWrite() {
+	if s.ctx.Err() != nil {
+		return // flush already gave the session up: the stream is cut mid-frame
+	}
+	if s.canceled() {
 		// Interrupted by cancellation (or deadline), not a dead client:
-		// answer the terminal Done under a fresh write deadline.
-		code := codeFor(err)
+		// answer the terminal Done, which no poke can reach any more.
+		code := codeFor(s.qctx.Err())
 		msg := stagedb.ErrCanceled.Error()
 		if code == wire.ErrCodeTimeout {
 			msg = stagedb.ErrTimeout.Error()
 		}
-		s.writeDoneErr(code, msg)
-		return
+		if s.sendDone(wire.Done{Code: code, Msg: msg}) == nil {
+			return
+		}
+	} else {
+		s.srv.adm.counters.Inc("slow_client_aborts")
 	}
-	s.srv.adm.counters.Inc("slow_client_aborts")
 	s.cancel()
 }
 
-// writeFrame writes one frame under a fresh WriteTimeout deadline. An
-// in-flight write is interruptible: cancelInflight pokes the deadline into
-// the past, so a parked write returns a timeout error immediately.
-func (s *session) writeFrame(typ byte, payload []byte) error {
-	s.wbuf = payload // keep the grown scratch buffer for the next frame
+// beginFrame starts a frame of type typ in the output buffer and returns
+// its offset for endFrame.
+func (s *session) beginFrame(typ byte) int {
+	start := len(s.out)
+	s.out = wire.BeginFrame(s.out, typ)
+	return start
+}
+
+// endFrame completes the frame begun at start. When that frame took the
+// buffer past outBufMax the frames before it are written first, so a large
+// materialized result leaves in bounded pieces.
+func (s *session) endFrame(start int) error {
+	if err := wire.EndFrame(s.out, start); err != nil {
+		s.out = s.out[:start]
+		return err
+	}
+	if len(s.out) > outBufMax && start > 0 {
+		return s.flush(start)
+	}
+	return nil
+}
+
+func (s *session) putColumns(names []string) error {
+	start := s.beginFrame(wire.MsgColumns)
+	s.out = wire.AppendColumns(s.out, names)
+	return s.endFrame(start)
+}
+
+func (s *session) putPage(rows []stagedb.Row) error {
+	start := s.beginFrame(wire.MsgPage)
+	s.out = wire.AppendPage(s.out, rows)
+	return s.endFrame(start)
+}
+
+// sendDone appends the terminal Done to whatever result frames are still
+// buffered and flushes the response.
+func (s *session) sendDone(d wire.Done) error {
+	start := s.beginFrame(wire.MsgDone)
+	s.out = d.Append(s.out)
+	if err := s.endFrame(start); err != nil {
+		return err
+	}
+	return s.flush(len(s.out))
+}
+
+// flush writes the first upto bytes of the output buffer — whole frames —
+// with one conn.Write and keeps the rest for the next flush. On failure the
+// whole buffer is dropped; under a canceled query of a live session, where
+// the client is expected to be waiting for Done(canceled|timeout), a frame
+// the write cut in two is completed first so that the stream still parses.
+func (s *session) flush(upto int) error {
+	n, err := s.write(s.out[:upto])
+	if err != nil && s.canceled() && s.ctx.Err() == nil {
+		if end := wire.FrameEnd(s.out, n); end > n {
+			if _, cerr := s.write(s.out[n:end]); cerr != nil {
+				s.cancel() // cut mid-frame for good: nothing more can be said on this stream
+			} else if end == upto {
+				err = nil // only the tail of the last frame was outstanding
+			}
+		}
+	}
+	if err != nil {
+		upto = len(s.out)
+	}
+	s.out = s.out[:copy(s.out, s.out[upto:])]
+	return err
+}
+
+// write is one conn.Write under a fresh WriteTimeout deadline. A write begun
+// before the query was canceled carries results nobody may want any more:
+// cancelInflight pokes its deadline into the past, so it returns a timeout
+// error at once even when parked on a full socket. A write begun after —
+// the Done(canceled) answer — is left alone.
+func (s *session) write(p []byte) (int, error) {
+	s.wmu.Lock()
 	s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
-	return wire.WriteFrame(s.conn, typ, payload)
+	s.parked = !s.canceled()
+	s.wmu.Unlock()
+	n, err := s.conn.Write(p)
+	s.wmu.Lock()
+	s.parked = false
+	s.wmu.Unlock()
+	return n, err
 }
 
-func (s *session) writeDone(d wire.Done) {
-	s.writeFrame(wire.MsgDone, d.Append(s.wbuf[:0]))
+// canceled reports whether a query is in flight and its context has ended.
+func (s *session) canceled() bool { return s.qctx != nil && s.qctx.Err() != nil }
+
+// finish ends a successful query.
+func (s *session) finish(affected int64) {
+	if err := s.sendDone(wire.Done{Affected: affected}); err != nil {
+		s.failWrite()
+	}
 }
 
+// writeDoneErr answers a query (or a refused handshake) with a failing Done
+// frame.
 func (s *session) writeDoneErr(code wire.ErrCode, msg string) {
-	s.writeDone(wire.Done{Code: code, Msg: msg})
+	if err := s.sendDone(wire.Done{Code: code, Msg: msg}); err != nil {
+		s.failWrite()
+	}
 }
 
 // codeFor maps the public error taxonomy onto wire codes; anything outside

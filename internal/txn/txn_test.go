@@ -1,15 +1,12 @@
 package txn
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"stagedb/internal/storage"
 )
 
 func TestLockSharedCompatible(t *testing.T) {
@@ -210,73 +207,6 @@ func TestFIFOFairnessNoStarvation(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWALAppendAndAnalyze(t *testing.T) {
-	w := NewWAL()
-	w.Append(Record{Txn: 1, Kind: RecBegin})
-	w.Append(Record{Txn: 1, Kind: RecInsert, Table: "t", RID: storage.RID{Page: 1, Slot: 0}, After: []byte("a")})
-	w.Append(Record{Txn: 2, Kind: RecBegin})
-	w.Append(Record{Txn: 2, Kind: RecInsert, Table: "t", RID: storage.RID{Page: 1, Slot: 1}, After: []byte("b")})
-	w.Append(Record{Txn: 1, Kind: RecCommit})
-	w.Append(Record{Txn: 3, Kind: RecBegin})
-	w.Append(Record{Txn: 3, Kind: RecDelete, Table: "t", RID: storage.RID{Page: 1, Slot: 0}, Before: []byte("a")})
-	w.Append(Record{Txn: 2, Kind: RecAbort})
-
-	plan := Analyze(w.Records())
-	if !plan.Committed[1] || plan.Committed[2] || plan.Committed[3] {
-		t.Fatalf("committed set wrong: %v", plan.Committed)
-	}
-	if !plan.Aborted[2] {
-		t.Fatal("txn 2 should be aborted")
-	}
-	if !plan.InFlight[3] {
-		t.Fatal("txn 3 should be in flight (lost)")
-	}
-	if len(plan.Ops) != 1 || plan.Ops[0].Txn != 1 {
-		t.Fatalf("redo ops wrong: %+v", plan.Ops)
-	}
-}
-
-func TestWALSerializeRoundTrip(t *testing.T) {
-	w := NewWAL()
-	w.Append(Record{Txn: 1, Kind: RecBegin})
-	w.Append(Record{Txn: 1, Kind: RecUpdate, Table: "users", RID: storage.RID{Page: 9, Slot: 3},
-		Before: []byte("old"), After: []byte("new")})
-	w.Append(Record{Txn: 1, Kind: RecCommit})
-
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	records, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 {
-		t.Fatalf("got %d records", len(records))
-	}
-	upd := records[1]
-	if upd.Kind != RecUpdate || upd.Table != "users" ||
-		upd.RID != (storage.RID{Page: 9, Slot: 3}) ||
-		string(upd.Before) != "old" || string(upd.After) != "new" {
-		t.Fatalf("round trip lost data: %+v", upd)
-	}
-	if records[0].LSN >= records[1].LSN || records[1].LSN >= records[2].LSN {
-		t.Fatal("LSNs must be increasing")
-	}
-}
-
-func TestWALTruncate(t *testing.T) {
-	w := NewWAL()
-	for i := 0; i < 10; i++ {
-		w.Append(Record{Txn: 1, Kind: RecInsert})
-	}
-	w.TruncateBefore(6)
-	records := w.Records()
-	if len(records) != 5 || records[0].LSN != 6 {
-		t.Fatalf("truncate wrong: %d records, first LSN %d", len(records), records[0].LSN)
-	}
-}
-
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager()
 	id := m.Begin()
@@ -312,18 +242,20 @@ func TestManagerAbortReturnsUndoInReverse(t *testing.T) {
 	if len(undo) != 2 || undo[0].Kind != RecUpdate || undo[1].Kind != RecInsert {
 		t.Fatalf("undo order wrong: %+v", undo)
 	}
-	plan := Analyze(m.Log.Records())
-	if len(plan.Ops) != 0 {
-		t.Fatal("aborted txn must contribute no redo ops")
-	}
 }
 
-func TestManagerCommitSyncsLog(t *testing.T) {
+func TestManagerOnCommitReportsWrote(t *testing.T) {
 	m := NewManager()
-	id := m.Begin()
-	m.Commit(id)
-	if m.Log.Syncs() != 1 {
-		t.Fatalf("syncs=%d, want 1", m.Log.Syncs())
+	got := map[ID]bool{}
+	m.OnCommit = func(id ID, wrote bool) { got[id] = wrote }
+	reader, writer := m.Begin(), m.Begin()
+	if _, err := m.LogOp(Record{Txn: writer, Kind: RecInsert, Table: "t", After: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	m.Commit(reader)
+	m.Commit(writer)
+	if got[reader] || !got[writer] {
+		t.Fatalf("wrote flags: reader=%v writer=%v, want false/true", got[reader], got[writer])
 	}
 }
 

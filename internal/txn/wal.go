@@ -1,10 +1,7 @@
 package txn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
 	"stagedb/internal/storage"
@@ -15,6 +12,8 @@ type RecordKind uint8
 
 // WAL record kinds.
 const (
+	// RecBegin is never written — a transaction begins at its first data
+	// record — but keeps its value: kinds are on-disk format.
 	RecBegin RecordKind = iota
 	RecCommit
 	RecAbort
@@ -85,290 +84,45 @@ type Record struct {
 	UndoOf uint64 // LSN of the record this CLR compensates
 }
 
-// WAL is an append-only in-memory log. WriteTo/ReadLog serialize it with a
-// binary framing, standing in for the paper's log disk.
-type WAL struct {
-	mu      sync.Mutex
-	records []Record
-	nextLSN uint64
-	// SyncDelay simulations hook: count of forced flushes (commits).
-	syncs uint64
-}
-
-// NewWAL returns an empty log. LSNs start at 1.
-func NewWAL() *WAL { return &WAL{nextLSN: 1} }
-
-// Append adds a record, assigning and returning its LSN.
-func (w *WAL) Append(rec Record) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rec.LSN = w.nextLSN
-	w.nextLSN++
-	w.records = append(w.records, rec)
-	if rec.Kind == RecCommit {
-		w.syncs++ // commit forces the log to stable storage
-	}
-	return rec.LSN
-}
-
-// Records returns a copy of the log.
-func (w *WAL) Records() []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Record, len(w.records))
-	copy(out, w.records)
-	return out
-}
-
-// Len returns the number of records.
-func (w *WAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.records)
-}
-
-// Syncs reports commit-forced flushes (the I/O the engine charges for
-// logging, Workload A's only I/O in §3.1.1 Workload B).
-func (w *WAL) Syncs() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncs
-}
-
-// TruncateBefore drops records with LSN < lsn (checkpointing).
-func (w *WAL) TruncateBefore(lsn uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := 0
-	for i < len(w.records) && w.records[i].LSN < lsn {
-		i++
-	}
-	w.records = append([]Record(nil), w.records[i:]...)
-}
-
-// WriteTo serializes the log. The format is length-prefixed little-endian
-// framing per record.
-func (w *WAL) WriteTo(out io.Writer) (int64, error) {
-	w.mu.Lock()
-	records := make([]Record, len(w.records))
-	copy(records, w.records)
-	w.mu.Unlock()
-
-	bw := bufio.NewWriter(out)
-	var total int64
-	var scratch [8]byte
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		n, err := bw.Write(scratch[:])
-		total += int64(n)
-		return err
-	}
-	writeBytes := func(b []byte) error {
-		if err := writeU64(uint64(len(b))); err != nil {
-			return err
-		}
-		n, err := bw.Write(b)
-		total += int64(n)
-		return err
-	}
-	for _, rec := range records {
-		if err := writeU64(rec.LSN); err != nil {
-			return total, err
-		}
-		if err := writeU64(uint64(rec.Txn)); err != nil {
-			return total, err
-		}
-		if err := writeU64(uint64(rec.Kind)); err != nil {
-			return total, err
-		}
-		if err := writeBytes([]byte(rec.Table)); err != nil {
-			return total, err
-		}
-		if err := writeU64(uint64(rec.RID.Page)); err != nil {
-			return total, err
-		}
-		if err := writeU64(uint64(rec.RID.Slot)); err != nil {
-			return total, err
-		}
-		if err := writeBytes(rec.Before); err != nil {
-			return total, err
-		}
-		if err := writeBytes(rec.After); err != nil {
-			return total, err
-		}
-		var flags uint64
-		if rec.CLR {
-			flags |= 1
-		}
-		if err := writeU64(flags); err != nil {
-			return total, err
-		}
-		if err := writeU64(rec.UndoOf); err != nil {
-			return total, err
-		}
-	}
-	return total, bw.Flush()
-}
-
-// ReadLog parses a log serialized by WriteTo.
-func ReadLog(in io.Reader) ([]Record, error) {
-	br := bufio.NewReader(in)
-	var out []Record
-	var scratch [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	for {
-		lsn, err := readU64()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		var rec Record
-		rec.LSN = lsn
-		id, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		rec.Txn = ID(id)
-		kind, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		rec.Kind = RecordKind(kind)
-		table, err := readBytes()
-		if err != nil {
-			return nil, err
-		}
-		rec.Table = string(table)
-		page, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		slot, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		rec.RID = storage.RID{Page: storage.PageID(page), Slot: uint16(slot)}
-		if rec.Before, err = readBytes(); err != nil {
-			return nil, err
-		}
-		if rec.After, err = readBytes(); err != nil {
-			return nil, err
-		}
-		flags, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		rec.CLR = flags&1 != 0
-		if rec.UndoOf, err = readU64(); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}
-
-// RedoPlan is the outcome of recovery analysis: the data operations of
-// committed transactions, in log order, to replay against empty storage.
-type RedoPlan struct {
-	Committed map[ID]bool
-	Aborted   map[ID]bool
-	InFlight  map[ID]bool // neither committed nor aborted: lost at the crash
-	Ops       []Record    // committed data records in LSN order
-}
-
-// Analyze scans a log and builds the redo plan. Records of uncommitted
-// transactions are ignored (logical redo of committed work only — the
-// engine applies operations to storage at commit in this design, so no undo
-// phase is needed after a crash).
-func Analyze(records []Record) RedoPlan {
-	plan := RedoPlan{
-		Committed: make(map[ID]bool),
-		Aborted:   make(map[ID]bool),
-		InFlight:  make(map[ID]bool),
-	}
-	for _, rec := range records {
-		switch rec.Kind {
-		case RecBegin:
-			plan.InFlight[rec.Txn] = true
-		case RecCommit:
-			plan.Committed[rec.Txn] = true
-			delete(plan.InFlight, rec.Txn)
-		case RecAbort:
-			plan.Aborted[rec.Txn] = true
-			delete(plan.InFlight, rec.Txn)
-		}
-	}
-	for _, rec := range records {
-		switch rec.Kind {
-		case RecInsert, RecDelete, RecUpdate:
-			if plan.Committed[rec.Txn] {
-				plan.Ops = append(plan.Ops, rec)
-			}
-		}
-	}
-	return plan
-}
-
 // Manager hands out transaction IDs and couples the lock manager with the
 // log. The engine calls Begin, logs operations through LogOp, and finishes
 // with Commit or PrepareAbort/FinishAbort.
 //
-// With no durable log attached the manager runs exactly as the seed did:
-// records land in the in-memory WAL and commit is a counter bump. With
-// SetDurable, data records flow to the on-disk log (earning real LSNs) and
-// Commit blocks until the commit record's group-commit flush reaches stable
-// storage.
+// There is one log, the DurableWAL. With none attached (volatile mode) a
+// transaction's data records live only in the active table, for undo, and
+// are dropped when it ends: nothing is retained per finished transaction.
+// With SetDurable, data records also flow to the on-disk log (earning real
+// LSNs) and Commit blocks until the commit record's group-commit flush
+// reaches stable storage.
 type Manager struct {
 	mu     sync.Mutex
 	next   ID
 	active map[ID][]Record // per-txn data records, for undo
 
 	Locks *LockManager
-	Log   *WAL
 
 	durable *DurableWAL
 
 	// OnCommit, when set, runs after a transaction's commit record is
-	// durable (or appended, in volatile mode) and before its locks are
-	// released. The MVCC layer hooks it to stamp the commit timestamp:
-	// stamping before lock release guarantees any later snapshot sees
-	// either all of the transaction's versions or none. Set once at
-	// construction, before concurrent use.
-	OnCommit func(ID)
+	// durable (at once, in volatile mode) and before its locks are
+	// released; wrote says whether the transaction logged any data record.
+	// The MVCC layer hooks it to stamp the commit timestamp: stamping
+	// before lock release guarantees any later snapshot sees either all of
+	// the transaction's versions or none. Set once at construction, before
+	// concurrent use.
+	OnCommit func(id ID, wrote bool)
 }
 
-// NewManager returns a manager with a fresh lock manager and log.
+// NewManager returns a manager with a fresh lock manager and no log.
 func NewManager() *Manager {
 	return &Manager{
 		next:   1,
 		active: make(map[ID][]Record),
 		Locks:  NewLockManager(),
-		Log:    NewWAL(),
 	}
 }
 
-// SetDurable attaches the on-disk log. From here on records are durable and
-// the in-memory WAL is bypassed (it would otherwise grow without bound).
+// SetDurable attaches the on-disk log. From here on records are durable.
 func (m *Manager) SetDurable(d *DurableWAL) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -398,18 +152,14 @@ func (m *Manager) Begin() ID {
 	id := m.next
 	m.next++
 	m.active[id] = nil
-	durable := m.durable != nil
 	m.mu.Unlock()
-	if !durable {
-		// The durable log infers begins from a txn's first data record;
-		// logging them would cost a frame per txn for nothing.
-		m.Log.Append(Record{Txn: id, Kind: RecBegin})
-	}
+	// No begin record: the log infers begins from a txn's first data record;
+	// logging them would cost a frame per txn for nothing.
 	return id
 }
 
 // LogOp records one data operation for txn, returning its LSN (0 in
-// volatile mode, where LSNs are synthetic).
+// volatile mode, where there is no log).
 func (m *Manager) LogOp(rec Record) (uint64, error) {
 	m.mu.Lock()
 	if _, ok := m.active[rec.Txn]; !ok {
@@ -425,8 +175,6 @@ func (m *Manager) LogOp(rec Record) (uint64, error) {
 			return 0, err
 		}
 		rec.LSN = lsn
-	} else {
-		m.Log.Append(rec)
 	}
 	m.mu.Lock()
 	if _, ok := m.active[rec.Txn]; !ok {
@@ -457,7 +205,8 @@ func (m *Manager) AppendCLR(rec Record) (uint64, error) {
 // carry no commit, so recovery rolls it back.
 func (m *Manager) Commit(id ID) error {
 	m.mu.Lock()
-	if _, ok := m.active[id]; !ok {
+	ops, ok := m.active[id]
+	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("txn: %d is not active", id)
 	}
@@ -467,11 +216,9 @@ func (m *Manager) Commit(id ID) error {
 	var err error
 	if d != nil {
 		err = d.Commit(Record{Txn: id, Kind: RecCommit})
-	} else {
-		m.Log.Append(Record{Txn: id, Kind: RecCommit})
 	}
 	if err == nil && m.OnCommit != nil {
-		m.OnCommit(id)
+		m.OnCommit(id, len(ops) > 0)
 	}
 	m.Locks.ReleaseAll(id)
 	return err
@@ -506,8 +253,6 @@ func (m *Manager) FinishAbort(id ID) error {
 	var err error
 	if d != nil {
 		_, err = d.Append(Record{Txn: id, Kind: RecAbort})
-	} else {
-		m.Log.Append(Record{Txn: id, Kind: RecAbort})
 	}
 	m.Locks.ReleaseAll(id)
 	return err

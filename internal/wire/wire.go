@@ -1,9 +1,12 @@
 // Package wire is stagedb's client/server protocol: length-prefixed frames
 // over a byte stream, sized so one result frame carries exactly one pooled
-// exchange page of rows. The server never re-batches or buffers results —
-// each page the execute stage emits becomes one frame, so TCP backpressure
-// from a slow client parks the producing pipeline through the page-recycle
-// protocol instead of growing a server-side buffer.
+// exchange page of rows. The server never re-batches results — each page the
+// execute stage emits becomes one frame — and a streaming result is written
+// a page at a time, so TCP backpressure from a slow client parks the
+// producing pipeline through the page-recycle protocol instead of growing a
+// server-side buffer. Frames are built in place in the sender's buffer
+// (BeginFrame/EndFrame) and a materialized response — Columns, its Pages,
+// Done — leaves in one Write.
 //
 // Frame layout (all integers big-endian unless varint):
 //
@@ -28,6 +31,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -85,21 +89,62 @@ const (
 	ErrCodeSerialization ErrCode = 8
 )
 
-// WriteFrame writes one frame. The payload must fit MaxFrame.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("wire: frame payload %d bytes exceeds max %d", len(payload), MaxFrame)
+// HeaderLen is the fixed prefix of every frame: the u32 length and the u8
+// type.
+const HeaderLen = 5
+
+// ErrFrameTooLarge reports a frame whose type byte plus payload exceed
+// MaxFrame.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
+
+// BeginFrame starts a frame of type typ at the end of dst: it reserves the
+// header and returns the slice for a payload encoder (Query.Append,
+// AppendPage, ...) to extend. EndFrame then patches the length in place, so
+// any number of frames accumulate in one buffer with no copy and go out in
+// one Write:
+//
+//	start := len(buf)
+//	buf = wire.AppendPage(wire.BeginFrame(buf, wire.MsgPage), rows)
+//	err := wire.EndFrame(buf, start)
+//
+//stagedb:hot
+func BeginFrame(dst []byte, typ byte) []byte {
+	return append(dst, 0, 0, 0, 0, typ)
+}
+
+// EndFrame completes the frame begun at dst[start], which must extend to the
+// end of dst. On ErrFrameTooLarge the caller drops dst[start:].
+//
+//stagedb:hot
+func EndFrame(dst []byte, start int) error {
+	n := len(dst) - start - 4 // the length field counts the type byte and the payload
+	if n > MaxFrame {
+		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return nil
+}
+
+// FrameEnd returns the end offset of the frame that contains byte n-1 of
+// buf, a run of whole frames: n itself when a write that stopped after n
+// bytes stopped between two frames, and otherwise how far it has to continue
+// to leave the stream parseable.
+func FrameEnd(buf []byte, n int) int {
+	end := 0
+	for end < n {
+		end += 4 + int(binary.BigEndian.Uint32(buf[end:]))
+	}
+	return end
+}
+
+// WriteFrame writes one frame with a single Write. The payload must fit
+// MaxFrame.
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	buf := append(BeginFrame(make([]byte, 0, HeaderLen+len(payload)), typ), payload...)
+	if err := EndFrame(buf, 0); err != nil {
 		return err
 	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(buf)
 	return err
 }
 
