@@ -1,13 +1,12 @@
 package stagedb
 
-// One benchmark per table/figure of the paper plus the §4.4 ablations, as
-// indexed in DESIGN.md §4. Each bench regenerates its experiment and reports
-// the headline quantity as a custom metric, so
+// One benchmark per table/figure of the paper plus the §4.4 ablations. Each
+// bench regenerates its experiment and reports the headline quantity as a
+// custom metric, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the evaluation end to end. Shapes to expect are documented in
-// EXPERIMENTS.md.
+// reproduces the evaluation end to end.
 
 import (
 	"context"
@@ -241,9 +240,9 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedScan pits N concurrent scan-heavy queries against the
-// three execution flavors: staged with shared circular scans (the default),
-// staged with sharing disabled, and the goroutine-per-task baseline runner.
+// BenchmarkSharedScan pits N concurrent scan-heavy queries against staged
+// execution with shared circular scans (the default) and with sharing
+// disabled.
 // The custom metric heap-reads/op counts simulated-disk page reads per
 // benchmark iteration (8 queries); sharing should cut it by the fan-out.
 func BenchmarkSharedScan(b *testing.B) {
@@ -254,7 +253,6 @@ func BenchmarkSharedScan(b *testing.B) {
 	}{
 		{"staged-shared", Options{ExecWorkers: 4, PoolFrames: 8}},
 		{"staged-unshared", Options{ExecWorkers: 4, PoolFrames: 8, DisableSharedScans: true}},
-		{"gorunner-unshared", Options{ExecWorkers: -1, PoolFrames: 8, DisableSharedScans: true}},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			db := mustOpen(b, m.opts)
@@ -347,33 +345,6 @@ func BenchmarkJoinStreamLimit(b *testing.B) {
 	b.StopTimer()
 	readsAfter, _ := db.IOStats()
 	b.ReportMetric(float64(readsAfter-readsBefore)/float64(b.N), "heap-reads/op")
-}
-
-// BenchmarkExecScheduler compares the goroutine-per-operator baseline
-// against the pooled, batched execution-stage scheduler (§4.1.2: bounded
-// per-stage queues, worker pools, batch dispatch) under the analytics join
-// workload.
-func BenchmarkExecScheduler(b *testing.B) {
-	for _, m := range []struct {
-		name        string
-		execWorkers int
-	}{
-		{"goroutine-per-task", -1},
-		{"pooled-batched", 4},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			db := mustOpen(b, Options{ExecWorkers: m.execWorkers, ExecBatch: 4})
-			defer db.Close()
-			loadWisconsin(b, db, []string{"wtab", "wtab2"}, 1000)
-			gen := workload.NewWorkloadB("wtab", 1000, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(gen.Next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkClientStreamFirstRow measures time-to-first-row on the client

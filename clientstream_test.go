@@ -492,6 +492,7 @@ func TestOpenValidatesOptions(t *testing.T) {
 		{PageRows: -8},
 		{BufferPages: -1},
 		{PoolFrames: -2},
+		{ExecWorkers: -1},
 		{ExecQueueDepth: -1},
 		{ExecBatch: -3},
 	} {
@@ -499,12 +500,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 			t.Fatalf("Open(%+v) should fail", opts)
 		}
 	}
-	// ExecWorkers < 0 stays legal: it selects the goroutine baseline.
-	db, err := Open(Options{ExecWorkers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
 }
 
 // TestSpillingSortStreamLeakFree is the memory-bounded execution acceptance

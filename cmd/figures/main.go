@@ -1,6 +1,5 @@
 // Command figures regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index and EXPERIMENTS.md for
-// paper-vs-measured discussion).
+// evaluation from the simulators in internal/experiments.
 //
 // Usage:
 //

@@ -14,7 +14,7 @@
 //     context.TODO outside tests, and a function that receives a ctx must
 //     not call the context-free variant of a callee that has one.
 //   - stageblock: no blocking operation (channel send/receive, select
-//     without default, exchange send, WaitGroup.Wait, time.Sleep) while a
+//     without default, awaitDetach, WaitGroup.Wait, time.Sleep) while a
 //     sync mutex is held — the deadlock class the stage scheduler's parking
 //     protocol exists to prevent.
 //   - hotalloc: functions annotated //stagedb:hot (compiled kernels, hash

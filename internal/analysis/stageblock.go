@@ -15,7 +15,7 @@ package analysis
 //
 //   - channel sends and receives outside a select,
 //   - select statements without a default case (these block),
-//   - calls that block by contract: exchange.send, exchange.Next,
+//   - calls that block by contract: exchange.Next,
 //     scanConsumer.awaitDetach, sync.WaitGroup.Wait, time.Sleep, and
 //   - calls to trySend/tryNext (they acquire the exchange lock internally;
 //     entering them with another lock held risks lock-order inversion).
@@ -41,7 +41,6 @@ var StageBlock = &Analyzer{
 
 // blockingMethods are methods that block by contract in this codebase.
 var blockingMethods = map[string]bool{
-	"send":        true, // exchange.send blocks on back-pressure
 	"awaitDetach": true, // blocks until the shared-scan wheel lets go
 	"Wait":        true, // sync.WaitGroup.Wait / sync.Cond.Wait
 }

@@ -14,11 +14,14 @@ type box struct {
 	ch chan int
 }
 
-// exchange mimics the real exchange's blocking and non-blocking entry points.
+// exchange mimics the real exchange's non-blocking entry point.
 type exchange struct{}
 
-// send blocks on back-pressure.
-func (e *exchange) send(v int) bool { return true }
+// consumer mimics the shared-scan consumer's blocking entry point.
+type consumer struct{}
+
+// awaitDetach blocks until the wheel lets go.
+func (c *consumer) awaitDetach() {}
 
 // trySend is non-blocking but acquires the exchange lock internally.
 func (e *exchange) trySend(v int) int { return 0 }
@@ -54,10 +57,10 @@ func sleepUnderLock(b *box) {
 	b.mu.Unlock()
 }
 
-// blockingSendUnderLock calls a method that blocks by contract.
-func blockingSendUnderLock(b *box, e *exchange) {
+// blockingCallUnderLock calls a method that blocks by contract.
+func blockingCallUnderLock(b *box, c *consumer) {
 	b.mu.Lock()
-	e.send(1) // want `call to blocking send while mutex b.mu is held`
+	c.awaitDetach() // want `call to blocking awaitDetach while mutex b.mu is held`
 	b.mu.Unlock()
 }
 

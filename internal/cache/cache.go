@@ -1,5 +1,5 @@
 // Package cache provides the simulated memory hierarchy that replaces the
-// hardware performance counters of the paper's testbed (DESIGN.md §2).
+// hardware performance counters of the paper's testbed.
 //
 // Two models are provided at two granularities:
 //

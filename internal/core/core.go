@@ -6,14 +6,12 @@
 // control cooperatively at stage boundaries; queues exert back-pressure by
 // blocking producers when full (§4.1.1).
 //
-// Two levels of scheduling exist (§4.1): local scheduling inside a stage
-// (workers draining the stage queue in batches, exploiting the stage's
-// affinity to the cache) and global scheduling across stages (an optional
-// Gate that admits one stage at a time in rotation, reproducing the
-// cohort/staged policies studied in internal/queuesim on real goroutines —
-// note that the Go runtime schedules the underlying threads, so on real
-// hardware the gate provides ordering, not true processor affinity; the
-// timing experiments therefore run on the simulators, see DESIGN.md §2).
+// Of the paper's two levels of scheduling (§4.1) this package implements the
+// local one: workers draining their stage's queue in batches, exploiting the
+// stage's affinity to the cache. Global scheduling across stages is left to
+// the Go runtime, which owns the underlying threads; the gated cohort/staged
+// policies are studied where their timing can be controlled, in
+// internal/queuesim.
 package core
 
 import (
@@ -31,9 +29,6 @@ import (
 type Packet struct {
 	// Client identifies the submitting client/connection.
 	Client int
-	// Query identifies the query this packet works for (several packets may
-	// serve one query inside the execution engine).
-	Query int
 	// Route is the remaining stage itinerary; Forward sends the packet to
 	// Route[0]. Precompiled queries route connect->execute directly by
 	// starting with a shorter route (§4.1).
@@ -42,12 +37,10 @@ type Packet struct {
 	Backpack any
 	// Err records a failure that stages downstream may inspect.
 	Err error
-
-	enqueued time.Time
 }
 
-// Verdict is what a stage handler decides about a packet (§4.1.1: destroy,
-// forward, or re-enqueue).
+// Verdict is what a stage handler decides about a packet (§4.1.1: destroy
+// or forward).
 type Verdict int
 
 // Handler verdicts.
@@ -56,9 +49,6 @@ const (
 	Done Verdict = iota
 	// Forward sends the packet to the next stage on its route.
 	Forward
-	// Requeue puts the packet back on this stage's queue (the client must
-	// wait on some condition).
-	Requeue
 )
 
 // Handler is the stage-specific server code invoked by dequeue.
@@ -91,7 +81,6 @@ type Stage struct {
 	srv   *Server
 	queue chan *Packet
 	stats *metrics.StageStats
-	gate  Gate
 }
 
 // Name returns the stage's routing name.
@@ -111,7 +100,6 @@ func (s *Stage) QueueLen() int { return len(s.queue) }
 // the stopped channel commits before the sweep runs, so the sweep always
 // observes it and no packet is stranded in a dead queue.
 func (s *Stage) Enqueue(pkt *Packet) error {
-	pkt.enqueued = time.Now()
 	s.srv.enqMu.RLock()
 	defer s.srv.enqMu.RUnlock()
 	select {
@@ -122,7 +110,6 @@ func (s *Stage) Enqueue(pkt *Packet) error {
 	select {
 	case s.queue <- pkt:
 		s.stats.OnEnqueue()
-		s.srv.pending.Add(1)
 		return nil
 	case <-s.srv.stopped:
 		return ErrStopped
@@ -135,7 +122,6 @@ func (s *Stage) worker() {
 	for {
 		select {
 		case pkt := <-s.queue:
-			s.gate.Acquire(s.cfg.Name)
 			s.process(pkt)
 			// Local batching: drain up to Batch-1 more packets while the
 			// stage's working set is hot.
@@ -147,7 +133,6 @@ func (s *Stage) worker() {
 					drained = s.cfg.Batch
 				}
 			}
-			s.gate.Release(s.cfg.Name)
 		case <-s.srv.stopped:
 			return
 		}
@@ -156,7 +141,6 @@ func (s *Stage) worker() {
 
 func (s *Stage) process(pkt *Packet) {
 	s.stats.OnDequeue()
-	s.srv.pending.Add(-1)
 	start := time.Now()
 	verdict, err := s.cfg.Handler(pkt)
 	s.stats.OnService(time.Since(start))
@@ -188,103 +172,7 @@ func (s *Stage) process(pkt *Packet) {
 			pkt.Err = fmt.Errorf("core: unknown stage %q", next)
 			s.srv.finish(pkt)
 		}
-	case Requeue:
-		// Put it back for later; if the queue is somehow full the worker
-		// blocks, which is the documented back-pressure behaviour.
-		s.srv.pending.Add(1)
-		s.stats.OnEnqueue()
-		s.queue <- pkt
 	}
-}
-
-// Gate is the global (cross-stage) scheduler hook. Workers bracket each
-// activation with Acquire/Release; a Gate implementation can serialize
-// stages, rotate priorities, or do nothing (free concurrency).
-type Gate interface {
-	Acquire(stage string)
-	Release(stage string)
-}
-
-// FreeGate lets all stages run concurrently (the default: rely on the Go
-// scheduler, stages provide structure and back-pressure).
-type FreeGate struct{}
-
-// Acquire implements Gate.
-func (FreeGate) Acquire(string) {}
-
-// Release implements Gate.
-func (FreeGate) Release(string) {}
-
-// RotatingGate admits one stage at a time and rotates in declaration order,
-// the software analogue of the paper's "rotate thread-group priorities among
-// stages" (§4.3). A stage holds the turn for up to Quantum before the gate
-// moves on.
-type RotatingGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	order   []string
-	current int
-	holder  int // nesting count of the current stage's workers
-	turnAt  time.Time
-	Quantum time.Duration
-}
-
-// NewRotatingGate builds a gate rotating over stages in the given order.
-func NewRotatingGate(order []string, quantum time.Duration) *RotatingGate {
-	g := &RotatingGate{order: order, Quantum: quantum}
-	g.cond = sync.NewCond(&g.mu)
-	g.turnAt = time.Now()
-	return g
-}
-
-func (g *RotatingGate) indexOf(stage string) int {
-	for i, s := range g.order {
-		if s == stage {
-			return i
-		}
-	}
-	return -1
-}
-
-// Acquire implements Gate: blocks until it is the stage's turn.
-func (g *RotatingGate) Acquire(stage string) {
-	idx := g.indexOf(stage)
-	if idx < 0 {
-		return // unknown stages are ungated
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		if g.current == idx {
-			g.holder++
-			return
-		}
-		// If the current stage is idle (no holders) and its quantum passed,
-		// advance the turn.
-		if g.holder == 0 {
-			g.current = (g.current + 1) % len(g.order)
-			g.turnAt = time.Now()
-			g.cond.Broadcast()
-			continue
-		}
-		g.cond.Wait()
-	}
-}
-
-// Release implements Gate.
-func (g *RotatingGate) Release(stage string) {
-	idx := g.indexOf(stage)
-	if idx < 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.holder--
-	if g.holder == 0 && (g.Quantum <= 0 || time.Since(g.turnAt) >= g.Quantum) {
-		g.current = (g.current + 1) % len(g.order)
-		g.turnAt = time.Now()
-	}
-	g.cond.Broadcast()
 }
 
 // Server is a set of stages with routing. Create with NewServer, add stages,
@@ -293,7 +181,6 @@ type Server struct {
 	mu      sync.Mutex
 	stages  map[string]*Stage
 	order   []string
-	gate    Gate
 	stopped chan struct{}
 	wg      sync.WaitGroup
 	started bool
@@ -301,40 +188,16 @@ type Server struct {
 	// the stage queues (write side); see Stage.Enqueue.
 	enqMu sync.RWMutex
 
-	pending  counter // packets in queues or in service
 	finished func(*Packet)
 }
 
-// counter is a tiny atomic-ish counter guarded by a mutex (hot path is
-// uncontended enough for the engine's purposes and keeps the code obvious).
-type counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (c *counter) Add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-func (c *counter) Load() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// NewServer returns an empty staged server with a FreeGate.
+// NewServer returns an empty staged server.
 func NewServer() *Server {
 	return &Server{
 		stages:  make(map[string]*Stage),
-		gate:    FreeGate{},
 		stopped: make(chan struct{}),
 	}
 }
-
-// SetGate installs the global scheduler; call before Start.
-func (s *Server) SetGate(g Gate) { s.gate = g }
 
 // OnFinish registers a callback invoked when a packet is destroyed (its
 // query finished or failed). Call before Start.
@@ -382,13 +245,6 @@ func (s *Server) Stage(name string) *Stage {
 	return s.stages[name]
 }
 
-// StageNames returns stages in registration order.
-func (s *Server) StageNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.order...)
-}
-
 // Start launches every stage's worker pool.
 func (s *Server) Start() {
 	s.mu.Lock()
@@ -399,7 +255,6 @@ func (s *Server) Start() {
 	s.started = true
 	for _, name := range s.order {
 		st := s.stages[name]
-		st.gate = s.gate
 		for i := 0; i < st.cfg.Workers; i++ {
 			s.wg.Add(1)
 			go st.worker()
@@ -445,13 +300,9 @@ func (s *Server) finish(pkt *Packet) {
 	}
 }
 
-// Pending reports packets currently queued or in service.
-func (s *Server) Pending() int64 { return s.pending.Load() }
-
-// Stop shuts the server down. Callers should drain work before stopping
-// (Pending() == 0); packets still queued when the workers exit are failed
-// with ErrStopped and delivered to the finish hook, so no client hangs on a
-// query that raced shutdown.
+// Stop shuts the server down. Packets still queued when the workers exit are
+// failed with ErrStopped and delivered to the finish hook, so no client hangs
+// on a query that raced shutdown.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.started {
@@ -480,7 +331,6 @@ func (s *Server) Stop() {
 			select {
 			case pkt := <-st.queue:
 				st.stats.OnDequeue()
-				s.pending.Add(-1)
 				if pkt.Err == nil {
 					pkt.Err = ErrStopped
 				}

@@ -25,7 +25,7 @@ func buildPipeline(tb testing.TB, workers, queueCap int) (*Server, *sync.Map) {
 	srv.OnFinish(func(pkt *Packet) { done <- pkt })
 	go func() {
 		for pkt := range done {
-			results.Store(pkt.Query, pkt)
+			results.Store(pkt.Client, pkt)
 		}
 	}()
 	tb.Cleanup(srv.Stop)
@@ -48,7 +48,7 @@ func TestPacketsFlowThroughRoute(t *testing.T) {
 	srv, results := buildPipeline(t, 2, 16)
 	srv.Start()
 	for i := 0; i < 50; i++ {
-		pkt := &Packet{Query: i, Route: []string{"a", "b", "c"}, Backpack: []string{}}
+		pkt := &Packet{Client: i, Route: []string{"a", "b", "c"}, Backpack: []string{}}
 		if err := srv.Submit(pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestPacketsFlowThroughRoute(t *testing.T) {
 		pkt := v.(*Packet)
 		trail := pkt.Backpack.([]string)
 		if len(trail) != 3 || trail[0] != "a" || trail[1] != "b" || trail[2] != "c" {
-			t.Fatalf("query %d took route %v", pkt.Query, trail)
+			t.Fatalf("query %d took route %v", pkt.Client, trail)
 		}
 		return true
 	})
@@ -72,7 +72,7 @@ func TestPartialRouteSkipsStages(t *testing.T) {
 	// A precompiled query routes straight to the last stage (§4.1).
 	srv, results := buildPipeline(t, 1, 16)
 	srv.Start()
-	pkt := &Packet{Query: 1, Route: []string{"c"}, Backpack: []string{}}
+	pkt := &Packet{Client: 1, Route: []string{"c"}, Backpack: []string{}}
 	if err := srv.Submit(pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -120,32 +120,6 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "test failure" }
-
-func TestRequeueRunsAgain(t *testing.T) {
-	srv := NewServer()
-	attempts := 0
-	var mu sync.Mutex
-	srv.AddStage(StageConfig{Name: "retry", Handler: func(pkt *Packet) (Verdict, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		attempts++
-		if attempts < 3 {
-			return Requeue, nil
-		}
-		return Done, nil
-	}})
-	finished := make(chan *Packet, 1)
-	srv.OnFinish(func(pkt *Packet) { finished <- pkt })
-	srv.Start()
-	defer srv.Stop()
-	srv.Submit(&Packet{Route: []string{"retry"}})
-	<-finished
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts != 3 {
-		t.Fatalf("attempts=%d, want 3", attempts)
-	}
-}
 
 func TestBackPressureBlocksOnlyProducer(t *testing.T) {
 	// Stage "slow" has QueueCap 1 and a blocked handler. Filling it blocks a
@@ -196,7 +170,7 @@ func TestStageStatsCollected(t *testing.T) {
 	srv, results := buildPipeline(t, 1, 16)
 	srv.Start()
 	for i := 0; i < 10; i++ {
-		srv.Submit(&Packet{Query: i, Route: []string{"a", "b", "c"}, Backpack: []string{}})
+		srv.Submit(&Packet{Client: i, Route: []string{"a", "b", "c"}, Backpack: []string{}})
 	}
 	waitFor(t, func() bool {
 		n := 0
@@ -242,68 +216,18 @@ func TestSubmitAfterStop(t *testing.T) {
 	}
 }
 
-func TestRotatingGateSerializesStages(t *testing.T) {
-	srv := NewServer()
-	var mu sync.Mutex
-	active := map[string]int{}
-	maxConcurrent := 0
-	handler := func(name string) Handler {
-		return func(pkt *Packet) (Verdict, error) {
-			mu.Lock()
-			active[name]++
-			total := 0
-			for _, v := range active {
-				if v > 0 {
-					total++
-				}
-			}
-			if total > maxConcurrent {
-				maxConcurrent = total
-			}
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			active[name]--
-			mu.Unlock()
-			return Done, nil
-		}
-	}
-	srv.AddStage(StageConfig{Name: "x", Workers: 2, Handler: handler("x")})
-	srv.AddStage(StageConfig{Name: "y", Workers: 2, Handler: handler("y")})
-	srv.SetGate(NewRotatingGate([]string{"x", "y"}, 0))
-	finished := make(chan struct{}, 64)
-	srv.OnFinish(func(*Packet) { finished <- struct{}{} })
-	srv.Start()
-	defer srv.Stop()
-	for i := 0; i < 20; i++ {
-		stage := "x"
-		if i%2 == 1 {
-			stage = "y"
-		}
-		srv.Submit(&Packet{Query: i, Route: []string{stage}})
-	}
-	for i := 0; i < 20; i++ {
-		<-finished
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if maxConcurrent > 1 {
-		t.Fatalf("gate let %d stages run concurrently", maxConcurrent)
-	}
-}
-
 func TestBatchDrainsQueue(t *testing.T) {
 	srv := NewServer()
 	served := make(chan int, 64)
 	srv.AddStage(StageConfig{Name: "b", Workers: 1, Batch: 8, QueueCap: 64,
 		Handler: func(pkt *Packet) (Verdict, error) {
-			served <- pkt.Query
+			served <- pkt.Client
 			return Done, nil
 		}})
 	srv.Start()
 	defer srv.Stop()
 	for i := 0; i < 32; i++ {
-		srv.Submit(&Packet{Query: i, Route: []string{"b"}})
+		srv.Submit(&Packet{Client: i, Route: []string{"b"}})
 	}
 	got := map[int]bool{}
 	for i := 0; i < 32; i++ {
@@ -401,7 +325,7 @@ func TestStopFailsQueuedPackets(t *testing.T) {
 	})
 	srv.Start()
 	for i := 0; i < 4; i++ {
-		if err := srv.Submit(&Packet{Query: i, Route: []string{"only"}}); err != nil {
+		if err := srv.Submit(&Packet{Client: i, Route: []string{"only"}}); err != nil {
 			t.Fatal(err)
 		}
 	}

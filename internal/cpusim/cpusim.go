@@ -2,10 +2,10 @@
 // explicit context-switch costs, a working-set cache model, quantum-based or
 // cooperative scheduling, and optional disk I/O.
 //
-// It replaces the real scheduler+cache of the paper's 1 GHz Pentium III
-// (DESIGN.md §2): Go cannot control which goroutine runs next or observe
-// cache misses, so the experiments of Figures 1 and 2 run here on virtual
-// time. A thread executes a job, which is a sequence of segments; each
+// It replaces the real scheduler+cache of the paper's 1 GHz Pentium III: Go
+// cannot control which goroutine runs next or observe cache misses, so the
+// experiments of Figures 1 and 2 run here on virtual time. A thread
+// executes a job, which is a sequence of segments; each
 // segment names a module (parser, optimizer, a relational operator...),
 // burns private CPU time, and may end with a disk I/O.
 //

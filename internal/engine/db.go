@@ -324,14 +324,9 @@ func (db *DB) IndexOf(ix *catalog.Index) (*storage.BTree, error) {
 	return bt, nil
 }
 
-// RunnerFunc drives a SELECT plan to a materialized result set. vis is the
-// calling transaction's snapshot-visibility predicate; the driver must
-// install it on the scans it builds.
-type RunnerFunc func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) ([]value.Row, error)
-
-// StreamFunc drives a SELECT plan as a page cursor (the streaming client
-// API); the cursor's Close tears the execution down. vis is the calling
-// transaction's snapshot-visibility predicate.
+// StreamFunc drives a SELECT plan as a page cursor; the cursor's Close tears
+// the execution down. vis is the calling transaction's snapshot-visibility
+// predicate; the driver must install it on the scans it builds.
 type StreamFunc func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error)
 
 // Session is one client connection. Sessions are not safe for concurrent
@@ -341,8 +336,7 @@ type Session struct {
 	id       int
 	current  txn.ID
 	inTxn    bool
-	runnerFn RunnerFunc // materializing SELECT driver
-	streamFn StreamFunc // streaming SELECT driver
+	streamFn StreamFunc // SELECT driver; every SELECT is delivered through its cursor
 }
 
 var sessionIDs struct {
@@ -357,15 +351,6 @@ func (db *DB) NewSession() *Session {
 	id := sessionIDs.n
 	sessionIDs.mu.Unlock()
 	s := &Session{db: db, id: id}
-	s.runnerFn = func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) ([]value.Row, error) {
-		cfg := db.buildConfig()
-		cfg.Visible = vis
-		op, err := exec.BuildWith(node, db, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return exec.RunCtx(ctx, op)
-	}
 	s.streamFn = func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
 		cfg := db.buildConfig()
 		cfg.Visible = vis
@@ -378,12 +363,8 @@ func (db *DB) NewSession() *Session {
 	return s
 }
 
-// SetRunner overrides the materializing SELECT driver (the staged engine
-// installs exec.RunStaged here).
-func (s *Session) SetRunner(fn RunnerFunc) { s.runnerFn = fn }
-
-// SetStreamRunner overrides the streaming SELECT driver (the staged engine
-// installs exec.RunStagedCursor here).
+// SetStreamRunner overrides the SELECT driver (the staged engine installs
+// exec.RunStagedCursor here).
 func (s *Session) SetStreamRunner(fn StreamFunc) { s.streamFn = fn }
 
 // ID returns the session's identifier.
@@ -453,7 +434,7 @@ func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Nod
 	if auto {
 		id = s.db.begin()
 	}
-	res, err := s.db.execInTxn(ctx, id, stmt, node, s.runnerFn)
+	res, err := s.db.execInTxn(ctx, id, stmt, node, s.streamFn)
 	if auto {
 		if err != nil {
 			s.db.rollback(id)
@@ -504,7 +485,7 @@ func (s *Session) StreamStmt(ctx context.Context, sel *sql.Select, node plan.Nod
 }
 
 // execInTxn dispatches one statement inside transaction id.
-func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement, node plan.Node, runner RunnerFunc) (*Result, error) {
+func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement, node plan.Node, stream StreamFunc) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.CreateTable:
 		return db.createTable(ctx, id, x)
@@ -519,7 +500,17 @@ func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement, node
 	case *sql.Delete:
 		return db.delete(ctx, id, x)
 	case *sql.Select:
-		return db.query(ctx, id, x, node, runner)
+		// The materialized form drains the same cursor a streaming client
+		// reads; the transaction's finish stays with the caller (RunStmt).
+		cur, err := db.queryCursor(ctx, id, x, node, stream)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := exec.Drain(cur.src)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: cur.cols, Rows: rows}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
@@ -1033,27 +1024,10 @@ func (db *DB) lockQueryTables(ctx context.Context, id txn.ID, stmt *sql.Select) 
 	return nil
 }
 
-func (db *DB) query(ctx context.Context, id txn.ID, stmt *sql.Select, node plan.Node, runner RunnerFunc) (*Result, error) {
-	if err := db.lockQueryTables(ctx, id, stmt); err != nil {
-		return nil, err
-	}
-	if node == nil {
-		var err error
-		node, err = plan.BindSelect(db.cat, stmt, db.cfg.PlanOptions)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows, err := runner(ctx, node, db.visibleFunc(id))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: schemaColumns(node), Rows: rows}, nil
-}
-
-// queryCursor is the streaming form of query: it starts the execution and
-// returns a cursor over its result pages without draining them. The caller
-// (Session.StreamStmt) arranges transaction finish on the cursor's Close.
+// queryCursor locks the SELECT's tables, plans it unless node is pre-bound,
+// starts the execution and returns a cursor over its result pages without
+// draining them. Transaction finish is the caller's: Session.StreamStmt
+// arranges it on the cursor's Close, RunStmt after execInTxn drained it.
 func (db *DB) queryCursor(ctx context.Context, id txn.ID, stmt *sql.Select, node plan.Node, stream StreamFunc) (*Cursor, error) {
 	if err := db.lockQueryTables(ctx, id, stmt); err != nil {
 		return nil, err

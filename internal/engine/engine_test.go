@@ -435,8 +435,7 @@ func TestThreadedSubmitAfterClose(t *testing.T) {
 	}
 	pool.Close()
 	req := NewRequest(sess, "SELECT COUNT(*) FROM accounts")
-	pool.Submit(req) // must not panic
-	if _, err := req.Wait(); err != ErrClosed {
+	if err := pool.Submit(req); err != ErrClosed { // must not panic
 		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 	}
 	pool.Close() // idempotent
@@ -511,27 +510,5 @@ func TestStagedExecPoolMonitoring(t *testing.T) {
 		if got := staged.ExecPool().Workers(r.Stage); got != r.Workers {
 			t.Fatalf("stage %s: pool has %d workers, recommendation was %d", r.Stage, got, r.Workers)
 		}
-	}
-}
-
-// TestStagedGoroutineBaseline keeps the unpooled runner working: negative
-// ExecWorkers selects goroutine-per-task execution.
-func TestStagedGoroutineBaseline(t *testing.T) {
-	db, _ := seed(t)
-	staged := NewStaged(db, StagedConfig{ExecWorkers: -1})
-	defer staged.Close()
-	if staged.ExecPool() != nil {
-		t.Fatal("baseline config still built a StagePool")
-	}
-	sess := db.NewSession()
-	res, err := staged.Exec(sess, "SELECT COUNT(*) FROM accounts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].Int() != 3 {
-		t.Fatalf("baseline count: %v", res.Rows)
-	}
-	if staged.AutotuneExec(8) != nil {
-		t.Fatal("AutotuneExec should be a no-op on the baseline")
 	}
 }

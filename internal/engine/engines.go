@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"runtime"
 
 	"stagedb/internal/autotune"
 	"stagedb/internal/core"
@@ -69,11 +68,6 @@ type Request struct {
 // NewRequest pairs a statement with its session.
 func NewRequest(s *Session, sqlText string) *Request {
 	return &Request{Session: s, SQL: sqlText, Done: make(chan struct{})}
-}
-
-// NewScriptRequest pairs a transaction script with its session.
-func NewScriptRequest(s *Session, stmts []string) *Request {
-	return &Request{Session: s, Script: stmts, Done: make(chan struct{})}
 }
 
 // ctxErr reports the request's cancellation state; stage handlers call it on
@@ -151,6 +145,12 @@ func (r *Request) run() {
 	if r.Err = r.prepareStmt(); r.Err != nil {
 		return
 	}
+	r.dispatch()
+}
+
+// dispatch executes the prepared statement on the request's session: a
+// streaming SELECT hands back a Cursor, everything else runs to a Result.
+func (r *Request) dispatch() {
 	if sel, ok := r.Stmt.(*sql.Select); ok && r.Stream {
 		r.Cursor, r.Err = r.Session.StreamStmt(r.context(), sel, r.Node)
 		return
@@ -201,19 +201,17 @@ func NewThreaded(db *DB, workers int) *Threaded {
 }
 
 // Submit queues a request; Wait on the request for its result. After Close
-// the request is failed with ErrClosed instead of panicking on the closed
-// queue.
-func (t *Threaded) Submit(req *Request) {
+// it returns ErrClosed (instead of panicking on the closed queue) and the
+// request is not accepted.
+func (t *Threaded) Submit(req *Request) error {
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if t.closed {
-		t.mu.RUnlock()
-		req.Err = ErrClosed
-		close(req.Done)
-		return
+		return ErrClosed
 	}
 	t.inflight.Add(1)
 	t.queue <- req
-	t.mu.RUnlock()
+	return nil
 }
 
 // InFlight counts requests submitted but not yet completed (queued or
@@ -227,14 +225,9 @@ func (t *Threaded) ExecuteQueueLen() int { return len(t.queue) }
 // Exec is a convenience: submit and wait.
 func (t *Threaded) Exec(s *Session, sqlText string) (*Result, error) {
 	req := NewRequest(s, sqlText)
-	t.Submit(req)
-	return req.Wait()
-}
-
-// ExecTxn runs a whole transaction script as one request.
-func (t *Threaded) ExecTxn(s *Session, stmts []string) (*Result, error) {
-	req := NewScriptRequest(s, stmts)
-	t.Submit(req)
+	if err := t.Submit(req); err != nil {
+		return nil, err
+	}
 	return req.Wait()
 }
 
@@ -264,15 +257,15 @@ type Staged struct {
 	srv      *core.Server
 	inflight atomic.Int64
 
-	// execPool schedules operator tasks on bounded per-stage worker pools;
-	// nil selects the goroutine-per-task baseline runner.
+	// execPool schedules operator tasks on bounded per-stage worker pools.
 	execPool *exec.StagePool
 
 	// shared is the fscan stage's scan-sharing manager; nil when disabled.
 	shared *exec.SharedScans
 
-	execStats map[string]*metrics.StageStats
-	statsMu   sync.Mutex
+	// stream runs a SELECT plan on execPool; the execute stage installs it
+	// on every session it serves.
+	stream StreamFunc
 }
 
 // StagedConfig sizes the staged front end.
@@ -283,13 +276,9 @@ type StagedConfig struct {
 	QueueCap int
 	// Batch is the per-stage cohort size for local scheduling.
 	Batch int
-	// Gate optionally installs a global scheduler over the five stages.
-	Gate core.Gate
 
-	// ExecWorkers sizes each execution-engine stage pool (fscan/iscan/
-	// filter/sort/join/aggr/exec). 0 selects the default pooled scheduler
-	// (2 workers per stage); a negative value selects the unpooled
-	// goroutine-per-task baseline.
+	// ExecWorkers is the worker count of each execution-engine stage pool
+	// (fscan/iscan/filter/sort/join/aggr/exec); 0 = the default, 2.
 	ExecWorkers int
 	// ExecQueueDepth bounds each exec-stage task queue (0 = 64).
 	ExecQueueDepth int
@@ -311,7 +300,8 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 		}
 		return v
 	}
-	s := &Staged{db: db, srv: core.NewServer(), execStats: make(map[string]*metrics.StageStats)}
+	s := &Staged{db: db, srv: core.NewServer()}
+	s.stream = s.runStaged // bound once: installing it per request allocates nothing
 	if !cfg.DisableSharedScans {
 		s.shared = exec.NewSharedScans(db.cfg.BufferPages, db.pages)
 		// Engine heap records carry MVCC version headers; the wheel decodes
@@ -319,18 +309,16 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 		// snapshot's visibility.
 		s.shared.SetVersioned(true)
 	}
-	if cfg.ExecWorkers >= 0 {
-		s.execPool = exec.NewStagePool(exec.StagePoolConfig{
-			Workers:    cfg.ExecWorkers,
-			QueueDepth: cfg.ExecQueueDepth,
-			Batch:      cfg.ExecBatch,
-		})
-		// Park every operator stage's workers now, not at first use: a
-		// worker spawned lazily under load can sit unscheduled in the run
-		// queue for a whole GC cycle on a single-CPU runtime, stalling the
-		// first query that needs its stage (see StagePool.Prestart).
-		s.execPool.Prestart("fscan", "iscan", "filter", "sort", "join", "aggr", "exec")
-	}
+	s.execPool = exec.NewStagePool(exec.StagePoolConfig{
+		Workers:    cfg.ExecWorkers,
+		QueueDepth: cfg.ExecQueueDepth,
+		Batch:      cfg.ExecBatch,
+	})
+	// Park every operator stage's workers now, not at first use: a worker
+	// spawned lazily under load can sit unscheduled in the run queue for a
+	// whole GC cycle on a single-CPU runtime, stalling the first query that
+	// needs its stage (see StagePool.Prestart).
+	s.execPool.Prestart("fscan", "iscan", "filter", "sort", "join", "aggr", "exec")
 
 	s.srv.AddStage(core.StageConfig{
 		Name: "connect", Workers: def(cfg.ConnectWorkers, 2),
@@ -357,9 +345,6 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 1),
 		Handler: s.disconnect,
 	})
-	if cfg.Gate != nil {
-		s.srv.SetGate(cfg.Gate)
-	}
 	s.srv.OnFinish(func(pkt *core.Packet) {
 		// A packet destroyed before disconnect (routing error) must still
 		// release its client.
@@ -462,51 +447,25 @@ func (s *Staged) Exec(sess *Session, sqlText string) (*Result, error) {
 	return req.Wait()
 }
 
-// ExecTxn runs a whole transaction script as one request.
-func (s *Staged) ExecTxn(sess *Session, stmts []string) (*Result, error) {
-	req := NewScriptRequest(sess, stmts)
-	if err := s.Submit(req); err != nil {
-		return nil, err
-	}
-	return req.Wait()
-}
-
 // Close stops the staged server, then the execution-stage pools. The order
 // matters: Server.Stop waits for stage workers to finish their in-flight
 // packets, so no query is still inside the exec pool when it closes.
 func (s *Staged) Close() {
 	s.srv.Stop()
-	if s.execPool != nil {
-		s.execPool.Close()
-	}
+	s.execPool.Close()
 }
 
 // Snapshot returns the per-stage monitors, including the execution-engine
 // stages (§5.2). When scan sharing is active, the fscan stage's snapshot
 // carries the share hit/attach/wrap counters.
 func (s *Staged) Snapshot() []metrics.StageSnapshot {
-	out := s.srv.Snapshot()
-	if s.execPool != nil {
-		out = append(out, s.execPool.Snapshot()...)
-	} else {
-		s.statsMu.Lock()
-		for _, st := range s.execStats {
-			out = append(out, st.Snapshot())
-		}
-		s.statsMu.Unlock()
-	}
+	out := append(s.srv.Snapshot(), s.execPool.Snapshot()...)
 	if s.shared != nil {
-		counters := s.shared.Counters()
-		attached := false
 		for i := range out {
 			if out[i].Name == "fscan" {
-				out[i].Counters = counters
-				attached = true
+				out[i].Counters = s.shared.Counters()
 				break
 			}
-		}
-		if !attached {
-			out = append(out, metrics.StageSnapshot{Name: "fscan", Counters: counters})
 		}
 	}
 	// The exchange-page pool's hit/miss/outstanding counters, the
@@ -532,17 +491,13 @@ func (s *Staged) ScanShares() exec.SharedScanStats {
 	return s.shared.Stats()
 }
 
-// ExecPool exposes the execution-stage scheduler for monitoring and tuning;
-// nil when running the goroutine-per-task baseline.
+// ExecPool exposes the execution-stage scheduler for monitoring and tuning.
 func (s *Staged) ExecPool() *exec.StagePool { return s.execPool }
 
 // AutotuneExec resizes the execution-stage pools from their observed queue
 // lengths (§4.4a applied to the exec engine) and returns the applied
-// recommendations. It is a no-op on the goroutine baseline.
+// recommendations.
 func (s *Staged) AutotuneExec(maxWorkers int) []autotune.ThreadRecommendation {
-	if s.execPool == nil {
-		return nil
-	}
 	recs := autotune.TuneExecWorkers(s.execPool.Snapshot(), 0, maxWorkers)
 	for _, r := range recs {
 		s.execPool.Resize(r.Stage, r.Workers)
@@ -624,28 +579,19 @@ func (s *Staged) execute(pkt *core.Packet) (core.Verdict, error) {
 	if err := req.ctxErr(); err != nil {
 		return core.Done, err
 	}
-	sess := req.Session
-	sess.SetRunner(func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) ([]value.Row, error) {
-		return exec.RunStaged(node, s.db, s.execRunner(), s.stagedOptions(ctx, vis))
-	})
-	sess.SetStreamRunner(func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
-		return exec.RunStagedCursor(node, s.db, s.execRunner(), s.stagedOptions(ctx, vis))
-	})
+	req.Session.SetStreamRunner(s.stream)
 	if len(req.Script) > 0 {
 		req.run()
-		return core.Forward, nil
+	} else {
+		req.dispatch()
 	}
-	if sel, ok := req.Stmt.(*sql.Select); ok && req.Stream {
-		req.Cursor, req.Err = sess.StreamStmt(req.context(), sel, req.Node)
-		return core.Forward, nil
-	}
-	req.Result, req.Err = sess.RunStmt(req.context(), req.Stmt, req.Node)
 	return core.Forward, nil
 }
 
-// stagedOptions assembles one execution's StagedOptions.
-func (s *Staged) stagedOptions(ctx context.Context, vis exec.VisibleFunc) exec.StagedOptions {
-	return exec.StagedOptions{
+// runStaged is the staged engine's StreamFunc: it launches the plan on the
+// execution-stage pools and returns the cursor over its final exchange.
+func (s *Staged) runStaged(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
+	return exec.RunStagedCursor(node, s.db, s.execPool, exec.StagedOptions{
 		PageRows:    s.db.cfg.PageRows,
 		BufferPages: s.db.cfg.BufferPages,
 		Shared:      s.shared,
@@ -655,7 +601,7 @@ func (s *Staged) stagedOptions(ctx context.Context, vis exec.VisibleFunc) exec.S
 		Spill:       s.db.spill,
 		Visible:     vis,
 		Ctx:         ctx,
-	}
+	})
 }
 
 // disconnect finishes the request: deliver results, destroy client state.
@@ -667,41 +613,4 @@ func (s *Staged) disconnect(pkt *core.Packet) (core.Verdict, error) {
 	close(req.Done)
 	s.inflight.Add(-1)
 	return core.Done, nil
-}
-
-// execRunner returns the StageRunner for execution-engine operators: the
-// pooled, batched StagePool by default — bounded per-stage queues, worker
-// pools, and batch dispatch, with blocked operators yielding their worker
-// (§4.1.2) — or the goroutine-per-task accounting runner when the baseline
-// was selected (ExecWorkers < 0).
-func (s *Staged) execRunner() exec.StageRunner {
-	if s.execPool != nil {
-		return s.execPool
-	}
-	return stageAccountingRunner{s: s}
-}
-
-type stageAccountingRunner struct{ s *Staged }
-
-// Submit implements exec.StageRunner.
-func (r stageAccountingRunner) Submit(stage string, task func()) {
-	st := r.s.execStage(stage)
-	st.OnEnqueue()
-	go func() {
-		st.OnDequeue()
-		task()
-	}()
-}
-
-func (r stageAccountingRunner) String() string { return "staged" }
-
-func (s *Staged) execStage(name string) *metrics.StageStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	st, ok := s.execStats[name]
-	if !ok {
-		st = metrics.NewStageStats(name)
-		s.execStats[name] = st
-	}
-	return st
 }

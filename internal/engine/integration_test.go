@@ -238,12 +238,17 @@ func TestStagedEngineUnderWriteContention(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < 10; i++ {
-				staged.ExecTxn(sess, []string{
+				req := &Request{Session: sess, Done: make(chan struct{}), Script: []string{
 					"BEGIN",
 					"UPDATE accounts SET balance = balance + 1 WHERE id = 1",
 					"UPDATE accounts SET balance = balance - 1 WHERE id = 3",
 					"COMMIT",
-				})
+				}}
+				if err := staged.Submit(req); err != nil {
+					t.Error(err)
+					return
+				}
+				req.Wait()
 			}
 		}(c)
 	}

@@ -33,7 +33,7 @@ type Cursor interface {
 }
 
 // opCursor pulls pages through a Volcano operator tree on the caller's
-// goroutine — the streaming form of Run.
+// goroutine — the streaming form of RunCtx.
 type opCursor struct {
 	ctx    context.Context
 	op     Operator
@@ -90,17 +90,17 @@ type stagedCursor struct {
 }
 
 // RunStagedCursor launches the plan on the staged execution engine (one task
-// per operator, owned by its stage) and returns a cursor over the final
-// exchange. Close — or end of stream — tears the pipeline down: it waits for
-// every operator task, for the shared-scan wheel to release the query's
-// consumers, and recycles every page stranded in buffers, so the query
-// returns with its page-pool balance at zero. When opts.Ctx is cancellable,
-// cancellation fails the pipeline between pages and surfaces as the
-// cursor's error.
-func RunStagedCursor(n plan.Node, tables Tables, runner StageRunner, opts StagedOptions) (Cursor, error) {
+// per operator, scheduled on its stage of pool) and returns a cursor over the
+// final exchange. Close — or end of stream — tears the pipeline down: it
+// waits for every operator task, for the shared-scan wheel to release the
+// query's consumers, and recycles every page stranded in buffers, so the
+// query returns with its page-pool balance at zero. When opts.Ctx is
+// cancellable, cancellation fails the pipeline between pages and surfaces as
+// the cursor's error.
+func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOptions) (Cursor, error) {
 	p := &pipeline{
 		tables: tables,
-		runner: runner,
+		sched:  pool,
 		cfg: BuildConfig{
 			PageRows: opts.PageRows,
 			Pool:     opts.Pool,
@@ -111,11 +111,7 @@ func RunStagedCursor(n plan.Node, tables Tables, runner StageRunner, opts Staged
 		},
 		bufferPages: opts.BufferPages,
 		shared:      opts.Shared,
-		pool:        opts.Pool,
 		done:        make(chan struct{}),
-	}
-	if ts, ok := runner.(taskScheduler); ok {
-		p.sched = ts
 	}
 	root, err := p.launch(n)
 	if err != nil {
@@ -183,10 +179,10 @@ func (c *stagedCursor) Close() error {
 	return c.err
 }
 
-// drainCursor materializes a cursor's remaining pages into rows and closes
-// it — the bridge from the streaming delivery path back to the classic
-// []Row result shape.
-func drainCursor(c Cursor) ([]value.Row, error) {
+// Drain materializes a cursor's remaining pages into rows and closes it —
+// the bridge from the one streaming delivery path back to the classic []Row
+// result shape.
+func Drain(c Cursor) ([]value.Row, error) {
 	var out []value.Row
 	for {
 		pg, err := c.NextPage()

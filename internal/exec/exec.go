@@ -1,12 +1,12 @@
 // Package exec executes physical plans. Operators exchange fixed-capacity
 // row pages; the same operator kernels serve both drivers:
 //
-//   - Run: the classic pull (Volcano) driver used by the thread-per-worker
+//   - RunCtx: the classic pull (Volcano) driver used by the thread-per-worker
 //     baseline engine — the caller's goroutine pulls pages through the tree.
 //   - RunStaged: the paper's §4.1.2 execution scheme — every operator runs
-//     on its owning stage, operators are activated bottom-up (leaves first,
-//     "page push"), and pages flow through bounded producer-consumer buffers
-//     with back-pressure.
+//     on its owning stage's worker pool (StagePool), operators are activated
+//     bottom-up (leaves first, "page push"), and pages flow through bounded
+//     producer-consumer buffers with back-pressure.
 //
 // The hot path is vectorized: exchange pages are pooled and recycled under
 // an explicit ownership protocol (see pagepool.go), scalar expressions are
@@ -148,18 +148,6 @@ type Operator interface {
 	Close() error
 }
 
-// Build converts a plan into an operator tree with unpooled pages. pageRows
-// controls exchange batch size (0 uses DefaultPageRows).
-func Build(n plan.Node, tables Tables, pageRows int) (Operator, error) {
-	return BuildPooled(n, tables, pageRows, nil)
-}
-
-// BuildPooled is Build with operators drawing their exchange pages from pool
-// (nil falls back to plain allocation).
-func BuildPooled(n plan.Node, tables Tables, pageRows int, pool *PagePool) (Operator, error) {
-	return BuildWith(n, tables, BuildConfig{PageRows: pageRows, Pool: pool})
-}
-
 // BuildWith converts a plan into an operator tree under the given build
 // configuration (page sizing, page pool, WorkMem budget, spill wiring).
 func BuildWith(n plan.Node, tables Tables, cfg BuildConfig) (Operator, error) {
@@ -296,16 +284,14 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }
 
-// Run pulls the entire result through the operator tree (Volcano driver).
-func Run(op Operator) ([]value.Row, error) { return RunCtx(nil, op) }
-
-// RunCtx is Run with context cancellation checked between pages.
+// RunCtx pulls the entire result through the operator tree (Volcano
+// driver), checking a non-nil ctx for cancellation between pages.
 func RunCtx(ctx context.Context, op Operator) ([]value.Row, error) {
 	cur, err := NewCursor(ctx, op)
 	if err != nil {
 		return nil, err
 	}
-	return drainCursor(cur)
+	return Drain(cur)
 }
 
 // --- scans ---
@@ -331,8 +317,8 @@ type seqScan struct {
 	// pipeline's behalf (returning nil when the query already ended) instead
 	// of the scan walking the heap itself, and the pipeline holds the query
 	// open — its table lock held — until the wheel lets the consumer go.
-	// wake (pooled scheduler only) switches consumer reads to the
-	// non-blocking errWouldBlock protocol.
+	// wake is the owning task's waker, registered by a fan-out read that
+	// reports errWouldBlock.
 	attach func(*storage.Heap, *catalog.Table) *scanConsumer
 	wake   func()
 
@@ -505,13 +491,7 @@ func (s *seqScan) nextShared() (*Page, error) {
 			}
 			continue
 		}
-		var pg *Page
-		var err error
-		if s.wake != nil {
-			pg, err = s.cons.ex.tryNext(s.wake)
-		} else {
-			pg, err = s.cons.ex.Next()
-		}
+		pg, err := s.cons.ex.tryNext(s.wake)
 		if err != nil {
 			if err == errWouldBlock && s.outLen() > 0 {
 				break
@@ -685,7 +665,7 @@ func slicePage(pos *int, rows []value.Row, pageRows int) *Page {
 
 // --- resumable accumulation ---
 //
-// Under the pooled staged scheduler a child read can report errWouldBlock
+// Under the staged scheduler a child read can report errWouldBlock
 // instead of blocking the worker. Operators therefore keep any partially
 // accumulated state in fields (never in locals), propagate errWouldBlock
 // unchanged, and pick up exactly where they left off on the next call.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -146,19 +147,44 @@ func (db *testDB) addIndex(t *testing.T, table, name, column string) {
 	db.indexes[name] = bt
 }
 
+// runPull runs a plan on the pull (Volcano) driver — the differential oracle
+// the staged driver's results are compared against.
+func runPull(node plan.Node, db *testDB, cfg BuildConfig) ([]value.Row, error) {
+	op, err := BuildWith(node, db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return RunCtx(context.Background(), op)
+}
+
 // query plans and runs a SELECT with the pull driver.
 func (db *testDB) query(t *testing.T, q string, opt plan.Options) []value.Row {
 	t.Helper()
-	node := db.plan(t, q, opt)
-	op, err := Build(node, db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(op)
+	rows, err := runPull(db.plan(t, q, opt), db, BuildConfig{})
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
 	return rows
+}
+
+// newTestPool starts a default-sized stage pool that closes with the test.
+func newTestPool(t *testing.T) *StagePool {
+	t.Helper()
+	pool := NewStagePool(StagePoolConfig{})
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// onEachPool runs fn on the default pool and on a 1-worker, depth-1, batch-1
+// pool, where any blocking call left in an operator or exchange would
+// deadlock the stage instead of merely slowing it down.
+func onEachPool(t *testing.T, fn func(t *testing.T, pool *StagePool)) {
+	t.Run("default", func(t *testing.T) { fn(t, newTestPool(t)) })
+	t.Run("tiny", func(t *testing.T) {
+		pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1, Batch: 1})
+		t.Cleanup(pool.Close)
+		fn(t, pool)
+	})
 }
 
 func (db *testDB) plan(t *testing.T, q string, opt plan.Options) plan.Node {
@@ -345,11 +371,7 @@ func TestIndexScanChosenAndCorrect(t *testing.T) {
 	if !strings.Contains(plan.Explain(node), "IndexScan") {
 		t.Fatalf("expected index scan:\n%s", plan.Explain(node))
 	}
-	op, err := Build(node, db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(op)
+	rows, err := runPull(node, db, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +382,7 @@ func TestIndexScanChosenAndCorrect(t *testing.T) {
 	if !strings.Contains(plan.Explain(node), "IndexScan") {
 		t.Fatalf("expected index scan:\n%s", plan.Explain(node))
 	}
-	op, _ = Build(node, db, 0)
-	rows, _ = Run(op)
+	rows, _ = runPull(node, db, BuildConfig{})
 	if len(rows) != 3 {
 		t.Fatalf("index range: %v", rows)
 	}
@@ -371,8 +392,7 @@ func TestIndexScanChosenAndCorrect(t *testing.T) {
 	if strings.Contains(plan.Explain(node), "IndexScan") {
 		t.Fatal("index should be disabled")
 	}
-	op, _ = Build(node, db, 0)
-	rows, _ = Run(op)
+	rows, _ = runPull(node, db, BuildConfig{})
 	sameRows(t, rows, []value.Row{{value.NewText("carol")}})
 }
 
@@ -397,10 +417,11 @@ func TestStagedDriverMatchesPullDriver(t *testing.T) {
 		"SELECT name FROM emp ORDER BY salary DESC LIMIT 3",
 		"SELECT DISTINCT dept FROM emp WHERE dept IS NOT NULL",
 	}
+	pool := newTestPool(t)
 	for _, q := range queries {
 		node := db.plan(t, q, plan.Options{})
 		pull := db.query(t, q, plan.Options{})
-		staged, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 2, BufferPages: 2})
+		staged, err := RunStaged(node, db, pool, StagedOptions{PageRows: 2, BufferPages: 2})
 		if err != nil {
 			t.Fatalf("staged %q: %v", q, err)
 		}
@@ -413,7 +434,7 @@ func TestStagedBackPressureSmallBuffers(t *testing.T) {
 	// exchanges; results must still be complete.
 	db := seedDB(t)
 	node := db.plan(t, "SELECT e.name, d.dname FROM emp e JOIN dept d ON e.dept = d.id", plan.Options{})
-	staged, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 1, BufferPages: 1})
+	staged, err := RunStaged(node, db, newTestPool(t), StagedOptions{PageRows: 1, BufferPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +446,7 @@ func TestStagedBackPressureSmallBuffers(t *testing.T) {
 func TestStagedErrorPropagates(t *testing.T) {
 	db := seedDB(t)
 	node := db.plan(t, "SELECT salary / (id - 1) FROM emp", plan.Options{})
-	if _, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 2, BufferPages: 2}); err == nil {
+	if _, err := RunStaged(node, db, newTestPool(t), StagedOptions{PageRows: 2, BufferPages: 2}); err == nil {
 		t.Fatal("division by zero must propagate through the pipeline")
 	}
 }
@@ -433,11 +454,7 @@ func TestStagedErrorPropagates(t *testing.T) {
 func TestPullDriverErrorPropagates(t *testing.T) {
 	db := seedDB(t)
 	node := db.plan(t, "SELECT salary / (id - 1) FROM emp", plan.Options{})
-	op, err := Build(node, db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(op); err == nil {
+	if _, err := runPull(node, db, BuildConfig{}); err == nil {
 		t.Fatal("division by zero must propagate")
 	}
 }
@@ -517,8 +534,7 @@ func TestConstantFolding(t *testing.T) {
 	db := seedDB(t)
 	node := db.plan(t, "SELECT id FROM emp WHERE 1 + 1 = 2", plan.Options{})
 	// The predicate folds to TRUE and every row passes.
-	op, _ := Build(node, db, 0)
-	rows, err := Run(op)
+	rows, err := runPull(node, db, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"stagedb/internal/catalog"
@@ -55,7 +56,7 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	}
 	join := &hashJoin{node: jn, left: probe, right: build, pageRows: 8}
 	lim := &limitOp{child: join, n: 5}
-	rows, err := Run(lim)
+	rows, err := RunCtx(context.Background(), lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,7 @@ func TestJoinLimitReadsPrefix(t *testing.T) {
 	node := db.plan(t, q, opt)
 
 	before := store.Reads()
-	op, err := Build(node, db, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(op)
+	rows, err := runPull(node, db, BuildConfig{PageRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,17 +156,19 @@ func TestJoinLimitReadsPrefix(t *testing.T) {
 	}
 
 	// Same through the staged driver.
-	before = store.Reads()
-	node = db.plan(t, q, opt)
-	rows, err = RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 8, BufferPages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("staged LIMIT 10 returned %d rows", len(rows))
-	}
-	readPages = int(store.Reads() - before)
-	if readPages > total/2 {
-		t.Fatalf("staged join LIMIT 10 read %d of %d probe heap pages", readPages, total)
-	}
+	onEachPool(t, func(t *testing.T, sp *StagePool) {
+		before := store.Reads()
+		node := db.plan(t, q, opt)
+		rows, err := RunStaged(node, db, sp, StagedOptions{PageRows: 8, BufferPages: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 10 {
+			t.Fatalf("staged LIMIT 10 returned %d rows", len(rows))
+		}
+		readPages := int(store.Reads() - before)
+		if readPages > total/2 {
+			t.Fatalf("staged join LIMIT 10 read %d of %d probe heap pages", readPages, total)
+		}
+	})
 }

@@ -116,30 +116,22 @@ var leakQueries = []string{
 // staged query ends — complete or cut short by LIMIT — every page checked
 // out from the pool must have been returned.
 func TestStagedQueriesReturnAllPages(t *testing.T) {
-	for _, mode := range []string{"gorunner", "pooled"} {
-		t.Run(mode, func(t *testing.T) {
-			db := seedDB(t)
-			pp := NewPagePool()
-			var runner StageRunner = GoRunner{}
-			if mode == "pooled" {
-				sp := NewStagePool(StagePoolConfig{Workers: 2})
-				defer sp.Close()
-				runner = sp
+	onEachPool(t, func(t *testing.T, sp *StagePool) {
+		db := seedDB(t)
+		pp := NewPagePool()
+		for _, q := range leakQueries {
+			node := db.plan(t, q, plan.Options{})
+			if _, err := RunStaged(node, db, sp, StagedOptions{PageRows: 2, BufferPages: 1, Pool: pp}); err != nil {
+				t.Fatalf("%q: %v", q, err)
 			}
-			for _, q := range leakQueries {
-				node := db.plan(t, q, plan.Options{})
-				if _, err := RunStaged(node, db, runner, StagedOptions{PageRows: 2, BufferPages: 1, Pool: pp}); err != nil {
-					t.Fatalf("%q: %v", q, err)
-				}
-				if n := pp.Outstanding(); n != 0 {
-					t.Fatalf("%q leaked %d pages (stats %+v)", q, n, pp.Stats())
-				}
+			if n := pp.Outstanding(); n != 0 {
+				t.Fatalf("%q leaked %d pages (stats %+v)", q, n, pp.Stats())
 			}
-			if st := pp.Stats(); st.Hits == 0 {
-				t.Fatalf("pool never recycled a page: %+v", st)
-			}
-		})
-	}
+		}
+		if st := pp.Stats(); st.Hits == 0 {
+			t.Fatalf("pool never recycled a page: %+v", st)
+		}
+	})
 }
 
 // TestVolcanoQueriesReturnAllPages: the pull driver must recycle too,
@@ -149,11 +141,7 @@ func TestVolcanoQueriesReturnAllPages(t *testing.T) {
 	pp := NewPagePool()
 	for _, q := range leakQueries {
 		node := db.plan(t, q, plan.Options{})
-		op, err := BuildPooled(node, db, 2, pp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(op); err != nil {
+		if _, err := runPull(node, db, BuildConfig{PageRows: 2, Pool: pp}); err != nil {
 			t.Fatal(err)
 		}
 		if n := pp.Outstanding(); n != 0 {
@@ -167,6 +155,10 @@ func TestVolcanoQueriesReturnAllPages(t *testing.T) {
 // release — including consumers that abandon early via LIMIT.
 func TestSharedScanFanOutReturnsAllPages(t *testing.T) {
 	db := shareDB(t, 400)
+	onEachPool(t, func(t *testing.T, sp *StagePool) { sharedFanOutReturnsAllPages(t, db, sp) })
+}
+
+func sharedFanOutReturnsAllPages(t *testing.T, db *testDB, sp *StagePool) {
 	pp := NewPagePool()
 	shared := NewSharedScans(2, pp)
 	queries := []string{
@@ -181,7 +173,7 @@ func TestSharedScanFanOutReturnsAllPages(t *testing.T) {
 		go func(q string) {
 			defer wg.Done()
 			node := db.plan(t, q, plan.Options{DisableIndex: true})
-			if _, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared, Pool: pp}); err != nil {
+			if _, err := RunStaged(node, db, sp, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared, Pool: pp}); err != nil {
 				t.Error(err)
 			}
 		}(q)

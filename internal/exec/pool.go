@@ -30,9 +30,7 @@ type StagePoolConfig struct {
 // blocked on a page exchange yields its worker instead of occupying it —
 // the property that makes bounded pools deadlock-free here.
 //
-// A StagePool may be shared by many concurrent pipelines and is also a
-// plain StageRunner: non-resumable tasks submitted through Submit occupy a
-// worker until they return.
+// A StagePool may be shared by many concurrent pipelines.
 type StagePool struct {
 	cfg StagePoolConfig
 
@@ -134,13 +132,8 @@ func (p *StagePool) Prestart(classes ...string) {
 	}
 }
 
-// Submit implements StageRunner for non-resumable tasks.
-func (p *StagePool) Submit(stage string, task func()) {
-	p.schedule(&opTask{stage: stage, fn: task})
-}
-
-// schedule implements taskScheduler: admit a new task, blocking on a full
-// stage queue (back-pressure on the launching pipeline). After Close the
+// schedule admits a newly launched task to its stage queue, blocking while
+// the queue is full (back-pressure on the launching pipeline). After Close the
 // task degrades to a dedicated goroutine so pipelines never strand. Sends
 // into the submit queue only happen under p.mu with the pool open, so Close
 // can drain the queue once and know nothing arrives later.
@@ -184,8 +177,8 @@ func (p *StagePool) stage(name string) *poolStage {
 	return p.stages[name]
 }
 
-// ready implements taskScheduler: re-enqueue a woken continuation. Ready
-// tasks bypass the bounded submit queue — a waker must never block.
+// ready re-enqueues a woken continuation. Ready tasks bypass the bounded
+// submit queue — a waker must never block.
 func (p *StagePool) ready(t *opTask) {
 	p.mu.Lock()
 	if p.closed {

@@ -45,11 +45,11 @@ func runPooled(t *testing.T, db *testDB, pool *StagePool, q string, pageRows, bu
 	return rows
 }
 
-// TestStagePoolMatchesGoRunner checks that the pooled, batched scheduler
-// computes the same results as the goroutine-per-task baseline across the
-// operator repertoire, including with tiny pages and buffers that force
-// constant blocking and yielding.
-func TestStagePoolMatchesGoRunner(t *testing.T) {
+// TestStagePoolMatchesVolcano checks that the pooled, batched scheduler
+// computes the same results as the pull driver across the operator
+// repertoire, including with tiny pages and buffers that force constant
+// blocking and yielding.
+func TestStagePoolMatchesVolcano(t *testing.T) {
 	db := bulkDB(t, 200)
 	queries := []string{
 		"SELECT * FROM big WHERE v > 30",
@@ -72,7 +72,7 @@ func TestStagePoolMatchesGoRunner(t *testing.T) {
 			defer pool.Close()
 			for _, q := range queries {
 				node := db.plan(t, q, plan.Options{})
-				want, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: cfg.pageRows, BufferPages: cfg.bufferPages})
+				want, err := runPull(node, db, BuildConfig{PageRows: cfg.pageRows})
 				if err != nil {
 					t.Fatalf("baseline %q: %v", q, err)
 				}
@@ -263,33 +263,33 @@ func TestStagePoolFailurePropagation(t *testing.T) {
 }
 
 // TestRunStagedReleasesAbandonedProducers runs a LIMIT query that stops
-// reading upstream exchanges early; RunStaged must release the blocked
-// producers on return (goroutine-per-task baseline would otherwise leak a
-// goroutine per query, and pooled tasks would never get their Close).
+// reading upstream exchanges early; RunStaged must release the parked
+// producers on return, or their tasks would never get their Close (and a
+// goroutine would leak per query).
 func TestRunStagedReleasesAbandonedProducers(t *testing.T) {
 	db := bulkDB(t, 300)
-	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 2, Batch: 1})
-	defer pool.Close()
 	node := db.plan(t, "SELECT id FROM big LIMIT 1", plan.Options{})
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		rows, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 1, BufferPages: 1})
-		if err != nil || len(rows) != 1 {
-			t.Fatalf("baseline limit: %v %v", rows, err)
+	onEachPool(t, func(t *testing.T, pool *StagePool) {
+		// Run one query first so the pool's stage workers exist before the
+		// goroutine count is sampled.
+		if _, err := RunStaged(node, db, pool, StagedOptions{PageRows: 1, BufferPages: 1}); err != nil {
+			t.Fatal(err)
 		}
-		rows, err = RunStaged(node, db, pool, StagedOptions{PageRows: 1, BufferPages: 1})
-		if err != nil || len(rows) != 1 {
-			t.Fatalf("pooled limit: %v %v", rows, err)
+		before := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 1, BufferPages: 1})
+			if err != nil || len(rows) != 1 {
+				t.Fatalf("pooled limit: %v %v", rows, err)
+			}
 		}
-	}
-	// Released producers exit asynchronously; wait for the count to settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
+		// Released producers exit asynchronously; wait for the count to settle.
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if runtime.NumGoroutine() <= before+2 {
+				return
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+		t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+	})
 }

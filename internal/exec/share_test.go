@@ -37,10 +37,10 @@ func (db *testDB) volcano(t *testing.T, q string) []value.Row {
 }
 
 // runShared executes q through RunStaged with the given share manager.
-func runShared(t *testing.T, db *testDB, shared *SharedScans, runner StageRunner, q string) []value.Row {
+func runShared(t *testing.T, db *testDB, shared *SharedScans, pool *StagePool, q string) []value.Row {
 	t.Helper()
 	node := db.plan(t, q, plan.Options{})
-	rows, err := RunStaged(node, db, runner, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
+	rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -48,7 +48,7 @@ func runShared(t *testing.T, db *testDB, shared *SharedScans, runner StageRunner
 }
 
 // TestSharedScanConcurrentIdentical runs N simultaneous identical queries
-// through the shared manager on both runner flavors and checks each result
+// through the shared manager on both pool sizes and checks each result
 // matches the unshared baseline row-for-row (as multisets: a wrapped
 // consumer sees rows in a rotated order).
 func TestSharedScanConcurrentIdentical(t *testing.T) {
@@ -56,43 +56,35 @@ func TestSharedScanConcurrentIdentical(t *testing.T) {
 	q := "SELECT id, grp FROM items"
 	want := db.volcano(t, q)
 
-	for _, mode := range []string{"gorunner", "pooled"} {
-		t.Run(mode, func(t *testing.T) {
-			var runner StageRunner = GoRunner{}
-			if mode == "pooled" {
-				pool := NewStagePool(StagePoolConfig{Workers: 2})
-				defer pool.Close()
-				runner = pool
-			}
-			shared := NewSharedScans(2, nil)
-			const n = 8
-			results := make([][]value.Row, n)
-			var wg sync.WaitGroup
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					node := db.plan(t, q, plan.Options{})
-					rows, err := RunStaged(node, db, runner, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					results[i] = rows
-				}(i)
-			}
-			wg.Wait()
-			for i, rows := range results {
-				if t.Failed() {
-					break
+	onEachPool(t, func(t *testing.T, pool *StagePool) {
+		shared := NewSharedScans(2, nil)
+		const n = 8
+		results := make([][]value.Row, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				node := db.plan(t, q, plan.Options{})
+				rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				if len(rows) != len(want) {
-					t.Fatalf("consumer %d: %d rows, want %d", i, len(rows), len(want))
-				}
-				sameRows(t, rows, want)
+				results[i] = rows
+			}(i)
+		}
+		wg.Wait()
+		for i, rows := range results {
+			if t.Failed() {
+				break
 			}
-		})
-	}
+			if len(rows) != len(want) {
+				t.Fatalf("consumer %d: %d rows, want %d", i, len(rows), len(want))
+			}
+			sameRows(t, rows, want)
+		}
+	})
 }
 
 // TestSharedScanDifferentFilters checks per-consumer predicates apply
@@ -114,6 +106,7 @@ func TestSharedScanDifferentFilters(t *testing.T) {
 	// otherwise pick the primary-key index).
 	opt := plan.Options{DisableIndex: true}
 
+	pool := newTestPool(t)
 	shared := NewSharedScans(2, nil)
 	results := make([][]value.Row, len(queries))
 	var wg sync.WaitGroup
@@ -122,7 +115,7 @@ func TestSharedScanDifferentFilters(t *testing.T) {
 		go func(i int, q string) {
 			defer wg.Done()
 			node := db.plan(t, q, opt)
-			rows, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
+			rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 8, BufferPages: 2, Shared: shared})
 			if err != nil {
 				t.Error(err)
 				return
@@ -292,15 +285,93 @@ func TestSharedScanSelfJoin(t *testing.T) {
 	q := "SELECT a.id FROM items a JOIN items b ON a.id = b.id WHERE b.grp = 3"
 	want := db.volcano(t, q)
 
-	shared := NewSharedScans(1, nil)
-	shared.stall = 2 * time.Millisecond
-	opt := plan.Options{DisableIndex: true}
-	node := db.plan(t, q, opt)
-	rows, err := RunStaged(node, db, GoRunner{}, StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, rows, want)
+	onEachPool(t, func(t *testing.T, pool *StagePool) {
+		shared := NewSharedScans(1, nil)
+		shared.stall = 2 * time.Millisecond
+		opt := plan.Options{DisableIndex: true}
+		node := db.plan(t, q, opt)
+		rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, rows, want)
+	})
+}
+
+// TestSharedScanMidAttachWrapsThroughPipeline is the mid-attach wrap driven
+// through whole pipelines: query A starts the wheel and stops reading, query
+// B attaches mid-scan while A's scan task is parked, and both must see every
+// row exactly once. With spills disabled the two scan tasks gate each other
+// through the wheel, so on the one-worker pool a task that blocked instead
+// of yielding would wedge the fscan stage.
+func TestSharedScanMidAttachWrapsThroughPipeline(t *testing.T) {
+	db := shareDB(t, 600)
+	q := "SELECT id, grp, pad FROM items"
+	want := db.volcano(t, q)
+
+	onEachPool(t, func(t *testing.T, pool *StagePool) {
+		shared := NewSharedScans(1, nil)
+		shared.stall = time.Minute
+		opts := StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared}
+		opt := plan.Options{DisableIndex: true}
+
+		curA, err := RunStagedCursor(db.plan(t, q, opt), db, pool, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer curA.Close()
+		var rowsA []value.Row
+		takeA := func() bool {
+			pg, err := curA.NextPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg == nil {
+				return false
+			}
+			for i := 0; i < pg.Len(); i++ {
+				rowsA = append(rowsA, pg.Row(i))
+			}
+			pg.Release()
+			return true
+		}
+		// Two result pages prove the wheel moved past position 0; then A
+		// stops reading, so the wheel waits on A's full buffer.
+		for i := 0; i < 2; i++ {
+			if !takeA() {
+				t.Fatal("A ended early")
+			}
+		}
+
+		type result struct {
+			rows []value.Row
+			err  error
+		}
+		doneB := make(chan result, 1)
+		go func() {
+			rows, err := RunStaged(db.plan(t, q, opt), db, pool, opts)
+			doneB <- result{rows, err}
+		}()
+		// B's scan task attaches on the fscan worker A's parked task freed.
+		deadline := time.Now().Add(10 * time.Second)
+		for shared.Stats().Attaches == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("B never attached: the fscan worker did not come free")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for takeA() {
+		}
+		b := <-doneB
+		if b.err != nil {
+			t.Fatal(b.err)
+		}
+		sameRows(t, rowsA, want)
+		sameRows(t, b.rows, want)
+		if st := shared.Stats(); st.Starts != 1 || st.Attaches != 1 || st.Wraps != 1 {
+			t.Fatalf("stats: %+v, want 1 start, 1 attach, 1 wrap", st)
+		}
+	})
 }
 
 // TestStreamingScanLimitReadsPrefix: with streaming scans a LIMIT query
@@ -337,11 +408,7 @@ func TestStreamingScanLimitReadsPrefix(t *testing.T) {
 
 	before := store.Reads()
 	node := db.plan(t, "SELECT id FROM fat LIMIT 10", plan.Options{})
-	op, err := Build(node, db, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Run(op)
+	rows, err := runPull(node, db, BuildConfig{PageRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

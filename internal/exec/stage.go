@@ -1,5 +1,12 @@
 package exec
 
+// stage.go is the staged driver (§4.1.1–4.1.2): every operator of a plan
+// becomes a resumable task scheduled on its stage's bounded queue and worker
+// pool (StagePool, pool.go), tasks hand pages to each other through bounded
+// exchanges, and a task that cannot make progress registers a waker and
+// gives up its worker; the waker re-enqueues it. No operator task runs any
+// other way.
+
 import (
 	"context"
 	"errors"
@@ -12,36 +19,6 @@ import (
 	"stagedb/internal/value"
 )
 
-// StageRunner schedules a task onto the stage that owns a plan operator
-// (§4.1.2: "each relational operator is assigned to a stage"). The staged
-// engine submits tasks into stage queues; GoRunner runs each task on its own
-// goroutine for tests and standalone use, while StagePool runs resumable
-// tasks on bounded per-stage worker pools.
-type StageRunner interface {
-	Submit(stage string, task func())
-}
-
-// GoRunner is a StageRunner that ignores stage identity and spawns a
-// goroutine per task. It is the unpooled baseline the paper argues against:
-// an unbounded thread per operator, with the Go scheduler providing
-// suspension instead of the stage's own queue.
-type GoRunner struct{}
-
-// Submit implements StageRunner.
-func (GoRunner) Submit(_ string, task func()) { go task() }
-
-// taskScheduler is the richer contract a pooled runner provides: operator
-// tasks are resumable continuations, and a task blocked on a page exchange
-// is re-enqueued when the exchange can make progress instead of occupying a
-// worker. StagePool implements it; runners without it get the blocking
-// drive loop on a dedicated goroutine.
-type taskScheduler interface {
-	// schedule admits a newly launched task to its stage queue.
-	schedule(t *opTask)
-	// ready re-enqueues a woken continuation.
-	ready(t *opTask)
-}
-
 // errWouldBlock is returned by non-blocking exchange reads (and propagated
 // unchanged through operator Next calls) when no page is available yet.
 // Operators keep their accumulation state in fields, so a task that sees
@@ -52,12 +29,10 @@ var errWouldBlock = errors.New("exec: operator would block")
 // bounded page buffers.
 type pipeline struct {
 	tables      Tables
-	runner      StageRunner
-	sched       taskScheduler // non-nil when runner supports resumable tasks
-	cfg         BuildConfig   // operator build parameters (pages, pool, WorkMem)
+	sched       *StagePool  // owns the stage queues and workers the tasks run on
+	cfg         BuildConfig // operator build parameters (pages, pool, WorkMem)
 	bufferPages int
 	shared      *SharedScans // non-nil: fscan operators attach to shared scans
-	pool        *PagePool    // exchange-page allocator (nil = unpooled)
 
 	done     chan struct{} // closed on failure or cancellation
 	failOnce sync.Once
@@ -147,9 +122,8 @@ const (
 )
 
 // exchange is the intermediate result buffer of §4.1.2: a bounded
-// producer-consumer page queue. In the blocking mode (GoRunner), enqueueing
-// into a full buffer blocks the producing goroutine; in the pooled mode the
-// producer registers a waker and yields its worker instead. Each exchange
+// producer-consumer page queue. A producer that finds the buffer full
+// registers a waker and yields its worker instead of blocking. Each exchange
 // has exactly one producer task and one consumer (a task, or the client
 // draining the root).
 type exchange struct {
@@ -169,18 +143,6 @@ func newExchange(bufferPages int, done <-chan struct{}) *exchange {
 		bufferPages = 4
 	}
 	return &exchange{ch: make(chan *Page, bufferPages), done: done}
-}
-
-// send delivers a page, blocking on back-pressure. It reports false when the
-// pipeline failed (producer should stop).
-func (e *exchange) send(pg *Page) bool {
-	select {
-	case e.ch <- pg:
-		e.wakeReceiver()
-		return true
-	case <-e.done:
-		return false
-	}
 }
 
 // trySend attempts a non-blocking delivery. On sendBlocked the waker is
@@ -325,7 +287,7 @@ func (e *exchange) Next() (*Page, error) {
 // Close implements Operator.
 func (e *exchange) Close() error { return nil }
 
-// nbSource adapts a child exchange for a pooled consumer task: reads are
+// nbSource adapts a child exchange for its consumer task: reads are
 // non-blocking, and a read that cannot proceed registers the task's waker
 // before reporting errWouldBlock.
 type nbSource struct {
@@ -359,8 +321,6 @@ type opTask struct {
 	stage string
 	op    Operator
 	out   *exchange
-	sched taskScheduler
-	fn    func() // when non-nil, a plain one-shot task (StageRunner compat)
 
 	opened  bool
 	pending *Page // produced but not yet delivered downstream
@@ -442,7 +402,7 @@ func (t *opTask) wake() {
 	if t.parked {
 		t.parked = false
 		t.mu.Unlock()
-		t.sched.ready(t)
+		t.pipe.sched.ready(t)
 		return
 	}
 	t.wakePending = true
@@ -465,10 +425,6 @@ func (t *opTask) park() bool {
 // run steps the task until it completes or genuinely parks. Pooled workers
 // and the post-close fallback both use it.
 func (t *opTask) run() {
-	if t.fn != nil {
-		t.fn()
-		return
-	}
 	for {
 		switch t.step() {
 		case taskDone:
@@ -481,57 +437,6 @@ func (t *opTask) run() {
 	}
 }
 
-// launch builds the operator for n with its children replaced by exchanges,
-// then submits its drive loop to the node's stage. Children are launched
-// first: activation proceeds bottom-up with respect to the operator tree,
-// the paper's "page push" model.
-func (p *pipeline) launch(n plan.Node) (*exchange, error) {
-	if p.sched != nil {
-		return p.launchTask(n)
-	}
-	var childSources []Operator
-	for _, c := range n.Children() {
-		src, err := p.launch(c)
-		if err != nil {
-			return nil, err
-		}
-		childSources = append(childSources, src)
-	}
-	op, err := BuildNode(n, childSources, p.tables, p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.prepareScan(op, nil)
-	out := newExchange(p.bufferPages, p.done)
-	p.registerExchange(out)
-	p.running.Add(1)
-	p.runner.Submit(plan.StageOf(n), func() {
-		defer p.running.Done()
-		defer out.close()
-		if err := op.Open(); err != nil {
-			p.fail(err)
-			return
-		}
-		defer op.Close()
-		for {
-			pg, err := op.Next()
-			if err != nil {
-				p.fail(err)
-				return
-			}
-			if pg == nil {
-				return
-			}
-			if !out.send(pg) {
-				// The pipeline ended before delivery; the page is still ours.
-				pg.Release()
-				return
-			}
-		}
-	})
-	return out, nil
-}
-
 // registerExchange records an inter-operator buffer for teardown draining.
 func (p *pipeline) registerExchange(ex *exchange) {
 	p.mu.Lock()
@@ -539,14 +444,17 @@ func (p *pipeline) registerExchange(ex *exchange) {
 	p.mu.Unlock()
 }
 
-// launchTask is the pooled variant of launch: each operator becomes a
-// resumable opTask whose child reads and output writes are non-blocking, so
-// a blocked operator yields its stage worker instead of occupying it.
-func (p *pipeline) launchTask(n plan.Node) (*exchange, error) {
-	t := &opTask{pipe: p, stage: plan.StageOf(n), sched: p.sched}
+// launch builds the operator for n with its children replaced by exchanges,
+// then schedules it on the node's stage as a resumable opTask whose child
+// reads and output writes are non-blocking, so a blocked operator yields its
+// stage worker instead of occupying it. Children are launched first:
+// activation proceeds bottom-up with respect to the operator tree, the
+// paper's "page push" model.
+func (p *pipeline) launch(n plan.Node) (*exchange, error) {
+	t := &opTask{pipe: p, stage: plan.StageOf(n)}
 	var childSources []Operator
 	for _, c := range n.Children() {
-		src, err := p.launchTask(c)
+		src, err := p.launch(c)
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +464,12 @@ func (p *pipeline) launchTask(n plan.Node) (*exchange, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.prepareScan(op, t.wake)
+	if sc, ok := op.(*seqScan); ok && p.shared != nil {
+		// Shared-scan wiring: the scan joins the fscan stage's in-flight
+		// circular scan through the pipeline, and reads its fan-out buffer
+		// with the task's waker (the errWouldBlock protocol).
+		sc.attach, sc.wake = p.attachShared, t.wake
+	}
 	t.op = op
 	t.out = newExchange(p.bufferPages, p.done)
 	p.registerExchange(t.out)
@@ -566,17 +479,6 @@ func (p *pipeline) launchTask(n plan.Node) (*exchange, error) {
 	p.running.Add(1)
 	p.sched.schedule(t)
 	return t.out, nil
-}
-
-// prepareScan injects shared-scan wiring into a freshly built leaf scan:
-// the manager, the pipeline's completion channel, and (pooled scheduler
-// only) the owning task's waker, which switches the consumer's fan-out
-// reads to the non-blocking errWouldBlock protocol.
-func (p *pipeline) prepareScan(op Operator, wake func()) {
-	if sc, ok := op.(*seqScan); ok && p.shared != nil {
-		sc.wake = wake
-		sc.attach = p.attachShared
-	}
 }
 
 // StagedOptions tunes one staged execution.
@@ -608,13 +510,13 @@ type StagedOptions struct {
 	Ctx context.Context
 }
 
-// RunStaged executes the plan with one task per operator, each owned by its
-// stage, connected by bounded page buffers. It returns the full result set;
-// RunStagedCursor (cursor.go) is the streaming form this wraps.
-func RunStaged(n plan.Node, tables Tables, runner StageRunner, opts StagedOptions) ([]value.Row, error) {
-	cur, err := RunStagedCursor(n, tables, runner, opts)
+// RunStaged executes the plan with one task per operator, each scheduled on
+// its stage of pool, connected by bounded page buffers. It returns the full
+// result set; RunStagedCursor (cursor.go) is the streaming form this wraps.
+func RunStaged(n plan.Node, tables Tables, pool *StagePool, opts StagedOptions) ([]value.Row, error) {
+	cur, err := RunStagedCursor(n, tables, pool, opts)
 	if err != nil {
 		return nil, err
 	}
-	return drainCursor(cur)
+	return Drain(cur)
 }

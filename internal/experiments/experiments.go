@@ -1,7 +1,6 @@
 // Package experiments regenerates every figure and table of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured results). Each experiment is a pure function of its
-// parameters and a seed, so results are reproducible.
+// evaluation. Each experiment is a pure function of its parameters and a
+// seed, so results are reproducible.
 package experiments
 
 import (

@@ -30,7 +30,7 @@
 // [HA02] is not publicly available; the D-gated/T-gated definitions above
 // are our reconstruction from the paper's §4.2 parameter space ("number of
 // queries that form a batch ... the time they receive service ... module
-// visiting order"). EXPERIMENTS.md records this interpretation.
+// visiting order").
 package queuesim
 
 import (

@@ -1,7 +1,7 @@
 // Package storage implements the storage engine: slotted pages, a record
 // codec, a page store with a pinning buffer pool, heap files, and a B+tree
 // secondary index. It is the SHORE-equivalent substrate of the paper's
-// prototype (DESIGN.md §2), operating on an in-memory page store whose I/O
+// prototype, operating on an in-memory page store whose I/O
 // timing, when needed, is charged by the simulators.
 package storage
 

@@ -4,7 +4,7 @@
 // All timing experiments in this repository (Figures 1, 2 and 5 of the paper)
 // run on virtual time so that results are reproducible and independent of the
 // Go runtime scheduler, which cannot be controlled precisely enough to
-// reproduce the paper's explicit stage/CPU scheduling (see DESIGN.md §2).
+// reproduce the paper's explicit stage/CPU scheduling.
 package vclock
 
 import (

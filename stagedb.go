@@ -25,7 +25,7 @@
 //
 // The simulators and experiment harnesses behind the paper's figures live
 // under internal/ and are driven by cmd/figures and the benchmarks in
-// bench_test.go; see DESIGN.md and EXPERIMENTS.md.
+// bench_test.go; the README's module layout says which package is which.
 package stagedb
 
 import (
@@ -82,10 +82,9 @@ type Options struct {
 	WorkMem int
 	// TempDir hosts spill files ("" = the system temp directory).
 	TempDir string
-	// ExecWorkers sizes each execution-engine stage pool on the staged
-	// engine (fscan/iscan/filter/sort/join/aggr/exec). 0 selects the
-	// default pooled scheduler (2 workers per stage); a negative value
-	// selects the unpooled goroutine-per-task baseline.
+	// ExecWorkers is the worker count of each execution-engine stage pool
+	// on the staged engine (fscan/iscan/filter/sort/join/aggr/exec);
+	// 0 = the default, 2.
 	ExecWorkers int
 	// ExecQueueDepth bounds each execution-stage task queue (0 = 64);
 	// launching operators into a full queue blocks (back-pressure).
@@ -156,13 +155,23 @@ type Result struct {
 type DB struct {
 	opts    Options
 	kernel  *engine.DB
-	staged  *engine.Staged
-	pool    *engine.Threaded
+	front   frontEnd
+	staged  *engine.Staged // front, when Mode is Staged: the Stages/ScanShares monitors
 	defConn *Conn
 
 	// tuneMu guards the work-mem tuner's observation window.
 	tuneMu          sync.Mutex
 	prevSpillEvents int64
+}
+
+// frontEnd is what the client API needs of an engine front end; both
+// *engine.Staged and *engine.Threaded provide it.
+type frontEnd interface {
+	Submit(*engine.Request) error
+	Prepare(*engine.Session, string) (*engine.Prepared, error)
+	InFlight() int64
+	ExecuteQueueLen() int
+	Close()
 }
 
 // Conn is one client connection (not safe for concurrent use).
@@ -172,7 +181,6 @@ type Conn struct {
 }
 
 // validate rejects option values no engine configuration can honor.
-// ExecWorkers may be negative: that selects the goroutine-per-task baseline.
 func (o Options) validate() error {
 	if o.Mode != Staged && o.Mode != Threaded {
 		return fmt.Errorf("stagedb: unknown Mode %d", o.Mode)
@@ -186,6 +194,7 @@ func (o Options) validate() error {
 		{"BufferPages", o.BufferPages},
 		{"PoolFrames", o.PoolFrames},
 		{"WorkMem", o.WorkMem},
+		{"ExecWorkers", o.ExecWorkers},
 		{"ExecQueueDepth", o.ExecQueueDepth},
 		{"ExecBatch", o.ExecBatch},
 	} {
@@ -263,7 +272,7 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{opts: opts, kernel: kernel}
 	switch opts.Mode {
 	case Threaded:
-		db.pool = engine.NewThreaded(kernel, opts.Workers)
+		db.front = engine.NewThreaded(kernel, opts.Workers)
 	default:
 		db.staged = engine.NewStaged(kernel, engine.StagedConfig{
 			ConnectWorkers:     opts.Workers,
@@ -276,6 +285,7 @@ func Open(opts Options) (*DB, error) {
 			ExecBatch:          opts.ExecBatch,
 			DisableSharedScans: opts.DisableSharedScans,
 		})
+		db.front = db.staged
 	}
 	db.defConn = db.Conn()
 	return db, nil
@@ -290,12 +300,7 @@ func (db *DB) Conn() *Conn {
 // checkpoint and releases the data file and log; the returned error reports
 // a failed flush (an in-memory database always returns nil).
 func (db *DB) Close() error {
-	if db.staged != nil {
-		db.staged.Close()
-	}
-	if db.pool != nil {
-		db.pool.Close()
-	}
+	db.front.Close()
 	return db.kernel.Close()
 }
 
@@ -378,13 +383,7 @@ func (db *DB) Stages() []metrics.StageSnapshot {
 // concurrent work, execute-queue depth is the paper's §5.2 first symptom of
 // a bottleneck.
 func (db *DB) EngineLoad() (inflight int64, executeQueue int) {
-	switch {
-	case db.staged != nil:
-		return db.staged.InFlight(), db.staged.ExecuteQueueLen()
-	case db.pool != nil:
-		return db.pool.InFlight(), db.pool.ExecuteQueueLen()
-	}
-	return 0, 0
+	return db.front.InFlight(), db.front.ExecuteQueueLen()
 }
 
 // ScanShareStats reports the staged engine's fscan work-sharing activity.
@@ -574,18 +573,6 @@ func (db *DB) SpillStats() SpillStats {
 	}
 }
 
-// submit hands a request to the connection's front end.
-func (c *Conn) submit(req *engine.Request) error {
-	switch {
-	case c.db.staged != nil:
-		return c.db.staged.Submit(req)
-	case c.db.pool != nil:
-		c.db.pool.Submit(req)
-		return nil
-	}
-	return fmt.Errorf("stagedb: no front end to submit to")
-}
-
 // request builds, submits, and waits on one statement request. Every SELECT
 // streams (Stream is always set); callers either hand the cursor out as
 // Rows or materialize it, so there is exactly one delivery path.
@@ -603,19 +590,27 @@ func (c *Conn) request(ctx context.Context, sqlText string, args []any, queryOnl
 		Stream:    true,
 		Done:      make(chan struct{}),
 	}
-	if err := c.submit(req); err != nil {
-		return nil, normalizeErr(err)
+	if err := c.submitWait(req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// submitWait submits the request to the front end and waits for it. A cursor
+// created before the request failed (e.g. shutdown racing the packet between
+// execute and disconnect) still owns a running pipeline and an open
+// transaction; both are released.
+func (c *Conn) submitWait(req *engine.Request) error {
+	if err := c.db.front.Submit(req); err != nil {
+		return normalizeErr(err)
 	}
 	if _, err := req.Wait(); err != nil {
-		// A cursor created before the request failed (e.g. shutdown racing
-		// the packet between execute and disconnect) still owns a running
-		// pipeline and an open transaction; release both.
 		if req.Cursor != nil {
 			req.Cursor.Close()
 		}
-		return nil, normalizeErr(err)
+		return normalizeErr(err)
 	}
-	return req, nil
+	return nil
 }
 
 // Exec runs one statement on this connection. BEGIN/COMMIT/ROLLBACK manage
@@ -714,20 +709,11 @@ func toValue(a any) (Value, error) {
 // transaction, avoiding the pool-wide stall where every worker waits on a
 // lock whose holder's COMMIT is queued (§3.1.1).
 func (c *Conn) ExecTxn(stmts []string) (*Result, error) {
-	var res *engine.Result
-	var err error
-	switch {
-	case c.db.staged != nil:
-		res, err = c.db.staged.ExecTxn(c.sess, stmts)
-	case c.db.pool != nil:
-		res, err = c.db.pool.ExecTxn(c.sess, stmts)
-	default:
-		req := engine.NewScriptRequest(c.sess, stmts)
-		return nil, fmt.Errorf("stagedb: no front end for %v", req)
+	req := &engine.Request{Session: c.sess, Script: stmts, Done: make(chan struct{})}
+	if err := c.submitWait(req); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, normalizeErr(err)
-	}
+	res := req.Result
 	return &Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
 }
 

@@ -215,7 +215,7 @@ func TestExecSchedulerOptions(t *testing.T) {
 		opts Options
 	}{
 		{"pooled", Options{ExecWorkers: 2, ExecQueueDepth: 4, ExecBatch: 2}},
-		{"goroutine-baseline", Options{ExecWorkers: -1}},
+		{"defaults", Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := mustOpen(t, tc.opts)

@@ -36,23 +36,12 @@ func (db *DB) Prepare(sqlText string) (*Stmt, error) { return db.defConn.Prepare
 // statement text. On the staged engine a cache miss routes through the
 // parse and optimize stages; hits skip both.
 func (c *Conn) Prepare(sqlText string) (*Stmt, error) {
-	p, err := c.prepared(sqlText)
+	p, err := c.db.front.Prepare(c.sess, sqlText)
 	if err != nil {
 		return nil, err
 	}
 	_, isSelect := p.Stmt.(*sql.Select)
 	return &Stmt{conn: c, sqlText: sqlText, numParams: p.NumParams, isSelect: isSelect}, nil
-}
-
-// prepared fetches (or builds) the cached plan entry for sqlText.
-func (c *Conn) prepared(sqlText string) (*engine.Prepared, error) {
-	switch {
-	case c.db.staged != nil:
-		return c.db.staged.Prepare(c.sess, sqlText)
-	case c.db.pool != nil:
-		return c.db.pool.Prepare(c.sess, sqlText)
-	}
-	return nil, fmt.Errorf("stagedb: no front end to prepare on")
 }
 
 // NumParams reports the number of `?` placeholders the statement declares.
@@ -69,26 +58,10 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.submitWait(req); err != nil {
+	if err := s.conn.submitWait(req); err != nil {
 		return nil, err
 	}
 	return &Rows{cur: req.Cursor}, nil
-}
-
-// submitWait submits the request and waits, releasing a cursor that was
-// created before the request failed (its pipeline and transaction must not
-// outlive the error).
-func (s *Stmt) submitWait(req *engine.Request) error {
-	if err := s.conn.submit(req); err != nil {
-		return normalizeErr(err)
-	}
-	if _, err := req.Wait(); err != nil {
-		if req.Cursor != nil {
-			req.Cursor.Close()
-		}
-		return normalizeErr(err)
-	}
-	return nil
 }
 
 // Query is QueryContext with a background context, materialized.
@@ -108,7 +81,7 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.submitWait(req); err != nil {
+	if err := s.conn.submitWait(req); err != nil {
 		return nil, err
 	}
 	res := req.Result
@@ -139,7 +112,7 @@ func (s *Stmt) request(ctx context.Context, args []any, stream bool) (*engine.Re
 	if s.closed {
 		return nil, fmt.Errorf("stagedb: statement is closed")
 	}
-	p, err := s.conn.prepared(s.sqlText)
+	p, err := s.conn.db.front.Prepare(s.conn.sess, s.sqlText)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ func TestPagePoolBalancesAfterQueries(t *testing.T) {
 		opts Options
 	}{
 		{"staged", Options{ExecWorkers: 2}},
-		{"staged-gorunner", Options{ExecWorkers: -1}},
 		{"threaded", Options{Mode: Threaded, Workers: 2}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
