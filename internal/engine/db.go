@@ -194,7 +194,7 @@ func decodeVersioned(schema catalog.Schema, rec []byte) (value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return storage.DecodeRow(schema, payload)
+	return storage.DecodeRow(schema, payload, nil)
 }
 
 // installLiveRowCount gives the planner a cardinality fallback for tables

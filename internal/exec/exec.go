@@ -184,7 +184,7 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		if err != nil {
 			return nil, err
 		}
-		s := &seqScan{node: x, heap: h, pageRows: pageRows, pool: pool, vis: cfg.Visible}
+		s := &seqScan{node: x, heap: h, pageRows: pageRows, pool: pool, vis: visMemo{fn: cfg.Visible}}
 		if x.Filter != nil {
 			s.pred = plan.CompilePredicate(x.Filter)
 		}
@@ -210,7 +210,7 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		if (x.LoExpr != nil && lo.IsNull()) || (x.HiExpr != nil && hi.IsNull()) {
 			return emptyOp{}, nil
 		}
-		s := &indexScan{node: x, heap: h, tree: bt, lo: lo, hi: hi, pageRows: pageRows, pool: pool, vis: cfg.Visible}
+		s := &indexScan{node: x, heap: h, tree: bt, lo: lo, hi: hi, pageRows: pageRows, pool: pool, vis: visMemo{fn: cfg.Visible}}
 		if x.Filter != nil {
 			s.pred = plan.CompilePredicate(x.Filter)
 		}
@@ -302,7 +302,58 @@ func RunCtx(ctx context.Context, op Operator) ([]value.Row, error) {
 // and abandoned producers stop heap iteration early instead of materializing
 // the table (§4.2's fscan stage as an incremental producer). Pushed-down
 // filters run as compiled predicates during the fill, so filtered rows are
-// never copied into a page at all.
+// never copied into a page at all. A scan decodes only the columns its plan
+// node lists (plan.SeqScan.Cols): the rest stay NULL in a full-width row.
+
+// visMemo is a scan operator's MVCC visibility check with a one-entry memo
+// on the creator: bulk-loaded tables are long runs of one xmin, and asking
+// the MVCC manager per row takes its RWMutex per row — one cache line
+// bounced between every core that scans.
+//
+// Why one verdict per creator is sound. For a live version (xmax == 0) the
+// verdict is "is xmin the snapshot's own transaction, or committed at or
+// before snap.TS", and for the life of one snapshot that is a function of
+// xmin alone:
+//   - own writes are always visible;
+//   - a creator committed at or before snap.TS stays so — once its status
+//     entry is pruned it resolves to "committed at 0", the same verdict;
+//   - a creator still active, or committed after snap.TS, can only ever
+//     carry a commit timestamp above snap.TS: the oracle is monotonic;
+//   - an aborted creator stays aborted, and its entry cannot be pruned while
+//     this snapshot is open and could still meet one of its records
+//     (mvcc.Prune's abortEpoch < horizon rule).
+//
+// A version with xmax != 0 always takes the full check: its verdict also
+// depends on the deleter. (The one window in which two unmemoised calls for
+// the same creator can disagree is mvcc's own: Commit draws its timestamp
+// before publishing the status, so a snapshot begun in between reads the
+// creator as active first and committed-at-TS after. The memo makes that
+// pre-existing tear neither wider nor narrower; see ROADMAP item 7c.)
+//
+// The memo lives in the operator, never in the VisibleFunc closure: one
+// closure serves every scan of a plan, and those run concurrently on
+// different stage workers. An operator is built per execution, under one
+// snapshot, and is stepped by one worker at a time.
+type visMemo struct {
+	fn       VisibleFunc // nil = unversioned records
+	lastXmin uint64
+	lastOK   bool
+	valid    bool
+}
+
+// visible reports whether the version stamped (xmin, xmax) is visible to the
+// scan's snapshot. m.fn must be non-nil.
+//
+//stagedb:hot
+func (m *visMemo) visible(xmin, xmax uint64) bool {
+	if xmax != 0 {
+		return m.fn(xmin, xmax)
+	}
+	if !m.valid || xmin != m.lastXmin {
+		m.lastXmin, m.lastOK, m.valid = xmin, m.fn(xmin, 0), true
+	}
+	return m.lastOK
+}
 
 type seqScan struct {
 	node     *plan.SeqScan
@@ -310,7 +361,7 @@ type seqScan struct {
 	pageRows int
 	pool     *PagePool
 	pred     plan.CompiledPredicate // compiled pushed-down filter; nil = all
-	vis      VisibleFunc            // MVCC visibility; nil = unversioned records
+	vis      visMemo                // MVCC visibility; vis.fn nil = unversioned records
 
 	// Shared-scan wiring, injected by the staged driver when scan sharing is
 	// enabled: attach joins the fscan stage's in-flight circular scan on the
@@ -319,7 +370,7 @@ type seqScan struct {
 	// open — its table lock held — until the wheel lets the consumer go.
 	// wake is the owning task's waker, registered by a fan-out read that
 	// reports errWouldBlock.
-	attach func(*storage.Heap, *catalog.Table) *scanConsumer
+	attach func(h *storage.Heap, tbl *catalog.Table, cols []bool) *scanConsumer
 	wake   func()
 
 	// Private streaming mode walks the heap page-at-a-time under the heap
@@ -348,7 +399,7 @@ func (s *seqScan) Open() error {
 	s.out, s.fan, s.fanI, s.eos = nil, nil, 0, false
 	s.contPages, s.contPos, s.contLeft = nil, 0, 0
 	if s.attach != nil {
-		s.cons = s.attach(s.heap, s.node.Table)
+		s.cons = s.attach(s.heap, s.node.Table, s.node.Cols)
 		if s.cons == nil {
 			// The pipeline already ended (a task still queued when a LIMIT
 			// was satisfied, or a failed launch): emit nothing rather than
@@ -364,17 +415,17 @@ func (s *seqScan) Open() error {
 // accept strips the version header (versioned mode), applies visibility and
 // the pushed-down predicate, and pushes surviving rows onto the output page.
 func (s *seqScan) accept(rec []byte) (bool, error) {
-	if s.vis != nil {
+	if s.vis.fn != nil {
 		xmin, xmax, err := storage.VersionOf(rec)
 		if err != nil {
 			return false, err
 		}
-		if !s.vis(xmin, xmax) {
+		if !s.vis.visible(xmin, xmax) {
 			return true, nil
 		}
 		rec, _ = storage.PayloadOf(rec)
 	}
-	row, err := storage.DecodeRow(s.node.Table.Schema, rec)
+	row, err := storage.DecodeRow(s.node.Table.Schema, rec, s.node.Cols)
 	if err != nil {
 		return false, err
 	}
@@ -443,7 +494,8 @@ func (s *seqScan) Next() (*Page, error) {
 
 // nextShared drains the consumer's fan-out buffer, applying the per-consumer
 // compiled filter locally (the shared producer delivers whole decoded heap
-// pages, refcounted across all attached queries). When the producer spilled
+// pages, refcounted across all attached queries, each decoded for at least
+// this scan's column set). When the producer spilled
 // this consumer, the shared stream ends early and the scan finishes the
 // circular remainder privately.
 func (s *seqScan) nextShared() (*Page, error) {
@@ -460,8 +512,8 @@ func (s *seqScan) nextShared() (*Page, error) {
 				// snapshot reads latest-state: live versions only.
 				if s.fan.Vers != nil {
 					v := s.fan.Vers[i]
-					if s.vis != nil {
-						if !s.vis(v.Xmin, v.Xmax) {
+					if s.vis.fn != nil {
+						if !s.vis.visible(v.Xmin, v.Xmax) {
 							continue
 						}
 					} else if v.Xmax != 0 {
@@ -559,7 +611,7 @@ type indexScan struct {
 	pageRows int
 	pool     *PagePool
 	pred     plan.CompiledPredicate
-	vis      VisibleFunc // MVCC visibility; nil = unversioned records
+	vis      visMemo // MVCC visibility; vis.fn nil = unversioned records
 
 	cur *storage.TreeCursor
 	out *Page
@@ -581,7 +633,7 @@ func (s *indexScan) Next() (*Page, error) {
 		}
 		var rec []byte
 		var err error
-		if s.vis != nil {
+		if s.vis.fn != nil {
 			// Index entries reference every version of a key (dead versions
 			// stay indexed until vacuum); the heap record's stamps decide
 			// visibility, and a slot vacuum reclaimed mid-scan was invisible
@@ -598,7 +650,7 @@ func (s *indexScan) Next() (*Page, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !s.vis(xmin, xmax) {
+			if !s.vis.visible(xmin, xmax) {
 				continue
 			}
 			rec, _ = storage.PayloadOf(rec)
@@ -608,7 +660,7 @@ func (s *indexScan) Next() (*Page, error) {
 				return nil, err
 			}
 		}
-		row, err := storage.DecodeRow(s.node.Table.Schema, rec)
+		row, err := storage.DecodeRow(s.node.Table.Schema, rec, s.node.Cols)
 		if err != nil {
 			return nil, err
 		}

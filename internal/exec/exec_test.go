@@ -98,7 +98,7 @@ func (db *testDB) analyze(t *testing.T, table string) {
 		distinct[i] = make(map[uint64]bool)
 	}
 	h.Scan(func(_ storage.RID, rec []byte) bool {
-		row, err := storage.DecodeRow(tbl.Schema, rec)
+		row, err := storage.DecodeRow(tbl.Schema, rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func (db *testDB) addIndex(t *testing.T, table, name, column string) {
 	bt := storage.NewBTree()
 	tbl, _ := db.cat.Get(table)
 	db.heaps[table].Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := storage.DecodeRow(tbl.Schema, rec)
+		row, err := storage.DecodeRow(tbl.Schema, rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

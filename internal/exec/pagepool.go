@@ -131,6 +131,12 @@ func (p *Page) narrow(pred plan.CompiledPredicate) error {
 			}
 		}
 	}
+	if sel == nil {
+		// No survivor on a page that never had a selection buffer (a fresh
+		// pooled page, or an unpooled view): a nil Sel would mean "all rows
+		// live", the opposite of what the predicate decided.
+		sel = []int32{}
+	}
 	p.Sel = sel
 	if cap(sel) > cap(p.selBuf) {
 		p.selBuf = sel

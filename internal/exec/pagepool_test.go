@@ -66,6 +66,29 @@ func TestPagePoolNilIsUnpooled(t *testing.T) {
 	}
 }
 
+// TestPageNarrowToNothing: a predicate that rejects every row of a page that
+// has no selection buffer yet — fresh from the pool, or an unpooled view such
+// as the aggregate's output — must leave the page empty, not fully live (a
+// nil selection means "all rows").
+func TestPageNarrowToNothing(t *testing.T) {
+	none := plan.CompiledPredicate(func(value.Row) (bool, error) { return false, nil })
+	pages := map[string]*Page{
+		"fresh pooled": NewPagePool().Get(4),
+		"unpooled":     (*PagePool)(nil).Get(4),
+		"view":         {Rows: []value.Row{{value.NewInt(1)}}},
+	}
+	for name, pg := range pages {
+		pg.Rows = append(pg.Rows, value.Row{value.NewInt(7)}, value.Row{value.NewInt(8)})
+		if err := pg.narrow(none); err != nil {
+			t.Fatal(err)
+		}
+		if pg.Len() != 0 {
+			t.Errorf("%s page: %d rows live after a predicate that rejects all", name, pg.Len())
+		}
+		pg.Release()
+	}
+}
+
 func TestPageNarrowAndSelection(t *testing.T) {
 	pp := NewPagePool()
 	pg := pp.Get(8)

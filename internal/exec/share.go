@@ -22,7 +22,8 @@ const defaultStallTimeout = 5 * time.Millisecond
 // table scans applied to the paper's staged design): because every table
 // scan in the system is routed to the fscan stage, the stage sees all
 // concurrent scans of one table and can serve them from a single in-flight
-// heap walk. Each heap page is pinned once and each record decoded once; the
+// heap walk. Each heap page is pinned once and each record decoded once —
+// for the union of the columns its attached consumers' plans read — and the
 // decoded page fans out to every attached consumer, which applies its own
 // filter locally. A query arriving while a scan is mid-flight attaches at
 // the scan's current position and the scan wraps circularly to cover the
@@ -137,6 +138,7 @@ type scanConsumer struct {
 	mgr  *SharedScans
 	scan *sharedScan
 	ex   *exchange
+	cols []bool // columns this consumer's plan reads (plan.SeqScan.Cols); nil = all
 
 	// remaining counts pages still owed; guarded by scan.mu (producer-side).
 	remaining int
@@ -190,11 +192,13 @@ func (c *scanConsumer) continuation() ([]storage.PageID, int, int) {
 	return c.contPages, c.contPos, c.contLeft
 }
 
-// attach joins (or starts) the shared scan over h. done is the attaching
-// pipeline's failure/completion channel: when it closes, deliveries to this
-// consumer abort and the producer detaches it.
-func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, done <-chan struct{}) *scanConsumer {
-	c := &scanConsumer{mgr: m, quit: make(chan struct{}), detached: make(chan struct{})}
+// attach joins (or starts) the shared scan over h. cols is the set of table
+// columns the attaching scan reads (nil = all): every page delivered to this
+// consumer has at least those decoded. done is the attaching pipeline's
+// failure/completion channel: when it closes, deliveries to this consumer
+// abort and the producer detaches it.
+func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, cols []bool, done <-chan struct{}) *scanConsumer {
+	c := &scanConsumer{mgr: m, cols: cols, quit: make(chan struct{}), detached: make(chan struct{})}
 	m.mu.Lock()
 	s := m.scans[h]
 	if s != nil {
@@ -245,7 +249,14 @@ func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, done <-chan st
 // run is the producer loop: claim the next page position (with the consumer
 // set it will serve), decode the page once, fan it out, and retire consumers
 // that completed their full circle or went away.
+//
+// The page is decoded for the union of the column sets of exactly the
+// consumers snapshotted with the position, and delivered to exactly those:
+// a consumer attaching afterwards — perhaps with a wider set — is served from
+// the next page on, so no consumer ever receives a page narrower than its
+// need.
 func (s *sharedScan) run() {
+	maskBuf := make([]bool, len(s.tbl.Schema.Columns)) // scratch for the per-page union
 	for {
 		s.mu.Lock()
 		if len(s.cons) == 0 {
@@ -263,7 +274,7 @@ func (s *sharedScan) run() {
 		}
 		s.mu.Unlock()
 
-		pg, err := s.decode(s.pages[pos])
+		pg, err := s.decode(s.pages[pos], unionCols(cons, maskBuf))
 		if err != nil {
 			s.fail(err)
 			return
@@ -324,12 +335,30 @@ func (s *sharedScan) run() {
 	}
 }
 
+// unionCols builds the union of the consumers' column sets in buf (one entry
+// per table column) and returns it, or nil — all columns — as soon as one
+// consumer reads everything.
+func unionCols(cons []*scanConsumer, buf []bool) []bool {
+	clear(buf)
+	for _, c := range cons {
+		if c.cols == nil {
+			return nil
+		}
+		for j, need := range c.cols {
+			if need {
+				buf[j] = true
+			}
+		}
+	}
+	return buf
+}
+
 // decode pins one heap page and decodes every live record on it — once, for
-// all attached consumers — into a pooled page. In versioned mode it strips
-// each record's version header and publishes the stamps in the Vers sidecar;
-// visibility stays per-consumer (snapshots differ), so nothing is filtered
-// here.
-func (s *sharedScan) decode(id storage.PageID) (*Page, error) {
+// all attached consumers, materialising the columns in cols (nil = all) —
+// into a pooled page. In versioned mode it strips each record's version
+// header and publishes the stamps in the Vers sidecar; visibility stays
+// per-consumer (snapshots differ), so nothing is filtered here.
+func (s *sharedScan) decode(id storage.PageID, cols []bool) (*Page, error) {
 	pg := s.mgr.pool.Get(DefaultPageRows)
 	if s.mgr.versioned {
 		pg.Vers = pg.verBuf[:0]
@@ -346,7 +375,7 @@ func (s *sharedScan) decode(id storage.PageID) (*Page, error) {
 			ver = RowVer{Xmin: xmin, Xmax: xmax}
 			rec, _ = storage.PayloadOf(rec)
 		}
-		row, err := storage.DecodeRow(s.tbl.Schema, rec)
+		row, err := storage.DecodeRow(s.tbl.Schema, rec, cols)
 		if err != nil {
 			derr = err
 			return false

@@ -154,7 +154,7 @@ func TestSharedScanMidAttachWraps(t *testing.T) {
 	done := make(chan struct{})
 	defer close(done)
 
-	a := shared.attach(h, tbl, done)
+	a := shared.attach(h, tbl, nil, done)
 	// Drain a couple of pages from A so the wheel advances past position 0.
 	var rowsA []value.Row
 	for i := 0; i < 2; i++ {
@@ -167,7 +167,7 @@ func TestSharedScanMidAttachWraps(t *testing.T) {
 
 	// B attaches mid-scan; with a buffer of 1 the producer cannot be at
 	// position 0 again yet.
-	b := shared.attach(h, tbl, done)
+	b := shared.attach(h, tbl, nil, done)
 	drain := func(c *scanConsumer, acc []value.Row) []value.Row {
 		for {
 			pg, err := c.ex.Next()
@@ -183,7 +183,7 @@ func TestSharedScanMidAttachWraps(t *testing.T) {
 				pages, pos, left := c.continuation()
 				for ; left > 0; left-- {
 					h.ScanPage(pages[pos], func(_ storage.RID, rec []byte) bool {
-						row, err := storage.DecodeRow(tbl.Schema, rec)
+						row, err := storage.DecodeRow(tbl.Schema, rec, nil)
 						if err != nil {
 							t.Error(err)
 							return false
@@ -240,8 +240,8 @@ func TestSharedScanAbandonDoesNotStall(t *testing.T) {
 	doneA := make(chan struct{})
 	doneB := make(chan struct{})
 	defer close(doneB)
-	a := shared.attach(h, tbl, doneA)
-	b := shared.attach(h, tbl, doneB)
+	a := shared.attach(h, tbl, nil, doneA)
+	b := shared.attach(h, tbl, nil, doneB)
 
 	// A reads one page then abandons (consumer close + pipeline teardown).
 	if pg, err := a.ex.Next(); err != nil || pg == nil {

@@ -55,13 +55,13 @@ type pipeline struct {
 // still queued when the query ended must not attach afterwards, because the
 // detach wait below has already snapshotted the consumer set and the
 // query's table lock is about to be released.
-func (p *pipeline) attachShared(h *storage.Heap, tbl *catalog.Table) *scanConsumer {
+func (p *pipeline) attachShared(h *storage.Heap, tbl *catalog.Table, cols []bool) *scanConsumer {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.noAttach {
 		return nil
 	}
-	c := p.shared.attach(h, tbl, p.done)
+	c := p.shared.attach(h, tbl, cols, p.done)
 	p.scanCons = append(p.scanCons, c)
 	return c
 }

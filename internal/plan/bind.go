@@ -31,10 +31,16 @@ type Catalog interface {
 	Get(name string) (*catalog.Table, error)
 }
 
-// BindSelect turns a parsed SELECT into an executable plan.
+// BindSelect turns a parsed SELECT into an executable plan. Its scans carry
+// the set of columns the plan reads from them (see pruneScans).
 func BindSelect(cat Catalog, sel *sql.Select, opt Options) (Node, error) {
 	b := &selBinder{cat: cat, opt: opt}
-	return b.bind(sel)
+	tree, err := b.bind(sel)
+	if err != nil {
+		return nil, err
+	}
+	pruneScans(tree, nil)
+	return tree, nil
 }
 
 // BindTableExpr binds an expression against a single table's schema (used by

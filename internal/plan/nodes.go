@@ -27,8 +27,12 @@ type SeqScan struct {
 	Table   *catalog.Table
 	Binding string // alias the query used
 	Filter  Expr   // may be nil
-	Est     float64
-	out     Schema
+	// Cols marks the table columns the plan reads from this scan — its own
+	// Filter included — one entry per table column. The scan decodes only
+	// those and leaves the rest NULL in a full-width row. nil = all columns.
+	Cols []bool
+	Est  float64
+	out  Schema
 }
 
 // Schema implements Node.
@@ -45,7 +49,7 @@ func (n *SeqScan) String() string {
 	if n.Filter != nil {
 		s += " filter=" + n.Filter.String()
 	}
-	return s
+	return s + colsString(n.Table, n.Cols)
 }
 
 // IndexScan reads a table through a B+tree index over [Lo, Hi] (NULL bound =
@@ -63,8 +67,11 @@ type IndexScan struct {
 	// expression (a Const or a Param awaiting substitution).
 	LoExpr, HiExpr Expr
 	Filter         Expr
-	Est            float64
-	out            Schema
+	// Cols is the decoded column set, as on SeqScan. The index key column is
+	// in it only if the plan reads it: the key range is the B+tree's work.
+	Cols []bool
+	Est  float64
+	out  Schema
 }
 
 // Bounds resolves the scan's effective [lo, hi] key range, evaluating any
@@ -104,7 +111,22 @@ func (n *IndexScan) String() string {
 	if n.Filter != nil {
 		s += " filter=" + n.Filter.String()
 	}
-	return s
+	return s + colsString(n.Table, n.Cols)
+}
+
+// colsString renders a scan's decoded column subset for EXPLAIN: " cols=[a
+// c]", or nothing when the scan decodes every column.
+func colsString(t *catalog.Table, cols []bool) string {
+	if cols == nil {
+		return ""
+	}
+	var names []string
+	for i, c := range cols {
+		if c {
+			names = append(names, t.Schema.Columns[i].Name)
+		}
+	}
+	return " cols=[" + strings.Join(names, " ") + "]"
 }
 
 // scanSchema builds the output schema of a table scan.

@@ -40,8 +40,10 @@ func Substitute(n Node, args []value.Value) (Node, error) {
 	return out, nil
 }
 
-// nodeExprs lists every expression a node evaluates (the substitution test
-// uses it as an oracle for Substitute's coverage).
+// nodeExprs lists every expression a node evaluates, nil entries included
+// (an absent filter, COUNT(*)'s argument). Join keys are positions, not
+// expressions, and are not listed. The required-columns pass reads it, and
+// the substitution test uses it as an oracle for Substitute's coverage.
 func nodeExprs(n Node) []Expr {
 	switch x := n.(type) {
 	case *SeqScan:

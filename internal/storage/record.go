@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -58,53 +59,93 @@ func EncodeRow(schema catalog.Schema, row value.Row) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeRow deserializes a record produced by EncodeRow.
-func DecodeRow(schema catalog.Schema, rec []byte) (value.Row, error) {
+var errShortBitmap = errors.New("storage: record too short for null bitmap")
+
+// DecodeRow deserializes a record produced by EncodeRow. cols selects the
+// columns to materialise: nil decodes every column; otherwise cols has one
+// entry per schema column and a column whose entry is false is left NULL in
+// the returned row. The row always has the schema's width, so column indexes
+// mean the same with and without a set. An unselected column is still walked
+// and validated — the same truncation and trailing-byte errors, in the same
+// order — it just costs no value (and, for TEXT, no string copy).
+//
+//stagedb:hot
+func DecodeRow(schema catalog.Schema, rec []byte, cols []bool) (value.Row, error) {
 	n := len(schema.Columns)
+	if cols != nil && len(cols) != n {
+		return nil, errColumnSet(len(cols), n)
+	}
 	bitmapLen := (n + 7) / 8
 	if len(rec) < bitmapLen {
-		return nil, fmt.Errorf("storage: record too short for null bitmap")
+		return nil, errShortBitmap
 	}
 	bitmap := rec[:bitmapLen]
 	data := rec[bitmapLen:]
 	row := make(value.Row, n)
 	for i := 0; i < n; i++ {
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			row[i] = value.NewNull()
-			continue
+			continue // the zero Value is NULL
 		}
+		want := cols == nil || cols[i]
 		switch schema.Columns[i].Type {
 		case value.Int:
 			if len(data) < 8 {
-				return nil, fmt.Errorf("storage: truncated int column %d", i)
+				return nil, errTruncated("int", i)
 			}
-			row[i] = value.NewInt(int64(binary.LittleEndian.Uint64(data)))
+			if want {
+				row[i] = value.NewInt(int64(binary.LittleEndian.Uint64(data)))
+			}
 			data = data[8:]
 		case value.Float:
 			if len(data) < 8 {
-				return nil, fmt.Errorf("storage: truncated float column %d", i)
+				return nil, errTruncated("float", i)
 			}
-			row[i] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			if want {
+				row[i] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			}
 			data = data[8:]
 		case value.Bool:
 			if len(data) < 1 {
-				return nil, fmt.Errorf("storage: truncated bool column %d", i)
+				return nil, errTruncated("bool", i)
 			}
-			row[i] = value.NewBool(data[0] != 0)
+			if want {
+				row[i] = value.NewBool(data[0] != 0)
+			}
 			data = data[1:]
 		case value.Text:
 			length, consumed := binary.Uvarint(data)
 			if consumed <= 0 || uint64(len(data)-consumed) < length {
-				return nil, fmt.Errorf("storage: truncated text column %d", i)
+				return nil, errTruncated("text", i)
 			}
-			row[i] = value.NewText(string(data[consumed : consumed+int(length)]))
+			if want {
+				row[i] = value.NewText(string(data[consumed : consumed+int(length)]))
+			}
 			data = data[consumed+int(length):]
 		default:
-			return nil, fmt.Errorf("storage: cannot decode %s", schema.Columns[i].Type)
+			return nil, errUndecodable(schema.Columns[i].Type)
 		}
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes in record", len(data))
+		return nil, errTrailing(len(data))
 	}
 	return row, nil
+}
+
+// DecodeRow's failure constructors, kept out of line so the per-row loop
+// itself holds no fmt call.
+
+func errColumnSet(got, want int) error {
+	return fmt.Errorf("storage: column set/schema arity mismatch (%d vs %d)", got, want)
+}
+
+func errTruncated(kind string, col int) error {
+	return fmt.Errorf("storage: truncated %s column %d", kind, col)
+}
+
+func errUndecodable(t value.Type) error {
+	return fmt.Errorf("storage: cannot decode %s", t)
+}
+
+func errTrailing(n int) error {
+	return fmt.Errorf("storage: %d trailing bytes in record", n)
 }

@@ -109,7 +109,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRow(schema, rec)
+	got, err := DecodeRow(schema, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRecordCodecProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRow(schema, rec)
+		got, err := DecodeRow(schema, rec, nil)
 		if err != nil {
 			return false
 		}
@@ -162,10 +162,10 @@ func TestRecordCodecErrors(t *testing.T) {
 	if _, err := EncodeRow(schema, value.Row{value.NewText("x")}); err == nil {
 		t.Fatal("uncoercible type should fail")
 	}
-	if _, err := DecodeRow(schema, []byte{0}); err == nil {
+	if _, err := DecodeRow(schema, []byte{0}, nil); err == nil {
 		t.Fatal("truncated record should fail")
 	}
-	if _, err := DecodeRow(schema, []byte{}); err == nil {
+	if _, err := DecodeRow(schema, []byte{}, nil); err == nil {
 		t.Fatal("empty record should fail")
 	}
 }

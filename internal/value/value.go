@@ -54,13 +54,17 @@ func ParseType(s string) (Type, error) {
 	return Null, fmt.Errorf("unknown type %q", s)
 }
 
-// Value is one SQL value. The zero Value is NULL.
+// Value is one SQL value. The zero Value is NULL. It is 32 bytes: a row is
+// allocated per scanned record, so every byte here is paid per value per row
+// (size_test.go pins the size). One scalar word serves the three fixed-width
+// types — i holds the Int payload, a Float's math.Float64bits, or a Bool as
+// 0/1 — so the accessors check the type before reading it: asked for a
+// payload the value does not hold, they return the zero payload, as they did
+// when each type had a field of its own.
 type Value struct {
-	typ Type
-	i   int64
-	f   float64
 	s   string
-	b   bool
+	i   int64
+	typ Type
 }
 
 // NewNull returns the NULL value.
@@ -70,13 +74,18 @@ func NewNull() Value { return Value{} }
 func NewInt(v int64) Value { return Value{typ: Int, i: v} }
 
 // NewFloat returns a Float value.
-func NewFloat(v float64) Value { return Value{typ: Float, f: v} }
+func NewFloat(v float64) Value { return Value{typ: Float, i: int64(math.Float64bits(v))} }
 
 // NewText returns a Text value.
 func NewText(v string) Value { return Value{typ: Text, s: v} }
 
 // NewBool returns a Bool value.
-func NewBool(v bool) Value { return Value{typ: Bool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{typ: Bool, i: 1}
+	}
+	return Value{typ: Bool}
+}
 
 // Type returns the value's type (Null for NULL).
 func (v Value) Type() Type { return v.typ }
@@ -85,21 +94,29 @@ func (v Value) Type() Type { return v.typ }
 func (v Value) IsNull() bool { return v.typ == Null }
 
 // Int returns the integer payload; valid only when Type()==Int.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.typ != Int {
+		return 0
+	}
+	return v.i
+}
 
 // Float returns the float payload, coercing Int.
 func (v Value) Float() float64 {
-	if v.typ == Int {
+	switch v.typ {
+	case Int:
 		return float64(v.i)
+	case Float:
+		return math.Float64frombits(uint64(v.i))
 	}
-	return v.f
+	return 0
 }
 
 // Text returns the string payload; valid only when Type()==Text.
 func (v Value) Text() string { return v.s }
 
 // Bool returns the boolean payload; valid only when Type()==Bool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.typ == Bool && v.i != 0 }
 
 // String renders the value as SQL literal text.
 func (v Value) String() string {
@@ -109,11 +126,11 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case Text:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case Bool:
-		if v.b {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -122,7 +139,8 @@ func (v Value) String() string {
 }
 
 // Coerce converts v to type t when a lossless or standard SQL conversion
-// exists (Int->Float, NULL->anything). It fails otherwise.
+// exists (Int->Float, integral in-range Float->Int, NULL->anything). It
+// fails otherwise.
 func (v Value) Coerce(t Type) (Value, error) {
 	if v.typ == t || v.typ == Null {
 		return v, nil
@@ -130,10 +148,23 @@ func (v Value) Coerce(t Type) (Value, error) {
 	switch {
 	case v.typ == Int && t == Float:
 		return NewFloat(float64(v.i)), nil
-	case v.typ == Float && t == Int && v.f == math.Trunc(v.f):
-		return NewInt(int64(v.f)), nil
+	case v.typ == Float && t == Int:
+		if n, ok := floatAsInt(v.Float()); ok {
+			return NewInt(n), nil
+		}
 	}
 	return Value{}, fmt.Errorf("cannot coerce %s to %s", v.typ, t)
+}
+
+// floatAsInt returns f as an int64 when f is integral and inside the int64
+// range. The upper bound is strict: float64(math.MaxInt64) rounds up to 2^63,
+// which int64 cannot hold (the conversion's result is then implementation-
+// defined). NaN fails the integrality test, the infinities the range test.
+func floatAsInt(f float64) (int64, bool) {
+	if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
+		return 0, false
+	}
+	return int64(f), true
 }
 
 // numeric reports whether the type participates in arithmetic.
@@ -179,10 +210,11 @@ func Compare(a, b Value) (int, error) {
 	case Text:
 		return strings.Compare(a.s, b.s), nil
 	case Bool:
+		ab, bb := a.Bool(), b.Bool()
 		switch {
-		case !a.b && b.b:
+		case !ab && bb:
 			return -1, nil
-		case a.b && !b.b:
+		case ab && !bb:
 			return 1, nil
 		}
 		return 0, nil
@@ -292,17 +324,17 @@ func (v Value) Hash() uint64 {
 	case Int:
 		h = fnvU64(h, uint64(v.i))
 	case Float:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			h = fnvU64(h, uint64(int64(v.f)))
+		if n, ok := floatAsInt(v.Float()); ok {
+			h = fnvU64(h, uint64(n))
 		} else {
-			h = fnvU64(h, math.Float64bits(v.f))
+			h = fnvU64(h, uint64(v.i))
 		}
 	case Text:
 		h = fnvByte(h, 2)
 		h = fnvString(h, v.s)
 	case Bool:
 		h = fnvByte(h, 4)
-		if v.b {
+		if v.Bool() {
 			h = fnvByte(h, 1)
 		} else {
 			h = fnvByte(h, 0)

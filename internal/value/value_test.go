@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +198,38 @@ func TestBoolCompare(t *testing.T) {
 	c, _ = Compare(NewBool(true), NewBool(true))
 	if c != 0 {
 		t.Fatal("true == true")
+	}
+}
+
+// TestCoerceFloatToIntBounds: an integral float converts to Int only inside
+// the int64 range. float64(math.MaxInt64) is 2^63, one past the range, so
+// the upper bound is exclusive; -2^63 is math.MinInt64 exactly.
+func TestCoerceFloatToIntBounds(t *testing.T) {
+	two63 := math.Ldexp(1, 63)
+	ok := map[float64]int64{
+		0:                         0,
+		-3:                        -3,
+		-two63:                    math.MinInt64,
+		math.Nextafter(two63, 0):  math.MaxInt64 - 1023, // largest float below 2^63
+		math.Nextafter(-two63, 0): math.MinInt64 + 1024,
+	}
+	for f, want := range ok {
+		v, err := NewFloat(f).Coerce(Int)
+		if err != nil || v.Type() != Int || v.Int() != want {
+			t.Errorf("Coerce(%v) = %v, %v; want %d", f, v, err, want)
+		}
+	}
+	bad := []float64{
+		two63, math.Nextafter(-two63, math.Inf(-1)), 1e300, -1e300,
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.5,
+	}
+	for _, f := range bad {
+		if v, err := NewFloat(f).Coerce(Int); err == nil {
+			t.Errorf("Coerce(%v) = %v, want an error", f, v)
+		}
+	}
+	// Hash folds an integral float onto the equal Int under the same bounds.
+	if NewFloat(-two63).Hash() != NewInt(math.MinInt64).Hash() {
+		t.Error("Float(-2^63) and Int(MinInt64) compare equal and must hash alike")
 	}
 }

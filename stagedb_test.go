@@ -135,6 +135,13 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(out, "IndexScan") {
 		t.Fatalf("primary-key lookup should use the index:\n%s", out)
 	}
+	// The scan reads v only (the key range is the index's work), and says so.
+	if !strings.Contains(out, "cols=[v]") {
+		t.Fatalf("EXPLAIN should show the scan's decoded column subset:\n%s", out)
+	}
+	if out, err = db.Explain("SELECT * FROM e"); err != nil || strings.Contains(out, "cols=") {
+		t.Fatalf("a scan decoding every column prints no cols=: %v\n%s", err, out)
+	}
 	if _, err := db.Explain("INSERT INTO e VALUES (1, 1)"); err == nil {
 		t.Fatal("EXPLAIN of DML should fail")
 	}
