@@ -209,26 +209,6 @@ func BenchmarkPageSize(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinAlgorithms compares the three join implementations the
-// paper's join stage bundles (§4.3).
-func BenchmarkJoinAlgorithms(b *testing.B) {
-	for _, algo := range []plan.JoinAlgo{plan.HashJoin, plan.SortMergeJoin, plan.NestedLoopJoin} {
-		b.Run(algo.String(), func(b *testing.B) {
-			db := mustOpen(b, Options{})
-			defer db.Close()
-			db.kernel.SetPlanOptions(plan.Options{ForceJoin: &algo})
-			loadWisconsin(b, db, []string{"j1", "j12"}, 500)
-			q := "SELECT COUNT(*) FROM j1 a JOIN j12 b ON a.unique1 = b.unique1"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParser measures the SQL front end on its own.
 func BenchmarkParser(b *testing.B) {
 	q := "SELECT a.ten, COUNT(*) AS n FROM t1 a JOIN t2 b ON a.id = b.id WHERE a.x BETWEEN 1 AND 100 AND b.name LIKE 'abc%' GROUP BY a.ten ORDER BY n DESC LIMIT 10"
@@ -243,7 +223,7 @@ func BenchmarkParser(b *testing.B) {
 // BenchmarkSharedScan pits N concurrent scan-heavy queries against staged
 // execution with shared circular scans (the default) and with sharing
 // disabled.
-// The custom metric heap-reads/op counts simulated-disk page reads per
+// The custom metric heap-reads/op counts page-store reads (IOStats) per
 // benchmark iteration (8 queries); sharing should cut it by the fan-out.
 func BenchmarkSharedScan(b *testing.B) {
 	const clients = 8
@@ -327,8 +307,7 @@ func BenchmarkJoinStreamLimit(b *testing.B) {
 		b.Fatal(err)
 	}
 	// FROM order keeps padded (large) as the probe side.
-	hj := plan.HashJoin
-	db.kernel.SetPlanOptions(plan.Options{ForceJoin: &hj, DisableJoinReorder: true, DisableIndex: true})
+	db.kernel.SetPlanOptions(plan.Options{DisableJoinReorder: true, DisableIndex: true})
 	q := "SELECT p.id, d.name FROM padded p, dims d WHERE p.id = d.id LIMIT 10"
 	readsBefore, _ := db.IOStats()
 	b.ReportAllocs()

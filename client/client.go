@@ -420,28 +420,11 @@ func bindArgs(args []any) (value.Row, error) {
 	}
 	out := make(value.Row, len(args))
 	for i, a := range args {
-		switch x := a.(type) {
-		case nil:
-			out[i] = value.NewNull()
-		case stagedb.Value:
-			out[i] = x
-		case int:
-			out[i] = value.NewInt(int64(x))
-		case int32:
-			out[i] = value.NewInt(int64(x))
-		case int64:
-			out[i] = value.NewInt(x)
-		case float32:
-			out[i] = value.NewFloat(float64(x))
-		case float64:
-			out[i] = value.NewFloat(x)
-		case string:
-			out[i] = value.NewText(x)
-		case bool:
-			out[i] = value.NewBool(x)
-		default:
-			return nil, fmt.Errorf("client: argument %d: unsupported type %T", i+1, a)
+		v, err := value.FromGo(a)
+		if err != nil {
+			return nil, fmt.Errorf("client: argument %d: %w", i+1, err)
 		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -10,9 +10,18 @@ import (
 	"stagedb"
 	"stagedb/client"
 	"stagedb/internal/server"
+	"stagedb/internal/value"
 )
 
 func startServer(t *testing.T) *server.Server {
+	t.Helper()
+	srv, _ := startServerDB(t)
+	return srv
+}
+
+// startServerDB serves a fresh in-memory database on loopback and also
+// returns the database, for tests that compare the wire with the embedded API.
+func startServerDB(t *testing.T) (*server.Server, *stagedb.DB) {
 	t.Helper()
 	db, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
@@ -32,7 +41,7 @@ func startServer(t *testing.T) *server.Server {
 		<-serveDone
 		db.Close()
 	})
-	return srv
+	return srv, db
 }
 
 func TestDialRefused(t *testing.T) {
@@ -74,6 +83,54 @@ func TestArgsRoundTrip(t *testing.T) {
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArgConversionAgrees binds every Go type the API accepts through an
+// embedded Conn and through client.Conn for the same SQL: both must return
+// the identical value, and an unsupported type must fail on both.
+func TestArgConversionAgrees(t *testing.T) {
+	srv, db := startServerDB(t)
+	c, err := client.Dial(context.Background(), srv.Addr(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.ExecContext(ctx, "CREATE TABLE one (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExecContext(ctx, "INSERT INTO one VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	embedded := db.Conn()
+	const q = "SELECT ? FROM one"
+	args := []any{nil, value.NewText("v"), int(-7), int32(-32), int64(1 << 40),
+		uint32(4_000_000_000), float32(1.5), float64(2.25), "text", true}
+	for _, a := range args {
+		embRes, err := embedded.ExecContext(ctx, q, a)
+		if err != nil {
+			t.Fatalf("embedded %T: %v", a, err)
+		}
+		wireRes, err := c.ExecContext(ctx, q, a)
+		if err != nil {
+			t.Fatalf("wire %T: %v", a, err)
+		}
+		if len(embRes.Rows) != 1 || len(wireRes.Rows) != 1 {
+			t.Fatalf("%T: embedded %v, wire %v", a, embRes.Rows, wireRes.Rows)
+		}
+		e, w := embRes.Rows[0][0], wireRes.Rows[0][0]
+		if e.Type() != w.Type() || e.String() != w.String() {
+			t.Fatalf("%T: embedded %v (%v), wire %v (%v)", a, e, e.Type(), w, w.Type())
+		}
+	}
+	for _, a := range []any{uint64(1), struct{}{}} {
+		if _, err := embedded.ExecContext(ctx, q, a); err == nil || !strings.Contains(err.Error(), "argument 1") {
+			t.Fatalf("embedded %T: err = %v, want an argument 1 error", a, err)
+		}
+		if _, err := c.ExecContext(ctx, q, a); err == nil || !strings.Contains(err.Error(), "argument 1") {
+			t.Fatalf("wire %T: err = %v, want an argument 1 error", a, err)
+		}
 	}
 }
 

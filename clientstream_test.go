@@ -558,46 +558,110 @@ func TestSpillingSortStreamLeakFree(t *testing.T) {
 			}
 			waitPoolBalanced(t, db)
 
-			// Mid-merge close: read a few rows (the k-way merge is mid-flight,
-			// run files on disk), then Close — files must be removed.
-			early, err := db.QueryContext(ctx, q)
+			// Mid-merge close (the k-way merge is mid-flight, run files on
+			// disk) and mid-stream cancel must both remove every file.
+			assertCloseAndCancelLeakFree(t, db, q)
+		})
+	}
+}
+
+// TestKeylessJoinStreamLeakFree: under a 64 KB WorkMem a join with no equi
+// key holds its over-budget build side resident instead of spilling (one
+// bucket cannot be partitioned), returns exactly the closed-form count, and
+// an early Rows.Close or a mid-stream cancel of a 5M-row cross join leaves
+// no exchange page out of the pool and no spill file behind.
+func TestKeylessJoinStreamLeakFree(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{
+		{"staged", Options{WorkMem: 64 << 10, PoolFrames: 16}},
+		{"threaded", Options{Mode: Threaded, Workers: 2, WorkMem: 64 << 10, PoolFrames: 16}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			db := mustOpen(t, mode.opts)
+			defer db.Close()
+			loadBig(t, db, 5000) // v = id % 97
+			if _, err := db.Exec("CREATE TABLE small (id INT, w INT)"); err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			b.WriteString("INSERT INTO small VALUES ")
+			for j := 0; j < 1000; j++ {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				fmt.Fprintf(&b, "(%d, %d)", j, j%100)
+			}
+			if _, err := db.Exec(b.String()); err != nil {
+				t.Fatal(err)
+			}
+
+			// Residual-only join, fully drained: each probe row with v matches
+			// the 10*(99-v) small rows whose w exceeds it.
+			res, err := db.Query("SELECT COUNT(*) FROM big b JOIN small s ON b.v < s.w WHERE b.id < 500")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 5 && early.Next(); i++ {
+			want := int64(0)
+			for i := 0; i < 500; i++ {
+				want += int64(10 * (99 - i%97))
 			}
-			if err := early.Close(); err != nil {
-				t.Fatal(err)
+			if got := res.Rows[0][0].Int(); got != want {
+				t.Fatalf("COUNT(*) = %d, want %d", got, want)
 			}
-			if live := db.SpillStats().FilesLive(); live != 0 {
-				t.Fatalf("%d spill files live after mid-merge Close", live)
+			if st := db.SpillStats(); st.JoinSpills != 0 || st.FilesCreated != 0 {
+				t.Fatalf("a key-less join spilled: %+v", st)
 			}
 			waitPoolBalanced(t, db)
 
-			// Cancellation mid-stream: same invariant.
-			cctx, cancel := context.WithCancel(ctx)
-			mid, err := db.QueryContext(cctx, q)
-			if err != nil {
-				cancel()
-				t.Fatal(err)
-			}
-			if !mid.Next() {
-				t.Fatalf("no first row before cancel: %v", mid.Err())
-			}
-			cancel()
-			for mid.Next() {
-			}
-			if !errors.Is(mid.Err(), context.Canceled) {
-				t.Fatalf("Err after cancel = %v, want context.Canceled", mid.Err())
-			}
-			if err := mid.Close(); err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("Close after cancel = %v", err)
-			}
-			waitPoolBalanced(t, db)
-			if live := db.SpillStats().FilesLive(); live != 0 {
-				t.Fatalf("%d spill files live after cancellation", live)
-			}
+			assertCloseAndCancelLeakFree(t, db, "SELECT b.id, s.id FROM big b, small s")
 		})
+	}
+}
+
+// assertCloseAndCancelLeakFree streams q twice — closing the cursor after a
+// few rows, then canceling its context after the first — and requires each
+// abandoned pipeline to leave no spill file and no exchange page out of the
+// pool.
+func assertCloseAndCancelLeakFree(t *testing.T, db *DB, q string) {
+	t.Helper()
+	ctx := context.Background()
+	early, err := db.QueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5 && early.Next(); i++ {
+	}
+	if err := early.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live := db.SpillStats().FilesLive(); live != 0 {
+		t.Fatalf("%d spill files live after early Close", live)
+	}
+	waitPoolBalanced(t, db)
+
+	cctx, cancel := context.WithCancel(ctx)
+	mid, err := db.QueryContext(cctx, q)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	if !mid.Next() {
+		t.Fatalf("no first row before cancel: %v", mid.Err())
+	}
+	cancel()
+	for mid.Next() {
+	}
+	if !errors.Is(mid.Err(), context.Canceled) {
+		t.Fatalf("Err after cancel = %v, want context.Canceled", mid.Err())
+	}
+	if err := mid.Close(); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("Close after cancel = %v", err)
+	}
+	waitPoolBalanced(t, db)
+	if live := db.SpillStats().FilesLive(); live != 0 {
+		t.Fatalf("%d spill files live after cancellation", live)
 	}
 }
 

@@ -868,9 +868,15 @@ func (db *DB) supersede(id txn.ID, tbl *catalog.Table, h *storage.Heap, rid stor
 		return err
 	}
 	if !inPlace {
-		return fmt.Errorf("engine: xmax stamp moved record %v of %s (same-length update must stay in place)", rid, tbl.Name)
+		return errStampMoved(rid, tbl.Name)
 	}
 	return nil
+}
+
+// errStampMoved reports an xmax stamp, or its undo, that did not stay in
+// place.
+func errStampMoved(rid storage.RID, table string) error {
+	return fmt.Errorf("engine: xmax stamp moved record %v of %s (same-length update must stay in place)", rid, table)
 }
 
 // update implements UPDATE as supersede-plus-insert: each target's current
@@ -1206,15 +1212,9 @@ func (db *DB) undoOne(rec txn.Record) error {
 			bt.Insert(row[ixMeta.ColIdx], rid)
 		}
 	case txn.RecUpdate:
-		newRow, err := decodeVersioned(tbl.Schema, rec.After)
-		if err != nil {
-			return err
-		}
-		oldRow, err := decodeVersioned(tbl.Schema, rec.Before)
-		if err != nil {
-			return err
-		}
-		rid := rec.RID
+		// The one update the engine logs is supersede's xmax stamp: the
+		// before-image has the same length and payload, so it restores in
+		// place and no index key changes.
 		inPlace, err := h.UpdateLogged(rec.RID, rec.Before, func(rid storage.RID) (uint64, error) {
 			return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecUpdate, Table: rec.Table,
 				RID: rid, Before: rec.After, After: rec.Before, UndoOf: rec.LSN})
@@ -1223,28 +1223,7 @@ func (db *DB) undoOne(rec txn.Record) error {
 			return err
 		}
 		if !inPlace {
-			// The before-image no longer fits in place: move it, logging each
-			// page op as its own CLR.
-			if err := h.DeleteLogged(rec.RID, func(rid storage.RID) (uint64, error) {
-				return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecDelete, Table: rec.Table,
-					RID: rid, Before: rec.After, UndoOf: rec.LSN})
-			}); err != nil {
-				return err
-			}
-			if rid, err = h.InsertLogged(rec.Before, func(rid storage.RID) (uint64, error) {
-				return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecInsert, Table: rec.Table,
-					RID: rid, After: rec.Before, UndoOf: rec.LSN})
-			}); err != nil {
-				return err
-			}
-		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return err
-			}
-			bt.Delete(newRow[ixMeta.ColIdx], rec.RID)
-			bt.Insert(oldRow[ixMeta.ColIdx], rid)
+			return errStampMoved(rec.RID, rec.Table)
 		}
 	}
 	return nil

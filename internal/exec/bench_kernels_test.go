@@ -118,23 +118,39 @@ func BenchmarkAggKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinStream: streaming-probe hash join of 4096 probe rows
-// against a 1024-row build side (unique keys), per iteration.
+// BenchmarkHashJoinStream: streaming-probe hash join against a 1024-row
+// build side, per iteration: equi (4096 probe rows, unique keys), keyless (a
+// 64-row probe side crossed with the build side) and residual (the same 64
+// probe rows on grp < grp, which rejects 53% of the candidates).
 func BenchmarkHashJoinStream(b *testing.B) {
-	pool := NewPagePool()
-	probe := newGenSource(pool, 4096, DefaultPageRows)
-	build := newGenSource(pool, 1024, DefaultPageRows)
-	jn := &plan.Join{
-		Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
-		LeftKeys: []int{0}, RightKey: []int{0},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := &hashJoin{node: jn, left: probe, right: build, pageRows: DefaultPageRows, pool: pool, buildHint: 1024}
-		if got := drain(b, j); got != 1024 {
-			b.Fatalf("join produced %d rows", got)
-		}
+	for _, bc := range []struct {
+		name, q string
+		probe   int
+		want    int
+	}{
+		{"equi", "SELECT * FROM l JOIN r ON l.id = r.id", 4096, 1024},
+		{"keyless", "SELECT * FROM l, r", 64, 64 * 1024},
+		{"residual", "SELECT * FROM l JOIN r ON l.grp < r.grp", 64, 30642},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := NewPagePool()
+			probe := newGenSource(pool, bc.probe, DefaultPageRows)
+			build := newGenSource(pool, 1024, DefaultPageRows)
+			jn := planJoin(b, bc.q)
+			var resid plan.CompiledPredicate
+			if jn.Residual != nil {
+				resid = plan.CompilePredicate(jn.Residual)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := &hashJoin{node: jn, left: probe, right: build, pageRows: DefaultPageRows, pool: pool,
+					resid: resid, buildHint: 1024}
+				if got := drain(b, j); got != bc.want {
+					b.Fatalf("join produced %d rows, want %d", got, bc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -147,7 +163,7 @@ func BenchmarkHashJoinStreamLimit(b *testing.B) {
 	probe := newGenSource(pool, 4096, DefaultPageRows)
 	build := newGenSource(pool, 1024, DefaultPageRows)
 	jn := &plan.Join{
-		Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+		L: &plan.SeqScan{}, R: &plan.SeqScan{},
 		LeftKeys: []int{0}, RightKey: []int{0},
 	}
 	b.ReportAllocs()

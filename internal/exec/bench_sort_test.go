@@ -170,7 +170,7 @@ func BenchmarkSpillJoin(b *testing.B) {
 		return rows
 	}
 	probe, build := mkSide(), mkSide()
-	node := &plan.Join{Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+	node := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
 		LeftKeys: []int{0}, RightKey: []int{0}}
 	mk := func(workMem int64, sm *SpillMetrics) *hashJoin {
 		return &hashJoin{node: node, left: benchReplay(probe), right: benchReplay(build),

@@ -138,6 +138,11 @@ type Tables interface {
 // Operator produces pages. Implementations are single-consumer. A returned
 // page is owned by the caller, which must Release it (or forward it) when
 // done.
+//
+// Under the staged scheduler a child read can report errWouldBlock instead
+// of blocking the worker. Operators therefore keep any partially accumulated
+// state in fields (never in locals), propagate errWouldBlock unchanged, and
+// pick up exactly where they left off on the next call.
 type Operator interface {
 	// Open prepares the operator (recursively opening children).
 	Open() error
@@ -224,27 +229,15 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		}
 		return &projectOp{child: children[0], exprs: exprs, pool: pool}, nil
 	case *plan.Join:
-		l, r := children[0], children[1]
 		var resid plan.CompiledPredicate
 		if x.Residual != nil {
 			resid = plan.CompilePredicate(x.Residual)
 		}
-		switch x.Algo {
-		case plan.HashJoin:
-			return &hashJoin{
-				node: x, left: l, right: r, pageRows: pageRows, pool: pool,
-				resid: resid, buildHint: presizeHint(x.R.Rows()),
-				workMem: cfg.WorkMem, tmpDir: cfg.TempDir, spillM: cfg.Spill,
-			}, nil
-		case plan.SortMergeJoin:
-			j := &mergeJoin{node: x, left: l, right: r, pageRows: pageRows, resid: resid}
-			j.lacc.hint, j.racc.hint = presizeHint(x.L.Rows()), presizeHint(x.R.Rows())
-			return j, nil
-		default:
-			j := &nestedLoopJoin{node: x, left: l, right: r, pageRows: pageRows, resid: resid}
-			j.oacc.hint, j.iacc.hint = presizeHint(x.L.Rows()), presizeHint(x.R.Rows())
-			return j, nil
-		}
+		return &hashJoin{
+			node: x, left: children[0], right: children[1], pageRows: pageRows, pool: pool,
+			resid: resid, buildHint: presizeHint(x.R.Rows()),
+			workMem: cfg.WorkMem, tmpDir: cfg.TempDir, spillM: cfg.Spill,
+		}, nil
 	case *plan.Aggregate:
 		a := &aggregateOp{node: x, child: children[0], pageRows: pageRows,
 			groupHint: presizeHint(x.Est),
@@ -699,9 +692,9 @@ func (emptyOp) Next() (*Page, error) { return nil, nil }
 func (emptyOp) Close() error         { return nil }
 
 // slicePage cuts the next batch from a fully materialized result (used by
-// pipeline-breaking operators: sort, join, aggregate). The emitted pages are
-// unpooled views into the materialized slice — no copying, and Release is a
-// no-op on them.
+// the pipeline-breaking sort and aggregate). The emitted pages are unpooled
+// views into the materialized slice — no copying, and Release is a no-op on
+// them.
 func slicePage(pos *int, rows []value.Row, pageRows int) *Page {
 	if *pos >= len(rows) {
 		return nil
@@ -713,46 +706,6 @@ func slicePage(pos *int, rows []value.Row, pageRows int) *Page {
 	pg := &Page{Rows: rows[*pos:end]}
 	*pos = end
 	return pg
-}
-
-// --- resumable accumulation ---
-//
-// Under the staged scheduler a child read can report errWouldBlock
-// instead of blocking the worker. Operators therefore keep any partially
-// accumulated state in fields (never in locals), propagate errWouldBlock
-// unchanged, and pick up exactly where they left off on the next call.
-
-// rowAccum drains a child's full output across resumable calls: fill
-// returns errWouldBlock with progress preserved, so pipeline-blocking
-// operators (sort, merge/nested-loop joins, and the hash join's build side)
-// can suspend mid-drain. hint pre-sizes the accumulator from the planner's
-// cardinality estimate.
-type rowAccum struct {
-	rows []value.Row
-	hint int
-	done bool
-}
-
-func (a *rowAccum) fill(op Operator) error {
-	for !a.done {
-		pg, err := op.Next()
-		if err != nil {
-			return err
-		}
-		if pg == nil {
-			a.done = true
-			break
-		}
-		if a.rows == nil && a.hint > 0 {
-			a.rows = make([]value.Row, 0, a.hint)
-		}
-		n := pg.Len()
-		for i := 0; i < n; i++ {
-			a.rows = append(a.rows, pg.Row(i))
-		}
-		pg.Release()
-	}
-	return nil
 }
 
 // --- filter / project ---

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"stagedb/internal/exec/spill"
 	"stagedb/internal/plan"
 	"stagedb/internal/value"
@@ -23,21 +21,30 @@ func keysNull(row value.Row, keys []int) bool {
 
 // --- hash join ---
 
-// hashJoin builds a hash table on the right (build) input, then probes with
-// the left input page-at-a-time: probe pages stream through the operator and
-// are released as soon as their matches are emitted, so the join holds
-// O(build) memory — never O(probe) — and a LIMIT above the join stops the
-// probe side early instead of materializing it. The build side is drained
-// lazily on first Next so a pooled task can suspend mid-drain
-// (errWouldBlock) without losing progress; probe-side would-blocks emit any
-// partially filled output page rather than stall it.
+// hashJoin is the join stage's one operator (§4.3). It builds a hash table on
+// the right (build) input, then probes with the left input page-at-a-time:
+// probe pages stream through the operator and are released as soon as their
+// matches are emitted, so the join holds O(build) memory — never O(probe) —
+// and a LIMIT above the join stops the probe side early instead of
+// materializing it. The build side is drained lazily on first Next so a
+// pooled task can suspend mid-drain (errWouldBlock) without losing progress;
+// probe-side would-blocks emit any partially filled output page rather than
+// stall it.
 //
-// When the build side exceeds the query's WorkMem budget, the join goes
+// A join with no equi key (a cross join, or an ON with only a residual) is a
+// hash join over zero key columns: every build row lands in one bucket, so
+// each probe row is checked against the whole build side in arrival order,
+// residual applied — the rows and order of a nested loop with the probe side
+// outer.
+//
+// When the build side exceeds the query's WorkMem budget, an equi join goes
 // grace-style: both inputs partition into temp files by join-key hash, and
 // each partition pair joins independently on the probe — loading one
 // partition's build rows at a time (recursing with a deeper hash when a
 // partition's build side still exceeds the budget), so memory stays
-// O(budget) however large the build input is.
+// O(budget) however large the build input is. A key-less join never goes
+// grace: its one bucket cannot be partitioned, so its build side stays
+// resident whatever its size.
 type hashJoin struct {
 	node      *plan.Join
 	left      Operator
@@ -138,7 +145,7 @@ func (j *hashJoin) fillBuild() error {
 			j.buildBytes += rowMemSize(row)
 		}
 		pg.Release()
-		if !j.parted && j.buildBytes > j.workMem {
+		if !j.parted && j.buildBytes > j.workMem && len(j.node.RightKey) > 0 {
 			if err := j.spillBuild(); err != nil {
 				return err
 			}
@@ -287,8 +294,10 @@ func (j *hashJoin) emitBucket() error {
 				return err
 			}
 			if !ok {
-				// Reject: drop the row from the page (the arena slot stays
-				// consumed; residual rejects are rare).
+				// Reject: give the slot back, or a selective residual (about
+				// half of a non-equi join's candidates) regrows the arena
+				// past one page's worth.
+				j.arena = j.arena[:len(j.arena)-len(combined)]
 				continue
 			}
 		}
@@ -559,230 +568,6 @@ func (j *hashJoin) Close() error {
 	j.probe = nil
 	j.out.Release()
 	j.out, j.arena = nil, nil
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
-	}
-	return j.right.Close()
-}
-
-// --- sort-merge join ---
-
-// concatRow joins two rows for the materializing join algorithms (the hash
-// join carves its output from a per-page arena instead).
-func concatRow(l, r value.Row) value.Row {
-	out := make(value.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	out = append(out, r...)
-	return out
-}
-
-// passResidual applies the join's compiled residual condition, when present.
-func passResidual(resid plan.CompiledPredicate, row value.Row) (bool, error) {
-	if resid == nil {
-		return true, nil
-	}
-	return resid(row)
-}
-
-type mergeJoin struct {
-	node     *plan.Join
-	left     Operator
-	right    Operator
-	pageRows int
-	resid    plan.CompiledPredicate
-
-	lacc   rowAccum
-	racc   rowAccum
-	loaded bool
-	out    []value.Row
-	pos    int
-}
-
-func (j *mergeJoin) Open() error {
-	j.lacc = rowAccum{hint: j.lacc.hint}
-	j.racc = rowAccum{hint: j.racc.hint}
-	j.loaded = false
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	return j.right.Open()
-}
-
-func (j *mergeJoin) Next() (*Page, error) {
-	if !j.loaded {
-		if err := j.lacc.fill(j.left); err != nil {
-			return nil, err
-		}
-		if err := j.racc.fill(j.right); err != nil {
-			return nil, err
-		}
-		if err := j.join(); err != nil {
-			return nil, err
-		}
-		j.loaded = true
-	}
-	return slicePage(&j.pos, j.out, j.pageRows), nil
-}
-
-func (j *mergeJoin) join() error {
-	lrows, rrows := j.lacc.rows, j.racc.rows
-	j.lacc.rows, j.racc.rows = nil, nil
-	var sortErr error
-	sortBy := func(rows []value.Row, keys []int) {
-		sort.SliceStable(rows, func(a, b int) bool {
-			for _, k := range keys {
-				c, err := value.Compare(rows[a][k], rows[b][k])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-	sortBy(lrows, j.node.LeftKeys)
-	sortBy(rrows, j.node.RightKey)
-	if sortErr != nil {
-		return sortErr
-	}
-
-	// Merge with duplicate-group handling.
-	j.out = j.out[:0]
-	li, ri := 0, 0
-	for li < len(lrows) && ri < len(rrows) {
-		if keysNull(lrows[li], j.node.LeftKeys) {
-			li++
-			continue
-		}
-		if keysNull(rrows[ri], j.node.RightKey) {
-			ri++
-			continue
-		}
-		c := compareKeys(lrows[li], j.node.LeftKeys, rrows[ri], j.node.RightKey)
-		switch {
-		case c < 0:
-			li++
-		case c > 0:
-			ri++
-		default:
-			// Group of equal keys on the right.
-			rEnd := ri
-			for rEnd < len(rrows) && compareKeys(lrows[li], j.node.LeftKeys, rrows[rEnd], j.node.RightKey) == 0 {
-				rEnd++
-			}
-			for li < len(lrows) && compareKeys(lrows[li], j.node.LeftKeys, rrows[ri], j.node.RightKey) == 0 {
-				for k := ri; k < rEnd; k++ {
-					combined := concatRow(lrows[li], rrows[k])
-					ok, err := passResidual(j.resid, combined)
-					if err != nil {
-						return err
-					}
-					if ok {
-						j.out = append(j.out, combined)
-					}
-				}
-				li++
-			}
-			ri = rEnd
-		}
-	}
-	j.pos = 0
-	return nil
-}
-
-func compareKeys(l value.Row, lk []int, r value.Row, rk []int) int {
-	for i := range lk {
-		c, err := value.Compare(l[lk[i]], r[rk[i]])
-		if err != nil {
-			return -1
-		}
-		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func (j *mergeJoin) Close() error {
-	j.out = nil
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
-	}
-	return j.right.Close()
-}
-
-// --- nested-loop join ---
-
-type nestedLoopJoin struct {
-	node     *plan.Join
-	left     Operator
-	right    Operator
-	pageRows int
-	resid    plan.CompiledPredicate
-
-	iacc   rowAccum // inner (right) input
-	oacc   rowAccum // outer (left) input
-	loaded bool
-	out    []value.Row
-	pos    int
-}
-
-func (j *nestedLoopJoin) Open() error {
-	j.iacc = rowAccum{hint: j.iacc.hint}
-	j.oacc = rowAccum{hint: j.oacc.hint}
-	j.loaded = false
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	return j.right.Open()
-}
-
-func (j *nestedLoopJoin) Next() (*Page, error) {
-	if !j.loaded {
-		if err := j.iacc.fill(j.right); err != nil {
-			return nil, err
-		}
-		if err := j.oacc.fill(j.left); err != nil {
-			return nil, err
-		}
-		if err := j.join(); err != nil {
-			return nil, err
-		}
-		j.loaded = true
-	}
-	return slicePage(&j.pos, j.out, j.pageRows), nil
-}
-
-func (j *nestedLoopJoin) join() error {
-	inner, outer := j.iacc.rows, j.oacc.rows
-	j.iacc.rows, j.oacc.rows = nil, nil
-	j.out = j.out[:0]
-	for _, l := range outer {
-		for _, r := range inner {
-			if len(j.node.LeftKeys) > 0 && !keysEqual(l, j.node.LeftKeys, r, j.node.RightKey) {
-				continue
-			}
-			combined := concatRow(l, r)
-			ok, err := passResidual(j.resid, combined)
-			if err != nil {
-				return err
-			}
-			if ok {
-				j.out = append(j.out, combined)
-			}
-		}
-	}
-	j.pos = 0
-	return nil
-}
-
-func (j *nestedLoopJoin) Close() error {
-	j.out = nil
 	if err := j.left.Close(); err != nil {
 		j.right.Close()
 		return err

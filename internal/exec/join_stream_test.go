@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"stagedb/internal/catalog"
 	"stagedb/internal/plan"
+	"stagedb/internal/sql"
 	"stagedb/internal/storage"
 	"stagedb/internal/value"
 )
@@ -51,7 +53,7 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	probe := &pageSource{pages: intPages(8, probePages*8)}
 	build := &pageSource{pages: intPages(8, 64)}
 	jn := &plan.Join{
-		Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+		L: &plan.SeqScan{}, R: &plan.SeqScan{},
 		LeftKeys: []int{0}, RightKey: []int{0},
 	}
 	join := &hashJoin{node: jn, left: probe, right: build, pageRows: 8}
@@ -71,12 +73,13 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	}
 }
 
-// TestHashJoinStreamMatchesMaterialized: the streaming probe must produce
-// exactly the rows the old materializing join did, duplicates and residuals
-// included.
+// TestHashJoinStreamCorrectness checks the join against a closed-form oracle
+// computed from the loaded rows: l holds (i%5, i) for i < 30 and r holds
+// (j%4, j) for j < 20. The equi join has duplicate keys on both sides and a
+// residual; the key-less join must also keep nested-loop order — l (probe)
+// major, then r (build) in arrival order.
 func TestHashJoinStreamCorrectness(t *testing.T) {
 	db := seedDB(t)
-	// Duplicate join keys on both sides plus a residual condition.
 	db.createTable(t, "CREATE TABLE l (k INT, v INT)")
 	db.createTable(t, "CREATE TABLE r (k INT, w INT)")
 	for i := 0; i < 30; i++ {
@@ -85,18 +88,43 @@ func TestHashJoinStreamCorrectness(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		db.insert(t, "r", value.Row{value.NewInt(int64(i % 4)), value.NewInt(int64(i))})
 	}
-	q := "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k WHERE l.v + r.w > 10"
-	hj := plan.HashJoin
-	got := db.query(t, q, plan.Options{ForceJoin: &hj})
-	nl := plan.NestedLoopJoin
-	want := db.query(t, q, plan.Options{ForceJoin: &nl})
-	sameRows(t, got, want)
+	pairs := func(keep func(i, j int) bool) []value.Row {
+		var out []value.Row
+		for i := 0; i < 30; i++ {
+			for j := 0; j < 20; j++ {
+				if keep(i, j) {
+					out = append(out, value.Row{value.NewInt(int64(i)), value.NewInt(int64(j))})
+				}
+			}
+		}
+		return out
+	}
+	got := db.query(t, "SELECT l.v, r.w FROM l JOIN r ON l.k = r.k WHERE l.v + r.w > 10", plan.Options{})
+	sameRows(t, got, pairs(func(i, j int) bool { return i%5 == j%4 && i+j > 10 }))
+	got = db.query(t, "SELECT l.v, r.w FROM l JOIN r ON l.v < r.w", plan.Options{})
+	requireSameOrder(t, got, pairs(func(i, j int) bool { return i < j }), "key-less join")
 }
 
 // TestJoinLimitReadsPrefix: end-to-end, a LIMIT over a join must stop the
 // probe-side heap scan after a prefix of its pages — the probe side is no
 // longer materialized.
 func TestJoinLimitReadsPrefix(t *testing.T) {
+	assertJoinLimitReadsPrefix(t, "SELECT b.id FROM big b, small s WHERE b.id = s.id LIMIT 10")
+}
+
+// TestKeylessJoinLimitReadsPrefix: a join with no equi key streams its probe
+// side the same way (the nested loop it replaced drained both inputs before
+// emitting a row).
+func TestKeylessJoinLimitReadsPrefix(t *testing.T) {
+	assertJoinLimitReadsPrefix(t, "SELECT b.id, s.id FROM big b, small s LIMIT 10")
+}
+
+// assertJoinLimitReadsPrefix runs q — a LIMIT 10 over a join of a 2,000-row
+// padded table big with a 200-row table small, in FROM order so big is the
+// probe side — on both drivers through a tiny buffer pool, and fails if it
+// read more than a prefix of big's heap.
+func assertJoinLimitReadsPrefix(t *testing.T, q string) {
+	t.Helper()
 	store := storage.NewStore()
 	pool := storage.NewPool(store, 4) // tiny buffer pool: page reads hit the store
 	db := &testDB{
@@ -107,14 +135,11 @@ func TestJoinLimitReadsPrefix(t *testing.T) {
 	}
 	db.createTable(t, "CREATE TABLE big (id INT, pad TEXT)")
 	db.createTable(t, "CREATE TABLE small (id INT)")
-	pad := make([]byte, 400)
-	for i := range pad {
-		pad[i] = 'p'
-	}
+	pad := strings.Repeat("p", 400)
 	bigTbl, _ := db.cat.Get("big")
 	h := db.heaps["big"]
 	for i := 0; i < 2000; i++ {
-		rec, err := storage.EncodeRow(bigTbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(string(pad))})
+		rec, err := storage.EncodeRow(bigTbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(pad)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +160,8 @@ func TestJoinLimitReadsPrefix(t *testing.T) {
 		t.Fatalf("want a big probe table, got %d pages", total)
 	}
 
-	// FROM order keeps big on the left (probe side); the hash join builds on
-	// small and probes big page-at-a-time.
-	q := "SELECT b.id FROM big b, small s WHERE b.id = s.id LIMIT 10"
-	hj := plan.HashJoin
-	opt := plan.Options{DisableJoinReorder: true, DisableIndex: true, ForceJoin: &hj}
+	opt := plan.Options{DisableJoinReorder: true, DisableIndex: true}
 	node := db.plan(t, q, opt)
-
 	before := store.Reads()
 	rows, err := runPull(node, db, BuildConfig{PageRows: 8})
 	if err != nil {
@@ -171,4 +191,111 @@ func TestJoinLimitReadsPrefix(t *testing.T) {
 			t.Fatalf("staged join LIMIT 10 read %d of %d probe heap pages", readPages, total)
 		}
 	})
+}
+
+// planJoin binds q over two tables l and r, both (id INT, grp INT), and
+// returns its join node: unlike a bare plan.Join literal it carries real
+// schemas, so a hashJoin built on it presizes its output arena.
+func planJoin(tb testing.TB, q string) *plan.Join {
+	tb.Helper()
+	cat := catalog.New()
+	for _, name := range []string{"l", "r"} {
+		cols := []catalog.Column{{Name: "id", Type: value.Int}, {Name: "grp", Type: value.Int}}
+		if _, err := cat.Create(name, catalog.Schema{Columns: cols}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	node, err := plan.BindSelect(cat, sql.MustParse(q).(*sql.Select), plan.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		if j, ok := node.(*plan.Join); ok {
+			return j
+		}
+		node = node.Children()[0]
+	}
+}
+
+// idGrpRows returns n rows (i, i%10).
+func idGrpRows(n int) []value.Row {
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 10))}
+	}
+	return rows
+}
+
+// TestKeylessJoinNeverSpills: at the 64 KB WorkMem floor a build side the
+// equi join must partition stays resident when the join has no key — its one
+// bucket cannot be partitioned — so no spill file is ever created.
+func TestKeylessJoinNeverSpills(t *testing.T) {
+	probe, build := idGrpRows(20), idGrpRows(3000)
+	for _, tc := range []struct {
+		q     string
+		keyed bool
+		rows  int
+	}{
+		{"SELECT * FROM l JOIN r ON l.grp = r.grp", true, 20 * 300},
+		{"SELECT * FROM l, r", false, 20 * 3000},
+	} {
+		sm := &SpillMetrics{}
+		j := &hashJoin{node: planJoin(t, tc.q), left: newReplay(probe), right: newReplay(build),
+			pageRows: 16, workMem: 1, spillM: sm} // clamps to MinWorkMem
+		if got := len(drainOpen(t, j)); got != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.q, got, tc.rows)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := sm.Stats()
+		if tc.keyed && st.JoinSpills == 0 {
+			t.Fatalf("%s: the build side must exceed the budget; test is vacuous (%+v)", tc.q, st)
+		}
+		if !tc.keyed && (st.JoinSpills != 0 || st.FilesCreated != 0) {
+			t.Fatalf("%s: a key-less join spilled: %+v", tc.q, st)
+		}
+	}
+}
+
+// TestJoinResidualRejectsReuseArena: a residual rejecting about half the
+// candidates must hand each rejected row's arena slot back, so an output page
+// costs one arena allocation rather than the regrowth consumed slots force.
+// Pages come unpooled (two allocations each) so the count is exact under the
+// race detector too, whose sync.Pool drops items at random.
+func TestJoinResidualRejectsReuseArena(t *testing.T) {
+	const pageRows = 64
+	j := &hashJoin{node: planJoin(t, "SELECT * FROM l JOIN r ON l.grp < r.grp"),
+		left:     &replaySrc{rows: idGrpRows(512), pageRows: 512},
+		right:    &replaySrc{rows: idGrpRows(64), pageRows: 64},
+		pageRows: pageRows}
+	j.resid = plan.CompilePredicate(j.node.Residual)
+	out := 0
+	run := func() {
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		out = 0
+		for {
+			pg, err := j.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg == nil {
+				break
+			}
+			out += pg.Len()
+			pg.Release()
+		}
+	}
+	allocs := testing.AllocsPerRun(5, run)
+	pages := (out + pageRows - 1) / pageRows
+	// A page header, its row array and one arena per output page, plus a
+	// fixed cost for the build table that does not grow with the output.
+	if limit := float64(3*pages + 64); allocs > limit {
+		t.Fatalf("%.0f allocations for %d output pages (limit %.0f): rejected rows keep their arena slots", allocs, pages, limit)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

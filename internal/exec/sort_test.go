@@ -178,7 +178,7 @@ func TestOperatorReopenConformance(t *testing.T) {
 			value.NewText(fmt.Sprintf("r%03d", i%13)),
 		})
 	}
-	jn := &plan.Join{Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+	jn := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
 		LeftKeys: []int{0}, RightKey: []int{0}}
 	agg := &plan.Aggregate{GroupBy: []plan.Expr{&plan.Column{Idx: 0}},
 		Aggs: []plan.AggSpec{{Kind: plan.AggSum, Arg: &plan.Column{Idx: 1}},
@@ -552,7 +552,7 @@ func TestSpillingJoinMatchesOracle(t *testing.T) {
 		}
 		probe := mkRows(4000, 700)
 		build := mkRows(3000, 700)
-		node := &plan.Join{Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+		node := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
 			LeftKeys: []int{0}, RightKey: []int{0}}
 		mk := func(workMem int64, sm *SpillMetrics) *hashJoin {
 			return &hashJoin{node: node, left: newReplay(probe), right: newReplay(build),
@@ -590,7 +590,7 @@ func TestSpillingJoinAbandonedRemovesFiles(t *testing.T) {
 	}
 	sm := &SpillMetrics{}
 	op := &hashJoin{
-		node: &plan.Join{Algo: plan.HashJoin, L: &plan.SeqScan{}, R: &plan.SeqScan{},
+		node: &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
 			LeftKeys: []int{0}, RightKey: []int{0}},
 		left: newReplay(mkRows(3000)), right: newReplay(mkRows(3000)),
 		pageRows: 16, workMem: 1, spillM: sm,

@@ -8,8 +8,9 @@ import (
 	"stagedb/internal/value"
 )
 
-// Options steer the optimizer; the zero value enables everything. The
-// ablation benches flip these to measure each design choice.
+// Options steer the optimizer; the zero value enables everything. Tests and
+// benches flip the Disable switches to pin a plainer plan: a reference for
+// the same query, or a fixed join order and access path.
 type Options struct {
 	// DisableIndex forces sequential scans.
 	DisableIndex bool
@@ -17,8 +18,6 @@ type Options struct {
 	DisablePushdown bool
 	// DisableJoinReorder keeps tables in FROM order.
 	DisableJoinReorder bool
-	// ForceJoin, when non-nil, overrides the join algorithm choice.
-	ForceJoin *JoinAlgo
 	// LiveRowCount, when set, supplies a live cardinality for tables whose
 	// collected stats are missing (ANALYZE never ran). The engine wires it
 	// to the heap's slot-count fast path, which walks page slot arrays
@@ -232,16 +231,6 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			residuals = append(residuals, bound)
 		}
 
-		algo := NestedLoopJoin
-		if len(leftKeys) > 0 {
-			algo = HashJoin
-		}
-		if b.opt.ForceJoin != nil {
-			algo = *b.opt.ForceJoin
-			if algo != NestedLoopJoin && len(leftKeys) == 0 {
-				algo = NestedLoopJoin // cannot hash/merge without keys
-			}
-		}
 		var residual Expr
 		for _, r := range residuals {
 			if residual == nil {
@@ -252,7 +241,7 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 		}
 		est := joinEstimate(tree.Rows(), right.Rows(), leftKeys, treeOrigins, rightKeys, rightOrigins)
 		tree = &Join{
-			Algo: algo, L: tree, R: right,
+			L: tree, R: right,
 			LeftKeys: leftKeys, RightKey: rightKeys,
 			Residual: residual, Est: est, out: newSchema,
 		}

@@ -1,7 +1,7 @@
 // Package plan turns parsed SQL into typed, optimized query plans: it binds
 // names against the catalog, folds constants, pushes predicates down, orders
 // joins by estimated cardinality, and selects physical operators (sequential
-// vs index scan; hash vs sort-merge vs nested-loop join).
+// vs index scan; equi keys vs residual for the hash join).
 package plan
 
 import (

@@ -138,34 +138,12 @@ func scanSchema(t *catalog.Table, binding string) Schema {
 	return out
 }
 
-// JoinAlgo selects the join implementation.
-type JoinAlgo int
-
-// Join algorithms (the paper's execute-stage "join" stage bundles all
-// three, §4.3).
-const (
-	HashJoin JoinAlgo = iota
-	SortMergeJoin
-	NestedLoopJoin
-)
-
-func (a JoinAlgo) String() string {
-	switch a {
-	case HashJoin:
-		return "HashJoin"
-	case SortMergeJoin:
-		return "SortMergeJoin"
-	case NestedLoopJoin:
-		return "NestedLoopJoin"
-	}
-	return fmt.Sprintf("JoinAlgo(%d)", int(a))
-}
-
-// Join combines two inputs. Equi-key joins set LeftKeys/RightKeys (positions
-// in each side's schema); Residual holds any extra condition evaluated on
-// the concatenated row.
+// Join combines two inputs; the join stage runs every Join as a hash join
+// building on R (§4.3). Equi-key joins set LeftKeys/RightKeys (positions in
+// each side's schema); a join without them pairs every row of L with every
+// row of R. Residual holds any extra condition evaluated on the concatenated
+// row.
 type Join struct {
-	Algo     JoinAlgo
 	L, R     Node
 	LeftKeys []int
 	RightKey []int
@@ -184,7 +162,7 @@ func (n *Join) Children() []Node { return []Node{n.L, n.R} }
 func (n *Join) Rows() float64 { return n.Est }
 
 func (n *Join) String() string {
-	s := n.Algo.String()
+	s := "HashJoin"
 	if len(n.LeftKeys) > 0 {
 		s += fmt.Sprintf(" keys=%v=%v", n.LeftKeys, n.RightKey)
 	}

@@ -87,6 +87,35 @@ func NewBool(v bool) Value {
 	return Value{typ: Bool}
 }
 
+// FromGo converts a Go argument bound to a `?` placeholder: nil, a Value, or
+// an int, int32, int64, uint32, float32, float64, string or bool. Both the
+// embedded API and the wire client bind through it.
+func FromGo(a any) (Value, error) {
+	switch x := a.(type) {
+	case nil:
+		return NewNull(), nil
+	case Value:
+		return x, nil
+	case int:
+		return NewInt(int64(x)), nil
+	case int32:
+		return NewInt(int64(x)), nil
+	case int64:
+		return NewInt(x), nil
+	case uint32:
+		return NewInt(int64(x)), nil
+	case float32:
+		return NewFloat(float64(x)), nil
+	case float64:
+		return NewFloat(x), nil
+	case string:
+		return NewText(x), nil
+	case bool:
+		return NewBool(x), nil
+	}
+	return Value{}, fmt.Errorf("unsupported argument type %T", a)
+}
+
 // Type returns the value's type (Null for NULL).
 func (v Value) Type() Type { return v.typ }
 

@@ -470,8 +470,9 @@ func (db *DB) TableVersions(table string) (live, dead int64, err error) {
 	return db.kernel.TableVersions(table)
 }
 
-// IOStats reports simulated-disk page reads and writes since Open. Scan
-// benchmarks use it to show sharing's I/O saving.
+// IOStats reports page reads and writes between the buffer pool and the page
+// store — the in-memory store, or the data file of a durable database —
+// since Open. Scan benchmarks use it to show sharing's I/O saving.
 func (db *DB) IOStats() (reads, writes uint64) {
 	st := db.kernel.Store()
 	return st.Reads(), st.Writes()
@@ -669,39 +670,13 @@ func bindArgs(args []any) ([]Value, error) {
 	}
 	out := make([]Value, len(args))
 	for i, a := range args {
-		v, err := toValue(a)
+		v, err := value.FromGo(a)
 		if err != nil {
 			return nil, fmt.Errorf("stagedb: argument %d: %w", i+1, err)
 		}
 		out[i] = v
 	}
 	return out, nil
-}
-
-func toValue(a any) (Value, error) {
-	switch x := a.(type) {
-	case nil:
-		return value.NewNull(), nil
-	case Value:
-		return x, nil
-	case int:
-		return value.NewInt(int64(x)), nil
-	case int32:
-		return value.NewInt(int64(x)), nil
-	case int64:
-		return value.NewInt(x), nil
-	case uint32:
-		return value.NewInt(int64(x)), nil
-	case float32:
-		return value.NewFloat(float64(x)), nil
-	case float64:
-		return value.NewFloat(x), nil
-	case string:
-		return value.NewText(x), nil
-	case bool:
-		return value.NewBool(x), nil
-	}
-	return Value{}, fmt.Errorf("unsupported argument type %T", a)
 }
 
 // ExecTxn submits a whole transaction script as one unit of work. On the
