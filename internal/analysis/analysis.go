@@ -1,11 +1,15 @@
 // Package analysis is stagedbvet's analyzer suite: machine-checked versions
 // of the resource and staging invariants the engine's earlier PRs established
-// by convention, comment, and leak test. The five analyzers are
+// by convention, comment, and leak test. Among them:
 //
 //   - pagerefs: a *exec.Page obtained from PagePool.Get (or an extra
 //     reference taken with Retain) must be Released, forwarded, stored, or
 //     returned on every control-flow path, including early-return error
 //     paths.
+//   - rowretain: a row read from an exchange page (Page.Row, Page.Rows) dies
+//     with the page, so internal/exec and stagedb must copy it (Clone, an
+//     operator arena) before storing it in a field, a map, a package
+//     variable or a returned slice.
 //   - spillfiles: every *spill.File from spill.Create must reach
 //     Close/Finish, be stored, forwarded, or returned on every path — the
 //     temp-file leak shapes the memory-bounded-execution PR fixed by hand.
@@ -81,7 +85,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{PageRefs, SpillFiles, FsFiles, SyncErr, CtxFlow, StageBlock, HotAlloc, WalBarrier, VerHdr, LockOrder, AtomicMix}
+	return []*Analyzer{PageRefs, RowRetain, SpillFiles, FsFiles, SyncErr, CtxFlow, StageBlock, HotAlloc, WalBarrier, VerHdr, LockOrder, AtomicMix}
 }
 
 // ByName resolves a comma-separated analyzer selection against the suite.

@@ -11,6 +11,16 @@ func TestPageRefs(t *testing.T) {
 	analysistest.Run(t, analysis.PageRefs, "pagerefs")
 }
 
+func TestRowRetain(t *testing.T) {
+	analysistest.Run(t, analysis.RowRetain, "rowretain/internal/exec")
+}
+
+// TestRowRetainOutOfScope checks the analyzer stays silent outside
+// internal/exec and the stagedb root.
+func TestRowRetainOutOfScope(t *testing.T) {
+	analysistest.Run(t, analysis.RowRetain, "rowretain/plain")
+}
+
 func TestSpillFiles(t *testing.T) {
 	analysistest.Run(t, analysis.SpillFiles, "spillfiles")
 }

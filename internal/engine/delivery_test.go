@@ -70,7 +70,8 @@ func selectDrivers(t *testing.T, db *DB) []selectDriver {
 	}
 }
 
-// drainRows reads a cursor to its end and closes it.
+// drainRows reads a cursor to its end and closes it, copying each row: a
+// row dies with the page it arrived on.
 func drainRows(t *testing.T, cur *Cursor) []value.Row {
 	t.Helper()
 	var rows []value.Row
@@ -83,7 +84,7 @@ func drainRows(t *testing.T, cur *Cursor) []value.Row {
 			break
 		}
 		for i := 0; i < pg.Len(); i++ {
-			rows = append(rows, pg.Row(i))
+			rows = append(rows, pg.Row(i).Clone())
 		}
 		pg.Release()
 	}

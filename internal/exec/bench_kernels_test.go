@@ -184,9 +184,12 @@ func BenchmarkHashJoinStreamLimit(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeRow: the scans' per-row decode of 4096 records of the
-// benchmark's fact table (id, grp, k, val INT, pad TEXT of 64 bytes) per
-// iteration — every column, and the two (grp, val) the aggregate shape reads.
+// BenchmarkDecodeRow: the per-row decode of 4096 records of the benchmark's
+// fact table (id, grp, k, val INT, pad TEXT of 64 bytes) per iteration —
+// every column, and the two (grp, val) the aggregate shape reads. "page"
+// decodes the way the scans do, into rows carved from a recycled exchange
+// page's value storage (DecodeRowInto); "alloc" allocates a row per record
+// (DecodeRow, what DML and recovery use).
 func BenchmarkDecodeRow(b *testing.B) {
 	schema := catalog.Schema{Columns: []catalog.Column{
 		{Name: "id", Type: value.Int}, {Name: "grp", Type: value.Int}, {Name: "k", Type: value.Int},
@@ -211,7 +214,31 @@ func BenchmarkDecodeRow(b *testing.B) {
 		{"full", nil},
 		{"pruned", []bool{false, true, false, true, false}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
+		b.Run(bc.name+"/page", func(b *testing.B) {
+			b.ReportAllocs()
+			pool := NewPagePool()
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				pg := pool.Get(DefaultPageRows)
+				for _, rec := range recs {
+					if len(pg.Rows) == DefaultPageRows {
+						pg.Release()
+						pg = pool.Get(DefaultPageRows)
+					}
+					row := pg.carve(len(schema.Columns))
+					if err := storage.DecodeRowInto(schema, rec, bc.cols, row); err != nil {
+						b.Fatal(err)
+					}
+					pg.Rows = append(pg.Rows, row)
+					sum += row[3].Int()
+				}
+				pg.Release()
+			}
+			if sum == 0 {
+				b.Fatal("decoded nothing")
+			}
+		})
+		b.Run(bc.name+"/alloc", func(b *testing.B) {
 			b.ReportAllocs()
 			var sum int64
 			for i := 0; i < b.N; i++ {

@@ -19,8 +19,9 @@ import (
 // Cursor streams a query's result pages to one consumer.
 //
 // Ownership: a page returned by NextPage belongs to the caller, who must
-// Release it once its rows are consumed (row headers remain valid after
-// Release; see pagepool.go). Cursors are not safe for concurrent use.
+// Release it once its rows are consumed. Its rows live exactly as long as the
+// page: after Release they are recycled storage, so a caller that keeps a row
+// copies it first (see pagepool.go). Cursors are not safe for concurrent use.
 type Cursor interface {
 	// NextPage returns the next result page, or nil at end of stream. On
 	// the staged driver a nil page also reports the pipeline's failure, if
@@ -181,9 +182,12 @@ func (c *stagedCursor) Close() error {
 
 // Drain materializes a cursor's remaining pages into rows and closes it —
 // the bridge from the one streaming delivery path back to the classic []Row
-// result shape.
+// result shape. The rows are copied into storage of their own (the pages they
+// arrive on recycle as soon as they are drained), so the result never aliases
+// a page.
 func Drain(c Cursor) ([]value.Row, error) {
 	var out []value.Row
+	var arena rowArena
 	for {
 		pg, err := c.NextPage()
 		if err != nil {
@@ -195,7 +199,7 @@ func Drain(c Cursor) ([]value.Row, error) {
 		}
 		n := pg.Len()
 		for i := 0; i < n; i++ {
-			out = append(out, pg.Row(i))
+			out = append(out, arena.copyRow(pg.Row(i)))
 		}
 		pg.Release()
 	}

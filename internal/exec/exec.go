@@ -32,6 +32,13 @@ import (
 // identifies it as a self-tuning knob.
 const DefaultPageRows = 64
 
+// maxPageValues caps the value storage a recycled exchange page keeps for
+// its next use (8,192 values, 256 KB): enough for a decoded heap page or a
+// full page of wide join rows, while a page that grew past it drops the
+// storage on recycle so a parked page cannot hoard memory. It is also the
+// largest chunk a rowArena allocates.
+const maxPageValues = 8192
+
 // DefaultWorkMem is the per-query memory budget of the stateful operators
 // (sort, hash aggregation, hash-join build) when none is configured.
 const DefaultWorkMem = 16 << 20
@@ -317,11 +324,11 @@ func RunCtx(ctx context.Context, op Operator) ([]value.Row, error) {
 //     (mvcc.Prune's abortEpoch < horizon rule).
 //
 // A version with xmax != 0 always takes the full check: its verdict also
-// depends on the deleter. (The one window in which two unmemoised calls for
-// the same creator can disagree is mvcc's own: Commit draws its timestamp
-// before publishing the status, so a snapshot begun in between reads the
-// creator as active first and committed-at-TS after. The memo makes that
-// pre-existing tear neither wider nor narrower; see ROADMAP item 7c.)
+// depends on the deleter. (This needs a snapshot never to begin between a
+// committer drawing its timestamp and publishing it — otherwise it would read
+// the creator as active first and committed-at-TS after, and the memo would
+// freeze the first verdict. mvcc.Manager does both, and Begin, under one
+// lock.)
 //
 // The memo lives in the operator, never in the VisibleFunc closure: one
 // closure serves every scan of a plan, and those run concurrently on
@@ -405,8 +412,9 @@ func (s *seqScan) Open() error {
 	return nil
 }
 
-// accept strips the version header (versioned mode), applies visibility and
-// the pushed-down predicate, and pushes surviving rows onto the output page.
+// accept strips the version header (versioned mode), applies visibility,
+// decodes the record straight into a row carved from the output page, and
+// applies the pushed-down predicate — giving the slot back if it rejects.
 func (s *seqScan) accept(rec []byte) (bool, error) {
 	if s.vis.fn != nil {
 		xmin, xmax, err := storage.VersionOf(rec)
@@ -418,8 +426,9 @@ func (s *seqScan) accept(rec []byte) (bool, error) {
 		}
 		rec, _ = storage.PayloadOf(rec)
 	}
-	row, err := storage.DecodeRow(s.node.Table.Schema, rec, s.node.Cols)
-	if err != nil {
+	out := s.outPage()
+	row := out.carve(len(s.node.Table.Schema.Columns))
+	if err := storage.DecodeRowInto(s.node.Table.Schema, rec, s.node.Cols, row); err != nil {
 		return false, err
 	}
 	if s.pred != nil {
@@ -428,19 +437,21 @@ func (s *seqScan) accept(rec []byte) (bool, error) {
 			return false, err
 		}
 		if !keep {
+			out.uncarve(len(row))
 			return true, nil
 		}
 	}
-	s.push(row)
+	out.Rows = append(out.Rows, row)
 	return true, nil
 }
 
-// push appends an accepted row to the output page under construction.
-func (s *seqScan) push(row value.Row) {
+// outPage returns the output page under construction, starting one if
+// needed.
+func (s *seqScan) outPage() *Page {
 	if s.out == nil {
 		s.out = s.pool.Get(s.pageRows)
 	}
-	s.out.Rows = append(s.out.Rows, row)
+	return s.out
 }
 
 // outLen reports the fill level of the page under construction.
@@ -451,10 +462,17 @@ func (s *seqScan) outLen() int {
 	return len(s.out.Rows)
 }
 
-// emit hands the filled page to the caller, transferring ownership.
+// emit hands the filled page to the caller, transferring ownership. A page
+// every decoded row of which was rejected holds nothing and goes back to the
+// pool: the caller sees nil, end of stream (emit only runs on an empty page
+// once the scan is exhausted).
 func (s *seqScan) emit() *Page {
 	pg := s.out
 	s.out = nil
+	if pg != nil && len(pg.Rows) == 0 {
+		pg.Release()
+		return nil
+	}
 	return pg
 }
 
@@ -488,9 +506,11 @@ func (s *seqScan) Next() (*Page, error) {
 // nextShared drains the consumer's fan-out buffer, applying the per-consumer
 // compiled filter locally (the shared producer delivers whole decoded heap
 // pages, refcounted across all attached queries, each decoded for at least
-// this scan's column set). When the producer spilled
-// this consumer, the shared stream ends early and the scan finishes the
-// circular remainder privately.
+// this scan's column set) and copying each surviving row's values into the
+// scan's own output page: the fan-out page is shared and recycles as soon as
+// every consumer has drained it, so no row of it may travel downstream. When
+// the producer spilled this consumer, the shared stream ends early and the
+// scan finishes the circular remainder privately.
 func (s *seqScan) nextShared() (*Page, error) {
 	for !s.eos && s.outLen() < s.pageRows {
 		if s.fan != nil {
@@ -522,7 +542,10 @@ func (s *seqScan) nextShared() (*Page, error) {
 						continue
 					}
 				}
-				s.push(row)
+				out := s.outPage()
+				dst := out.carve(len(row))
+				copy(dst, row)
+				out.Rows = append(out.Rows, dst)
 			}
 			if s.fanI >= len(s.fan.Rows) {
 				s.fan.Release()
@@ -653,8 +676,11 @@ func (s *indexScan) Next() (*Page, error) {
 				return nil, err
 			}
 		}
-		row, err := storage.DecodeRow(s.node.Table.Schema, rec, s.node.Cols)
-		if err != nil {
+		if s.out == nil {
+			s.out = s.pool.Get(s.pageRows)
+		}
+		row := s.out.carve(len(s.node.Table.Schema.Columns))
+		if err := storage.DecodeRowInto(s.node.Table.Schema, rec, s.node.Cols, row); err != nil {
 			return nil, err
 		}
 		if s.pred != nil {
@@ -663,16 +689,19 @@ func (s *indexScan) Next() (*Page, error) {
 				return nil, err
 			}
 			if !ok {
+				s.out.uncarve(len(row))
 				continue
 			}
-		}
-		if s.out == nil {
-			s.out = s.pool.Get(s.pageRows)
 		}
 		s.out.Rows = append(s.out.Rows, row)
 	}
 	pg := s.out
 	s.out = nil
+	if pg != nil && len(pg.Rows) == 0 {
+		// Every decoded row was rejected (the loop only ends short at eos).
+		pg.Release()
+		return nil, nil
+	}
 	return pg, nil
 }
 
@@ -742,9 +771,8 @@ func (f *filterOp) Next() (*Page, error) {
 
 func (f *filterOp) Close() error { return f.child.Close() }
 
-// projectOp computes output expressions page-at-a-time. Each output page's
-// rows are carved from one flat value arena, so projection costs two
-// allocations per page instead of one per row.
+// projectOp computes output expressions page-at-a-time, carving each output
+// row from the output page's own value storage.
 type projectOp struct {
 	child Operator
 	exprs []plan.CompiledExpr
@@ -764,12 +792,10 @@ func (p *projectOp) Next() (*Page, error) {
 			pg.Release()
 			continue
 		}
-		w := len(p.exprs)
 		out := p.pool.Get(n)
-		arena := make([]value.Value, n*w)
 		for i := 0; i < n; i++ {
 			row := pg.Row(i)
-			nr := arena[i*w : (i+1)*w : (i+1)*w]
+			nr := out.carve(len(p.exprs))
 			for j, e := range p.exprs {
 				v, err := e(row)
 				if err != nil {
@@ -779,7 +805,7 @@ func (p *projectOp) Next() (*Page, error) {
 				}
 				nr[j] = v
 			}
-			out.Rows = append(out.Rows, value.Row(nr))
+			out.Rows = append(out.Rows, nr)
 		}
 		pg.Release()
 		return out, nil
@@ -840,7 +866,8 @@ func (l *limitOp) Next() (*Page, error) {
 func (l *limitOp) Close() error { return l.child.Close() }
 
 // distinctOp narrows each page's selection to first-seen rows — like
-// filterOp, no row is copied; the dedup table stores row headers only.
+// filterOp, the page itself flows on uncopied; the dedup table keeps a clone
+// of each first-seen row, since the page's rows die with the page.
 type distinctOp struct {
 	child Operator
 	seen  map[uint64][]value.Row
@@ -884,7 +911,7 @@ func (d *distinctOp) addIfNew(row value.Row) (bool, error) {
 			return false, nil
 		}
 	}
-	d.seen[h] = append(d.seen[h], row)
+	d.seen[h] = append(d.seen[h], row.Clone())
 	return true, nil
 }
 

@@ -59,6 +59,7 @@ type hashJoin struct {
 	spillM  *SpillMetrics
 
 	buildRows  []value.Row // in-memory build accumulation (resumable)
+	buildArena rowArena    // owns buildRows' values: build pages recycle as drained
 	buildBytes int64
 	buildDone  bool
 	built      bool
@@ -83,9 +84,7 @@ type hashJoin struct {
 	curWork     *joinWork     // partition being joined (files still on disk)
 	partProbe   *spill.Reader // probe stream of the current partition
 
-	out   *Page         // output page under construction
-	arena []value.Value // flat backing for the output page's concat rows
-	width int           // concat row width (left + right)
+	out *Page // output page under construction
 }
 
 // joinWork is one pending grace partition pair.
@@ -99,21 +98,22 @@ func (j *hashJoin) Open() error {
 	j.workMem = ResolveWorkMem(j.workMem) // directly built operators get defaults
 	j.closeSpillFiles()
 	j.buildRows, j.buildBytes, j.buildDone = nil, 0, false
+	j.buildArena.reset()
 	j.built, j.eos = false, false
 	j.table = nil
 	j.probe, j.probeI = nil, 0
 	j.curLeft, j.bucket, j.bucketI = nil, nil, 0
 	j.parted, j.probeRouted = false, false
-	j.out, j.arena = nil, nil
-	j.width = len(j.node.L.Schema()) + len(j.node.R.Schema())
+	j.out = nil
 	if err := j.left.Open(); err != nil {
 		return err
 	}
 	return j.right.Open()
 }
 
-// fillBuild drains the build (right) input resumably, accumulating in memory
-// until the budget is exceeded, then routing rows into grace partitions.
+// fillBuild drains the build (right) input resumably, copying rows into the
+// join's own arena until the budget is exceeded, then routing rows into
+// grace partitions.
 func (j *hashJoin) fillBuild() error {
 	for !j.buildDone {
 		pg, err := j.right.Next()
@@ -141,7 +141,7 @@ func (j *hashJoin) fillBuild() error {
 			if j.buildRows == nil && j.buildHint > 0 {
 				j.buildRows = make([]value.Row, 0, budgetPresize(j.buildHint, j.workMem))
 			}
-			j.buildRows = append(j.buildRows, row)
+			j.buildRows = append(j.buildRows, j.buildArena.copyRow(row))
 			j.buildBytes += rowMemSize(row)
 		}
 		pg.Release()
@@ -173,6 +173,7 @@ func (j *hashJoin) spillBuild() error {
 		}
 	}
 	j.buildRows, j.buildBytes = nil, 0
+	j.buildArena.reset()
 	j.parted = true
 	return nil
 }
@@ -194,17 +195,16 @@ func (j *hashJoin) loadTable(rows []value.Row) {
 	}
 }
 
-// pushOut appends one concatenated output row, carving it from the page's
-// value arena (two allocations per output page instead of one per row).
+// pushOut carves one concatenated output row from the output page's value
+// storage; the caller appends it to the page or gives it back.
 func (j *hashJoin) pushOut(l, r value.Row) value.Row {
 	if j.out == nil {
 		j.out = j.pool.Get(j.pageRows)
-		j.arena = make([]value.Value, 0, j.pageRows*j.width)
 	}
-	start := len(j.arena)
-	j.arena = append(j.arena, l...)
-	j.arena = append(j.arena, r...)
-	return value.Row(j.arena[start:len(j.arena):len(j.arena)])
+	row := j.out.carve(len(l) + len(r))
+	copy(row, l)
+	copy(row[len(l):], r)
+	return row
 }
 
 func (j *hashJoin) outLen() int {
@@ -216,7 +216,7 @@ func (j *hashJoin) outLen() int {
 
 func (j *hashJoin) emit() *Page {
 	pg := j.out
-	j.out, j.arena = nil, nil
+	j.out = nil
 	return pg
 }
 
@@ -295,9 +295,9 @@ func (j *hashJoin) emitBucket() error {
 			}
 			if !ok {
 				// Reject: give the slot back, or a selective residual (about
-				// half of a non-equi join's candidates) regrows the arena
-				// past one page's worth.
-				j.arena = j.arena[:len(j.arena)-len(combined)]
+				// half of a non-equi join's candidates) regrows the page's
+				// value storage past one page's worth.
+				j.out.uncarve(len(combined))
 				continue
 			}
 		}
@@ -566,8 +566,9 @@ func (j *hashJoin) Close() error {
 	j.table, j.bucket, j.curLeft, j.buildRows = nil, nil, nil, nil
 	j.probe.Release()
 	j.probe = nil
+	j.buildArena.reset()
 	j.out.Release()
-	j.out, j.arena = nil, nil
+	j.out = nil
 	if err := j.left.Close(); err != nil {
 		j.right.Close()
 		return err

@@ -4,19 +4,39 @@ package exec
 // vectorized execution path. Exchange pages used to be freshly allocated by
 // every producer and dropped for the garbage collector to find; with the
 // paper's page-based dataflow that is one allocation (plus a row-header
-// array) per page per operator per query. The pool recycles them under an
-// explicit ownership protocol:
+// array and a row per decoded record) per page per operator per query. The
+// pool recycles a page together with its value storage, under an explicit
+// ownership protocol:
 //
-//   - A producer obtains an empty page with pool.Get, fills Rows, and emits
-//     it. Emitting transfers ownership to the consumer.
+//   - A producer obtains an empty page with pool.Get, carves each output row
+//     from the page's own value storage (Page.carve), fills it, appends it to
+//     Rows, and emits the page. Emitting transfers ownership to the consumer.
 //   - A consumer either forwards the page downstream (transferring ownership
 //     again — filter, distinct and limit do this, adjusting the selection
-//     vector in place) or copies out the row headers it needs and calls
-//     Release. After Release the page's Rows/Sel slices must not be touched,
-//     but the value.Row rows themselves remain valid: the page owns only the
-//     header array, never the row storage.
+//     vector in place) or reads the rows it needs and calls Release.
 //   - Fan-out producers (exec.SharedScans) Retain the page once per extra
 //     consumer; the page recycles on the last Release.
+//
+// The lifetime rule for rows:
+//
+//   - A row carved from a page's value storage lives exactly as long as the
+//     page: on the last Release the storage is recycled and the next page
+//     built from it overwrites the values.
+//   - A reader may use a row until it releases the page the row came from.
+//     After Release neither the page's Rows/Sel slices nor any row read
+//     from them may be touched.
+//   - Anything that keeps a row longer copies it: value.Row.Clone, or an
+//     operator arena (rowArena) that the operator itself owns and charges to
+//     its WorkMem budget. The hash-join build side, Top-N, DISTINCT's dedup
+//     table, Drain and the client API's materialised results are the
+//     retainers; sort copies into its arenas, aggregation clones group keys
+//     and spill writers encode on the spot. stagedbvet's rowretain analyzer
+//     rejects a page row stored into a field, a map or a returned slice
+//     without a copy.
+//
+// Race-detector builds overwrite recycled value storage with a sentinel
+// (pagepool_race.go), so a use-after-release turns into a wrong result under
+// go test -race instead of silently reading the next page's values.
 //
 // Pages from a nil pool are plain allocations whose Release is a no-op, so
 // operator code is identical whether pooling is enabled or not.
@@ -53,9 +73,20 @@ type Page struct {
 	buf    []value.Row // backing array owned by the page, reused on recycle
 	selBuf []int32     // selection backing, reused on recycle
 	verBuf []RowVer    // version-sidecar backing, reused on recycle
+	vals   rowArena    // value storage rows are carved from, reused on recycle
 	refs   atomic.Int32
 	pool   *PagePool
 }
+
+// carve cuts a w-value row off the page's value storage. The row's values
+// are whatever the storage last held: the producer must write every slot.
+//
+//stagedb:hot
+func (p *Page) carve(w int) value.Row { return p.vals.carve(w) }
+
+// uncarve gives back the row just carved (w values), for a producer whose
+// pushed-down predicate (or join residual) rejected it after filling it.
+func (p *Page) uncarve(w int) { p.vals.chunk = p.vals.chunk[:len(p.vals.chunk)-w] }
 
 // Len returns the number of live rows (honoring the selection vector).
 func (p *Page) Len() int {
@@ -72,6 +103,46 @@ func (p *Page) Row(i int) value.Row {
 	}
 	return p.Rows[i]
 }
+
+// rowArena is chunked row storage: an exchange page's value storage, and
+// the storage an operator copies the rows it keeps into (then a row lives as
+// long as the operator keeps the arena, whatever happens to the page it came
+// from). Chunks start at arenaMinVals and double up to maxPageValues, so a
+// small build side costs one small allocation, a large one O(n/chunk), and a
+// recycled page's storage is one chunk it can keep.
+type rowArena struct {
+	chunk []value.Value
+}
+
+// arenaMinVals is the first chunk's size, in values.
+const arenaMinVals = 256
+
+// carve cuts an n-value row off the current chunk, starting a fresh chunk
+// when it is full; rows carved earlier keep the older chunk. Full-capacity
+// slicing keeps rows from clobbering each other through append.
+//
+//stagedb:hot
+func (a *rowArena) carve(n int) value.Row {
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]value.Value, 0, max(min(2*cap(a.chunk), maxPageValues), arenaMinVals, n))
+	}
+	start := len(a.chunk)
+	a.chunk = a.chunk[:start+n]
+	return value.Row(a.chunk[start : start+n : start+n])
+}
+
+// copyRow copies row into the arena — how an operator keeps a page row past
+// the page's release.
+func (a *rowArena) copyRow(row value.Row) value.Row {
+	dst := a.carve(len(row))
+	copy(dst, row)
+	return dst
+}
+
+// reset lets go of the arena's storage; rows already carved stay valid for
+// as long as someone references them, and the next carve starts a fresh
+// small chunk.
+func (a *rowArena) reset() { a.chunk = nil }
 
 // Retain adds one reference for fan-out delivery. No-op on unpooled pages.
 func (p *Page) Retain() {
@@ -188,7 +259,8 @@ func (pp *PagePool) Get(capRows int) *Page {
 	return pg
 }
 
-// put recycles a page whose last reference was released.
+// put recycles a page whose last reference was released, keeping its value
+// storage for the next producer unless it grew past maxPageValues.
 func (pp *PagePool) put(p *Page) {
 	// A producer that appended past the page's capacity grew a fresh backing
 	// array; adopt it (it is exclusively ours once refs hit zero) so the
@@ -200,9 +272,16 @@ func (pp *PagePool) put(p *Page) {
 	if cap(p.Vers) > cap(p.verBuf) {
 		p.verBuf = p.Vers[:0]
 	}
-	// Drop row headers so a parked pool page does not pin row memory.
+	// Drop row headers so a parked pool page does not pin superseded value
+	// storage.
 	clear(p.buf[:cap(p.buf)])
 	p.Rows, p.Sel, p.Vers = nil, nil, nil
+	poisonValues(p.vals.chunk)
+	if cap(p.vals.chunk) > maxPageValues {
+		p.vals.reset()
+	} else {
+		p.vals.chunk = p.vals.chunk[:0]
+	}
 	pp.recycle.Add(1)
 	pp.pool.Put(p)
 }

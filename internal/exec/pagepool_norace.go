@@ -1,0 +1,12 @@
+//go:build !race
+
+package exec
+
+import "stagedb/internal/value"
+
+// poisonValues is a no-op outside race-detector builds; see
+// pagepool_race.go.
+func poisonValues([]value.Value) {}
+
+// raceEnabled reports a race-detector build; see pagepool_race.go.
+const raceEnabled = false

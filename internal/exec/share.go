@@ -257,6 +257,7 @@ func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, cols []bool, d
 // need.
 func (s *sharedScan) run() {
 	maskBuf := make([]bool, len(s.tbl.Schema.Columns)) // scratch for the per-page union
+	var consBuf []*scanConsumer                        // scratch for the per-page consumer snapshot
 	for {
 		s.mu.Lock()
 		if len(s.cons) == 0 {
@@ -266,7 +267,8 @@ func (s *sharedScan) run() {
 			}
 			continue
 		}
-		cons := append([]*scanConsumer(nil), s.cons...)
+		cons := append(consBuf[:0], s.cons...)
+		consBuf = cons
 		pos := s.pos
 		s.pos++
 		if s.pos >= len(s.pages) {
@@ -355,14 +357,17 @@ func unionCols(cons []*scanConsumer, buf []bool) []bool {
 
 // decode pins one heap page and decodes every live record on it — once, for
 // all attached consumers, materialising the columns in cols (nil = all) —
-// into a pooled page. In versioned mode it strips each record's version
-// header and publishes the stamps in the Vers sidecar; visibility stays
-// per-consumer (snapshots differ), so nothing is filtered here.
+// into rows carved from a pooled page's own value storage, so a page costs
+// no allocation per row once the pool is warm. In versioned mode it strips
+// each record's version header and publishes the stamps in the Vers sidecar;
+// visibility stays per-consumer (snapshots differ), so nothing is filtered
+// here.
 func (s *sharedScan) decode(id storage.PageID, cols []bool) (*Page, error) {
 	pg := s.mgr.pool.Get(DefaultPageRows)
 	if s.mgr.versioned {
 		pg.Vers = pg.verBuf[:0]
 	}
+	w := len(s.tbl.Schema.Columns)
 	var derr error
 	err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
 		var ver RowVer
@@ -375,8 +380,8 @@ func (s *sharedScan) decode(id storage.PageID, cols []bool) (*Page, error) {
 			ver = RowVer{Xmin: xmin, Xmax: xmax}
 			rec, _ = storage.PayloadOf(rec)
 		}
-		row, err := storage.DecodeRow(s.tbl.Schema, rec, cols)
-		if err != nil {
+		row := pg.carve(w)
+		if err := storage.DecodeRowInto(s.tbl.Schema, rec, cols, row); err != nil {
 			derr = err
 			return false
 		}

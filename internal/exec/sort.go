@@ -20,6 +20,7 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"stagedb/internal/exec/spill"
 	"stagedb/internal/plan"
@@ -52,10 +53,14 @@ func compareKeyRows(a, b value.Row, keys []plan.SortKey) (int, error) {
 	return 0, nil
 }
 
+// valueMemSize is one value's fixed in-memory footprint: what a row, an
+// arena or a sort item holds per column, whatever the value's type.
+const valueMemSize = int64(unsafe.Sizeof(value.Value{}))
+
 // rowMemSize estimates a row's in-memory footprint for WorkMem accounting:
 // slice header + value structs + string payloads.
 func rowMemSize(r value.Row) int64 {
-	size := int64(24 + 56*len(r))
+	size := 24 + valueMemSize*int64(len(r))
 	for _, v := range r {
 		size += textMem(v)
 	}
@@ -76,7 +81,7 @@ func textMem(v value.Value) int64 {
 // text payloads, and the fixed per-row/per-value costs the codec compresses
 // away are restored from the file's row and value counts.
 func fileMemSize(f *spill.File) int64 {
-	return 24*f.Rows() + 56*f.Values() + f.Bytes()
+	return 24*f.Rows() + valueMemSize*f.Values() + f.Bytes()
 }
 
 // --- external merge sort ---
@@ -96,10 +101,10 @@ type sortOp struct {
 	// Accumulation state (resumable: errWouldBlock leaves it in place).
 	// Each item is the precomputed key tuple followed by the full row, so
 	// runs carry their sort keys and the merge never re-evaluates key
-	// expressions. Items are carved from chunked value arenas, so the
+	// expressions. Items are carved from a chunked value arena, so the
 	// common in-memory path costs O(n/chunk) allocations, not one per row.
 	items     []value.Row
-	arena     []value.Value
+	arena     rowArena
 	itemBytes int64
 	runs      []*spill.File
 	inputDone bool
@@ -115,7 +120,8 @@ type sortOp struct {
 func (s *sortOp) Open() error {
 	s.workMem = ResolveWorkMem(s.workMem) // directly built operators get defaults
 	s.closeSpill()
-	s.items, s.arena, s.itemBytes = nil, nil, 0
+	s.items, s.itemBytes = nil, 0
+	s.arena.reset()
 	s.inputDone, s.loaded = false, false
 	s.out, s.pos = nil, 0
 	return s.child.Open()
@@ -160,7 +166,7 @@ func (s *sortOp) fill() error {
 		n := pg.Len()
 		for i := 0; i < n; i++ {
 			row := pg.Row(i)
-			item := s.carve(kw + len(row))
+			item := s.arena.carve(kw + len(row))
 			for j, k := range s.keys {
 				v, err := k(row)
 				if err != nil {
@@ -181,25 +187,6 @@ func (s *sortOp) fill() error {
 		}
 	}
 	return nil
-}
-
-// arenaChunkVals sizes the accumulation arenas items are carved from.
-const arenaChunkVals = 8192
-
-// carve cuts an n-value item off the current arena chunk, starting a fresh
-// chunk when it is full. Full capacity slicing keeps items from clobbering
-// each other through append.
-func (s *sortOp) carve(n int) value.Row {
-	if cap(s.arena)-len(s.arena) < n {
-		size := arenaChunkVals
-		if n > size {
-			size = n
-		}
-		s.arena = make([]value.Value, 0, size)
-	}
-	start := len(s.arena)
-	s.arena = s.arena[:start+n]
-	return value.Row(s.arena[start : start+n : start+n])
 }
 
 // sortItems orders the accumulated batch by (keys, arrival): the stable sort
@@ -246,7 +233,8 @@ func (s *sortOp) flushRun() error {
 	s.runs = append(s.runs, f)
 	// Dropping the arena with the items lets the flushed batch's value
 	// storage go to GC; the next batch carves fresh chunks.
-	s.items, s.arena, s.itemBytes = s.items[:0], nil, 0
+	s.items, s.itemBytes = s.items[:0], 0
+	s.arena.reset()
 	return nil
 }
 
@@ -564,9 +552,11 @@ func (t *topNOp) fill() error {
 
 // offer admits a row if it beats the current cutoff (or the heap is not yet
 // full), evicting the largest entry to stay at k. Keys evaluate into the
-// reused scratch buffer and are cloned only on admission, so a row that
-// misses the cutoff — the overwhelming majority on large inputs — costs no
-// allocation and the whole operator stays O(k).
+// reused scratch buffer, and keys and row are copied only on admission (the
+// row dies with its page) — into fresh storage while the heap fills, over
+// the evicted entry's afterwards — so a row that misses the cutoff, the
+// overwhelming majority on large inputs, costs nothing, and the whole
+// operator allocates O(k).
 func (t *topNOp) offer(row value.Row) error {
 	for j, k := range t.keys {
 		v, err := k(row)
@@ -587,10 +577,15 @@ func (t *topNOp) offer(row value.Row) error {
 		if c >= 0 {
 			return nil
 		}
-		t.heap[0] = topItem{key: t.scratch.Clone(), row: row, seq: seq}
+		// The evicted entry's key and row are the operator's own copies:
+		// overwrite them in place, so a displacement allocates nothing.
+		top := &t.heap[0]
+		top.key = append(top.key[:0], t.scratch...)
+		top.row = append(top.row[:0], row...)
+		top.seq = seq
 		return t.siftDown(0)
 	}
-	t.heap = append(t.heap, topItem{key: t.scratch.Clone(), row: row, seq: seq})
+	t.heap = append(t.heap, topItem{key: t.scratch.Clone(), row: row.Clone(), seq: seq})
 	return t.siftUp(len(t.heap) - 1)
 }
 

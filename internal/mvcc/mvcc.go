@@ -91,6 +91,11 @@ type Manager struct {
 	snaps  map[*Snapshot]struct{} // all open snapshots (GC horizon)
 
 	begins, commits, aborts, conflicts, pruned atomic.Int64
+
+	// commitDrawn, when set, runs inside Commit between drawing the commit
+	// timestamp and publishing it — a test hook that parks a committer in
+	// that window. Nil outside tests.
+	commitDrawn func()
 }
 
 // NewManager returns a Manager drawing timestamps from oracle.
@@ -108,9 +113,17 @@ func (m *Manager) Oracle() *vclock.Oracle { return m.oracle }
 
 // Begin registers transaction id as active and opens its snapshot at the
 // current timestamp high-water mark.
+//
+// The timestamp is read under m.mu, as Commit draws and publishes its
+// timestamp under m.mu: a snapshot therefore sees every transaction
+// committed at or before its TS as committed from its very first visibility
+// check. Read outside the lock, a snapshot begun between a committer's draw
+// and its publish would get TS equal to the commit timestamp yet find the
+// committer still active — a torn read of that transaction, which the scans'
+// per-creator visibility memo would then freeze.
 func (m *Manager) Begin(id uint64) *Snapshot {
-	snap := &Snapshot{TS: m.oracle.Now(), ID: id}
 	m.mu.Lock()
+	snap := &Snapshot{TS: m.oracle.Now(), ID: id}
 	m.txns[id] = &txnStatus{state: stateActive}
 	m.active[id] = snap
 	m.snaps[snap] = struct{}{}
@@ -143,10 +156,14 @@ func (m *Manager) End(snap *Snapshot) {
 // Commit stamps transaction id committed at a fresh timestamp. Must be
 // called after the commit record is durable and before the transaction's
 // write locks are released, so that any later snapshot either sees all of
-// the transaction's versions or none.
+// the transaction's versions or none. The timestamp is drawn and published
+// under m.mu, so no snapshot can begin in between (see Begin).
 func (m *Manager) Commit(id uint64) {
-	ts := m.oracle.Next()
 	m.mu.Lock()
+	ts := m.oracle.Next()
+	if m.commitDrawn != nil {
+		m.commitDrawn()
+	}
 	m.txns[id] = &txnStatus{state: stateCommitted, commitTS: ts}
 	m.mu.Unlock()
 	m.commits.Add(1)

@@ -190,3 +190,59 @@ func TestEndNilSnapshotIsSafe(t *testing.T) {
 	m.End(nil)
 	m.End(m.SnapshotOf(42)) // no such transaction: nil
 }
+
+// TestBeginNeverTearsACommit parks a committer between drawing its commit
+// timestamp and publishing it, and begins a snapshot concurrently. Whatever
+// the interleaving, a snapshot whose TS is at or past the commit timestamp
+// must see the committer as committed from its first visibility check: a
+// snapshot begun inside the window would read the committer as active now
+// and as committed later — a torn read that a scan's per-creator visibility
+// memo then freezes. No sleeps: when the window holds the manager's lock the
+// concurrent Begin cannot finish inside it, and otherwise the test waits for
+// it to.
+func TestBeginNeverTearsACommit(t *testing.T) {
+	m := newTestManager()
+	m.Begin(1)
+	drawn, release := make(chan struct{}), make(chan struct{})
+	m.commitDrawn = func() {
+		close(drawn)
+		<-release
+	}
+	committed := make(chan struct{})
+	go func() {
+		m.Commit(1)
+		close(committed)
+	}()
+	<-drawn
+
+	type view struct {
+		snap    *Snapshot
+		visible bool
+	}
+	began := make(chan view)
+	go func() {
+		snap := m.Begin(2)
+		began <- view{snap, m.Visible(snap, 1, 0)}
+	}()
+	var v view
+	waited := false
+	if m.mu.TryLock() {
+		// The window is open without the lock: a Begin may complete inside
+		// it, so let it.
+		m.mu.Unlock()
+		v, waited = <-began, true
+	}
+	close(release)
+	<-committed
+	if !waited {
+		v = <-began
+	}
+	m.commitDrawn = nil
+	commitTS, ok := m.CommittedTS(1)
+	if !ok {
+		t.Fatal("committer not committed after Commit returned")
+	}
+	if v.snap.TS >= commitTS && !v.visible {
+		t.Fatalf("snapshot at TS %d (commit TS %d) saw the committer as active: torn commit", v.snap.TS, commitTS)
+	}
+}

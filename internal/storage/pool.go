@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -92,19 +91,27 @@ type frame struct {
 	page  Page
 	pins  int
 	dirty bool
-	lru   *list.Element // nil while pinned (not evictable)
+	// prev and next link the frame into the pool's LRU list while it is
+	// unpinned (evictable). The list is intrusive so Unpin allocates nothing.
+	prev, next *frame
 }
 
 // Pool is a pinning LRU buffer pool over a PageStore. Pin returns the
 // in-memory page, reading it from the store on a miss and evicting an
 // unpinned page (flushing it if dirty) when the pool is full. Unpin releases
 // the page and records whether it was modified.
+//
+// A miss on a full pool takes over the frame it evicts — the 8 KB page image
+// is overwritten in place rather than a new frame allocated — so a scan over
+// a table larger than the pool costs no allocation per page read. That is
+// safe because of the pin protocol: a *Page is only touched between its Pin
+// and the matching Unpin, and a pinned frame is never evicted.
 type Pool struct {
 	mu       sync.Mutex
 	store    PageStore
 	capacity int
 	frames   map[PageID]*frame
-	lru      *list.List // of PageID; front = most recent
+	mru, lru *frame // ends of the list of unpinned frames; nil when empty
 	hits     uint64
 	misses   uint64
 
@@ -124,7 +131,6 @@ func NewPool(store PageStore, capacity int) *Pool {
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame),
-		lru:      list.New(),
 	}
 }
 
@@ -135,23 +141,21 @@ func (p *Pool) Pin(id PageID) (*Page, error) {
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		p.hits++
-		if f.lru != nil {
-			p.lru.Remove(f.lru)
-			f.lru = nil
+		if f.pins == 0 {
+			p.unlinkLocked(f)
 		}
 		f.pins++
 		return &f.page, nil
 	}
 	p.misses++
-	if len(p.frames) >= p.capacity {
-		if err := p.evictLocked(); err != nil {
-			return nil, err
-		}
+	f, err := p.frameLocked()
+	if err != nil {
+		return nil, err
 	}
-	f := &frame{id: id, pins: 1}
 	if err := p.store.ReadPage(id, f.page.Bytes()); err != nil {
 		return nil, err
 	}
+	f.id, f.pins, f.dirty = id, 1, false
 	p.frames[id] = f
 	return &f.page, nil
 }
@@ -161,12 +165,11 @@ func (p *Pool) NewPage() (*Page, PageID, error) {
 	id := p.store.Allocate()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.frames) >= p.capacity {
-		if err := p.evictLocked(); err != nil {
-			return nil, InvalidPage, err
-		}
+	f, err := p.frameLocked()
+	if err != nil {
+		return nil, InvalidPage, err
 	}
-	f := &frame{id: id, pins: 1, dirty: true}
+	f.id, f.pins, f.dirty = id, 1, true
 	f.page.InitPage(id)
 	p.frames[id] = f
 	return &f.page, id, nil
@@ -183,8 +186,29 @@ func (p *Pool) Unpin(id PageID, dirty bool) {
 	f.dirty = f.dirty || dirty
 	f.pins--
 	if f.pins == 0 {
-		f.lru = p.lru.PushFront(id)
+		f.prev, f.next = nil, p.mru
+		if p.mru != nil {
+			p.mru.prev = f
+		} else {
+			p.lru = f
+		}
+		p.mru = f
 	}
+}
+
+// unlinkLocked takes an unpinned frame out of the LRU list.
+func (p *Pool) unlinkLocked(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		p.mru = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		p.lru = f.prev
+	}
+	f.prev, f.next = nil, nil
 }
 
 // SetWriteBarrier installs fn, called with the page's LSN before any dirty
@@ -206,22 +230,25 @@ func (p *Pool) writeBackLocked(f *frame) error {
 	return p.store.WritePage(f.id, f.page.Bytes())
 }
 
-// evictLocked removes the least-recently-used unpinned frame.
-func (p *Pool) evictLocked() error {
-	e := p.lru.Back()
-	if e == nil {
-		return fmt.Errorf("storage: buffer pool full of pinned pages")
+// frameLocked returns a frame for a page about to be brought in: a new one
+// while the pool has room, otherwise the least-recently-used unpinned frame,
+// written back first if dirty and then unmapped. The caller fills it.
+func (p *Pool) frameLocked() (*frame, error) {
+	if len(p.frames) < p.capacity {
+		return &frame{}, nil
 	}
-	id := e.Value.(PageID)
-	f := p.frames[id]
+	f := p.lru
+	if f == nil {
+		return nil, fmt.Errorf("storage: buffer pool full of pinned pages")
+	}
 	if f.dirty {
 		if err := p.writeBackLocked(f); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	p.lru.Remove(e)
-	delete(p.frames, id)
-	return nil
+	p.unlinkLocked(f)
+	delete(p.frames, f.id)
+	return f, nil
 }
 
 // FlushAll writes every dirty frame back to the store (checkpoint).

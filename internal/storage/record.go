@@ -61,81 +61,106 @@ func EncodeRow(schema catalog.Schema, row value.Row) ([]byte, error) {
 
 var errShortBitmap = errors.New("storage: record too short for null bitmap")
 
-// DecodeRow deserializes a record produced by EncodeRow. cols selects the
+// DecodeRow deserializes a record produced by EncodeRow into a freshly
+// allocated row; see DecodeRowInto for cols and the validation rules. DML,
+// recovery, vacuum and ANALYZE use it: the rows they decode are theirs to
+// keep.
+func DecodeRow(schema catalog.Schema, rec []byte, cols []bool) (value.Row, error) {
+	row := make(value.Row, len(schema.Columns))
+	if err := DecodeRowInto(schema, rec, cols, row); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// DecodeRowInto deserializes a record produced by EncodeRow into dst, which
+// must have the schema's width — the one row decoder. cols selects the
 // columns to materialise: nil decodes every column; otherwise cols has one
-// entry per schema column and a column whose entry is false is left NULL in
-// the returned row. The row always has the schema's width, so column indexes
-// mean the same with and without a set. An unselected column is still walked
-// and validated — the same truncation and trailing-byte errors, in the same
-// order — it just costs no value (and, for TEXT, no string copy).
+// entry per schema column and a column whose entry is false is left NULL.
+// The row always has the schema's width, so column indexes mean the same with
+// and without a set. An unselected column is still walked and validated — the
+// same truncation and trailing-byte errors, in the same order — it just costs
+// no value (and, for TEXT, no string copy).
+//
+// Every slot of dst is written: NULL and unselected slots are reset to the
+// zero Value, because dst is typically recycled storage still holding the
+// previous row's values (the scans decode straight into exchange pages).
+// On error dst holds an unspecified mix of old and new values.
 //
 //stagedb:hot
-func DecodeRow(schema catalog.Schema, rec []byte, cols []bool) (value.Row, error) {
+func DecodeRowInto(schema catalog.Schema, rec []byte, cols []bool, dst value.Row) error {
 	n := len(schema.Columns)
 	if cols != nil && len(cols) != n {
-		return nil, errColumnSet(len(cols), n)
+		return errColumnSet(len(cols), n)
+	}
+	if len(dst) != n {
+		return errRowWidth(len(dst), n)
 	}
 	bitmapLen := (n + 7) / 8
 	if len(rec) < bitmapLen {
-		return nil, errShortBitmap
+		return errShortBitmap
 	}
 	bitmap := rec[:bitmapLen]
 	data := rec[bitmapLen:]
-	row := make(value.Row, n)
 	for i := 0; i < n; i++ {
+		dst[i] = value.Value{} // NULL, unless decoded below
 		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			continue // the zero Value is NULL
+			continue
 		}
 		want := cols == nil || cols[i]
 		switch schema.Columns[i].Type {
 		case value.Int:
 			if len(data) < 8 {
-				return nil, errTruncated("int", i)
+				return errTruncated("int", i)
 			}
 			if want {
-				row[i] = value.NewInt(int64(binary.LittleEndian.Uint64(data)))
+				dst[i] = value.NewInt(int64(binary.LittleEndian.Uint64(data)))
 			}
 			data = data[8:]
 		case value.Float:
 			if len(data) < 8 {
-				return nil, errTruncated("float", i)
+				return errTruncated("float", i)
 			}
 			if want {
-				row[i] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+				dst[i] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
 			}
 			data = data[8:]
 		case value.Bool:
 			if len(data) < 1 {
-				return nil, errTruncated("bool", i)
+				return errTruncated("bool", i)
 			}
 			if want {
-				row[i] = value.NewBool(data[0] != 0)
+				dst[i] = value.NewBool(data[0] != 0)
 			}
 			data = data[1:]
 		case value.Text:
 			length, consumed := binary.Uvarint(data)
 			if consumed <= 0 || uint64(len(data)-consumed) < length {
-				return nil, errTruncated("text", i)
+				return errTruncated("text", i)
 			}
 			if want {
-				row[i] = value.NewText(string(data[consumed : consumed+int(length)]))
+				dst[i] = value.NewText(string(data[consumed : consumed+int(length)]))
 			}
 			data = data[consumed+int(length):]
 		default:
-			return nil, errUndecodable(schema.Columns[i].Type)
+			return errUndecodable(schema.Columns[i].Type)
 		}
 	}
 	if len(data) != 0 {
-		return nil, errTrailing(len(data))
+		return errTrailing(len(data))
 	}
-	return row, nil
+	return nil
 }
 
-// DecodeRow's failure constructors, kept out of line so the per-row loop
+// DecodeRowInto's failure constructors, kept out of line so the per-row loop
 // itself holds no fmt call.
 
 func errColumnSet(got, want int) error {
 	return fmt.Errorf("storage: column set/schema arity mismatch (%d vs %d)", got, want)
+}
+
+func errRowWidth(got, want int) error {
+	return fmt.Errorf("storage: decode target/schema arity mismatch (%d vs %d)", got, want)
 }
 
 func errTruncated(kind string, col int) error {

@@ -15,6 +15,11 @@ import (
 // producing pipeline — an early Close behaves exactly like a satisfied
 // LIMIT, terminating scans after a prefix and detaching from shared scans.
 //
+// Rows hands out rows without copying them: a row lives in its exchange
+// page's recycled storage, so it is valid only until the page is released
+// (see Row and NextBatch). Call Row().Clone() to keep a row longer; Scan
+// copies the values out.
+//
 // The iteration idiom mirrors database/sql:
 //
 //	rows, err := db.QueryContext(ctx, "SELECT id, name FROM t WHERE id > ?", 10)
@@ -56,9 +61,8 @@ func (r *Rows) Next() bool {
 				r.i++
 				return true
 			}
-			// Page consumed: recycle it before pulling the next. Row headers
-			// stay valid after release (the page owns only the header array),
-			// so r.row remains usable.
+			// Page consumed: recycle it before pulling the next. Its rows —
+			// r.row included — are dead from here on.
 			r.pg.Release()
 			r.pg = nil
 		}
@@ -77,7 +81,10 @@ func (r *Rows) Next() bool {
 	}
 }
 
-// Row returns the current row without copying. Valid after a true Next.
+// Row returns the current row without copying. It is valid after a true
+// Next and only until the next call to Next, NextBatch or Close: the row's
+// values live in a pooled exchange page that is recycled once consumed. Call
+// Row().Clone() to keep it.
 func (r *Rows) Row() Row { return r.row }
 
 // Scan copies the current row's values into dest, which must be pointers to
@@ -107,8 +114,9 @@ func (r *Rows) Err() error { return r.err }
 // NextBatch advances to the next result page and returns its live rows —
 // the batch granularity of the engine's exchange dataflow, which is also the
 // network server's frame unit (one wire frame per pooled exchange page). The
-// returned slice is valid until the next NextBatch or Close call; the Row
-// values themselves remain valid afterwards. A nil batch with nil error is
+// returned slice and its rows are valid until the next Next, NextBatch or
+// Close call, which recycles the page they live in; clone a row to keep it.
+// A nil batch with nil error is
 // the end of the result set; check Err (or the returned error) otherwise.
 // Do not interleave NextBatch with Next: a partially Next-consumed page is
 // discarded by the next NextBatch call.
@@ -118,8 +126,7 @@ func (r *Rows) NextBatch() ([]Row, error) {
 	}
 	r.row = nil
 	if r.pg != nil {
-		// The previous batch's page: its row headers stay valid after
-		// release, only the slice handed out becomes dead.
+		// The previous batch's page: the batch handed out dies with it.
 		r.pg.Release()
 		r.pg = nil
 	}
@@ -167,11 +174,12 @@ func (r *Rows) Close() error {
 
 // materialize drains the remaining rows into a Result and closes the cursor
 // — the bridge that keeps Exec/Query as thin wrappers over the one
-// streaming delivery path.
+// streaming delivery path. Each row is cloned: Result.Rows never aliases a
+// page.
 func (r *Rows) materialize() (*Result, error) {
 	res := &Result{Columns: r.Columns()}
 	for r.Next() {
-		res.Rows = append(res.Rows, r.row)
+		res.Rows = append(res.Rows, r.row.Clone())
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
