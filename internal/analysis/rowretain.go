@@ -7,15 +7,20 @@ package analysis
 // into a struct field, a map, a package variable or a slice the function
 // returns — without passing through a call such as Clone or an operator
 // arena's copyRow, whose result is storage of its own — is a use-after-
-// recycle waiting for the next page to overwrite it.
+// recycle waiting for the next page to overwrite it. The first result of
+// (*spill.Reader).Next is the same kind of row: the reader decodes its next
+// row over it (internal/exec/spill), so it is tracked like a row of a page
+// the reader holds.
 //
 // Two stores are part of the protocol and pass: a row may sit in a field of
-// the object that holds its page (an operator keeping the probe row of the
-// probe page it still holds, a Rows cursor keeping the current row of its
-// current page), and a method may return a row of a page its receiver or a
-// parameter holds (Page.Row, Rows.NextBatch): the caller's lifetime is the
-// holder's. A field that keeps a row this way yields a page row when read, so
-// copying the cursor's current row into a result still needs the copy.
+// the object that holds its page or reader (an operator keeping the probe row
+// of the probe page or partition reader it still holds, a k-way merge keeping
+// each run's head next to the run's reader, a Rows cursor keeping the current
+// row of its current page), and a method may return a row of a page its
+// receiver or a parameter holds (Page.Row, Rows.NextBatch): the caller's
+// lifetime is the holder's. A field that keeps a row this way yields a page
+// row when read, so copying the cursor's current row into a result still
+// needs the copy.
 //
 // The analysis is flow-insensitive within a function (a local that ever holds
 // a page row is a page row everywhere) and follows rows into the package's
@@ -36,8 +41,8 @@ import (
 var RowRetain = &Analyzer{
 	Name: "rowretain",
 	Doc: "check that in internal/exec and stagedb a row read from an exchange page (Page.Row, " +
-		"Page.Rows) is copied (Clone, an operator arena) before it is stored in a field, a map, " +
-		"a package variable or a returned slice",
+		"Page.Rows) or a spill reader (spill.Reader.Next) is copied (Clone, an operator arena) " +
+		"before it is stored in a field, a map, a package variable or a returned slice",
 	Run: runRowRetain,
 }
 
@@ -293,6 +298,8 @@ func (f *rowFlow) walk() {
 				for i := range n.Lhs {
 					f.assign(n.Lhs[i], n.Rhs[i])
 				}
+			} else if t, ok := f.spillRow(n.Rhs[0]); ok {
+				f.assignTaint(n.Lhs[0], t) // row, ok, err := r.Next()
 			}
 		case *ast.ValueSpec:
 			if len(n.Names) == len(n.Values) {
@@ -318,6 +325,16 @@ func (f *rowFlow) walk() {
 		}
 		return true
 	})
+}
+
+// spillRow reports whether e is a call of (*spill.Reader).Next, whose row is
+// held by the variable holding the reader.
+func (f *rowFlow) spillRow(e ast.Expr) (rowTaint, bool) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || !isMethodCall(f.rr.pass.TypesInfo, call, "exec/spill", "Reader", "Next") {
+		return rowTaint{}, false
+	}
+	return rowTaint{holder: f.holderOf(call.Fun.(*ast.SelectorExpr).X)}, true
 }
 
 // holdsForCaller reports whether a returned row's page outlives the call:
@@ -433,7 +450,7 @@ func (f *rowFlow) sink(pos token.Pos, what string) {
 	}
 	f.sunk = true
 	if f.report {
-		f.rr.pass.Reportf(pos, "a row read from an exchange page %s; "+
+		f.rr.pass.Reportf(pos, "a row read from an exchange page or a spill reader %s; "+
 			"copy it first (Clone, or an operator arena's copyRow)", what)
 	}
 }

@@ -1,17 +1,19 @@
 // Package exec is the rowretain golden package: a stand-in for the engine's
 // exchange pages (Page, its Rows and Row accessor), an operator arena, and
-// the operator shapes that keep rows — its import path ends in
-// internal/exec, so the analyzer applies.
+// the operator shapes that keep rows, from pages and from spill readers — its
+// import path ends in internal/exec, so the analyzer applies.
 package exec
 
-// Value stands in for value.Value.
-type Value struct{ i int64 }
+import (
+	"rowretain/internal/exec/spill"
+	"rowretain/internal/value"
+)
 
-// Row stands in for value.Row.
-type Row []Value
-
-// Clone copies a row into storage of its own.
-func (r Row) Clone() Row { return append(Row(nil), r...) }
+// Value and Row are the engine's value types.
+type (
+	Value = value.Value
+	Row   = value.Row
+)
 
 // Page stands in for the pooled exchange page.
 type Page struct {
@@ -42,6 +44,7 @@ type hashJoin struct {
 	curLeft   Row
 	seen      map[int][]Row
 	top       []topItem
+	partProbe *spill.Reader
 }
 
 type topItem struct {
@@ -52,7 +55,7 @@ type topItem struct {
 // fillBuildLeaks keeps the build page's rows after releasing it.
 func (j *hashJoin) fillBuildLeaks(pg *Page) {
 	for i := 0; i < len(pg.Rows); i++ {
-		j.buildRows = append(j.buildRows, pg.Row(i)) // want `a row read from an exchange page is stored in j.buildRows, which outlives the page`
+		j.buildRows = append(j.buildRows, pg.Row(i)) // want `a row read from an exchange page or a spill reader is stored in j.buildRows, which outlives the page`
 	}
 	pg.Release()
 }
@@ -185,6 +188,53 @@ func (c *cursor) materializeLeaks(res *result) {
 // materialize keeps a copy.
 func (c *cursor) materialize(res *result) {
 	res.rows = append(res.rows, c.row.Clone())
+}
+
+// loadPartitionLeaks keeps a partition's build rows, each of which the reader
+// decodes its next row over.
+func (j *hashJoin) loadPartitionLeaks(r *spill.Reader) {
+	var rows []Row
+	for {
+		row, ok, _ := r.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, row)
+	}
+	j.buildRows = rows // want `a row read from an exchange page or a spill reader is stored in j.buildRows`
+}
+
+// loadPartition copies each build row into the join's arena first.
+func (j *hashJoin) loadPartition(r *spill.Reader) {
+	var rows []Row
+	for {
+		row, ok, _ := r.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, j.arena.copyRow(row))
+	}
+	j.buildRows = rows
+}
+
+// nextPartitionProbe keeps the probe row next to the partition reader it
+// came from.
+func (j *hashJoin) nextPartitionProbe() {
+	row, ok, err := j.partProbe.Next()
+	if ok && err == nil {
+		j.curLeft = row
+	}
+}
+
+// runMerge keeps each run's head next to the run's reader.
+type runMerge struct {
+	readers []*spill.Reader
+	heads   []Row
+}
+
+func (m *runMerge) advance(i int) {
+	head, _, _ := m.readers[i].Next()
+	m.heads[i] = head
 }
 
 var last Row

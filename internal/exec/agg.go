@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"unsafe"
+
 	"stagedb/internal/exec/spill"
 	"stagedb/internal/plan"
 	"stagedb/internal/value"
@@ -27,15 +29,71 @@ func partOf(h uint64, depth int) int {
 	return int((h >> (7 + 3*depth)) & (aggFanOut - 1))
 }
 
+// aggState is one group's running aggregates. The state, its slots and its
+// key's values are carved from the operator's arenas, so a new group costs no
+// allocation of its own.
 type aggState struct {
 	groupKey value.Row
-	count    int64   // per-agg COUNT / COUNT(*) and AVG denominator
-	counts   []int64 // non-null arg count per agg
-	sums     []float64
-	sumIsInt []bool
-	sumInts  []int64
-	mins     []value.Value
-	maxs     []value.Value
+	count    int64     // rows folded into the group
+	aggs     []aggSlot // one per aggregate
+	next     *aggState // next group in the same hash chain
+}
+
+// aggSlot is one aggregate's running state within a group.
+type aggSlot struct {
+	count    int64 // non-null arguments (rows, for COUNT(*)): COUNT and the AVG denominator
+	sum      float64
+	sumInt   int64
+	sumIsInt bool // every summed argument was an integer: SUM stays exact in sumInt
+	min, max value.Value
+}
+
+// groupMemSize is a group's in-memory footprint for WorkMem accounting: its
+// state, its slots and its key, under the same model as rowMemSize.
+func groupMemSize(key value.Row, nAggs int) int64 {
+	return int64(unsafe.Sizeof(aggState{})) + int64(nAggs)*int64(unsafe.Sizeof(aggSlot{})) + rowMemSize(key)
+}
+
+// arena is operator-owned storage that outlives a partition: carve cuts n
+// elements off the current chunk (moving on to the next chunk, or allocating
+// one twice the size of the last, up to maxPageValues, when it is full), and
+// reset truncates the chunks instead of dropping them, so partition after
+// partition carves from the same memory. Unlike rowArena's, nothing carved
+// from it may be used after a reset.
+type arena[T any] struct {
+	chunks [][]T
+	cur    int // chunk being carved
+}
+
+// arenaFirstChunk is an arena's first chunk size, in elements: a handful of
+// groups cost one small allocation per arena.
+const arenaFirstChunk = 16
+
+func (a *arena[T]) carve(n int) []T {
+	for ; a.cur < len(a.chunks); a.cur++ {
+		c := a.chunks[a.cur]
+		if start := len(c); cap(c)-start >= n {
+			a.chunks[a.cur] = c[:start+n]
+			return c[start : start+n : start+n]
+		}
+	}
+	size := arenaFirstChunk
+	if k := len(a.chunks); k > 0 {
+		size = min(2*cap(a.chunks[k-1]), maxPageValues)
+	}
+	c := make([]T, n, max(size, n))
+	a.chunks = append(a.chunks, c)
+	return c[:n:n]
+}
+
+// reset empties every chunk, zeroing what was carved so no stale text
+// payload stays pinned, and starts carving from the first chunk again.
+func (a *arena[T]) reset() {
+	for i, c := range a.chunks[:min(a.cur+1, len(a.chunks))] {
+		clear(c)
+		a.chunks[i] = c[:0]
+	}
+	a.cur = 0
 }
 
 // aggregateOp is the vectorized hash aggregation kernel: it consumes child
@@ -43,8 +101,10 @@ type aggState struct {
 // group-by and argument expressions, reuses one scratch key row across all
 // input rows, and hashes keys with the allocation-free inline FNV — the
 // steady-state cost of aggregating a row in an existing group is zero
-// allocations. The groups table is pre-sized from the planner's cardinality
-// estimate.
+// allocations. A new group's state, slots and key are carved from arenas the
+// operator reuses partition after partition, so groups cost allocations per
+// arena chunk, not per group. The groups table is pre-sized from the
+// planner's cardinality estimate.
 //
 // Memory is bounded by the query's WorkMem budget: when the group table
 // outgrows it, the operator spills grace-style — current groups serialize
@@ -66,11 +126,18 @@ type aggregateOp struct {
 	groupBy []plan.CompiledExpr
 	aggArg  []plan.CompiledExpr // nil entries for COUNT(*)
 
-	groups    map[uint64][]*aggState
-	order     []*aggState // arrival order for deterministic output
-	scratch   value.Row   // reused group-key buffer
-	keyCols   []int       // identity column set over the key
-	memBytes  int64
+	groups   map[uint64]*aggState // hash chains, by group-key hash
+	order    []*aggState          // arrival order for deterministic output
+	scratch  value.Row            // reused group-key buffer
+	encoded  value.Row            // reused partial-state row (encodeState)
+	keyCols  []int                // identity column set over the key
+	memBytes int64
+
+	// The group table's storage, reused partition after partition.
+	states arena[aggState]
+	slots  arena[aggSlot]
+	keys   arena[value.Value]
+
 	inputDone bool
 	loaded    bool
 	out       []value.Row
@@ -97,14 +164,13 @@ type aggWork struct {
 func (a *aggregateOp) Open() error {
 	a.workMem = ResolveWorkMem(a.workMem) // directly built operators get defaults
 	a.closeSpillFiles()
-	a.groups = make(map[uint64][]*aggState, budgetPresize(a.groupHint, a.workMem))
-	a.order = nil
+	a.groups = make(map[uint64]*aggState, budgetPresize(a.groupHint, a.workMem))
+	a.resetGroups()
 	a.scratch = make(value.Row, len(a.groupBy))
 	a.keyCols = make([]int, len(a.groupBy))
 	for i := range a.keyCols {
 		a.keyCols[i] = i
 	}
-	a.memBytes = 0
 	a.inputDone, a.loaded = false, false
 	a.out, a.pos = nil, 0
 	a.spilled, a.emitDone = false, false
@@ -150,31 +216,40 @@ func (a *aggregateOp) Next() (*Page, error) {
 	}
 }
 
-// find locates (or creates) the group for the scratch key.
+// find locates (or creates) the group for the scratch key. A new group's
+// state, slots and key are carved from the operator's arenas, the key copied
+// out of scratch.
 func (a *aggregateOp) find() *aggState {
 	h := a.scratch.Hash(a.keyCols)
-	for _, st := range a.groups[h] {
+	head := a.groups[h]
+	for st := head; st != nil; st = st.next {
 		if rowsEqual(st.groupKey, a.scratch) {
 			return st
 		}
 	}
-	nAggs := len(a.node.Aggs)
-	st := &aggState{
-		groupKey: a.scratch.Clone(),
-		counts:   make([]int64, nAggs),
-		sums:     make([]float64, nAggs),
-		sumIsInt: make([]bool, nAggs),
-		sumInts:  make([]int64, nAggs),
-		mins:     make([]value.Value, nAggs),
-		maxs:     make([]value.Value, nAggs),
+	key := value.Row(a.keys.carve(len(a.scratch)))
+	copy(key, a.scratch)
+	slots := a.slots.carve(len(a.node.Aggs))
+	for i := range slots {
+		slots[i] = aggSlot{sumIsInt: true}
 	}
-	for i := range st.sumIsInt {
-		st.sumIsInt[i] = true
-	}
-	a.groups[h] = append(a.groups[h], st)
+	st := &a.states.carve(1)[0]
+	*st = aggState{groupKey: key, aggs: slots, next: head}
+	a.groups[h] = st
 	a.order = append(a.order, st)
-	a.memBytes += rowMemSize(st.groupKey) + int64(48+96*nAggs)
+	a.memBytes += groupMemSize(key, len(slots))
 	return st
+}
+
+// resetGroups empties the group table for the next partition, keeping its
+// storage: the map's buckets, the arrival list and the arenas.
+func (a *aggregateOp) resetGroups() {
+	clear(a.groups)
+	a.order = a.order[:0]
+	a.states.reset()
+	a.slots.reset()
+	a.keys.reset()
+	a.memBytes = 0
 }
 
 // consume folds one page of input into the group table, or — once spilled —
@@ -213,8 +288,9 @@ func (a *aggregateOp) consume(pg *Page) error {
 func (a *aggregateOp) fold(st *aggState, row value.Row) error {
 	st.count++
 	for i, spec := range a.node.Aggs {
+		s := &st.aggs[i]
 		if spec.Kind == plan.AggCountStar {
-			st.counts[i]++
+			s.count++
 			continue
 		}
 		v, err := a.aggArg[i](row)
@@ -224,33 +300,43 @@ func (a *aggregateOp) fold(st *aggState, row value.Row) error {
 		if v.IsNull() {
 			continue
 		}
-		st.counts[i]++
+		s.count++
 		switch spec.Kind {
 		case plan.AggCount:
 			// counted above
 		case plan.AggSum, plan.AggAvg:
 			if v.Type() == value.Float {
-				st.sumIsInt[i] = false
+				s.sumIsInt = false
 			}
-			st.sums[i] += v.Float()
+			s.sum += v.Float()
 			if v.Type() == value.Int {
-				st.sumInts[i] += v.Int()
+				s.sumInt += v.Int()
 			}
 		case plan.AggMin:
-			if st.mins[i].IsNull() {
-				a.setExtreme(&st.mins[i], v)
-			} else if c, err := value.Compare(v, st.mins[i]); err == nil && c < 0 {
-				a.setExtreme(&st.mins[i], v)
-			}
+			a.keepMin(s, v)
 		case plan.AggMax:
-			if st.maxs[i].IsNull() {
-				a.setExtreme(&st.maxs[i], v)
-			} else if c, err := value.Compare(v, st.maxs[i]); err == nil && c > 0 {
-				a.setExtreme(&st.maxs[i], v)
-			}
+			a.keepMax(s, v)
 		}
 	}
 	return nil
+}
+
+// keepMin folds a non-NULL value into a slot's MIN.
+func (a *aggregateOp) keepMin(s *aggSlot, v value.Value) {
+	if s.min.IsNull() {
+		a.setExtreme(&s.min, v)
+	} else if c, err := value.Compare(v, s.min); err == nil && c < 0 {
+		a.setExtreme(&s.min, v)
+	}
+}
+
+// keepMax folds a non-NULL value into a slot's MAX.
+func (a *aggregateOp) keepMax(s *aggSlot, v value.Value) {
+	if s.max.IsNull() {
+		a.setExtreme(&s.max, v)
+	} else if c, err := value.Compare(v, s.max); err == nil && c > 0 {
+		a.setExtreme(&s.max, v)
+	}
 }
 
 // setExtreme replaces a retained MIN/MAX value, keeping the budget charged
@@ -280,30 +366,29 @@ func (a *aggregateOp) doSpill() error {
 			return err
 		}
 	}
-	a.groups = make(map[uint64][]*aggState)
-	a.order, a.memBytes = nil, 0
+	a.resetGroups()
 	a.spilled = true
 	return nil
 }
 
 // encodeState flattens a group's partial aggregate state into one row:
-// groupKey, count, then (counts, sums, sumIsInt, sumInts, mins, maxs) per
-// aggregate. mergeState is its inverse.
+// groupKey, count, then (count, sum, sumIsInt, sumInt, min, max) per
+// aggregate. mergeState is its inverse. The row is reused by the next call:
+// the caller encodes it on the spot (spill.File.Append).
 func (a *aggregateOp) encodeState(st *aggState) value.Row {
-	nAggs := len(a.node.Aggs)
-	out := make(value.Row, 0, len(st.groupKey)+1+6*nAggs)
-	out = append(out, st.groupKey...)
+	out := append(a.encoded[:0], st.groupKey...)
 	out = append(out, value.NewInt(st.count))
-	for i := 0; i < nAggs; i++ {
+	for _, s := range st.aggs {
 		out = append(out,
-			value.NewInt(st.counts[i]),
-			value.NewFloat(st.sums[i]),
-			value.NewBool(st.sumIsInt[i]),
-			value.NewInt(st.sumInts[i]),
-			st.mins[i],
-			st.maxs[i],
+			value.NewInt(s.count),
+			value.NewFloat(s.sum),
+			value.NewBool(s.sumIsInt),
+			value.NewInt(s.sumInt),
+			s.min,
+			s.max,
 		)
 	}
+	a.encoded = out
 	return out
 }
 
@@ -313,25 +398,17 @@ func (a *aggregateOp) mergeState(row value.Row) error {
 	copy(a.scratch, row[:kw])
 	st := a.find()
 	st.count += row[kw].Int()
-	for i := range a.node.Aggs {
-		f := row[kw+1+6*i:]
-		st.counts[i] += f[0].Int()
-		st.sums[i] += f[1].Float()
-		st.sumIsInt[i] = st.sumIsInt[i] && f[2].Bool()
-		st.sumInts[i] += f[3].Int()
+	for i := range st.aggs {
+		s, f := &st.aggs[i], row[kw+1+6*i:]
+		s.count += f[0].Int()
+		s.sum += f[1].Float()
+		s.sumIsInt = s.sumIsInt && f[2].Bool()
+		s.sumInt += f[3].Int()
 		if v := f[4]; !v.IsNull() {
-			if st.mins[i].IsNull() {
-				a.setExtreme(&st.mins[i], v)
-			} else if c, err := value.Compare(v, st.mins[i]); err == nil && c < 0 {
-				a.setExtreme(&st.mins[i], v)
-			}
+			a.keepMin(s, v)
 		}
 		if v := f[5]; !v.IsNull() {
-			if st.maxs[i].IsNull() {
-				a.setExtreme(&st.maxs[i], v)
-			} else if c, err := value.Compare(v, st.maxs[i]); err == nil && c > 0 {
-				a.setExtreme(&st.maxs[i], v)
-			}
+			a.keepMax(s, v)
 		}
 	}
 	return nil
@@ -361,19 +438,21 @@ func (a *aggregateOp) finish() error {
 }
 
 // materialize renders the current group table as output rows in group-arrival
-// order.
+// order. The rows are carved from an arena of their own, not the group
+// table's: they are emitted while the next partition reuses the table.
 func (a *aggregateOp) materialize() {
 	// Global aggregate with no input rows still yields one row.
 	if len(a.node.GroupBy) == 0 && len(a.order) == 0 && !a.spilled {
 		a.find()
 	}
-	nAggs := len(a.node.Aggs)
+	var out rowArena
 	a.out = make([]value.Row, 0, len(a.order))
 	for _, st := range a.order {
-		row := make(value.Row, 0, len(st.groupKey)+nAggs)
-		row = append(row, st.groupKey...)
+		kw := len(st.groupKey)
+		row := out.carve(kw + len(st.aggs))
+		copy(row, st.groupKey)
 		for i, spec := range a.node.Aggs {
-			row = append(row, finishAgg(spec, st, i))
+			row[kw+i] = finishAgg(spec, &st.aggs[i])
 		}
 		a.out = append(a.out, row)
 	}
@@ -390,8 +469,7 @@ func (a *aggregateOp) nextPartition() error {
 	}
 	w := a.work[0]
 	a.work = a.work[1:]
-	a.groups = make(map[uint64][]*aggState)
-	a.order, a.memBytes = nil, 0
+	a.resetGroups()
 
 	split := func(consumedStates bool, states, rows *spill.Reader) error {
 		return a.splitPartition(w, consumedStates, states, rows)
@@ -488,8 +566,7 @@ func (a *aggregateOp) splitPartition(w aggWork, consumedStates bool, states, row
 			return err
 		}
 	}
-	a.groups = make(map[uint64][]*aggState)
-	a.order, a.memBytes = nil, 0
+	a.resetGroups()
 	// Unread partial states route by their embedded key.
 	kw := len(a.groupBy)
 	if !consumedStates {
@@ -556,27 +633,27 @@ func (a *aggregateOp) splitPartition(w aggWork, consumedStates bool, states, row
 	return nil
 }
 
-func finishAgg(spec plan.AggSpec, st *aggState, i int) value.Value {
+func finishAgg(spec plan.AggSpec, s *aggSlot) value.Value {
 	switch spec.Kind {
 	case plan.AggCount, plan.AggCountStar:
-		return value.NewInt(st.counts[i])
+		return value.NewInt(s.count)
 	case plan.AggSum:
-		if st.counts[i] == 0 {
+		if s.count == 0 {
 			return value.NewNull()
 		}
-		if st.sumIsInt[i] {
-			return value.NewInt(st.sumInts[i])
+		if s.sumIsInt {
+			return value.NewInt(s.sumInt)
 		}
-		return value.NewFloat(st.sums[i])
+		return value.NewFloat(s.sum)
 	case plan.AggAvg:
-		if st.counts[i] == 0 {
+		if s.count == 0 {
 			return value.NewNull()
 		}
-		return value.NewFloat(st.sums[i] / float64(st.counts[i]))
+		return value.NewFloat(s.sum / float64(s.count))
 	case plan.AggMin:
-		return st.mins[i]
+		return s.min
 	case plan.AggMax:
-		return st.maxs[i]
+		return s.max
 	}
 	return value.NewNull()
 }
@@ -605,5 +682,6 @@ func (a *aggregateOp) closeSpillFiles() {
 func (a *aggregateOp) Close() error {
 	a.closeSpillFiles()
 	a.groups, a.order, a.out = nil, nil, nil
+	a.states, a.slots, a.keys = arena[aggState]{}, arena[aggSlot]{}, arena[value.Value]{}
 	return a.child.Close()
 }

@@ -14,9 +14,11 @@ import (
 	"stagedb/internal/value"
 )
 
-// benchReplay pages the fixture rows coarsely so source-page allocations do
-// not drown out the operator under measurement.
-func benchReplay(rows []value.Row) *replaySrc { return &replaySrc{rows: rows, pageRows: 512} }
+// benchReplay pages the fixture rows coarsely from pool so source pages do not
+// drown out the operator under measurement.
+func benchReplay(rows []value.Row, pool *PagePool) *replaySrc {
+	return &replaySrc{rows: rows, pageRows: 512, pool: pool}
+}
 
 func benchRows(n int) []value.Row {
 	rows := make([]value.Row, 0, n)
@@ -55,15 +57,22 @@ func drainBench(b *testing.B, op Operator) int {
 
 // BenchmarkExtSort compares the in-memory fast path, the spilling external
 // sort over the same input, and a full sort feeding a LIMIT (the shape Top-N
-// replaces).
+// replaces). Source and output pages come from one page pool, as in the
+// engine, so allocs/op counts what the sort itself allocates.
 func BenchmarkExtSort(b *testing.B) {
 	const n = 50_000
 	rows := benchRows(n)
 	keys := colKeys(0)
+	pp := NewPagePool()
+	mk := func(workMem int64, sm *SpillMetrics) *sortOp {
+		s := newSortOp(benchReplay(rows, pp), keys, workMem, sm)
+		s.pool = pp
+		return s
+	}
 	b.Run("inmem", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := drainBench(b, newSortOp(benchReplay(rows), keys, 1<<30, nil)); got != n {
+			if got := drainBench(b, mk(1<<30, nil)); got != n {
 				b.Fatalf("rows = %d", got)
 			}
 		}
@@ -72,7 +81,7 @@ func BenchmarkExtSort(b *testing.B) {
 		b.ReportAllocs()
 		sm := &SpillMetrics{}
 		for i := 0; i < b.N; i++ {
-			if got := drainBench(b, newSortOp(benchReplay(rows), keys, 1, sm)); got != n {
+			if got := drainBench(b, mk(1, sm)); got != n {
 				b.Fatalf("rows = %d", got)
 			}
 		}
@@ -86,7 +95,7 @@ func BenchmarkExtSort(b *testing.B) {
 	b.Run("fullsort-limit10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			lim := &limitOp{child: newSortOp(benchReplay(rows), keys, 1<<30, nil), n: 10}
+			lim := &limitOp{child: mk(1<<30, nil), n: 10}
 			if got := drainBench(b, lim); got != 10 {
 				b.Fatalf("rows = %d", got)
 			}
@@ -104,14 +113,15 @@ func BenchmarkTopN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := drainBench(b, newTopNOp(benchReplay(rows), keys, 10, 0, nil)); got != 10 {
+		if got := drainBench(b, newTopNOp(benchReplay(rows, nil), keys, 10, 0, nil)); got != 10 {
 			b.Fatalf("rows = %d", got)
 		}
 	}
 }
 
 // BenchmarkSpillAgg compares hash aggregation within budget against the
-// grace-spilling path on a high-cardinality GROUP BY.
+// grace-spilling path on a high-cardinality GROUP BY, over pooled source
+// pages.
 func BenchmarkSpillAgg(b *testing.B) {
 	const n = 50_000
 	rows := make([]value.Row, 0, n)
@@ -125,8 +135,9 @@ func BenchmarkSpillAgg(b *testing.B) {
 		GroupBy: []plan.Expr{&plan.Column{Idx: 0}},
 		Aggs:    []plan.AggSpec{{Kind: plan.AggCountStar}, {Kind: plan.AggSum, Arg: &plan.Column{Idx: 1}}},
 	}
+	pp := NewPagePool()
 	mk := func(workMem int64, sm *SpillMetrics) *aggregateOp {
-		a := &aggregateOp{node: node, child: benchReplay(rows), pageRows: 64,
+		a := &aggregateOp{node: node, child: benchReplay(rows, pp), pageRows: 64,
 			workMem: workMem, spillM: sm}
 		a.groupBy = []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}
 		a.aggArg = []plan.CompiledExpr{nil, plan.Compile(&plan.Column{Idx: 1})}
@@ -156,7 +167,7 @@ func BenchmarkSpillAgg(b *testing.B) {
 }
 
 // BenchmarkSpillJoin compares the streaming hash join within budget against
-// the grace-partitioned path.
+// the grace-partitioned path, with source and output pages from one pool.
 func BenchmarkSpillJoin(b *testing.B) {
 	const n = 30_000
 	mkSide := func() []value.Row {
@@ -172,9 +183,10 @@ func BenchmarkSpillJoin(b *testing.B) {
 	probe, build := mkSide(), mkSide()
 	node := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
 		LeftKeys: []int{0}, RightKey: []int{0}}
+	pp := NewPagePool()
 	mk := func(workMem int64, sm *SpillMetrics) *hashJoin {
-		return &hashJoin{node: node, left: benchReplay(probe), right: benchReplay(build),
-			pageRows: 64, workMem: workMem, spillM: sm}
+		return &hashJoin{node: node, left: benchReplay(probe, pp), right: benchReplay(build, pp),
+			pageRows: 64, pool: pp, workMem: workMem, spillM: sm}
 	}
 	want := 0
 	b.Run("inmem", func(b *testing.B) {

@@ -59,7 +59,7 @@ type hashJoin struct {
 	spillM  *SpillMetrics
 
 	buildRows  []value.Row // in-memory build accumulation (resumable)
-	buildArena rowArena    // owns buildRows' values: build pages recycle as drained
+	buildArena rowArena    // owns the build rows' values: build pages and spill rows are recycled under them
 	buildBytes int64
 	buildDone  bool
 	built      bool
@@ -383,8 +383,9 @@ func (j *hashJoin) nextGrace() (*Page, error) {
 }
 
 // startPartition pops the next partition pair: an over-budget build side
-// splits one hash level deeper, otherwise its rows load into the table and
-// the probe stream opens.
+// splits one hash level deeper, otherwise its rows are copied into the build
+// arena (a spill reader's row lives only until its next row), load into the
+// table, and the probe stream opens.
 func (j *hashJoin) startPartition() error {
 	w := j.work[0]
 	j.work = j.work[1:]
@@ -418,7 +419,7 @@ func (j *hashJoin) startPartition() error {
 		if !ok {
 			break
 		}
-		rows = append(rows, row)
+		rows = append(rows, j.buildArena.copyRow(row))
 	}
 	r.Close()
 	j.loadTable(rows)
@@ -432,7 +433,8 @@ func (j *hashJoin) startPartition() error {
 	return nil
 }
 
-// finishPartition closes out the partition just joined, removing its files.
+// finishPartition closes out the partition just joined, removing its files
+// and dropping its build rows.
 func (j *hashJoin) finishPartition() {
 	if j.partProbe != nil {
 		j.partProbe.Close()
@@ -444,6 +446,7 @@ func (j *hashJoin) finishPartition() {
 		j.curWork = nil
 	}
 	j.table = nil
+	j.buildArena.reset()
 }
 
 // splitPartition re-hashes both sides of an over-budget partition one level

@@ -29,14 +29,22 @@ package exec
 //     operator arena (rowArena) that the operator itself owns and charges to
 //     its WorkMem budget. The hash-join build side, Top-N, DISTINCT's dedup
 //     table, Drain and the client API's materialised results are the
-//     retainers; sort copies into its arenas, aggregation clones group keys
-//     and spill writers encode on the spot. stagedbvet's rowretain analyzer
-//     rejects a page row stored into a field, a map or a returned slice
-//     without a copy.
+//     retainers; sort copies into its arenas, aggregation copies group keys
+//     into its own and spill writers encode on the spot.
+//   - A row read back from a spill file follows the same rule with the
+//     reader in the page's place: spill.Reader.Next decodes each row over the
+//     one it returned last, so the row is valid until the next Next or Close
+//     on that reader. The grace join's build side copies into its arena, the
+//     run merge's output is copied into the output page; a merge keeps each
+//     run's head next to the run's reader until it is emitted.
+//
+// stagedbvet's rowretain analyzer rejects a page or spill row stored into a
+// field, a map or a returned slice without a copy.
 //
 // Race-detector builds overwrite recycled value storage with a sentinel
-// (pagepool_race.go), so a use-after-release turns into a wrong result under
-// go test -race instead of silently reading the next page's values.
+// (pagepool_race.go), and a spill reader's previous row with another
+// (spill/reader_race.go), so a use-after-release turns into a wrong result
+// under go test -race instead of silently reading the next row's values.
 //
 // Pages from a nil pool are plain allocations whose Release is a no-op, so
 // operator code is identical whether pooling is enabled or not.

@@ -72,7 +72,9 @@ func onRecycledPages(t *testing.T, db *testDB, q string, workMem int64, check fu
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := pp.Stats(); st.Hits == 0 {
+			// Under the race detector sync.Pool drops a random share of
+			// recycled pages, so a plan that draws only a few may never hit.
+			if st := pp.Stats(); st.Hits == 0 && !raceEnabled {
 				t.Fatalf("no page was recycled, the test exercises nothing: %+v", st)
 			}
 			check(t, rows, sm.Stats())

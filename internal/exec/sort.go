@@ -18,8 +18,9 @@ package exec
 // NULLs first and DESC places them last, on every code path.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"stagedb/internal/exec/spill"
@@ -194,12 +195,12 @@ func (s *sortOp) fill() error {
 // other ordering path (runs, merge, Top-N) reproduces.
 func (s *sortOp) sortItems() error {
 	var sortErr error
-	sort.SliceStable(s.items, func(a, b int) bool {
-		c, err := compareKeyRows(s.items[a], s.items[b], s.node.Keys)
+	slices.SortStableFunc(s.items, func(a, b value.Row) int {
+		c, err := compareKeyRows(a, b, s.node.Keys)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c < 0
+		return c
 	})
 	return sortErr
 }
@@ -337,7 +338,9 @@ func (s *sortOp) mergePass() (err error) {
 	return nil
 }
 
-// nextMerged emits one page of merged output.
+// nextMerged emits one page of merged output. A merged row is its run
+// reader's storage until the merge's next call, so each is copied into the
+// output page's own storage.
 func (s *sortOp) nextMerged() (*Page, error) {
 	kw := len(s.keys)
 	var out *Page
@@ -353,7 +356,9 @@ func (s *sortOp) nextMerged() (*Page, error) {
 		if out == nil {
 			out = s.pool.Get(s.pageRows)
 		}
-		out.Rows = append(out.Rows, item[kw:])
+		row := out.carve(len(item) - kw)
+		copy(row, item[kw:])
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -385,33 +390,51 @@ type runMerge struct {
 	keys    []plan.SortKey
 	files   []*spill.File
 	readers []*spill.Reader
-	heads   []value.Row // next item per run; nil = exhausted
+	heads   []value.Row // current item per run, owned by its reader; nil = exhausted
+	last    int         // run whose head Next returned last, advanced on the next call; -1 = none
 }
 
 func newRunMerge(files []*spill.File, keys []plan.SortKey) (*runMerge, error) {
-	m := &runMerge{keys: keys, files: files}
-	for _, f := range files {
+	m := &runMerge{keys: keys, files: files, last: -1}
+	for i, f := range files {
 		r, err := f.Reader()
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
 		m.readers = append(m.readers, r)
-		head, ok, err := r.Next()
-		if err != nil {
+		m.heads = append(m.heads, nil)
+		if err := m.advance(i); err != nil {
 			m.Close()
 			return nil, err
 		}
-		if !ok {
-			head = nil
-		}
-		m.heads = append(m.heads, head)
 	}
 	return m, nil
 }
 
+// advance moves run i's head to its reader's next row (nil at end of run).
+func (m *runMerge) advance(i int) error {
+	head, ok, err := m.readers[i].Next()
+	if err != nil {
+		return err
+	}
+	if !ok {
+		head = nil
+	}
+	m.heads[i] = head
+	return nil
+}
+
 // Next returns the smallest head across all runs, or ok=false when drained.
+// The row is its run reader's storage: the run advances lazily, at the start
+// of the next call, so the row stays valid until then.
 func (m *runMerge) Next() (value.Row, bool, error) {
+	if m.last >= 0 {
+		if err := m.advance(m.last); err != nil {
+			return nil, false, err
+		}
+		m.last = -1
+	}
 	best := -1
 	for i, h := range m.heads {
 		if h == nil {
@@ -432,16 +455,8 @@ func (m *runMerge) Next() (value.Row, bool, error) {
 	if best < 0 {
 		return nil, false, nil
 	}
-	item := m.heads[best]
-	next, ok, err := m.readers[best].Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		next = nil
-	}
-	m.heads[best] = next
-	return item, true, nil
+	m.last = best
+	return m.heads[best], true, nil
 }
 
 // Close releases the readers and removes the merged run files.
@@ -497,18 +512,15 @@ func (t *topNOp) Open() error {
 	return t.child.Open()
 }
 
-// itemLess orders heap entries by (keys, arrival sequence) — the same total
-// order the stable sort realizes, so Top-N output is byte-for-byte the full
-// sort's first k rows.
-func (t *topNOp) itemLess(a, b topItem) (bool, error) {
+// itemCompare orders heap entries by (keys, arrival sequence) — the same
+// total order the stable sort realizes, so Top-N output is byte-for-byte the
+// full sort's first k rows.
+func (t *topNOp) itemCompare(a, b topItem) (int, error) {
 	c, err := compareKeyRows(a.key, b.key, t.node.Keys)
-	if err != nil {
-		return false, err
+	if err != nil || c != 0 {
+		return c, err
 	}
-	if c != 0 {
-		return c < 0, nil
-	}
-	return a.seq < b.seq, nil
+	return cmp.Compare(a.seq, b.seq), nil
 }
 
 func (t *topNOp) Next() (*Page, error) {
@@ -592,11 +604,11 @@ func (t *topNOp) offer(row value.Row) error {
 func (t *topNOp) siftUp(i int) error {
 	for i > 0 {
 		parent := (i - 1) / 2
-		less, err := t.itemLess(t.heap[parent], t.heap[i])
+		c, err := t.itemCompare(t.heap[parent], t.heap[i])
 		if err != nil {
 			return err
 		}
-		if !less {
+		if c >= 0 {
 			return nil // max-heap property holds: parent is not below child
 		}
 		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
@@ -611,20 +623,20 @@ func (t *topNOp) siftDown(i int) error {
 		l, r := 2*i+1, 2*i+2
 		largest := i
 		if l < n {
-			big, err := t.itemLess(t.heap[largest], t.heap[l])
+			c, err := t.itemCompare(t.heap[largest], t.heap[l])
 			if err != nil {
 				return err
 			}
-			if big {
+			if c < 0 {
 				largest = l
 			}
 		}
 		if r < n {
-			big, err := t.itemLess(t.heap[largest], t.heap[r])
+			c, err := t.itemCompare(t.heap[largest], t.heap[r])
 			if err != nil {
 				return err
 			}
-			if big {
+			if c < 0 {
 				largest = r
 			}
 		}
@@ -639,12 +651,12 @@ func (t *topNOp) siftDown(i int) error {
 // finish orders the surviving k rows and drops the Offset prefix.
 func (t *topNOp) finish() error {
 	var sortErr error
-	sort.Slice(t.heap, func(a, b int) bool {
-		less, err := t.itemLess(t.heap[a], t.heap[b])
+	slices.SortFunc(t.heap, func(a, b topItem) int {
+		c, err := t.itemCompare(a, b)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return less
+		return c
 	})
 	if sortErr != nil {
 		return sortErr

@@ -19,12 +19,13 @@ import (
 )
 
 // replaySrc is a rewindable operator source: every Open replays the same
-// rows, paged. Pages are unpooled, so Release is a no-op and re-reads are
-// safe.
+// rows, paged. Pages are unpooled unless pool is set; either way the rows are
+// the fixture's own, so a recycled page never overwrites them.
 type replaySrc struct {
 	rows     []value.Row
 	pageRows int
 	pos      int
+	pool     *PagePool
 }
 
 func (s *replaySrc) Open() error { s.pos = 0; return nil }
@@ -36,7 +37,13 @@ func (s *replaySrc) Next() (*Page, error) {
 	if end > len(s.rows) {
 		end = len(s.rows)
 	}
-	pg := &Page{Rows: s.rows[s.pos:end]}
+	var pg *Page
+	if s.pool == nil {
+		pg = &Page{Rows: s.rows[s.pos:end]}
+	} else {
+		pg = s.pool.Get(s.pageRows)
+		pg.Rows = append(pg.Rows, s.rows[s.pos:end]...)
+	}
 	s.pos = end
 	return pg, nil
 }
@@ -615,4 +622,70 @@ func TestSpillingJoinAbandonedRemovesFiles(t *testing.T) {
 	if live := sm.Stats().FilesLive(); live != 0 {
 		t.Fatalf("%d partition files leaked after early Close", live)
 	}
+}
+
+// TestSpilledTextOutlivesReaders: a spill reader decodes each row over the
+// one it returned last, and each page over the one before, so the values a
+// group or a build row keeps must never alias reader storage. A spilled
+// MIN/MAX over a text column and a grace join on a text key must match their
+// in-memory results when read only after the operator is closed — every
+// reader has long moved on by then. The text is wide, so a partition file
+// spans several of the reader's pages.
+func TestSpilledTextOutlivesReaders(t *testing.T) {
+	rng := seededRNG(t, 31)
+	rows := make([]value.Row, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, value.Row{
+			value.NewInt(int64(rng.Intn(300))),
+			value.NewText(fmt.Sprintf("t%05d-%0990d", rng.Intn(100000), i)),
+			value.NewText(fmt.Sprintf("key-%04d", rng.Intn(600))),
+		})
+	}
+	runClosed := func(op Operator) []value.Row {
+		t.Helper()
+		got := drainOpen(t, op)
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	t.Run("agg-min-max-text", func(t *testing.T) {
+		node := &plan.Aggregate{
+			GroupBy: []plan.Expr{&plan.Column{Idx: 0}},
+			Aggs: []plan.AggSpec{
+				{Kind: plan.AggMin, Arg: &plan.Column{Idx: 1}},
+				{Kind: plan.AggMax, Arg: &plan.Column{Idx: 1}},
+				{Kind: plan.AggCountStar},
+			},
+		}
+		mk := func(workMem int64, sm *SpillMetrics) *aggregateOp {
+			a := &aggregateOp{node: node, child: newReplay(rows), pageRows: 16,
+				workMem: workMem, spillM: sm}
+			a.groupBy = []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}
+			a.aggArg = []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 1}), plan.Compile(&plan.Column{Idx: 1}), nil}
+			return a
+		}
+		want := runClosed(mk(1<<30, nil))
+		sm := &SpillMetrics{}
+		got := runClosed(mk(1, sm))
+		if st := sm.Stats(); st.AggSpills == 0 {
+			t.Fatalf("aggregation did not spill: %+v", st)
+		}
+		requireSameSet(t, got, want, "spilled text MIN/MAX")
+	})
+	t.Run("grace-join-text-key", func(t *testing.T) {
+		node := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{},
+			LeftKeys: []int{2}, RightKey: []int{2}}
+		mk := func(workMem int64, sm *SpillMetrics) *hashJoin {
+			return &hashJoin{node: node, left: newReplay(rows[:2000]), right: newReplay(rows[1000:]),
+				pageRows: 16, workMem: workMem, spillM: sm}
+		}
+		want := runClosed(mk(1<<30, nil))
+		sm := &SpillMetrics{}
+		got := runClosed(mk(1, sm))
+		if st := sm.Stats(); st.JoinSpills == 0 {
+			t.Fatalf("join did not go grace: %+v", st)
+		}
+		requireSameSet(t, got, want, "grace join on a text key")
+	})
 }

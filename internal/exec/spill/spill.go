@@ -7,8 +7,16 @@
 //     flushes buffered pages and closes the descriptor, so an operator may
 //     hold hundreds of finished runs without holding hundreds of fds.
 //   - A consumer opens a Reader (re-opening the file by path) and streams
-//     rows back in append order. Readers hold one fd and one page buffer, so
-//     a k-way merge costs k descriptors regardless of run count.
+//     rows back in append order. Readers hold one fd, one page buffer and
+//     one row, so a k-way merge costs k descriptors regardless of run count.
+//   - A row returned by Reader.Next is the reader's own storage: it is valid
+//     until the next Next or Close on that reader, which decodes the next
+//     row over it. A consumer that keeps a row longer copies it (an operator
+//     arena, value.Row.Clone); one that encodes it on the spot (a split
+//     re-routing rows into deeper partitions) or copies its values out (a
+//     group key, a MIN/MAX) needs nothing. Race-detector builds overwrite
+//     the previous row with a sentinel instead (reader_race.go), so a row
+//     kept by mistake reads as a wrong value under go test -race.
 //   - Close removes the file from disk. It is idempotent and safe at any
 //     point of the lifecycle — operators call it from Close on every path
 //     (drained, abandoned mid-merge, cancelled), which is what keeps temp
@@ -166,8 +174,10 @@ func (s *File) Close() error {
 type Reader struct {
 	f    *os.File
 	r    *bufio.Reader
-	page []byte // remaining undecoded bytes of the current page
-	left int    // rows remaining in the current page
+	buf  []byte    // page storage, reused page after page
+	page []byte    // remaining undecoded bytes of the current page
+	left int       // rows remaining in the current page
+	row  value.Row // the row Next returned last; the next row decodes over it
 }
 
 // Reader opens a streaming reader over the finished file.
@@ -185,8 +195,10 @@ func (s *File) Reader() (*Reader, error) {
 	return &Reader{f: f, r: bufio.NewReaderSize(f, pageBytes)}, nil
 }
 
-// Next returns the next row; ok is false at end of file.
+// Next returns the next row; ok is false at end of file. The row is valid
+// until the next Next or Close on r (see the package doc).
 func (r *Reader) Next() (row value.Row, ok bool, err error) {
+	r.row = recycleRow(r.row)
 	for r.left == 0 {
 		nrows, err := binary.ReadUvarint(r.r)
 		if err == io.EOF {
@@ -199,27 +211,29 @@ func (r *Reader) Next() (row value.Row, ok bool, err error) {
 		if err != nil {
 			return nil, false, fmt.Errorf("spill: page header: %w", err)
 		}
-		if cap(r.page) < int(nbytes) {
-			r.page = make([]byte, nbytes)
+		if cap(r.buf) < int(nbytes) {
+			r.buf = make([]byte, nbytes)
 		}
-		r.page = r.page[:nbytes]
+		r.buf = r.buf[:nbytes]
+		r.page = r.buf
 		if _, err := io.ReadFull(r.r, r.page); err != nil {
 			return nil, false, fmt.Errorf("spill: page body: %w", err)
 		}
 		r.left = int(nrows)
 	}
-	row, rest, err := DecodeRow(r.page)
+	row, rest, err := DecodeRowInto(r.page, r.row)
 	if err != nil {
 		return nil, false, err
 	}
-	r.page = rest
+	r.row, r.page = row, rest
 	r.left--
 	return row, true, nil
 }
 
 // Close releases the reader's descriptor (the file itself stays until
-// File.Close removes it).
+// File.Close removes it) and the row Next returned last.
 func (r *Reader) Close() error {
+	r.row = recycleRow(r.row)
 	if r.f == nil {
 		return nil
 	}
@@ -265,15 +279,28 @@ func AppendRow(dst []byte, row value.Row) []byte {
 	return dst
 }
 
-// DecodeRow reads one AppendRow-encoded row off the front of buf, returning
-// the remainder.
+// DecodeRow reads one AppendRow-encoded row off the front of buf into a
+// fresh row, returning the remainder.
 func DecodeRow(buf []byte) (value.Row, []byte, error) {
+	return DecodeRowInto(buf, nil)
+}
+
+// DecodeRowInto is DecodeRow decoding into dst's storage when its capacity
+// suffices (a fresh row otherwise). Every slot of the returned row is
+// written, whatever dst held before; text payloads are copied out of buf.
+func DecodeRowInto(buf []byte, dst value.Row) (value.Row, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("spill: corrupt row header")
 	}
 	buf = buf[sz:]
-	row := make(value.Row, n)
+	if n > uint64(len(buf)) { // every value takes at least its tag byte
+		return nil, nil, fmt.Errorf("spill: truncated row")
+	}
+	if dst == nil || uint64(cap(dst)) < n {
+		dst = make(value.Row, n)
+	}
+	row := dst[:n]
 	for i := range row {
 		if len(buf) == 0 {
 			return nil, nil, fmt.Errorf("spill: truncated row")
