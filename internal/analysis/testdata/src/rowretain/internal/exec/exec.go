@@ -27,11 +27,11 @@ func (p *Page) Row(i int) Row { return p.Rows[i] }
 // Release recycles the page.
 func (p *Page) Release() {}
 
-// rowArena is operator-owned row storage.
-type rowArena struct{ chunk []Value }
+// arena is operator-owned row storage.
+type arena struct{ chunk []Value }
 
 // copyRow copies r into the arena.
-func (a *rowArena) copyRow(r Row) Row {
+func copyRow(a *arena, r Row) Row {
 	start := len(a.chunk)
 	a.chunk = append(a.chunk, r...)
 	return Row(a.chunk[start:len(a.chunk):len(a.chunk)])
@@ -39,7 +39,7 @@ func (a *rowArena) copyRow(r Row) Row {
 
 type hashJoin struct {
 	buildRows []Row
-	arena     rowArena
+	arena     arena
 	probe     *Page
 	curLeft   Row
 	seen      map[int][]Row
@@ -63,7 +63,7 @@ func (j *hashJoin) fillBuildLeaks(pg *Page) {
 // fillBuild copies each row into the join's own arena first.
 func (j *hashJoin) fillBuild(pg *Page) {
 	for i := 0; i < len(pg.Rows); i++ {
-		j.buildRows = append(j.buildRows, j.arena.copyRow(pg.Row(i)))
+		j.buildRows = append(j.buildRows, copyRow(&j.arena, pg.Row(i)))
 	}
 	pg.Release()
 }
@@ -150,10 +150,10 @@ func drainLeaks(pages []*Page) []Row {
 // drain returns copies.
 func drain(pages []*Page) []Row {
 	var out []Row
-	var arena rowArena
+	var vals arena
 	for _, pg := range pages {
 		for i := range pg.Rows {
-			out = append(out, arena.copyRow(pg.Row(i)))
+			out = append(out, copyRow(&vals, pg.Row(i)))
 		}
 		pg.Release()
 	}
@@ -212,7 +212,7 @@ func (j *hashJoin) loadPartition(r *spill.Reader) {
 		if !ok {
 			break
 		}
-		rows = append(rows, j.arena.copyRow(row))
+		rows = append(rows, copyRow(&j.arena, row))
 	}
 	j.buildRows = rows
 }

@@ -54,56 +54,14 @@ func groupMemSize(key value.Row, nAggs int) int64 {
 	return int64(unsafe.Sizeof(aggState{})) + int64(nAggs)*int64(unsafe.Sizeof(aggSlot{})) + rowMemSize(key)
 }
 
-// arena is operator-owned storage that outlives a partition: carve cuts n
-// elements off the current chunk (moving on to the next chunk, or allocating
-// one twice the size of the last, up to maxPageValues, when it is full), and
-// reset truncates the chunks instead of dropping them, so partition after
-// partition carves from the same memory. Unlike rowArena's, nothing carved
-// from it may be used after a reset.
-type arena[T any] struct {
-	chunks [][]T
-	cur    int // chunk being carved
-}
-
-// arenaFirstChunk is an arena's first chunk size, in elements: a handful of
-// groups cost one small allocation per arena.
-const arenaFirstChunk = 16
-
-func (a *arena[T]) carve(n int) []T {
-	for ; a.cur < len(a.chunks); a.cur++ {
-		c := a.chunks[a.cur]
-		if start := len(c); cap(c)-start >= n {
-			a.chunks[a.cur] = c[:start+n]
-			return c[start : start+n : start+n]
-		}
-	}
-	size := arenaFirstChunk
-	if k := len(a.chunks); k > 0 {
-		size = min(2*cap(a.chunks[k-1]), maxPageValues)
-	}
-	c := make([]T, n, max(size, n))
-	a.chunks = append(a.chunks, c)
-	return c[:n:n]
-}
-
-// reset empties every chunk, zeroing what was carved so no stale text
-// payload stays pinned, and starts carving from the first chunk again.
-func (a *arena[T]) reset() {
-	for i, c := range a.chunks[:min(a.cur+1, len(a.chunks))] {
-		clear(c)
-		a.chunks[i] = c[:0]
-	}
-	a.cur = 0
-}
-
 // aggregateOp is the vectorized hash aggregation kernel: it consumes child
 // pages incrementally (never materializing its input), evaluates compiled
 // group-by and argument expressions, reuses one scratch key row across all
 // input rows, and hashes keys with the allocation-free inline FNV — the
 // steady-state cost of aggregating a row in an existing group is zero
 // allocations. A new group's state, slots and key are carved from arenas the
-// operator reuses partition after partition, so groups cost allocations per
-// arena chunk, not per group. The groups table is pre-sized from the
+// operator rewinds between partitions, so groups cost allocations per arena
+// chunk, not per group. The groups table is pre-sized from the
 // planner's cardinality estimate.
 //
 // Memory is bounded by the query's WorkMem budget: when the group table
@@ -133,7 +91,7 @@ type aggregateOp struct {
 	keyCols  []int                // identity column set over the key
 	memBytes int64
 
-	// The group table's storage, reused partition after partition.
+	// The group table's storage, rewound between partitions.
 	states arena[aggState]
 	slots  arena[aggSlot]
 	keys   arena[value.Value]
@@ -242,13 +200,15 @@ func (a *aggregateOp) find() *aggState {
 }
 
 // resetGroups empties the group table for the next partition, keeping its
-// storage: the map's buckets, the arrival list and the arenas.
+// storage: the map's buckets, the arrival list and the arenas' current
+// chunks.
 func (a *aggregateOp) resetGroups() {
 	clear(a.groups)
+	clear(a.order)
 	a.order = a.order[:0]
-	a.states.reset()
-	a.slots.reset()
-	a.keys.reset()
+	a.states.rewind()
+	a.slots.rewind()
+	a.keys.rewind()
 	a.memBytes = 0
 }
 
@@ -445,7 +405,7 @@ func (a *aggregateOp) materialize() {
 	if len(a.node.GroupBy) == 0 && len(a.order) == 0 && !a.spilled {
 		a.find()
 	}
-	var out rowArena
+	var out arena[value.Value]
 	a.out = make([]value.Row, 0, len(a.order))
 	for _, st := range a.order {
 		kw := len(st.groupKey)
@@ -682,6 +642,8 @@ func (a *aggregateOp) closeSpillFiles() {
 func (a *aggregateOp) Close() error {
 	a.closeSpillFiles()
 	a.groups, a.order, a.out = nil, nil, nil
-	a.states, a.slots, a.keys = arena[aggState]{}, arena[aggSlot]{}, arena[value.Value]{}
+	a.states.reset()
+	a.slots.reset()
+	a.keys.reset()
 	return a.child.Close()
 }

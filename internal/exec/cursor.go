@@ -187,7 +187,7 @@ func (c *stagedCursor) Close() error {
 // a page.
 func Drain(c Cursor) ([]value.Row, error) {
 	var out []value.Row
-	var arena rowArena
+	var vals arena[value.Value]
 	for {
 		pg, err := c.NextPage()
 		if err != nil {
@@ -199,7 +199,7 @@ func Drain(c Cursor) ([]value.Row, error) {
 		}
 		n := pg.Len()
 		for i := 0; i < n; i++ {
-			out = append(out, arena.copyRow(pg.Row(i)))
+			out = append(out, copyRow(&vals, pg.Row(i)))
 		}
 		pg.Release()
 	}

@@ -36,7 +36,7 @@ const DefaultPageRows = 64
 // its next use (8,192 values, 256 KB): enough for a decoded heap page or a
 // full page of wide join rows, while a page that grew past it drops the
 // storage on recycle so a parked page cannot hoard memory. It is also the
-// largest chunk a rowArena allocates.
+// largest chunk an arena allocates.
 const maxPageValues = 8192
 
 // DefaultWorkMem is the per-query memory budget of the stateful operators

@@ -58,8 +58,8 @@ type hashJoin struct {
 	tmpDir  string
 	spillM  *SpillMetrics
 
-	buildRows  []value.Row // in-memory build accumulation (resumable)
-	buildArena rowArena    // owns the build rows' values: build pages and spill rows are recycled under them
+	buildRows  []value.Row        // in-memory build accumulation (resumable)
+	buildArena arena[value.Value] // owns the build rows' values: build pages and spill rows are recycled under them
 	buildBytes int64
 	buildDone  bool
 	built      bool
@@ -141,7 +141,7 @@ func (j *hashJoin) fillBuild() error {
 			if j.buildRows == nil && j.buildHint > 0 {
 				j.buildRows = make([]value.Row, 0, budgetPresize(j.buildHint, j.workMem))
 			}
-			j.buildRows = append(j.buildRows, j.buildArena.copyRow(row))
+			j.buildRows = append(j.buildRows, copyRow(&j.buildArena, row))
 			j.buildBytes += rowMemSize(row)
 		}
 		pg.Release()
@@ -419,7 +419,7 @@ func (j *hashJoin) startPartition() error {
 		if !ok {
 			break
 		}
-		rows = append(rows, j.buildArena.copyRow(row))
+		rows = append(rows, copyRow(&j.buildArena, row))
 	}
 	r.Close()
 	j.loadTable(rows)

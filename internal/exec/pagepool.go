@@ -26,7 +26,7 @@ package exec
 //     After Release neither the page's Rows/Sel slices nor any row read
 //     from them may be touched.
 //   - Anything that keeps a row longer copies it: value.Row.Clone, or an
-//     operator arena (rowArena) that the operator itself owns and charges to
+//     operator arena (copyRow) that the operator itself owns and charges to
 //     its WorkMem budget. The hash-join build side, Top-N, DISTINCT's dedup
 //     table, Drain and the client API's materialised results are the
 //     retainers; sort copies into its arenas, aggregation copies group keys
@@ -78,10 +78,10 @@ type Page struct {
 	// decoded once, but visibility is per-snapshot.
 	Vers []RowVer
 
-	buf    []value.Row // backing array owned by the page, reused on recycle
-	selBuf []int32     // selection backing, reused on recycle
-	verBuf []RowVer    // version-sidecar backing, reused on recycle
-	vals   rowArena    // value storage rows are carved from, reused on recycle
+	buf    []value.Row        // backing array owned by the page, reused on recycle
+	selBuf []int32            // selection backing, reused on recycle
+	verBuf []RowVer           // version-sidecar backing, reused on recycle
+	vals   arena[value.Value] // value storage rows are carved from, reused on recycle
 	refs   atomic.Int32
 	pool   *PagePool
 }
@@ -112,45 +112,57 @@ func (p *Page) Row(i int) value.Row {
 	return p.Rows[i]
 }
 
-// rowArena is chunked row storage: an exchange page's value storage, and
-// the storage an operator copies the rows it keeps into (then a row lives as
-// long as the operator keeps the arena, whatever happens to the page it came
-// from). Chunks start at arenaMinVals and double up to maxPageValues, so a
-// small build side costs one small allocation, a large one O(n/chunk), and a
-// recycled page's storage is one chunk it can keep.
-type rowArena struct {
-	chunk []value.Value
+// arena is chunked storage that small slices are carved from: an exchange
+// page's value storage, the storage an operator copies the rows it keeps into
+// (then a row lives as long as the operator keeps the arena, whatever happens
+// to the page it came from), and the aggregation's group states and slots.
+// Chunks start at arenaMinChunk elements and double up to maxPageValues, so a
+// small build side costs one small allocation, a large one O(n/chunk). The
+// arena holds only the chunk being carved: slices carved from older chunks
+// keep those alive for as long as someone references them.
+type arena[T any] struct {
+	chunk []T
 }
 
-// arenaMinVals is the first chunk's size, in values.
-const arenaMinVals = 256
+// arenaMinChunk is the first chunk's size, in elements.
+const arenaMinChunk = 256
 
-// carve cuts an n-value row off the current chunk, starting a fresh chunk
-// when it is full; rows carved earlier keep the older chunk. Full-capacity
-// slicing keeps rows from clobbering each other through append.
+// carve cuts n elements off the current chunk, starting a fresh chunk when it
+// is full. Full-capacity slicing keeps carved slices from clobbering each
+// other through append.
 //
 //stagedb:hot
-func (a *rowArena) carve(n int) value.Row {
+func (a *arena[T]) carve(n int) []T {
 	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]value.Value, 0, max(min(2*cap(a.chunk), maxPageValues), arenaMinVals, n))
+		a.chunk = make([]T, 0, max(min(2*cap(a.chunk), maxPageValues), arenaMinChunk, n))
 	}
 	start := len(a.chunk)
 	a.chunk = a.chunk[:start+n]
-	return value.Row(a.chunk[start : start+n : start+n])
+	return a.chunk[start : start+n : start+n]
 }
 
-// copyRow copies row into the arena — how an operator keeps a page row past
-// the page's release.
-func (a *rowArena) copyRow(row value.Row) value.Row {
+// reset lets go of the arena's storage: slices already carved stay valid for
+// as long as someone references them, and the next carve starts a fresh
+// small chunk.
+func (a *arena[T]) reset() { a.chunk = nil }
+
+// rewind keeps the current chunk for the next carves, zeroed so it pins no
+// stale payload, and lets go of the older ones: nothing carved before a
+// rewind may be used after it. An operator that rewinds between partitions
+// carves each partition from one chunk once that chunk has grown to hold a
+// partition's worth.
+func (a *arena[T]) rewind() {
+	clear(a.chunk)
+	a.chunk = a.chunk[:0]
+}
+
+// copyRow copies row into an arena — how an operator keeps a page or spill
+// row past its page's release or its reader's next row.
+func copyRow(a *arena[value.Value], row value.Row) value.Row {
 	dst := a.carve(len(row))
 	copy(dst, row)
 	return dst
 }
-
-// reset lets go of the arena's storage; rows already carved stay valid for
-// as long as someone references them, and the next carve starts a fresh
-// small chunk.
-func (a *rowArena) reset() { a.chunk = nil }
 
 // Retain adds one reference for fan-out delivery. No-op on unpooled pages.
 func (p *Page) Retain() {
@@ -288,6 +300,8 @@ func (pp *PagePool) put(p *Page) {
 	if cap(p.vals.chunk) > maxPageValues {
 		p.vals.reset()
 	} else {
+		// Truncated, not rewound: the next producer writes every slot it
+		// carves, so zeroing the storage here would be wasted work per page.
 		p.vals.chunk = p.vals.chunk[:0]
 	}
 	pp.recycle.Add(1)

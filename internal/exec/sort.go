@@ -105,7 +105,7 @@ type sortOp struct {
 	// expressions. Items are carved from a chunked value arena, so the
 	// common in-memory path costs O(n/chunk) allocations, not one per row.
 	items     []value.Row
-	arena     rowArena
+	store     arena[value.Value]
 	itemBytes int64
 	runs      []*spill.File
 	inputDone bool
@@ -122,7 +122,7 @@ func (s *sortOp) Open() error {
 	s.workMem = ResolveWorkMem(s.workMem) // directly built operators get defaults
 	s.closeSpill()
 	s.items, s.itemBytes = nil, 0
-	s.arena.reset()
+	s.store.reset()
 	s.inputDone, s.loaded = false, false
 	s.out, s.pos = nil, 0
 	return s.child.Open()
@@ -167,7 +167,7 @@ func (s *sortOp) fill() error {
 		n := pg.Len()
 		for i := 0; i < n; i++ {
 			row := pg.Row(i)
-			item := s.arena.carve(kw + len(row))
+			item := s.store.carve(kw + len(row))
 			for j, k := range s.keys {
 				v, err := k(row)
 				if err != nil {
@@ -235,7 +235,7 @@ func (s *sortOp) flushRun() error {
 	// Dropping the arena with the items lets the flushed batch's value
 	// storage go to GC; the next batch carves fresh chunks.
 	s.items, s.itemBytes = s.items[:0], 0
-	s.arena.reset()
+	s.store.reset()
 	return nil
 }
 
