@@ -494,7 +494,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 		{PoolFrames: -2},
 		{ExecWorkers: -1},
 		{ExecQueueDepth: -1},
-		{ExecBatch: -3},
 	} {
 		if _, err := Open(opts); err == nil {
 			t.Fatalf("Open(%+v) should fail", opts)

@@ -57,14 +57,12 @@ func main() {
 		}
 	}
 
-	// (a) per-stage thread counts from the observed monitors.
+	// (a) per-stage thread counts from the observed queue lengths.
 	fmt.Println("observed stages and §4.4(a) thread recommendations:")
 	snaps := db.Stages()
-	for _, rec := range autotune.TuneThreads(snaps, 16) {
-		for _, s := range snaps {
-			if s.Name == rec.Stage && s.Serviced > 0 {
-				fmt.Printf("  %-12s serviced=%-6d -> %d worker(s)\n", rec.Stage, s.Serviced, rec.Workers)
-			}
+	for i, rec := range autotune.TuneExecWorkers(snaps, 0, 16) {
+		if s := snaps[i]; s.Serviced > 0 {
+			fmt.Printf("  %-12s serviced=%-6d queue=%-4d -> %d worker(s)\n", rec.Stage, s.Serviced, s.QueueLen, rec.Workers)
 		}
 	}
 

@@ -5,7 +5,7 @@
 //
 // The four tuned parameters, per the paper:
 //
-//	(a) the number of threads at each stage (from its observed I/O blocking),
+//	(a) the number of threads at each stage (from its observed queue length),
 //	(b) the stage size — merging or splitting stages against the cache size,
 //	(c) the page size for intermediate results, and
 //	(d) the thread scheduling policy for the current load.
@@ -24,41 +24,11 @@ type ThreadRecommendation struct {
 	Workers int
 }
 
-// TuneThreads recommends per-stage worker counts from stage monitors: a
-// stage that never blocks on I/O needs exactly one worker (extra threads
-// only thrash, §3.1.1); a stage that blocks needs roughly 1/(1-blockedFrac)
-// workers to keep the CPU busy, capped at maxWorkers.
-func TuneThreads(snaps []metrics.StageSnapshot, maxWorkers int) []ThreadRecommendation {
-	if maxWorkers <= 0 {
-		maxWorkers = 32
-	}
-	out := make([]ThreadRecommendation, 0, len(snaps))
-	for _, s := range snaps {
-		workers := 1
-		if s.Serviced > 0 && s.IOBlocked > 0 {
-			frac := float64(s.IOBlocked) / float64(s.Serviced)
-			if frac > 0.95 {
-				frac = 0.95
-			}
-			workers = int(1.0/(1.0-frac) + 0.5)
-			if workers < 1 {
-				workers = 1
-			}
-			if workers > maxWorkers {
-				workers = maxWorkers
-			}
-		}
-		out = append(out, ThreadRecommendation{Stage: s.Name, Workers: workers})
-	}
-	return out
-}
-
-// TuneExecWorkers sizes each execution-stage worker pool from its observed
-// queue pressure (§4.4a applied to the exec engine's operator stages).
-// Operator tasks never hold a worker while blocked — they yield — so queue
-// length is the load signal: an idle stage needs one worker, and each
-// backlog of perWorker queued tasks (0 = 4) earns another, capped at
-// maxWorkers (0 = 16).
+// TuneExecWorkers sizes each stage's worker pool from its observed queue
+// pressure (§4.4a). Operator tasks never hold a worker while blocked — they
+// yield — so queue length is the load signal: an idle stage needs one
+// worker, and each backlog of perWorker queued tasks (0 = 4) earns another,
+// capped at maxWorkers (0 = 16).
 func TuneExecWorkers(snaps []metrics.StageSnapshot, perWorker, maxWorkers int) []ThreadRecommendation {
 	if perWorker <= 0 {
 		perWorker = 4

@@ -7,28 +7,6 @@ import (
 	"stagedb/internal/queuesim"
 )
 
-func TestTuneThreadsCPUBoundStaysAtOne(t *testing.T) {
-	recs := TuneThreads([]metrics.StageSnapshot{
-		{Name: "parse", Serviced: 100, IOBlocked: 0},
-	}, 32)
-	if recs[0].Workers != 1 {
-		t.Fatalf("CPU-bound stage should get 1 worker, got %d", recs[0].Workers)
-	}
-}
-
-func TestTuneThreadsIOBoundScalesUp(t *testing.T) {
-	recs := TuneThreads([]metrics.StageSnapshot{
-		{Name: "fscan", Serviced: 100, IOBlocked: 80}, // 80% blocked -> ~5 workers
-		{Name: "log", Serviced: 100, IOBlocked: 99},   // capped
-	}, 8)
-	if recs[0].Workers < 4 || recs[0].Workers > 6 {
-		t.Fatalf("80%% blocked should want ~5 workers, got %d", recs[0].Workers)
-	}
-	if recs[1].Workers != 8 {
-		t.Fatalf("recommendation should cap at max, got %d", recs[1].Workers)
-	}
-}
-
 func TestGroupStagesPacksToCache(t *testing.T) {
 	mods := []Module{
 		{Name: "parse", Bytes: 100},

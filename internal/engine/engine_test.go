@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -424,21 +427,199 @@ func TestGroupByThroughEngine(t *testing.T) {
 	}
 }
 
-// TestThreadedSubmitAfterClose reproduces the "send on closed channel"
-// panic: submitting after Close must fail the request with ErrClosed.
-func TestThreadedSubmitAfterClose(t *testing.T) {
+// TestSubmitAfterClose reproduces the "send on closed channel" panic:
+// submitting after Close must fail the request with ErrClosed on either front
+// end.
+func TestSubmitAfterClose(t *testing.T) {
+	for _, fe := range []struct {
+		name string
+		open func(*DB) frontEnd
+	}{
+		{"threaded", func(db *DB) frontEnd { return NewThreaded(db, 2) }},
+		{"staged", func(db *DB) frontEnd { return NewStaged(db, StagedConfig{}) }},
+	} {
+		t.Run(fe.name, func(t *testing.T) {
+			db, _ := seed(t)
+			pool := fe.open(db)
+			sess := db.NewSession()
+			if _, err := pool.Exec(sess, "SELECT COUNT(*) FROM accounts"); err != nil {
+				t.Fatal(err)
+			}
+			pool.Close()
+			req := NewRequest(sess, "SELECT COUNT(*) FROM accounts")
+			if err := pool.Submit(req); !errors.Is(err, ErrClosed) { // must not panic
+				t.Fatalf("submit after close: err = %v, want ErrClosed", err)
+			}
+			pool.Close() // idempotent
+		})
+	}
+}
+
+// frontEnd is what TestSubmitAfterClose needs of Threaded and Staged.
+type frontEnd interface {
+	Submit(*Request) error
+	Exec(*Session, string) (*Result, error)
+	Close()
+}
+
+// waitFor polls cond for up to 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// blockedExecute is a Workers: 1 Staged front end whose one execute worker
+// waits on a table lock taken by an open transaction on a direct Session.
+type blockedExecute struct {
+	db      *DB
+	staged  *Staged
+	holder  *Session // holds the table lock until closeAndRelease
+	before  int      // goroutines before NewStaged
+	blocked *Request // the UPDATE in service at execute
+	queued  []*Request
+}
+
+// newBlockedExecute blocks the execute worker on an UPDATE and queues three
+// SELECTs behind it.
+func newBlockedExecute(t *testing.T) *blockedExecute {
+	t.Helper()
 	db, _ := seed(t)
-	pool := NewThreaded(db, 2)
-	sess := db.NewSession()
-	if _, err := pool.Exec(sess, "SELECT COUNT(*) FROM accounts"); err != nil {
-		t.Fatal(err)
+	f := &blockedExecute{db: db, before: runtime.NumGoroutine()}
+	f.staged = NewStaged(db, StagedConfig{Workers: 1})
+	f.holder = db.NewSession()
+	mustExec(t, f.holder, "BEGIN")
+	mustExec(t, f.holder, "UPDATE accounts SET balance = 1 WHERE id = 1")
+
+	submit := func(q string) *Request {
+		t.Helper()
+		req := NewRequest(db.NewSession(), q)
+		if err := f.staged.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		return req
 	}
-	pool.Close()
-	req := NewRequest(sess, "SELECT COUNT(*) FROM accounts")
-	if err := pool.Submit(req); err != ErrClosed { // must not panic
-		t.Fatalf("submit after close: err = %v, want ErrClosed", err)
+	f.blocked = submit("UPDATE accounts SET balance = 2 WHERE id = 2")
+	waitFor(t, "the execute worker to take the UPDATE", func() bool {
+		return f.staged.ExecPool().QueueLen("execute") == 0 && f.staged.InFlight() == 1
+	})
+	for i := 0; i < 3; i++ {
+		f.queued = append(f.queued, submit("SELECT COUNT(*) FROM accounts"))
 	}
-	pool.Close() // idempotent
+	waitFor(t, "three requests queued at execute", func() bool { return f.staged.ExecuteQueueLen() == 3 })
+	return f
+}
+
+// closeAndRelease starts Close while the execute worker is blocked, then
+// rolls the lock holder back. Close must return, every request must finish,
+// and no goroutine may be left behind.
+func (f *blockedExecute) closeAndRelease(t *testing.T) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		f.staged.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to start", f.staged.closed.Load)
+	mustExec(t, f.holder, "ROLLBACK")
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the lock holder rolled back")
+	}
+	for _, req := range append([]*Request{f.blocked}, f.queued...) {
+		select {
+		case <-req.Done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%q stranded after Close", req.SQL)
+		}
+	}
+	waitFor(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= f.before })
+}
+
+// TestStagedBackPressureBlocksOnlyProducer: requests bound for a blocked
+// execute stage queue up behind it, but requests whose route skips execute
+// keep running (§4.1.1: a blocked stage stalls only what flows into it).
+func TestStagedBackPressureBlocksOnlyProducer(t *testing.T) {
+	f := newBlockedExecute(t)
+	staged := f.staged
+
+	// within runs fn, failing the test if the blocked stage holds it up.
+	within := func(what string, fn func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- fn() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s waited on the blocked execute stage", what)
+			return nil
+		}
+	}
+	// Prepare routes connect -> parse -> optimize -> disconnect.
+	if err := within("prepare", func() error {
+		_, err := staged.Prepare(f.db.NewSession(), "SELECT owner FROM accounts WHERE id = ?")
+		return err
+	}); err != nil {
+		t.Fatalf("prepare while execute is blocked: %v", err)
+	}
+	executeArrivals := func() int64 {
+		for _, snap := range staged.Snapshot() {
+			if snap.Name == "execute" {
+				return snap.Enqueued
+			}
+		}
+		t.Fatal("no execute stage in Snapshot")
+		return 0
+	}
+	arrived := executeArrivals()
+	if err := within("a parse error", func() error {
+		_, err := staged.Exec(f.db.NewSession(), "SELEKT nope")
+		return err
+	}); err == nil {
+		t.Fatal("parse error lost")
+	}
+	if got := executeArrivals(); got != arrived {
+		t.Fatalf("a failed parse visited execute: %d arrivals, was %d", got, arrived)
+	}
+	select {
+	case <-f.blocked.Done:
+		t.Fatal("UPDATE finished while its table lock was held")
+	default:
+	}
+	if got := staged.ExecuteQueueLen(); got != 3 {
+		t.Fatalf("execute queue = %d while blocked, want 3", got)
+	}
+	f.closeAndRelease(t)
+}
+
+// TestStagedStopFailsQueuedPackets: requests still queued at execute when
+// Close starts finish with ErrClosed instead of vanishing.
+func TestStagedStopFailsQueuedPackets(t *testing.T) {
+	f := newBlockedExecute(t)
+	f.closeAndRelease(t)
+	for i, req := range f.queued {
+		if !errors.Is(req.Err, ErrClosed) {
+			t.Fatalf("queued request %d: err = %v, want ErrClosed", i, req.Err)
+		}
+	}
+}
+
+// TestStagedStopDeliversInFlightPackets: the request in service at execute
+// when Close starts is forwarded to disconnect once its lock is released;
+// it finishes with ErrClosed rather than stranding its client.
+func TestStagedStopDeliversInFlightPackets(t *testing.T) {
+	f := newBlockedExecute(t)
+	f.closeAndRelease(t)
+	if !errors.Is(f.blocked.Err, ErrClosed) {
+		t.Fatalf("in-flight UPDATE: err = %v, want ErrClosed", f.blocked.Err)
+	}
 }
 
 // TestStagedCloseNeverStrandsClients races queries against Staged.Close:
@@ -478,10 +659,10 @@ func TestStagedCloseNeverStrandsClients(t *testing.T) {
 
 // TestStagedExecPoolMonitoring checks that the pooled exec scheduler feeds
 // per-stage queue/service metrics into the engine's monitor surface and
-// that AutotuneExec resizes from them.
+// that AutotuneExec resizes the operator stages, and only them, from them.
 func TestStagedExecPoolMonitoring(t *testing.T) {
 	db, _ := seed(t)
-	staged := NewStaged(db, StagedConfig{ExecWorkers: 2, ExecBatch: 2})
+	staged := NewStaged(db, StagedConfig{ExecWorkers: 2})
 	defer staged.Close()
 	sess := db.NewSession()
 	if _, err := staged.Exec(sess, "SELECT owner, SUM(balance) FROM accounts GROUP BY owner ORDER BY owner"); err != nil {
@@ -507,8 +688,16 @@ func TestStagedExecPoolMonitoring(t *testing.T) {
 		t.Fatal("AutotuneExec returned no recommendations")
 	}
 	for _, r := range recs {
+		if !slices.Contains(operatorStages, r.Stage) {
+			t.Fatalf("AutotuneExec resized query stage %s", r.Stage)
+		}
 		if got := staged.ExecPool().Workers(r.Stage); got != r.Workers {
 			t.Fatalf("stage %s: pool has %d workers, recommendation was %d", r.Stage, got, r.Workers)
 		}
+	}
+	// An idle execute stage shrunk to one worker would queue a COMMIT
+	// behind a statement waiting on that transaction's lock (§3.1.1).
+	if got := staged.ExecPool().Workers("execute"); got != 4 {
+		t.Fatalf("execute workers after AutotuneExec = %d, want 4", got)
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stagedb/internal/autotune"
-	"stagedb/internal/core"
 	"stagedb/internal/exec"
 	"stagedb/internal/metrics"
 	"stagedb/internal/plan"
@@ -32,8 +32,9 @@ type Request struct {
 	Script []string
 
 	// Ctx, when non-nil, cancels the request: the staged front end checks it
-	// between stages (the packet fails to the finish hook), and executions in
-	// flight abort between pages, draining outstanding pages to the pool.
+	// between stages (the request finishes with the context's error), and
+	// executions in flight abort between pages, draining outstanding pages to
+	// the pool.
 	Ctx context.Context
 	// Args bind the statement's `?` placeholders, substituted after parse.
 	Args []value.Value
@@ -251,40 +252,37 @@ func (t *Threaded) Close() {
 
 // Staged is the paper's front end: connect -> parse -> optimize -> execute
 // -> disconnect stages connected by queues, with the execution engine's
-// operators owned by fscan/iscan/sort/join/aggr stages (§4.3).
+// operators owned by fscan/iscan/sort/join/aggr stages (§4.3). Query and
+// operator stages alike run on one exec.StagePool.
 type Staged struct {
 	db       *DB
-	srv      *core.Server
+	pool     *exec.StagePool
 	inflight atomic.Int64
+	closed   atomic.Bool
 
-	// execPool schedules operator tasks on bounded per-stage worker pools.
-	execPool *exec.StagePool
+	// The itineraries of §4.1: full requests visit every query stage,
+	// prepare-only requests stop before execute, and prepared executions —
+	// already parsed and planned — enter at execute.
+	full, prepareOnly, prepared []queryStage
 
 	// shared is the fscan stage's scan-sharing manager; nil when disabled.
 	shared *exec.SharedScans
 
-	// stream runs a SELECT plan on execPool; the execute stage installs it
-	// on every session it serves.
+	// stream runs a SELECT plan on pool; the execute stage installs it on
+	// every session it serves.
 	stream StreamFunc
 }
 
 // StagedConfig sizes the staged front end.
 type StagedConfig struct {
-	// Workers per top-level stage (§4.4a tunes these individually).
-	ConnectWorkers, ParseWorkers, OptimizeWorkers, ExecuteWorkers, DisconnectWorkers int
-	// QueueCap bounds each stage queue (back-pressure beyond it).
-	QueueCap int
-	// Batch is the per-stage cohort size for local scheduling.
-	Batch int
-
+	// Workers per query stage (connect/parse/optimize/execute/disconnect);
+	// 0 = 4 for execute and 2 for the others. §4.4a tunes them individually.
+	Workers int
 	// ExecWorkers is the worker count of each execution-engine stage pool
 	// (fscan/iscan/filter/sort/join/aggr/exec); 0 = the default, 2.
 	ExecWorkers int
 	// ExecQueueDepth bounds each exec-stage task queue (0 = 64).
 	ExecQueueDepth int
-	// ExecBatch is the task batch one exec worker drains per activation
-	// (0 = 4).
-	ExecBatch int
 	// DisableSharedScans turns off fscan work sharing (QPipe-style shared
 	// circular table scans). Sharing is on by default on the staged engine:
 	// concurrent sequential scans of one table ride a single in-flight heap
@@ -292,15 +290,56 @@ type StagedConfig struct {
 	DisableSharedScans bool
 }
 
+// queryQueueDepth bounds each query stage's queue. It must exceed the
+// admission controller's execute-queue shedding threshold (192 by default)
+// for that threshold to be reachable.
+const queryQueueDepth = 256
+
+// operatorStages are the execution engine's stage classes (plan.StageOf).
+var operatorStages = []string{"fscan", "iscan", "filter", "sort", "join", "aggr", "exec"}
+
+// queryStage is one front-end stage: its name on the pool and the stage's
+// server code.
+type queryStage struct {
+	name  string
+	serve func(*Request) error
+}
+
+// packet carries a request along its route of query stages (§4.1.1: the
+// Request is the packet's backpack, where parse fills Stmt and optimize
+// fills Node). It is served at route[0] and then submits itself to the next
+// stage, as an operator task re-enters its own.
+type packet struct {
+	s     *Staged
+	req   *Request
+	route []queryStage
+}
+
+// Stage implements exec.Task.
+func (p *packet) Stage() string { return p.route[0].name }
+
+// Run implements exec.Task: serve the current stage, then move on. A stage
+// that fails finishes the request at once, and so does any stage reached
+// after Close, with ErrClosed.
+func (p *packet) Run() {
+	st := p.route[0]
+	p.route = p.route[1:]
+	err := ErrClosed
+	if !p.s.closed.Load() {
+		err = st.serve(p.req)
+	}
+	if err != nil {
+		p.s.finish(p.req, err)
+		return
+	}
+	if len(p.route) > 0 {
+		p.s.pool.Submit(p)
+	}
+}
+
 // NewStaged starts the staged front end.
 func NewStaged(db *DB, cfg StagedConfig) *Staged {
-	def := func(v, d int) int {
-		if v <= 0 {
-			return d
-		}
-		return v
-	}
-	s := &Staged{db: db, srv: core.NewServer()}
+	s := &Staged{db: db}
 	s.stream = s.runStaged // bound once: installing it per request allocates nothing
 	if !cfg.DisableSharedScans {
 		s.shared = exec.NewSharedScans(db.cfg.BufferPages, db.pages)
@@ -309,93 +348,66 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 		// snapshot's visibility.
 		s.shared.SetVersioned(true)
 	}
-	s.execPool = exec.NewStagePool(exec.StagePoolConfig{
+	s.pool = exec.NewStagePool(exec.StagePoolConfig{
 		Workers:    cfg.ExecWorkers,
 		QueueDepth: cfg.ExecQueueDepth,
-		Batch:      cfg.ExecBatch,
 	})
-	// Park every operator stage's workers now, not at first use: a worker
-	// spawned lazily under load can sit unscheduled in the run queue for a
-	// whole GC cycle on a single-CPU runtime, stalling the first query that
-	// needs its stage (see StagePool.Prestart).
-	s.execPool.Prestart("fscan", "iscan", "filter", "sort", "join", "aggr", "exec")
-
-	s.srv.AddStage(core.StageConfig{
-		Name: "connect", Workers: def(cfg.ConnectWorkers, 2),
-		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 1),
-		Handler: s.connect,
-	})
-	s.srv.AddStage(core.StageConfig{
-		Name: "parse", Workers: def(cfg.ParseWorkers, 2),
-		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 4),
-		Handler: s.parse,
-	})
-	s.srv.AddStage(core.StageConfig{
-		Name: "optimize", Workers: def(cfg.OptimizeWorkers, 2),
-		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 4),
-		Handler: s.optimize,
-	})
-	s.srv.AddStage(core.StageConfig{
-		Name: "execute", Workers: def(cfg.ExecuteWorkers, 4),
-		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 1),
-		Handler: s.execute,
-	})
-	s.srv.AddStage(core.StageConfig{
-		Name: "disconnect", Workers: def(cfg.DisconnectWorkers, 2),
-		QueueCap: def(cfg.QueueCap, 256), Batch: def(cfg.Batch, 1),
-		Handler: s.disconnect,
-	})
-	s.srv.OnFinish(func(pkt *core.Packet) {
-		// A packet destroyed before disconnect (routing error) must still
-		// release its client.
-		req := pkt.Backpack.(*Request)
-		select {
-		case <-req.Done:
-		default:
-			if pkt.Err != nil && req.Err == nil {
-				req.Err = pkt.Err
-			}
-			close(req.Done)
-			s.inflight.Add(-1)
+	connect := queryStage{"connect", s.connect}
+	parse := queryStage{"parse", s.parse}
+	optimize := queryStage{"optimize", s.optimize}
+	execute := queryStage{"execute", s.execute}
+	disconnect := queryStage{"disconnect", s.disconnect}
+	s.full = []queryStage{connect, parse, optimize, execute, disconnect}
+	s.prepareOnly = []queryStage{connect, parse, optimize, disconnect}
+	s.prepared = []queryStage{execute, disconnect}
+	for _, st := range s.full {
+		workers := 2
+		if st.name == "execute" {
+			workers = 4
 		}
-	})
-	s.srv.Start()
+		if cfg.Workers > 0 {
+			workers = cfg.Workers
+		}
+		s.pool.AddStage(st.name, workers, queryQueueDepth)
+	}
+	// Park every operator stage's workers now, not at first use (see
+	// StagePool.AddStage).
+	for _, name := range operatorStages {
+		s.pool.AddStage(name, 0, 0)
+	}
 	return s
 }
 
-// Server exposes the underlying staged server (monitoring, tuning).
-func (s *Staged) Server() *core.Server { return s.srv }
-
-// Submit routes a request through the staged pipeline. The route is the
-// request's itinerary (§4.1): full requests visit every stage, prepare-only
-// requests stop before execute, and prepared executions — already parsed and
-// planned — enter the pipeline directly at the execute stage.
+// Submit routes a request through the staged pipeline along its itinerary
+// (§4.1), blocking while its first stage's queue is full. After Close it
+// returns ErrClosed and the request is not accepted.
 func (s *Staged) Submit(req *Request) error {
 	if req.Session == nil {
 		return fmt.Errorf("engine: request without session")
 	}
-	route := []string{"connect", "parse", "optimize", "execute", "disconnect"}
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	route := s.full
 	switch {
 	case req.PrepareOnly:
-		route = []string{"connect", "parse", "optimize", "disconnect"}
+		route = s.prepareOnly
 	case req.Stmt != nil && len(req.Script) == 0:
-		route = []string{"execute", "disconnect"}
-	}
-	// The Request is the packet's backpack (§4.1.1): the query's state
-	// accumulates on it as it passes each stage — parse fills Stmt, optimize
-	// fills Node. In this shared-memory implementation the packet carries a
-	// pointer, not copies.
-	pkt := &core.Packet{
-		Client:   req.Session.ID(),
-		Route:    route,
-		Backpack: req,
+		route = s.prepared
 	}
 	s.inflight.Add(1)
-	if err := s.srv.Submit(pkt); err != nil {
-		s.inflight.Add(-1)
-		return err
-	}
+	s.pool.Submit(&packet{s: s, req: req, route: route})
 	return nil
+}
+
+// finish completes a request: it records err unless a stage already set
+// one, releases the client and leaves the in-flight count.
+func (s *Staged) finish(req *Request, err error) {
+	if err != nil && req.Err == nil {
+		req.Err = err
+	}
+	close(req.Done)
+	s.inflight.Add(-1)
 }
 
 // InFlight counts requests submitted but not yet completed — packets
@@ -408,12 +420,7 @@ func (s *Staged) InFlight() int64 { return s.inflight.Load() }
 // paper's §5.2 bottleneck indicator: parse and optimize are cheap, so a
 // deep execute queue is the first symptom of overload and the admission
 // controller's shedding trigger.
-func (s *Staged) ExecuteQueueLen() int {
-	if st := s.srv.Stage("execute"); st != nil {
-		return st.QueueLen()
-	}
-	return 0
-}
+func (s *Staged) ExecuteQueueLen() int { return s.pool.QueueLen("execute") }
 
 // Prepare parses and plans sqlText on the parse and optimize stages, caching
 // the result keyed by the statement text. A cache hit skips the pipeline
@@ -447,19 +454,19 @@ func (s *Staged) Exec(sess *Session, sqlText string) (*Result, error) {
 	return req.Wait()
 }
 
-// Close stops the staged server, then the execution-stage pools. The order
-// matters: Server.Stop waits for stage workers to finish their in-flight
-// packets, so no query is still inside the exec pool when it closes.
+// Close refuses new requests, then stops the stage pool: it waits for the
+// stages' in-flight work, and every request that reaches a stage afterwards
+// finishes with ErrClosed, so no client hangs.
 func (s *Staged) Close() {
-	s.srv.Stop()
-	s.execPool.Close()
+	s.closed.Store(true)
+	s.pool.Close()
 }
 
-// Snapshot returns the per-stage monitors, including the execution-engine
-// stages (§5.2). When scan sharing is active, the fscan stage's snapshot
-// carries the share hit/attach/wrap counters.
+// Snapshot returns the per-stage monitors, query stages then the execution
+// engine's stages (§5.2). When scan sharing is active, the fscan stage's
+// snapshot carries the share hit/attach/wrap counters.
 func (s *Staged) Snapshot() []metrics.StageSnapshot {
-	out := append(s.srv.Snapshot(), s.execPool.Snapshot()...)
+	out := s.pool.Snapshot()
 	if s.shared != nil {
 		for i := range out {
 			if out[i].Name == "fscan" {
@@ -491,71 +498,65 @@ func (s *Staged) ScanShares() exec.SharedScanStats {
 	return s.shared.Stats()
 }
 
-// ExecPool exposes the execution-stage scheduler for monitoring and tuning.
-func (s *Staged) ExecPool() *exec.StagePool { return s.execPool }
+// ExecPool exposes the stage scheduler for monitoring and tuning.
+func (s *Staged) ExecPool() *exec.StagePool { return s.pool }
 
-// AutotuneExec resizes the execution-stage pools from their observed queue
+// AutotuneExec resizes the execution-engine stages from their observed queue
 // lengths (§4.4a applied to the exec engine) and returns the applied
-// recommendations.
+// recommendations. The query stages keep their sizes: a one-worker execute
+// stage would queue a COMMIT behind a statement waiting on that very
+// transaction's lock (§3.1.1).
 func (s *Staged) AutotuneExec(maxWorkers int) []autotune.ThreadRecommendation {
-	recs := autotune.TuneExecWorkers(s.execPool.Snapshot(), 0, maxWorkers)
+	var snaps []metrics.StageSnapshot
+	for _, snap := range s.pool.Snapshot() {
+		if slices.Contains(operatorStages, snap.Name) {
+			snaps = append(snaps, snap)
+		}
+	}
+	recs := autotune.TuneExecWorkers(snaps, 0, maxWorkers)
 	for _, r := range recs {
-		s.execPool.Resize(r.Stage, r.Workers)
+		s.pool.Resize(r.Stage, r.Workers)
 	}
 	return recs
 }
 
 // --- stage handlers ---
 
-// connect authenticates the client and starts the query's packet on its
-// way (client state creation in the paper's connect stage).
-func (s *Staged) connect(pkt *core.Packet) (core.Verdict, error) {
-	req := pkt.Backpack.(*Request)
-	if req.Session == nil {
-		return core.Done, fmt.Errorf("engine: request without session")
-	}
-	if err := req.ctxErr(); err != nil {
-		return core.Done, err
-	}
-	return core.Forward, nil
-}
+// connect starts the query's packet on its way (client state creation in
+// the paper's connect stage).
+func (s *Staged) connect(req *Request) error { return req.ctxErr() }
 
 // parse runs the SQL front end (syntactic/semantic check of Figure 3),
 // substitutes placeholder arguments, and enforces QueryOnly. Transaction
 // scripts are parsed statement-by-statement inside execute.
-func (s *Staged) parse(pkt *core.Packet) (core.Verdict, error) {
-	req := pkt.Backpack.(*Request)
+func (s *Staged) parse(req *Request) error {
 	if err := req.ctxErr(); err != nil {
-		return core.Done, err
+		return err
 	}
 	if len(req.Script) > 0 {
-		return core.Forward, nil
+		return nil
 	}
-	if err := req.prepareStmt(); err != nil {
-		return core.Done, err
-	}
-	return core.Forward, nil
+	return req.prepareStmt()
 }
 
 // optimize plans SELECTs (other statements pass through: their "plans" are
 // trivial and built inside execute). Prepared requests arrive with Node set
 // and pass through untouched.
-func (s *Staged) optimize(pkt *core.Packet) (core.Verdict, error) {
-	req := pkt.Backpack.(*Request)
+func (s *Staged) optimize(req *Request) error {
 	if err := req.ctxErr(); err != nil {
-		return core.Done, err
+		return err
 	}
 	if len(req.Script) > 0 || req.Node != nil {
-		return core.Forward, nil
+		return nil
 	}
 	if sel, ok := req.Stmt.(*sql.Select); ok {
 		node, err := plan.BindSelect(s.db.cat, sel, s.db.cfg.PlanOptions)
 		if err != nil {
-			return core.Done, err
+			return err
 		}
 		req.Node = node
 	}
-	return core.Forward, nil
+	return nil
 }
 
 // execute runs the statement. SELECT plans run on the staged execution
@@ -563,8 +564,9 @@ func (s *Staged) optimize(pkt *core.Packet) (core.Verdict, error) {
 // stage, with page-based dataflow (§4.1.2). Streaming SELECTs launch their
 // pipeline and hand the client a cursor over the final exchange without
 // occupying the stage worker; the cursor's Close (or a context cancel)
-// abandons the pipeline and recycles its pages.
-func (s *Staged) execute(pkt *core.Packet) (core.Verdict, error) {
+// abandons the pipeline and recycles its pages. The statement's own error
+// travels on the request to disconnect.
+func (s *Staged) execute(req *Request) error {
 	// Fairness valve for single-P runtimes: the stage-to-stage handoff chain
 	// wakes exactly one goroutine before every park, so the scheduler's
 	// direct-handoff slot is never empty and goroutines sitting in the local
@@ -575,9 +577,8 @@ func (s *Staged) execute(pkt *core.Packet) (core.Verdict, error) {
 	// woken its successor, is the one point in the chain where the handoff
 	// slot is empty, so the yield actually drains the queue.
 	runtime.Gosched()
-	req := pkt.Backpack.(*Request)
 	if err := req.ctxErr(); err != nil {
-		return core.Done, err
+		return err
 	}
 	req.Session.SetStreamRunner(s.stream)
 	if len(req.Script) > 0 {
@@ -585,13 +586,13 @@ func (s *Staged) execute(pkt *core.Packet) (core.Verdict, error) {
 	} else {
 		req.dispatch()
 	}
-	return core.Forward, nil
+	return nil
 }
 
 // runStaged is the staged engine's StreamFunc: it launches the plan on the
 // execution-stage pools and returns the cursor over its final exchange.
 func (s *Staged) runStaged(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
-	return exec.RunStagedCursor(node, s.db, s.execPool, exec.StagedOptions{
+	return exec.RunStagedCursor(node, s.db, s.pool, exec.StagedOptions{
 		PageRows:    s.db.cfg.PageRows,
 		BufferPages: s.db.cfg.BufferPages,
 		Shared:      s.shared,
@@ -605,12 +606,7 @@ func (s *Staged) runStaged(ctx context.Context, node plan.Node, vis exec.Visible
 }
 
 // disconnect finishes the request: deliver results, destroy client state.
-func (s *Staged) disconnect(pkt *core.Packet) (core.Verdict, error) {
-	req := pkt.Backpack.(*Request)
-	if pkt.Err != nil && req.Err == nil {
-		req.Err = pkt.Err
-	}
-	close(req.Done)
-	s.inflight.Add(-1)
-	return core.Done, nil
+func (s *Staged) disconnect(req *Request) error {
+	s.finish(req, nil)
+	return nil
 }

@@ -229,7 +229,7 @@ func TestSelfJoinWithAliases(t *testing.T) {
 
 func TestStagedEngineUnderWriteContention(t *testing.T) {
 	db, _ := seed(t)
-	staged := NewStaged(db, StagedConfig{ExecuteWorkers: 8})
+	staged := NewStaged(db, StagedConfig{Workers: 8})
 	defer staged.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 6; c++ {

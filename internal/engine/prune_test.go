@@ -500,7 +500,7 @@ func TestVisibleMemoSelfJoinRace(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("empty reference")
 	}
-	for _, cfg := range []StagedConfig{{}, {DisableSharedScans: true}, {ExecWorkers: 1, ExecQueueDepth: 1, ExecBatch: 1}} {
+	for _, cfg := range []StagedConfig{{}, {DisableSharedScans: true}, {ExecWorkers: 1, ExecQueueDepth: 1}} {
 		staged := NewStaged(db, cfg)
 		for round := 0; round < 3; round++ {
 			res, err := staged.Exec(db.NewSession(), q)

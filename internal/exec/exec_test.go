@@ -175,13 +175,13 @@ func newTestPool(t *testing.T) *StagePool {
 	return pool
 }
 
-// onEachPool runs fn on the default pool and on a 1-worker, depth-1, batch-1
-// pool, where any blocking call left in an operator or exchange would
+// onEachPool runs fn on the default pool and on a 1-worker, depth-1 pool,
+// where any blocking call left in an operator or exchange would
 // deadlock the stage instead of merely slowing it down.
 func onEachPool(t *testing.T, fn func(t *testing.T, pool *StagePool)) {
 	t.Run("default", func(t *testing.T) { fn(t, newTestPool(t)) })
 	t.Run("tiny", func(t *testing.T) {
-		pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1, Batch: 1})
+		pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1})
 		t.Cleanup(pool.Close)
 		fn(t, pool)
 	})

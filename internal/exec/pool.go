@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -9,67 +8,72 @@ import (
 	"stagedb/internal/metrics"
 )
 
-// StagePoolConfig sizes the pooled execution-stage scheduler.
-type StagePoolConfig struct {
-	// Workers is the initial worker-pool size of each operator stage
-	// (0 = 2). Resize adjusts individual stages at runtime.
-	Workers int
-	// QueueDepth bounds each stage's task queue; launching a pipeline into
-	// a full queue blocks the submitter (back-pressure). Default 64.
-	QueueDepth int
-	// Batch is the local scheduling knob: a worker drains up to Batch tasks
-	// per activation while the stage's working set is hot, mirroring
-	// core.Stage.worker (§4.1.2 cache-locality batching). Default 4.
-	Batch int
+// Task is one unit of work a stage serves (the packet of §4.1.1): an
+// operator's resumable drive loop (opTask) or a front-end request. Run serves
+// it at the stage Stage names; a task bound for another stage afterwards
+// submits itself there.
+type Task interface {
+	Stage() string
+	Run()
 }
 
-// StagePool is the pooled, batched execution-stage scheduler of §4.1.2: each
-// operator stage (fscan/iscan/filter/sort/join/aggr/exec) owns a bounded
-// task queue and a dedicated worker pool, and workers drain same-stage tasks
-// in batches. Operator drive loops are resumable (see opTask), so a task
-// blocked on a page exchange yields its worker instead of occupying it —
-// the property that makes bounded pools deadlock-free here.
+// StagePoolConfig sizes the stages a StagePool creates without AddStage.
+type StagePoolConfig struct {
+	// Workers is a stage's initial worker-pool size (0 = 2). Resize adjusts
+	// individual stages at runtime.
+	Workers int
+	// QueueDepth bounds a stage's task queue; submitting into a full queue
+	// blocks the submitter (back-pressure). Default 64.
+	QueueDepth int
+}
+
+// StagePool is the stage runtime of §4.1: each stage owns a bounded task
+// queue, a dedicated worker pool and a monitor, and its workers serve only its
+// tasks. The front end's query stages (connect/parse/optimize/execute/
+// disconnect) and the execution engine's operator stages (fscan/iscan/filter/
+// sort/join/aggr/exec, §4.3) all run on it. Operator drive loops are
+// resumable (see opTask), so a task blocked on a page exchange yields its
+// worker instead of occupying it — the property that makes bounded pools
+// deadlock-free here.
 //
 // A StagePool may be shared by many concurrent pipelines.
 type StagePool struct {
 	cfg StagePoolConfig
 
-	mu     sync.Mutex // guards stages, ready lists, closed
+	mu     sync.Mutex // guards stages, order, ready lists, closed
 	stages map[string]*poolStage
+	order  []*poolStage // creation order
 	closed bool
 
 	stopped chan struct{}
 	wg      sync.WaitGroup
 }
 
-// poolStage is one operator stage: bounded submission queue, ready list of
-// woken continuations, worker pool, and monitor.
+// poolStage is one stage: bounded submission queue, ready list of woken
+// continuations, worker pool, and monitor.
 type poolStage struct {
 	pool  *StagePool
 	name  string
 	stats *metrics.StageStats
 
-	submit chan *opTask  // new tasks; bounded for back-pressure
+	submit chan Task     // new tasks; bounded for back-pressure
 	notify chan struct{} // pings sleeping workers about ready-list pushes
 	space  chan struct{} // pings blocked submitters after a submit dequeue
 
 	// Guarded by pool.mu.
-	ready  []*opTask // woken continuations, served before submit
-	target int       // desired worker count
-	alive  int       // current worker count
+	ready  []Task // woken continuations, served before submit
+	target int    // desired worker count
+	alive  int    // current worker count
 }
 
-// NewStagePool starts an empty pool; stages spin up lazily as operators are
-// scheduled onto them.
+// NewStagePool starts an empty pool; stages not created by AddStage spin up
+// lazily as tasks are submitted to them.
 func NewStagePool(cfg StagePoolConfig) *StagePool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 4
 	}
 	return &StagePool{
 		cfg:     cfg,
@@ -87,72 +91,85 @@ func StageClass(stage string) string {
 	return stage
 }
 
-// stageLocked returns (creating if needed) the pool for a stage class.
-// Callers hold p.mu.
-func (p *StagePool) stageLocked(name string) *poolStage {
+// stageLocked returns (creating if needed, with the given worker count and
+// queue depth, 0 = the pool defaults) the stage of that name. Callers hold
+// p.mu.
+func (p *StagePool) stageLocked(name string, workers, queueDepth int) *poolStage {
 	ps, ok := p.stages[name]
-	if !ok {
-		ps = &poolStage{
-			pool:   p,
-			name:   name,
-			stats:  metrics.NewStageStats(name),
-			submit: make(chan *opTask, p.cfg.QueueDepth),
-			notify: make(chan struct{}, 1),
-			space:  make(chan struct{}, 1),
-			target: p.cfg.Workers,
-		}
-		p.stages[name] = ps
-		for ps.alive < ps.target {
-			ps.alive++
-			p.wg.Add(1)
-			go ps.worker()
-		}
+	if ok {
+		return ps
 	}
+	if workers <= 0 {
+		workers = p.cfg.Workers
+	}
+	if queueDepth <= 0 {
+		queueDepth = p.cfg.QueueDepth
+	}
+	ps = &poolStage{
+		pool:   p,
+		name:   name,
+		stats:  metrics.NewStageStats(name),
+		submit: make(chan Task, queueDepth),
+		notify: make(chan struct{}, 1),
+		space:  make(chan struct{}, 1),
+		target: workers,
+	}
+	p.stages[name] = ps
+	p.order = append(p.order, ps)
+	ps.spawnLocked()
 	return ps
 }
 
-// Prestart creates the pools — and parks the workers — for the given stage
-// classes before any query runs. Lazily spawned workers are hostage to
+// spawnLocked starts workers until the stage has its target count. Callers
+// hold pool.mu.
+func (ps *poolStage) spawnLocked() {
+	for ps.alive < ps.target {
+		ps.alive++
+		ps.pool.wg.Add(1)
+		go ps.worker()
+	}
+}
+
+// AddStage creates a stage with its own worker count and queue depth (0 =
+// the pool defaults) and parks its workers now; it does nothing if the stage
+// exists or the pool is closed. Lazily spawned workers are hostage to
 // scheduler fairness at their first activation: a brand-new goroutine enters
 // the run queue cold, and on a single-CPU runtime a channel-handoff chain
 // between already-running goroutines (a closed-loop writer ping-ponging with
 // the front-end stage workers) can starve it until the next GC pause —
 // observed as a multi-hundred-millisecond time-to-first-row spike on the
-// first analytic query. A pre-started worker parks on its queue during
-// engine construction instead, so the first query's tasks wake it by channel
-// send exactly like every later query's.
-func (p *StagePool) Prestart(classes ...string) {
+// first analytic query. A worker added up front parks on its queue during
+// engine construction instead, so the first task wakes it by channel send
+// exactly like every later one.
+func (p *StagePool) AddStage(name string, workers, queueDepth int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	for _, c := range classes {
-		p.stageLocked(c)
+	if !p.closed {
+		p.stageLocked(name, workers, queueDepth)
 	}
 }
 
-// schedule admits a newly launched task to its stage queue, blocking while
-// the queue is full (back-pressure on the launching pipeline). After Close the
-// task degrades to a dedicated goroutine so pipelines never strand. Sends
-// into the submit queue only happen under p.mu with the pool open, so Close
-// can drain the queue once and know nothing arrives later.
-func (p *StagePool) schedule(t *opTask) {
-	enqueued := false
+// Submit admits a task to its stage queue, blocking while the queue is full
+// (back-pressure: the submitting stage freezes, the rest of the system keeps
+// running, §4.1.1). After Close the task runs on a dedicated goroutine so
+// nothing strands. Sends into a queue only happen under p.mu with the pool
+// open, so Close can drain the queues once and know nothing arrives later.
+func (p *StagePool) Submit(t Task) {
+	class := StageClass(t.Stage())
+	var ps *poolStage // set once the arrival is recorded
 	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			if enqueued {
+			if ps != nil {
 				// Compensate the arrival we recorded before falling back.
-				p.stage(StageClass(t.stage)).stats.OnDequeue()
+				ps.stats.OnDequeue()
 			}
-			go t.run()
+			go t.Run()
 			return
 		}
-		ps := p.stageLocked(StageClass(t.stage))
-		if !enqueued {
-			enqueued = true
+		if ps == nil {
+			ps = p.stageLocked(class, 0, 0)
 			ps.stats.OnEnqueue()
 		}
 		select {
@@ -170,64 +187,43 @@ func (p *StagePool) schedule(t *opTask) {
 	}
 }
 
-// stage returns an existing stage pool or nil.
-func (p *StagePool) stage(name string) *poolStage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stages[name]
-}
-
 // ready re-enqueues a woken continuation. Ready tasks bypass the bounded
 // submit queue — a waker must never block.
-func (p *StagePool) ready(t *opTask) {
+func (p *StagePool) ready(t Task) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		go t.run()
+		go t.Run()
 		return
 	}
-	ps := p.stageLocked(StageClass(t.stage))
+	ps := p.stageLocked(StageClass(t.Stage()), 0, 0)
+	// Record the arrival before a worker can take the task and record its
+	// departure: the other order leaves the monitor's queue length one high.
+	ps.stats.OnEnqueue()
 	ps.ready = append(ps.ready, t)
 	p.mu.Unlock()
-	ps.stats.OnEnqueue()
 	select {
 	case ps.notify <- struct{}{}:
 	default:
 	}
 }
 
-// worker is one stage thread: take a task, run it until it completes or
-// parks, then batch-drain more same-stage tasks while the working set is
-// hot.
+// worker is one stage thread: take a task, run it until it completes, parks
+// or moves on to its next stage, repeat.
 func (ps *poolStage) worker() {
 	defer ps.pool.wg.Done()
-	for {
-		t := ps.take()
-		if t == nil {
-			return
-		}
-		ps.run(t)
-		for n := 1; n < ps.pool.cfg.Batch; n++ {
-			next := ps.tryTake()
-			if next == nil {
-				break
-			}
-			ps.run(next)
-		}
+	for t := ps.take(); t != nil; t = ps.take() {
+		ps.stats.OnDequeue()
+		start := time.Now()
+		t.Run()
+		ps.stats.OnService(time.Since(start))
 	}
-}
-
-func (ps *poolStage) run(t *opTask) {
-	ps.stats.OnDequeue()
-	start := time.Now()
-	t.run()
-	ps.stats.OnService(time.Since(start))
 }
 
 // take blocks for the next task. It returns nil when the worker should
 // exit: the stage shrank below its worker count, or the pool stopped and
 // the queues are drained.
-func (ps *poolStage) take() *opTask {
+func (ps *poolStage) take() Task {
 	p := ps.pool
 	for {
 		p.mu.Lock()
@@ -269,7 +265,7 @@ func (ps *poolStage) signalSpace() {
 }
 
 // tryTake returns a queued task without blocking, ready list first.
-func (ps *poolStage) tryTake() *opTask {
+func (ps *poolStage) tryTake() Task {
 	p := ps.pool
 	p.mu.Lock()
 	if len(ps.ready) > 0 {
@@ -300,13 +296,9 @@ func (p *StagePool) Resize(stage string, workers int) {
 		p.mu.Unlock()
 		return
 	}
-	ps := p.stageLocked(StageClass(stage))
+	ps := p.stageLocked(StageClass(stage), 0, 0)
 	ps.target = workers
-	for ps.alive < ps.target {
-		ps.alive++
-		p.wg.Add(1)
-		go ps.worker()
-	}
+	ps.spawnLocked()
 	p.mu.Unlock()
 	// Nudge a sleeper so a shrink takes effect promptly.
 	select {
@@ -326,31 +318,38 @@ func (p *StagePool) Workers(stage string) int {
 	return 0
 }
 
-// Snapshot returns each exec stage's monitor (queue length, service counts,
-// worker pool size), sorted by stage name.
+// QueueLen reports the tasks waiting at a stage (queued or woken), 0 if the
+// stage has not been created yet.
+func (p *StagePool) QueueLen(stage string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ps, ok := p.stages[StageClass(stage)]; ok {
+		return len(ps.submit) + len(ps.ready)
+	}
+	return 0
+}
+
+// Snapshot returns each stage's monitor (queue length, service counts,
+// worker pool size) in stage creation order.
 func (p *StagePool) Snapshot() []metrics.StageSnapshot {
 	p.mu.Lock()
-	type entry struct {
-		ps      *poolStage
-		workers int
-	}
-	entries := make([]entry, 0, len(p.stages))
-	for _, ps := range p.stages {
-		entries = append(entries, entry{ps, ps.target})
+	stages := append([]*poolStage(nil), p.order...)
+	workers := make([]int, len(stages))
+	for i, ps := range stages {
+		workers[i] = ps.target
 	}
 	p.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ps.name < entries[j].ps.name })
-	out := make([]metrics.StageSnapshot, len(entries))
-	for i, e := range entries {
-		out[i] = e.ps.stats.Snapshot()
-		out[i].Workers = e.workers
+	out := make([]metrics.StageSnapshot, len(stages))
+	for i, ps := range stages {
+		out[i] = ps.stats.Snapshot()
+		out[i].Workers = workers[i]
 	}
 	return out
 }
 
 // Close stops the pool. Workers drain queued tasks before exiting, and any
 // task that becomes runnable afterwards (or arrives late) runs on a plain
-// goroutine, so in-flight pipelines always complete. Close is idempotent.
+// goroutine, so in-flight work always completes. Close is idempotent.
 func (p *StagePool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -363,8 +362,8 @@ func (p *StagePool) Close() {
 	p.wg.Wait()
 	// Strand-proof sweep: tasks readied while the last workers were exiting.
 	p.mu.Lock()
-	var rest []*opTask
-	for _, ps := range p.stages {
+	var rest []Task
+	for _, ps := range p.order {
 		rest = append(rest, ps.ready...)
 		ps.ready = nil
 		for {
@@ -379,6 +378,6 @@ func (p *StagePool) Close() {
 	}
 	p.mu.Unlock()
 	for _, t := range rest {
-		go t.run()
+		go t.Run()
 	}
 }

@@ -45,7 +45,7 @@ func runPooled(t *testing.T, db *testDB, pool *StagePool, q string, pageRows, bu
 	return rows
 }
 
-// TestStagePoolMatchesVolcano checks that the pooled, batched scheduler
+// TestStagePoolMatchesVolcano checks that the pooled scheduler
 // computes the same results as the pull driver across the operator
 // repertoire, including with tiny pages and buffers that force constant
 // blocking and yielding.
@@ -60,15 +60,15 @@ func TestStagePoolMatchesVolcano(t *testing.T) {
 	}
 	for _, cfg := range []struct {
 		name                  string
-		workers, depth, batch int
+		workers, depth        int
 		pageRows, bufferPages int
 	}{
-		{"defaults", 0, 0, 0, 0, 0},
-		{"tiny", 1, 1, 1, 1, 1},
-		{"wide", 4, 8, 2, 8, 2},
+		{"defaults", 0, 0, 0, 0},
+		{"tiny", 1, 1, 1, 1},
+		{"wide", 4, 8, 8, 2},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			pool := NewStagePool(StagePoolConfig{Workers: cfg.workers, QueueDepth: cfg.depth, Batch: cfg.batch})
+			pool := NewStagePool(StagePoolConfig{Workers: cfg.workers, QueueDepth: cfg.depth})
 			defer pool.Close()
 			for _, q := range queries {
 				node := db.plan(t, q, plan.Options{})
@@ -89,7 +89,7 @@ func TestStagePoolMatchesVolcano(t *testing.T) {
 // the full exchange) or the second scan never runs and the join deadlocks.
 func TestStagePoolBlockedOperatorYield(t *testing.T) {
 	db := bulkDB(t, 150)
-	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1, Batch: 1})
+	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1})
 	defer pool.Close()
 
 	done := make(chan []value.Row, 1)
@@ -112,7 +112,7 @@ func TestStagePoolBlockedOperatorYield(t *testing.T) {
 // submitters without deadlocking or corrupting results.
 func TestStagePoolBackpressure(t *testing.T) {
 	db := bulkDB(t, 120)
-	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 1, Batch: 2})
+	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 1})
 	defer pool.Close()
 
 	node := db.plan(t, "SELECT grp, COUNT(*) FROM big WHERE v >= 0 GROUP BY grp", plan.Options{})
@@ -147,7 +147,7 @@ func TestStagePoolBackpressure(t *testing.T) {
 // idempotent — the "clean drain on close" contract.
 func TestStagePoolCloseDrains(t *testing.T) {
 	db := bulkDB(t, 80)
-	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 4, Batch: 2})
+	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 4})
 	rows := runPooled(t, db, pool, "SELECT COUNT(*) FROM big", 0, 0)
 	if len(rows) != 1 || rows[0][0].Int() != 80 {
 		t.Fatalf("pre-close count: %v", rows)
@@ -165,7 +165,7 @@ func TestStagePoolCloseDrains(t *testing.T) {
 // of them must still complete.
 func TestStagePoolCloseRace(t *testing.T) {
 	db := bulkDB(t, 100)
-	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 2, Batch: 2})
+	pool := NewStagePool(StagePoolConfig{Workers: 2, QueueDepth: 2})
 	node := db.plan(t, "SELECT b.grp, COUNT(*) FROM big b JOIN dim d ON b.grp = d.id GROUP BY b.grp", plan.Options{})
 
 	var wg sync.WaitGroup
@@ -199,7 +199,7 @@ func TestStagePoolCloseRace(t *testing.T) {
 // checks the monitor surface reports stage pools.
 func TestStagePoolResizeAndSnapshot(t *testing.T) {
 	db := bulkDB(t, 100)
-	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 4, Batch: 1})
+	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 4})
 	defer pool.Close()
 
 	q := "SELECT grp, COUNT(*) FROM big GROUP BY grp"
@@ -238,7 +238,7 @@ func TestStagePoolResizeAndSnapshot(t *testing.T) {
 // whole pipeline without stranding parked sibling tasks.
 func TestStagePoolFailurePropagation(t *testing.T) {
 	db := bulkDB(t, 60)
-	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 2, Batch: 1})
+	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 2})
 	defer pool.Close()
 
 	// Division only fails on the NULL-free rows path at eval time; use a
@@ -292,4 +292,61 @@ func TestRunStagedReleasesAbandonedProducers(t *testing.T) {
 		}
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 	})
+}
+
+// funcTask is a Task that runs fn at stage.
+type funcTask struct {
+	stage string
+	fn    func()
+}
+
+func (f funcTask) Stage() string { return f.stage }
+func (f funcTask) Run()          { f.fn() }
+
+// TestStagePoolSubmitBackPressure fills a one-worker, depth-1 stage behind a
+// blocked task: QueueLen counts the queued task, the next Submit blocks its
+// caller, and another stage keeps serving (§4.1.1: queries not bound for the
+// blocked stage keep running). Snapshot lists stages in creation order.
+func TestStagePoolSubmitBackPressure(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{})
+	defer pool.Close()
+	pool.AddStage("slow", 1, 1)
+	pool.AddStage("fast", 1, 0)
+	running, release := make(chan struct{}), make(chan struct{})
+	pool.Submit(funcTask{"slow", func() { close(running); <-release }})
+	<-running
+	pool.Submit(funcTask{"slow", func() {}})
+	if got := pool.QueueLen("slow"); got != 1 {
+		t.Fatalf("slow queue length = %d, want 1", got)
+	}
+	submitted := make(chan struct{})
+	go func() {
+		pool.Submit(funcTask{"slow", func() {}})
+		close(submitted)
+	}()
+	served := make(chan struct{})
+	pool.Submit(funcTask{"fast", func() { close(served) }})
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a full stage stalled another stage")
+	}
+	select {
+	case <-submitted:
+		t.Fatal("Submit into a full queue did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocked Submit never admitted")
+	}
+	var names []string
+	for _, s := range pool.Snapshot() {
+		names = append(names, s.Name)
+	}
+	if fmt.Sprint(names) != "[slow fast]" {
+		t.Fatalf("snapshot order %v, want [slow fast]", names)
+	}
 }

@@ -46,7 +46,7 @@ func onRecycledPages(t *testing.T, db *testDB, q string, workMem int64, check fu
 	t.Helper()
 	node := db.plan(t, q, plan.Options{DisableIndex: true})
 	tiny := func(t *testing.T) *StagePool {
-		sp := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1, Batch: 1})
+		sp := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1})
 		t.Cleanup(sp.Close)
 		return sp
 	}

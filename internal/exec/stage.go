@@ -422,9 +422,13 @@ func (t *opTask) park() bool {
 	return true
 }
 
-// run steps the task until it completes or genuinely parks. Pooled workers
-// and the post-close fallback both use it.
-func (t *opTask) run() {
+// Stage implements Task: the operator's stage label ("fscan:tenk" runs on
+// the fscan stage).
+func (t *opTask) Stage() string { return t.stage }
+
+// Run implements Task: it steps the task until it completes or genuinely
+// parks. Pooled workers and the post-close fallback both use it.
+func (t *opTask) Run() {
 	for {
 		switch t.step() {
 		case taskDone:
@@ -477,7 +481,7 @@ func (p *pipeline) launch(n plan.Node) (*exchange, error) {
 	p.tasks = append(p.tasks, t)
 	p.mu.Unlock()
 	p.running.Add(1)
-	p.sched.schedule(t)
+	p.sched.Submit(t)
 	return t.out, nil
 }
 

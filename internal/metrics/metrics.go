@@ -234,14 +234,13 @@ func (h *Histogram) Reset() {
 type StageStats struct {
 	Name string
 
-	mu        sync.Mutex
-	enqueued  int64
-	dequeued  int64
-	busy      time.Duration
-	serviced  int
-	queueLen  int
-	maxQueue  int
-	ioBlocked int64
+	mu       sync.Mutex
+	enqueued int64
+	dequeued int64
+	busy     time.Duration
+	serviced int
+	queueLen int
+	maxQueue int
 }
 
 // NewStageStats returns a monitor for the named stage.
@@ -276,27 +275,18 @@ func (s *StageStats) OnService(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// OnIOBlock records a worker thread blocking on I/O inside the stage. The
-// self-tuner (§4.4a) sizes stage thread pools from this signal.
-func (s *StageStats) OnIOBlock() {
-	s.mu.Lock()
-	s.ioBlocked++
-	s.mu.Unlock()
-}
-
 // Snapshot returns a point-in-time copy of the stage's statistics.
 func (s *StageStats) Snapshot() StageSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := StageSnapshot{
-		Name:      s.Name,
-		Enqueued:  s.enqueued,
-		Dequeued:  s.dequeued,
-		Serviced:  s.serviced,
-		Busy:      s.busy,
-		QueueLen:  s.queueLen,
-		MaxQueue:  s.maxQueue,
-		IOBlocked: s.ioBlocked,
+		Name:     s.Name,
+		Enqueued: s.enqueued,
+		Dequeued: s.dequeued,
+		Serviced: s.serviced,
+		Busy:     s.busy,
+		QueueLen: s.queueLen,
+		MaxQueue: s.maxQueue,
 	}
 	if s.serviced > 0 {
 		snap.MeanService = s.busy / time.Duration(s.serviced)
@@ -314,7 +304,6 @@ type StageSnapshot struct {
 	MeanService time.Duration
 	QueueLen    int
 	MaxQueue    int
-	IOBlocked   int64
 	// Workers is the stage's current worker-pool size, filled in by the
 	// owning scheduler (0 when the scheduler does not track it).
 	Workers int

@@ -112,7 +112,6 @@ func TestStageStatsLifecycle(t *testing.T) {
 	s.OnEnqueue()
 	s.OnDequeue()
 	s.OnService(5 * time.Millisecond)
-	s.OnIOBlock()
 	snap := s.Snapshot()
 	if snap.Name != "parse" {
 		t.Fatalf("name=%q", snap.Name)
@@ -122,9 +121,6 @@ func TestStageStatsLifecycle(t *testing.T) {
 	}
 	if snap.Busy != 5*time.Millisecond || snap.Serviced != 1 {
 		t.Fatalf("busy=%v serviced=%d", snap.Busy, snap.Serviced)
-	}
-	if snap.IOBlocked != 1 {
-		t.Fatalf("ioBlocked=%d", snap.IOBlocked)
 	}
 	if u := snap.Utilization(10 * time.Millisecond); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("utilization=%v, want 0.5", u)

@@ -19,7 +19,7 @@ import (
 // tag = "t<id>".
 func lifetimeDB(t *testing.T, mode Mode, n int) *DB {
 	t.Helper()
-	db := mustOpen(t, Options{Mode: mode, PageRows: 1, BufferPages: 1, ExecWorkers: 1, ExecQueueDepth: 1, ExecBatch: 1})
+	db := mustOpen(t, Options{Mode: mode, PageRows: 1, BufferPages: 1, ExecWorkers: 1, ExecQueueDepth: 1})
 	t.Cleanup(func() { db.Close() })
 	var load strings.Builder
 	load.WriteString("CREATE TABLE t (id INT PRIMARY KEY, w INT, tag TEXT); INSERT INTO t VALUES ")

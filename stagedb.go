@@ -4,9 +4,11 @@
 //
 // The engine decomposes query processing into self-contained stages —
 // connect, parse, optimize, execute, disconnect, with the execution engine
-// further staged into fscan/iscan/sort/join/aggr — connected by bounded
-// queues with back-pressure. A conventional thread-per-worker engine is
-// included as the baseline the paper argues against.
+// further staged into fscan/iscan/filter/sort/join/aggr — connected by
+// bounded queues with back-pressure. All of them run on one stage runtime,
+// where each stage has its own queue, workers and monitor (see Stages). A
+// conventional thread-per-worker engine is included as the baseline the
+// paper argues against.
 //
 // Quick start:
 //
@@ -61,8 +63,10 @@ const (
 type Options struct {
 	// Mode selects staged (default) or threaded execution.
 	Mode Mode
-	// Workers sizes the threaded engine's pool, or each staged stage's
-	// default pool (0 = sensible defaults).
+	// Workers sizes the threaded engine's pool, or the worker pool of each
+	// of the staged engine's five query stages (0 = 8 threaded; 4 for
+	// execute and 2 for the other query stages). The execution-engine
+	// stages take ExecWorkers.
 	Workers int
 	// PageRows is the rows-per-page unit of the staged execution engine's
 	// dataflow (0 = 64). Paper §4.4(c) discusses tuning it.
@@ -89,9 +93,6 @@ type Options struct {
 	// ExecQueueDepth bounds each execution-stage task queue (0 = 64);
 	// launching operators into a full queue blocks (back-pressure).
 	ExecQueueDepth int
-	// ExecBatch is the number of same-stage tasks one exec worker drains
-	// per activation (0 = 4), the §4.1.2 cache-locality batching knob.
-	ExecBatch int
 	// DisableSharedScans turns off the staged engine's fscan work sharing.
 	// By default concurrent sequential scans of one table share a single
 	// in-flight circular heap walk (each page pinned and decoded once,
@@ -196,7 +197,6 @@ func (o Options) validate() error {
 		{"WorkMem", o.WorkMem},
 		{"ExecWorkers", o.ExecWorkers},
 		{"ExecQueueDepth", o.ExecQueueDepth},
-		{"ExecBatch", o.ExecBatch},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("stagedb: Options.%s must not be negative (got %d)", f.name, f.v)
@@ -275,14 +275,9 @@ func Open(opts Options) (*DB, error) {
 		db.front = engine.NewThreaded(kernel, opts.Workers)
 	default:
 		db.staged = engine.NewStaged(kernel, engine.StagedConfig{
-			ConnectWorkers:     opts.Workers,
-			ParseWorkers:       opts.Workers,
-			OptimizeWorkers:    opts.Workers,
-			ExecuteWorkers:     opts.Workers,
-			DisconnectWorkers:  opts.Workers,
+			Workers:            opts.Workers,
 			ExecWorkers:        opts.ExecWorkers,
 			ExecQueueDepth:     opts.ExecQueueDepth,
-			ExecBatch:          opts.ExecBatch,
 			DisableSharedScans: opts.DisableSharedScans,
 		})
 		db.front = db.staged

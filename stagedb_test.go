@@ -221,7 +221,7 @@ func TestExecSchedulerOptions(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"pooled", Options{ExecWorkers: 2, ExecQueueDepth: 4, ExecBatch: 2}},
+		{"pooled", Options{ExecWorkers: 2, ExecQueueDepth: 4}},
 		{"defaults", Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
