@@ -10,25 +10,6 @@ import (
 
 // --- aggregate ---
 
-// aggFanOut is the grace-partitioning fan-out of the spilling aggregation
-// (and, in join.go, the grace hash join): a spilled operator splits its keys
-// into aggFanOut partition files per level.
-const aggFanOut = 8
-
-// aggMaxDepth bounds partition recursion. A partition still over budget at
-// the bottom aggregates in memory anyway — termination beats a hard failure
-// on adversarial key distributions.
-const aggMaxDepth = 6
-
-// partOf selects a grace partition for a key hash at a recursion depth, each
-// level consuming a fresh slice of the hash's bits (the in-memory group and
-// join tables use the low bits, so start above them).
-//
-//stagedb:hot
-func partOf(h uint64, depth int) int {
-	return int((h >> (7 + 3*depth)) & (aggFanOut - 1))
-}
-
 // aggState is one group's running aggregates. The state, its slots and its
 // key's values are carved from the operator's arenas, so a new group costs no
 // allocation of its own.
@@ -36,7 +17,6 @@ type aggState struct {
 	groupKey value.Row
 	count    int64     // rows folded into the group
 	aggs     []aggSlot // one per aggregate
-	next     *aggState // next group in the same hash chain
 }
 
 // aggSlot is one aggregate's running state within a group.
@@ -49,20 +29,27 @@ type aggSlot struct {
 }
 
 // groupMemSize is a group's in-memory footprint for WorkMem accounting: its
-// state, its slots and its key, under the same model as rowMemSize.
+// state, its slots, its key under the rowMemSize model, and its table entry.
 func groupMemSize(key value.Row, nAggs int) int64 {
-	return int64(unsafe.Sizeof(aggState{})) + int64(nAggs)*int64(unsafe.Sizeof(aggSlot{})) + rowMemSize(key)
+	return int64(unsafe.Sizeof(aggState{})) + int64(nAggs)*int64(unsafe.Sizeof(aggSlot{})) + rowMemSize(key) + hashEntryMem
 }
 
-// aggregateOp is the vectorized hash aggregation kernel: it consumes child
-// pages incrementally (never materializing its input), evaluates compiled
-// group-by and argument expressions, reuses one scratch key row across all
-// input rows, and hashes keys with the allocation-free inline FNV — the
-// steady-state cost of aggregating a row in an existing group is zero
+// The two sides of the aggregation's grace pairs.
+const (
+	aggStates = 0 // partial group states (encodeState rows)
+	aggRows   = 1 // raw input rows
+)
+
+// aggregateOp is the vectorized hash aggregation kernel, and DISTINCT's
+// operator too (a grouping by every column with no aggregates): it consumes
+// child pages incrementally (never materializing its input), evaluates
+// compiled group-by and argument expressions, reuses one scratch key row
+// across all input rows, and hashes keys with the allocation-free inline FNV
+// — the steady-state cost of aggregating a row in an existing group is zero
 // allocations. A new group's state, slots and key are carved from arenas the
 // operator rewinds between partitions, so groups cost allocations per arena
-// chunk, not per group. The groups table is pre-sized from the
-// planner's cardinality estimate.
+// chunk, not per group. The group table is pre-sized from the planner's
+// cardinality estimate.
 //
 // Memory is bounded by the query's WorkMem budget: when the group table
 // outgrows it, the operator spills grace-style — current groups serialize
@@ -84,11 +71,11 @@ type aggregateOp struct {
 	groupBy []plan.CompiledExpr
 	aggArg  []plan.CompiledExpr // nil entries for COUNT(*)
 
-	groups   map[uint64]*aggState // hash chains, by group-key hash
-	order    []*aggState          // arrival order for deterministic output
-	scratch  value.Row            // reused group-key buffer
-	encoded  value.Row            // reused partial-state row (encodeState)
-	keyCols  []int                // identity column set over the key
+	groups   hashTable   // group-key hash -> chains of order indexes
+	order    []*aggState // the groups, in arrival order
+	scratch  value.Row   // reused group-key buffer
+	encoded  value.Row   // reused partial-state row (encodeState)
+	keyCols  []int       // identity column set over the key
 	memBytes int64
 
 	// The group table's storage, rewound between partitions.
@@ -101,28 +88,18 @@ type aggregateOp struct {
 	out       []value.Row
 	pos       int
 
-	// Spill state. Once spilled, every subsequent input row routes raw into
-	// rowFiles by group-key hash; the groups held at spill time were written
-	// as partial-state rows into stateFiles.
-	spilled    bool
-	stateFiles []*spill.File
-	rowFiles   []*spill.File
-	work       []aggWork // partitions awaiting aggregation at emit time
-	emitDone   bool
-}
-
-// aggWork is one pending grace partition: partial aggregate states to merge,
-// raw rows to fold in, and the recursion depth its files were hashed at.
-type aggWork struct {
-	state *spill.File
-	rows  *spill.File
-	depth int
+	// Spill state. Once spilled, every subsequent input row routes raw to the
+	// aggRows side by group-key hash; the groups held at spill time were
+	// written as partial states to the aggStates side.
+	spilled  bool
+	grace    graceFiles
+	emitDone bool
 }
 
 func (a *aggregateOp) Open() error {
 	a.workMem = ResolveWorkMem(a.workMem) // directly built operators get defaults
-	a.closeSpillFiles()
-	a.groups = make(map[uint64]*aggState, budgetPresize(a.groupHint, a.workMem))
+	a.grace.close()
+	a.groups.reset(budgetPresize(a.groupHint, a.workMem))
 	a.resetGroups()
 	a.scratch = make(value.Row, len(a.groupBy))
 	a.keyCols = make([]int, len(a.groupBy))
@@ -174,14 +151,25 @@ func (a *aggregateOp) Next() (*Page, error) {
 	}
 }
 
+// key evaluates row's group key into scratch.
+func (a *aggregateOp) key(row value.Row) error {
+	for i, g := range a.groupBy {
+		v, err := g(row)
+		if err != nil {
+			return err
+		}
+		a.scratch[i] = v
+	}
+	return nil
+}
+
 // find locates (or creates) the group for the scratch key. A new group's
 // state, slots and key are carved from the operator's arenas, the key copied
 // out of scratch.
 func (a *aggregateOp) find() *aggState {
 	h := a.scratch.Hash(a.keyCols)
-	head := a.groups[h]
-	for st := head; st != nil; st = st.next {
-		if rowsEqual(st.groupKey, a.scratch) {
+	for e := a.groups.first(h); e >= 0; e = a.groups.next[e] {
+		if st := a.order[e]; rowsEqual(st.groupKey, a.scratch) {
 			return st
 		}
 	}
@@ -192,18 +180,37 @@ func (a *aggregateOp) find() *aggState {
 		slots[i] = aggSlot{sumIsInt: true}
 	}
 	st := &a.states.carve(1)[0]
-	*st = aggState{groupKey: key, aggs: slots, next: head}
-	a.groups[h] = st
+	*st = aggState{groupKey: key, aggs: slots}
+	a.groups.add(h)
 	a.order = append(a.order, st)
 	a.memBytes += groupMemSize(key, len(slots))
 	return st
 }
 
+// rowsEqual compares two group keys value by value, NULL equal to NULL.
+func rowsEqual(a, b value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		an, bn := a[i].IsNull(), b[i].IsNull()
+		if an != bn {
+			return false
+		}
+		if an {
+			continue
+		}
+		if !value.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // resetGroups empties the group table for the next partition, keeping its
-// storage: the map's buckets, the arrival list and the arenas' current
-// chunks.
+// storage: the table's, the arrival list's and the arenas' current chunks.
 func (a *aggregateOp) resetGroups() {
-	clear(a.groups)
+	a.groups.reset(0)
 	clear(a.order)
 	a.order = a.order[:0]
 	a.states.rewind()
@@ -218,16 +225,11 @@ func (a *aggregateOp) consume(pg *Page) error {
 	n := pg.Len()
 	for r := 0; r < n; r++ {
 		row := pg.Row(r)
-		for i, g := range a.groupBy {
-			v, err := g(row)
-			if err != nil {
-				return err
-			}
-			a.scratch[i] = v
+		if err := a.key(row); err != nil {
+			return err
 		}
 		if a.spilled {
-			p := partOf(a.scratch.Hash(a.keyCols), 0)
-			if err := a.rowFiles[p].Append(row); err != nil {
+			if err := a.grace.add(aggRows, a.scratch.Hash(a.keyCols), row); err != nil {
 				return err
 			}
 			continue
@@ -308,26 +310,26 @@ func (a *aggregateOp) setExtreme(dst *value.Value, v value.Value) {
 }
 
 // doSpill crosses into grace mode: the current groups' partial states are
-// serialized into per-partition state files, the table is dropped, and every
+// written to the first level's state side, the table is emptied, and every
 // later input row is routed raw by key hash.
 func (a *aggregateOp) doSpill() error {
 	a.spillM.addAggSpill()
-	var err error
-	if a.stateFiles, err = makeSpillFiles(a.tmpDir, a.spillM, aggFanOut); err != nil {
+	if err := a.grace.open(a.tmpDir, a.spillM, 0); err != nil {
 		return err
 	}
-	if a.rowFiles, err = makeSpillFiles(a.tmpDir, a.spillM, aggFanOut); err != nil {
-		return err
-	}
-	a.spillM.addAggParts(2 * aggFanOut)
+	a.spilled = true
+	return a.spillGroups()
+}
+
+// spillGroups writes every group's partial state to the state side of the
+// level being written, and empties the group table.
+func (a *aggregateOp) spillGroups() error {
 	for _, st := range a.order {
-		p := partOf(st.groupKey.Hash(a.keyCols), 0)
-		if err := a.stateFiles[p].Append(a.encodeState(st)); err != nil {
+		if err := a.grace.add(aggStates, st.groupKey.Hash(a.keyCols), a.encodeState(st)); err != nil {
 			return err
 		}
 	}
 	a.resetGroups()
-	a.spilled = true
 	return nil
 }
 
@@ -353,7 +355,7 @@ func (a *aggregateOp) encodeState(st *aggState) value.Row {
 }
 
 // mergeState folds one serialized partial state into the group table.
-func (a *aggregateOp) mergeState(row value.Row) error {
+func (a *aggregateOp) mergeState(row value.Row) {
 	kw := len(a.groupBy)
 	copy(a.scratch, row[:kw])
 	st := a.find()
@@ -371,7 +373,6 @@ func (a *aggregateOp) mergeState(row value.Row) error {
 			a.keepMax(s, v)
 		}
 	}
-	return nil
 }
 
 // finish closes the input phase: in-memory aggregations materialize their
@@ -383,18 +384,8 @@ func (a *aggregateOp) finish() error {
 		a.emitDone = true
 		return nil
 	}
-	for i := 0; i < aggFanOut; i++ {
-		if err := a.stateFiles[i].Finish(); err != nil {
-			return err
-		}
-		if err := a.rowFiles[i].Finish(); err != nil {
-			return err
-		}
-		a.work = append(a.work, aggWork{state: a.stateFiles[i], rows: a.rowFiles[i], depth: 1})
-	}
-	a.stateFiles, a.rowFiles = nil, nil
 	a.out, a.pos = nil, 0
-	return nil
+	return a.grace.finish()
 }
 
 // materialize renders the current group table as output rows in group-arrival
@@ -419,23 +410,18 @@ func (a *aggregateOp) materialize() {
 	a.pos = 0
 }
 
-// nextPartition aggregates one queued grace partition into output rows,
-// splitting it into deeper partitions instead when it exceeds the budget.
+// nextPartition aggregates one queued grace partition into output rows —
+// its partial states first, then its raw rows — splitting it into deeper
+// partitions instead when it exceeds the budget.
 func (a *aggregateOp) nextPartition() error {
-	if len(a.work) == 0 {
+	w, ok := a.grace.pop()
+	if !ok {
 		a.emitDone = true
 		a.out, a.pos = nil, 0
 		return nil
 	}
-	w := a.work[0]
-	a.work = a.work[1:]
 	a.resetGroups()
-
-	split := func(consumedStates bool, states, rows *spill.Reader) error {
-		return a.splitPartition(w, consumedStates, states, rows)
-	}
-
-	states, err := w.state.Reader()
+	states, err := w.side[aggStates].Reader()
 	if err != nil {
 		return err
 	}
@@ -448,16 +434,12 @@ func (a *aggregateOp) nextPartition() error {
 		if !ok {
 			break
 		}
-		if err := a.mergeState(row); err != nil {
-			return err
-		}
-		if a.memBytes > a.workMem && w.depth < aggMaxDepth {
-			// The raw-row file is entirely unread here; splitPartition opens
-			// it itself so every row is re-routed, not dropped.
-			return split(false, states, nil)
+		a.mergeState(row)
+		if a.memBytes > a.workMem && w.depth < graceMaxDepth {
+			return a.splitPartition(w, states, nil)
 		}
 	}
-	rows, err := w.rows.Reader()
+	rows, err := w.side[aggRows].Reader()
 	if err != nil {
 		return err
 	}
@@ -470,127 +452,74 @@ func (a *aggregateOp) nextPartition() error {
 		if !ok {
 			break
 		}
-		for i, g := range a.groupBy {
-			v, err := g(row)
-			if err != nil {
-				return err
-			}
-			a.scratch[i] = v
+		if err := a.key(row); err != nil {
+			return err
 		}
 		if err := a.fold(a.find(), row); err != nil {
 			return err
 		}
-		if a.memBytes > a.workMem && w.depth < aggMaxDepth {
-			return split(true, states, rows)
+		if a.memBytes > a.workMem && w.depth < graceMaxDepth {
+			return a.splitPartition(w, states, rows)
 		}
 	}
-	w.state.Close()
-	w.rows.Close()
+	a.grace.done()
 	a.materialize()
 	return nil
 }
 
-// splitPartition recurses: the partition's groups (partial states) and its
-// unread file remainders are re-hashed one level deeper into aggFanOut
-// sub-partitions, which replace it on the work queue. A nil rows reader
-// means the raw-row file was never opened — it is routed here in full.
-// Every error path removes the sub-partition files and the parent's, so an
-// I/O failure mid-split leaves no temp files behind.
-func (a *aggregateOp) splitPartition(w aggWork, consumedStates bool, states, rows *spill.Reader) (err error) {
+// splitPartition recurses: the partition's groups (partial states) and the
+// unread remainders of its files are re-hashed one level deeper, and the
+// sub-partitions replace it at the head of the queue. A nil rows reader means
+// the raw-row file was never opened — it is routed here in full, not dropped
+// with the parent partition. On an error the files stay with a.grace, which
+// removes them when the operator closes.
+func (a *aggregateOp) splitPartition(w gracePair, states, rows *spill.Reader) error {
 	a.spillM.addAggSpill()
-	var subState, subRows []*spill.File
-	defer func() {
-		if err == nil {
-			return
-		}
-		for _, f := range subState {
-			f.Close()
-		}
-		for _, f := range subRows {
-			f.Close()
-		}
-		w.state.Close()
-		w.rows.Close()
-	}()
-	if subState, err = makeSpillFiles(a.tmpDir, a.spillM, aggFanOut); err != nil {
+	if err := a.grace.open(a.tmpDir, a.spillM, w.depth); err != nil {
 		return err
 	}
-	if subRows, err = makeSpillFiles(a.tmpDir, a.spillM, aggFanOut); err != nil {
+	if err := a.spillGroups(); err != nil {
 		return err
 	}
-	a.spillM.addAggParts(2 * aggFanOut)
-	// Current groups re-spill as partial states at the deeper level.
-	for _, st := range a.order {
-		p := partOf(st.groupKey.Hash(a.keyCols), w.depth)
-		if err = subState[p].Append(a.encodeState(st)); err != nil {
+	// Unread partial states route by their embedded key.
+	kw := len(a.groupBy)
+	for {
+		row, ok, err := states.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := a.grace.add(aggStates, value.Row(row[:kw]).Hash(a.keyCols), row); err != nil {
 			return err
 		}
 	}
-	a.resetGroups()
-	// Unread partial states route by their embedded key.
-	kw := len(a.groupBy)
-	if !consumedStates {
-		for {
-			row, ok, nerr := states.Next()
-			if nerr != nil {
-				err = nerr
-				return err
-			}
-			if !ok {
-				break
-			}
-			p := partOf(value.Row(row[:kw]).Hash(a.keyCols), w.depth)
-			if err = subState[p].Append(row); err != nil {
-				return err
-			}
-		}
-	}
-	// Raw rows route by their computed key. A split during the state merge
-	// never opened the row file — open it now so its rows are redistributed
-	// rather than dropped with the parent partition.
 	if rows == nil {
-		var r *spill.Reader
-		if r, err = w.rows.Reader(); err != nil {
+		r, err := w.side[aggRows].Reader()
+		if err != nil {
 			return err
 		}
 		defer r.Close()
 		rows = r
 	}
 	for {
-		row, ok, nerr := rows.Next()
-		if nerr != nil {
-			err = nerr
+		row, ok, err := rows.Next()
+		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		for i, g := range a.groupBy {
-			var v value.Value
-			if v, err = g(row); err != nil {
-				return err
-			}
-			a.scratch[i] = v
+		if err := a.key(row); err != nil {
+			return err
 		}
-		p := partOf(a.scratch.Hash(a.keyCols), w.depth)
-		if err = subRows[p].Append(row); err != nil {
+		if err := a.grace.add(aggRows, a.scratch.Hash(a.keyCols), row); err != nil {
 			return err
 		}
 	}
-	w.state.Close()
-	w.rows.Close()
-	sub := make([]aggWork, 0, aggFanOut)
-	for i := 0; i < aggFanOut; i++ {
-		if err = subState[i].Finish(); err != nil {
-			return err
-		}
-		if err = subRows[i].Finish(); err != nil {
-			return err
-		}
-		sub = append(sub, aggWork{state: subState[i], rows: subRows[i], depth: w.depth + 1})
-	}
-	a.work = append(sub, a.work...)
-	return nil
+	a.grace.done()
+	return a.grace.finish()
 }
 
 func finishAgg(spec plan.AggSpec, s *aggSlot) value.Value {
@@ -618,30 +547,10 @@ func finishAgg(spec plan.AggSpec, s *aggSlot) value.Value {
 	return value.NewNull()
 }
 
-// closeSpillFiles removes every partition file the aggregation still owns —
-// the teardown path an abandoned or cancelled query takes mid-spill.
-func (a *aggregateOp) closeSpillFiles() {
-	for _, f := range a.stateFiles {
-		if f != nil {
-			f.Close()
-		}
-	}
-	for _, f := range a.rowFiles {
-		if f != nil {
-			f.Close()
-		}
-	}
-	a.stateFiles, a.rowFiles = nil, nil
-	for _, w := range a.work {
-		w.state.Close()
-		w.rows.Close()
-	}
-	a.work = nil
-}
-
 func (a *aggregateOp) Close() error {
-	a.closeSpillFiles()
-	a.groups, a.order, a.out = nil, nil, nil
+	a.grace.close()
+	a.groups = hashTable{}
+	a.order, a.out = nil, nil
 	a.states.reset()
 	a.slots.reset()
 	a.keys.reset()

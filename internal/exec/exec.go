@@ -278,8 +278,6 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		return t, nil
 	case *plan.Limit:
 		return &limitOp{child: children[0], n: x.N, offset: x.Offset}, nil
-	case *plan.Distinct:
-		return &distinctOp{child: children[0]}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 }
@@ -814,7 +812,7 @@ func (p *projectOp) Next() (*Page, error) {
 
 func (p *projectOp) Close() error { return p.child.Close() }
 
-// --- limit / distinct ---
+// --- limit ---
 
 // limitOp trims pages in place (adjusting the selection vector or row slice)
 // and stops pulling its child once the limit is satisfied, so upstream
@@ -864,77 +862,3 @@ func (l *limitOp) Next() (*Page, error) {
 }
 
 func (l *limitOp) Close() error { return l.child.Close() }
-
-// distinctOp narrows each page's selection to first-seen rows — like
-// filterOp, the page itself flows on uncopied; the dedup table keeps a clone
-// of each first-seen row, since the page's rows die with the page.
-type distinctOp struct {
-	child Operator
-	seen  map[uint64][]value.Row
-	cols  []int // identity column set, sized on first row
-}
-
-func (d *distinctOp) Open() error {
-	d.seen = make(map[uint64][]value.Row)
-	d.cols = nil
-	return d.child.Open()
-}
-
-func (d *distinctOp) Next() (*Page, error) {
-	for {
-		pg, err := d.child.Next()
-		if err != nil || pg == nil {
-			return nil, err
-		}
-		if err := pg.narrow(d.addIfNew); err != nil {
-			pg.Release()
-			return nil, err
-		}
-		if pg.Len() == 0 {
-			pg.Release()
-			continue
-		}
-		return pg, nil
-	}
-}
-
-func (d *distinctOp) addIfNew(row value.Row) (bool, error) {
-	if d.cols == nil {
-		d.cols = make([]int, len(row))
-		for i := range d.cols {
-			d.cols[i] = i
-		}
-	}
-	h := row.Hash(d.cols)
-	for _, prev := range d.seen[h] {
-		if rowsEqual(prev, row) {
-			return false, nil
-		}
-	}
-	d.seen[h] = append(d.seen[h], row.Clone())
-	return true, nil
-}
-
-func (d *distinctOp) Close() error {
-	d.seen = nil
-	return d.child.Close()
-}
-
-func rowsEqual(a, b value.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		an, bn := a[i].IsNull(), b[i].IsNull()
-		if an != bn {
-			return false
-		}
-		if an {
-			continue
-		}
-		if !value.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}

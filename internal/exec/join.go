@@ -21,6 +21,12 @@ func keysNull(row value.Row, keys []int) bool {
 
 // --- hash join ---
 
+// The two sides of the join's grace pairs.
+const (
+	joinBuild = 0 // build (right) rows
+	joinProbe = 1 // probe (left) rows
+)
+
 // hashJoin is the join stage's one operator (§4.3). It builds a hash table on
 // the right (build) input, then probes with the left input page-at-a-time:
 // probe pages stream through the operator and are released as soon as their
@@ -29,10 +35,10 @@ func keysNull(row value.Row, keys []int) bool {
 // materializing it. The build side is drained lazily on first Next so a
 // pooled task can suspend mid-drain (errWouldBlock) without losing progress;
 // probe-side would-blocks emit any partially filled output page rather than
-// stall it.
+// stall it. A probe row's matches come out in build arrival order.
 //
 // A join with no equi key (a cross join, or an ON with only a residual) is a
-// hash join over zero key columns: every build row lands in one bucket, so
+// hash join over zero key columns: every build row lands in one chain, so
 // each probe row is checked against the whole build side in arrival order,
 // residual applied — the rows and order of a nested loop with the probe side
 // outer.
@@ -43,7 +49,7 @@ func keysNull(row value.Row, keys []int) bool {
 // partition's build rows at a time (recursing with a deeper hash when a
 // partition's build side still exceeds the budget), so memory stays
 // O(budget) however large the build input is. A key-less join never goes
-// grace: its one bucket cannot be partitioned, so its build side stays
+// grace: its one chain cannot be partitioned, so its build side stays
 // resident whatever its size.
 type hashJoin struct {
 	node      *plan.Join
@@ -58,40 +64,30 @@ type hashJoin struct {
 	tmpDir  string
 	spillM  *SpillMetrics
 
-	buildRows  []value.Row        // in-memory build accumulation (resumable)
+	buildRows  []value.Row        // the build rows (of the partition being joined), in arrival order
 	buildArena arena[value.Value] // owns the build rows' values: build pages and spill rows are recycled under them
 	buildBytes int64
 	buildDone  bool
 	built      bool
-	table      map[uint64][]value.Row
+	table      hashTable // build-key hash -> chains of buildRows indexes
 
 	// Streaming probe state, preserved across errWouldBlock suspensions.
 	probe   *Page
-	probeI  int         // next live-row index within probe
-	curLeft value.Row   // probe row whose bucket is being emitted
-	bucket  []value.Row // current hash bucket (candidates; keys re-checked)
-	bucketI int
+	probeI  int       // next live-row index within probe
+	curLeft value.Row // probe row whose chain is being emitted
+	chain   int32     // next candidate of curLeft's chain (keys re-checked); -1 = none
 	eos     bool
 
-	// Grace state. Once parted, build rows route into buildFiles and the
-	// whole probe input routes into probeFiles before any output is emitted;
-	// work then holds the partition pairs awaiting their join.
+	// Grace state. Once parted, build rows route to the build side of grace's
+	// first level and the whole probe input to its probe side before any
+	// output is emitted; grace then queues the partition pairs awaiting their
+	// join.
 	parted      bool
-	buildFiles  []*spill.File
-	probeFiles  []*spill.File
 	probeRouted bool
-	work        []joinWork
-	curWork     *joinWork     // partition being joined (files still on disk)
+	grace       graceFiles
 	partProbe   *spill.Reader // probe stream of the current partition
 
 	out *Page // output page under construction
-}
-
-// joinWork is one pending grace partition pair.
-type joinWork struct {
-	build *spill.File
-	probe *spill.File
-	depth int
 }
 
 func (j *hashJoin) Open() error {
@@ -100,9 +96,8 @@ func (j *hashJoin) Open() error {
 	j.buildRows, j.buildBytes, j.buildDone = nil, 0, false
 	j.buildArena.reset()
 	j.built, j.eos = false, false
-	j.table = nil
 	j.probe, j.probeI = nil, 0
-	j.curLeft, j.bucket, j.bucketI = nil, nil, 0
+	j.curLeft, j.chain = nil, -1
 	j.parted, j.probeRouted = false, false
 	j.out = nil
 	if err := j.left.Open(); err != nil {
@@ -131,8 +126,7 @@ func (j *hashJoin) fillBuild() error {
 				continue // NULL keys never join; don't buffer or spill them
 			}
 			if j.parted {
-				p := partOf(row.Hash(j.node.RightKey), 0)
-				if err := j.buildFiles[p].Append(row); err != nil {
+				if err := j.grace.add(joinBuild, row.Hash(j.node.RightKey), row); err != nil {
 					pg.Release()
 					return err
 				}
@@ -142,7 +136,7 @@ func (j *hashJoin) fillBuild() error {
 				j.buildRows = make([]value.Row, 0, budgetPresize(j.buildHint, j.workMem))
 			}
 			j.buildRows = append(j.buildRows, copyRow(&j.buildArena, row))
-			j.buildBytes += rowMemSize(row)
+			j.buildBytes += rowMemSize(row) + hashEntryMem
 		}
 		pg.Release()
 		if !j.parted && j.buildBytes > j.workMem && len(j.node.RightKey) > 0 {
@@ -158,17 +152,11 @@ func (j *hashJoin) fillBuild() error {
 // sides and the accumulated build rows are routed out by key hash.
 func (j *hashJoin) spillBuild() error {
 	j.spillM.addJoinSpill()
-	var err error
-	if j.buildFiles, err = makeSpillFiles(j.tmpDir, j.spillM, aggFanOut); err != nil {
+	if err := j.grace.open(j.tmpDir, j.spillM, 0); err != nil {
 		return err
 	}
-	if j.probeFiles, err = makeSpillFiles(j.tmpDir, j.spillM, aggFanOut); err != nil {
-		return err
-	}
-	j.spillM.addJoinParts(2 * aggFanOut)
 	for _, row := range j.buildRows {
-		p := partOf(row.Hash(j.node.RightKey), 0)
-		if err := j.buildFiles[p].Append(row); err != nil {
+		if err := j.grace.add(joinBuild, row.Hash(j.node.RightKey), row); err != nil {
 			return err
 		}
 	}
@@ -178,20 +166,11 @@ func (j *hashJoin) spillBuild() error {
 	return nil
 }
 
-// loadTable hashes build rows into the probe table, pre-sized and
-// batch-hashed in one pass.
-func (j *hashJoin) loadTable(rows []value.Row) {
-	size := len(rows)
-	if size == 0 {
-		size = budgetPresize(j.buildHint, j.workMem)
-	}
-	j.table = make(map[uint64][]value.Row, size)
-	hashes := value.HashRows(rows, j.node.RightKey, nil)
-	for i, row := range rows {
-		if keysNull(row, j.node.RightKey) {
-			continue
-		}
-		j.table[hashes[i]] = append(j.table[hashes[i]], row)
+// loadTable indexes the build rows by key hash.
+func (j *hashJoin) loadTable() {
+	j.table.reset(len(j.buildRows))
+	for _, row := range j.buildRows {
+		j.table.add(row.Hash(j.node.RightKey))
 	}
 }
 
@@ -226,9 +205,7 @@ func (j *hashJoin) Next() (*Page, error) {
 			return nil, err
 		}
 		if !j.parted {
-			rows := j.buildRows
-			j.buildRows = nil
-			j.loadTable(rows)
+			j.loadTable()
 		}
 		j.built = true
 	}
@@ -241,8 +218,8 @@ func (j *hashJoin) Next() (*Page, error) {
 		return j.nextGrace()
 	}
 	for !j.eos && j.outLen() < j.pageRows {
-		if j.bucket != nil {
-			if err := j.emitBucket(); err != nil {
+		if j.chain >= 0 {
+			if err := j.emitChain(); err != nil {
 				return nil, err
 			}
 			continue
@@ -253,8 +230,8 @@ func (j *hashJoin) Next() (*Page, error) {
 			if keysNull(l, j.node.LeftKeys) {
 				continue
 			}
-			if b := j.table[l.Hash(j.node.LeftKeys)]; len(b) > 0 {
-				j.curLeft, j.bucket, j.bucketI = l, b, 0
+			if e := j.table.first(l.Hash(j.node.LeftKeys)); e >= 0 {
+				j.curLeft, j.chain = l, e
 			}
 			continue
 		}
@@ -278,12 +255,12 @@ func (j *hashJoin) Next() (*Page, error) {
 	return j.emit(), nil
 }
 
-// emitBucket emits the current probe row's remaining candidate matches into
+// emitChain emits the current probe row's remaining candidate matches into
 // the output page (shared by the streaming and grace paths).
-func (j *hashJoin) emitBucket() error {
-	for j.bucketI < len(j.bucket) && j.outLen() < j.pageRows {
-		r := j.bucket[j.bucketI]
-		j.bucketI++
+func (j *hashJoin) emitChain() error {
+	for j.chain >= 0 && j.outLen() < j.pageRows {
+		r := j.buildRows[j.chain]
+		j.chain = j.table.next[j.chain]
 		if !keysEqual(j.curLeft, j.node.LeftKeys, r, j.node.RightKey) {
 			continue
 		}
@@ -303,8 +280,8 @@ func (j *hashJoin) emitBucket() error {
 		}
 		j.out.Rows = append(j.out.Rows, combined)
 	}
-	if j.bucketI >= len(j.bucket) {
-		j.bucket, j.curLeft = nil, nil
+	if j.chain < 0 {
+		j.curLeft = nil
 	}
 	return nil
 }
@@ -326,24 +303,16 @@ func (j *hashJoin) routeProbe() error {
 			if keysNull(row, j.node.LeftKeys) {
 				continue // inner join: NULL probe keys match nothing
 			}
-			p := partOf(row.Hash(j.node.LeftKeys), 0)
-			if err := j.probeFiles[p].Append(row); err != nil {
+			if err := j.grace.add(joinProbe, row.Hash(j.node.LeftKeys), row); err != nil {
 				pg.Release()
 				return err
 			}
 		}
 		pg.Release()
 	}
-	for i := 0; i < aggFanOut; i++ {
-		if err := j.buildFiles[i].Finish(); err != nil {
-			return err
-		}
-		if err := j.probeFiles[i].Finish(); err != nil {
-			return err
-		}
-		j.work = append(j.work, joinWork{build: j.buildFiles[i], probe: j.probeFiles[i], depth: 1})
+	if err := j.grace.finish(); err != nil {
+		return err
 	}
-	j.buildFiles, j.probeFiles = nil, nil
 	j.probeRouted = true
 	return nil
 }
@@ -352,8 +321,8 @@ func (j *hashJoin) routeProbe() error {
 // partition's probe file against its in-memory build table.
 func (j *hashJoin) nextGrace() (*Page, error) {
 	for j.outLen() < j.pageRows {
-		if j.bucket != nil {
-			if err := j.emitBucket(); err != nil {
+		if j.chain >= 0 {
+			if err := j.emitChain(); err != nil {
 				return nil, err
 			}
 			continue
@@ -367,161 +336,110 @@ func (j *hashJoin) nextGrace() (*Page, error) {
 				j.finishPartition()
 				continue
 			}
-			if b := j.table[row.Hash(j.node.LeftKeys)]; len(b) > 0 {
-				j.curLeft, j.bucket, j.bucketI = row, b, 0
+			if e := j.table.first(row.Hash(j.node.LeftKeys)); e >= 0 {
+				j.curLeft, j.chain = row, e
 			}
 			continue
 		}
-		if len(j.work) == 0 {
-			break
-		}
-		if err := j.startPartition(); err != nil {
+		more, err := j.startPartition()
+		if err != nil {
 			return nil, err
+		}
+		if !more {
+			break
 		}
 	}
 	return j.emit(), nil
 }
 
-// startPartition pops the next partition pair: an over-budget build side
-// splits one hash level deeper, otherwise its rows are copied into the build
-// arena (a spill reader's row lives only until its next row), load into the
-// table, and the probe stream opens.
-func (j *hashJoin) startPartition() error {
-	w := j.work[0]
-	j.work = j.work[1:]
-	if w.build.Rows() == 0 || w.probe.Rows() == 0 {
+// startPartition pops the next partition pair, false when none is left: an
+// over-budget build side splits one hash level deeper, otherwise its rows are
+// copied into the build arena (a spill reader's row lives only until its next
+// row) and indexed, and the probe stream opens. On an error the pair's files
+// stay with j.grace, which removes them when the join closes.
+func (j *hashJoin) startPartition() (bool, error) {
+	w, ok := j.grace.pop()
+	if !ok {
+		return false, nil
+	}
+	build, probe := w.side[joinBuild], w.side[joinProbe]
+	if build.Rows() == 0 || probe.Rows() == 0 {
 		// An empty side (skewed keys) can never match: skip the partition
 		// without decoding the other side's file at all.
-		w.build.Close()
-		w.probe.Close()
-		return nil
+		j.grace.done()
+		return true, nil
 	}
 	// The split decision uses the decoded footprint, not the file size: a
 	// partition of narrow rows decodes to many times its serialized bytes.
-	if fileMemSize(w.build) > j.workMem && w.depth < aggMaxDepth {
-		return j.splitPartition(w)
+	if fileMemSize(build)+build.Rows()*hashEntryMem > j.workMem && w.depth < graceMaxDepth {
+		return true, j.splitPartition(w)
 	}
-	var rows []value.Row
-	r, err := w.build.Reader()
+	r, err := build.Reader()
 	if err != nil {
-		w.build.Close()
-		w.probe.Close()
-		return err
+		return false, err
 	}
+	defer r.Close()
 	for {
 		row, ok, err := r.Next()
 		if err != nil {
-			r.Close()
-			w.build.Close()
-			w.probe.Close()
-			return err
+			return false, err
 		}
 		if !ok {
 			break
 		}
-		rows = append(rows, copyRow(&j.buildArena, row))
+		j.buildRows = append(j.buildRows, copyRow(&j.buildArena, row))
 	}
-	r.Close()
-	j.loadTable(rows)
-	pr, err := w.probe.Reader()
-	if err != nil {
-		w.build.Close()
-		w.probe.Close()
-		return err
-	}
-	j.curWork, j.partProbe = &w, pr
-	return nil
+	j.loadTable()
+	j.partProbe, err = probe.Reader()
+	return true, err
 }
 
 // finishPartition closes out the partition just joined, removing its files
-// and dropping its build rows.
+// and dropping its build rows; their storage is kept for the next partition.
 func (j *hashJoin) finishPartition() {
-	if j.partProbe != nil {
-		j.partProbe.Close()
-		j.partProbe = nil
-	}
-	if j.curWork != nil {
-		j.curWork.build.Close()
-		j.curWork.probe.Close()
-		j.curWork = nil
-	}
-	j.table = nil
-	j.buildArena.reset()
+	j.partProbe.Close()
+	j.partProbe = nil
+	j.grace.done()
+	clear(j.buildRows)
+	j.buildRows = j.buildRows[:0]
+	j.buildArena.rewind()
 }
 
 // splitPartition re-hashes both sides of an over-budget partition one level
-// deeper into aggFanOut sub-pairs, which replace it on the work queue.
-// Every error path removes the sub files and the parent pair, so an I/O
-// failure mid-split leaves no temp files behind.
-func (j *hashJoin) splitPartition(w joinWork) error {
+// deeper; the sub-pairs replace it at the head of the queue. On an error the
+// files stay with j.grace, which removes them when the join closes.
+func (j *hashJoin) splitPartition(w gracePair) error {
 	j.spillM.addJoinSpill()
-	sub := make([]joinWork, aggFanOut)
-	cleanup := func(err error) error {
-		for _, s := range sub {
-			if s.build != nil {
-				s.build.Close()
-			}
-			if s.probe != nil {
-				s.probe.Close()
-			}
-		}
-		w.build.Close()
-		w.probe.Close()
+	if err := j.grace.open(j.tmpDir, j.spillM, w.depth); err != nil {
 		return err
 	}
-	builds, err := makeSpillFiles(j.tmpDir, j.spillM, aggFanOut)
+	if err := j.route(w.side[joinBuild], joinBuild, j.node.RightKey); err != nil {
+		return err
+	}
+	if err := j.route(w.side[joinProbe], joinProbe, j.node.LeftKeys); err != nil {
+		return err
+	}
+	j.grace.done()
+	return j.grace.finish()
+}
+
+// route re-hashes every row of src, by its keys, into one side of the level
+// being written.
+func (j *hashJoin) route(src *spill.File, side int, keys []int) error {
+	r, err := src.Reader()
 	if err != nil {
-		return cleanup(err)
+		return err
 	}
-	probes, err := makeSpillFiles(j.tmpDir, j.spillM, aggFanOut)
-	if err != nil {
-		for _, f := range builds {
-			f.Close()
-		}
-		return cleanup(err)
-	}
-	for i := range sub {
-		sub[i] = joinWork{build: builds[i], probe: probes[i], depth: w.depth + 1}
-	}
-	j.spillM.addJoinParts(2 * aggFanOut)
-	route := func(src *spill.File, keys []int, pick func(joinWork) *spill.File) error {
-		r, err := src.Reader()
-		if err != nil {
+	defer r.Close()
+	for {
+		row, ok, err := r.Next()
+		if err != nil || !ok {
 			return err
 		}
-		defer r.Close()
-		for {
-			row, ok, err := r.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			p := partOf(row.Hash(keys), w.depth)
-			if err := pick(sub[p]).Append(row); err != nil {
-				return err
-			}
+		if err := j.grace.add(side, row.Hash(keys), row); err != nil {
+			return err
 		}
 	}
-	if err := route(w.build, j.node.RightKey, func(s joinWork) *spill.File { return s.build }); err != nil {
-		return cleanup(err)
-	}
-	if err := route(w.probe, j.node.LeftKeys, func(s joinWork) *spill.File { return s.probe }); err != nil {
-		return cleanup(err)
-	}
-	w.build.Close()
-	w.probe.Close()
-	for _, s := range sub {
-		if err := s.build.Finish(); err != nil {
-			return cleanup(err)
-		}
-		if err := s.probe.Finish(); err != nil {
-			return cleanup(err)
-		}
-	}
-	j.work = append(sub, j.work...)
-	return nil
 }
 
 // closeSpillFiles removes every partition file the join still owns — the
@@ -531,27 +449,7 @@ func (j *hashJoin) closeSpillFiles() {
 		j.partProbe.Close()
 		j.partProbe = nil
 	}
-	if j.curWork != nil {
-		j.curWork.build.Close()
-		j.curWork.probe.Close()
-		j.curWork = nil
-	}
-	for _, f := range j.buildFiles {
-		if f != nil {
-			f.Close()
-		}
-	}
-	for _, f := range j.probeFiles {
-		if f != nil {
-			f.Close()
-		}
-	}
-	j.buildFiles, j.probeFiles = nil, nil
-	for _, w := range j.work {
-		w.build.Close()
-		w.probe.Close()
-	}
-	j.work = nil
+	j.grace.close()
 }
 
 //stagedb:hot
@@ -566,7 +464,8 @@ func keysEqual(l value.Row, lk []int, r value.Row, rk []int) bool {
 
 func (j *hashJoin) Close() error {
 	j.closeSpillFiles()
-	j.table, j.bucket, j.curLeft, j.buildRows = nil, nil, nil, nil
+	j.table = hashTable{}
+	j.curLeft, j.buildRows, j.chain = nil, nil, -1
 	j.probe.Release()
 	j.probe = nil
 	j.buildArena.reset()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,7 +229,7 @@ func idGrpRows(n int) []value.Row {
 
 // TestKeylessJoinNeverSpills: at the 64 KB WorkMem floor a build side the
 // equi join must partition stays resident when the join has no key — its one
-// bucket cannot be partitioned — so no spill file is ever created.
+// chain cannot be partitioned — so no spill file is ever created.
 func TestKeylessJoinNeverSpills(t *testing.T) {
 	probe, build := idGrpRows(20), idGrpRows(3000)
 	for _, tc := range []struct {
@@ -294,6 +295,124 @@ func TestJoinResidualRejectsReuseArena(t *testing.T) {
 	// fixed cost for the build table that does not grow with the output.
 	if limit := float64(3*pages + 64); allocs > limit {
 		t.Fatalf("%.0f allocations for %d output pages (limit %.0f): rejected rows keep their arena slots", allocs, pages, limit)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinDuplicateKeysKeepBuildOrder: a probe row's matches come out in
+// build arrival order — in memory, inside a grace partition, and in the
+// key-less join, whose one chain is the whole build side. Probe rows are
+// (i%9, i) for i < 40 and build rows (j%7, j) for j < 3000, so most probe
+// rows match hundreds of build rows sharing one key, and keys 7 and 8 match
+// none.
+func TestJoinDuplicateKeysKeepBuildOrder(t *testing.T) {
+	mkRows := func(n, mod int) []value.Row {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			rows[i] = value.Row{value.NewInt(int64(i % mod)), value.NewInt(int64(i))}
+		}
+		return rows
+	}
+	probe, build := mkRows(40, 9), mkRows(3000, 7)
+	// matches lists, probe row by probe row, the build ids it must be paired
+	// with, in arrival order.
+	matches := func(keyless bool) [][]int64 {
+		out := make([][]int64, len(probe))
+		for i := range probe {
+			for j := range build {
+				if keyless || i%9 == j%7 {
+					out[i] = append(out[i], int64(j))
+				}
+			}
+		}
+		return out
+	}
+	keyed := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{}, LeftKeys: []int{0}, RightKey: []int{0}}
+	keyless := &plan.Join{L: &plan.SeqScan{}, R: &plan.SeqScan{}}
+	for _, tc := range []struct {
+		name    string
+		node    *plan.Join
+		workMem int64
+		grace   bool
+	}{
+		{"in-memory", keyed, 1 << 30, false},
+		{"grace", keyed, 1, true}, // clamps to MinWorkMem
+		{"keyless", keyless, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm := &SpillMetrics{}
+			j := &hashJoin{node: tc.node, left: newReplay(probe), right: newReplay(build),
+				pageRows: 16, workMem: tc.workMem, spillM: sm}
+			rows := drainOpen(t, j)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := sm.Stats(); (st.JoinSpills > 0) != tc.grace || st.FilesLive() != 0 {
+				t.Fatalf("want grace=%v and no live files: %+v", tc.grace, st)
+			}
+			// Group the output by probe row, keeping the order of each
+			// probe row's matches; outside grace the probe rows themselves
+			// must come in order too.
+			want := matches(tc.node.LeftKeys == nil)
+			got := make([][]int64, len(probe))
+			var probeOrder []int64
+			for _, r := range rows {
+				i := r[1].Int()
+				if len(probeOrder) == 0 || probeOrder[len(probeOrder)-1] != i {
+					probeOrder = append(probeOrder, i)
+				}
+				got[i] = append(got[i], r[3].Int())
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("probe row %d matched build rows %v, want %v", i, got[i], want[i])
+				}
+			}
+			if !tc.grace && !slices.IsSorted(probeOrder) {
+				t.Fatalf("probe rows out of order: %v", probeOrder)
+			}
+		})
+	}
+}
+
+// TestJoinTableAllocatesPerChunk: the join's hash table allocates per chunk
+// of its storage, not per build key — an in-memory equi join over 30,000
+// distinct build keys stays far below one allocation per key. Pages come
+// unpooled so the count is exact under the race detector too, whose
+// sync.Pool drops items at random.
+func TestJoinTableAllocatesPerChunk(t *testing.T) {
+	const n = 30_000
+	rows := idGrpRows(n)
+	j := &hashJoin{node: planJoin(t, "SELECT * FROM l JOIN r ON l.id = r.id"),
+		left:     &replaySrc{rows: rows, pageRows: 1024},
+		right:    &replaySrc{rows: rows, pageRows: 1024},
+		pageRows: 1024, workMem: 1 << 30}
+	out := 0
+	run := func() {
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		out = 0
+		for {
+			pg, err := j.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pg == nil {
+				break
+			}
+			out += pg.Len()
+			pg.Release()
+		}
+	}
+	allocs := testing.AllocsPerRun(3, run)
+	if out != n {
+		t.Fatalf("join produced %d rows, want %d", out, n)
+	}
+	if allocs > 1000 {
+		t.Fatalf("an in-memory join over %d build keys allocates %.0f objects, want at most 1,000", n, allocs)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

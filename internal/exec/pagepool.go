@@ -12,8 +12,8 @@ package exec
 //     from the page's own value storage (Page.carve), fills it, appends it to
 //     Rows, and emits the page. Emitting transfers ownership to the consumer.
 //   - A consumer either forwards the page downstream (transferring ownership
-//     again — filter, distinct and limit do this, adjusting the selection
-//     vector in place) or reads the rows it needs and calls Release.
+//     again — filter and limit do this, adjusting the selection vector in
+//     place) or reads the rows it needs and calls Release.
 //   - Fan-out producers (exec.SharedScans) Retain the page once per extra
 //     consumer; the page recycles on the last Release.
 //
@@ -27,10 +27,10 @@ package exec
 //     from them may be touched.
 //   - Anything that keeps a row longer copies it: value.Row.Clone, or an
 //     operator arena (copyRow) that the operator itself owns and charges to
-//     its WorkMem budget. The hash-join build side, Top-N, DISTINCT's dedup
-//     table, Drain and the client API's materialised results are the
-//     retainers; sort copies into its arenas, aggregation copies group keys
-//     into its own and spill writers encode on the spot.
+//     its WorkMem budget. The hash-join build side, Top-N, Drain and the
+//     client API's materialised results are the retainers; sort copies into
+//     its arenas, aggregation (DISTINCT included) copies group keys into its
+//     own and spill writers encode on the spot.
 //   - A row read back from a spill file follows the same rule with the
 //     reader in the page's place: spill.Reader.Next decodes each row over the
 //     one it returned last, so the row is valid until the next Next or Close

@@ -193,6 +193,10 @@ func TestOperatorReopenConformance(t *testing.T) {
 	aop := &aggregateOp{node: agg, child: newReplay(rows), pageRows: 16,
 		groupBy: []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})},
 		aggArg:  []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 1}), nil}}
+	// DISTINCT is a grouping by every column with no aggregates.
+	dop := &aggregateOp{node: &plan.Aggregate{GroupBy: []plan.Expr{&plan.Column{Idx: 0}}}, pageRows: 16,
+		child:   &projectOp{child: newReplay(rows), exprs: []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}},
+		groupBy: []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}}
 	ops := map[string]Operator{
 		"sort":       newSortOp(newReplay(rows), colKeys(0, -2), 1<<30, nil),
 		"sort-spill": newSortOp(newReplay(rows), colKeys(0, -2), 1, nil),
@@ -200,7 +204,7 @@ func TestOperatorReopenConformance(t *testing.T) {
 		"filter":     &filterOp{child: newReplay(rows), pred: plan.CompilePredicate(&plan.Binary{Op: ">", L: &plan.Column{Idx: 1}, R: &plan.Const{Val: value.NewInt(50)}})},
 		"project":    &projectOp{child: newReplay(rows), exprs: []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 2}), plan.Compile(&plan.Column{Idx: 0})}},
 		"limit":      &limitOp{child: newReplay(rows), n: 17, offset: 3},
-		"distinct":   &distinctOp{child: &projectOp{child: newReplay(rows), exprs: []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}}},
+		"distinct":   dop,
 		"aggregate":  aop,
 		"hashjoin":   &hashJoin{node: jn, left: newReplay(rows[:50]), right: newReplay(rows[:30]), pageRows: 16},
 	}

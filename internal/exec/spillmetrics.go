@@ -7,11 +7,7 @@ package exec
 // queries of a kernel; it surfaces as DB.SpillStats(), the "spill"
 // pseudo-stage in staged snapshots, and the CLI \stages view.
 
-import (
-	"sync/atomic"
-
-	"stagedb/internal/exec/spill"
-)
+import "sync/atomic"
 
 // SpillMetrics aggregates spill activity across queries. All methods are
 // safe on a nil receiver (counters discarded), so operators never need to
@@ -52,24 +48,22 @@ func (m *SpillMetrics) addTopN() {
 		m.topN.Add(1)
 	}
 }
+
+// addAggSpill counts an aggregation level spilled: its two sides of
+// graceFanOut partition files.
 func (m *SpillMetrics) addAggSpill() {
 	if m != nil {
 		m.aggSpills.Add(1)
+		m.aggParts.Add(2 * graceFanOut)
 	}
 }
-func (m *SpillMetrics) addAggParts(n int64) {
-	if m != nil {
-		m.aggParts.Add(n)
-	}
-}
+
+// addJoinSpill counts a join level spilled: its build and probe sides of
+// graceFanOut partition files.
 func (m *SpillMetrics) addJoinSpill() {
 	if m != nil {
 		m.joinSpills.Add(1)
-	}
-}
-func (m *SpillMetrics) addJoinParts(n int64) {
-	if m != nil {
-		m.joinParts.Add(n)
+		m.joinParts.Add(2 * graceFanOut)
 	}
 }
 
@@ -104,26 +98,6 @@ func budgetPresize(hint int, workMem int64) int {
 		return max
 	}
 	return hint
-}
-
-// makeSpillFiles creates n spill files in dir, removing any already created
-// when a later creation fails — the shared entry point of every grace
-// fan-out (agg state/row partitions, join build/probe partitions).
-func makeSpillFiles(dir string, m *SpillMetrics, n int) ([]*spill.File, error) {
-	out := make([]*spill.File, n)
-	for i := range out {
-		f, err := spill.Create(dir, m)
-		if err != nil {
-			for _, g := range out {
-				if g != nil {
-					g.Close()
-				}
-			}
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
 }
 
 // SpillStats is a point-in-time copy of the spill counters.

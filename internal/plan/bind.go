@@ -349,6 +349,10 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			if len(sortAbove) > 0 {
 				return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
 			}
+			if sel.Distinct {
+				// The grouping above the Project would not keep this order.
+				return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY keys must appear in the select list")
+			}
 			sortBelow = append(sortBelow, SortKey{Expr: fold(e), Desc: item.Desc})
 		}
 	}
@@ -358,7 +362,12 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 	tree = &Project{Child: tree, Exprs: projExprs, out: projSchema}
 
 	if sel.Distinct {
-		tree = &Distinct{Child: tree}
+		// DISTINCT is a grouping by every output column with no aggregates.
+		groups := make([]Expr, len(projSchema))
+		for i, c := range projSchema {
+			groups[i] = &Column{Idx: i, Name: c.Name, Typ: c.Type}
+		}
+		tree = &Aggregate{Child: tree, GroupBy: groups, Est: groupsEstimate(tree.Rows()), out: projSchema}
 	}
 	if len(sortAbove) > 0 {
 		tree = &Sort{Child: tree, Keys: sortAbove}
@@ -629,6 +638,10 @@ func joinEstimate(l, r float64, lk []int, lo []colOrigin, rk []int, ro []colOrig
 
 // --- aggregate planning ---
 
+// groupsEstimate is the number of groups a grouping of rows input rows is
+// expected to produce.
+func groupsEstimate(rows float64) float64 { return max(rows/10, 1) }
+
 // buildAggregate plans GROUP BY + aggregate calls and returns the node, its
 // schema, and a rewriter that binds post-aggregation expressions (SELECT
 // items, HAVING, ORDER BY inputs) against the aggregate output.
@@ -734,11 +747,8 @@ func (b *selBinder) buildAggregate(child Node, sel *sql.Select) (Node, Schema, f
 		out = append(out, ColInfo{Name: aggReprs[i], Type: a.ResultType()})
 	}
 
-	est := child.Rows() / 10
+	est := groupsEstimate(child.Rows())
 	if len(sel.GroupBy) == 0 {
-		est = 1
-	}
-	if est < 1 {
 		est = 1
 	}
 	node := &Aggregate{Child: child, GroupBy: groupExprs, Aggs: aggs, Est: est, out: out}

@@ -314,22 +314,6 @@ func (n *Limit) Rows() float64 {
 
 func (n *Limit) String() string { return fmt.Sprintf("Limit %d offset %d", n.N, n.Offset) }
 
-// Distinct removes duplicate rows.
-type Distinct struct {
-	Child Node
-}
-
-// Schema implements Node.
-func (n *Distinct) Schema() Schema { return n.Child.Schema() }
-
-// Children implements Node.
-func (n *Distinct) Children() []Node { return []Node{n.Child} }
-
-// Rows implements Node.
-func (n *Distinct) Rows() float64 { return n.Child.Rows() * 0.9 }
-
-func (n *Distinct) String() string { return "Distinct" }
-
 // Explain renders the plan tree, one node per line, children indented.
 func Explain(n Node) string {
 	var b strings.Builder

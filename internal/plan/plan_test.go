@@ -208,10 +208,30 @@ func TestStageOfMapping(t *testing.T) {
 	if StageOf(scan) != "fscan:t" {
 		t.Fatalf("seq scan stage: %s", StageOf(scan))
 	}
-	if StageOf(&Sort{Child: scan}) != "sort" || StageOf(&Distinct{Child: scan}) != "exec" {
+	if StageOf(&Sort{Child: scan}) != "sort" {
 		t.Fatal("stage mapping")
 	}
 	if StageOf(&Filter{Child: scan}) != "filter" {
 		t.Fatalf("filter stage: %s", StageOf(&Filter{Child: scan}))
+	}
+	// SELECT DISTINCT is a grouping by every output column, with no
+	// aggregates and GROUP BY's estimate, over the projection: it runs on the
+	// aggr stage.
+	cat := paramCatalog(t)
+	node, err := BindSelect(cat, sql.MustParse("SELECT DISTINCT v, name FROM t").(*sql.Select), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, ok := node.(*Aggregate)
+	if !ok || agg.String() != "Aggregate groups=2 aggs=0" || StageOf(agg) != "aggr" {
+		t.Fatalf("SELECT DISTINCT binds to:\n%s", Explain(node))
+	}
+	if _, ok := agg.Child.(*Project); !ok || agg.Rows() != agg.Child.Rows()/10 {
+		t.Fatalf("DISTINCT grouping over %T, estimated %v rows:\n%s", agg.Child, agg.Rows(), Explain(node))
+	}
+	// The grouping does not keep its input's order, so an ORDER BY below the
+	// projection is refused.
+	if _, err := BindSelect(cat, sql.MustParse("SELECT DISTINCT name FROM t ORDER BY v").(*sql.Select), Options{}); err == nil {
+		t.Fatal("SELECT DISTINCT ordered by a column outside the select list must not bind")
 	}
 }

@@ -33,9 +33,6 @@ func pruneScans(n Node, need []bool) {
 		pruneScans(child, markAll(make([]bool, len(child.Schema())), nodeExprs(n)))
 	case *Limit:
 		pruneScans(x.Child, need)
-	case *Distinct:
-		// Row identity is the whole row.
-		pruneScans(x.Child, nil)
 	case *Join:
 		// The output is L‖R: keys are positions in each side, the residual
 		// is evaluated on the concatenation.

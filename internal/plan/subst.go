@@ -173,14 +173,6 @@ func (s *paramSubst) node(n Node) Node {
 		cp := *x
 		cp.Child = child
 		return &cp
-	case *Distinct:
-		child := s.node(x.Child)
-		if child == x.Child {
-			return x
-		}
-		cp := *x
-		cp.Child = child
-		return &cp
 	}
 	return n
 }

@@ -156,3 +156,29 @@ func TestSubstituteArityError(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSubstituteDistinct: a prepared SELECT DISTINCT rides through Substitute
+// as the grouping it binds to, and matches the literal query.
+func TestSubstituteDistinct(t *testing.T) {
+	cat := paramCatalog(t)
+	bind := func(q string) Node {
+		t.Helper()
+		node, err := BindSelect(cat, sql.MustParse(q).(*sql.Select), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	prepared := bind("SELECT DISTINCT name FROM t WHERE v < ?")
+	bound, err := Substitute(prepared, []value.Value{value.NewInt(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if countParams(prepared) != 1 || countParams(bound) != 0 {
+		t.Fatalf("parameters: %d in the prepared plan, %d after Substitute", countParams(prepared), countParams(bound))
+	}
+	got, want := Explain(bound), Explain(bind("SELECT DISTINCT name FROM t WHERE v < 5"))
+	if got != want || !strings.HasPrefix(got, "Aggregate groups=1 aggs=0") {
+		t.Fatalf("substituted plan:\n%s\nliteral plan:\n%s", got, want)
+	}
+}
