@@ -313,12 +313,29 @@ func (a *aggregateOp) setExtreme(dst *value.Value, v value.Value) {
 // written to the first level's state side, the table is emptied, and every
 // later input row is routed raw by key hash.
 func (a *aggregateOp) doSpill() error {
-	a.spillM.addAggSpill()
-	if err := a.grace.open(a.tmpDir, a.spillM, 0); err != nil {
+	fan := a.topFanOut()
+	if err := a.grace.open(a.tmpDir, a.spillM, gracePair{}, fan); err != nil {
 		return err
 	}
+	a.spillM.addAggSpill(2 * fan)
 	a.spilled = true
 	return a.spillGroups()
+}
+
+// topFanOut sizes the first grace level from the planner's group estimate
+// and the bytes a group has cost so far: the smallest power of two at or
+// above 1.5 × groupHint × bytes per group / WorkMem, clamped to
+// [graceFanOut, graceMaxFanOut]. An accurate estimate then gives partitions
+// that each fit the budget with room to spare, so none splits and every
+// spilled row is written once; an estimate of zero gives graceFanOut.
+func (a *aggregateOp) topFanOut() int {
+	perGroup := float64(a.memBytes) / float64(max(len(a.order), 1))
+	want := 1.5 * float64(a.groupHint) * perGroup / float64(a.workMem)
+	fan := graceFanOut
+	for fan < graceMaxFanOut && float64(fan) < want {
+		fan *= 2
+	}
+	return fan
 }
 
 // spillGroups writes every group's partial state to the state side of the
@@ -474,10 +491,10 @@ func (a *aggregateOp) nextPartition() error {
 // with the parent partition. On an error the files stay with a.grace, which
 // removes them when the operator closes.
 func (a *aggregateOp) splitPartition(w gracePair, states, rows *spill.Reader) error {
-	a.spillM.addAggSpill()
-	if err := a.grace.open(a.tmpDir, a.spillM, w.depth); err != nil {
+	if err := a.grace.open(a.tmpDir, a.spillM, w, graceFanOut); err != nil {
 		return err
 	}
+	a.spillM.addAggSpill(2 * graceFanOut)
 	if err := a.spillGroups(); err != nil {
 		return err
 	}

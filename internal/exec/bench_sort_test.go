@@ -92,6 +92,23 @@ func BenchmarkExtSort(b *testing.B) {
 		b.ReportMetric(float64(st.SortRuns)/float64(b.N), "runs/op")
 		b.ReportMetric(float64(st.SpilledBytes)/float64(b.N), "spilled-B/op")
 	})
+	b.Run("shape", func(b *testing.B) {
+		// The analytic spill workload's sort: ORDER BY val, id over 200k
+		// (id, val) rows at 1 MB WorkMem.
+		rows := shapeRows(shapeN)
+		keys := colKeys(1, 0)
+		sm := &SpillMetrics{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := newSortOp(benchReplay(rows, pp), keys, shapeWorkMem, sm)
+			s.pool = pp
+			if got := drainBench(b, s); got != shapeN {
+				b.Fatalf("rows = %d", got)
+			}
+		}
+		reportSpill(b, sm)
+	})
 	b.Run("fullsort-limit10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -164,6 +181,63 @@ func BenchmarkSpillAgg(b *testing.B) {
 		}
 		b.ReportMetric(float64(sm.Stats().AggPartitions)/float64(b.N), "partitions/op")
 	})
+	b.Run("shape", func(b *testing.B) {
+		// The analytic spill workload's grouping: GROUP BY k (50k keys) with
+		// COUNT(*) and SUM(val) over 200k (k, val) rows at 1 MB WorkMem, the
+		// planner's group estimate exact.
+		const keys = 50_000
+		rows := make([]value.Row, 0, shapeN)
+		for _, r := range shapeRows(shapeN) {
+			id := r[0].Int()
+			rows = append(rows, value.Row{value.NewInt(id * 7919 % keys), r[1]})
+		}
+		sm := &SpillMetrics{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := &aggregateOp{node: node, child: benchReplay(rows, pp), pageRows: 64,
+				groupHint: keys, workMem: shapeWorkMem, spillM: sm}
+			a.groupBy = []plan.CompiledExpr{plan.Compile(&plan.Column{Idx: 0})}
+			a.aggArg = []plan.CompiledExpr{nil, plan.Compile(&plan.Column{Idx: 1})}
+			if got := drainBench(b, a); got != keys {
+				b.Fatalf("groups = %d", got)
+			}
+		}
+		reportSpill(b, sm)
+	})
+}
+
+// shapeN and shapeWorkMem size the workload-shaped benchmarks: the analytic
+// spill workload's table and budget.
+const (
+	shapeN       = 200_000
+	shapeWorkMem = 1 << 20
+)
+
+// shapeRows is the analytic workload's fact table reduced to (id, val).
+func shapeRows(n int) []value.Row {
+	rows := make([]value.Row, 0, n)
+	for i := 0; i < n; i++ {
+		rows = append(rows, value.Row{
+			value.NewInt(int64(i)),
+			value.NewInt(int64(uint64(i) * 2654435761 % 1_000_003)),
+		})
+	}
+	return rows
+}
+
+// reportSpill reports what one iteration spilled: sort runs and cascade
+// merge passes, bytes written and files created.
+func reportSpill(b *testing.B, sm *SpillMetrics) {
+	st := sm.Stats()
+	if st.FilesCreated == 0 {
+		b.Fatal("shape bench did not spill")
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(st.SortRuns)/n, "runs/op")
+	b.ReportMetric(float64(st.MergePasses)/n, "passes/op")
+	b.ReportMetric(float64(st.SpilledBytes)/n, "spilled-B/op")
+	b.ReportMetric(float64(st.FilesCreated)/n, "files/op")
 }
 
 // BenchmarkSpillJoin compares the streaming hash join within budget against

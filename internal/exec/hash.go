@@ -6,6 +6,7 @@ package exec
 // the WorkMem budget.
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"stagedb/internal/exec/spill"
@@ -67,49 +68,59 @@ func (t *hashTable) first(h uint64) int32 {
 	return -1
 }
 
-// graceFanOut is the grace-partitioning fan-out: a spilling hash operator
-// splits its keys into graceFanOut partitions per level.
+// graceFanOut is the grace-partitioning fan-out of a level split from a
+// partition, and of every join level: keys split into graceFanOut partitions.
 const graceFanOut = 8
+
+// graceMaxFanOut bounds the aggregation's top level, whose fan-out is sized
+// from the planner's group estimate (between graceFanOut and this).
+const graceMaxFanOut = 32
 
 // graceMaxDepth bounds partition recursion. A partition still over budget at
 // the bottom is processed in memory anyway — termination beats a hard failure
 // on adversarial key distributions.
 const graceMaxDepth = 6
 
-// partOf selects a grace partition for a key hash at a recursion depth, each
-// level consuming a fresh slice of the hash's bits: the keys of one partition
-// share the bits of every level above, so a split must look at new ones.
+// partOf selects a grace partition for a key hash from bits [shift,
+// shift+width) above the hash's low 7. Each level consumes a fresh slice of
+// the hash's bits: the keys of one partition share the bits of every level
+// above, so a split must look at new ones.
 //
 //stagedb:hot
-func partOf(h uint64, depth int) int {
-	return int((h >> (7 + 3*depth)) & (graceFanOut - 1))
+func partOf(h uint64, shift, width int) int {
+	return int((h >> (7 + shift)) & (1<<width - 1))
 }
 
-// gracePair is one grace partition: a file per side, and the depth its rows
-// were hashed at, which is the level a split routes them by.
+// gracePair is one grace partition: a file per side, and where a split routes
+// its rows — the depth and hash-bit shift of the level below the one that
+// hashed them.
 type gracePair struct {
 	side  [2]*spill.File
 	depth int
+	shift int
 }
 
 // graceFiles owns a hash operator's grace-partition files: the level being
-// written (two sides of graceFanOut files each), the finished pairs queued
-// for their turn, and the pair being consumed. The operator decides what goes
-// on each side — the aggregation writes partial group states and raw rows,
-// the join build and probe rows — and how a pair is consumed; close removes
-// every file still owned, whichever error or teardown path gets there.
+// written (two sides of fan-out files each), the finished pairs queued for
+// their turn, and the pair being consumed. The operator decides what goes on
+// each side — the aggregation writes partial group states and raw rows, the
+// join build and probe rows — and how a pair is consumed; close removes every
+// file still owned, whichever error or teardown path gets there.
 type graceFiles struct {
 	level [2][]*spill.File // the level being written; nil when none
 	depth int              // the depth the level routes by
+	shift int              // the level's first hash bit (partOf)
+	width int              // the level's hash bits: its fan-out is 1<<width
 	queue []gracePair      // finished pairs, next first
 	cur   gracePair        // the pair being consumed
 }
 
-// open starts a level routed at depth: graceFanOut files per side, created in
-// dir. A failed create removes the files already made.
-func (g *graceFiles) open(dir string, m *SpillMetrics, depth int) error {
-	files := make([]*spill.File, 0, 2*graceFanOut)
-	for range 2 * graceFanOut {
+// open starts a level routed at at's depth and shift: fan files per side,
+// created in dir; fan is a power of two. A failed create removes the files
+// already made.
+func (g *graceFiles) open(dir string, m *SpillMetrics, at gracePair, fan int) error {
+	files := make([]*spill.File, 0, 2*fan)
+	for range 2 * fan {
 		f, err := spill.Create(dir, m)
 		if err != nil {
 			for _, f := range files {
@@ -119,8 +130,8 @@ func (g *graceFiles) open(dir string, m *SpillMetrics, depth int) error {
 		}
 		files = append(files, f)
 	}
-	g.level = [2][]*spill.File{files[:graceFanOut], files[graceFanOut:]}
-	g.depth = depth
+	g.level = [2][]*spill.File{files[:fan], files[fan:]}
+	g.depth, g.shift, g.width = at.depth, at.shift, bits.TrailingZeros(uint(fan))
 	return nil
 }
 
@@ -129,7 +140,7 @@ func (g *graceFiles) open(dir string, m *SpillMetrics, depth int) error {
 //
 //stagedb:hot
 func (g *graceFiles) add(side int, h uint64, row value.Row) error {
-	return g.level[side][partOf(h, g.depth)].Append(row)
+	return g.level[side][partOf(h, g.shift, g.width)].Append(row)
 }
 
 // finish seals the level being written and queues its pairs ahead of those
@@ -143,9 +154,11 @@ func (g *graceFiles) finish() error {
 			}
 		}
 	}
-	pairs := make([]gracePair, graceFanOut, graceFanOut+len(g.queue))
+	fan := len(g.level[0])
+	pairs := make([]gracePair, fan, fan+len(g.queue))
 	for i := range pairs {
-		pairs[i] = gracePair{side: [2]*spill.File{g.level[0][i], g.level[1][i]}, depth: g.depth + 1}
+		pairs[i] = gracePair{side: [2]*spill.File{g.level[0][i], g.level[1][i]},
+			depth: g.depth + 1, shift: g.shift + g.width}
 	}
 	g.queue = append(pairs, g.queue...)
 	g.level = [2][]*spill.File{}

@@ -151,10 +151,10 @@ func (j *hashJoin) fillBuild() error {
 // spillBuild crosses into grace mode: partition files are created for both
 // sides and the accumulated build rows are routed out by key hash.
 func (j *hashJoin) spillBuild() error {
-	j.spillM.addJoinSpill()
-	if err := j.grace.open(j.tmpDir, j.spillM, 0); err != nil {
+	if err := j.grace.open(j.tmpDir, j.spillM, gracePair{}, graceFanOut); err != nil {
 		return err
 	}
+	j.spillM.addJoinSpill(2 * graceFanOut)
 	for _, row := range j.buildRows {
 		if err := j.grace.add(joinBuild, row.Hash(j.node.RightKey), row); err != nil {
 			return err
@@ -409,10 +409,10 @@ func (j *hashJoin) finishPartition() {
 // deeper; the sub-pairs replace it at the head of the queue. On an error the
 // files stay with j.grace, which removes them when the join closes.
 func (j *hashJoin) splitPartition(w gracePair) error {
-	j.spillM.addJoinSpill()
-	if err := j.grace.open(j.tmpDir, j.spillM, w.depth); err != nil {
+	if err := j.grace.open(j.tmpDir, j.spillM, w, graceFanOut); err != nil {
 		return err
 	}
+	j.spillM.addJoinSpill(2 * graceFanOut)
 	if err := j.route(w.side[joinBuild], joinBuild, j.node.RightKey); err != nil {
 		return err
 	}

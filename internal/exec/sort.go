@@ -5,10 +5,13 @@ package exec
 //   - sortOp is an external merge sort. Input accumulates in memory until the
 //     query's WorkMem budget is exceeded, at which point the accumulated
 //     batch is sorted and written to a temp-file run (internal/exec/spill);
-//     at end of input the runs stream through a k-way merge (cascading in
+//     at end of input the runs stream through a heap merge (cascading in
 //     passes of mergeFanIn when there are too many) while a fully in-memory
-//     input keeps the old sort-and-slice fast path. Spilled or not, the
-//     output order is byte-for-byte identical: rows order by (keys, arrival).
+//     input keeps the sort-and-slice fast path. Run formation sorts 16-byte
+//     (key prefix, index) entries rather than rows, and plain-column keys are
+//     read in place rather than copied in front of the row. Spilled or not,
+//     the output order is byte-for-byte identical: rows order by (keys,
+//     arrival).
 //   - topNOp serves ORDER BY + LIMIT k (the planner's fused TopN node) with a
 //     bounded max-heap of k = N+Offset rows: O(k) memory, no materialization,
 //     no spill, and — because the heap orders by the same (keys, arrival)
@@ -19,7 +22,9 @@ package exec
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -32,15 +37,15 @@ import (
 // how many spill-file descriptors a sort holds open at once). Run counts
 // beyond it cascade: passes of mergeFanIn-way merges write wider runs until
 // one final merge can stream the output.
-const mergeFanIn = 16
+const mergeFanIn = 32
 
-// compareKeyRows orders two precomputed key tuples under keys. The NULL
-// policy is value.Compare's: NULL sorts lowest, so ASC emits NULLs first and
-// DESC emits them last. Every ordering path (in-memory sort, run merge,
-// Top-N heap) goes through this one comparator.
-func compareKeyRows(a, b value.Row, keys []plan.SortKey) (int, error) {
-	for j := range keys {
-		c, err := value.Compare(a[j], b[j])
+// compareKeyRows orders two items under keys, reading key j at column at[j].
+// The NULL policy is value.Compare's: NULL sorts lowest, so ASC emits NULLs
+// first and DESC emits them last. Every ordering path (in-memory sort, run
+// merge, Top-N heap) goes through this one comparator.
+func compareKeyRows(a, b value.Row, at []int, keys []plan.SortKey) (int, error) {
+	for j, col := range at {
+		c, err := value.Compare(a[col], b[col])
 		if err != nil {
 			return 0, fmt.Errorf("exec: sort: %v", err)
 		}
@@ -99,13 +104,22 @@ type sortOp struct {
 	tmpDir  string
 	spill   *SpillMetrics
 
+	// Item layout (keyLayout): key j sits at column at[j] of an item, and the
+	// row starts at column rowAt. With plain-column keys an item is the row
+	// itself; otherwise it is the precomputed key tuple followed by the row,
+	// so runs carry their sort keys and the merge never re-evaluates key
+	// expressions.
+	at    []int
+	rowAt int
+
 	// Accumulation state (resumable: errWouldBlock leaves it in place).
-	// Each item is the precomputed key tuple followed by the full row, so
-	// runs carry their sort keys and the merge never re-evaluates key
-	// expressions. Items are carved from a chunked value arena, so the
-	// common in-memory path costs O(n/chunk) allocations, not one per row.
-	items     []value.Row
-	store     arena[value.Value]
+	// The batch's items sit back to back in vals, width values each (a plan
+	// node's rows all have its schema's width); vals and entries, what
+	// sortItems orders, are reused batch after batch, so a spilling sort
+	// allocates its batch storage once, not once per run.
+	vals      []value.Value
+	width     int // values per item; 0 until the first row
+	entries   []sortEntry
 	itemBytes int64
 	runs      []*spill.File
 	inputDone bool
@@ -120,9 +134,9 @@ type sortOp struct {
 
 func (s *sortOp) Open() error {
 	s.workMem = ResolveWorkMem(s.workMem) // directly built operators get defaults
+	s.at, s.rowAt = keyLayout(s.node.Keys)
 	s.closeSpill()
-	s.items, s.itemBytes = nil, 0
-	s.store.reset()
+	s.vals, s.width, s.itemBytes = nil, 0, 0
 	s.inputDone, s.loaded = false, false
 	s.out, s.pos = nil, 0
 	return s.child.Open()
@@ -148,10 +162,46 @@ func (s *sortOp) Next() (*Page, error) {
 	return slicePage(&s.pos, s.out, s.pageRows), nil
 }
 
+// sortEntry is what run formation sorts: an item's index in the batch and an
+// order-preserving prefix of its first key (keyPrefix). It holds no pointer,
+// so the sort moves 16 bytes per swap and pays no write barriers, and the
+// items never move.
+type sortEntry struct {
+	pfx uint64
+	idx int
+}
+
+// sortEntryMem is what one item's entry costs the WorkMem budget.
+const sortEntryMem = int64(unsafe.Sizeof(sortEntry{}))
+
+// keyLayout places the sort keys within an item. When every key is a plain
+// column, an item is the row itself and key j is read in place at its column;
+// any computed key makes an item the precomputed key tuple followed by the
+// row.
+func keyLayout(keys []plan.SortKey) (at []int, rowAt int) {
+	at = make([]int, len(keys))
+	for j, k := range keys {
+		c, ok := k.Expr.(*plan.Column)
+		if !ok {
+			return tupleAt(len(keys)), len(keys)
+		}
+		at[j] = c.Idx
+	}
+	return at, 0
+}
+
+// tupleAt is the layout of a precomputed key tuple: key j at column j.
+func tupleAt(n int) []int {
+	at := make([]int, n)
+	for j := range at {
+		at[j] = j
+	}
+	return at
+}
+
 // fill accumulates the child's output, flushing a sorted run whenever the
 // batch exceeds the budget.
 func (s *sortOp) fill() error {
-	kw := len(s.keys)
 	for !s.inputDone {
 		pg, err := s.child.Next()
 		if err != nil {
@@ -161,24 +211,33 @@ func (s *sortOp) fill() error {
 			s.inputDone = true
 			break
 		}
-		if s.items == nil && s.hint > 0 {
-			s.items = make([]value.Row, 0, budgetPresize(s.hint, s.workMem))
-		}
 		n := pg.Len()
 		for i := 0; i < n; i++ {
 			row := pg.Row(i)
-			item := s.store.carve(kw + len(row))
-			for j, k := range s.keys {
+			if s.width == 0 {
+				s.width = s.rowAt + len(row)
+				if s.hint > 0 {
+					s.vals = make([]value.Value, 0, min(s.hint*s.width, int(s.workMem/valueMemSize)))
+				}
+			}
+			if cap(s.vals)-len(s.vals) < s.width {
+				// Double, not append's 1.25×: a large unhinted batch then
+				// copies itself about once rather than about four times.
+				s.vals = slices.Grow(s.vals, max(cap(s.vals), s.width))
+			}
+			for _, k := range s.keys[:s.rowAt] {
 				v, err := k(row)
 				if err != nil {
 					pg.Release()
 					return err
 				}
-				item[j] = v
+				s.vals = append(s.vals, v)
 			}
-			copy(item[kw:], row)
-			s.items = append(s.items, item)
-			s.itemBytes += rowMemSize(item)
+			s.vals = append(s.vals, row...)
+			s.itemBytes += sortEntryMem + valueMemSize*int64(s.width)
+			for _, v := range s.vals[len(s.vals)-s.width:] {
+				s.itemBytes += textMem(v)
+			}
 		}
 		pg.Release()
 		if s.itemBytes > s.workMem {
@@ -190,24 +249,110 @@ func (s *sortOp) fill() error {
 	return nil
 }
 
-// sortItems orders the accumulated batch by (keys, arrival): the stable sort
-// preserves arrival order among equal keys, which is the tie-break every
+// item is the batch's item i.
+func (s *sortOp) item(i int) value.Row {
+	off := i * s.width
+	return s.vals[off : off+s.width : off+s.width]
+}
+
+// sortItems orders the accumulated batch by (keys, arrival) into s.entries:
+// one entry per item, compared by first-key prefix, then by the full keys,
+// then by index — so arrival order breaks key ties, the tie-break every
 // other ordering path (runs, merge, Top-N) reproduces.
 func (s *sortOp) sortItems() error {
+	n := 0
+	if s.width > 0 {
+		n = len(s.vals) / s.width
+	}
+	if cap(s.entries) < n {
+		s.entries = make([]sortEntry, 0, cap(s.vals)/s.width)
+	}
+	s.entries = s.entries[:0]
+	withPrefix := len(s.at) > 0 && hasKeyPrefix(s.vals, s.at[0], s.width)
+	for i := range n {
+		var pfx uint64
+		if withPrefix {
+			pfx = keyPrefix(s.vals[i*s.width+s.at[0]], s.node.Keys[0].Desc)
+		}
+		s.entries = append(s.entries, sortEntry{pfx: pfx, idx: i})
+	}
 	var sortErr error
-	slices.SortStableFunc(s.items, func(a, b value.Row) int {
-		c, err := compareKeyRows(a, b, s.node.Keys)
+	slices.SortFunc(s.entries, func(a, b sortEntry) int {
+		if a.pfx != b.pfx {
+			return cmp.Compare(a.pfx, b.pfx)
+		}
+		c, err := compareKeyRows(s.item(a.idx), s.item(b.idx), s.at, s.node.Keys)
 		if err != nil && sortErr == nil {
 			sortErr = err
 		}
-		return c
+		if c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
 	return sortErr
 }
 
+// hasKeyPrefix reports whether a batch's first key — column col of each
+// width-value item in vals — gets a prefix: every non-NULL value must be an
+// Int, or every one a Float (NaN excluded: it compares equal to everything),
+// or every one a Text. A batch mixing Int and Float gets none — value.Compare
+// orders those numerically, which no per-type prefix reproduces.
+func hasKeyPrefix(vals []value.Value, col, width int) bool {
+	kind := value.Null
+	for off := col; off < len(vals); off += width {
+		v := vals[off]
+		switch t := v.Type(); {
+		case t == value.Null:
+			continue
+		case t != value.Int && t != value.Float && t != value.Text:
+			return false
+		case kind == value.Null:
+			kind = t
+		case t != kind:
+			return false
+		}
+		if kind == value.Float && math.IsNaN(v.Float()) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyPrefix maps a first-key value to a uint64 whose order never contradicts
+// value.Compare between values of the type hasKeyPrefix admitted: a smaller
+// prefix means a smaller value, and values that compare equal get equal
+// prefixes (unequal values may share one too; the full comparison decides).
+// NULL is 0, the lowest; a DESC key flips every bit.
+func keyPrefix(v value.Value, desc bool) uint64 {
+	var p uint64
+	switch v.Type() {
+	case value.Int:
+		p = uint64(v.Int()) ^ 1<<63
+	case value.Float:
+		f := v.Float()
+		if f == 0 {
+			f = 0 // -0 compares equal to +0
+		}
+		if b := math.Float64bits(f); b>>63 != 0 {
+			p = ^b
+		} else {
+			p = b | 1<<63
+		}
+	case value.Text:
+		var b [8]byte
+		copy(b[:], v.Text())
+		p = binary.BigEndian.Uint64(b[:])
+	}
+	if desc {
+		p = ^p
+	}
+	return p
+}
+
 // flushRun sorts the accumulated batch and writes it out as one run.
 func (s *sortOp) flushRun() error {
-	if len(s.items) == 0 {
+	if len(s.vals) == 0 {
 		return nil
 	}
 	if err := s.sortItems(); err != nil {
@@ -220,8 +365,8 @@ func (s *sortOp) flushRun() error {
 	if err != nil {
 		return err
 	}
-	for _, item := range s.items {
-		if err := f.Append(item); err != nil {
+	for _, e := range s.entries {
+		if err := f.Append(s.item(e.idx)); err != nil {
 			f.Close()
 			return err
 		}
@@ -232,10 +377,10 @@ func (s *sortOp) flushRun() error {
 	}
 	s.spill.addSortRun()
 	s.runs = append(s.runs, f)
-	// Dropping the arena with the items lets the flushed batch's value
-	// storage go to GC; the next batch carves fresh chunks.
-	s.items, s.itemBytes = s.items[:0], 0
-	s.store.reset()
+	// The next batch reuses the buffer; clearing it first lets the flushed
+	// batch's text payloads go.
+	clear(s.vals)
+	s.vals, s.itemBytes = s.vals[:0], 0
 	return nil
 }
 
@@ -247,12 +392,11 @@ func (s *sortOp) finishInput() error {
 		if err := s.sortItems(); err != nil {
 			return err
 		}
-		kw := len(s.keys)
-		s.out = make([]value.Row, len(s.items))
-		for i, item := range s.items {
-			s.out[i] = item[kw:]
+		s.out = make([]value.Row, len(s.entries))
+		for i, e := range s.entries {
+			s.out[i] = s.item(e.idx)[s.rowAt:]
 		}
-		s.items, s.pos = nil, 0
+		s.vals, s.entries, s.pos = nil, nil, 0
 		return nil
 	}
 	// The still-in-memory tail becomes the last run; runs then hold the whole
@@ -261,13 +405,13 @@ func (s *sortOp) finishInput() error {
 	if err := s.flushRun(); err != nil {
 		return err
 	}
-	s.items = nil
+	s.vals, s.entries = nil, nil
 	for len(s.runs) > mergeFanIn {
 		if err := s.mergePass(); err != nil {
 			return err
 		}
 	}
-	m, err := newRunMerge(s.runs, s.node.Keys)
+	m, err := newRunMerge(s.runs, s.at, s.node.Keys)
 	if err != nil {
 		return err
 	}
@@ -301,7 +445,7 @@ func (s *sortOp) mergePass() (err error) {
 			next = append(next, group[0])
 			continue
 		}
-		m, err := newRunMerge(group, s.node.Keys)
+		m, err := newRunMerge(group, s.at, s.node.Keys)
 		if err != nil {
 			return err
 		}
@@ -342,7 +486,6 @@ func (s *sortOp) mergePass() (err error) {
 // reader's storage until the merge's next call, so each is copied into the
 // output page's own storage.
 func (s *sortOp) nextMerged() (*Page, error) {
-	kw := len(s.keys)
 	var out *Page
 	for out == nil || len(out.Rows) < s.pageRows {
 		item, ok, err := s.merge.Next()
@@ -356,8 +499,8 @@ func (s *sortOp) nextMerged() (*Page, error) {
 		if out == nil {
 			out = s.pool.Get(s.pageRows)
 		}
-		row := out.carve(len(item) - kw)
-		copy(row, item[kw:])
+		row := out.carve(len(item) - s.rowAt)
+		copy(row, item[s.rowAt:])
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
@@ -377,25 +520,26 @@ func (s *sortOp) closeSpill() {
 
 func (s *sortOp) Close() error {
 	s.closeSpill()
-	s.items, s.out = nil, nil
+	s.vals, s.entries, s.out = nil, nil, nil
 	return s.child.Close()
 }
 
-// runMerge is the streaming k-way merge over sorted runs. With fan-in
-// bounded by mergeFanIn, a linear minimum scan per row beats a heap's
-// bookkeeping and sidesteps comparator-error plumbing. Ties pick the lowest
-// run index — runs are written in arrival order, so this reproduces the
-// stable sort's tie-break exactly.
+// runMerge is the streaming k-way merge over sorted runs: a binary min-heap
+// of run indices ordered by (head, run index). Runs are written in arrival
+// order, so the run-index tie-break reproduces the stable sort's exactly.
 type runMerge struct {
 	keys    []plan.SortKey
+	at      []int
 	files   []*spill.File
 	readers []*spill.Reader
 	heads   []value.Row // current item per run, owned by its reader; nil = exhausted
-	last    int         // run whose head Next returned last, advanced on the next call; -1 = none
+	heap    []int       // the runs with a head, smallest (head, run) first
+	popped  bool        // heap[0]'s head was returned last: advanced on the next call
+	err     error       // the first comparator error
 }
 
-func newRunMerge(files []*spill.File, keys []plan.SortKey) (*runMerge, error) {
-	m := &runMerge{keys: keys, files: files, last: -1}
+func newRunMerge(files []*spill.File, at []int, keys []plan.SortKey) (*runMerge, error) {
+	m := &runMerge{keys: keys, at: at, files: files}
 	for i, f := range files {
 		r, err := f.Reader()
 		if err != nil {
@@ -408,6 +552,16 @@ func newRunMerge(files []*spill.File, keys []plan.SortKey) (*runMerge, error) {
 			m.Close()
 			return nil, err
 		}
+		if m.heads[i] != nil {
+			m.heap = append(m.heap, i)
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	if m.err != nil {
+		m.Close()
+		return nil, m.err
 	}
 	return m, nil
 }
@@ -425,38 +579,59 @@ func (m *runMerge) advance(i int) error {
 	return nil
 }
 
+// less orders runs a and b by (head, run index).
+func (m *runMerge) less(a, b int) bool {
+	c, err := compareKeyRows(m.heads[a], m.heads[b], m.at, m.keys)
+	if err != nil && m.err == nil {
+		m.err = err
+	}
+	return c < 0 || c == 0 && a < b
+}
+
+// down restores the heap below position i.
+func (m *runMerge) down(i int) {
+	h := m.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // Next returns the smallest head across all runs, or ok=false when drained.
 // The row is its run reader's storage: the run advances lazily, at the start
 // of the next call, so the row stays valid until then.
 func (m *runMerge) Next() (value.Row, bool, error) {
-	if m.last >= 0 {
-		if err := m.advance(m.last); err != nil {
+	if m.popped {
+		m.popped = false
+		top := m.heap[0]
+		if err := m.advance(top); err != nil {
 			return nil, false, err
 		}
-		m.last = -1
-	}
-	best := -1
-	for i, h := range m.heads {
-		if h == nil {
-			continue
+		if m.heads[top] == nil {
+			last := len(m.heap) - 1
+			m.heap[0] = m.heap[last]
+			m.heap = m.heap[:last]
 		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		c, err := compareKeyRows(h, m.heads[best], m.keys)
-		if err != nil {
-			return nil, false, err
-		}
-		if c < 0 {
-			best = i
+		m.down(0)
+		if m.err != nil {
+			return nil, false, m.err
 		}
 	}
-	if best < 0 {
+	if len(m.heap) == 0 {
 		return nil, false, nil
 	}
-	m.last = best
-	return m.heads[best], true, nil
+	m.popped = true
+	return m.heads[m.heap[0]], true, nil
 }
 
 // Close releases the readers and removes the merged run files.
@@ -467,7 +642,7 @@ func (m *runMerge) Close() {
 	for _, f := range m.files {
 		f.Close()
 	}
-	m.readers, m.files, m.heads = nil, nil, nil
+	m.readers, m.files, m.heads, m.heap = nil, nil, nil, nil
 }
 
 // --- Top-N ---
@@ -489,6 +664,7 @@ type topNOp struct {
 	child    Operator
 	pageRows int
 	keys     []plan.CompiledExpr
+	at       []int // key tuple layout (tupleAt)
 	spill    *SpillMetrics
 
 	k         int
@@ -505,6 +681,7 @@ func (t *topNOp) Open() error {
 	t.k = t.node.N + t.node.Offset
 	t.heap = t.heap[:0]
 	t.scratch = make(value.Row, len(t.keys))
+	t.at = tupleAt(len(t.keys))
 	t.seq = 0
 	t.inputDone, t.loaded = false, false
 	t.out, t.pos = nil, 0
@@ -516,7 +693,7 @@ func (t *topNOp) Open() error {
 // total order the stable sort realizes, so Top-N output is byte-for-byte the
 // full sort's first k rows.
 func (t *topNOp) itemCompare(a, b topItem) (int, error) {
-	c, err := compareKeyRows(a.key, b.key, t.node.Keys)
+	c, err := compareKeyRows(a.key, b.key, t.at, t.node.Keys)
 	if err != nil || c != 0 {
 		return c, err
 	}
@@ -582,7 +759,7 @@ func (t *topNOp) offer(row value.Row) error {
 	if len(t.heap) >= t.k {
 		// Arrival sequence exceeds everything in the heap, so a key tie with
 		// the cutoff loses too: only a strictly smaller key displaces it.
-		c, err := compareKeyRows(t.scratch, t.heap[0].key, t.node.Keys)
+		c, err := compareKeyRows(t.scratch, t.heap[0].key, t.at, t.node.Keys)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,10 @@
 //   - A consumer opens a Reader (re-opening the file by path) and streams
 //     rows back in append order. Readers hold one fd, one page buffer and
 //     one row, so a k-way merge costs k descriptors regardless of run count.
+//   - Each side holds one page buffer and no other: a writer frames its page
+//     in place and writes it with one Write, a reader reads a frame header
+//     and then the page body straight into its buffer. An open file costs
+//     about pageBytes of memory, whichever side it is on.
 //   - A row returned by Reader.Next is the reader's own storage: it is valid
 //     until the next Next or Close on that reader, which decodes the next
 //     row over it. A consumer that keeps a row longer copies it (an operator
@@ -28,7 +32,6 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -53,6 +56,11 @@ type Tracker interface {
 // page buffer passes this size, then frames and writes it.
 const pageBytes = 32 << 10
 
+// frameBytes is the fixed page frame header: the page's row count and body
+// length, little-endian uint32s. A writer reserves it at the front of its
+// page buffer, so a framed page goes out in one Write.
+const frameBytes = 8
+
 // value type tags in the on-disk codec.
 const (
 	tagNull = iota
@@ -66,9 +74,8 @@ const (
 type File struct {
 	path    string
 	f       *os.File // write descriptor; nil once Finished
-	w       *bufio.Writer
-	page    []byte // encoded rows of the page under construction
-	pageN   int    // rows in the page under construction
+	page    []byte   // frame header space, then the encoded rows of the page under construction
+	pageN   int      // rows in the page under construction
 	rows    int64
 	vals    int64
 	bytes   int64
@@ -85,7 +92,10 @@ func Create(dir string, tracker Tracker) (*File, error) {
 	if tracker != nil {
 		tracker.FileCreated()
 	}
-	return &File{path: f.Name(), f: f, w: bufio.NewWriterSize(f, pageBytes), tracker: tracker}, nil
+	// The slack holds the row that carries a page past pageBytes, unless
+	// that row is unusually wide.
+	page := make([]byte, frameBytes, frameBytes+pageBytes+pageBytes/8)
+	return &File{path: f.Name(), f: f, page: page, tracker: tracker}, nil
 }
 
 // Append adds one row to the file. Only valid before Finish.
@@ -97,50 +107,49 @@ func (s *File) Append(row value.Row) error {
 	s.pageN++
 	s.rows++
 	s.vals += int64(len(row))
-	if len(s.page) >= pageBytes {
+	if len(s.page)-frameBytes >= pageBytes {
 		return s.flushPage()
 	}
 	return nil
 }
 
-// flushPage frames and writes the page under construction.
+// flushPage frames the page under construction in its reserved header and
+// writes it.
 func (s *File) flushPage() error {
 	if s.pageN == 0 {
 		return nil
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(s.pageN))
-	n += binary.PutUvarint(hdr[n:], uint64(len(s.page)))
-	if _, err := s.w.Write(hdr[:n]); err != nil {
+	body := len(s.page) - frameBytes
+	if uint64(body) > math.MaxUint32 {
+		return fmt.Errorf("spill: %d-byte page in %s exceeds the frame limit", body, s.path)
+	}
+	binary.LittleEndian.PutUint32(s.page[0:], uint32(s.pageN))
+	binary.LittleEndian.PutUint32(s.page[4:], uint32(body))
+	if _, err := s.f.Write(s.page); err != nil {
 		return err
 	}
-	if _, err := s.w.Write(s.page); err != nil {
-		return err
-	}
-	s.bytes += int64(n + len(s.page))
+	s.bytes += int64(len(s.page))
 	if s.tracker != nil {
-		s.tracker.Wrote(int64(s.pageN), int64(n+len(s.page)))
+		s.tracker.Wrote(int64(s.pageN), int64(len(s.page)))
 	}
-	s.page, s.pageN = s.page[:0], 0
+	s.page, s.pageN = s.page[:frameBytes], 0
 	return nil
 }
 
-// Finish flushes buffered pages and closes the write descriptor. The file
-// stays on disk for Readers until Close. The descriptor is closed even when
-// the flush fails (ENOSPC mid-spill is the expected failure mode here; the
-// teardown path must not leak an fd per failed file).
+// Finish writes the last page, closes the write descriptor and drops the
+// page buffer. The file stays on disk for Readers until Close. The
+// descriptor is closed even when the write fails (ENOSPC mid-spill is the
+// expected failure mode here; the teardown path must not leak an fd per
+// failed file).
 func (s *File) Finish() error {
 	if s.f == nil {
 		return nil
 	}
 	err := s.flushPage()
-	if ferr := s.w.Flush(); err == nil {
-		err = ferr
-	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
-	s.f, s.w = nil, nil
+	s.f, s.page = nil, nil
 	return err
 }
 
@@ -173,7 +182,7 @@ func (s *File) Close() error {
 // Reader streams a finished file's rows in append order.
 type Reader struct {
 	f    *os.File
-	r    *bufio.Reader
+	hdr  [frameBytes]byte
 	buf  []byte    // page storage, reused page after page
 	page []byte    // remaining undecoded bytes of the current page
 	left int       // rows remaining in the current page
@@ -192,7 +201,7 @@ func (s *File) Reader() (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, r: bufio.NewReaderSize(f, pageBytes)}, nil
+	return &Reader{f: f}, nil
 }
 
 // Next returns the next row; ok is false at end of file. The row is valid
@@ -200,23 +209,19 @@ func (s *File) Reader() (*Reader, error) {
 func (r *Reader) Next() (row value.Row, ok bool, err error) {
 	r.row = recycleRow(r.row)
 	for r.left == 0 {
-		nrows, err := binary.ReadUvarint(r.r)
-		if err == io.EOF {
+		if _, err := io.ReadFull(r.f, r.hdr[:]); err == io.EOF {
 			return nil, false, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, false, fmt.Errorf("spill: page header: %w", err)
 		}
-		nbytes, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, false, fmt.Errorf("spill: page header: %w", err)
-		}
-		if cap(r.buf) < int(nbytes) {
+		nrows := binary.LittleEndian.Uint32(r.hdr[0:])
+		nbytes := int(binary.LittleEndian.Uint32(r.hdr[4:]))
+		if cap(r.buf) < nbytes {
 			r.buf = make([]byte, nbytes)
 		}
 		r.buf = r.buf[:nbytes]
 		r.page = r.buf
-		if _, err := io.ReadFull(r.r, r.page); err != nil {
+		if _, err := io.ReadFull(r.f, r.page); err != nil {
 			return nil, false, fmt.Errorf("spill: page body: %w", err)
 		}
 		r.left = int(nrows)

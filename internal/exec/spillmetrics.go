@@ -49,21 +49,21 @@ func (m *SpillMetrics) addTopN() {
 	}
 }
 
-// addAggSpill counts an aggregation level spilled: its two sides of
-// graceFanOut partition files.
-func (m *SpillMetrics) addAggSpill() {
+// addAggSpill counts an aggregation level spilled and the partition files it
+// opened (both sides).
+func (m *SpillMetrics) addAggSpill(files int) {
 	if m != nil {
 		m.aggSpills.Add(1)
-		m.aggParts.Add(2 * graceFanOut)
+		m.aggParts.Add(int64(files))
 	}
 }
 
-// addJoinSpill counts a join level spilled: its build and probe sides of
-// graceFanOut partition files.
-func (m *SpillMetrics) addJoinSpill() {
+// addJoinSpill counts a join level spilled and the partition files it opened
+// (build and probe sides).
+func (m *SpillMetrics) addJoinSpill(files int) {
 	if m != nil {
 		m.joinSpills.Add(1)
-		m.joinParts.Add(2 * graceFanOut)
+		m.joinParts.Add(int64(files))
 	}
 }
 

@@ -267,7 +267,7 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 	var having Expr
 
 	if hasAgg {
-		agg, aggOut, rewriter, err := b.buildAggregate(tree, sel)
+		agg, aggOut, rewriter, err := b.buildAggregate(tree, treeOrigins, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -639,13 +639,34 @@ func joinEstimate(l, r float64, lk []int, lo []colOrigin, rk []int, ro []colOrig
 // --- aggregate planning ---
 
 // groupsEstimate is the number of groups a grouping of rows input rows is
-// expected to produce.
+// expected to produce when nothing is known about its keys.
 func groupsEstimate(rows float64) float64 { return max(rows/10, 1) }
+
+// groupsFromStats estimates a grouping's groups from its keys: when every
+// key is a base-table column (origins maps the child's columns to theirs)
+// with an analyzed distinct count, the product of those counts, capped by
+// the input rows; groupsEstimate otherwise.
+func groupsFromStats(rows float64, keys []Expr, origins []colOrigin) float64 {
+	groups := 1.0
+	for _, k := range keys {
+		c, ok := k.(*Column)
+		if !ok || c.Idx >= len(origins) {
+			return groupsEstimate(rows)
+		}
+		o := origins[c.Idx]
+		if o.colIdx < 0 || o.colIdx >= len(o.table.Stats.Columns) || o.table.Stats.Columns[o.colIdx].Distinct <= 0 {
+			return groupsEstimate(rows)
+		}
+		groups *= float64(o.table.Stats.Columns[o.colIdx].Distinct)
+	}
+	return max(min(rows, groups), 1)
+}
 
 // buildAggregate plans GROUP BY + aggregate calls and returns the node, its
 // schema, and a rewriter that binds post-aggregation expressions (SELECT
-// items, HAVING, ORDER BY inputs) against the aggregate output.
-func (b *selBinder) buildAggregate(child Node, sel *sql.Select) (Node, Schema, func(sql.Expr) (Expr, error), error) {
+// items, HAVING, ORDER BY inputs) against the aggregate output. origins maps
+// child's columns to the base-table columns they read.
+func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Select) (Node, Schema, func(sql.Expr) (Expr, error), error) {
 	in := child.Schema()
 	eb := exprBinder{schema: in}
 
@@ -747,7 +768,7 @@ func (b *selBinder) buildAggregate(child Node, sel *sql.Select) (Node, Schema, f
 		out = append(out, ColInfo{Name: aggReprs[i], Type: a.ResultType()})
 	}
 
-	est := groupsEstimate(child.Rows())
+	est := groupsFromStats(child.Rows(), groupExprs, origins)
 	if len(sel.GroupBy) == 0 {
 		est = 1
 	}

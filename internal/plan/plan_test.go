@@ -235,3 +235,62 @@ func TestStageOfMapping(t *testing.T) {
 		t.Fatal("SELECT DISTINCT ordered by a column outside the select list must not bind")
 	}
 }
+
+// TestAggregateEstimateFromDistinct: a GROUP BY over base-table columns with
+// analyzed distinct counts estimates their product, capped by the input
+// rows; an expression key, a column never analyzed or no statistics at all
+// fall back to a tenth of the input.
+func TestAggregateEstimateFromDistinct(t *testing.T) {
+	cat := catalog.New()
+	for _, name := range []string{"t", "u"} {
+		if _, err := cat.Create(name, catalog.Schema{Columns: []catalog.Column{
+			{Name: "a", Type: value.Int}, {Name: "b", Type: value.Int}, {Name: "c", Type: value.Int},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// t: a analyzed (40 values), b analyzed (300), c never analyzed.
+	cat.UpdateStats("t", catalog.TableStats{RowCount: 10_000, Columns: []catalog.ColumnStats{
+		{Distinct: 40}, {Distinct: 300}, {},
+	}})
+	// est binds q and returns its Aggregate's estimate and the fallback, a
+	// tenth of the aggregate's input.
+	est := func(q string) (got, fallback float64) {
+		t.Helper()
+		node, err := BindSelect(cat, sql.MustParse(q).(*sql.Select), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, ok := node.(*Project)
+		if !ok {
+			t.Fatalf("%s binds to:\n%s", q, Explain(node))
+		}
+		agg, ok := proj.Child.(*Aggregate)
+		if !ok {
+			t.Fatalf("%s binds to:\n%s", q, Explain(node))
+		}
+		return agg.Est, max(agg.Child.Rows()/10, 1)
+	}
+	for _, tc := range []struct {
+		q    string
+		want float64 // 0: the fallback
+	}{
+		{"SELECT a, COUNT(*) FROM t GROUP BY a", 40},
+		{"SELECT b, COUNT(*) FROM t GROUP BY b", 300},
+		{"SELECT a, b, COUNT(*) FROM t GROUP BY a, b", 10_000}, // 12,000 capped by the rows
+		{"SELECT t.b, COUNT(*) FROM t JOIN u ON t.a = u.a GROUP BY t.b", 300},
+		{"SELECT a + 1, COUNT(*) FROM t GROUP BY a + 1", 0},                 // expression
+		{"SELECT c, COUNT(*) FROM t GROUP BY c", 0},                         // never analyzed
+		{"SELECT a, c, COUNT(*) FROM t GROUP BY a, c", 0},                   // one key never analyzed
+		{"SELECT u.b, COUNT(*) FROM t JOIN u ON t.a = u.a GROUP BY u.b", 0}, // no statistics
+	} {
+		got, fallback := est(tc.q)
+		want := tc.want
+		if want == 0 {
+			want = fallback
+		}
+		if got != want {
+			t.Fatalf("%s: estimated %v groups, want %v", tc.q, got, want)
+		}
+	}
+}
