@@ -34,8 +34,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7878", "TCP listen address")
 	dataDir := flag.String("data", "", "data directory for a durable database (default $STAGEDB_DATADIR, empty = in-memory)")
 	syncEvery := flag.Bool("sync", false, "fsync the log on every commit instead of group commit")
-	threaded := flag.Bool("threaded", false, "run the worker-pool baseline engine instead of the staged engine")
-	workers := flag.Int("workers", 0, "worker-pool size (staged: per stage; 0 = defaults)")
+	threaded := flag.Bool("threaded", false, "run the worker-pool baseline (the query stages collapsed into one, Volcano operators) instead of the staged engine")
+	workers := flag.Int("workers", 0, "worker-pool size (staged: per query stage; threaded: its one stage; 0 = defaults)")
 	maxConns := flag.Int("max-conns-per-tenant", 0, "per-tenant connection quota (0 = 64)")
 	maxTenantQ := flag.Int("max-inflight-per-tenant", 0, "per-tenant in-flight query quota (0 = 16)")
 	maxInflight := flag.Int("max-inflight", 0, "global in-flight query cap (0 = 128)")

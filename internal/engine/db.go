@@ -1,12 +1,13 @@
 // Package engine assembles the database: catalog, storage, transactions,
-// planner and executor, behind a session-oriented SQL interface. The same
-// kernel is fronted two ways:
+// planner and executor, behind a session-oriented SQL interface. One front
+// end type, Staged, runs requests on the exec.StagePool in two shapes:
 //
-//   - Threaded: the conventional worker-pool model of §3.1 — each worker
-//     carries one query through parse, optimize and execute.
-//   - Staged: the paper's §4.1 design — connect, parse, optimize, execute
+//   - NewStaged: the paper's §4.1 design — connect, parse, optimize, execute
 //     and disconnect stages connected by queues; inside execute, operators
 //     run on their owning execution-engine stages with page-based dataflow.
+//   - NewThreaded: the conventional worker-pool model of §3.1 — the same
+//     itineraries collapsed into one execute stage, whose worker carries a
+//     query through every phase on the Volcano driver.
 package engine
 
 import (
@@ -261,32 +262,6 @@ func (db *DB) buildConfig() exec.BuildConfig {
 // what the right plan for a statement is.
 func (db *DB) invalidatePlans() { db.schemaVer.Add(1) }
 
-// Prepare parses (and for SELECT, plans) sqlText, caching the result keyed
-// by the statement text. Placeholders stay unbound in the cached entry;
-// executions substitute arguments into private copies. The staged front end
-// routes cache misses through its parse and optimize stages instead — this
-// inline form serves the threaded engine and raw sessions.
-func (db *DB) Prepare(sqlText string) (*Prepared, error) {
-	ver := db.schemaVer.Load()
-	if e, ok := db.plans.get(sqlText, ver); ok {
-		return e, nil
-	}
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{SQL: sqlText, Stmt: stmt, NumParams: sql.CountParams(stmt), version: ver}
-	if sel, ok := stmt.(*sql.Select); ok {
-		node, err := plan.BindSelect(db.cat, sel, db.cfg.PlanOptions)
-		if err != nil {
-			return nil, err
-		}
-		p.Node = node
-	}
-	db.plans.put(p)
-	return p, nil
-}
-
 // SetPlanOptions changes the optimizer options (ablation benches force join
 // algorithms or disable rewrites through this). The live row-count fallback
 // is re-installed unless the caller supplied one.
@@ -350,17 +325,19 @@ func (db *DB) NewSession() *Session {
 	sessionIDs.n++
 	id := sessionIDs.n
 	sessionIDs.mu.Unlock()
-	s := &Session{db: db, id: id}
-	s.streamFn = func(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
-		cfg := db.buildConfig()
-		cfg.Visible = vis
-		op, err := exec.BuildWith(node, db, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewCursor(ctx, op)
+	return &Session{db: db, id: id, streamFn: db.runVolcano}
+}
+
+// runVolcano is the Volcano (pull) driver's StreamFunc: it builds the plan's
+// iterator tree, pulled by whoever reads the cursor.
+func (db *DB) runVolcano(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
+	cfg := db.buildConfig()
+	cfg.Visible = vis
+	op, err := exec.BuildWith(node, db, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return s
+	return exec.NewCursor(ctx, op)
 }
 
 // SetStreamRunner overrides the SELECT driver (the staged engine installs

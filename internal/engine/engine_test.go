@@ -433,10 +433,10 @@ func TestGroupByThroughEngine(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	for _, fe := range []struct {
 		name string
-		open func(*DB) frontEnd
+		open func(*DB) *Staged
 	}{
-		{"threaded", func(db *DB) frontEnd { return NewThreaded(db, 2) }},
-		{"staged", func(db *DB) frontEnd { return NewStaged(db, StagedConfig{}) }},
+		{"threaded", func(db *DB) *Staged { return NewThreaded(db, 1) }},
+		{"staged", func(db *DB) *Staged { return NewStaged(db, StagedConfig{}) }},
 	} {
 		t.Run(fe.name, func(t *testing.T) {
 			db, _ := seed(t)
@@ -455,13 +455,6 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// frontEnd is what TestSubmitAfterClose needs of Threaded and Staged.
-type frontEnd interface {
-	Submit(*Request) error
-	Exec(*Session, string) (*Result, error)
-	Close()
-}
-
 // waitFor polls cond for up to 10s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -474,8 +467,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// blockedExecute is a Workers: 1 Staged front end whose one execute worker
-// waits on a table lock taken by an open transaction on a direct Session.
+// blockedExecute is a front end with one execute worker, which waits on a
+// table lock taken by an open transaction on a direct Session.
 type blockedExecute struct {
 	db      *DB
 	staged  *Staged
@@ -485,13 +478,16 @@ type blockedExecute struct {
 	queued  []*Request
 }
 
-// newBlockedExecute blocks the execute worker on an UPDATE and queues three
-// SELECTs behind it.
-func newBlockedExecute(t *testing.T) *blockedExecute {
+// oneExecuteWorker is the staged front end with one worker per query stage.
+func oneExecuteWorker(db *DB) *Staged { return NewStaged(db, StagedConfig{Workers: 1}) }
+
+// newBlockedExecute blocks the execute worker of the front end open starts
+// on an UPDATE and queues three SELECTs behind it.
+func newBlockedExecute(t *testing.T, open func(*DB) *Staged) *blockedExecute {
 	t.Helper()
 	db, _ := seed(t)
 	f := &blockedExecute{db: db, before: runtime.NumGoroutine()}
-	f.staged = NewStaged(db, StagedConfig{Workers: 1})
+	f.staged = open(db)
 	f.holder = db.NewSession()
 	mustExec(t, f.holder, "BEGIN")
 	mustExec(t, f.holder, "UPDATE accounts SET balance = 1 WHERE id = 1")
@@ -546,7 +542,7 @@ func (f *blockedExecute) closeAndRelease(t *testing.T) {
 // execute stage queue up behind it, but requests whose route skips execute
 // keep running (§4.1.1: a blocked stage stalls only what flows into it).
 func TestStagedBackPressureBlocksOnlyProducer(t *testing.T) {
-	f := newBlockedExecute(t)
+	f := newBlockedExecute(t, oneExecuteWorker)
 	staged := f.staged
 
 	// within runs fn, failing the test if the blocked stage holds it up.
@@ -602,7 +598,7 @@ func TestStagedBackPressureBlocksOnlyProducer(t *testing.T) {
 // TestStagedStopFailsQueuedPackets: requests still queued at execute when
 // Close starts finish with ErrClosed instead of vanishing.
 func TestStagedStopFailsQueuedPackets(t *testing.T) {
-	f := newBlockedExecute(t)
+	f := newBlockedExecute(t, oneExecuteWorker)
 	f.closeAndRelease(t)
 	for i, req := range f.queued {
 		if !errors.Is(req.Err, ErrClosed) {
@@ -615,10 +611,73 @@ func TestStagedStopFailsQueuedPackets(t *testing.T) {
 // when Close starts is forwarded to disconnect once its lock is released;
 // it finishes with ErrClosed rather than stranding its client.
 func TestStagedStopDeliversInFlightPackets(t *testing.T) {
-	f := newBlockedExecute(t)
+	f := newBlockedExecute(t, oneExecuteWorker)
 	f.closeAndRelease(t)
 	if !errors.Is(f.blocked.Err, ErrClosed) {
 		t.Fatalf("in-flight UPDATE: err = %v, want ErrClosed", f.blocked.Err)
+	}
+}
+
+// TestThreadedStopFailsQueuedPackets: on the threaded baseline, requests
+// queued at its one stage when Close starts finish with ErrClosed, while the
+// request in service carries on to disconnect on its worker, and no
+// goroutine is left behind.
+func TestThreadedStopFailsQueuedPackets(t *testing.T) {
+	f := newBlockedExecute(t, func(db *DB) *Staged { return NewThreaded(db, 1) })
+	f.closeAndRelease(t)
+	for i, req := range f.queued {
+		if !errors.Is(req.Err, ErrClosed) {
+			t.Fatalf("queued request %d: err = %v, want ErrClosed", i, req.Err)
+		}
+	}
+	if f.blocked.Err != nil {
+		t.Fatalf("in-service UPDATE: %v", f.blocked.Err)
+	}
+}
+
+// TestThreadedPrepare: the threaded baseline prepares along the staged
+// prepare-only itinerary collapsed into its one stage, so a plan-cache miss
+// is one visit to execute and the next Prepare is a cache hit that visits
+// no stage.
+func TestThreadedPrepare(t *testing.T) {
+	db, _ := seed(t)
+	threaded := NewThreaded(db, 2)
+	defer threaded.Close()
+	arrivals := func() int64 {
+		t.Helper()
+		snaps := threaded.ExecPool().Snapshot()
+		if len(snaps) != 1 || snaps[0].Name != "execute" || snaps[0].Workers != 2 {
+			t.Fatalf("threaded stages: %+v, want one execute stage with 2 workers", snaps)
+		}
+		return snaps[0].Enqueued
+	}
+	const q = "SELECT owner FROM accounts WHERE id = ?"
+	before := db.PlanCacheStats()
+	p, err := threaded.Prepare(db.NewSession(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Node == nil || p.NumParams != 1 {
+		t.Fatalf("prepared entry: node %v, %d params", p.Node, p.NumParams)
+	}
+	if got := arrivals(); got != 1 {
+		t.Fatalf("a miss made %d execute arrivals, want 1", got)
+	}
+	if st := db.PlanCacheStats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
+		t.Fatalf("after a miss: %+v, was %+v", st, before)
+	}
+	again, err := threaded.Prepare(db.NewSession(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != p {
+		t.Fatal("second Prepare did not return the cached entry")
+	}
+	if got := arrivals(); got != 1 {
+		t.Fatalf("a hit made %d execute arrivals, want 1 in all", got)
+	}
+	if st := db.PlanCacheStats(); st.Hits != before.Hits+1 {
+		t.Fatalf("after a hit: %+v, was %+v", st, before)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"stagedb/internal/autotune"
@@ -90,8 +89,7 @@ func (r *Request) context() context.Context {
 }
 
 // prepareStmt parses SQL (unless pre-parsed), substitutes placeholder
-// arguments, and enforces QueryOnly. It is shared by the staged parse stage
-// and the threaded worker.
+// arguments, and enforces QueryOnly: the parse stage's work.
 func (r *Request) prepareStmt() error {
 	nparams := -1 // unknown until counted
 	if r.Stmt == nil {
@@ -126,27 +124,18 @@ func (r *Request) prepareStmt() error {
 	return nil
 }
 
-// run executes the request's work on the current goroutine.
-func (r *Request) run() {
-	if r.Err = r.ctxErr(); r.Err != nil {
-		return
-	}
-	if len(r.Script) > 0 {
-		for _, q := range r.Script {
-			r.Result, r.Err = r.Session.Exec(q)
-			if r.Err != nil {
-				if r.Session.InTxn() {
-					r.Session.Exec("ROLLBACK")
-				}
-				return
+// runScript executes a transaction script statement by statement on the
+// request's session; on any error the open transaction is rolled back.
+func (r *Request) runScript() {
+	for _, q := range r.Script {
+		r.Result, r.Err = r.Session.Exec(q)
+		if r.Err != nil {
+			if r.Session.InTxn() {
+				r.Session.Exec("ROLLBACK")
 			}
+			return
 		}
-		return
 	}
-	if r.Err = r.prepareStmt(); r.Err != nil {
-		return
-	}
-	r.dispatch()
 }
 
 // dispatch executes the prepared statement on the request's session: a
@@ -168,92 +157,11 @@ func (r *Request) Wait() (*Result, error) {
 // ErrClosed reports work submitted to a front end after Close.
 var ErrClosed = errors.New("engine: front end closed")
 
-// Threaded is the conventional worker-pool front end of §3.1: a fixed pool
-// of workers, each carrying one query through all phases.
-type Threaded struct {
-	db       *DB
-	queue    chan *Request
-	wg       sync.WaitGroup
-	once     sync.Once
-	inflight atomic.Int64
-
-	mu     sync.RWMutex
-	closed bool
-}
-
-// NewThreaded starts a threaded front end with the given pool size.
-func NewThreaded(db *DB, workers int) *Threaded {
-	if workers <= 0 {
-		workers = 8
-	}
-	t := &Threaded{db: db, queue: make(chan *Request, 256)}
-	for i := 0; i < workers; i++ {
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for req := range t.queue {
-				req.run()
-				close(req.Done)
-				t.inflight.Add(-1)
-			}
-		}()
-	}
-	return t
-}
-
-// Submit queues a request; Wait on the request for its result. After Close
-// it returns ErrClosed (instead of panicking on the closed queue) and the
-// request is not accepted.
-func (t *Threaded) Submit(req *Request) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return ErrClosed
-	}
-	t.inflight.Add(1)
-	t.queue <- req
-	return nil
-}
-
-// InFlight counts requests submitted but not yet completed (queued or
-// running) — the admission controller's load signal on this front end.
-func (t *Threaded) InFlight() int64 { return t.inflight.Load() }
-
-// ExecuteQueueLen reports the depth of the work queue (the threaded baseline
-// has one queue, not per-stage queues).
-func (t *Threaded) ExecuteQueueLen() int { return len(t.queue) }
-
-// Exec is a convenience: submit and wait.
-func (t *Threaded) Exec(s *Session, sqlText string) (*Result, error) {
-	req := NewRequest(s, sqlText)
-	if err := t.Submit(req); err != nil {
-		return nil, err
-	}
-	return req.Wait()
-}
-
-// Prepare parses and plans sqlText inline (the threaded baseline has no
-// parse/optimize stages to route through), sharing the kernel's plan cache
-// so prepared re-execution skips both phases here too.
-func (t *Threaded) Prepare(s *Session, sqlText string) (*Prepared, error) {
-	return t.db.Prepare(sqlText)
-}
-
-// Close drains and stops the pool.
-func (t *Threaded) Close() {
-	t.once.Do(func() {
-		t.mu.Lock()
-		t.closed = true
-		close(t.queue)
-		t.mu.Unlock()
-	})
-	t.wg.Wait()
-}
-
-// Staged is the paper's front end: connect -> parse -> optimize -> execute
-// -> disconnect stages connected by queues, with the execution engine's
-// operators owned by fscan/iscan/sort/join/aggr stages (§4.3). Query and
-// operator stages alike run on one exec.StagePool.
+// Staged is a front end on one exec.StagePool. NewStaged builds the paper's
+// design: connect -> parse -> optimize -> execute -> disconnect stages
+// connected by queues, with the execution engine's operators owned by
+// fscan/iscan/sort/join/aggr stages (§4.3). NewThreaded builds the §3.1
+// baseline on the same runtime: each itinerary collapsed into one stage.
 type Staged struct {
 	db       *DB
 	pool     *exec.StagePool
@@ -268,8 +176,9 @@ type Staged struct {
 	// shared is the fscan stage's scan-sharing manager; nil when disabled.
 	shared *exec.SharedScans
 
-	// stream runs a SELECT plan on pool; the execute stage installs it on
-	// every session it serves.
+	// stream runs a SELECT plan: on pool's operator stages, or on the
+	// Volcano driver for the threaded baseline. The execute stage installs
+	// it on every session it serves.
 	stream StreamFunc
 }
 
@@ -337,21 +246,11 @@ func (p *packet) Run() {
 	}
 }
 
-// NewStaged starts the staged front end.
-func NewStaged(db *DB, cfg StagedConfig) *Staged {
-	s := &Staged{db: db}
-	s.stream = s.runStaged // bound once: installing it per request allocates nothing
-	if !cfg.DisableSharedScans {
-		s.shared = exec.NewSharedScans(db.cfg.BufferPages, db.pages)
-		// Engine heap records carry MVCC version headers; the wheel decodes
-		// them into per-row sidecars so each consumer applies its own
-		// snapshot's visibility.
-		s.shared.SetVersioned(true)
-	}
-	s.pool = exec.NewStagePool(exec.StagePoolConfig{
-		Workers:    cfg.ExecWorkers,
-		QueueDepth: cfg.ExecQueueDepth,
-	})
+// newFront starts a front end on a fresh pool with the three itineraries
+// over the five query stages; the constructor decides which stages the pool
+// gets.
+func newFront(db *DB, cfg exec.StagePoolConfig) *Staged {
+	s := &Staged{db: db, pool: exec.NewStagePool(cfg)}
 	connect := queryStage{"connect", s.connect}
 	parse := queryStage{"parse", s.parse}
 	optimize := queryStage{"optimize", s.optimize}
@@ -360,6 +259,23 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 	s.full = []queryStage{connect, parse, optimize, execute, disconnect}
 	s.prepareOnly = []queryStage{connect, parse, optimize, disconnect}
 	s.prepared = []queryStage{execute, disconnect}
+	return s
+}
+
+// NewStaged starts the staged front end.
+func NewStaged(db *DB, cfg StagedConfig) *Staged {
+	s := newFront(db, exec.StagePoolConfig{
+		Workers:    cfg.ExecWorkers,
+		QueueDepth: cfg.ExecQueueDepth,
+	})
+	s.stream = s.runStaged // bound once: installing it per request allocates nothing
+	if !cfg.DisableSharedScans {
+		s.shared = exec.NewSharedScans(db.cfg.BufferPages, db.pages)
+		// Engine heap records carry MVCC version headers; the wheel decodes
+		// them into per-row sidecars so each consumer applies its own
+		// snapshot's visibility.
+		s.shared.SetVersioned(true)
+	}
 	for _, st := range s.full {
 		workers := 2
 		if st.name == "execute" {
@@ -376,6 +292,35 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 		s.pool.AddStage(name, 0, 0)
 	}
 	return s
+}
+
+// NewThreaded starts the conventional worker-pool front end of §3.1 on the
+// same runtime: every itinerary collapses into one visit to a single execute
+// stage of workers (0 = 8), where one worker carries the request from
+// connect to disconnect. SELECTs run on the Volcano driver; there are no
+// operator stages and no shared scans.
+func NewThreaded(db *DB, workers int) *Staged {
+	if workers <= 0 {
+		workers = 8
+	}
+	s := newFront(db, exec.StagePoolConfig{})
+	s.stream = db.runVolcano
+	s.full, s.prepareOnly, s.prepared = whole(s.full), whole(s.prepareOnly), whole(s.prepared)
+	s.pool.AddStage("execute", workers, queryQueueDepth)
+	return s
+}
+
+// whole collapses an itinerary into one execute stage serving each of its
+// stages back to back, stopping at the first that fails.
+func whole(route []queryStage) []queryStage {
+	return []queryStage{{"execute", func(req *Request) error {
+		for _, st := range route {
+			if err := st.serve(req); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}}
 }
 
 // Submit routes a request through the staged pipeline along its itinerary
@@ -422,11 +367,12 @@ func (s *Staged) InFlight() int64 { return s.inflight.Load() }
 // controller's shedding trigger.
 func (s *Staged) ExecuteQueueLen() int { return s.pool.QueueLen("execute") }
 
-// Prepare parses and plans sqlText on the parse and optimize stages, caching
-// the result keyed by the statement text. A cache hit skips the pipeline
-// entirely; subsequent executions of the returned entry enter at the execute
-// stage. DDL and ANALYZE invalidate cached entries (re-preparing is
-// transparent to Stmt holders).
+// Prepare parses and plans sqlText along the prepare-only itinerary (the
+// parse and optimize stages; the one stage of the threaded baseline),
+// caching the result keyed by the statement text. A cache hit skips the
+// pipeline entirely; subsequent executions of the returned entry enter at
+// the execute stage. DDL and ANALYZE invalidate cached entries
+// (re-preparing is transparent to Stmt holders).
 func (s *Staged) Prepare(sess *Session, sqlText string) (*Prepared, error) {
 	ver := s.db.schemaVer.Load()
 	if e, ok := s.db.plans.get(sqlText, ver); ok {
@@ -582,7 +528,7 @@ func (s *Staged) execute(req *Request) error {
 	}
 	req.Session.SetStreamRunner(s.stream)
 	if len(req.Script) > 0 {
-		req.run()
+		req.runScript()
 	} else {
 		req.dispatch()
 	}

@@ -86,6 +86,7 @@ func (c *opCursor) Close() error {
 type stagedCursor struct {
 	p    *pipeline
 	root *exchange
+	stop func() bool // unregisters the cancellation hook; nil without one
 	done bool
 	err  error
 }
@@ -125,20 +126,16 @@ func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOpt
 		p.drainPages()
 		return nil, err
 	}
-	if opts.Ctx != nil && opts.Ctx.Done() != nil {
+	c := &stagedCursor{p: p, root: root}
+	if ctx := opts.Ctx; ctx != nil && ctx.Done() != nil {
 		// Cancellation propagates as a pipeline failure: parked tasks wake,
 		// producers stop at their next exchange operation, and the blocked
-		// client read below returns. The watcher exits with the pipeline
-		// (fail(nil) at teardown closes done).
-		go func() {
-			select {
-			case <-opts.Ctx.Done():
-				p.fail(opts.Ctx.Err())
-			case <-p.done:
-			}
-		}()
+		// client read returns. The hook costs no goroutine; finish
+		// unregisters it, and one firing after teardown is a no-op (fail
+		// runs once).
+		c.stop = context.AfterFunc(ctx, func() { p.fail(ctx.Err()) })
 	}
-	return &stagedCursor{p: p, root: root}, nil
+	return c, nil
 }
 
 func (c *stagedCursor) NextPage() (*Page, error) {
@@ -167,6 +164,9 @@ func (c *stagedCursor) finish() {
 		return
 	}
 	c.done = true
+	if c.stop != nil {
+		c.stop()
+	}
 	p := c.p
 	p.fail(nil) // no-op if a real failure (or cancellation) already fired
 	p.releaseScans()

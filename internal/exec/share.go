@@ -2,10 +2,10 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stagedb/internal/catalog"
-	"stagedb/internal/metrics"
 	"stagedb/internal/storage"
 )
 
@@ -41,13 +41,13 @@ type SharedScans struct {
 	scans map[*storage.Heap]*sharedScan
 
 	// Share counters (§5.2 monitoring surface, exported via \stages).
-	Starts         metrics.Counter // shared scans started (first consumer = share miss)
-	Attaches       metrics.Counter // consumers that joined an in-flight scan (share hits)
-	Wraps          metrics.Counter // attaches mid-scan that wrap circularly
-	Spills         metrics.Counter // stalled consumers kicked to a private continuation
-	Detaches       metrics.Counter // consumers released by their producer (served, spilled, or abandoned)
-	PagesDecoded   metrics.Counter // heap pages pinned+decoded by shared producers
-	PagesDelivered metrics.Counter // decoded pages fanned out to consumers
+	Starts         atomic.Int64 // shared scans started (first consumer = share miss)
+	Attaches       atomic.Int64 // consumers that joined an in-flight scan (share hits)
+	Wraps          atomic.Int64 // attaches mid-scan that wrap circularly
+	Spills         atomic.Int64 // stalled consumers kicked to a private continuation
+	Detaches       atomic.Int64 // consumers released by their producer (served, spilled, or abandoned)
+	PagesDecoded   atomic.Int64 // heap pages pinned+decoded by shared producers
+	PagesDelivered atomic.Int64 // decoded pages fanned out to consumers
 }
 
 // NewSharedScans returns a manager whose consumer fan-out buffers hold
@@ -84,13 +84,13 @@ type SharedScanStats struct {
 // Stats snapshots the share counters.
 func (m *SharedScans) Stats() SharedScanStats {
 	return SharedScanStats{
-		Starts:         m.Starts.Value(),
-		Attaches:       m.Attaches.Value(),
-		Wraps:          m.Wraps.Value(),
-		Spills:         m.Spills.Value(),
-		Detaches:       m.Detaches.Value(),
-		PagesDecoded:   m.PagesDecoded.Value(),
-		PagesDelivered: m.PagesDelivered.Value(),
+		Starts:         m.Starts.Load(),
+		Attaches:       m.Attaches.Load(),
+		Wraps:          m.Wraps.Load(),
+		Spills:         m.Spills.Load(),
+		Detaches:       m.Detaches.Load(),
+		PagesDecoded:   m.PagesDecoded.Load(),
+		PagesDelivered: m.PagesDelivered.Load(),
 	}
 }
 
@@ -176,7 +176,7 @@ func (c *scanConsumer) detachAck() {
 	}
 	c.mu.Unlock()
 	if released && c.mgr != nil {
-		c.mgr.Detaches.Inc()
+		c.mgr.Detaches.Add(1)
 	}
 }
 
@@ -220,9 +220,9 @@ func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, cols []bool, d
 		s.cons = append(s.cons, c)
 		s.mu.Unlock()
 		m.mu.Unlock()
-		m.Attaches.Inc()
+		m.Attaches.Add(1)
 		if midway {
-			m.Wraps.Inc()
+			m.Wraps.Add(1)
 		}
 		return c
 	}
@@ -241,7 +241,7 @@ func (m *SharedScans) attach(h *storage.Heap, tbl *catalog.Table, cols []bool, d
 	ns.cons = []*scanConsumer{c}
 	m.scans[h] = ns
 	m.mu.Unlock()
-	m.Starts.Inc()
+	m.Starts.Add(1)
 	go ns.run()
 	return c
 }
@@ -281,7 +281,7 @@ func (s *sharedScan) run() {
 			s.fail(err)
 			return
 		}
-		s.mgr.PagesDecoded.Inc()
+		s.mgr.PagesDecoded.Add(1)
 		for _, c := range cons {
 			pushed := pg.Len() > 0
 			var outcome int
@@ -319,10 +319,10 @@ func (s *sharedScan) run() {
 			}
 			s.mu.Unlock()
 			if outcome == pushOK && pushed {
-				s.mgr.PagesDelivered.Inc()
+				s.mgr.PagesDelivered.Add(1)
 			}
 			if outcome == pushStalled {
-				s.mgr.Spills.Inc()
+				s.mgr.Spills.Add(1)
 			}
 			if outcome != pushOK || finished {
 				// End of this consumer's shared stream; the producer is the

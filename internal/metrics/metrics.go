@@ -1,6 +1,7 @@
 // Package metrics provides the measurement primitives used by both the
-// simulators and the live engine: counters, running means, response-time
-// histograms with percentile queries, and per-stage utilization tracking.
+// simulators and the live engine: named counter sets, running means,
+// response-time histograms with percentile queries, and per-stage
+// utilization tracking.
 //
 // The paper argues (§5.2) that a staged design makes the system easy to
 // monitor because every stage exposes its own queue length, utilization, and
@@ -15,29 +16,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Counter is a monotonically increasing event count, safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
 
 // CounterSet is a named collection of counters, safe for concurrent use. It
 // backs pseudo-stages whose counter vocabulary grows at runtime (the network

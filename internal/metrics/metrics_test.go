@@ -3,29 +3,10 @@ package metrics
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter=%d, want 8000", c.Value())
-	}
-}
 
 func TestMeanStats(t *testing.T) {
 	var m Mean

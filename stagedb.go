@@ -6,9 +6,10 @@
 // connect, parse, optimize, execute, disconnect, with the execution engine
 // further staged into fscan/iscan/filter/sort/join/aggr — connected by
 // bounded queues with back-pressure. All of them run on one stage runtime,
-// where each stage has its own queue, workers and monitor (see Stages). A
-// conventional thread-per-worker engine is included as the baseline the
-// paper argues against.
+// where each stage has its own queue, workers and monitor (see Stages). The
+// conventional worker-pool engine the paper argues against is included as a
+// baseline on the same runtime: one stage whose worker carries a query
+// through every phase.
 //
 // Quick start:
 //
@@ -42,6 +43,7 @@ import (
 	"stagedb/internal/engine"
 	"stagedb/internal/exec"
 	"stagedb/internal/metrics"
+	"stagedb/internal/mvcc"
 	"stagedb/internal/plan"
 	"stagedb/internal/sql"
 	"stagedb/internal/value"
@@ -55,7 +57,9 @@ const (
 	// Staged runs the paper's design: five top-level stages plus staged
 	// relational operators (the default).
 	Staged Mode = iota
-	// Threaded runs the conventional worker-pool baseline of §3.1.
+	// Threaded runs the conventional worker-pool baseline of §3.1: one
+	// execute stage whose workers each carry a query from connect to
+	// disconnect, with Volcano-style operators and no shared scans.
 	Threaded
 )
 
@@ -63,8 +67,8 @@ const (
 type Options struct {
 	// Mode selects staged (default) or threaded execution.
 	Mode Mode
-	// Workers sizes the threaded engine's pool, or the worker pool of each
-	// of the staged engine's five query stages (0 = 8 threaded; 4 for
+	// Workers sizes the threaded engine's one stage, or the worker pool of
+	// each of the staged engine's five query stages (0 = 8 threaded; 4 for
 	// execute and 2 for the other query stages). The execution-engine
 	// stages take ExecWorkers.
 	Workers int
@@ -156,23 +160,12 @@ type Result struct {
 type DB struct {
 	opts    Options
 	kernel  *engine.DB
-	front   frontEnd
-	staged  *engine.Staged // front, when Mode is Staged: the Stages/ScanShares monitors
+	front   *engine.Staged
 	defConn *Conn
 
 	// tuneMu guards the work-mem tuner's observation window.
 	tuneMu          sync.Mutex
 	prevSpillEvents int64
-}
-
-// frontEnd is what the client API needs of an engine front end; both
-// *engine.Staged and *engine.Threaded provide it.
-type frontEnd interface {
-	Submit(*engine.Request) error
-	Prepare(*engine.Session, string) (*engine.Prepared, error)
-	InFlight() int64
-	ExecuteQueueLen() int
-	Close()
 }
 
 // Conn is one client connection (not safe for concurrent use).
@@ -270,17 +263,15 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{opts: opts, kernel: kernel}
-	switch opts.Mode {
-	case Threaded:
+	if opts.Mode == Threaded {
 		db.front = engine.NewThreaded(kernel, opts.Workers)
-	default:
-		db.staged = engine.NewStaged(kernel, engine.StagedConfig{
+	} else {
+		db.front = engine.NewStaged(kernel, engine.StagedConfig{
 			Workers:            opts.Workers,
 			ExecWorkers:        opts.ExecWorkers,
 			ExecQueueDepth:     opts.ExecQueueDepth,
 			DisableSharedScans: opts.DisableSharedScans,
 		})
-		db.front = db.staged
 	}
 	db.defConn = db.Conn()
 	return db, nil
@@ -361,18 +352,14 @@ func (db *DB) Explain(sqlText string) (string, error) {
 }
 
 // Stages returns per-stage monitoring snapshots (queue lengths, service
-// counts, busy time) when running the staged engine; nil otherwise. This is
-// the §5.2 "easy to monitor" surface.
-func (db *DB) Stages() []metrics.StageSnapshot {
-	if db.staged == nil {
-		return nil
-	}
-	return db.staged.Snapshot()
-}
+// counts, busy time) followed by the pseudo-stages' counters. This is the
+// §5.2 "easy to monitor" surface; the threaded baseline shows its one
+// execute stage.
+func (db *DB) Stages() []metrics.StageSnapshot { return db.front.Snapshot() }
 
 // EngineLoad reports the engine's instantaneous load: requests submitted but
-// not yet completed, and the depth of the execute-stage queue (the threaded
-// baseline reports its single work queue). Both are O(1) reads — cheap
+// not yet completed, and the depth of the execute-stage queue (on the
+// threaded baseline, the queue of its one stage). Both are O(1) reads — cheap
 // enough to sample on every admission decision — and they are the signals
 // the network server's admission stage sheds on: in-flight bounds total
 // concurrent work, execute-queue depth is the paper's §5.2 first symptom of
@@ -381,43 +368,17 @@ func (db *DB) EngineLoad() (inflight int64, executeQueue int) {
 	return db.front.InFlight(), db.front.ExecuteQueueLen()
 }
 
-// ScanShareStats reports the staged engine's fscan work-sharing activity.
-type ScanShareStats struct {
-	// Starts counts shared scans started (a first consumer = share miss).
-	Starts int64
-	// Attaches counts queries that joined an already in-flight scan.
-	Attaches int64
-	// Wraps counts attaches that happened mid-scan and wrapped circularly.
-	Wraps int64
-	// Spills counts stalled consumers kicked to a private continuation.
-	Spills int64
-	// Detaches counts consumers the producer has released — served in full,
-	// spilled, or abandoned (an early Rows.Close detaches its consumer).
-	Detaches int64
-	// PagesDecoded counts heap pages pinned+decoded by shared producers.
-	PagesDecoded int64
-	// PagesDelivered counts decoded pages fanned out to consumers; the
-	// delivered/decoded ratio is the effective sharing fan-out.
-	PagesDelivered int64
-}
+// ScanShareStats reports the staged engine's fscan work-sharing activity:
+// shared scans started (share misses), queries that attached to one in
+// flight and how many of those wrapped, stalled consumers spilled to a
+// private continuation, consumers released (an early Rows.Close detaches its
+// consumer), and heap pages decoded versus delivered — their ratio is the
+// effective sharing fan-out.
+type ScanShareStats = exec.SharedScanStats
 
 // ScanShares snapshots the scan-sharing counters (zero on the threaded
 // engine or with DisableSharedScans).
-func (db *DB) ScanShares() ScanShareStats {
-	if db.staged == nil {
-		return ScanShareStats{}
-	}
-	st := db.staged.ScanShares()
-	return ScanShareStats{
-		Starts:         st.Starts,
-		Attaches:       st.Attaches,
-		Wraps:          st.Wraps,
-		Spills:         st.Spills,
-		Detaches:       st.Detaches,
-		PagesDecoded:   st.PagesDecoded,
-		PagesDelivered: st.PagesDelivered,
-	}
-}
+func (db *DB) ScanShares() ScanShareStats { return db.front.ScanShares() }
 
 // MVCCStats reports the multi-version store's activity: snapshots opened,
 // transaction outcomes, first-committer-wins conflicts raised, and dead
@@ -425,26 +386,10 @@ func (db *DB) ScanShares() ScanShareStats {
 // currently pinning the garbage-collection horizon; OldestActiveTS is that
 // horizon (a logical timestamp). The same counters appear as the "mvcc"
 // pseudo-stage in Stages and the CLI \stages view.
-type MVCCStats struct {
-	Begins, Commits, Aborts, Conflicts, VersionsPruned int64
-	ActiveSnapshots, StatusEntries                     int
-	OldestActiveTS                                     int64
-}
+type MVCCStats = mvcc.Stats
 
 // MVCCStats snapshots the multi-version store's counters.
-func (db *DB) MVCCStats() MVCCStats {
-	st := db.kernel.MVCCStats()
-	return MVCCStats{
-		Begins:          st.Begins,
-		Commits:         st.Commits,
-		Aborts:          st.Aborts,
-		Conflicts:       st.Conflicts,
-		VersionsPruned:  st.VersionsPruned,
-		ActiveSnapshots: st.ActiveSnapshots,
-		StatusEntries:   st.StatusEntries,
-		OldestActiveTS:  int64(st.OldestActiveTS),
-	}
-}
+func (db *DB) MVCCStats() MVCCStats { return db.kernel.MVCCStats() }
 
 // Vacuum reclaims dead row versions: every version superseded or deleted by
 // a transaction that committed at or before the oldest open snapshot's begin
@@ -477,31 +422,20 @@ func (db *DB) IOStats() (reads, writes uint64) {
 // hits and misses, recycled pages, and pages currently checked out.
 // Outstanding returning to zero between queries is the invariant the
 // page-recycle protocol guarantees (and the leak tests assert).
-type PagePoolStats struct {
-	Hits, Misses, Recycled, Outstanding int64
-}
+type PagePoolStats = exec.PagePoolStats
 
 // PagePoolStats snapshots the exchange-page pool counters (also visible as
 // the pagepool pseudo-stage in Stages and the CLI \stages view).
-func (db *DB) PagePoolStats() PagePoolStats {
-	st := db.kernel.PagePool().Stats()
-	return PagePoolStats{Hits: st.Hits, Misses: st.Misses, Recycled: st.Recycled, Outstanding: st.Outstanding}
-}
+func (db *DB) PagePoolStats() PagePoolStats { return db.kernel.PagePool().Stats() }
 
 // PlanCacheStats reports the prepared-statement cache's activity: lookups
 // served from cache, lookups that had to parse and plan, entries dropped by
 // DDL/Analyze invalidation, and the current entry count. The same counters
 // appear as the "prepare" pseudo-stage in Stages.
-type PlanCacheStats struct {
-	Hits, Misses, Invalidations int64
-	Entries                     int
-}
+type PlanCacheStats = engine.PlanCacheStats
 
 // PlanCacheStats snapshots the prepared-statement cache counters.
-func (db *DB) PlanCacheStats() PlanCacheStats {
-	st := db.kernel.PlanCacheStats()
-	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Invalidations: st.Invalidations, Entries: st.Entries}
-}
+func (db *DB) PlanCacheStats() PlanCacheStats { return db.kernel.PlanCacheStats() }
 
 // SpillStats reports the memory-bounded operators' spill activity: external
 // sorts that wrote runs, cascade merge passes, Top-N executions, grace
@@ -510,17 +444,7 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 // context cancellation remove every temp run file (the leak tests assert
 // it). The same counters appear as the "spill" pseudo-stage in Stages and
 // the CLI \stages view.
-type SpillStats struct {
-	SortSpills, SortRuns, MergePasses int64
-	TopN                              int64
-	AggSpills, AggPartitions          int64
-	JoinSpills, JoinPartitions        int64
-	SpilledRows, SpilledBytes         int64
-	FilesCreated, FilesRemoved        int64
-}
-
-// FilesLive reports spill files currently on disk.
-func (s SpillStats) FilesLive() int64 { return s.FilesCreated - s.FilesRemoved }
+type SpillStats = exec.SpillStats
 
 // WorkMem reports the effective per-query memory budget in bytes (the
 // configured value, or the environment/default resolution when none is set,
@@ -551,23 +475,7 @@ func (db *DB) AutotuneWorkMem(maxBytes int) int {
 }
 
 // SpillStats snapshots the spill counters.
-func (db *DB) SpillStats() SpillStats {
-	st := db.kernel.SpillStats()
-	return SpillStats{
-		SortSpills:     st.SortSpills,
-		SortRuns:       st.SortRuns,
-		MergePasses:    st.MergePasses,
-		TopN:           st.TopN,
-		AggSpills:      st.AggSpills,
-		AggPartitions:  st.AggPartitions,
-		JoinSpills:     st.JoinSpills,
-		JoinPartitions: st.JoinPartitions,
-		SpilledRows:    st.SpilledRows,
-		SpilledBytes:   st.SpilledBytes,
-		FilesCreated:   st.FilesCreated,
-		FilesRemoved:   st.FilesRemoved,
-	}
-}
+func (db *DB) SpillStats() SpillStats { return db.kernel.SpillStats() }
 
 // request builds, submits, and waits on one statement request. Every SELECT
 // streams (Stream is always set); callers either hand the cursor out as

@@ -29,7 +29,7 @@ func TestOpenStagedQuickstart(t *testing.T) {
 
 func TestOpenThreadedSameResults(t *testing.T) {
 	for _, mode := range []Mode{Staged, Threaded} {
-		db := mustOpen(t, Options{Mode: mode})
+		db := mustOpen(t, Options{Mode: mode, Workers: 3})
 		if err := db.ExecScript(`
 			CREATE TABLE n (v INT);
 			INSERT INTO n VALUES (3), (1), (2);
@@ -43,8 +43,19 @@ func TestOpenThreadedSameResults(t *testing.T) {
 		if len(res.Rows) != 3 || res.Rows[0][0].Int() != 3 {
 			t.Fatalf("mode %d rows: %v", mode, res.Rows)
 		}
-		if mode == Threaded && db.Stages() != nil {
-			t.Fatal("threaded engine has no stages")
+		if mode == Threaded {
+			// One query stage, execute, and no operator stage: the rest of
+			// \stages is the pseudo-stages (wal too when durable).
+			var names []string
+			for _, st := range db.Stages() {
+				names = append(names, st.Name)
+				if st.Name == "execute" && st.Workers != 3 {
+					t.Fatalf("threaded execute stage has %d workers, want 3", st.Workers)
+				}
+			}
+			if got := strings.TrimSuffix(strings.Join(names, " "), " wal"); got != "execute pagepool prepare spill mvcc" {
+				t.Fatalf("threaded stages: %s", got)
+			}
 		}
 		db.Close()
 	}
