@@ -221,10 +221,13 @@ func BenchmarkParser(b *testing.B) {
 }
 
 // BenchmarkSharedScan pits N concurrent scan-heavy queries against staged
-// execution with shared circular scans (the default) and with sharing
+// execution with synchronized scans (the default) and with sharing
 // disabled.
 // The custom metric heap-reads/op counts page-store reads (IOStats) per
-// benchmark iteration (8 queries); sharing should cut it by the fan-out.
+// benchmark iteration (8 queries). Synchronized scans share pages only
+// through the buffer pool, so with an 8-frame pool it stays near the
+// unshared level; share-fanout is 1 by construction (each scan decodes its
+// own pages).
 func BenchmarkSharedScan(b *testing.B) {
 	const clients = 8
 	for _, m := range []struct {

@@ -501,8 +501,10 @@ func newBlockedExecute(t *testing.T, open func(*DB) *Staged) *blockedExecute {
 		return req
 	}
 	f.blocked = submit("UPDATE accounts SET balance = 2 WHERE id = 2")
-	waitFor(t, "the execute worker to take the UPDATE", func() bool {
-		return f.staged.ExecPool().QueueLen("execute") == 0 && f.staged.InFlight() == 1
+	// Parked on the table lock, the UPDATE is past every closed check its
+	// worker makes before serving it: Close can no longer fail it first.
+	waitFor(t, "the UPDATE to wait on the table lock", func() bool {
+		return db.tm.Locks.Waiters("table:accounts") == 1
 	})
 	for i := 0; i < 3; i++ {
 		f.queued = append(f.queued, submit("SELECT COUNT(*) FROM accounts"))

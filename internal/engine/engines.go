@@ -173,7 +173,8 @@ type Staged struct {
 	// already parsed and planned — enter at execute.
 	full, prepareOnly, prepared []queryStage
 
-	// shared is the fscan stage's scan-sharing manager; nil when disabled.
+	// shared is the fscan stage's scan-synchronization registry; nil when
+	// disabled.
 	shared *exec.SharedScans
 
 	// stream runs a SELECT plan: on pool's operator stages, or on the
@@ -192,10 +193,10 @@ type StagedConfig struct {
 	ExecWorkers int
 	// ExecQueueDepth bounds each exec-stage task queue (0 = 64).
 	ExecQueueDepth int
-	// DisableSharedScans turns off fscan work sharing (QPipe-style shared
-	// circular table scans). Sharing is on by default on the staged engine:
-	// concurrent sequential scans of one table ride a single in-flight heap
-	// walk instead of each redoing it.
+	// DisableSharedScans turns off fscan scan synchronization. It is on by
+	// default on the staged engine: a sequential scan starting while another
+	// scan of its table is in flight begins at that scan's position and
+	// wraps, so the two share pages through the buffer pool.
 	DisableSharedScans bool
 }
 
@@ -270,11 +271,7 @@ func NewStaged(db *DB, cfg StagedConfig) *Staged {
 	})
 	s.stream = s.runStaged // bound once: installing it per request allocates nothing
 	if !cfg.DisableSharedScans {
-		s.shared = exec.NewSharedScans(db.cfg.BufferPages, db.pages)
-		// Engine heap records carry MVCC version headers; the wheel decodes
-		// them into per-row sidecars so each consumer applies its own
-		// snapshot's visibility.
-		s.shared.SetVersioned(true)
+		s.shared = exec.NewSharedScans(0, nil)
 	}
 	for _, st := range s.full {
 		workers := 2
@@ -516,12 +513,12 @@ func (s *Staged) execute(req *Request) error {
 	// Fairness valve for single-P runtimes: the stage-to-stage handoff chain
 	// wakes exactly one goroutine before every park, so the scheduler's
 	// direct-handoff slot is never empty and goroutines sitting in the local
-	// run queue (a just-launched pipeline's stage workers, a shared scan's
-	// producer) can starve until the next GC pause — observed as a
-	// multi-hundred-millisecond time-to-first-row for the first analytic
-	// query under closed-loop writers. Yielding here, before this worker has
-	// woken its successor, is the one point in the chain where the handoff
-	// slot is empty, so the yield actually drains the queue.
+	// run queue (a just-launched pipeline's stage workers) can starve until
+	// the next GC pause — observed as a multi-hundred-millisecond
+	// time-to-first-row for the first analytic query under closed-loop
+	// writers. Yielding here, before this worker has woken its successor, is
+	// the one point in the chain where the handoff slot is empty, so the
+	// yield actually drains the queue.
 	runtime.Gosched()
 	if err := req.ctxErr(); err != nil {
 		return err

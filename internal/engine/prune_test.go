@@ -25,9 +25,9 @@ import (
 //     table in the query — overwritten with junk, distinct from A's value and
 //     from NULL;
 //   - the query must return the reference's multiset on A and on B, through
-//     the staged engine with shared scans (the whole corpus in flight at once,
-//     so wheels serve consumers with different sets), the staged engine with
-//     sharing off, and the Volcano driver;
+//     the staged engine with synchronized scans (the whole corpus in flight
+//     at once, so scans with different sets start mid-table), the staged
+//     engine with sharing off, and the Volcano driver;
 //   - and B with the sets cleared — reading the junk for real — must too: if a
 //     column the pass calls unread influenced the result, this run differs.
 //

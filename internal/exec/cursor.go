@@ -6,8 +6,8 @@ package exec
 // one at a time. The client holds O(page) memory, pooled pages stay checked
 // out only until the client consumes them, and an early Close abandons the
 // producing pipeline exactly like a satisfied LIMIT — operators observe
-// termination, shared-scan consumers detach from the wheel, and every
-// buffered page drains back to the pool.
+// termination, synchronized scans deregister, and every buffered page
+// drains back to the pool.
 
 import (
 	"context"
@@ -94,11 +94,10 @@ type stagedCursor struct {
 // RunStagedCursor launches the plan on the staged execution engine (one task
 // per operator, scheduled on its stage of pool) and returns a cursor over the
 // final exchange. Close — or end of stream — tears the pipeline down: it
-// waits for every operator task, for the shared-scan wheel to release the
-// query's consumers, and recycles every page stranded in buffers, so the
-// query returns with its page-pool balance at zero. When opts.Ctx is
-// cancellable, cancellation fails the pipeline between pages and surfaces as
-// the cursor's error.
+// waits for every operator task and recycles every page stranded in
+// buffers, so the query returns with its page-pool balance at zero. When
+// opts.Ctx is cancellable, cancellation fails the pipeline between pages and
+// surfaces as the cursor's error.
 func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOptions) (Cursor, error) {
 	p := &pipeline{
 		tables: tables,
@@ -118,10 +117,6 @@ func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOpt
 	root, err := p.launch(n)
 	if err != nil {
 		p.fail(err)
-		// Scan tasks launched before the error may have attached (or may
-		// still attach) shared consumers; wait for the wheel to drop them
-		// before the caller releases the query's locks.
-		p.releaseScans()
 		p.running.Wait()
 		p.drainPages()
 		return nil, err
@@ -154,11 +149,10 @@ func (c *stagedCursor) NextPage() (*Page, error) {
 
 // finish releases the pipeline: an operator that stopped being read
 // (abandonment) leaves upstream producers blocked on their exchanges;
-// closing done lets them observe termination and finish. Then wait until
-// the shared-scan wheel has let go of every consumer this query attached
-// (the caller releases the query's table locks after Close returns, and the
-// wheel must not read heap pages on a lockless query's behalf), wait for
-// every operator drive loop, and recycle pages stranded in buffers.
+// closing done lets them observe termination and finish. Then wait for
+// every operator drive loop — scans read heap pages only on their own
+// tasks, and the caller releases the query's table locks after Close
+// returns — and recycle pages stranded in buffers.
 func (c *stagedCursor) finish() {
 	if c.done {
 		return
@@ -169,7 +163,6 @@ func (c *stagedCursor) finish() {
 	}
 	p := c.p
 	p.fail(nil) // no-op if a real failure (or cancellation) already fired
-	p.releaseScans()
 	p.running.Wait()
 	p.drainPages()
 	c.err = p.err

@@ -361,52 +361,37 @@ type seqScan struct {
 	pred     plan.CompiledPredicate // compiled pushed-down filter; nil = all
 	vis      visMemo                // MVCC visibility; vis.fn nil = unversioned records
 
-	// Shared-scan wiring, injected by the staged driver when scan sharing is
-	// enabled: attach joins the fscan stage's in-flight circular scan on the
-	// pipeline's behalf (returning nil when the query already ended) instead
-	// of the scan walking the heap itself, and the pipeline holds the query
-	// open — its table lock held — until the wheel lets the consumer go.
-	// wake is the owning task's waker, registered by a fan-out read that
-	// reports errWouldBlock.
-	attach func(h *storage.Heap, tbl *catalog.Table, cols []bool) *scanConsumer
-	wake   func()
+	// shared, injected by the staged driver when scan sharing is enabled,
+	// synchronizes the walk with the other scans of the heap (see
+	// SharedScans): the scan registers at Open, starts at the position an
+	// in-flight scan reported, reports its own after each page, and
+	// deregisters at end of stream or Close. reg is the live registration.
+	shared *SharedScans
+	reg    *scanPos
+	walked int // pages read under the registration
 
-	// Private streaming mode walks the heap page-at-a-time under the heap
-	// latch (storage.Cursor would alias page bytes across calls, unsafe
-	// while MVCC writers mutate concurrently): the page list is snapshotted
-	// at Open — rows a concurrent writer adds later are invisible to this
-	// snapshot anyway — and each Next drains whole pages until the output
-	// fills, so LIMIT queries still read only a prefix.
-	privPages []storage.PageID
-	privIdx   int
+	// The walk goes page-at-a-time under the heap latch (storage.Cursor
+	// would alias page bytes across calls, unsafe while MVCC writers mutate
+	// concurrently): the page list is snapshotted at Open — rows a concurrent
+	// writer adds later are invisible to this snapshot anyway — and each Next
+	// drains whole pages until the output fills, so LIMIT queries still read
+	// only a prefix. The walk is circular from pageIdx and covers left more
+	// pages.
+	pages   []storage.PageID
+	pageIdx int
+	left    int
 
-	cons *scanConsumer // shared mode
-	out  *Page         // output page under construction
-	fan  *Page         // shared mode: fanned-out page being consumed
-	fanI int           // next row index within fan
-	eos  bool
-
-	// Continuation of a spilled shared scan: the circular remainder this
-	// consumer finishes privately after the producer kicked it off the wheel.
-	contPages []storage.PageID
-	contPos   int
-	contLeft  int
+	out *Page // output page under construction
+	eos bool
 }
 
 func (s *seqScan) Open() error {
-	s.out, s.fan, s.fanI, s.eos = nil, nil, 0, false
-	s.contPages, s.contPos, s.contLeft = nil, 0, 0
-	if s.attach != nil {
-		s.cons = s.attach(s.heap, s.node.Table, s.node.Cols)
-		if s.cons == nil {
-			// The pipeline already ended (a task still queued when a LIMIT
-			// was satisfied, or a failed launch): emit nothing rather than
-			// touch heap pages after the query's locks are gone.
-			s.eos = true
-		}
-		return nil
+	s.out, s.eos, s.walked = nil, false, 0
+	s.pages, s.pageIdx = s.heap.PageIDs(), 0
+	s.left = len(s.pages)
+	if s.shared != nil && s.left > 0 {
+		s.reg, s.pageIdx = s.shared.register(s.heap, s.left)
 	}
-	s.privPages, s.privIdx = s.heap.PageIDs(), 0
 	return nil
 }
 
@@ -475,16 +460,18 @@ func (s *seqScan) emit() *Page {
 }
 
 func (s *seqScan) Next() (*Page, error) {
-	if s.attach != nil {
-		return s.nextShared()
-	}
 	for !s.eos && s.outLen() < s.pageRows {
-		if s.privIdx >= len(s.privPages) {
+		if s.left == 0 {
 			s.eos = true
+			s.deregister()
 			break
 		}
-		id := s.privPages[s.privIdx]
-		s.privIdx++
+		id := s.pages[s.pageIdx]
+		s.pageIdx++
+		if s.pageIdx == len(s.pages) {
+			s.pageIdx = 0
+		}
+		s.left--
 		var accErr error
 		err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
 			ok, err := s.accept(rec)
@@ -497,121 +484,25 @@ func (s *seqScan) Next() (*Page, error) {
 		if err != nil {
 			return nil, err
 		}
+		if s.reg != nil {
+			s.reg.next.Store(int64(s.pageIdx))
+			s.walked++
+		}
 	}
 	return s.emit(), nil
 }
 
-// nextShared drains the consumer's fan-out buffer, applying the per-consumer
-// compiled filter locally (the shared producer delivers whole decoded heap
-// pages, refcounted across all attached queries, each decoded for at least
-// this scan's column set) and copying each surviving row's values into the
-// scan's own output page: the fan-out page is shared and recycles as soon as
-// every consumer has drained it, so no row of it may travel downstream. When
-// the producer spilled this consumer, the shared stream ends early and the
-// scan finishes the circular remainder privately.
-func (s *seqScan) nextShared() (*Page, error) {
-	for !s.eos && s.outLen() < s.pageRows {
-		if s.fan != nil {
-			for s.fanI < len(s.fan.Rows) && s.outLen() < s.pageRows {
-				i := s.fanI
-				row := s.fan.Rows[i]
-				s.fanI++
-				// Versioned producers carry each row's (xmin, xmax) in a
-				// parallel sidecar; visibility is per-consumer (snapshots
-				// differ), so it is applied here during copy-out — fan pages
-				// are shared and never narrowed. A consumer without a
-				// snapshot reads latest-state: live versions only.
-				if s.fan.Vers != nil {
-					v := s.fan.Vers[i]
-					if s.vis.fn != nil {
-						if !s.vis.visible(v.Xmin, v.Xmax) {
-							continue
-						}
-					} else if v.Xmax != 0 {
-						continue
-					}
-				}
-				if s.pred != nil {
-					keep, err := s.pred(row)
-					if err != nil {
-						return nil, err
-					}
-					if !keep {
-						continue
-					}
-				}
-				out := s.outPage()
-				dst := out.carve(len(row))
-				copy(dst, row)
-				out.Rows = append(out.Rows, dst)
-			}
-			if s.fanI >= len(s.fan.Rows) {
-				s.fan.Release()
-				s.fan, s.fanI = nil, 0
-			}
-			continue
-		}
-		if s.contLeft > 0 {
-			if err := s.nextContinuation(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		pg, err := s.cons.ex.tryNext(s.wake)
-		if err != nil {
-			if err == errWouldBlock && s.outLen() > 0 {
-				break
-			}
-			return nil, err
-		}
-		if pg == nil {
-			if err := s.cons.takeErr(); err != nil {
-				return nil, err
-			}
-			s.contPages, s.contPos, s.contLeft = s.cons.continuation()
-			if s.contLeft == 0 {
-				s.eos = true
-			}
-			continue
-		}
-		s.fan, s.fanI = pg, 0
+// deregister ends the scan's registration, if any. Idempotent.
+func (s *seqScan) deregister() {
+	if s.reg != nil {
+		s.shared.deregister(s.heap, s.reg, s.walked)
+		s.reg = nil
 	}
-	return s.emit(), nil
-}
-
-// nextContinuation decodes one heap page of a spilled shared scan's private
-// remainder into the output page (which may overflow pageRows; pages are a
-// batching unit, not a hard bound).
-func (s *seqScan) nextContinuation() error {
-	id := s.contPages[s.contPos]
-	s.contPos++
-	if s.contPos >= len(s.contPages) {
-		s.contPos = 0
-	}
-	s.contLeft--
-	if s.contLeft == 0 {
-		s.eos = true
-	}
-	var accErr error
-	err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
-		ok, err := s.accept(rec)
-		accErr = err
-		return ok
-	})
-	if err == nil {
-		err = accErr
-	}
-	return err
 }
 
 func (s *seqScan) Close() error {
-	s.privPages, s.privIdx = nil, 0
-	if s.cons != nil {
-		s.cons.close()
-		s.cons = nil
-	}
-	s.fan.Release()
-	s.fan = nil
+	s.deregister()
+	s.pages, s.pageIdx, s.left = nil, 0, 0
 	s.out.Release()
 	s.out = nil
 	return nil

@@ -14,8 +14,8 @@ package exec
 //   - A consumer either forwards the page downstream (transferring ownership
 //     again — filter and limit do this, adjusting the selection vector in
 //     place) or reads the rows it needs and calls Release.
-//   - Fan-out producers (exec.SharedScans) Retain the page once per extra
-//     consumer; the page recycles on the last Release.
+//   - A holder that hands one page to several readers Retains it once per
+//     extra reader; the page recycles on the last Release.
 //
 // The lifetime rule for rows:
 //
@@ -57,12 +57,6 @@ import (
 	"stagedb/internal/value"
 )
 
-// RowVer carries a row's MVCC version stamps alongside the decoded row in a
-// shared-scan fan-out page.
-type RowVer struct {
-	Xmin, Xmax uint64
-}
-
 // Page is a batch of rows exchanged between operators.
 type Page struct {
 	// Rows holds every row carried by the page.
@@ -72,15 +66,9 @@ type Page struct {
 	// in place instead of copying surviving rows. nil means all rows are
 	// live.
 	Sel []int32
-	// Vers, when non-nil, is a per-row sidecar of MVCC version stamps,
-	// parallel to Rows. Shared-scan producers fill it so each consumer can
-	// apply its own snapshot's visibility during copy-out — the heap page is
-	// decoded once, but visibility is per-snapshot.
-	Vers []RowVer
 
 	buf    []value.Row        // backing array owned by the page, reused on recycle
 	selBuf []int32            // selection backing, reused on recycle
-	verBuf []RowVer           // version-sidecar backing, reused on recycle
 	vals   arena[value.Value] // value storage rows are carved from, reused on recycle
 	refs   atomic.Int32
 	pool   *PagePool
@@ -164,7 +152,8 @@ func copyRow(a *arena[value.Value], row value.Row) value.Row {
 	return dst
 }
 
-// Retain adds one reference for fan-out delivery. No-op on unpooled pages.
+// Retain adds one reference, for a page handed to one more reader. No-op on
+// unpooled pages.
 func (p *Page) Retain() {
 	if p != nil && p.pool != nil {
 		p.refs.Add(1)
@@ -238,7 +227,7 @@ func (p *Page) narrow(pred plan.CompiledPredicate) error {
 // PagePool is a sync.Pool-backed allocator of exchange pages with hit/miss
 // accounting. One pool is shared by every query of an engine; it is safe for
 // concurrent use. Outstanding() underpins the leak tests: after a query ends
-// (including LIMIT-abandoned and shared-scan fan-out queries) every page
+// (including LIMIT-abandoned and synchronized-scan queries) every page
 // checked out on its behalf must have been returned.
 type PagePool struct {
 	pool                  sync.Pool
@@ -267,7 +256,7 @@ func (pp *PagePool) Get(capRows int) *Page {
 			pg.buf = make([]value.Row, 0, capRows)
 		}
 		pg.Rows = pg.buf[:0]
-		pg.Sel, pg.Vers = nil, nil
+		pg.Sel = nil
 		pg.refs.Store(1)
 		pg.pool = pp
 		return pg
@@ -289,13 +278,10 @@ func (pp *PagePool) put(p *Page) {
 	if cap(p.Rows) > cap(p.buf) {
 		p.buf = p.Rows[:0]
 	}
-	if cap(p.Vers) > cap(p.verBuf) {
-		p.verBuf = p.Vers[:0]
-	}
 	// Drop row headers so a parked pool page does not pin superseded value
 	// storage.
 	clear(p.buf[:cap(p.buf)])
-	p.Rows, p.Sel, p.Vers = nil, nil, nil
+	p.Rows, p.Sel = nil, nil
 	poisonValues(p.vals.chunk)
 	if cap(p.vals.chunk) > maxPageValues {
 		p.vals.reset()

@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"stagedb/internal/plan"
 	"stagedb/internal/value"
@@ -173,9 +172,9 @@ func TestVolcanoQueriesReturnAllPages(t *testing.T) {
 	}
 }
 
-// TestSharedScanFanOutReturnsAllPages: pages fanned out by the shared-scan
-// wheel carry one reference per consumer and must recycle on the last
-// release — including consumers that abandon early via LIMIT.
+// TestSharedScanFanOutReturnsAllPages: concurrent synchronized scans of one
+// table — including one a LIMIT abandons early — return every page they
+// checked out by the time their queries return.
 func TestSharedScanFanOutReturnsAllPages(t *testing.T) {
 	db := shareDB(t, 400)
 	onEachPool(t, func(t *testing.T, sp *StagePool) { sharedFanOutReturnsAllPages(t, db, sp) })
@@ -202,13 +201,7 @@ func sharedFanOutReturnsAllPages(t *testing.T, db *testDB, sp *StagePool) {
 		}(q)
 	}
 	wg.Wait()
-	// The wheel's producer may still be finishing its last lap after the
-	// final consumer detached; it releases its reference as it exits.
-	deadline := time.Now().Add(5 * time.Second)
-	for pp.Outstanding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("shared fan-out leaked %d pages (stats %+v)", pp.Outstanding(), pp.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	if n := pp.Outstanding(); n != 0 {
+		t.Fatalf("synchronized scans leaked %d pages (stats %+v)", n, pp.Stats())
 	}
 }

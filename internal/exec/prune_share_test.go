@@ -5,122 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"stagedb/internal/catalog"
 	"stagedb/internal/mvcc"
 	"stagedb/internal/plan"
-	"stagedb/internal/storage"
 	"stagedb/internal/value"
 	"stagedb/internal/vclock"
 )
-
-// items is (id, grp, pad) with no NULLs, so "column i is non-NULL on every
-// row" means "column i was decoded on every page this consumer got".
-const (
-	colID = iota
-	colGrp
-	colPad
-)
-
-// checkDecoded checks every row has column need decoded and returns how many
-// rows also carried column other (decoded for some other consumer's benefit).
-func checkDecoded(t *testing.T, who string, rows []value.Row, need, other int) (withOther int) {
-	t.Helper()
-	for _, r := range rows {
-		if r[need].IsNull() {
-			t.Errorf("%s received a row without its column %d: %v", who, need, r)
-			return
-		}
-		if !r[other].IsNull() {
-			withOther++
-		}
-	}
-	return withOther
-}
-
-// drainConsumer reads a wheel tap to the end of its shared stream.
-func drainConsumer(t *testing.T, c *scanConsumer, acc []value.Row) []value.Row {
-	t.Helper()
-	for {
-		pg, err := c.ex.Next()
-		if err != nil {
-			t.Error(err)
-			return acc
-		}
-		if pg == nil {
-			if err := c.takeErr(); err != nil {
-				t.Error(err)
-			}
-			if _, _, left := c.continuation(); left != 0 {
-				t.Errorf("consumer spilled with %d pages left; the test disables stalls", left)
-			}
-			return acc
-		}
-		acc = append(acc, pg.Rows...)
-		pg.Release()
-	}
-}
-
-// TestSharedScanColumnsUnion drives the wheel directly. A needs only id and
-// starts the scan; B, needing only pad, attaches mid-circle. Every page is
-// decoded for the union of the consumers it is delivered to: A's pages from
-// before B attached carry no pad, every page B gets carries pad, and no page
-// is ever narrower than its receiver's need.
-func TestSharedScanColumnsUnion(t *testing.T) {
-	db := shareDB(t, 600)
-	tbl, err := db.cat.Get("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := db.heaps["items"]
-
-	shared := NewSharedScans(1, nil)
-	shared.stall = time.Minute // no spills: B must really ride the wheel
-	done := make(chan struct{})
-	defer close(done)
-
-	a := shared.attach(h, tbl, []bool{true, false, false}, done)
-	var rowsA []value.Row
-	for i := 0; i < 2; i++ {
-		pg, err := a.ex.Next()
-		if err != nil || pg == nil {
-			t.Fatalf("A page %d: %v %v", i, pg, err)
-		}
-		rowsA = append(rowsA, pg.Rows...)
-	}
-	if n := checkDecoded(t, "A alone", rowsA, colID, colPad); n != 0 {
-		t.Fatalf("%d of A's first rows carry pad: with A alone on the wheel nothing but id should be decoded", n)
-	}
-
-	b := shared.attach(h, tbl, []bool{false, false, true}, done)
-	var rowsB []value.Row
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rowsB = drainConsumer(t, b, nil)
-	}()
-	rowsA = drainConsumer(t, a, rowsA)
-	wg.Wait()
-
-	total := len(db.volcano(t, "SELECT id FROM items"))
-	if len(rowsA) != total || len(rowsB) != total {
-		t.Fatalf("A got %d rows, B got %d, want %d each", len(rowsA), len(rowsB), total)
-	}
-	if n := checkDecoded(t, "A", rowsA, colID, colPad); n == 0 {
-		t.Error("no page A received carried pad: B attached mid-circle, the shared pages should")
-	}
-	if n := checkDecoded(t, "B", rowsB, colPad, colID); n == 0 {
-		t.Error("no page B received carried id: the pages it shared with A should")
-	}
-	for _, r := range append(rowsA, rowsB...) {
-		if !r[colGrp].IsNull() {
-			t.Fatalf("grp decoded although neither consumer reads it: %v", r)
-		}
-	}
-	if st := shared.Stats(); st.Starts != 1 || st.Attaches != 1 || st.Wraps != 1 {
-		t.Fatalf("stats %+v, want one start, one mid-circle attach", st)
-	}
-}
 
 // scanOf digs the single SeqScan out of a plan.
 func scanOf(t *testing.T, n plan.Node) *plan.SeqScan {
@@ -136,77 +25,6 @@ func scanOf(t *testing.T, n plan.Node) *plan.SeqScan {
 	}
 	t.Fatal("no single SeqScan in plan")
 	return nil
-}
-
-// TestSharedScanColumnsContinuation: a consumer the wheel spills finishes the
-// circle privately — through seqScan's own continuation path — and that path
-// decodes its plan's columns too. The scan operator is driven by hand so the
-// stall is certain: it attaches and then does not read until the producer has
-// let it go.
-func TestSharedScanColumnsContinuation(t *testing.T) {
-	db := shareDB(t, 600)
-	node := scanOf(t, db.plan(t, "SELECT grp FROM items", plan.Options{}))
-	if len(node.Cols) != 3 || node.Cols[colID] || !node.Cols[colGrp] || node.Cols[colPad] {
-		t.Fatalf("plan reads %v, want only grp", node.Cols)
-	}
-
-	shared := NewSharedScans(1, nil)
-	shared.stall = time.Millisecond
-	done := make(chan struct{})
-	defer close(done)
-
-	op, err := BuildNode(node, nil, db, BuildConfig{PageRows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := op.(*seqScan)
-	woken := make(chan struct{}, 1) // one pending wakeup is all a single reader needs
-	sc.attach = func(h *storage.Heap, tbl *catalog.Table, cols []bool) *scanConsumer {
-		return shared.attach(h, tbl, cols, done)
-	}
-	sc.wake = func() {
-		select {
-		case woken <- struct{}{}:
-		default:
-		}
-	}
-	if err := sc.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	sc.cons.awaitDetach() // buffer full, nobody reading: the wheel spills us
-	if _, _, left := sc.cons.continuation(); left == 0 {
-		t.Fatal("the stalled consumer was not handed a continuation")
-	}
-
-	var rows []value.Row
-	for {
-		pg, err := sc.Next()
-		if err == errWouldBlock {
-			<-woken
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pg == nil {
-			break
-		}
-		rows = append(rows, pg.Rows...)
-		pg.Release()
-	}
-	want := db.volcano(t, "SELECT id FROM items")
-	if len(rows) != len(want) {
-		t.Fatalf("%d rows through the continuation, want %d", len(rows), len(want))
-	}
-	for _, r := range rows {
-		if r[colGrp].IsNull() || !r[colID].IsNull() || !r[colPad].IsNull() {
-			t.Fatalf("row %v: want grp and nothing else decoded, on the wheel and off it", r)
-		}
-	}
-	if st := shared.Stats(); st.Spills != 1 {
-		t.Fatalf("stats %+v, want exactly one spill", st)
-	}
 }
 
 // TestSharedScanColumnsConcurrentQueries runs whole queries with disjoint

@@ -268,26 +268,32 @@ func TestRetainDrainedResult(t *testing.T) {
 	}
 }
 
-// TestSharedScanDecodeAllocatesNothingPerRow: in steady state the shared
-// wheel decodes a heap page into a recycled page's own value storage — no
-// allocation per row (a TEXT column would cost its string, so the table has
-// none).
+// TestSharedScanDecodeAllocatesNothingPerRow: in steady state a
+// synchronized scan decodes a heap page into a recycled page's own value
+// storage — no allocation per row (a TEXT column would cost its string, so
+// the table has none).
 func TestSharedScanDecodeAllocatesNothingPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops recycled pages at random under the race detector")
 	}
 	db := retainDB(t, 2000, 10)
-	tbl, err := db.cat.Get("a")
+	node := scanOf(t, db.plan(t, "SELECT id, k FROM a", plan.Options{DisableIndex: true}))
+	op, err := BuildNode(node, nil, db, BuildConfig{Pool: NewPagePool()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := db.heaps["a"]
-	s := &sharedScan{mgr: NewSharedScans(1, NewPagePool()), heap: h, tbl: tbl, pages: h.PageIDs()}
-	s.mgr.SetVersioned(false)
-	id := s.pages[0]
+	sc := op.(*seqScan)
+	sc.shared = NewSharedScans(0, nil)
+	if err := sc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
 	rows := 0
 	decode := func() {
-		pg, err := s.decode(id, nil)
+		// Walk heap page 0 again; it holds more rows than an output page, so
+		// one Next reads exactly that page and the registration stays live.
+		sc.pageIdx, sc.left = 0, 1
+		pg, err := sc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,6 +306,9 @@ func TestSharedScanDecodeAllocatesNothingPerRow(t *testing.T) {
 	}
 	if rows < 100 {
 		t.Fatalf("heap page holds only %d rows: the per-row claim is not measured", rows)
+	}
+	if sc.reg == nil {
+		t.Fatal("the scan deregistered: it did not walk as a synchronized scan")
 	}
 }
 

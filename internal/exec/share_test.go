@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,150 +135,6 @@ func TestSharedScanDifferentFilters(t *testing.T) {
 	}
 }
 
-// TestSharedScanMidAttachWraps drives the manager directly: consumer A
-// starts the wheel, drains a few pages, then consumer B attaches mid-scan —
-// B must still receive every page exactly once via the circular wrap.
-func TestSharedScanMidAttachWraps(t *testing.T) {
-	db := shareDB(t, 600)
-	tbl, err := db.cat.Get("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := db.heaps["items"]
-	pages := h.Pages()
-	if pages < 4 {
-		t.Fatalf("need several pages, have %d", pages)
-	}
-
-	shared := NewSharedScans(1, nil)
-	// Disable spills for determinism: the wheel must wait for A while B
-	// attaches mid-scan.
-	shared.stall = time.Minute
-	done := make(chan struct{})
-	defer close(done)
-
-	a := shared.attach(h, tbl, nil, done)
-	// Drain a couple of pages from A so the wheel advances past position 0.
-	var rowsA []value.Row
-	for i := 0; i < 2; i++ {
-		pg, err := a.ex.Next()
-		if err != nil || pg == nil {
-			t.Fatalf("A page %d: %v %v", i, pg, err)
-		}
-		rowsA = append(rowsA, pg.Rows...)
-	}
-
-	// B attaches mid-scan; with a buffer of 1 the producer cannot be at
-	// position 0 again yet.
-	b := shared.attach(h, tbl, nil, done)
-	drain := func(c *scanConsumer, acc []value.Row) []value.Row {
-		for {
-			pg, err := c.ex.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pg == nil {
-				if err := c.takeErr(); err != nil {
-					t.Fatal(err)
-				}
-				// A spill (possible under a loaded scheduler) hands the
-				// remainder over as a continuation; fold it in.
-				pages, pos, left := c.continuation()
-				for ; left > 0; left-- {
-					h.ScanPage(pages[pos], func(_ storage.RID, rec []byte) bool {
-						row, err := storage.DecodeRow(tbl.Schema, rec, nil)
-						if err != nil {
-							t.Error(err)
-							return false
-						}
-						acc = append(acc, row)
-						return true
-					})
-					pos++
-					if pos >= len(pages) {
-						pos = 0
-					}
-				}
-				return acc
-			}
-			acc = append(acc, pg.Rows...)
-		}
-	}
-	var rowsB []value.Row
-	// Drain concurrently: with buffers of one page, A and B gate each
-	// other's progress through the shared wheel.
-	ch := make(chan struct{})
-	go func() {
-		rowsB = drain(b, nil)
-		close(ch)
-	}()
-	rowsA = drain(a, rowsA)
-	<-ch
-
-	want := db.volcano(t, "SELECT id, grp, pad FROM items")
-	sameRows(t, rowsA, want)
-	sameRows(t, rowsB, want)
-
-	st := shared.Stats()
-	if st.Starts != 1 || st.Attaches != 1 {
-		t.Fatalf("stats: %+v, want 1 start + 1 attach", st)
-	}
-	if st.Wraps != 1 {
-		t.Fatalf("B should have wrapped: %+v", st)
-	}
-}
-
-// TestSharedScanAbandonDoesNotStall: a LIMIT-style consumer that stops
-// reading and closes must detach without wedging the other consumer.
-func TestSharedScanAbandonDoesNotStall(t *testing.T) {
-	db := shareDB(t, 600)
-	tbl, _ := db.cat.Get("items")
-	h := db.heaps["items"]
-
-	shared := NewSharedScans(1, nil)
-	// Make genuine stalls effectively impossible so the test exercises the
-	// abandonment path, not the spill path.
-	shared.stall = time.Minute
-
-	doneA := make(chan struct{})
-	doneB := make(chan struct{})
-	defer close(doneB)
-	a := shared.attach(h, tbl, nil, doneA)
-	b := shared.attach(h, tbl, nil, doneB)
-
-	// A reads one page then abandons (consumer close + pipeline teardown).
-	if pg, err := a.ex.Next(); err != nil || pg == nil {
-		t.Fatalf("A first page: %v %v", pg, err)
-	}
-	a.close()
-	close(doneA)
-
-	// B must still complete the full circle.
-	finished := make(chan []value.Row)
-	go func() {
-		var rows []value.Row
-		for {
-			pg, err := b.ex.Next()
-			if err != nil {
-				t.Error(err)
-				break
-			}
-			if pg == nil {
-				break
-			}
-			rows = append(rows, pg.Rows...)
-		}
-		finished <- rows
-	}()
-	select {
-	case rows := <-finished:
-		want := db.volcano(t, "SELECT id, grp, pad FROM items")
-		sameRows(t, rows, want)
-	case <-time.After(10 * time.Second):
-		t.Fatal("surviving consumer stalled after peer abandoned")
-	}
-}
-
 // TestSharedScanSelfJoin: two scans of the same table inside ONE pipeline
 // (hash join build+probe) would deadlock a purely blocking wheel — the
 // build side drains while the probe side stalls. The spill path must keep
@@ -298,20 +157,116 @@ func TestSharedScanSelfJoin(t *testing.T) {
 	})
 }
 
-// TestSharedScanMidAttachWrapsThroughPipeline is the mid-attach wrap driven
-// through whole pipelines: query A starts the wheel and stops reading, query
-// B attaches mid-scan while A's scan task is parked, and both must see every
-// row exactly once. With spills disabled the two scan tasks gate each other
-// through the wheel, so on the one-worker pool a task that blocked instead
-// of yielding would wedge the fscan stage.
-func TestSharedScanMidAttachWrapsThroughPipeline(t *testing.T) {
+// openSyncScan builds the scan of node as the staged driver would with
+// sharing on, and opens it (registering it with shared).
+func openSyncScan(t *testing.T, db *testDB, node *plan.SeqScan, shared *SharedScans) *seqScan {
+	t.Helper()
+	op, err := BuildNode(node, nil, db, BuildConfig{PageRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := op.(*seqScan)
+	sc.shared = shared
+	if err := sc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	return sc
+}
+
+// TestSyncScanStartsAtReportedPosition drives two scan operators by hand: A
+// walks a few pages, then B registers mid-walk. B must start at the page
+// index A reported, wrap past the end, and return exactly the Volcano
+// multiset — as must A, whichever of the two reads a page first.
+func TestSyncScanStartsAtReportedPosition(t *testing.T) {
+	db := shareDB(t, 600)
+	q := "SELECT id, grp, pad FROM items"
+	node := scanOf(t, db.plan(t, q, plan.Options{}))
+	want := db.volcano(t, q)
+	h := db.heaps["items"]
+	pages := h.PageIDs()
+	if len(pages) < 4 {
+		t.Fatalf("need several pages, have %d", len(pages))
+	}
+	shared := NewSharedScans(0, nil)
+
+	next := func(who string, sc *seqScan, acc []value.Row) ([]value.Row, bool) {
+		t.Helper()
+		pg, err := sc.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+		if pg == nil {
+			return acc, false
+		}
+		for i := 0; i < pg.Len(); i++ {
+			acc = append(acc, pg.Row(i).Clone())
+		}
+		pg.Release()
+		return acc, true
+	}
+	a := openSyncScan(t, db, node, shared)
+	var rowsA []value.Row
+	for i := 0; i < 3; i++ {
+		var ok bool
+		if rowsA, ok = next("A", a, rowsA); !ok {
+			t.Fatal("A ended early")
+		}
+	}
+	reported := int(a.reg.next.Load())
+	if reported == 0 {
+		t.Fatal("A walked three pages but reports position 0")
+	}
+
+	b := openSyncScan(t, db, node, shared)
+	if b.pageIdx != reported {
+		t.Fatalf("B starts at page %d, A reported %d", b.pageIdx, reported)
+	}
+	// B's first row is the first record of the page A reported.
+	var first value.Row
+	h.ScanPage(pages[reported], func(_ storage.RID, rec []byte) bool {
+		row, err := storage.DecodeRow(node.Table.Schema, rec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = row
+		return false
+	})
+	rowsB, ok := next("B", b, nil)
+	if !ok || rowsB[0][0].Int() != first[0].Int() {
+		t.Fatalf("B's first row %v, want the first row of page %d: %v", rowsB[:1], reported, first)
+	}
+	if st := shared.Stats(); st.Starts != 1 || st.Attaches != 1 || st.Wraps != 1 || st.Detaches != 0 {
+		t.Fatalf("stats %+v, want one start and one wrapping attach, nothing detached", st)
+	}
+	// Alternate until both ends: each walks its own page list, so neither
+	// waits for the other.
+	for moreA, moreB := true, true; moreA || moreB; {
+		if moreA {
+			rowsA, moreA = next("A", a, rowsA)
+		}
+		if moreB {
+			rowsB, moreB = next("B", b, rowsB)
+		}
+	}
+	sameRows(t, rowsA, want)
+	sameRows(t, rowsB, want)
+	if st := shared.Stats(); st.Detaches != 2 || st.PagesDecoded != int64(2*len(pages)) || st.PagesDelivered != st.PagesDecoded {
+		t.Fatalf("stats %+v, want 2 detaches and %d pages walked", st, 2*len(pages))
+	}
+}
+
+// TestSyncScanStartsAtReportedPositionThroughPipeline is the same through
+// whole pipelines: query A is read two pages in and left unread, query B runs
+// to completion meanwhile — it starts past page 0 and needs nothing from A —
+// and both return the Volcano multiset.
+func TestSyncScanStartsAtReportedPositionThroughPipeline(t *testing.T) {
 	db := shareDB(t, 600)
 	q := "SELECT id, grp, pad FROM items"
 	want := db.volcano(t, q)
 
 	onEachPool(t, func(t *testing.T, pool *StagePool) {
-		shared := NewSharedScans(1, nil)
-		shared.stall = time.Minute
+		shared := NewSharedScans(0, nil)
 		opts := StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared}
 		opt := plan.Options{DisableIndex: true}
 
@@ -330,48 +285,140 @@ func TestSharedScanMidAttachWrapsThroughPipeline(t *testing.T) {
 				return false
 			}
 			for i := 0; i < pg.Len(); i++ {
-				rowsA = append(rowsA, pg.Row(i))
+				rowsA = append(rowsA, pg.Row(i).Clone())
 			}
 			pg.Release()
 			return true
 		}
-		// Two result pages prove the wheel moved past position 0; then A
-		// stops reading, so the wheel waits on A's full buffer.
 		for i := 0; i < 2; i++ {
 			if !takeA() {
 				t.Fatal("A ended early")
 			}
 		}
-
-		type result struct {
-			rows []value.Row
-			err  error
+		rowsB, err := RunStaged(db.plan(t, q, opt), db, pool, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		doneB := make(chan result, 1)
-		go func() {
-			rows, err := RunStaged(db.plan(t, q, opt), db, pool, opts)
-			doneB <- result{rows, err}
-		}()
-		// B's scan task attaches on the fscan worker A's parked task freed.
-		deadline := time.Now().Add(10 * time.Second)
-		for shared.Stats().Attaches == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("B never attached: the fscan worker did not come free")
-			}
-			time.Sleep(time.Millisecond)
+		if id := rowsB[0][0].Int(); id == 0 {
+			t.Fatal("B started at page 0 while A was in flight past it")
 		}
 		for takeA() {
 		}
-		b := <-doneB
-		if b.err != nil {
-			t.Fatal(b.err)
-		}
 		sameRows(t, rowsA, want)
-		sameRows(t, b.rows, want)
-		if st := shared.Stats(); st.Starts != 1 || st.Attaches != 1 || st.Wraps != 1 {
-			t.Fatalf("stats: %+v, want 1 start, 1 attach, 1 wrap", st)
+		sameRows(t, rowsB, want)
+		if st := shared.Stats(); st.Starts != 1 || st.Attaches != 1 || st.Wraps != 1 || st.Detaches != 2 {
+			t.Fatalf("stats: %+v, want 1 start, 1 wrapping attach, 2 detaches", st)
 		}
 	})
+}
+
+// TestSyncScanDeregisters: every scan that registers deregisters — those
+// run to the end, those a LIMIT stops early, those of a cursor closed after
+// one page, and both scans of a self-join — so once the queries are done
+// Starts+Attaches == Detaches and the registry holds no heap.
+func TestSyncScanDeregisters(t *testing.T) {
+	db := shareDB(t, 600)
+	opt := plan.Options{DisableIndex: true}
+	queries := []string{
+		"SELECT id FROM items",
+		"SELECT id FROM items LIMIT 3",
+		"SELECT pad FROM items WHERE grp = 1 LIMIT 5",
+		"SELECT grp, COUNT(*) FROM items GROUP BY grp",
+		"SELECT a.id FROM items a JOIN items b ON a.id = b.id WHERE b.grp = 3",
+	}
+	onEachPool(t, func(t *testing.T, pool *StagePool) {
+		shared := NewSharedScans(0, nil)
+		opts := StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared}
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			for _, q := range queries {
+				wg.Add(1)
+				go func(q string) {
+					defer wg.Done()
+					if _, err := RunStaged(db.plan(t, q, opt), db, pool, opts); err != nil {
+						t.Errorf("%s: %v", q, err)
+					}
+				}(q)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cur, err := RunStagedCursor(db.plan(t, "SELECT id, grp FROM items", opt), db, pool, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if pg, err := cur.NextPage(); err != nil || pg == nil {
+					t.Errorf("abandoned cursor's first page: %v %v", pg, err)
+				} else {
+					pg.Release()
+				}
+				if err := cur.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		st := shared.Stats()
+		if st.Starts == 0 || st.Starts+st.Attaches != st.Detaches {
+			t.Fatalf("stats %+v: want Starts+Attaches == Detaches once the scans are quiet", st)
+		}
+		shared.mu.Lock()
+		left := len(shared.scans)
+		shared.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d heaps still registered after every query ended", left)
+		}
+	})
+}
+
+// TestScansStartNoGoroutine: concurrent scans over k different tables run
+// on the StagePool's workers alone — a scan in flight adds no goroutine.
+func TestScansStartNoGoroutine(t *testing.T) {
+	const k = 4
+	db := newTestDB()
+	for i := 0; i < k; i++ {
+		name := fmt.Sprintf("t%d", i)
+		db.createTable(t, "CREATE TABLE "+name+" (id INT, pad TEXT)")
+		rows := make([]value.Row, 400)
+		for j := range rows {
+			rows[j] = value.Row{value.NewInt(int64(j)), value.NewText(strings.Repeat("z", 200))}
+		}
+		db.insert(t, name, rows...)
+	}
+	pool := newTestPool(t)
+	shared := NewSharedScans(0, nil)
+	opts := StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared}
+	plans := make([]plan.Node, k)
+	for i := range plans {
+		plans[i] = db.plan(t, fmt.Sprintf("SELECT id, pad FROM t%d", i), plan.Options{})
+		// Run each once so every stage has its workers before counting.
+		if _, err := RunStaged(plans[i], db, pool, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	curs := make([]Cursor, k)
+	for i := range curs {
+		cur, err := RunStagedCursor(plans[i], db, pool, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		pg, err := cur.NextPage()
+		if err != nil || pg == nil {
+			t.Fatalf("t%d: first page %v %v", i, pg, err)
+		}
+		pg.Release()
+		curs[i] = cur
+	}
+	if during := runtime.NumGoroutine(); during > before {
+		t.Fatalf("%d scans in flight over %d tables added %d goroutines beyond the stage pool", k, k, during-before)
+	}
+	if st := shared.Stats(); st.Starts+st.Attaches-st.Detaches != k {
+		t.Fatalf("stats %+v: want %d scans in flight", st, k)
+	}
 }
 
 // TestStreamingScanLimitReadsPrefix: with streaming scans a LIMIT query

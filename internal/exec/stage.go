@@ -13,9 +13,7 @@ import (
 	"runtime"
 	"sync"
 
-	"stagedb/internal/catalog"
 	"stagedb/internal/plan"
-	"stagedb/internal/storage"
 	"stagedb/internal/value"
 )
 
@@ -32,7 +30,7 @@ type pipeline struct {
 	sched       *StagePool  // owns the stage queues and workers the tasks run on
 	cfg         BuildConfig // operator build parameters (pages, pool, WorkMem)
 	bufferPages int
-	shared      *SharedScans // non-nil: fscan operators attach to shared scans
+	shared      *SharedScans // non-nil: fscan operators synchronize through it
 
 	done     chan struct{} // closed on failure or cancellation
 	failOnce sync.Once
@@ -44,58 +42,21 @@ type pipeline struct {
 	running sync.WaitGroup
 
 	mu        sync.Mutex
-	tasks     []*opTask       // resumable tasks, woken on failure
-	exchanges []*exchange     // all inter-operator buffers, drained at teardown
-	scanCons  []*scanConsumer // shared-scan consumers this pipeline attached
-	noAttach  bool            // RunStaged is returning; no new attachments
+	tasks     []*opTask   // resumable tasks, woken on failure
+	exchanges []*exchange // all inter-operator buffers, drained at teardown
 }
 
-// attachShared joins the shared scan over h on this pipeline's behalf, or
-// returns nil once RunStaged has begun returning — a scan task that was
-// still queued when the query ended must not attach afterwards, because the
-// detach wait below has already snapshotted the consumer set and the
-// query's table lock is about to be released.
-func (p *pipeline) attachShared(h *storage.Heap, tbl *catalog.Table, cols []bool) *scanConsumer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.noAttach {
-		return nil
-	}
-	c := p.shared.attach(h, tbl, cols, p.done)
-	p.scanCons = append(p.scanCons, c)
-	return c
-}
-
-// releaseScans forbids further shared attachments and waits until the
-// wheel has let go of every consumer this pipeline attached. The wait is
-// bounded — done is closed, so the wheel's next delivery attempt for each
-// consumer fails immediately.
-func (p *pipeline) releaseScans() {
-	p.mu.Lock()
-	p.noAttach = true
-	cons := append([]*scanConsumer(nil), p.scanCons...)
-	p.mu.Unlock()
-	for _, c := range cons {
-		c.awaitDetach()
-	}
-}
-
-// drainPages releases every page still buffered in the pipeline's exchanges
-// and shared-scan fan-out taps. Called after all operator tasks have
-// finished (their exchanges are closed, the wheel has detached every
-// consumer), it is the last step of the page-recycle protocol: a query that
-// stopped reading early (LIMIT, abandonment, failure) leaves pages stranded
-// in its buffers, and those must go back to the pool.
+// drainPages releases every page still buffered in the pipeline's
+// exchanges. Called after all operator tasks have finished (their exchanges
+// are closed), it is the last step of the page-recycle protocol: a query
+// that stopped reading early (LIMIT, abandonment, failure) leaves pages
+// stranded in its buffers, and those must go back to the pool.
 func (p *pipeline) drainPages() {
 	p.mu.Lock()
 	exs := append([]*exchange(nil), p.exchanges...)
-	cons := append([]*scanConsumer(nil), p.scanCons...)
 	p.mu.Unlock()
 	for _, ex := range exs {
 		ex.drainRelease()
-	}
-	for _, c := range cons {
-		c.ex.drainRelease()
 	}
 }
 
@@ -468,11 +429,8 @@ func (p *pipeline) launch(n plan.Node) (*exchange, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc, ok := op.(*seqScan); ok && p.shared != nil {
-		// Shared-scan wiring: the scan joins the fscan stage's in-flight
-		// circular scan through the pipeline, and reads its fan-out buffer
-		// with the task's waker (the errWouldBlock protocol).
-		sc.attach, sc.wake = p.attachShared, t.wake
+	if sc, ok := op.(*seqScan); ok {
+		sc.shared = p.shared
 	}
 	t.op = op
 	t.out = newExchange(p.bufferPages, p.done)
@@ -491,8 +449,9 @@ type StagedOptions struct {
 	PageRows int
 	// BufferPages bounds each inter-operator page buffer (0 = 4).
 	BufferPages int
-	// Shared, when non-nil, lets fscan operators join in-flight shared
-	// table scans owned by the manager instead of walking the heap alone.
+	// Shared, when non-nil, synchronizes fscan operators with the other
+	// scans of their heap in flight: each starts at the position the
+	// registry holds instead of at page 0.
 	Shared *SharedScans
 	// Pool, when non-nil, recycles exchange pages across queries instead of
 	// allocating them fresh (see pagepool.go for the ownership protocol).

@@ -297,6 +297,17 @@ func (lm *LockManager) wakeLocked(resource string, ls *lockState) {
 	}
 }
 
+// Waiters reports how many lock requests are queued on resource
+// (diagnostics).
+func (lm *LockManager) Waiters(resource string) int {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if ls := lm.locks[resource]; ls != nil {
+		return len(ls.waiters)
+	}
+	return 0
+}
+
 // HeldBy reports the resources txn currently holds (diagnostics).
 func (lm *LockManager) HeldBy(txn ID) []string {
 	lm.mu.Lock()

@@ -13,7 +13,7 @@ import (
 // size holds O(page) client memory. Pooled pages stay checked out only until
 // their rows are consumed; Close recycles whatever remains and abandons the
 // producing pipeline — an early Close behaves exactly like a satisfied
-// LIMIT, terminating scans after a prefix and detaching from shared scans.
+// LIMIT, terminating scans after a prefix.
 //
 // Rows hands out rows without copying them: a row lives in its exchange
 // page's recycled storage, so it is valid only until the page is released

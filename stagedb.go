@@ -97,11 +97,11 @@ type Options struct {
 	// ExecQueueDepth bounds each execution-stage task queue (0 = 64);
 	// launching operators into a full queue blocks (back-pressure).
 	ExecQueueDepth int
-	// DisableSharedScans turns off the staged engine's fscan work sharing.
-	// By default concurrent sequential scans of one table share a single
-	// in-flight circular heap walk (each page pinned and decoded once,
-	// fanned out to every query; late arrivals attach mid-scan and wrap).
-	// The Threaded (Volcano) baseline never shares scans.
+	// DisableSharedScans turns off the staged engine's synchronized scans.
+	// By default a sequential scan starting while another scan of its table
+	// is in flight begins at that scan's position and wraps around, so the
+	// two read the same pages at about the same time through the buffer
+	// pool. The Threaded (Volcano) baseline never synchronizes scans.
 	DisableSharedScans bool
 	// DataDir, when set, makes the database durable: page images live in a
 	// checksummed data file under the directory and every transaction is
@@ -368,12 +368,12 @@ func (db *DB) EngineLoad() (inflight int64, executeQueue int) {
 	return db.front.InFlight(), db.front.ExecuteQueueLen()
 }
 
-// ScanShareStats reports the staged engine's fscan work-sharing activity:
-// shared scans started (share misses), queries that attached to one in
-// flight and how many of those wrapped, stalled consumers spilled to a
-// private continuation, consumers released (an early Rows.Close detaches its
-// consumer), and heap pages decoded versus delivered — their ratio is the
-// effective sharing fan-out.
+// ScanShareStats reports the staged engine's synchronized-scan activity:
+// scans that found no scan of their table in flight (share misses), scans
+// that started at an in-flight scan's position and how many of those
+// wrapped, scans deregistered (an early Rows.Close deregisters its scan),
+// and heap pages walked. Every scan decodes its own pages, so
+// PagesDelivered equals PagesDecoded.
 type ScanShareStats = exec.SharedScanStats
 
 // ScanShares snapshots the scan-sharing counters (zero on the threaded

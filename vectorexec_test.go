@@ -3,7 +3,6 @@ package stagedb
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestPagePoolBalancesAfterQueries is the engine-level page-leak test: after
@@ -30,7 +29,7 @@ func TestPagePoolBalancesAfterQueries(t *testing.T) {
 				"SELECT DISTINCT grp FROM padded",
 				"SELECT id FROM padded WHERE grp = 2 ORDER BY id DESC LIMIT 4",
 			}
-			// Concurrently too, so shared-scan fan-out refcounting is hit.
+			// Concurrently too, so synchronized scans start mid-table.
 			var wg sync.WaitGroup
 			for c := 0; c < 4; c++ {
 				wg.Add(1)
@@ -45,13 +44,8 @@ func TestPagePoolBalancesAfterQueries(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			// The shared-scan wheel may still be retiring; give it a moment.
-			deadline := time.Now().Add(5 * time.Second)
-			for db.PagePoolStats().Outstanding != 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("page pool unbalanced after queries: %+v", db.PagePoolStats())
-				}
-				time.Sleep(time.Millisecond)
+			if st := db.PagePoolStats(); st.Outstanding != 0 {
+				t.Fatalf("page pool unbalanced after queries: %+v", st)
 			}
 			if st := db.PagePoolStats(); st.Hits == 0 {
 				t.Fatalf("pool never recycled a page: %+v", st)
