@@ -726,32 +726,6 @@ func TestTopNFusesAndSkipsSpill(t *testing.T) {
 	}
 }
 
-// TestAutotuneWorkMem: the §4.4-style work-mem controller doubles the
-// budget after observing spills and holds it through quiet windows.
-func TestAutotuneWorkMem(t *testing.T) {
-	db := mustOpen(t, Options{WorkMem: 64 << 10})
-	defer db.Close()
-	loadBig(t, db, 30_000)
-	if got := db.AutotuneWorkMem(0); got != 64<<10 {
-		t.Fatalf("budget moved without any spills: %d", got)
-	}
-	if _, err := db.Query("SELECT id FROM big ORDER BY v"); err != nil {
-		t.Fatal(err)
-	}
-	if db.SpillStats().SortSpills == 0 {
-		t.Fatal("sort should have spilled; tuning test is vacuous")
-	}
-	if got := db.AutotuneWorkMem(0); got != 128<<10 {
-		t.Fatalf("observed spills should double the budget: %d", got)
-	}
-	if got := db.AutotuneWorkMem(0); got != 128<<10 {
-		t.Fatalf("quiet window should hold the budget: %d", got)
-	}
-	if got := db.WorkMem(); got != 128<<10 {
-		t.Fatalf("WorkMem() = %d after tuning", got)
-	}
-}
-
 // TestStreamInsideTransaction: a Rows cursor opened inside an explicit
 // transaction streams under the transaction's locks and leaves the
 // transaction open on Close.

@@ -2,10 +2,9 @@
 // of the resource and staging invariants the engine's earlier PRs established
 // by convention, comment, and leak test. Among them:
 //
-//   - pagerefs: a *exec.Page obtained from PagePool.Get (or an extra
-//     reference taken with Retain) must be Released, forwarded, stored, or
-//     returned on every control-flow path, including early-return error
-//     paths.
+//   - pagerefs: a *exec.Page obtained from PagePool.Get must be Released,
+//     forwarded, stored, or returned on every control-flow path, including
+//     early-return error paths.
 //   - rowretain: a row read from an exchange page (Page.Row, Page.Rows) dies
 //     with the page, so internal/exec and stagedb must copy it (Clone, an
 //     operator arena) before storing it in a field, a map, a package
@@ -18,7 +17,7 @@
 //     context.TODO outside tests, and a function that receives a ctx must
 //     not call the context-free variant of a callee that has one.
 //   - stageblock: no blocking operation (channel send/receive, select
-//     without default, awaitDetach, WaitGroup.Wait, time.Sleep) while a
+//     without default, WaitGroup.Wait, time.Sleep) while a
 //     sync mutex is held — the deadlock class the stage scheduler's parking
 //     protocol exists to prevent.
 //   - hotalloc: functions annotated //stagedb:hot (compiled kernels, hash

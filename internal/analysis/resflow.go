@@ -59,10 +59,6 @@ type resSpec struct {
 	// isAcquire reports whether call mints a new resource (bound to the
 	// first assignment target).
 	isAcquire func(info *types.Info, call *ast.CallExpr) bool
-	// isRetain, when non-nil, reports whether call re-arms the obligation on
-	// its identifier receiver (Page.Retain: one extra reference, one extra
-	// release owed).
-	isRetain func(info *types.Info, call *ast.CallExpr) bool
 	// isRelease reports whether call discharges the obligation on its
 	// identifier receiver (Page.Release, spill.File.Close).
 	isRelease func(info *types.Info, call *ast.CallExpr) bool
@@ -71,9 +67,8 @@ type resSpec struct {
 // obligation records where a tracked variable acquired its resource. Its
 // fields are immutable after creation; per-path liveness lives in resFact.
 type obligation struct {
-	pos    token.Pos
-	name   string
-	source string // acquiring call, for the diagnostic ("PagePool.Get", "Retain")
+	pos  token.Pos
+	name string
 
 	// errVar is the error result bound alongside the acquisition
 	// (`f, err := spill.Create(...)`): on the branch where it is non-nil the
@@ -131,8 +126,7 @@ func equalRes(a, b resState) bool {
 	}
 	for k, fa := range a {
 		fb, ok := b[k]
-		if !ok || fa.live != fb.live || fa.errLive != fb.errLive ||
-			fa.ob.pos != fb.ob.pos || fa.ob.source != fb.ob.source {
+		if !ok || fa.live != fb.live || fa.errLive != fb.errLive || fa.ob.pos != fb.ob.pos {
 			return false
 		}
 	}
@@ -218,12 +212,12 @@ func sortedLive(s resState) []resFact {
 
 func (rf *resFlow) reportNever(ob *obligation) {
 	rf.reportOnce(ob.pos, fmt.Sprintf("%s %q from %s is never %s, forwarded, stored, or returned",
-		rf.spec.desc, ob.name, ob.source, rf.spec.releaseVerb))
+		rf.spec.desc, ob.name, rf.spec.source, rf.spec.releaseVerb))
 }
 
 func (rf *resFlow) reportReturnPath(ob *obligation, pos token.Pos) {
 	rf.reportOnce(pos, fmt.Sprintf("%s %q from %s is not %s, forwarded, or stored on this return path",
-		rf.spec.desc, ob.name, ob.source, rf.spec.releaseVerb))
+		rf.spec.desc, ob.name, rf.spec.source, rf.spec.releaseVerb))
 }
 
 func (rf *resFlow) reportOnce(pos token.Pos, msg string) {
@@ -345,15 +339,13 @@ func (rf *resFlow) killAll() {
 
 // acquire attaches a fresh obligation to v. A plain acquisition over a still
 // live obligation strands the old resource — the loop-leak and
-// overwrite-leak signature — and reports it at its acquisition site. Retain
-// re-arms silently: retaining an undischarged reference just owes one more
-// release, which the Retain obligation itself tracks.
-func (rf *resFlow) acquire(v *types.Var, name, source string, pos token.Pos, errVar *types.Var, silent bool) {
-	if old, ok := rf.state[v]; ok && old.live && !silent && rf.reporting {
+// overwrite-leak signature — and reports it at its acquisition site.
+func (rf *resFlow) acquire(v *types.Var, name string, pos token.Pos, errVar *types.Var) {
+	if old, ok := rf.state[v]; ok && old.live && rf.reporting {
 		rf.reportNever(old.ob)
 	}
 	rf.state[v] = resFact{
-		ob:      &obligation{pos: pos, name: name, source: source, errVar: errVar},
+		ob:      &obligation{pos: pos, name: name, errVar: errVar},
 		live:    true,
 		errLive: errVar != nil,
 	}
@@ -468,19 +460,10 @@ func (rf *resFlow) captureClosure(lit *ast.FuncLit) {
 	}
 }
 
-// call handles release/retain recognition, then argument forwarding.
+// call handles release recognition, then argument forwarding.
 func (rf *resFlow) call(call *ast.CallExpr) {
-	info := rf.pass.TypesInfo
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		recv := rf.identVar(sel.X)
-		switch {
-		case rf.spec.isRelease(info, call):
-			rf.consume(recv)
-		case rf.spec.isRetain != nil && rf.spec.isRetain(info, call) && recv != nil:
-			rf.acquire(recv, nameOf(sel.X), "Retain", call.Pos(), nil, true)
-		default:
-			rf.useExpr(call.Fun, false)
-		}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && rf.spec.isRelease(rf.pass.TypesInfo, call) {
+		rf.consume(rf.identVar(sel.X))
 	} else {
 		rf.useExpr(call.Fun, false)
 	}
@@ -520,7 +503,7 @@ func (rf *resFlow) assign(lhs, rhs []ast.Expr) {
 					if len(lhs) > 1 && nameOf(lhs[1]) != "_" {
 						errVar = rf.identVar(lhs[1])
 					}
-					rf.acquire(v, nameOf(lhs[0]), rf.spec.source, lhs[0].Pos(), errVar, false)
+					rf.acquire(v, nameOf(lhs[0]), lhs[0].Pos(), errVar)
 					acquired = true
 				}
 			}

@@ -15,8 +15,8 @@ package analysis
 //
 //   - channel sends and receives outside a select,
 //   - select statements without a default case (these block),
-//   - calls that block by contract: exchange.Next,
-//     scanConsumer.awaitDetach, sync.WaitGroup.Wait, time.Sleep, and
+//   - calls that block by contract: sync.WaitGroup.Wait, sync.Cond.Wait,
+//     time.Sleep, and
 //   - calls to trySend/tryNext (they acquire the exchange lock internally;
 //     entering them with another lock held risks lock-order inversion).
 //
@@ -41,8 +41,7 @@ var StageBlock = &Analyzer{
 
 // blockingMethods are methods that block by contract in this codebase.
 var blockingMethods = map[string]bool{
-	"awaitDetach": true, // blocks until the shared-scan wheel lets go
-	"Wait":        true, // sync.WaitGroup.Wait / sync.Cond.Wait
+	"Wait": true, // sync.WaitGroup.Wait / sync.Cond.Wait
 }
 
 // lockTakingMethods acquire a lock internally; calling them with another

@@ -1,5 +1,5 @@
 // Package exec is a stub of stagedb/internal/exec for the analyzer golden
-// files: just enough surface (PagePool.Get, Page.Retain/Release) for
+// files: just enough surface (PagePool.Get, Page.Release) for
 // pagerefs to recognize the ownership protocol by package suffix, type, and
 // method name.
 package exec
@@ -9,10 +9,7 @@ type Page struct {
 	Rows []int
 }
 
-// Retain adds a reference.
-func (p *Page) Retain() {}
-
-// Release drops a reference.
+// Release returns the page to its pool.
 func (p *Page) Release() {}
 
 // Len reads the page without taking ownership.
@@ -21,5 +18,5 @@ func (p *Page) Len() int { return len(p.Rows) }
 // PagePool stands in for the exchange-page allocator.
 type PagePool struct{}
 
-// Get returns a page with one reference held by the caller.
+// Get returns a page owned by the caller.
 func (pp *PagePool) Get(capRows int) *Page { return &Page{Rows: make([]int, 0, capRows)} }

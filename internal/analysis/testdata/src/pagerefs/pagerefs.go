@@ -1,6 +1,5 @@
-// Golden file for the pagerefs analyzer: every reference taken with
-// PagePool.Get or Page.Retain must reach Release, a sink call, a store, or a
-// return on every path.
+// Golden file for the pagerefs analyzer: every page taken with PagePool.Get
+// must reach Release, a sink call, a store, or a return on every path.
 package pagerefs
 
 import "exec"
@@ -22,14 +21,6 @@ func leakOnEarlyReturn(pool *exec.PagePool, bad bool) error {
 	}
 	pg.Release()
 	return nil
-}
-
-// leakRetain re-arms the obligation after the original reference was
-// forwarded, then never balances the new one.
-func leakRetain(pool *exec.PagePool) {
-	pg := pool.Get(8)
-	Sink(pg)
-	pg.Retain() // want `page "pg" from Retain is never released, forwarded, stored, or returned`
 }
 
 var errBad = error(nil)
@@ -80,15 +71,6 @@ func okStored(pool *exec.PagePool, runs *[]*exec.Page) {
 func okSent(pool *exec.PagePool, out chan *exec.Page) {
 	pg := pool.Get(8)
 	out <- pg
-}
-
-// okRetainForward retains for the consumer, forwards, and releases its own
-// reference.
-func okRetainForward(pool *exec.PagePool) {
-	pg := pool.Get(8)
-	pg.Retain()
-	Sink(pg)
-	pg.Release()
 }
 
 // okLoopBody balances within each iteration.

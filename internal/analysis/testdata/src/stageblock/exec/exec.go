@@ -17,12 +17,6 @@ type box struct {
 // exchange mimics the real exchange's non-blocking entry point.
 type exchange struct{}
 
-// consumer mimics the shared-scan consumer's blocking entry point.
-type consumer struct{}
-
-// awaitDetach blocks until the wheel lets go.
-func (c *consumer) awaitDetach() {}
-
 // trySend is non-blocking but acquires the exchange lock internally.
 func (e *exchange) trySend(v int) int { return 0 }
 
@@ -58,9 +52,9 @@ func sleepUnderLock(b *box) {
 }
 
 // blockingCallUnderLock calls a method that blocks by contract.
-func blockingCallUnderLock(b *box, c *consumer) {
+func blockingCallUnderLock(b *box, wg *sync.WaitGroup) {
 	b.mu.Lock()
-	c.awaitDetach() // want `call to blocking awaitDetach while mutex b.mu is held`
+	wg.Wait() // want `call to blocking Wait while mutex b.mu is held`
 	b.mu.Unlock()
 }
 

@@ -114,9 +114,8 @@ type DB struct {
 	spill *exec.SpillMetrics
 
 	// workMem is the live per-query memory budget. It starts at
-	// Config.WorkMem and may be retuned at runtime (SetWorkMem /
-	// stagedb.DB.AutotuneWorkMem) while queries are in flight, so reads go
-	// through the atomic.
+	// Config.WorkMem; SetWorkMem may change it while queries are in flight,
+	// so reads go through the atomic.
 	workMem atomic.Int64
 
 	// plans caches prepared statements; schemaVer invalidates them on DDL

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -719,8 +718,7 @@ func TestStagedCloseNeverStrandsClients(t *testing.T) {
 }
 
 // TestStagedExecPoolMonitoring checks that the pooled exec scheduler feeds
-// per-stage queue/service metrics into the engine's monitor surface and
-// that AutotuneExec resizes the operator stages, and only them, from them.
+// per-stage queue/service metrics into the engine's monitor surface.
 func TestStagedExecPoolMonitoring(t *testing.T) {
 	db, _ := seed(t)
 	staged := NewStaged(db, StagedConfig{ExecWorkers: 2})
@@ -743,22 +741,5 @@ func TestStagedExecPoolMonitoring(t *testing.T) {
 	}
 	if !sawExec {
 		t.Fatal("no exec-stage pool monitors in Snapshot")
-	}
-	recs := staged.AutotuneExec(8)
-	if len(recs) == 0 {
-		t.Fatal("AutotuneExec returned no recommendations")
-	}
-	for _, r := range recs {
-		if !slices.Contains(operatorStages, r.Stage) {
-			t.Fatalf("AutotuneExec resized query stage %s", r.Stage)
-		}
-		if got := staged.ExecPool().Workers(r.Stage); got != r.Workers {
-			t.Fatalf("stage %s: pool has %d workers, recommendation was %d", r.Stage, got, r.Workers)
-		}
-	}
-	// An idle execute stage shrunk to one worker would queue a COMMIT
-	// behind a statement waiting on that transaction's lock (§3.1.1).
-	if got := staged.ExecPool().Workers("execute"); got != 4 {
-		t.Fatalf("execute workers after AutotuneExec = %d, want 4", got)
 	}
 }

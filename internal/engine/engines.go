@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 
-	"stagedb/internal/autotune"
 	"stagedb/internal/exec"
 	"stagedb/internal/metrics"
 	"stagedb/internal/plan"
@@ -441,27 +439,8 @@ func (s *Staged) ScanShares() exec.SharedScanStats {
 	return s.shared.Stats()
 }
 
-// ExecPool exposes the stage scheduler for monitoring and tuning.
+// ExecPool exposes the stage scheduler for monitoring.
 func (s *Staged) ExecPool() *exec.StagePool { return s.pool }
-
-// AutotuneExec resizes the execution-engine stages from their observed queue
-// lengths (§4.4a applied to the exec engine) and returns the applied
-// recommendations. The query stages keep their sizes: a one-worker execute
-// stage would queue a COMMIT behind a statement waiting on that very
-// transaction's lock (§3.1.1).
-func (s *Staged) AutotuneExec(maxWorkers int) []autotune.ThreadRecommendation {
-	var snaps []metrics.StageSnapshot
-	for _, snap := range s.pool.Snapshot() {
-		if slices.Contains(operatorStages, snap.Name) {
-			snaps = append(snaps, snap)
-		}
-	}
-	recs := autotune.TuneExecWorkers(snaps, 0, maxWorkers)
-	for _, r := range recs {
-		s.pool.Resize(r.Stage, r.Workers)
-	}
-	return recs
-}
 
 // --- stage handlers ---
 

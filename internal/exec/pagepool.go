@@ -13,15 +13,14 @@ package exec
 //     Rows, and emits the page. Emitting transfers ownership to the consumer.
 //   - A consumer either forwards the page downstream (transferring ownership
 //     again — filter and limit do this, adjusting the selection vector in
-//     place) or reads the rows it needs and calls Release.
-//   - A holder that hands one page to several readers Retains it once per
-//     extra reader; the page recycles on the last Release.
+//     place) or reads the rows it needs and calls Release, which recycles
+//     the page. A page has one owner at a time and is released once.
 //
 // The lifetime rule for rows:
 //
 //   - A row carved from a page's value storage lives exactly as long as the
-//     page: on the last Release the storage is recycled and the next page
-//     built from it overwrites the values.
+//     page: on Release the storage is recycled and the next page built
+//     from it overwrites the values.
 //   - A reader may use a row until it releases the page the row came from.
 //     After Release neither the page's Rows/Sel slices nor any row read
 //     from them may be touched.
@@ -45,6 +44,8 @@ package exec
 // (pagepool_race.go), and a spill reader's previous row with another
 // (spill/reader_race.go), so a use-after-release turns into a wrong result
 // under go test -race instead of silently reading the next row's values.
+// The same builds panic on a second Release of a page already back in the
+// pool, which would otherwise hand one page to two producers.
 //
 // Pages from a nil pool are plain allocations whose Release is a no-op, so
 // operator code is identical whether pooling is enabled or not.
@@ -70,8 +71,8 @@ type Page struct {
 	buf    []value.Row        // backing array owned by the page, reused on recycle
 	selBuf []int32            // selection backing, reused on recycle
 	vals   arena[value.Value] // value storage rows are carved from, reused on recycle
-	refs   atomic.Int32
 	pool   *PagePool
+	pooled bool // parked in the pool; tracked by race-detector builds only
 }
 
 // carve cuts a w-value row off the page's value storage. The row's values
@@ -152,23 +153,13 @@ func copyRow(a *arena[value.Value], row value.Row) value.Row {
 	return dst
 }
 
-// Retain adds one reference, for a page handed to one more reader. No-op on
-// unpooled pages.
-func (p *Page) Retain() {
-	if p != nil && p.pool != nil {
-		p.refs.Add(1)
-	}
-}
-
-// Release drops one reference; the last release recycles the page into its
-// pool. Safe on nil and unpooled pages (no-op).
+// Release recycles the page into its pool. Safe on nil and unpooled pages
+// (no-op).
 func (p *Page) Release() {
 	if p == nil || p.pool == nil {
 		return
 	}
-	if p.refs.Add(-1) == 0 {
-		p.pool.put(p)
-	}
+	p.pool.put(p)
 }
 
 // slice restricts the page to its live rows in [lo, hi) — the limit/offset
@@ -237,8 +228,8 @@ type PagePool struct {
 // NewPagePool returns an empty pool.
 func NewPagePool() *PagePool { return &PagePool{} }
 
-// Get returns an empty page with row capacity at least capRows and one
-// reference held by the caller. A nil pool returns an unpooled page.
+// Get returns an empty page with row capacity at least capRows, owned by the
+// caller. A nil pool returns an unpooled page.
 func (pp *PagePool) Get(capRows int) *Page {
 	if capRows <= 0 {
 		capRows = DefaultPageRows
@@ -246,7 +237,6 @@ func (pp *PagePool) Get(capRows int) *Page {
 	if pp == nil {
 		pg := &Page{buf: make([]value.Row, 0, capRows)}
 		pg.Rows = pg.buf
-		pg.refs.Store(1)
 		return pg
 	}
 	if v := pp.pool.Get(); v != nil {
@@ -257,22 +247,22 @@ func (pp *PagePool) Get(capRows int) *Page {
 		}
 		pg.Rows = pg.buf[:0]
 		pg.Sel = nil
-		pg.refs.Store(1)
+		markLive(pg)
 		pg.pool = pp
 		return pg
 	}
 	pp.misses.Add(1)
 	pg := &Page{buf: make([]value.Row, 0, capRows), pool: pp}
 	pg.Rows = pg.buf
-	pg.refs.Store(1)
 	return pg
 }
 
-// put recycles a page whose last reference was released, keeping its value
-// storage for the next producer unless it grew past maxPageValues.
+// put recycles a released page, keeping its value storage for the next
+// producer unless it grew past maxPageValues.
 func (pp *PagePool) put(p *Page) {
+	markPooled(p)
 	// A producer that appended past the page's capacity grew a fresh backing
-	// array; adopt it (it is exclusively ours once refs hit zero) so the
+	// array; adopt it (it is exclusively ours once released) so the
 	// larger capacity is kept. Pages that were re-sliced forward shrink below
 	// the original capacity and keep their old backing.
 	if cap(p.Rows) > cap(p.buf) {
@@ -299,7 +289,7 @@ type PagePoolStats struct {
 	// Hits counts Gets served by recycled pages; Misses counts fresh
 	// allocations.
 	Hits, Misses int64
-	// Recycled counts pages returned to the pool (last-reference releases).
+	// Recycled counts pages returned to the pool by Release.
 	Recycled int64
 	// Outstanding is pages currently checked out (Hits+Misses-Recycled).
 	Outstanding int64

@@ -8,5 +8,10 @@ import "stagedb/internal/value"
 // pagepool_race.go.
 func poisonValues([]value.Value) {}
 
+// markPooled and markLive track parked pages in race-detector builds only;
+// see pagepool_race.go.
+func markPooled(*Page) {}
+func markLive(*Page)   {}
+
 // raceEnabled reports a race-detector build; see pagepool_race.go.
 const raceEnabled = false

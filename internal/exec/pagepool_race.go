@@ -16,5 +16,17 @@ func poisonValues(vals []value.Value) {
 	}
 }
 
+// markPooled panics on a page that is already parked in the pool: a second
+// Release of one page would otherwise hand it to two producers.
+func markPooled(p *Page) {
+	if p.pooled {
+		panic("exec: Release of a page already returned to its pool")
+	}
+	p.pooled = true
+}
+
+// markLive records that Get handed a parked page out again.
+func markLive(p *Page) { p.pooled = false }
+
 // raceEnabled reports a race-detector build: recycled storage is poisoned.
 const raceEnabled = true

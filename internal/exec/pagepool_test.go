@@ -38,28 +38,30 @@ func TestPagePoolRecycleAndCounters(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("pool never served a recycled page: %+v", st)
 	}
-	pg2 := pp.Get(8)
-	// Fan-out: two retains, three releases total, one recycle.
-	pg2.Retain()
-	pg2.Retain()
-	pg2.Release()
-	pg2.Release()
-	if st := pp.Stats(); st.Outstanding != 1 {
-		t.Fatalf("refcounted page released early: %+v", st)
+}
+
+// TestPageDoubleReleasePanicsUnderRace: race-detector builds refuse to park
+// a page that is already in the pool.
+func TestPageDoubleReleasePanicsUnderRace(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("double-release check is race-build only")
 	}
-	pg2.Release()
-	if st := pp.Stats(); st.Outstanding != 0 {
-		t.Fatalf("refcounted page leaked: %+v", st)
-	}
+	pg := NewPagePool().Get(4)
+	pg.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release of a pooled page did not panic")
+		}
+	}()
+	pg.Release()
 }
 
 func TestPagePoolNilIsUnpooled(t *testing.T) {
 	var pp *PagePool
 	pg := pp.Get(4)
 	pg.Rows = append(pg.Rows, value.Row{value.NewInt(1)})
-	pg.Retain()
 	pg.Release()
-	pg.Release() // all no-ops; must not panic
+	pg.Release() // both no-ops; must not panic
 	if got := pg.Len(); got != 1 {
 		t.Fatalf("unpooled page Len = %d", got)
 	}

@@ -19,8 +19,7 @@ type Task interface {
 
 // StagePoolConfig sizes the stages a StagePool creates without AddStage.
 type StagePoolConfig struct {
-	// Workers is a stage's initial worker-pool size (0 = 2). Resize adjusts
-	// individual stages at runtime.
+	// Workers is a stage's worker count (0 = 2), fixed for the stage's life.
 	Workers int
 	// QueueDepth bounds a stage's task queue; submitting into a full queue
 	// blocks the submitter (back-pressure). Default 64.
@@ -52,18 +51,16 @@ type StagePool struct {
 // poolStage is one stage: bounded submission queue, ready list of woken
 // continuations, worker pool, and monitor.
 type poolStage struct {
-	pool  *StagePool
-	name  string
-	stats *metrics.StageStats
+	pool    *StagePool
+	name    string
+	workers int // fixed for the stage's life
+	stats   *metrics.StageStats
 
 	submit chan Task     // new tasks; bounded for back-pressure
 	notify chan struct{} // pings sleeping workers about ready-list pushes
 	space  chan struct{} // pings blocked submitters after a submit dequeue
 
-	// Guarded by pool.mu.
-	ready  []Task // woken continuations, served before submit
-	target int    // desired worker count
-	alive  int    // current worker count
+	ready []Task // woken continuations, served before submit; guarded by pool.mu
 }
 
 // NewStagePool starts an empty pool; stages not created by AddStage spin up
@@ -106,28 +103,21 @@ func (p *StagePool) stageLocked(name string, workers, queueDepth int) *poolStage
 		queueDepth = p.cfg.QueueDepth
 	}
 	ps = &poolStage{
-		pool:   p,
-		name:   name,
-		stats:  metrics.NewStageStats(name),
-		submit: make(chan Task, queueDepth),
-		notify: make(chan struct{}, 1),
-		space:  make(chan struct{}, 1),
-		target: workers,
+		pool:    p,
+		name:    name,
+		stats:   metrics.NewStageStats(name),
+		submit:  make(chan Task, queueDepth),
+		notify:  make(chan struct{}, 1),
+		space:   make(chan struct{}, 1),
+		workers: workers,
 	}
 	p.stages[name] = ps
 	p.order = append(p.order, ps)
-	ps.spawnLocked()
-	return ps
-}
-
-// spawnLocked starts workers until the stage has its target count. Callers
-// hold pool.mu.
-func (ps *poolStage) spawnLocked() {
-	for ps.alive < ps.target {
-		ps.alive++
-		ps.pool.wg.Add(1)
+	p.wg.Add(workers)
+	for range workers {
 		go ps.worker()
 	}
+	return ps
 }
 
 // AddStage creates a stage with its own worker count and queue depth (0 =
@@ -220,23 +210,12 @@ func (ps *poolStage) worker() {
 	}
 }
 
-// take blocks for the next task. It returns nil when the worker should
-// exit: the stage shrank below its worker count, or the pool stopped and
+// take blocks for the next task. It returns nil when the pool stopped and
 // the queues are drained.
 func (ps *poolStage) take() Task {
 	p := ps.pool
 	for {
 		p.mu.Lock()
-		if ps.alive > ps.target {
-			ps.alive--
-			p.mu.Unlock()
-			// Forward the shrink nudge so sibling workers re-check too.
-			select {
-			case ps.notify <- struct{}{}:
-			default:
-			}
-			return nil
-		}
 		if len(ps.ready) > 0 {
 			t := ps.ready[0]
 			ps.ready = ps.ready[1:]
@@ -284,40 +263,6 @@ func (ps *poolStage) tryTake() Task {
 	}
 }
 
-// Resize sets the worker target for one stage (class labels and full
-// "fscan:table" labels both address the class pool), spawning or retiring
-// workers. The self-tuner drives it from observed queue lengths (§4.4a).
-func (p *StagePool) Resize(stage string, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	ps := p.stageLocked(StageClass(stage), 0, 0)
-	ps.target = workers
-	ps.spawnLocked()
-	p.mu.Unlock()
-	// Nudge a sleeper so a shrink takes effect promptly.
-	select {
-	case ps.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Workers reports the current worker target for a stage, 0 if the stage has
-// not been created yet.
-func (p *StagePool) Workers(stage string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ps, ok := p.stages[StageClass(stage)]; ok {
-		return ps.target
-	}
-	return 0
-}
-
 // QueueLen reports the tasks waiting at a stage (queued or woken), 0 if the
 // stage has not been created yet.
 func (p *StagePool) QueueLen(stage string) int {
@@ -334,15 +279,11 @@ func (p *StagePool) QueueLen(stage string) int {
 func (p *StagePool) Snapshot() []metrics.StageSnapshot {
 	p.mu.Lock()
 	stages := append([]*poolStage(nil), p.order...)
-	workers := make([]int, len(stages))
-	for i, ps := range stages {
-		workers[i] = ps.target
-	}
 	p.mu.Unlock()
 	out := make([]metrics.StageSnapshot, len(stages))
 	for i, ps := range stages {
 		out[i] = ps.stats.Snapshot()
-		out[i].Workers = workers[i]
+		out[i].Workers = ps.workers
 	}
 	return out
 }

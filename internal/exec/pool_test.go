@@ -195,41 +195,34 @@ func TestStagePoolCloseRace(t *testing.T) {
 	}
 }
 
-// TestStagePoolResizeAndSnapshot exercises Resize up and down under load and
-// checks the monitor surface reports stage pools.
-func TestStagePoolResizeAndSnapshot(t *testing.T) {
+// TestStagePoolSnapshot checks the monitor surface reports each stage's
+// worker count, service counts and queue.
+func TestStagePoolSnapshot(t *testing.T) {
 	db := bulkDB(t, 100)
 	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 4})
 	defer pool.Close()
+	pool.AddStage("aggr", 3, 0)
 
 	q := "SELECT grp, COUNT(*) FROM big GROUP BY grp"
 	runPooled(t, db, pool, q, 0, 0)
-	pool.Resize("fscan:big", 4) // class-normalized: resizes the fscan pool
-	pool.Resize("aggr", 3)
 	runPooled(t, db, pool, q, 0, 0)
-	if got := pool.Workers("fscan"); got != 4 {
-		t.Fatalf("fscan workers = %d, want 4", got)
-	}
-	pool.Resize("fscan", 1)
-	runPooled(t, db, pool, q, 0, 0)
-	if got := pool.Workers("fscan"); got != 1 {
-		t.Fatalf("fscan workers after shrink = %d, want 1", got)
-	}
 
-	snaps := pool.Snapshot()
-	byName := map[string]bool{}
-	for _, s := range snaps {
-		byName[s.Name] = true
+	workers := map[string]int{}
+	for _, s := range pool.Snapshot() {
+		workers[s.Name] = s.Workers
 		if s.Workers < 1 {
 			t.Fatalf("stage %s reports %d workers", s.Name, s.Workers)
 		}
 		if s.Serviced == 0 {
 			t.Fatalf("stage %s serviced nothing", s.Name)
 		}
+		if s.QueueLen != 0 {
+			t.Fatalf("stage %s queue = %d after the queries finished, want 0", s.Name, s.QueueLen)
+		}
 	}
-	for _, want := range []string{"fscan", "aggr"} {
-		if !byName[want] {
-			t.Fatalf("snapshot missing stage %q (got %v)", want, byName)
+	for stage, want := range map[string]int{"fscan": 1, "aggr": 3} {
+		if got, ok := workers[stage]; !ok || got != want {
+			t.Fatalf("stage %s: workers = %d (present %v), want %d", stage, got, ok, want)
 		}
 	}
 }

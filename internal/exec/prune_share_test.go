@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"stagedb/internal/mvcc"
 	"stagedb/internal/plan"
@@ -28,11 +27,11 @@ func scanOf(t *testing.T, n plan.Node) *plan.SeqScan {
 }
 
 // TestSharedScanColumnsConcurrentQueries runs whole queries with disjoint
-// column needs over one wheel, the second starting once the first is under
-// way, next to a self-join whose probe side stalls behind its build side —
+// column needs over one scan registry, the rest starting once the first is
+// under way, next to a self-join whose probe side waits on its build side —
 // on the default pool and on the 1-worker / depth-1 / batch-1 pool. Each must
 // match its own private (Volcano) answer; under -race this is also the check
-// that the producer's mask snapshot and attach do not race.
+// that concurrent scans of one heap with different column sets do not race.
 func TestSharedScanColumnsConcurrentQueries(t *testing.T) {
 	db := shareDB(t, 600)
 	opt := plan.Options{DisableIndex: true}
@@ -50,11 +49,10 @@ func TestSharedScanColumnsConcurrentQueries(t *testing.T) {
 
 	onEachPool(t, func(t *testing.T, pool *StagePool) {
 		shared := NewSharedScans(1, nil)
-		shared.stall = 2 * time.Millisecond
 		opts := StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared}
 
 		// The first query is opened as a cursor and read one page in, so the
-		// rest attach to a wheel that has left position 0.
+		// rest start at the position it reported.
 		first, err := RunStagedCursor(db.plan(t, queries[0], opt), db, pool, opts)
 		if err != nil {
 			t.Fatal(err)

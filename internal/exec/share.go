@@ -3,7 +3,6 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stagedb/internal/storage"
 )
@@ -22,20 +21,15 @@ import (
 // One SharedScans instance is owned by the staged engine and shared by all
 // pipelines; it is safe for concurrent use.
 type SharedScans struct {
-	// stall is inert: no synchronized scan waits on another, so nothing
-	// times out. It stays settable for the tests that configure it.
-	stall time.Duration
-
 	mu    sync.Mutex
 	scans map[*storage.Heap]*scanPos
 
 	// Share counters (§5.2 monitoring surface, exported via \stages).
-	Starts         atomic.Int64 // scans that found no scan of their heap in flight (share misses)
-	Attaches       atomic.Int64 // scans that started at an in-flight scan's position (share hits)
-	Wraps          atomic.Int64 // attaches past page 0, which wrap circularly
-	Detaches       atomic.Int64 // scans that deregistered (finished, closed, or failed)
-	PagesDecoded   atomic.Int64 // heap pages walked by synchronized scans
-	PagesDelivered atomic.Int64 // equals PagesDecoded: every scan decodes its own pages
+	Starts       atomic.Int64 // scans that found no scan of their heap in flight (share misses)
+	Attaches     atomic.Int64 // scans that started at an in-flight scan's position (share hits)
+	Wraps        atomic.Int64 // attaches past page 0, which wrap circularly
+	Detaches     atomic.Int64 // scans that deregistered (finished, closed, or failed)
+	PagesDecoded atomic.Int64 // heap pages walked by synchronized scans
 }
 
 // scanPos is one heap's entry in the registry: how many scans of it are
@@ -59,6 +53,8 @@ func NewSharedScans(bufferPages int, pool *PagePool) *SharedScans {
 func (m *SharedScans) SetVersioned(bool) {}
 
 // SharedScanStats is a point-in-time copy of the share counters.
+// PagesDelivered always equals PagesDecoded: every scan decodes its own
+// pages.
 type SharedScanStats struct {
 	Starts         int64
 	Attaches       int64
@@ -70,13 +66,14 @@ type SharedScanStats struct {
 
 // Stats snapshots the share counters.
 func (m *SharedScans) Stats() SharedScanStats {
+	decoded := m.PagesDecoded.Load()
 	return SharedScanStats{
 		Starts:         m.Starts.Load(),
 		Attaches:       m.Attaches.Load(),
 		Wraps:          m.Wraps.Load(),
 		Detaches:       m.Detaches.Load(),
-		PagesDecoded:   m.PagesDecoded.Load(),
-		PagesDelivered: m.PagesDelivered.Load(),
+		PagesDecoded:   decoded,
+		PagesDelivered: decoded,
 	}
 }
 
@@ -85,12 +82,11 @@ func (m *SharedScans) Stats() SharedScanStats {
 func (m *SharedScans) Counters() map[string]int64 {
 	st := m.Stats()
 	return map[string]int64{
-		"share.starts":          st.Starts,
-		"share.attach-hits":     st.Attaches,
-		"share.wraps":           st.Wraps,
-		"share.detaches":        st.Detaches,
-		"share.pages-decoded":   st.PagesDecoded,
-		"share.pages-delivered": st.PagesDelivered,
+		"share.starts":        st.Starts,
+		"share.attach-hits":   st.Attaches,
+		"share.wraps":         st.Wraps,
+		"share.detaches":      st.Detaches,
+		"share.pages-decoded": st.PagesDecoded,
 	}
 }
 
@@ -138,5 +134,4 @@ func (m *SharedScans) deregister(h *storage.Heap, sp *scanPos, walked int) {
 	m.mu.Unlock()
 	m.Detaches.Add(1)
 	m.PagesDecoded.Add(int64(walked))
-	m.PagesDelivered.Add(int64(walked))
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"stagedb/internal/catalog"
 	"stagedb/internal/plan"
@@ -91,7 +90,7 @@ func TestSharedScanConcurrentIdentical(t *testing.T) {
 }
 
 // TestSharedScanDifferentFilters checks per-consumer predicates apply
-// locally: concurrent differently-filtered queries over one shared wheel
+// locally: concurrent differently-filtered queries over one scan registry
 // each match their own unshared baseline.
 func TestSharedScanDifferentFilters(t *testing.T) {
 	db := shareDB(t, 600)
@@ -105,7 +104,7 @@ func TestSharedScanDifferentFilters(t *testing.T) {
 	for i, q := range queries {
 		wants[i] = db.volcano(t, q)
 	}
-	// Force seq scans over the shared wheel (the id predicates would
+	// Force synchronized seq scans (the id predicates would
 	// otherwise pick the primary-key index).
 	opt := plan.Options{DisableIndex: true}
 
@@ -136,9 +135,8 @@ func TestSharedScanDifferentFilters(t *testing.T) {
 }
 
 // TestSharedScanSelfJoin: two scans of the same table inside ONE pipeline
-// (hash join build+probe) would deadlock a purely blocking wheel — the
-// build side drains while the probe side stalls. The spill path must keep
-// the query correct and finishing.
+// (hash join build+probe), the probe side waiting while the build side
+// drains, must keep the query correct and finishing.
 func TestSharedScanSelfJoin(t *testing.T) {
 	db := shareDB(t, 300)
 	q := "SELECT a.id FROM items a JOIN items b ON a.id = b.id WHERE b.grp = 3"
@@ -146,7 +144,6 @@ func TestSharedScanSelfJoin(t *testing.T) {
 
 	onEachPool(t, func(t *testing.T, pool *StagePool) {
 		shared := NewSharedScans(1, nil)
-		shared.stall = 2 * time.Millisecond
 		opt := plan.Options{DisableIndex: true}
 		node := db.plan(t, q, opt)
 		rows, err := RunStaged(node, db, pool, StagedOptions{PageRows: 8, BufferPages: 1, Shared: shared})

@@ -282,8 +282,8 @@ type StageSnapshot struct {
 	MeanService time.Duration
 	QueueLen    int
 	MaxQueue    int
-	// Workers is the stage's current worker-pool size, filled in by the
-	// owning scheduler (0 when the scheduler does not track it).
+	// Workers is the stage's worker count, filled in by the owning
+	// scheduler (0 when the scheduler does not track it).
 	Workers int
 	// Counters carries stage-specific named counters beyond the common set
 	// (e.g. the fscan stage's scan-share hit/attach/wrap counts); nil for

@@ -37,9 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
-	"stagedb/internal/autotune"
 	"stagedb/internal/engine"
 	"stagedb/internal/exec"
 	"stagedb/internal/metrics"
@@ -92,7 +90,8 @@ type Options struct {
 	TempDir string
 	// ExecWorkers is the worker count of each execution-engine stage pool
 	// on the staged engine (fscan/iscan/filter/sort/join/aggr/exec);
-	// 0 = the default, 2.
+	// 0 = the default, 2. Each stage keeps its count for the database's
+	// life.
 	ExecWorkers int
 	// ExecQueueDepth bounds each execution-stage task queue (0 = 64);
 	// launching operators into a full queue blocks (back-pressure).
@@ -162,10 +161,6 @@ type DB struct {
 	kernel  *engine.DB
 	front   *engine.Staged
 	defConn *Conn
-
-	// tuneMu guards the work-mem tuner's observation window.
-	tuneMu          sync.Mutex
-	prevSpillEvents int64
 }
 
 // Conn is one client connection (not safe for concurrent use).
@@ -451,27 +446,6 @@ type SpillStats = exec.SpillStats
 // with the 64 KB floor applied).
 func (db *DB) WorkMem() int {
 	return int(exec.ResolveWorkMem(db.kernel.WorkMem()))
-}
-
-// AutotuneWorkMem retunes the per-query memory budget from observed spill
-// pressure (§4.4 applied to the work-mem knob): if any sort, aggregation, or
-// join-build spilled since the previous call, the budget doubles, capped at
-// maxBytes (0 = 256 MB). It returns the budget now in effect. Queries in
-// flight keep the budget they started with. Call it periodically, like
-// Staged.AutotuneExec; it is safe for concurrent use.
-func (db *DB) AutotuneWorkMem(maxBytes int) int {
-	st := db.kernel.SpillStats()
-	events := st.SortSpills + st.AggSpills + st.JoinSpills
-	db.tuneMu.Lock()
-	defer db.tuneMu.Unlock()
-	delta := events - db.prevSpillEvents
-	db.prevSpillEvents = events
-	cur := int64(db.WorkMem())
-	next := autotune.TuneWorkMem(delta, cur, int64(maxBytes))
-	if next != cur {
-		db.kernel.SetWorkMem(next)
-	}
-	return int(next)
 }
 
 // SpillStats snapshots the spill counters.
