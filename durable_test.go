@@ -130,3 +130,37 @@ func TestDurableSyncModeCommits(t *testing.T) {
 		t.Fatalf("sync mode must fsync per commit: %v", st)
 	}
 }
+
+// TestReadOnlyCommitThroughRootAPI: on a durable database, queries and a
+// read-only explicit transaction leave the log's commit and fsync counts
+// where they were.
+func TestReadOnlyCommitThroughRootAPI(t *testing.T) {
+	db, err := Open(Options{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (1, 10), (2, 20)"); err != nil {
+		t.Fatal(err)
+	}
+	before := db.WALStats()
+	for i := 0; i < 10; i++ {
+		if _, err := db.Query("SELECT v FROM t WHERE id = ?", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := db.Conn()
+	for _, q := range []string{"BEGIN", "SELECT COUNT(*) FROM t", "COMMIT"} {
+		if _, err := conn.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	after := db.WALStats()
+	if after["commits"] != before["commits"] || after["syncs"] != before["syncs"] {
+		t.Fatalf("read-only work moved the log: commits %d -> %d, syncs %d -> %d",
+			before["commits"], after["commits"], before["syncs"], after["syncs"])
+	}
+}

@@ -39,6 +39,12 @@ func TestSyncErrOutOfScope(t *testing.T) {
 	analysistest.Run(t, analysis.SyncErr, "syncerr/plain")
 }
 
+// TestSyncErrHeapScan checks a discarded Heap.Scan error is flagged in any
+// package, not only the stable-storage ones.
+func TestSyncErrHeapScan(t *testing.T) {
+	analysistest.Run(t, analysis.SyncErr, "syncerr/engine")
+}
+
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, analysis.CtxFlow, "ctxflow/internal/engine")
 }

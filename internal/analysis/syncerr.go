@@ -7,6 +7,11 @@ package analysis
 // to a method named Sync, SyncDir, or Flush that returns an error must have
 // that error consumed — not discarded by an expression statement, a blank
 // assignment, defer, or go.
+//
+// The same goes, in every package, for (*storage.Heap).Scan: it returns
+// early when pinning a page fails, so a caller that drops its error takes a
+// partial walk for a whole one — an UPDATE that reports fewer rows, an index
+// built over part of its table.
 
 import (
 	"go/ast"
@@ -18,11 +23,13 @@ import (
 var syncErrPkgs = []string{"txn", "storage", "faultfs"}
 
 // SyncErr reports Sync/SyncDir/Flush calls whose error result is discarded
-// inside the stable-storage packages.
+// inside the stable-storage packages, and discarded Heap.Scan errors
+// anywhere.
 var SyncErr = &Analyzer{
 	Name: "syncerr",
 	Doc: "check that Sync, SyncDir, and Flush error returns are never discarded in " +
-		"internal/txn and internal/storage — a dropped fsync error is a silent durability hole",
+		"internal/txn and internal/storage — a dropped fsync error is a silent durability hole — " +
+		"and that no package discards a Heap.Scan error",
 	Run: func(pass *Pass) error {
 		inScope := false
 		for _, sfx := range syncErrPkgs {
@@ -31,22 +38,30 @@ var SyncErr = &Analyzer{
 				break
 			}
 		}
-		if !inScope {
-			return nil
+		discarded := func(e ast.Expr) {
+			call, ok := e.(*ast.CallExpr)
+			if !ok {
+				return
+			}
+			if isMethodCall(pass.TypesInfo, call, "storage", "Heap", "Scan") {
+				pass.Reportf(call.Pos(), "Heap.Scan error discarded — a failed page pin ends the walk early and passes for a complete one; handle it")
+			} else if inScope {
+				reportDiscardedSync(pass, call)
+			}
 		}
 		for _, file := range pass.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch stmt := n.(type) {
 				case *ast.ExprStmt:
-					reportDiscardedSync(pass, stmt.X)
+					discarded(stmt.X)
 				case *ast.DeferStmt:
-					reportDiscardedSync(pass, stmt.Call)
+					discarded(stmt.Call)
 				case *ast.GoStmt:
-					reportDiscardedSync(pass, stmt.Call)
+					discarded(stmt.Call)
 				case *ast.AssignStmt:
 					// `_ = f.Sync()` discards just as surely, only louder.
 					if len(stmt.Lhs) == 1 && len(stmt.Rhs) == 1 && isBlank(stmt.Lhs[0]) {
-						reportDiscardedSync(pass, stmt.Rhs[0])
+						discarded(stmt.Rhs[0])
 					}
 				}
 				return true
@@ -61,13 +76,9 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-// reportDiscardedSync flags e when it is a Sync/SyncDir/Flush method call
-// whose sole result is an error.
-func reportDiscardedSync(pass *Pass, e ast.Expr) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return
-	}
+// reportDiscardedSync flags call when it is a Sync/SyncDir/Flush method
+// call whose sole result is an error.
+func reportDiscardedSync(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return

@@ -24,3 +24,16 @@ func (OsFS) OpenFile(name string, flag int, perm uint32) (File, error) { return 
 
 // SyncDir fsyncs a directory.
 func (OsFS) SyncDir(name string) error { return nil }
+
+// RID stands in for a record id.
+type RID struct{ Page, Slot uint32 }
+
+// Heap stands in for the heap file: Scan stops early, with an error, when
+// pinning a page fails.
+type Heap struct{}
+
+// Scan visits every record.
+func (h *Heap) Scan(visit func(rid RID, rec []byte) bool) error { return nil }
+
+// Count returns the live record count.
+func (h *Heap) Count() (int64, error) { return 0, nil }

@@ -9,6 +9,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -233,6 +234,18 @@ func (c *Catalog) AddIndex(table, name, column string, unique bool) (*Index, err
 	ix := &Index{Name: name, Table: table, Column: column, ColIdx: ci, Unique: unique}
 	t.Indexes = append(t.Indexes, ix)
 	return ix, nil
+}
+
+// RemoveIndex unregisters an index whose build failed, so no plan binds to
+// it. Unknown tables and indexes are ignored.
+func (c *Catalog) RemoveIndex(table, name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, ok := c.tables[table]
+	if !ok {
+		return
+	}
+	t.Indexes = slices.DeleteFunc(t.Indexes, func(ix *Index) bool { return ix.Name == name })
 }
 
 // List returns table names in sorted order.

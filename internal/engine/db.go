@@ -521,7 +521,7 @@ func (db *DB) createTable(ctx context.Context, id txn.ID, stmt *sql.CreateTable)
 		db.indexes[name] = storage.NewBTree()
 		db.mu.Unlock()
 	}
-	if err := db.logCreateTable(tbl); err != nil {
+	if err := db.logCreateTable(id, tbl); err != nil {
 		return nil, err
 	}
 	db.invalidatePlans()
@@ -540,10 +540,6 @@ func (db *DB) createIndex(ctx context.Context, id txn.ID, stmt *sql.CreateIndex)
 	}
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
-	ix, err := db.cat.AddIndex(stmt.Table, stmt.Name, stmt.Column, false)
-	if err != nil {
-		return nil, err
-	}
 	tbl, err := db.cat.Get(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -552,9 +548,31 @@ func (db *DB) createIndex(ctx context.Context, id txn.ID, stmt *sql.CreateIndex)
 	if err != nil {
 		return nil, err
 	}
+	ix, err := db.cat.AddIndex(stmt.Table, stmt.Name, stmt.Column, false)
+	if err != nil {
+		return nil, err
+	}
+	bt, err := buildIndex(tbl, h, ix.ColIdx)
+	if err != nil {
+		// A partial index must not be published, nor one with no B-tree.
+		db.cat.RemoveIndex(stmt.Table, stmt.Name)
+		return nil, err
+	}
+	db.mu.Lock()
+	db.indexes[stmt.Name] = bt
+	db.mu.Unlock()
+	if err := db.logCreateIndex(id, ix); err != nil {
+		return nil, err
+	}
+	db.invalidatePlans()
+	return &Result{}, nil
+}
+
+// buildIndex indexes column col of every version in h.
+func buildIndex(tbl *catalog.Table, h *storage.Heap, col int) (*storage.BTree, error) {
 	bt := storage.NewBTree()
 	var scanErr error
-	h.Scan(func(rid storage.RID, rec []byte) bool {
+	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
 		// Index every version, dead ones included: a reader at an old
 		// snapshot must find superseded versions through the index. Vacuum
 		// removes the entries together with the versions.
@@ -563,20 +581,12 @@ func (db *DB) createIndex(ctx context.Context, id txn.ID, stmt *sql.CreateIndex)
 			scanErr = err
 			return false
 		}
-		bt.Insert(row[ix.ColIdx], rid)
+		bt.Insert(row[col], rid)
 		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	db.mu.Lock()
-	db.indexes[stmt.Name] = bt
-	db.mu.Unlock()
-	if err := db.logCreateIndex(ix); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	db.invalidatePlans()
-	return &Result{}, nil
+	return bt, scanErr
 }
 
 func (db *DB) dropTable(ctx context.Context, id txn.ID, stmt *sql.DropTable) (*Result, error) {
@@ -612,7 +622,7 @@ func (db *DB) dropTable(ctx context.Context, id txn.ID, stmt *sql.DropTable) (*R
 	db.mu.Lock()
 	delete(db.heaps, stmt.Name)
 	db.mu.Unlock()
-	if err := db.logDropTable(stmt.Name, h.PageIDs()); err != nil {
+	if err := db.logDropTable(id, stmt.Name, h.PageIDs()); err != nil {
 		return nil, err
 	}
 	db.invalidatePlans()
@@ -777,6 +787,13 @@ type mvTarget struct {
 // began (otherwise the version would be invisible) — so the statement fails
 // with ErrSerializationFailure instead of silently overwriting.
 //
+// The walk is predicate-first: each record costs a version-header read and a
+// decode of only the columns pred reads, into one reused probe row; the
+// visibility check, the full decode and the record copy are paid by matches
+// alone. A predicate that fails to evaluate fails the statement only on a
+// version the snapshot sees — an aborted or not-yet-visible version's values
+// are none of the statement's business.
+//
 // The heap callback only collects (mutation under the scan latch is
 // forbidden); callers apply their writes to the returned slice.
 func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, pred plan.Expr) ([]mvTarget, error) {
@@ -784,47 +801,99 @@ func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, pre
 	if snap == nil {
 		return nil, fmt.Errorf("engine: transaction %d has no snapshot", id)
 	}
-	var targets []mvTarget
-	var scanErr error
-	h.Scan(func(rid storage.RID, rec []byte) bool {
-		xmin, xmax, err := storage.VersionOf(rec)
+	w := &targetWalk{mv: db.mv, snap: snap, tbl: tbl}
+	if pred != nil {
+		width := len(tbl.Schema.Columns)
+		w.match = plan.CompilePredicate(pred)
+		w.cols = plan.ExprCols(pred, width)
+		w.probe = make(value.Row, width)
+	}
+	if err := h.Scan(w.visit); err != nil {
+		return nil, err
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.targets, nil
+}
+
+// targetWalk is one collectTargets heap walk: the statement's snapshot, its
+// compiled predicate (nil: every visible version matches) with the columns
+// it reads and the probe row they are decoded into, and what the walk found.
+type targetWalk struct {
+	mv    *mvcc.Manager
+	snap  *mvcc.Snapshot
+	tbl   *catalog.Table
+	match plan.CompiledPredicate
+	cols  []bool
+	probe value.Row
+
+	targets []mvTarget
+	err     error
+}
+
+// visit examines one heap record; it returns false to stop the walk, with
+// w.err set.
+//
+//stagedb:hot
+func (w *targetWalk) visit(rid storage.RID, rec []byte) bool {
+	xmin, xmax, err := storage.VersionOf(rec)
+	if err != nil {
+		w.err = err
+		return false
+	}
+	if w.match != nil {
+		ok, err := w.matches(rec)
 		if err != nil {
-			scanErr = err
-			return false
-		}
-		if !db.mv.Visible(snap, xmin, xmax) {
-			return true
-		}
-		row, err := decodeVersioned(tbl.Schema, rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if pred != nil {
-			ok, err := plan.EvalPredicate(pred, row)
-			if err != nil {
-				scanErr = err
+			if w.mv.Visible(w.snap, xmin, xmax) {
+				w.err = err
 				return false
 			}
-			if !ok {
-				return true
-			}
+			return true
 		}
-		if xmax != 0 {
-			db.mv.Conflict()
-			scanErr = fmt.Errorf("engine: row %v of %s superseded by concurrent txn %d: %w",
-				rid, tbl.Name, xmax, mvcc.ErrSerializationFailure)
-			return false
+		if !ok {
+			return true
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		targets = append(targets, mvTarget{rid: rid, row: row, rec: cp})
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
 	}
-	return targets, nil
+	if !w.mv.Visible(w.snap, xmin, xmax) {
+		return true
+	}
+	row, err := decodeVersioned(w.tbl.Schema, rec)
+	if err != nil {
+		w.err = err
+		return false
+	}
+	if xmax != 0 {
+		w.mv.Conflict()
+		w.err = errSuperseded(rid, w.tbl.Name, xmax)
+		return false
+	}
+	cp := make([]byte, len(rec))
+	copy(cp, rec)
+	w.targets = append(w.targets, mvTarget{rid: rid, row: row, rec: cp})
+	return true
+}
+
+// matches decodes the predicate's columns of the versioned record rec into
+// the probe row and evaluates the predicate on it.
+//
+//stagedb:hot
+func (w *targetWalk) matches(rec []byte) (bool, error) {
+	payload, err := storage.PayloadOf(rec)
+	if err != nil {
+		return false, err
+	}
+	if err := storage.DecodeRowInto(w.tbl.Schema, payload, w.cols, w.probe); err != nil {
+		return false, err
+	}
+	return w.match(w.probe)
+}
+
+// errSuperseded reports a first-committer-wins conflict on the version at
+// rid, kept out of line so the per-record walk holds no fmt call.
+func errSuperseded(rid storage.RID, table string, xmax uint64) error {
+	return fmt.Errorf("engine: row %v of %s superseded by concurrent txn %d: %w",
+		rid, table, xmax, mvcc.ErrSerializationFailure)
 }
 
 // supersede stamps transaction id as the deleter of the version at rid. The
@@ -1221,7 +1290,7 @@ func (db *DB) Analyze(table string) error {
 		distinct[i] = make(map[uint64]bool)
 	}
 	var scanErr error
-	h.Scan(func(_ storage.RID, rec []byte) bool {
+	if err := h.Scan(func(_ storage.RID, rec []byte) bool {
 		_, xmax, err := storage.VersionOf(rec)
 		if err != nil {
 			scanErr = err
@@ -1256,7 +1325,9 @@ func (db *DB) Analyze(table string) error {
 			}
 		}
 		return true
-	})
+	}); err != nil {
+		return err
+	}
 	if scanErr != nil {
 		return scanErr
 	}

@@ -283,9 +283,8 @@ func (db *DB) installHeapHooks(name string, h *storage.Heap) {
 	})
 }
 
-func (db *DB) logCreateTable(tbl *catalog.Table) error {
-	d := db.tm.Durable()
-	if d == nil {
+func (db *DB) logCreateTable(id txn.ID, tbl *catalog.Table) error {
+	if db.tm.Durable() == nil {
 		return nil
 	}
 	ct := checkpointTable(tbl, nil)
@@ -293,13 +292,11 @@ func (db *DB) logCreateTable(tbl *catalog.Table) error {
 	if err != nil {
 		return err
 	}
-	_, err = d.Append(txn.Record{Kind: txn.RecCreateTable, Table: tbl.Name, After: payload})
-	return err
+	return db.tm.LogDDL(id, txn.Record{Kind: txn.RecCreateTable, Table: tbl.Name, After: payload})
 }
 
-func (db *DB) logCreateIndex(ix *catalog.Index) error {
-	d := db.tm.Durable()
-	if d == nil {
+func (db *DB) logCreateIndex(id txn.ID, ix *catalog.Index) error {
+	if db.tm.Durable() == nil {
 		return nil
 	}
 	ci := txn.CheckpointIndex{Name: ix.Name, Column: ix.Column, Unique: ix.Unique}
@@ -307,21 +304,19 @@ func (db *DB) logCreateIndex(ix *catalog.Index) error {
 	if err != nil {
 		return err
 	}
-	_, err = d.Append(txn.Record{Kind: txn.RecCreateIndex, Table: ix.Table, After: payload})
-	return err
+	return db.tm.LogDDL(id, txn.Record{Kind: txn.RecCreateIndex, Table: ix.Table, After: payload})
 }
 
-func (db *DB) logDropTable(name string, pages []storage.PageID) error {
-	d := db.tm.Durable()
-	if d == nil {
+func (db *DB) logDropTable(id txn.ID, name string, pages []storage.PageID) error {
+	if db.tm.Durable() == nil {
 		return nil
 	}
-	if _, err := d.Append(txn.Record{Kind: txn.RecDropTable, Table: name}); err != nil {
+	if err := db.tm.LogDDL(id, txn.Record{Kind: txn.RecDropTable, Table: name}); err != nil {
 		return err
 	}
-	for _, id := range pages {
-		db.fstore.FreePage(id)
-		if _, err := d.Append(txn.Record{Kind: txn.RecFreePage, RID: storage.RID{Page: id}}); err != nil {
+	for _, pg := range pages {
+		db.fstore.FreePage(pg)
+		if err := db.tm.LogDDL(id, txn.Record{Kind: txn.RecFreePage, RID: storage.RID{Page: pg}}); err != nil {
 			return err
 		}
 	}
@@ -624,7 +619,7 @@ func (db *DB) rebuildIndexes() error {
 		}
 		var scanErr error
 		var dead []storage.RID
-		h.Scan(func(rid storage.RID, rec []byte) bool {
+		if err := h.Scan(func(rid storage.RID, rec []byte) bool {
 			_, xmax, err := storage.VersionOf(rec)
 			if err != nil {
 				scanErr = err
@@ -646,7 +641,9 @@ func (db *DB) rebuildIndexes() error {
 				fresh[ix.Name].Insert(row[ix.ColIdx], rid)
 			}
 			return true
-		})
+		}); err != nil {
+			return err
+		}
 		if scanErr != nil {
 			return scanErr
 		}

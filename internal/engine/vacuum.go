@@ -84,7 +84,7 @@ func (db *DB) TableVersions(table string) (live, dead int64, err error) {
 		return 0, 0, err
 	}
 	var scanErr error
-	h.Scan(func(_ storage.RID, rec []byte) bool {
+	if err := h.Scan(func(_ storage.RID, rec []byte) bool {
 		_, xmax, verr := storage.VersionOf(rec)
 		if verr != nil {
 			scanErr = verr
@@ -96,7 +96,9 @@ func (db *DB) TableVersions(table string) (live, dead int64, err error) {
 			dead++
 		}
 		return true
-	})
+	}); err != nil {
+		return 0, 0, err
+	}
 	return live, dead, scanErr
 }
 
@@ -122,7 +124,7 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 	// must not mutate.
 	var victims []victim
 	var scanErr error
-	h.Scan(func(rid storage.RID, rec []byte) bool {
+	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
 		_, xmax, err := storage.VersionOf(rec)
 		if err != nil {
 			scanErr = err
@@ -144,7 +146,9 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 		copy(cp, rec)
 		victims = append(victims, victim{rid: rid, row: row, rec: cp})
 		return true
-	})
+	}); err != nil {
+		return 0, err
+	}
 	if scanErr != nil {
 		return 0, scanErr
 	}

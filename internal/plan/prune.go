@@ -82,6 +82,14 @@ func markAll(set []bool, exprs []Expr) []bool {
 	return set
 }
 
+// ExprCols returns the columns of a width-column row that e reads, in the
+// shape storage.DecodeRowInto takes: nil when e reads every column or
+// contains a node markCols cannot vouch for. DML uses it to decode only the
+// WHERE clause's columns of each heap record before evaluating it.
+func ExprCols(e Expr, width int) []bool {
+	return scanCols(markAll(make([]bool, width), []Expr{e}))
+}
+
 // scanCols collapses a scan's finished set to nil when it is every column.
 func scanCols(cols []bool) []bool {
 	for _, c := range cols {

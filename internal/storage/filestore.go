@@ -82,6 +82,12 @@ func OpenFileStore(fsys FS, path string) (*FileStore, error) {
 	return s, nil
 }
 
+// frames recycles the frame buffers ReadPage and WritePage stage a page
+// image and its checksum in: a checkpoint or a reopen moves every page of
+// the heap through them, and a fresh 8 KB buffer per call would make that
+// burst of garbage, not the live data, the process's memory peak.
+var frames = sync.Pool{New: func() any { return new([frameSize]byte) }}
+
 func frameOffset(id PageID) int64 {
 	return fileHeaderSize + int64(id-1)*frameSize
 }
@@ -110,7 +116,9 @@ func (s *FileStore) ReadPage(id PageID, dst []byte) error {
 	if id == InvalidPage {
 		return fmt.Errorf("storage: read of invalid page 0")
 	}
-	buf := make([]byte, frameSize)
+	frame := frames.Get().(*[frameSize]byte)
+	defer frames.Put(frame)
+	buf := frame[:]
 	n, err := s.f.ReadAt(buf, frameOffset(id))
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
@@ -154,7 +162,9 @@ func (s *FileStore) WritePage(id PageID, src []byte) error {
 	if id == InvalidPage {
 		return fmt.Errorf("storage: write of invalid page 0")
 	}
-	buf := make([]byte, frameSize)
+	frame := frames.Get().(*[frameSize]byte)
+	defer frames.Put(frame)
+	buf := frame[:]
 	binary.LittleEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(src[:PageSize]))
 	copy(buf[4:], src)
 	if _, err := s.f.WriteAt(buf, frameOffset(id)); err != nil {

@@ -259,6 +259,55 @@ func TestManagerOnCommitReportsWrote(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommitSkipsDurableLog: with a durable log attached, only a
+// transaction that logged a data or DDL record appends a commit record and
+// waits for its flush; the rest commit without touching the log. OnCommit
+// still runs for every one of them.
+func TestReadOnlyCommitSkipsDurableLog(t *testing.T) {
+	w, _ := openWAL(t, t.TempDir(), false)
+	defer w.Close()
+	m := NewManager()
+	m.SetDurable(w)
+	committed := map[ID]bool{}
+	m.OnCommit = func(id ID, wrote bool) { committed[id] = true }
+
+	reader, ddl, writer := m.Begin(), m.Begin(), m.Begin()
+	if err := m.Commit(reader); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Commits != 0 || st.Syncs != 0 {
+		t.Fatalf("read-only commit touched the log: %+v", st)
+	}
+	if err := m.LogDDL(ddl, Record{Kind: RecCreateTable, Table: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.LogOp(Record{Txn: writer, Kind: RecInsert, Table: "t", After: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []ID{ddl, writer} {
+		if err := m.Commit(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := w.Stats(); st.Commits != 2 || st.Syncs == 0 || st.FlushedLSN != st.EndLSN {
+		t.Fatalf("DDL and data commits must append and flush: %+v", st)
+	}
+	if len(committed) != 3 {
+		t.Fatalf("OnCommit ran for %v, want all three transactions", committed)
+	}
+	// A DDL mark does not outlive its transaction: an abort clears it.
+	aborted := m.Begin()
+	if err := m.LogDDL(aborted, Record{Kind: RecDropTable, Table: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Abort(aborted); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.ddl) != 0 {
+		t.Fatalf("DDL marks left after commit and abort: %v", m.ddl)
+	}
+}
+
 func TestConcurrentTransactionsSerializeOnLock(t *testing.T) {
 	m := NewManager()
 	const n = 8

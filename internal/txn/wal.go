@@ -98,6 +98,7 @@ type Manager struct {
 	mu     sync.Mutex
 	next   ID
 	active map[ID][]Record // per-txn data records, for undo
+	ddl    map[ID]bool     // active txns that logged a DDL record (LogDDL)
 
 	Locks *LockManager
 
@@ -118,6 +119,7 @@ func NewManager() *Manager {
 	return &Manager{
 		next:   1,
 		active: make(map[ID][]Record),
+		ddl:    make(map[ID]bool),
 		Locks:  NewLockManager(),
 	}
 }
@@ -186,6 +188,26 @@ func (m *Manager) LogOp(rec Record) (uint64, error) {
 	return lsn, nil
 }
 
+// LogDDL appends a DDL record (create/drop table, create index, the pages a
+// drop frees) on behalf of txn id. DDL records carry no transaction id —
+// recovery redoes them unconditionally — so the manager notes that id
+// logged one: its Commit must then wait for the log like any writer's.
+func (m *Manager) LogDDL(id ID, rec Record) error {
+	m.mu.Lock()
+	if _, ok := m.active[id]; !ok {
+		m.mu.Unlock()
+		return fmt.Errorf("txn: %d is not active", id)
+	}
+	m.ddl[id] = true
+	d := m.durable
+	m.mu.Unlock()
+	if d == nil {
+		return nil
+	}
+	_, err := d.Append(rec)
+	return err
+}
+
 // AppendCLR writes a compensation record during rollback. CLRs belong to no
 // active list (they are never undone) and return LSN 0 in volatile mode.
 func (m *Manager) AppendCLR(rec Record) (uint64, error) {
@@ -203,6 +225,12 @@ func (m *Manager) AppendCLR(rec Record) (uint64, error) {
 // mode), and releases the transaction's locks. On a flush error the locks
 // are still released and the transaction is NOT acknowledged: its records
 // carry no commit, so recovery rolls it back.
+//
+// A transaction that logged neither a data record nor a DDL record commits
+// without touching the log: it has nothing to make durable, and everything
+// it read was durable before it became visible (OnCommit runs only after a
+// writer's commit record is on stable storage), so no crash can take back
+// what it saw.
 func (m *Manager) Commit(id ID) error {
 	m.mu.Lock()
 	ops, ok := m.active[id]
@@ -210,11 +238,13 @@ func (m *Manager) Commit(id ID) error {
 		m.mu.Unlock()
 		return fmt.Errorf("txn: %d is not active", id)
 	}
+	logged := len(ops) > 0 || m.ddl[id]
 	delete(m.active, id)
+	delete(m.ddl, id)
 	d := m.durable
 	m.mu.Unlock()
 	var err error
-	if d != nil {
+	if d != nil && logged {
 		err = d.Commit(Record{Txn: id, Kind: RecCommit})
 	}
 	if err == nil && m.OnCommit != nil {
@@ -235,6 +265,7 @@ func (m *Manager) PrepareAbort(id ID) ([]Record, error) {
 		return nil, fmt.Errorf("txn: %d is not active", id)
 	}
 	delete(m.active, id)
+	delete(m.ddl, id)
 	m.mu.Unlock()
 	undo := make([]Record, 0, len(ops))
 	for i := len(ops) - 1; i >= 0; i-- {
