@@ -133,11 +133,11 @@ func BenchmarkPolicyLoad(b *testing.B) {
 func loadWisconsin(b *testing.B, db *DB, tables []string, rows int) {
 	b.Helper()
 	for i, tbl := range tables {
-		if _, err := db.Exec(workload.WisconsinDDL(tbl)); err != nil {
+		if _, err := db.ExecContext(b.Context(), workload.WisconsinDDL(tbl)); err != nil {
 			b.Fatal(err)
 		}
 		for _, stmt := range workload.WisconsinRows(tbl, rows, uint64(i+1), 250) {
-			if _, err := db.Exec(stmt); err != nil {
+			if _, err := db.ExecContext(b.Context(), stmt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -161,7 +161,7 @@ func BenchmarkEngineWorkloadA(b *testing.B) {
 			gen := workload.NewWorkloadA("tenk", 2000, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(gen.Next()); err != nil {
+				if _, err := db.ExecContext(b.Context(), gen.Next()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,7 +183,7 @@ func BenchmarkEngineWorkloadB(b *testing.B) {
 			gen := workload.NewWorkloadB("wtab", 1000, 5)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(gen.Next()); err != nil {
+				if _, err := db.ExecContext(b.Context(), gen.Next()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -201,7 +201,7 @@ func BenchmarkPageSize(b *testing.B) {
 			q := "SELECT a.ten, COUNT(*) FROM p1 a JOIN p12 b ON a.unique1 = b.unique1 GROUP BY a.ten"
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
+				if _, err := db.ExecContext(b.Context(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -251,7 +251,7 @@ func BenchmarkSharedScan(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						conn := db.Conn()
-						if _, err := conn.Query(q); err != nil {
+						if _, err := conn.ExecContext(b.Context(), q); err != nil {
 							b.Error(err)
 						}
 					}()
@@ -280,7 +280,7 @@ func BenchmarkScanStreamLimit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.ExecContext(b.Context(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,11 +298,11 @@ func BenchmarkJoinStreamLimit(b *testing.B) {
 	db := mustOpen(b, Options{Mode: Threaded, Workers: 1, PoolFrames: 8})
 	defer db.Close()
 	loadPadded(b, db, 3000)
-	if _, err := db.Exec("CREATE TABLE dims (id INT, name TEXT)"); err != nil {
+	if _, err := db.ExecContext(b.Context(), "CREATE TABLE dims (id INT, name TEXT)"); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := db.Exec(fmt.Sprintf("INSERT INTO dims VALUES (%d, 'd%d')", i, i)); err != nil {
+		if _, err := db.ExecContext(b.Context(), fmt.Sprintf("INSERT INTO dims VALUES (%d, 'd%d')", i, i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkJoinStreamLimit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q)
+		res, err := db.ExecContext(b.Context(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func BenchmarkClientStreamFirstRow(b *testing.B) {
 						b.Fatal(err)
 					}
 				} else {
-					res, err := db.Query(q)
+					res, err := db.ExecContext(b.Context(), q)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -390,7 +390,7 @@ func BenchmarkPreparedExec(b *testing.B) {
 			var stmt *Stmt
 			if m.prepared {
 				var err error
-				stmt, err = db.Prepare("SELECT unique1 FROM ptab WHERE unique2 = ?")
+				stmt, err = db.Prepare(b.Context(), "SELECT unique1 FROM ptab WHERE unique2 = ?")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -412,7 +412,7 @@ func BenchmarkPreparedExec(b *testing.B) {
 						b.Fatal(err)
 					}
 				} else {
-					if _, err := db.Query("SELECT unique1 FROM ptab WHERE unique2 = ?", key); err != nil {
+					if _, err := db.ExecContext(b.Context(), "SELECT unique1 FROM ptab WHERE unique2 = ?", key); err != nil {
 						b.Fatal(err)
 					}
 				}

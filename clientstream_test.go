@@ -18,7 +18,7 @@ import (
 // loadBig creates table `big` with n small rows (id INT PRIMARY KEY, v INT).
 func loadBig(tb testing.TB, db *DB, n int) {
 	tb.Helper()
-	if _, err := db.Exec("CREATE TABLE big (id INT PRIMARY KEY, v INT)"); err != nil {
+	if _, err := db.ExecContext(tb.Context(), "CREATE TABLE big (id INT PRIMARY KEY, v INT)"); err != nil {
 		tb.Fatal(err)
 	}
 	for start := 0; start < n; start += 1000 {
@@ -30,7 +30,7 @@ func loadBig(tb testing.TB, db *DB, n int) {
 			}
 			fmt.Fprintf(&b, "(%d, %d)", i, i%97)
 		}
-		if _, err := db.Exec(b.String()); err != nil {
+		if _, err := db.ExecContext(tb.Context(), b.String()); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -159,22 +159,21 @@ func TestClientStreaming(t *testing.T) {
 	}
 }
 
-// TestQueryRejectsNonSelect: Query must not silently execute DML (it used to
-// be a blind alias of Exec).
+// TestQueryRejectsNonSelect: QueryContext must not silently execute DML.
 func TestQueryRejectsNonSelect(t *testing.T) {
 	for _, mode := range []Mode{Staged, Threaded} {
 		db := mustOpen(t, Options{Mode: mode})
-		if _, err := db.Exec("CREATE TABLE q (id INT)"); err != nil {
+		if _, err := db.ExecContext(t.Context(), "CREATE TABLE q (id INT)"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Query("INSERT INTO q VALUES (1)"); err == nil || !strings.Contains(err.Error(), "SELECT") {
-			t.Fatalf("mode %d: Query of DML should fail naming SELECT, got %v", mode, err)
+		if _, err := db.QueryContext(t.Context(), "INSERT INTO q VALUES (1)"); err == nil || !strings.Contains(err.Error(), "SELECT") {
+			t.Fatalf("mode %d: QueryContext of DML should fail naming SELECT, got %v", mode, err)
 		}
-		if _, err := db.QueryContext(context.Background(), "DROP TABLE q"); err == nil {
+		if _, err := db.QueryContext(t.Context(), "DROP TABLE q"); err == nil {
 			t.Fatalf("mode %d: QueryContext of DDL should fail", mode)
 		}
 		// The table must be untouched by the rejected INSERT.
-		res, err := db.Query("SELECT COUNT(*) FROM q")
+		res, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,27 +189,27 @@ func TestQueryRejectsNonSelect(t *testing.T) {
 func TestPlaceholders(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE p (id INT PRIMARY KEY, name TEXT, score FLOAT)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE p (id INT PRIMARY KEY, name TEXT, score FLOAT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO p VALUES (?, ?, ?), (?, ?, ?)",
+	if _, err := db.ExecContext(t.Context(), "INSERT INTO p VALUES (?, ?, ?), (?, ?, ?)",
 		1, "ann", 9.5, 2, "bob", 8.25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("UPDATE p SET score = score + ? WHERE name = ?", 0.5, "bob"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "UPDATE p SET score = score + ? WHERE name = ?", 0.5, "bob"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT name FROM p WHERE score >= ? ORDER BY id", 8.75)
+	res, err := db.ExecContext(t.Context(), "SELECT name FROM p WHERE score >= ? ORDER BY id", 8.75)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows: %v", res.Rows)
 	}
-	if _, err := db.Query("SELECT * FROM p WHERE id = ?"); err == nil {
+	if _, err := db.ExecContext(t.Context(), "SELECT * FROM p WHERE id = ?"); err == nil {
 		t.Fatal("missing argument should fail")
 	}
-	if _, err := db.Query("SELECT * FROM p WHERE id = ?", 1, 2); err == nil {
+	if _, err := db.ExecContext(t.Context(), "SELECT * FROM p WHERE id = ?", 1, 2); err == nil {
 		t.Fatal("extra argument should fail")
 	}
 }
@@ -232,13 +231,13 @@ func stageServiced(db *DB, name string) int {
 func TestPreparedEntersAtExecute(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(t.Context(), `
 		CREATE TABLE acct (id INT PRIMARY KEY, bal INT);
 		INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50);
 	`); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := db.Prepare("SELECT bal FROM acct WHERE id = ?")
+	stmt, err := db.Prepare(t.Context(), "SELECT bal FROM acct WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,19 +294,19 @@ func TestPreparedEntersAtExecute(t *testing.T) {
 func TestPreparedInvalidation(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(t.Context(), `
 		CREATE TABLE inv (id INT PRIMARY KEY, v INT);
 		INSERT INTO inv VALUES (1, 100), (2, 200), (3, 300);
 	`); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := db.Prepare("SELECT v FROM inv WHERE v >= ?")
+	stmt, err := db.Prepare(t.Context(), "SELECT v FROM inv WHERE v >= ?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(want int) {
 		t.Helper()
-		res, err := stmt.Query(150)
+		res, err := stmt.ExecContext(t.Context(), 150)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +316,7 @@ func TestPreparedInvalidation(t *testing.T) {
 	}
 	check(2)
 	inv0 := db.PlanCacheStats().Invalidations
-	if _, err := db.Exec("CREATE INDEX idx_v ON inv (v)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE INDEX idx_v ON inv (v)"); err != nil {
 		t.Fatal(err)
 	}
 	check(2) // re-prepared against the new schema version
@@ -339,15 +338,15 @@ func TestPreparedInvalidation(t *testing.T) {
 func TestPreparedDML(t *testing.T) {
 	for _, mode := range []Mode{Staged, Threaded} {
 		db := mustOpen(t, Options{Mode: mode})
-		if _, err := db.Exec("CREATE TABLE d (id INT PRIMARY KEY, v INT)"); err != nil {
+		if _, err := db.ExecContext(t.Context(), "CREATE TABLE d (id INT PRIMARY KEY, v INT)"); err != nil {
 			t.Fatal(err)
 		}
-		ins, err := db.Prepare("INSERT INTO d VALUES (?, ?)")
+		ins, err := db.Prepare(t.Context(), "INSERT INTO d VALUES (?, ?)")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			res, err := ins.Exec(i, i*i)
+			res, err := ins.ExecContext(t.Context(), i, i*i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,10 +354,10 @@ func TestPreparedDML(t *testing.T) {
 				t.Fatalf("affected = %d", res.Affected)
 			}
 		}
-		if _, err := ins.Query(11, 121); err == nil {
-			t.Fatalf("mode %d: Query on a prepared INSERT should fail", mode)
+		if _, err := ins.QueryContext(t.Context(), 11, 121); err == nil {
+			t.Fatalf("mode %d: QueryContext on a prepared INSERT should fail", mode)
 		}
-		res, err := db.Query("SELECT COUNT(*), SUM(v) FROM d")
+		res, err := db.ExecContext(t.Context(), "SELECT COUNT(*), SUM(v) FROM d")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +374,7 @@ func TestPreparedDML(t *testing.T) {
 func TestPreparedNullBound(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(t.Context(), `
 		CREATE TABLE nb (id INT PRIMARY KEY, v INT);
 		INSERT INTO nb VALUES (1, 10), (2, 20), (3, 30);
 	`); err != nil {
@@ -386,12 +385,12 @@ func TestPreparedNullBound(t *testing.T) {
 		"SELECT id FROM nb WHERE id < ?",
 		"SELECT id FROM nb WHERE id BETWEEN ? AND ?",
 	} {
-		stmt, err := db.Prepare(q)
+		stmt, err := db.Prepare(t.Context(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		args := make([]any, stmt.NumParams())
-		res, err := stmt.Query(args...)
+		res, err := stmt.ExecContext(t.Context(), args...)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -410,11 +409,11 @@ func TestPreparedNullBound(t *testing.T) {
 func TestExclusiveIndexBounds(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE xb (id INT PRIMARY KEY, v INT)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE xb (id INT PRIMARY KEY, v INT)"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := db.Exec("INSERT INTO xb VALUES (?, ?)", i, i); err != nil {
+		if _, err := db.ExecContext(t.Context(), "INSERT INTO xb VALUES (?, ?)", i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,18 +428,18 @@ func TestExclusiveIndexBounds(t *testing.T) {
 		{"SELECT id FROM xb WHERE id >= ?", 5, 5}, // 5..9
 	}
 	for _, tc := range cases {
-		res, err := db.Query(tc.q, tc.arg)
+		res, err := db.ExecContext(t.Context(), tc.q, tc.arg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != tc.want {
 			t.Fatalf("literal %s(%d): %d rows, want %d", tc.q, tc.arg, len(res.Rows), tc.want)
 		}
-		stmt, err := db.Prepare(tc.q)
+		stmt, err := db.Prepare(t.Context(), tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err = stmt.Query(tc.arg)
+		res, err = stmt.ExecContext(t.Context(), tc.arg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +458,7 @@ func TestExclusiveIndexBounds(t *testing.T) {
 func TestScanAfterExhaustionErrors(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript("CREATE TABLE se (id INT); INSERT INTO se VALUES (1), (2)"); err != nil {
+	if err := db.ExecScript(t.Context(), "CREATE TABLE se (id INT); INSERT INTO se VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.QueryContext(context.Background(), "SELECT id FROM se")
@@ -581,7 +580,7 @@ func TestKeylessJoinStreamLeakFree(t *testing.T) {
 			db := mustOpen(t, mode.opts)
 			defer db.Close()
 			loadBig(t, db, 5000) // v = id % 97
-			if _, err := db.Exec("CREATE TABLE small (id INT, w INT)"); err != nil {
+			if _, err := db.ExecContext(t.Context(), "CREATE TABLE small (id INT, w INT)"); err != nil {
 				t.Fatal(err)
 			}
 			var b strings.Builder
@@ -592,13 +591,13 @@ func TestKeylessJoinStreamLeakFree(t *testing.T) {
 				}
 				fmt.Fprintf(&b, "(%d, %d)", j, j%100)
 			}
-			if _, err := db.Exec(b.String()); err != nil {
+			if _, err := db.ExecContext(t.Context(), b.String()); err != nil {
 				t.Fatal(err)
 			}
 
 			// Residual-only join, fully drained: each probe row with v matches
 			// the 10*(99-v) small rows whose w exceeds it.
-			res, err := db.Query("SELECT COUNT(*) FROM big b JOIN small s ON b.v < s.w WHERE b.id < 500")
+			res, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM big b JOIN small s ON b.v < s.w WHERE b.id < 500")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -685,7 +684,7 @@ func TestTopNFusesAndSkipsSpill(t *testing.T) {
 	}
 
 	before := db.SpillStats()
-	res, err := db.Query("SELECT id, v FROM big ORDER BY v LIMIT 10 OFFSET 3")
+	res, err := db.ExecContext(t.Context(), "SELECT id, v FROM big ORDER BY v LIMIT 10 OFFSET 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,13 +709,13 @@ func TestTopNFusesAndSkipsSpill(t *testing.T) {
 
 	// A prepared ORDER BY + LIMIT keeps its TopN through the plan cache and
 	// parameter substitution.
-	stmt, err := db.Prepare("SELECT id FROM big WHERE v >= ? ORDER BY id DESC LIMIT 3")
+	stmt, err := db.Prepare(t.Context(), "SELECT id FROM big WHERE v >= ? ORDER BY id DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
 	for i := 0; i < 3; i++ {
-		res, err := stmt.Query(0)
+		res, err := stmt.ExecContext(t.Context(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -732,11 +731,11 @@ func TestTopNFusesAndSkipsSpill(t *testing.T) {
 func TestStreamInsideTransaction(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript("CREATE TABLE tx (id INT); INSERT INTO tx VALUES (1), (2), (3)"); err != nil {
+	if err := db.ExecScript(t.Context(), "CREATE TABLE tx (id INT); INSERT INTO tx VALUES (1), (2), (3)"); err != nil {
 		t.Fatal(err)
 	}
 	c := db.Conn()
-	if _, err := c.Exec("BEGIN"); err != nil {
+	if _, err := c.ExecContext(t.Context(), "BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := c.QueryContext(context.Background(), "SELECT id FROM tx")
@@ -756,7 +755,7 @@ func TestStreamInsideTransaction(t *testing.T) {
 	if !c.InTxn() {
 		t.Fatal("closing a cursor must not close the explicit transaction")
 	}
-	if _, err := c.Exec("COMMIT"); err != nil {
+	if _, err := c.ExecContext(t.Context(), "COMMIT"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -120,12 +121,6 @@ func granularity() {
 
 func pagesize() {
 	header("§4.4(c) ablation — intermediate-result page size (staged join on the real engine)")
-	db, err := stagedb.Open(stagedb.Options{})
-	if err != nil {
-		panic(err)
-	}
-	defer db.Close()
-	mustLoad(db)
 	head := []string{"page rows", "join+group time"}
 	var cells [][]string
 	for _, rows := range []int{1, 4, 16, 64, 256} {
@@ -143,24 +138,25 @@ func timeJoin(pageRows int) time.Duration {
 		panic(err)
 	}
 	defer db.Close()
-	mustLoad(db)
+	ctx := context.Background()
+	mustLoad(ctx, db)
 	q := "SELECT a.ten, COUNT(*) FROM wtab a JOIN wtab2 b ON a.unique1 = b.unique1 GROUP BY a.ten"
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.ExecContext(ctx, q); err != nil {
 			panic(err)
 		}
 	}
 	return time.Since(start) / 5
 }
 
-func mustLoad(db *stagedb.DB) {
+func mustLoad(ctx context.Context, db *stagedb.DB) {
 	for _, tbl := range []string{"wtab", "wtab2"} {
-		if _, err := db.Exec(workload.WisconsinDDL(tbl)); err != nil {
+		if _, err := db.ExecContext(ctx, workload.WisconsinDDL(tbl)); err != nil {
 			panic(err)
 		}
 		for _, stmt := range workload.WisconsinRows(tbl, 2000, 1, 200) {
-			if _, err := db.Exec(stmt); err != nil {
+			if _, err := db.ExecContext(ctx, stmt); err != nil {
 				panic(err)
 			}
 		}

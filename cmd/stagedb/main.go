@@ -281,7 +281,7 @@ func runStatement(conn *stagedb.Conn, stmt string) {
 		runQuery(conn, stmt, start)
 		return
 	}
-	res, err := conn.Exec(stmt)
+	res, err := conn.ExecContext(context.Background(), stmt)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

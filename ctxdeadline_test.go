@@ -102,11 +102,11 @@ func TestDeadlineAtEveryBoundaryExec(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if _, err := db.Exec("CREATE TABLE t (a INT, b INT)"); err != nil {
+			if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (a INT, b INT)"); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 200; i++ {
-				if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", i, i%7); err != nil {
+				if _, err := db.ExecContext(t.Context(), "INSERT INTO t VALUES (?, ?)", i, i%7); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,7 +133,7 @@ func TestDeadlineAtEveryBoundaryExec(t *testing.T) {
 				assertNoEngineLeaks(t, db, name)
 				// The engine must stay healthy after every expiry.
 				if failAt%7 == 0 {
-					if _, err := db.Exec("SELECT COUNT(*) FROM t"); err != nil {
+					if _, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM t"); err != nil {
 						t.Fatalf("engine unhealthy after expiry at check %d: %v", failAt, err)
 					}
 				}
@@ -155,11 +155,11 @@ func TestDeadlineAtEveryBoundaryStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if _, err := db.Exec("CREATE TABLE t (a INT, b INT)"); err != nil {
+			if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (a INT, b INT)"); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 200; i++ {
-				if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", i, i%7); err != nil {
+				if _, err := db.ExecContext(t.Context(), "INSERT INTO t VALUES (?, ?)", i, i%7); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -204,27 +204,109 @@ func TestDeadlineMidTransaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if _, err := db.Exec("CREATE TABLE t (a INT PRIMARY KEY)"); err != nil {
+			if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (a INT PRIMARY KEY)"); err != nil {
 				t.Fatal(err)
 			}
 			conn := db.Conn()
-			if _, err := conn.Exec("BEGIN"); err != nil {
+			if _, err := conn.ExecContext(t.Context(), "BEGIN"); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := conn.Exec("INSERT INTO t VALUES (1)"); err != nil {
+			if _, err := conn.ExecContext(t.Context(), "INSERT INTO t VALUES (1)"); err != nil {
 				t.Fatal(err)
 			}
 			ctx := newCountdownCtx(1) // expired before the first check
 			_, err = conn.ExecContext(ctx, "INSERT INTO t VALUES (2)")
 			assertDeadlineTaxonomy(t, name, err)
-			if _, err := conn.Exec("ROLLBACK"); err != nil {
+			if _, err := conn.ExecContext(t.Context(), "ROLLBACK"); err != nil {
 				t.Fatalf("rollback after expiry: %v", err)
 			}
-			res, err := conn.Exec("SELECT COUNT(*) FROM t")
+			res, err := conn.ExecContext(t.Context(), "SELECT COUNT(*) FROM t")
 			if err != nil || res.Rows[0][0].Int() != 0 {
 				t.Fatalf("post-rollback state: res=%v err=%v", res, err)
 			}
 			assertNoEngineLeaks(t, db, name)
+		})
+	}
+}
+
+// TestDeadlineExecTxnLockWait expires a deadline while an ExecTxn statement
+// waits on a table lock another connection holds: the statement fails with
+// ErrTimeout, and the transaction is rolled back with its locks released.
+func TestDeadlineExecTxnLockWait(t *testing.T) {
+	for name, opts := range deadlineEngines(t) {
+		t.Run(name, func(t *testing.T) {
+			db := mustOpen(t, opts)
+			defer db.Close()
+			if err := db.ExecScript(t.Context(), `
+				CREATE TABLE held (a INT PRIMARY KEY, b INT);
+				CREATE TABLE other (a INT PRIMARY KEY);
+				INSERT INTO held VALUES (1, 1);
+			`); err != nil {
+				t.Fatal(err)
+			}
+			holder := db.Conn()
+			if _, err := holder.ExecContext(t.Context(), "BEGIN"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := holder.ExecContext(t.Context(), "UPDATE held SET b = 2 WHERE a = 1"); err != nil {
+				t.Fatal(err)
+			}
+
+			conn := db.Conn()
+			ctx, cancel := context.WithTimeout(t.Context(), 100*time.Millisecond)
+			defer cancel()
+			_, err := conn.ExecTxn(ctx, []string{
+				"BEGIN",
+				"INSERT INTO other VALUES (1)",
+				"UPDATE held SET b = 3 WHERE a = 1", // waits on holder's lock
+				"COMMIT",
+			})
+			assertDeadlineTaxonomy(t, name, err)
+			if conn.InTxn() {
+				t.Fatal("ExecTxn left its transaction open")
+			}
+
+			// The script's lock on other is gone: a writer gets it at once,
+			// and the rolled-back INSERT left no row behind.
+			wctx, wcancel := context.WithTimeout(t.Context(), 5*time.Second)
+			defer wcancel()
+			if _, err := db.ExecContext(wctx, "INSERT INTO other VALUES (1)"); err != nil {
+				t.Fatalf("insert after the timed-out script: %v", err)
+			}
+			if _, err := holder.ExecContext(t.Context(), "COMMIT"); err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.ExecContext(t.Context(), "SELECT b FROM held WHERE a = 1")
+			if err != nil || res.Rows[0][0].Int() != 2 {
+				t.Fatalf("held after commit: res=%v err=%v", res, err)
+			}
+			assertNoEngineLeaks(t, db, name)
+		})
+	}
+}
+
+// TestPrepareCanceled prepares uncached SQL under a canceled context: the
+// error is the context's, and nothing enters the plan cache.
+func TestPrepareCanceled(t *testing.T) {
+	for name, opts := range deadlineEngines(t) {
+		t.Run(name, func(t *testing.T) {
+			db := mustOpen(t, opts)
+			defer db.Close()
+			if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (a INT PRIMARY KEY)"); err != nil {
+				t.Fatal(err)
+			}
+			before := db.PlanCacheStats().Entries
+			ctx, cancel := context.WithCancel(t.Context())
+			cancel()
+			if _, err := db.Prepare(ctx, "SELECT a FROM t WHERE a = ?"); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Prepare under a canceled ctx: err = %v, want context.Canceled", err)
+			}
+			if after := db.PlanCacheStats().Entries; after != before {
+				t.Fatalf("plan cache entries %d -> %d: a canceled Prepare cached its plan", before, after)
+			}
+			if _, err := db.Prepare(t.Context(), "SELECT a FROM t WHERE a = ?"); err != nil {
+				t.Fatalf("Prepare after the canceled one: %v", err)
+			}
 		})
 	}
 }

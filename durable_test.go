@@ -53,7 +53,7 @@ func TestDurableEnvFallback(t *testing.T) {
 	if !db.Durable() {
 		t.Fatal("STAGEDB_DATADIR must make the database durable")
 	}
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -70,10 +70,10 @@ func TestDurableReopenThroughRootAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES (1, 'a'), (2, 'b')"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "INSERT INTO t VALUES (1, 'a'), (2, 'b')"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -88,7 +88,7 @@ func TestDurableReopenThroughRootAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	res, err := db2.Query("SELECT v FROM t ORDER BY id")
+	res, err := db2.ExecContext(t.Context(), "SELECT v FROM t ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestDurableSyncModeCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.Exec("INSERT INTO t VALUES (?)", i); err != nil {
+		if _, err := db.ExecContext(t.Context(), "INSERT INTO t VALUES (?)", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,21 +140,21 @@ func TestReadOnlyCommitThroughRootAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE t (id INT PRIMARY KEY, v INT)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE t (id INT PRIMARY KEY, v INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES (1, 10), (2, 20)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "INSERT INTO t VALUES (1, 10), (2, 20)"); err != nil {
 		t.Fatal(err)
 	}
 	before := db.WALStats()
 	for i := 0; i < 10; i++ {
-		if _, err := db.Query("SELECT v FROM t WHERE id = ?", 1); err != nil {
+		if _, err := db.ExecContext(t.Context(), "SELECT v FROM t WHERE id = ?", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	conn := db.Conn()
 	for _, q := range []string{"BEGIN", "SELECT COUNT(*) FROM t", "COMMIT"} {
-		if _, err := conn.Exec(q); err != nil {
+		if _, err := conn.ExecContext(t.Context(), q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}

@@ -2,7 +2,7 @@ package stagedb
 
 // errors.go is the public error taxonomy. The engine's internal packages
 // report failures with rich, situation-specific errors; at the API boundary
-// (Rows.Err, Exec/Query returns, the network server's wire codes) the four
+// (Rows.Err, ExecContext/QueryContext returns, the network server's wire codes) the four
 // conditions a caller can meaningfully react to are surfaced as stable typed
 // sentinels with errors.Is support:
 //

@@ -16,19 +16,20 @@ import (
 // arrive from the execute stage as the client iterates, so the result never
 // materializes in memory, and Close abandons whatever was not read.
 func ExampleDB_QueryContext() {
+	ctx := context.Background()
 	db, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE t (id INT PRIMARY KEY, name TEXT);
 		INSERT INTO t VALUES (1, 'ann'), (2, 'bob'), (3, 'cyd');
 	`); err != nil {
 		log.Fatal(err)
 	}
 
-	rows, err := db.QueryContext(context.Background(), "SELECT id, name FROM t WHERE id >= ?", 2)
+	rows, err := db.QueryContext(ctx, "SELECT id, name FROM t WHERE id >= ?", 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,25 +54,26 @@ func ExampleDB_QueryContext() {
 // binds its arguments and enters the staged pipeline directly at the
 // execute stage, so the parse and optimize stages are never revisited.
 func ExampleDB_Prepare() {
+	ctx := context.Background()
 	db, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE acct (id INT PRIMARY KEY, bal INT);
 		INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30);
 	`); err != nil {
 		log.Fatal(err)
 	}
 
-	stmt, err := db.Prepare("SELECT bal FROM acct WHERE id = ?")
+	stmt, err := db.Prepare(ctx, "SELECT bal FROM acct WHERE id = ?")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stmt.Close()
 	for id := 1; id <= 3; id++ {
-		res, err := stmt.Query(id)
+		res, err := stmt.ExecContext(ctx, id)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,19 +93,20 @@ func ExampleDB_Prepare() {
 // cancel mid-stream surfaces through Rows.Err while every buffered page
 // drains back to the pool.
 func ExampleConn_QueryContext_cancellation() {
+	ctx := context.Background()
 	db, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE t (id INT);
 		INSERT INTO t VALUES (1), (2), (3);
 	`); err != nil {
 		log.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	cancel() // cancel before the packet enters the pipeline
 	conn := db.Conn()
 	if _, err := conn.QueryContext(ctx, "SELECT id FROM t"); err != nil {
@@ -123,6 +126,7 @@ func ExampleConn_QueryContext_cancellation() {
 // work — including after a crash (redo from the log) — while uncommitted
 // transactions are rolled back.
 func ExampleOpen_durable() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "stagedb-durable")
 	if err != nil {
 		log.Fatal(err)
@@ -133,7 +137,7 @@ func ExampleOpen_durable() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := db.ExecScript(`
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE events (id INT PRIMARY KEY, kind TEXT);
 		INSERT INTO events VALUES (1, 'signup'), (2, 'login');
 	`); err != nil {
@@ -149,7 +153,7 @@ func ExampleOpen_durable() {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	res, err := db.Query("SELECT kind FROM events ORDER BY id")
+	res, err := db.ExecContext(ctx, "SELECT kind FROM events ORDER BY id")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,12 +172,13 @@ func ExampleOpen_durable() {
 // written the same row, the second committer would fail with
 // ErrSerializationFailure, which Retryable reports as safe to rerun.
 func ExampleOpen_snapshot() {
+	ctx := context.Background()
 	db, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE acct (id INT PRIMARY KEY, bal INT);
 		INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30);
 	`); err != nil {
@@ -183,10 +188,10 @@ func ExampleOpen_snapshot() {
 	// The reader's BEGIN pins its snapshot: every read in the transaction
 	// sees the database as of this instant.
 	reader := db.Conn()
-	if _, err := reader.Exec("BEGIN"); err != nil {
+	if _, err := reader.ExecContext(ctx, "BEGIN"); err != nil {
 		log.Fatal(err)
 	}
-	rows, err := reader.QueryContext(context.Background(), "SELECT id, bal FROM acct ORDER BY id")
+	rows, err := reader.QueryContext(ctx, "SELECT id, bal FROM acct ORDER BY id")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func ExampleOpen_snapshot() {
 	// update commits immediately, leaving new versions beside the ones the
 	// reader's snapshot still sees.
 	writer := db.Conn()
-	if _, err := writer.Exec("UPDATE acct SET bal = bal + 100"); err != nil {
+	if _, err := writer.ExecContext(ctx, "UPDATE acct SET bal = bal + 100"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -216,12 +221,12 @@ func ExampleOpen_snapshot() {
 	if err := rows.Err(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := reader.Exec("COMMIT"); err != nil {
+	if _, err := reader.ExecContext(ctx, "COMMIT"); err != nil {
 		log.Fatal(err)
 	}
 
 	// A fresh snapshot sees the committed update.
-	res, err := reader.Query("SELECT bal FROM acct WHERE id = 1")
+	res, err := reader.ExecContext(ctx, "SELECT bal FROM acct WHERE id = 1")
 	if err != nil {
 		log.Fatal(err)
 	}

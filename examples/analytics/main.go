@@ -15,17 +15,17 @@ import (
 
 const rows = 5000
 
-func open(pageRows int) *stagedb.DB {
+func open(ctx context.Context, pageRows int) *stagedb.DB {
 	db, err := stagedb.Open(stagedb.Options{PageRows: pageRows})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, tbl := range []string{"tenktup1", "tenktup2"} {
-		if _, err := db.Exec(workload.WisconsinDDL(tbl)); err != nil {
+		if _, err := db.ExecContext(ctx, workload.WisconsinDDL(tbl)); err != nil {
 			log.Fatal(err)
 		}
 		for _, stmt := range workload.WisconsinRows(tbl, rows, 7, 250) {
-			if _, err := db.Exec(stmt); err != nil {
+			if _, err := db.ExecContext(ctx, stmt); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -38,7 +38,8 @@ func open(pageRows int) *stagedb.DB {
 
 func main() {
 	fmt.Printf("loading 2 x %d Wisconsin rows...\n", rows)
-	db := open(0)
+	ctx := context.Background()
+	db := open(ctx, 0)
 	defer db.Close()
 
 	queries := []string{
@@ -59,7 +60,7 @@ func main() {
 		}
 		fmt.Printf("\nquery: %s\nplan:\n%s", squish(q), plan)
 		start := time.Now()
-		res, err := db.Query(q)
+		res, err := db.ExecContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func main() {
 	// running, and Close after a prefix abandons the rest of the pipeline —
 	// client memory stays O(page) however large the result.
 	start := time.Now()
-	rows, err := db.QueryContext(context.Background(),
+	rows, err := db.QueryContext(ctx,
 		"SELECT unique1, stringu1 FROM tenktup1 WHERE twenty = ?", 3)
 	if err != nil {
 		log.Fatal(err)
@@ -94,9 +95,9 @@ func main() {
 	join := `SELECT a.ten, COUNT(*) FROM tenktup1 a JOIN tenktup2 b
 	         ON a.unique1 = b.unique1 GROUP BY a.ten`
 	for _, pr := range []int{1, 16, 64, 256} {
-		db2 := open(pr)
+		db2 := open(ctx, pr)
 		start := time.Now()
-		if _, err := db2.Query(join); err != nil {
+		if _, err := db2.ExecContext(ctx, join); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  pageRows=%-4d %v\n", pr, time.Since(start))

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -22,8 +23,8 @@ const (
 	accounts = 200
 )
 
-func load(db *stagedb.DB) {
-	if err := db.ExecScript("CREATE TABLE accounts (id INT PRIMARY KEY, balance INT)"); err != nil {
+func load(ctx context.Context, db *stagedb.DB) {
+	if err := db.ExecScript(ctx, "CREATE TABLE accounts (id INT PRIMARY KEY, balance INT)"); err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < accounts; i += 50 {
@@ -34,7 +35,7 @@ func load(db *stagedb.DB) {
 			}
 			stmt += fmt.Sprintf("(%d, 1000)", j)
 		}
-		if _, err := db.Exec(stmt); err != nil {
+		if _, err := db.ExecContext(ctx, stmt); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -42,7 +43,7 @@ func load(db *stagedb.DB) {
 
 // run fires `clients` concurrent sessions, each transferring between two
 // accounts txnsEach times, and returns wall time.
-func run(db *stagedb.DB) time.Duration {
+func run(ctx context.Context, db *stagedb.DB) time.Duration {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -55,7 +56,7 @@ func run(db *stagedb.DB) time.Duration {
 				to := (from + 1) % accounts
 				// The whole transaction travels as one request; deadlock
 				// victims are rolled back by the engine and simply move on.
-				conn.ExecTxn([]string{
+				conn.ExecTxn(ctx, []string{
 					"BEGIN",
 					fmt.Sprintf("UPDATE accounts SET balance = balance - 10 WHERE id = %d", from),
 					fmt.Sprintf("UPDATE accounts SET balance = balance + 10 WHERE id = %d", to),
@@ -68,8 +69,8 @@ func run(db *stagedb.DB) time.Duration {
 	return time.Since(start)
 }
 
-func verify(db *stagedb.DB) {
-	res, err := db.Query("SELECT SUM(balance), COUNT(*) FROM accounts")
+func verify(ctx context.Context, db *stagedb.DB) {
+	res, err := db.ExecContext(ctx, "SELECT SUM(balance), COUNT(*) FROM accounts")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,25 +80,26 @@ func verify(db *stagedb.DB) {
 
 func main() {
 	fmt.Printf("OLTP: %d clients x %d transfer transactions\n\n", clients, txnsEach)
+	ctx := context.Background()
 
 	threaded, err := stagedb.Open(stagedb.Options{Mode: stagedb.Threaded, Workers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	load(threaded)
-	d := run(threaded)
+	load(ctx, threaded)
+	d := run(ctx, threaded)
 	fmt.Printf("threaded worker pool: %v (%.0f txn/s)\n", d, float64(clients*txnsEach)/d.Seconds())
-	verify(threaded)
+	verify(ctx, threaded)
 	threaded.Close()
 
 	staged, err := stagedb.Open(stagedb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	load(staged)
-	d = run(staged)
+	load(ctx, staged)
+	d = run(ctx, staged)
 	fmt.Printf("\nstaged engine:        %v (%.0f txn/s)\n", d, float64(clients*txnsEach)/d.Seconds())
-	verify(staged)
+	verify(ctx, staged)
 
 	fmt.Println("\nper-stage monitors (the §5.2 tuning surface):")
 	for _, s := range staged.Stages() {

@@ -21,7 +21,10 @@ func main() {
 	}
 	defer db.Close()
 
-	if err := db.ExecScript(`
+	// Every call that runs SQL takes a context: canceling it abandons the
+	// request wherever it stands in the pipeline.
+	ctx := context.Background()
+	if err := db.ExecScript(ctx, `
 		CREATE TABLE movies (id INT PRIMARY KEY, title TEXT, year INT, rating FLOAT);
 		CREATE TABLE screenings (movie_id INT, room TEXT, seats INT);
 		CREATE INDEX idx_year ON movies (year);
@@ -44,7 +47,6 @@ func main() {
 	// A filtered join with grouping, ordering and limiting, streamed through
 	// a Rows cursor: pages arrive from the execute stage as we iterate, and
 	// `?` binds the rating threshold.
-	ctx := context.Background()
 	rows, err := db.QueryContext(ctx, `
 		SELECT m.title, COUNT(*) AS rooms, SUM(s.seats) AS seats
 		FROM movies m JOIN screenings s ON m.id = s.movie_id
@@ -70,14 +72,14 @@ func main() {
 
 	// Prepared statements parse and plan once; each execution binds its
 	// arguments and enters the pipeline directly at the execute stage.
-	stmt, err := db.Prepare("SELECT title FROM movies WHERE year BETWEEN ? AND ?")
+	stmt, err := db.Prepare(ctx, "SELECT title FROM movies WHERE year BETWEEN ? AND ?")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stmt.Close()
 	fmt.Println("\nmovies by decade (one plan, three executions):")
 	for _, decade := range [][2]int{{1920, 1929}, {1930, 1939}, {1940, 1949}} {
-		res, err := stmt.Query(decade[0], decade[1])
+		res, err := stmt.ExecContext(ctx, decade[0], decade[1])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,10 +94,10 @@ func main() {
 
 	// Transactions: a reservation that fails rolls back atomically.
 	conn := db.Conn()
-	conn.Exec("BEGIN")
-	conn.Exec("UPDATE screenings SET seats = seats - 200 WHERE room = 'C'")
-	conn.Exec("ROLLBACK")
-	res, _ := db.Query("SELECT seats FROM screenings WHERE room = ?", "C")
+	conn.ExecContext(ctx, "BEGIN")
+	conn.ExecContext(ctx, "UPDATE screenings SET seats = seats - 200 WHERE room = 'C'")
+	conn.ExecContext(ctx, "ROLLBACK")
+	res, _ := db.ExecContext(ctx, "SELECT seats FROM screenings WHERE room = ?", "C")
 	fmt.Printf("\nseats in room C after rollback: %v (unchanged)\n", res.Rows[0][0])
 
 	// Context cancellation abandons a request between stages: the canceled

@@ -17,10 +17,8 @@ package analysis
 // (in the server's case: a session that ignores hard-stop and deadline
 // plumbing, so drain and per-query timeouts silently stop working; in txn's
 // case: a lock wait that outlives its canceled query, squatting in the
-// queue and wedging the FIFO behind it). The documented context-free
-// convenience entry points (Exec, Query, Stmt.Exec) legitimately mint
-// Background; they carry //stagedbvet:ignore suppressions with their
-// justification, which keeps the escape hatch visible and auditable.
+// queue and wedging the FIFO behind it). Every statement entry point of
+// these packages takes the caller's ctx, so none needs to mint one.
 
 import (
 	"go/ast"

@@ -34,18 +34,6 @@ type SetAssocConfig struct {
 	MissCost time.Duration
 }
 
-// DefaultL2 models a 2003-era 512 KB 8-way L2 with 64 B lines, ~10 cycle hit
-// and ~150 cycle miss at 1 GHz (1 cycle = 1 ns).
-func DefaultL2() SetAssocConfig {
-	return SetAssocConfig{
-		SizeBytes: 512 << 10,
-		LineBytes: 64,
-		Ways:      8,
-		HitCost:   10 * time.Nanosecond,
-		MissCost:  150 * time.Nanosecond,
-	}
-}
-
 // SetAssoc is a set-associative cache with true-LRU replacement per set.
 type SetAssoc struct {
 	cfg    SetAssocConfig

@@ -269,9 +269,6 @@ func (db *DB) SetPlanOptions(opt plan.Options) {
 	db.installLiveRowCount()
 }
 
-// MVCC exposes the version manager (tests and tools).
-func (db *DB) MVCC() *mvcc.Manager { return db.mv }
-
 // MVCCStats snapshots the MVCC counters: snapshots taken, commits, aborts,
 // serialization conflicts, versions vacuumed, and the GC horizon.
 func (db *DB) MVCCStats() mvcc.Stats { return db.mv.Stats() }
@@ -362,21 +359,6 @@ func (s *Session) Abort() error {
 
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.inTxn }
-
-// Exec parses and executes one statement.
-func (s *Session) Exec(sqlText string) (*Result, error) {
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecStmt(stmt)
-}
-
-// ExecStmt executes a parsed statement.
-func (s *Session) ExecStmt(stmt sql.Statement) (*Result, error) {
-	//stagedbvet:ignore ctxflow ExecStmt is the context-free entry point; RunStmt is the threaded form.
-	return s.RunStmt(context.Background(), stmt, nil)
-}
 
 // RunStmt executes a parsed statement with a context checked between result
 // pages. node, when non-nil, is a pre-bound SELECT plan (the prepared path)

@@ -57,7 +57,7 @@ func TestUpdateLocatesTargetsPerMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-		res, err := s.ExecStmt(bound)
+		res, err := s.RunStmt(t.Context(), bound, nil)
 		if err != nil || res.Affected != 1 {
 			t.Fatalf("update: affected %v, err %v", res, err)
 		}
@@ -97,7 +97,7 @@ func TestUpdatePredicateErrorOnlyOnVisibleRows(t *testing.T) {
 
 	// id 3 (v = 0) is visible to a fresh snapshot: the division fails.
 	for _, q := range []string{"UPDATE t SET v = 1 WHERE 10 / v = 1", "DELETE FROM t WHERE 10 / v = 1"} {
-		if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		if _, err := execSQL(t, s, q); err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Fatalf("%s: want a division-by-zero error, got %v", q, err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestUpdateDeleteMatchSelectUnderSnapshot(t *testing.T) {
 			if del {
 				q = "DELETE FROM t" + where
 			}
-			res, err := s.Exec(q)
+			res, err := execSQL(t, s, q)
 			if conflict {
 				if !errors.Is(err, mvcc.ErrSerializationFailure) {
 					t.Fatalf("%s: a target was superseded after the snapshot, want a serialization failure, got %v", q, err)
@@ -252,7 +252,7 @@ func TestHeapScanErrorFailsUpdate(t *testing.T) {
 	}
 	ffs.FailWritesFrom(1, "data.stagedb", nil)
 	for _, q := range []string{"UPDATE t SET v = v + 1 WHERE v >= 0", "CREATE INDEX t_v ON t (v)"} {
-		res, err := s.Exec(q)
+		res, err := execSQL(t, s, q)
 		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("%s with a failing page write-back: result %+v, err %v; want the injected error", q, res, err)
 		}
@@ -326,7 +326,7 @@ func TestReadOnlyCommitRacesGroupFlush(t *testing.T) {
 		go func(w int) {
 			for i := 0; i < perWriter; i++ {
 				id := w*perWriter + i
-				if _, err := ws.Exec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", id)); err != nil {
+				if _, err := execSQL(t, ws, fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", id)); err != nil {
 					errs <- err
 					return
 				}
@@ -339,7 +339,7 @@ func TestReadOnlyCommitRacesGroupFlush(t *testing.T) {
 		go func() {
 			last := int64(0)
 			for last < writers*perWriter {
-				res, err := rs.Exec("SELECT COUNT(*) FROM kv")
+				res, err := execSQL(t, rs, "SELECT COUNT(*) FROM kv")
 				if err != nil {
 					errs <- err
 					return
@@ -426,7 +426,7 @@ func TestDurableDDLSurvivesCrashInExplicitTxn(t *testing.T) {
 	if len(tbl.Indexes) != 2 {
 		t.Fatalf("kept has indexes %v after recovery, want its primary key and kept_v", tbl.Indexes)
 	}
-	if _, err := s2.Exec("SELECT * FROM gone"); err == nil {
+	if _, err := execSQL(t, s2, "SELECT * FROM gone"); err == nil {
 		t.Fatal("dropped table resurrected by recovery")
 	}
 }

@@ -328,8 +328,10 @@ func (db *DB) logDropTable(id txn.ID, name string, pages []storage.PageID) error
 // recover replays the scanned log: restore the last checkpoint's snapshot,
 // redo history after it (DDL and page operations alike, guarded by each
 // page's LSN), and undo the losers — transactions with records but no
-// commit — newest-first, writing CLRs so a crash during recovery is itself
-// recoverable. Indexes are rebuilt from the settled heaps at the end.
+// commit — newest-first through the live rollback's undoOne, which writes
+// CLRs so a crash during recovery is itself recoverable and skips tables
+// dropped since the operation (their pages may belong to another table
+// now). Indexes are rebuilt from the settled heaps at the end.
 func (db *DB) recover(scan *txn.ScanResult) error {
 	recs := scan.Records
 	losers := make(map[txn.ID][]txn.Record)
@@ -420,7 +422,7 @@ func (db *DB) recover(scan *txn.ScanResult) error {
 		if compensated[rec.LSN] {
 			continue
 		}
-		if err := db.undoRecovered(rec); err != nil {
+		if err := db.undoOne(rec); err != nil {
 			return err
 		}
 		db.recovUndo.Add(1)
@@ -551,42 +553,6 @@ func (db *DB) redoOne(rec txn.Record) error {
 	if err == nil {
 		pg.SetLSN(rec.LSN)
 		db.recovRedo.Add(1)
-	}
-	db.pool.Unpin(rec.RID.Page, err == nil)
-	return err
-}
-
-// undoRecovered reverses one loser operation at the page level, logging a
-// CLR first so a crash mid-undo resumes instead of double-undoing.
-func (db *DB) undoRecovered(rec txn.Record) error {
-	d := db.tm.Durable()
-	clr := txn.Record{Txn: rec.Txn, Table: rec.Table, RID: rec.RID, CLR: true, UndoOf: rec.LSN}
-	switch rec.Kind {
-	case txn.RecInsert:
-		clr.Kind, clr.Before = txn.RecDelete, rec.After
-	case txn.RecDelete:
-		clr.Kind, clr.After = txn.RecInsert, rec.Before
-	case txn.RecUpdate:
-		clr.Kind, clr.Before, clr.After = txn.RecUpdate, rec.After, rec.Before
-	default:
-		return nil
-	}
-	lsn, err := d.Append(clr)
-	if err != nil {
-		return err
-	}
-	pg, err := db.pool.Pin(rec.RID.Page)
-	if err != nil {
-		return err
-	}
-	switch clr.Kind {
-	case txn.RecDelete:
-		err = pg.ClearAt(rec.RID.Slot)
-	case txn.RecInsert, txn.RecUpdate:
-		err = pg.PutAt(rec.RID.Slot, rec.Before)
-	}
-	if err == nil {
-		pg.SetLSN(lsn)
 	}
 	db.pool.Unpin(rec.RID.Page, err == nil)
 	return err

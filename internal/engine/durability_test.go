@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stagedb/internal/storage"
+	"stagedb/internal/txn"
 )
 
 func openDurable(t *testing.T, dir string) *DB {
@@ -44,7 +45,7 @@ func TestDurableCloseReopenPreservesData(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Text() != "deux" {
 		t.Fatalf("index lookup after reopen: %v", res.Rows)
 	}
-	if _, err := s2.Exec("INSERT INTO kv VALUES (1, 'dup')"); err == nil {
+	if _, err := execSQL(t, s2, "INSERT INTO kv VALUES (1, 'dup')"); err == nil {
 		t.Fatal("unique constraint must survive reopen")
 	}
 }
@@ -130,7 +131,7 @@ func TestDurableDropTableSurvivesReopen(t *testing.T) {
 	db2 := openDurable(t, dir)
 	defer db2.Close()
 	s2 := db2.NewSession()
-	if _, err := s2.Exec("SELECT * FROM a"); err == nil {
+	if _, err := execSQL(t, s2, "SELECT * FROM a"); err == nil {
 		t.Fatal("dropped table resurrected after reopen")
 	}
 	mustExec(t, s2, "INSERT INTO b VALUES (7)")
@@ -261,5 +262,118 @@ func TestDurablePageStoreRoundTrip(t *testing.T) {
 	rec, err := got.Get(0)
 	if err != nil || string(rec) != "hello" {
 		t.Fatalf("record round trip: %q %v", rec, err)
+	}
+}
+
+// TestRecoveryUndoSkipsDroppedTable: a loser inserts into x and drops it,
+// which frees x's pages at once; a committed writer then reuses the freed
+// page for y. Undoing the loser's insert after a crash must not touch the
+// page, which now holds y's rows.
+func TestRecoveryUndoSkipsDroppedTable(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir)
+	a := db.NewSession()
+	mustExec(t, a, "CREATE TABLE x (id INT PRIMARY KEY)")
+	mustExec(t, a, "CREATE TABLE y (id INT PRIMARY KEY)")
+	loser := db.NewSession()
+	mustExec(t, loser, "BEGIN")
+	mustExec(t, loser, "INSERT INTO x VALUES (1)")
+	mustExec(t, loser, "DROP TABLE x")
+	for i := 1; i <= 5; i++ {
+		mustExec(t, a, "INSERT INTO y VALUES ("+itoa(i)+")")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: reopen without Close, the loser still open.
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	res := mustExec(t, db2.NewSession(), "SELECT COUNT(*) FROM y")
+	if n := res.Rows[0][0].Int(); n != 5 {
+		t.Fatalf("y has %d rows after recovery, want 5", n)
+	}
+}
+
+// vacuumFixture loads kv with ten rows and updates five of them, leaving
+// five dead versions for a vacuum to remove.
+func vacuumFixture(t *testing.T, db *DB) {
+	t.Helper()
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE kv (id INT PRIMARY KEY, v INT)")
+	mustExec(t, s, "INSERT INTO kv VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10)")
+	mustExec(t, s, "UPDATE kv SET v = v + 100 WHERE id <= 5")
+}
+
+// vacuumUncommitted removes kv's dead versions inside a transaction it
+// leaves open, returning the transaction and the versions removed.
+func vacuumUncommitted(t *testing.T, db *DB) (txn.ID, int64) {
+	t.Helper()
+	tbl, err := db.cat.Get("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := db.begin()
+	n, err := db.vacuumTable(t.Context(), id, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 {
+		t.Fatalf("vacuum removed %d versions, want 5", n)
+	}
+	return id, n
+}
+
+// checkKV asserts kv's visible contents, through a scan and the index.
+func checkKV(t *testing.T, db *DB) {
+	t.Helper()
+	s := db.NewSession()
+	res := mustExec(t, s, "SELECT COUNT(*), SUM(v) FROM kv")
+	if res.Rows[0][0].Int() != 10 || res.Rows[0][1].Int() != 555 {
+		t.Fatalf("kv count, sum = %v, want 10, 555", res.Rows[0])
+	}
+	res = mustExec(t, s, "SELECT v FROM kv WHERE id = 3")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 103 {
+		t.Fatalf("index lookup of id 3: %v", res.Rows)
+	}
+}
+
+// TestVacuumRollbackRestoresVersions undoes a vacuum's removals live: every
+// removed version comes back, and a later vacuum reclaims them again.
+func TestVacuumRollbackRestoresVersions(t *testing.T) {
+	db := NewDB(Config{})
+	vacuumFixture(t, db)
+	id, _ := vacuumUncommitted(t, db)
+	if err := db.rollback(id); err != nil {
+		t.Fatal(err)
+	}
+	if live, dead, err := db.TableVersions("kv"); err != nil || live != 10 || dead != 5 {
+		t.Fatalf("after rollback: live %d dead %d err %v, want 10 and 5", live, dead, err)
+	}
+	checkKV(t, db)
+	if n, err := db.Vacuum(t.Context()); err != nil || n != 5 {
+		t.Fatalf("vacuum after rollback reclaimed %d (err %v), want 5", n, err)
+	}
+	checkKV(t, db)
+}
+
+// TestVacuumUndoneByRecovery crashes with a vacuum's removals logged but
+// not committed: recovery undoes them, and the data reads as before.
+func TestVacuumUndoneByRecovery(t *testing.T) {
+	dir := t.TempDir()
+	db := openDurable(t, dir)
+	vacuumFixture(t, db)
+	mustExec(t, db.NewSession(), "CREATE TABLE other (id INT PRIMARY KEY)")
+	_, n := vacuumUncommitted(t, db)
+	// A commit after the vacuum puts its records on stable storage.
+	mustExec(t, db.NewSession(), "INSERT INTO other VALUES (1)")
+
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	if undone := db2.WALCounters()["recov_undo"]; undone < n {
+		t.Fatalf("recovery undid %d records, want at least the vacuum's %d", undone, n)
+	}
+	checkKV(t, db2)
+	if live, dead, err := db2.TableVersions("kv"); err != nil || live != 10 || dead != 0 {
+		t.Fatalf("after recovery: live %d dead %d err %v, want 10 and 0", live, dead, err)
 	}
 }

@@ -12,9 +12,32 @@ import (
 	"stagedb/internal/value"
 )
 
+// execSQL parses q and runs it on s under the test's context.
+func execSQL(tb testing.TB, s *Session, q string) (*Result, error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunStmt(tb.Context(), stmt, nil)
+}
+
+// newRequest builds a request for q on sess under the test's context.
+func newRequest(tb testing.TB, sess *Session, q string) *Request {
+	return &Request{Session: sess, SQL: q, Ctx: tb.Context(), Done: make(chan struct{})}
+}
+
+// submitSQL runs q through the front end f and waits for it.
+func submitSQL(tb testing.TB, f *Staged, sess *Session, q string) (*Result, error) {
+	req := newRequest(tb, sess, q)
+	if err := f.Submit(req); err != nil {
+		return nil, err
+	}
+	return req.Wait()
+}
+
 func mustExec(t *testing.T, s *Session, q string) *Result {
 	t.Helper()
-	res, err := s.Exec(q)
+	res, err := execSQL(t, s, q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -55,7 +78,7 @@ func TestInsertWithColumnListAndNullDefaults(t *testing.T) {
 
 func TestPrimaryKeyUnique(t *testing.T) {
 	_, s := seed(t)
-	if _, err := s.Exec("INSERT INTO accounts VALUES (1, 'dup', 0)"); err == nil {
+	if _, err := execSQL(t, s, "INSERT INTO accounts VALUES (1, 'dup', 0)"); err == nil {
 		t.Fatal("duplicate PK should fail")
 	}
 	// Autocommit rollback must leave no trace.
@@ -159,7 +182,7 @@ func TestIndexMaintainedAcrossUpdates(t *testing.T) {
 func TestDropTable(t *testing.T) {
 	_, s := seed(t)
 	mustExec(t, s, "DROP TABLE accounts")
-	if _, err := s.Exec("SELECT * FROM accounts"); err == nil {
+	if _, err := execSQL(t, s, "SELECT * FROM accounts"); err == nil {
 		t.Fatal("select from dropped table should fail")
 	}
 	mustExec(t, s, "CREATE TABLE accounts (id INT)")
@@ -219,7 +242,7 @@ func TestThreadedFrontEndConcurrentClients(t *testing.T) {
 			sess := db.NewSession()
 			for i := 0; i < 8; i++ {
 				id := 100 + c*10 + i
-				if _, err := fe.Exec(sess, fmt.Sprintf("INSERT INTO accounts VALUES (%d, 'c%d', %d)", id, c, i)); err != nil {
+				if _, err := submitSQL(t, fe, sess, fmt.Sprintf("INSERT INTO accounts VALUES (%d, 'c%d', %d)", id, c, i)); err != nil {
 					errs <- err
 					return
 				}
@@ -243,7 +266,7 @@ func TestStagedFrontEndMatchesThreaded(t *testing.T) {
 	defer staged.Close()
 	sess := db.NewSession()
 
-	res, err := staged.Exec(sess, "SELECT owner FROM accounts WHERE balance > 60 ORDER BY owner")
+	res, err := submitSQL(t, staged, sess, "SELECT owner FROM accounts WHERE balance > 60 ORDER BY owner")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +275,10 @@ func TestStagedFrontEndMatchesThreaded(t *testing.T) {
 	}
 
 	// DML through the staged pipeline.
-	if _, err := staged.Exec(sess, "INSERT INTO accounts VALUES (7, 'gail', 10)"); err != nil {
+	if _, err := submitSQL(t, staged, sess, "INSERT INTO accounts VALUES (7, 'gail', 10)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = staged.Exec(sess, "SELECT COUNT(*) FROM accounts")
+	res, err = submitSQL(t, staged, sess, "SELECT COUNT(*) FROM accounts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +287,7 @@ func TestStagedFrontEndMatchesThreaded(t *testing.T) {
 	}
 
 	// Parse errors surface to the caller.
-	if _, err := staged.Exec(sess, "SELEKT nope"); err == nil {
+	if _, err := submitSQL(t, staged, sess, "SELEKT nope"); err == nil {
 		t.Fatal("staged parse error lost")
 	}
 }
@@ -281,7 +304,7 @@ func TestStagedConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < 10; i++ {
-				res, err := staged.Exec(sess, "SELECT COUNT(*) FROM accounts")
+				res, err := submitSQL(t, staged, sess, "SELECT COUNT(*) FROM accounts")
 				if err != nil {
 					errs <- err
 					return
@@ -314,7 +337,7 @@ func TestStagedJoinUsesExecStages(t *testing.T) {
 	staged := NewStaged(db, StagedConfig{})
 	defer staged.Close()
 	sess := db.NewSession()
-	res, err := staged.Exec(sess, `SELECT a.owner, o.city FROM accounts a JOIN owners o ON a.owner = o.name ORDER BY a.owner`)
+	res, err := submitSQL(t, staged, sess, `SELECT a.owner, o.city FROM accounts a JOIN owners o ON a.owner = o.name ORDER BY a.owner`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +368,13 @@ func TestDeadlockVictimAborted(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := s1.Exec("UPDATE other SET id = 3") // s1 waits on s2
+		_, err := execSQL(t, s1, "UPDATE other SET id = 3") // s1 waits on s2
 		done <- err
 	}()
 	// Let s1 block on s2 before closing the cycle, so the victim choice is
 	// deterministic: s2's request detects the cycle and aborts.
 	time.Sleep(50 * time.Millisecond)
-	_, err := s2.Exec("UPDATE accounts SET balance = 2 WHERE id = 1")
+	_, err := execSQL(t, s2, "UPDATE accounts SET balance = 2 WHERE id = 1")
 	if err == nil {
 		t.Fatal("deadlock victim should get an error")
 	}
@@ -389,12 +412,12 @@ func TestStatementErrors(t *testing.T) {
 		"ROLLBACK",
 	}
 	for _, q := range bad {
-		if _, err := s.Exec(q); err == nil {
+		if _, err := execSQL(t, s, q); err == nil {
 			t.Fatalf("%q should fail", q)
 		}
 	}
 	mustExec(t, s, "BEGIN")
-	if _, err := s.Exec("BEGIN"); err == nil {
+	if _, err := execSQL(t, s, "BEGIN"); err == nil {
 		t.Fatal("nested BEGIN should fail")
 	}
 	mustExec(t, s, "COMMIT")
@@ -407,7 +430,7 @@ func TestValuesArithmetic(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 101 {
 		t.Fatalf("arith values: %v", res.Rows)
 	}
-	if _, err := s.Exec("INSERT INTO accounts VALUES (1/0, 'x', 0)"); err == nil {
+	if _, err := execSQL(t, s, "INSERT INTO accounts VALUES (1/0, 'x', 0)"); err == nil {
 		t.Fatal("division by zero in VALUES should fail")
 	}
 }
@@ -441,16 +464,43 @@ func TestSubmitAfterClose(t *testing.T) {
 			db, _ := seed(t)
 			pool := fe.open(db)
 			sess := db.NewSession()
-			if _, err := pool.Exec(sess, "SELECT COUNT(*) FROM accounts"); err != nil {
+			if _, err := submitSQL(t, pool, sess, "SELECT COUNT(*) FROM accounts"); err != nil {
 				t.Fatal(err)
 			}
 			pool.Close()
-			req := NewRequest(sess, "SELECT COUNT(*) FROM accounts")
+			req := newRequest(t, sess, "SELECT COUNT(*) FROM accounts")
 			if err := pool.Submit(req); !errors.Is(err, ErrClosed) { // must not panic
 				t.Fatalf("submit after close: err = %v, want ErrClosed", err)
 			}
 			pool.Close() // idempotent
 		})
+	}
+}
+
+// TestSubmitWithoutContext: a request without Ctx is refused at Submit, on
+// both front ends and for every itinerary, and nothing waits on it.
+func TestSubmitWithoutContext(t *testing.T) {
+	db, _ := seed(t)
+	for _, fe := range []*Staged{NewThreaded(db, 1), NewStaged(db, StagedConfig{})} {
+		sess := db.NewSession()
+		for _, req := range []*Request{
+			{Session: sess, SQL: "SELECT COUNT(*) FROM accounts"},
+			{Session: sess, SQL: "SELECT COUNT(*) FROM accounts", PrepareOnly: true},
+			{Session: sess, Script: []string{"BEGIN", "COMMIT"}},
+		} {
+			req.Done = make(chan struct{})
+			if err := fe.Submit(req); err == nil {
+				t.Fatalf("Submit of %+v without Ctx succeeded", req)
+			}
+		}
+		if n := fe.InFlight(); n != 0 {
+			t.Fatalf("%d requests in flight after refused submits", n)
+		}
+		// The front end still serves a request that carries a context.
+		if _, err := submitSQL(t, fe, sess, "SELECT COUNT(*) FROM accounts"); err != nil {
+			t.Fatal(err)
+		}
+		fe.Close()
 	}
 }
 
@@ -493,7 +543,7 @@ func newBlockedExecute(t *testing.T, open func(*DB) *Staged) *blockedExecute {
 
 	submit := func(q string) *Request {
 		t.Helper()
-		req := NewRequest(db.NewSession(), q)
+		req := newRequest(t, db.NewSession(), q)
 		if err := f.staged.Submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -561,7 +611,7 @@ func TestStagedBackPressureBlocksOnlyProducer(t *testing.T) {
 	}
 	// Prepare routes connect -> parse -> optimize -> disconnect.
 	if err := within("prepare", func() error {
-		_, err := staged.Prepare(f.db.NewSession(), "SELECT owner FROM accounts WHERE id = ?")
+		_, err := staged.Prepare(t.Context(), f.db.NewSession(), "SELECT owner FROM accounts WHERE id = ?")
 		return err
 	}); err != nil {
 		t.Fatalf("prepare while execute is blocked: %v", err)
@@ -577,7 +627,7 @@ func TestStagedBackPressureBlocksOnlyProducer(t *testing.T) {
 	}
 	arrived := executeArrivals()
 	if err := within("a parse error", func() error {
-		_, err := staged.Exec(f.db.NewSession(), "SELEKT nope")
+		_, err := submitSQL(t, staged, f.db.NewSession(), "SELEKT nope")
 		return err
 	}); err == nil {
 		t.Fatal("parse error lost")
@@ -654,7 +704,7 @@ func TestThreadedPrepare(t *testing.T) {
 	}
 	const q = "SELECT owner FROM accounts WHERE id = ?"
 	before := db.PlanCacheStats()
-	p, err := threaded.Prepare(db.NewSession(), q)
+	p, err := threaded.Prepare(t.Context(), db.NewSession(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +717,7 @@ func TestThreadedPrepare(t *testing.T) {
 	if st := db.PlanCacheStats(); st.Misses != before.Misses+1 || st.Hits != before.Hits {
 		t.Fatalf("after a miss: %+v, was %+v", st, before)
 	}
-	again, err := threaded.Prepare(db.NewSession(), q)
+	again, err := threaded.Prepare(t.Context(), db.NewSession(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +746,7 @@ func TestStagedCloseNeverStrandsClients(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < 50; i++ {
-				req := NewRequest(sess, "SELECT COUNT(*) FROM accounts")
+				req := newRequest(t, sess, "SELECT COUNT(*) FROM accounts")
 				if err := staged.Submit(req); err != nil {
 					return // queue refused the request: fine, client informed
 				}
@@ -724,7 +774,7 @@ func TestStagedExecPoolMonitoring(t *testing.T) {
 	staged := NewStaged(db, StagedConfig{ExecWorkers: 2})
 	defer staged.Close()
 	sess := db.NewSession()
-	if _, err := staged.Exec(sess, "SELECT owner, SUM(balance) FROM accounts GROUP BY owner ORDER BY owner"); err != nil {
+	if _, err := submitSQL(t, staged, sess, "SELECT owner, SUM(balance) FROM accounts GROUP BY owner ORDER BY owner"); err != nil {
 		t.Fatal(err)
 	}
 	var sawExec bool

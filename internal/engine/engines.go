@@ -28,14 +28,14 @@ type Request struct {
 	// ignored when Script is set.
 	Script []string
 
-	// Ctx, when non-nil, cancels the request: the staged front end checks it
+	// Ctx cancels the request and is required: the front end checks it
 	// between stages (the request finishes with the context's error), and
 	// executions in flight abort between pages, draining outstanding pages to
 	// the pool.
 	Ctx context.Context
 	// Args bind the statement's `?` placeholders, substituted after parse.
 	Args []value.Value
-	// QueryOnly rejects non-SELECT statements with an error (the Query API
+	// QueryOnly rejects non-SELECT statements with an error (QueryContext
 	// must not silently execute DML).
 	QueryOnly bool
 	// Stream delivers SELECT results as a Cursor instead of materializing
@@ -61,29 +61,6 @@ type Request struct {
 	Cursor *Cursor
 	Err    error
 	Done   chan struct{}
-}
-
-// NewRequest pairs a statement with its session.
-func NewRequest(s *Session, sqlText string) *Request {
-	return &Request{Session: s, SQL: sqlText, Done: make(chan struct{})}
-}
-
-// ctxErr reports the request's cancellation state; stage handlers call it on
-// entry so a canceled packet fails between stages instead of doing work.
-func (r *Request) ctxErr() error {
-	if r.Ctx == nil {
-		return nil
-	}
-	return r.Ctx.Err()
-}
-
-// context returns the request's context for execution-time checks.
-func (r *Request) context() context.Context {
-	if r.Ctx == nil {
-		//stagedbvet:ignore ctxflow a nil-Ctx request has no caller context to thread; Background is its documented meaning.
-		return context.Background()
-	}
-	return r.Ctx
 }
 
 // prepareStmt parses SQL (unless pre-parsed), substitutes placeholder
@@ -116,21 +93,24 @@ func (r *Request) prepareStmt() error {
 	}
 	if r.QueryOnly {
 		if _, ok := r.Stmt.(*sql.Select); !ok {
-			return fmt.Errorf("engine: Query requires a SELECT statement, got %s; use Exec", r.Stmt)
+			return fmt.Errorf("engine: QueryContext requires a SELECT statement, got %s; use ExecContext", r.Stmt)
 		}
 	}
 	return nil
 }
 
 // runScript executes a transaction script statement by statement on the
-// request's session; on any error the open transaction is rolled back.
+// request's session; on any error, the request's cancellation included, the
+// open transaction is rolled back.
 func (r *Request) runScript() {
 	for _, q := range r.Script {
-		r.Result, r.Err = r.Session.Exec(q)
-		if r.Err != nil {
-			if r.Session.InTxn() {
-				r.Session.Exec("ROLLBACK")
-			}
+		stmt, err := sql.Parse(q)
+		if err == nil {
+			r.Result, err = r.Session.RunStmt(r.Ctx, stmt, nil)
+		}
+		if err != nil {
+			r.Err = err
+			r.Session.Abort()
 			return
 		}
 	}
@@ -140,10 +120,10 @@ func (r *Request) runScript() {
 // streaming SELECT hands back a Cursor, everything else runs to a Result.
 func (r *Request) dispatch() {
 	if sel, ok := r.Stmt.(*sql.Select); ok && r.Stream {
-		r.Cursor, r.Err = r.Session.StreamStmt(r.context(), sel, r.Node)
+		r.Cursor, r.Err = r.Session.StreamStmt(r.Ctx, sel, r.Node)
 		return
 	}
-	r.Result, r.Err = r.Session.RunStmt(r.context(), r.Stmt, r.Node)
+	r.Result, r.Err = r.Session.RunStmt(r.Ctx, r.Stmt, r.Node)
 }
 
 // Wait blocks until the request completes and returns its outcome.
@@ -319,11 +299,15 @@ func whole(route []queryStage) []queryStage {
 }
 
 // Submit routes a request through the staged pipeline along its itinerary
-// (§4.1), blocking while its first stage's queue is full. After Close it
-// returns ErrClosed and the request is not accepted.
+// (§4.1), blocking while its first stage's queue is full. It refuses a
+// request without a session or a context, and after Close it returns
+// ErrClosed; a refused request is not accepted.
 func (s *Staged) Submit(req *Request) error {
 	if req.Session == nil {
 		return fmt.Errorf("engine: request without session")
+	}
+	if req.Ctx == nil {
+		return fmt.Errorf("engine: request without context")
 	}
 	if s.closed.Load() {
 		return ErrClosed
@@ -367,13 +351,14 @@ func (s *Staged) ExecuteQueueLen() int { return s.pool.QueueLen("execute") }
 // caching the result keyed by the statement text. A cache hit skips the
 // pipeline entirely; subsequent executions of the returned entry enter at
 // the execute stage. DDL and ANALYZE invalidate cached entries
-// (re-preparing is transparent to Stmt holders).
-func (s *Staged) Prepare(sess *Session, sqlText string) (*Prepared, error) {
+// (re-preparing is transparent to Stmt holders). A canceled ctx fails a
+// cache miss between stages and caches nothing.
+func (s *Staged) Prepare(ctx context.Context, sess *Session, sqlText string) (*Prepared, error) {
 	ver := s.db.schemaVer.Load()
 	if e, ok := s.db.plans.get(sqlText, ver); ok {
 		return e, nil
 	}
-	req := &Request{Session: sess, SQL: sqlText, PrepareOnly: true, Done: make(chan struct{})}
+	req := &Request{Session: sess, SQL: sqlText, Ctx: ctx, PrepareOnly: true, Done: make(chan struct{})}
 	if err := s.Submit(req); err != nil {
 		return nil, err
 	}
@@ -384,15 +369,6 @@ func (s *Staged) Prepare(sess *Session, sqlText string) (*Prepared, error) {
 		NumParams: sql.CountParams(req.Stmt), version: ver}
 	s.db.plans.put(p)
 	return p, nil
-}
-
-// Exec is a convenience: submit and wait.
-func (s *Staged) Exec(sess *Session, sqlText string) (*Result, error) {
-	req := NewRequest(sess, sqlText)
-	if err := s.Submit(req); err != nil {
-		return nil, err
-	}
-	return req.Wait()
 }
 
 // Close refuses new requests, then stops the stage pool: it waits for the
@@ -446,13 +422,13 @@ func (s *Staged) ExecPool() *exec.StagePool { return s.pool }
 
 // connect starts the query's packet on its way (client state creation in
 // the paper's connect stage).
-func (s *Staged) connect(req *Request) error { return req.ctxErr() }
+func (s *Staged) connect(req *Request) error { return req.Ctx.Err() }
 
 // parse runs the SQL front end (syntactic/semantic check of Figure 3),
 // substitutes placeholder arguments, and enforces QueryOnly. Transaction
 // scripts are parsed statement-by-statement inside execute.
 func (s *Staged) parse(req *Request) error {
-	if err := req.ctxErr(); err != nil {
+	if err := req.Ctx.Err(); err != nil {
 		return err
 	}
 	if len(req.Script) > 0 {
@@ -465,7 +441,7 @@ func (s *Staged) parse(req *Request) error {
 // trivial and built inside execute). Prepared requests arrive with Node set
 // and pass through untouched.
 func (s *Staged) optimize(req *Request) error {
-	if err := req.ctxErr(); err != nil {
+	if err := req.Ctx.Err(); err != nil {
 		return err
 	}
 	if len(req.Script) > 0 || req.Node != nil {
@@ -499,7 +475,7 @@ func (s *Staged) execute(req *Request) error {
 	// the one point in the chain where the handoff slot is empty, so the
 	// yield actually drains the queue.
 	runtime.Gosched()
-	if err := req.ctxErr(); err != nil {
+	if err := req.Ctx.Err(); err != nil {
 		return err
 	}
 	req.Session.SetStreamRunner(s.stream)

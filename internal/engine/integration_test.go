@@ -121,16 +121,16 @@ func TestDeadlockStormKeepsInvariant(t *testing.T) {
 					fmt.Sprintf("UPDATE acct SET bal = bal - 1 WHERE id = %d", from),
 					fmt.Sprintf("UPDATE acct SET bal = bal + 1 WHERE id = %d", to),
 				} {
-					if _, err := s.Exec(q); err != nil {
+					if _, err := execSQL(t, s, q); err != nil {
 						ok = false
 						if s.InTxn() {
-							s.Exec("ROLLBACK")
+							execSQL(t, s, "ROLLBACK")
 						}
 						break
 					}
 				}
 				if ok {
-					if _, err := s.Exec("COMMIT"); err != nil {
+					if _, err := execSQL(t, s, "COMMIT"); err != nil {
 						t.Errorf("commit: %v", err)
 					}
 				}
@@ -238,7 +238,7 @@ func TestStagedEngineUnderWriteContention(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < 10; i++ {
-				req := &Request{Session: sess, Done: make(chan struct{}), Script: []string{
+				req := &Request{Session: sess, Ctx: t.Context(), Done: make(chan struct{}), Script: []string{
 					"BEGIN",
 					"UPDATE accounts SET balance = balance + 1 WHERE id = 1",
 					"UPDATE accounts SET balance = balance - 1 WHERE id = 3",

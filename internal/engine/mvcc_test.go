@@ -102,7 +102,7 @@ func TestWriteWriteConflictFirstCommitterWins(t *testing.T) {
 	// stale for the row s1 rewrote: first committer wins.
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s2.Exec("UPDATE accounts SET balance = 2 WHERE id = 1")
+		_, err := execSQL(t, s2, "UPDATE accounts SET balance = 2 WHERE id = 1")
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -135,7 +135,7 @@ func TestConcurrentInsertSamePKSerializationFailure(t *testing.T) {
 	mustExec(t, s1, "INSERT INTO accounts VALUES (10, 'x', 0)")
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s2.Exec("INSERT INTO accounts VALUES (10, 'y', 0)")
+		_, err := execSQL(t, s2, "INSERT INTO accounts VALUES (10, 'y', 0)")
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -206,7 +206,7 @@ func TestMixedWorkloadScanNeverBlocksWriters(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			sess := db.NewSession()
-			_, err := sess.Exec(fmt.Sprintf("UPDATE big SET v = 1 WHERE id = %d", w))
+			_, err := execSQL(t, sess, fmt.Sprintf("UPDATE big SET v = 1 WHERE id = %d", w))
 			writersDone <- err
 		}(w)
 	}

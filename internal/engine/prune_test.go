@@ -240,8 +240,8 @@ func runUnpruned(t *testing.T, db *DB, q pruneQuery) []string {
 type submitter interface{ Submit(*Request) error }
 
 // runFront runs q through a front end's own parse → plan → execute path.
-func runFront(fe submitter, db *DB, q pruneQuery) ([]string, error) {
-	req := NewRequest(db.NewSession(), q.sql)
+func runFront(tb testing.TB, fe submitter, db *DB, q pruneQuery) ([]string, error) {
+	req := newRequest(tb, db.NewSession(), q.sql)
 	req.Args = q.args
 	if err := fe.Submit(req); err != nil {
 		return nil, err
@@ -327,7 +327,7 @@ func TestPruneMetamorphic(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					got, err := runFront(shared, db, pruneCorpus[i])
+					got, err := runFront(t, shared, db, pruneCorpus[i])
 					if err != nil {
 						t.Errorf("%s staged-shared: %s: %v", label, pruneCorpus[i].sql, err)
 					} else if d := diffRows(got, want[i]); d != "" {
@@ -339,7 +339,7 @@ func TestPruneMetamorphic(t *testing.T) {
 		wg.Wait()
 		for _, i := range queries {
 			for name, fe := range map[string]submitter{"staged-unshared": unshared, "volcano": volcano} {
-				got, err := runFront(fe, db, pruneCorpus[i])
+				got, err := runFront(t, fe, db, pruneCorpus[i])
 				if err != nil {
 					t.Fatalf("%s %s: %s: %v", label, name, pruneCorpus[i].sql, err)
 				}
@@ -375,7 +375,7 @@ func TestPruneMetamorphic(t *testing.T) {
 		{sql: "UPDATE acct SET bal = bal + ? WHERE id = ?", args: ints(5, 7)},
 		{sql: "INSERT INTO hist VALUES (?, ?, ?)", args: ints(9000, 7, 5)},
 	} {
-		if _, err := runFront(staged, dbA, dml); err != nil {
+		if _, err := runFront(t, staged, dbA, dml); err != nil {
 			t.Fatalf("%s: %v", dml.sql, err)
 		}
 	}
@@ -383,7 +383,7 @@ func TestPruneMetamorphic(t *testing.T) {
 		"SELECT * FROM acct WHERE id = 7":    "(7, 7, 1012, 'acct-pad-7')",
 		"SELECT * FROM hist WHERE id = 9000": "(9000, 7, 5)",
 	} {
-		got, err := runFront(staged, dbA, pruneQuery{sql: q})
+		got, err := runFront(t, staged, dbA, pruneQuery{sql: q})
 		if err != nil || len(got) != 1 || got[0] != wantRow {
 			t.Errorf("after DML, %s = %v, %v; want [%s]", q, got, err, wantRow)
 		}
@@ -503,7 +503,7 @@ func TestVisibleMemoSelfJoinRace(t *testing.T) {
 	for _, cfg := range []StagedConfig{{}, {DisableSharedScans: true}, {ExecWorkers: 1, ExecQueueDepth: 1}} {
 		staged := NewStaged(db, cfg)
 		for round := 0; round < 3; round++ {
-			res, err := staged.Exec(db.NewSession(), q)
+			res, err := submitSQL(t, staged, db.NewSession(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

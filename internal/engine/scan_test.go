@@ -77,7 +77,7 @@ func TestStagedSharedScansMatchBaseline(t *testing.T) {
 			go func(i int, q string) {
 				defer wg.Done()
 				sess := db.NewSession()
-				res, err := staged.Exec(sess, q)
+				res, err := submitSQL(t, staged, sess, q)
 				if err != nil {
 					errs[i] = err
 					return
@@ -150,7 +150,7 @@ func TestScanDoesNotMaterialize(t *testing.T) {
 	loadFat(t, db, s, 2000)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		res, err := s.Exec("SELECT id FROM fat LIMIT 5")
+		res, err := execSQL(t, s, "SELECT id FROM fat LIMIT 5")
 		if err != nil || len(res.Rows) != 5 {
 			t.Fatalf("limit query: %v", err)
 		}

@@ -230,7 +230,7 @@ func (s *session) runQuery(q wire.Query) {
 		s.writeDoneErr(codeFor(err), err.Error())
 		return
 	}
-	// A SELECT through Exec arrives materialized; re-page it at the
+	// A SELECT through ExecContext arrives materialized; re-page it at the
 	// engine's page granularity so the wire sees the same frame shape. The
 	// frames only accumulate here: a small result leaves with its Done in
 	// one write, a large one in outBufMax pieces.

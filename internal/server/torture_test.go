@@ -284,7 +284,7 @@ func TestTortureDrainUnderLoad(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	res, err := db2.Query("SELECT id FROM kv ORDER BY id")
+	res, err := db2.ExecContext(t.Context(), "SELECT id FROM kv ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTortureServerChild(t *testing.T) {
 		t.Fatalf("child open: %v", err)
 	}
 	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE kv (id INT PRIMARY KEY, v INT)"); err != nil && !strings.Contains(err.Error(), "exists") {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE kv (id INT PRIMARY KEY, v INT)"); err != nil && !strings.Contains(err.Error(), "exists") {
 		t.Fatalf("child create: %v", err)
 	}
 	srv, err := New(context.Background(), db, Options{})
@@ -421,7 +421,7 @@ func TestTortureKillExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: reopen after kill: %v", iter, err)
 		}
-		res, err := db.Query("SELECT id FROM kv ORDER BY id")
+		res, err := db.ExecContext(t.Context(), "SELECT id FROM kv ORDER BY id")
 		if err != nil {
 			t.Fatalf("iter %d: select: %v", iter, err)
 		}

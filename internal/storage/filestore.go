@@ -186,14 +186,6 @@ func (s *FileStore) Reads() uint64 { return s.reads.Load() }
 // Writes reports page writes since open.
 func (s *FileStore) Writes() uint64 { return s.writes.Load() }
 
-// PageCount reports allocated pages (fresh ids handed out minus the free
-// list).
-func (s *FileStore) PageCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.nextID-1) - len(s.free)
-}
-
 // AllocState snapshots the free map for a checkpoint.
 func (s *FileStore) AllocState() (next PageID, free []PageID) {
 	s.mu.Lock()

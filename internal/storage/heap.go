@@ -470,15 +470,6 @@ func (h *Heap) RecomputeLive() error {
 	return nil
 }
 
-// Truncate drops all pages from the heap (DROP TABLE support). Page storage
-// is not reclaimed from the store; ids are simply abandoned.
-func (h *Heap) Truncate() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pages = nil
-	h.live.Store(0)
-}
-
 // String describes the heap for diagnostics.
 func (h *Heap) String() string {
 	return fmt.Sprintf("heap{%d pages}", h.Pages())

@@ -67,13 +67,6 @@ func (s *Store) Reads() uint64 { return s.reads.Load() }
 // Writes reports the number of page writes.
 func (s *Store) Writes() uint64 { return s.writes.Load() }
 
-// PageCount reports the number of allocated pages.
-func (s *Store) PageCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pages)
-}
-
 // PageStore is what the buffer pool runs over: the in-memory Store (the
 // seed's simulated disk) or the durable FileStore. Allocate is infallible by
 // contract — implementations defer I/O to the first write-back.
@@ -83,7 +76,6 @@ type PageStore interface {
 	WritePage(id PageID, src []byte) error
 	Reads() uint64
 	Writes() uint64
-	PageCount() int
 }
 
 type frame struct {
@@ -264,17 +256,6 @@ func (p *Pool) FlushAll() error {
 		}
 	}
 	return nil
-}
-
-// HitRatio reports pool hits / (hits+misses), or 0 before any access.
-func (p *Pool) HitRatio() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := p.hits + p.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(p.hits) / float64(total)
 }
 
 // Misses reports pool misses (store reads caused by Pin).

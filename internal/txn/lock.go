@@ -307,14 +307,3 @@ func (lm *LockManager) Waiters(resource string) int {
 	}
 	return 0
 }
-
-// HeldBy reports the resources txn currently holds (diagnostics).
-func (lm *LockManager) HeldBy(txn ID) []string {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	var out []string
-	for r := range lm.held[txn] {
-		out = append(out, r)
-	}
-	return out
-}

@@ -12,7 +12,7 @@ import "sync/atomic"
 // Ordering guarantees:
 //
 //   - Next returns a value strictly greater than every earlier Next result
-//     and every value previously passed to Observe.
+//     and than the floor NewOracle was given.
 //   - Now returns the latest issued value (0 before the first Next).
 //
 // All methods are safe for concurrent use.
@@ -32,14 +32,3 @@ func (o *Oracle) Next() Time { return Time(o.now.Add(1)) }
 
 // Now returns the most recently issued timestamp without advancing.
 func (o *Oracle) Now() Time { return Time(o.now.Load()) }
-
-// Observe raises the oracle's floor so subsequent Next calls return values
-// greater than t. Used when rebuilding an oracle from recovered state.
-func (o *Oracle) Observe(t Time) {
-	for {
-		cur := o.now.Load()
-		if int64(t) <= cur || o.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}

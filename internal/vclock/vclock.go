@@ -21,9 +21,6 @@ type Time int64
 // (nanoseconds, matching time.Duration for easy conversion).
 type Duration = time.Duration
 
-// D converts a time.Duration into the virtual timeline unit.
-func D(d time.Duration) Duration { return d }
-
 // Add returns t shifted by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -56,9 +53,6 @@ func (e *Event) Cancel() {
 
 // Cancelled reports whether Cancel was called before the event fired.
 func (e *Event) Cancelled() bool { return e.dead }
-
-// At returns the virtual time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
 
 type eventHeap []*Event
 
@@ -183,9 +177,6 @@ func (c *Clock) RunUntil(deadline Time) {
 		c.now = deadline
 	}
 }
-
-// RunFor runs the simulation for d of virtual time from the current instant.
-func (c *Clock) RunFor(d Duration) { c.RunUntil(c.now.Add(d)) }
 
 // RNG is a deterministic pseudo-random stream (SplitMix64 core) used by all
 // workload generators and simulators. Distinct streams with distinct seeds

@@ -14,18 +14,18 @@ func TestWisconsinLoadAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.Exec(WisconsinDDL("tenk")); err != nil {
+	if _, err := db.ExecContext(t.Context(), WisconsinDDL("tenk")); err != nil {
 		t.Fatal(err)
 	}
 	for _, stmt := range WisconsinRows("tenk", 500, 1, 100) {
-		if _, err := db.Exec(stmt); err != nil {
+		if _, err := db.ExecContext(t.Context(), stmt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.Analyze("tenk"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT COUNT(*) FROM tenk")
+	res, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM tenk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,14 @@ func TestWisconsinLoadAndQuery(t *testing.T) {
 		t.Fatalf("count: %v", res.Rows)
 	}
 	// unique1 is a permutation: COUNT(DISTINCT)-style check via GROUP BY.
-	res, err = db.Query("SELECT COUNT(*) FROM tenk WHERE two = 0")
+	res, err = db.ExecContext(t.Context(), "SELECT COUNT(*) FROM tenk WHERE two = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].Int() != 250 {
 		t.Fatalf("two=0 count: %v", res.Rows)
 	}
-	res, err = db.Query("SELECT MIN(unique1), MAX(unique1) FROM tenk")
+	res, err = db.ExecContext(t.Context(), "SELECT MIN(unique1), MAX(unique1) FROM tenk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestWorkloadBRunsOnEngine(t *testing.T) {
 	}
 	defer db.Close()
 	for _, tbl := range []string{"wtab", "wtab2"} {
-		if _, err := db.Exec(WisconsinDDL(tbl)); err != nil {
+		if _, err := db.ExecContext(t.Context(), WisconsinDDL(tbl)); err != nil {
 			t.Fatal(err)
 		}
 		for _, stmt := range WisconsinRows(tbl, 200, 2, 100) {
-			if _, err := db.Exec(stmt); err != nil {
+			if _, err := db.ExecContext(t.Context(), stmt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,13 +94,13 @@ func TestWorkloadBRunsOnEngine(t *testing.T) {
 	}
 	g := NewWorkloadB("wtab", 200, 3)
 	for i := 0; i < 5; i++ {
-		if _, err := db.Query(g.Next()); err != nil {
+		if _, err := db.ExecContext(t.Context(), g.Next()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ga := NewWorkloadA("wtab", 200, 3)
 	for i := 0; i < 5; i++ {
-		if _, err := db.Query(ga.Next()); err != nil {
+		if _, err := db.ExecContext(t.Context(), ga.Next()); err != nil {
 			t.Fatal(err)
 		}
 	}

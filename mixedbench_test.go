@@ -63,7 +63,7 @@ func BenchmarkMixedWriter(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Exec("UPDATE padded SET grp = grp + 1 WHERE id = ?", i%3000); err != nil {
+				if _, err := db.ExecContext(b.Context(), "UPDATE padded SET grp = grp + 1 WHERE id = ?", i%3000); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ func TestPointReadsRetainNothing(t *testing.T) {
 		}
 		fmt.Fprintf(&load, "(%d, %d)", i, i*10)
 	}
-	if err := db.ExecScript(load.String()); err != nil {
+	if err := db.ExecScript(t.Context(), load.String()); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -29,7 +29,7 @@ func lifetimeDB(t *testing.T, mode Mode, n int) *DB {
 		}
 		fmt.Fprintf(&load, "(%d, %d, 't%d')", i, 3*i+1, i)
 	}
-	if err := db.ExecScript(load.String()); err != nil {
+	if err := db.ExecScript(t.Context(), load.String()); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -59,24 +59,24 @@ func TestRetainMaterializedResult(t *testing.T) {
 		const n = 200
 		db := lifetimeDB(t, mode, n)
 		const q = "SELECT id, w, tag FROM t"
-		viaExec, err := db.Exec(q)
+		viaExec, err := db.ExecContext(t.Context(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaQuery, err := db.Query(q+" WHERE id >= ?", 0)
+		viaQuery, err := db.ExecContext(t.Context(), q+" WHERE id >= ?", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stmt, err := db.Conn().Prepare(q + " WHERE id < ?")
+		stmt, err := db.Conn().Prepare(t.Context(), q+" WHERE id < ?")
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaStmt, err := stmt.Query(n)
+		viaStmt, err := stmt.ExecContext(t.Context(), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 100; i++ {
-			if _, err := db.Query(fmt.Sprintf("SELECT id + %d, w, tag FROM t WHERE id > ?", i), i); err != nil {
+			if _, err := db.ExecContext(t.Context(), fmt.Sprintf("SELECT id + %d, w, tag FROM t WHERE id > ?", i), i); err != nil {
 				t.Fatal(err)
 			}
 		}

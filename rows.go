@@ -173,8 +173,8 @@ func (r *Rows) Close() error {
 }
 
 // materialize drains the remaining rows into a Result and closes the cursor
-// — the bridge that keeps Exec/Query as thin wrappers over the one
-// streaming delivery path. Each row is cloned: Result.Rows never aliases a
+// — the bridge that keeps ExecContext's SELECT results on the one streaming
+// delivery path. Each row is cloned: Result.Rows never aliases a
 // page.
 func (r *Rows) materialize() (*Result, error) {
 	res := &Result{Columns: r.Columns()}

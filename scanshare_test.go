@@ -10,7 +10,7 @@ import (
 // loadPadded creates a multi-page table of n padded rows.
 func loadPadded(t testing.TB, db *DB, n int) {
 	t.Helper()
-	if _, err := db.Exec("CREATE TABLE padded (id INT PRIMARY KEY, grp INT, pad TEXT)"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "CREATE TABLE padded (id INT PRIMARY KEY, grp INT, pad TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	pad := strings.Repeat("y", 300)
@@ -23,7 +23,7 @@ func loadPadded(t testing.TB, db *DB, n int) {
 			}
 			fmt.Fprintf(&b, "(%d, %d, '%s')", i, i%4, pad)
 		}
-		if _, err := db.Exec(b.String()); err != nil {
+		if _, err := db.ExecContext(t.Context(), b.String()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestScanSharesSurface(t *testing.T) {
 	defer db.Close()
 	loadPadded(t, db, 800)
 
-	want, err := db.Query("SELECT COUNT(*) FROM padded")
+	want, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM padded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestScanSharesSurface(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			conn := db.Conn()
-			res, err := conn.Query("SELECT COUNT(*) FROM padded WHERE grp < 4")
+			res, err := conn.ExecContext(t.Context(), "SELECT COUNT(*) FROM padded WHERE grp < 4")
 			if err != nil {
 				t.Error(err)
 				return
@@ -92,7 +92,7 @@ func TestScanSharesSurface(t *testing.T) {
 	off := mustOpen(t, Options{DisableSharedScans: true})
 	defer off.Close()
 	loadPadded(t, off, 200)
-	if _, err := off.Query("SELECT COUNT(*) FROM padded"); err != nil {
+	if _, err := off.ExecContext(t.Context(), "SELECT COUNT(*) FROM padded"); err != nil {
 		t.Fatal(err)
 	}
 	if st := off.ScanShares(); st != (ScanShareStats{}) {

@@ -16,15 +16,16 @@
 //	db, err := stagedb.Open(stagedb.Options{})
 //	if err != nil { ... }
 //	defer db.Close()
-//	db.Exec(`CREATE TABLE t (id INT PRIMARY KEY, name TEXT)`)
-//	db.Exec(`INSERT INTO t VALUES (1, 'ann')`)
+//	db.ExecContext(ctx, `CREATE TABLE t (id INT PRIMARY KEY, name TEXT)`)
+//	db.ExecContext(ctx, `INSERT INTO t VALUES (1, 'ann')`)
 //	rows, err := db.QueryContext(ctx, `SELECT name FROM t WHERE id = ?`, 1)
 //
-// SELECT results stream: QueryContext returns a Rows cursor fed
-// page-at-a-time from the execute stage, Prepare caches parsed+planned
-// statements that re-enter the pipeline at the execute stage, and context
-// cancellation abandons a request between stages. The materializing Exec and
-// Query wrappers remain for small results.
+// Every call that runs SQL takes a context, which travels with the request
+// through every stage: canceling it abandons the request between stages and
+// stops an execution in flight between pages. SELECT results stream:
+// QueryContext returns a Rows cursor fed page-at-a-time from the execute
+// stage, while ExecContext materializes them. Prepare caches parsed+planned
+// statements that re-enter the pipeline at the execute stage.
 //
 // The simulators and experiment harnesses behind the paper's figures live
 // under internal/ and are driven by cmd/figures and the benchmarks in
@@ -300,20 +301,9 @@ func (db *DB) Durable() bool { return db.kernel.Durable() }
 // record counts, truncated torn-tail bytes, and swept spill files.
 func (db *DB) WALStats() map[string]int64 { return db.kernel.WALCounters() }
 
-// Exec runs a statement on the default connection.
-func (db *DB) Exec(sqlText string, args ...any) (*Result, error) {
-	return db.defConn.Exec(sqlText, args...)
-}
-
 // ExecContext runs a statement on the default connection with cancellation.
 func (db *DB) ExecContext(ctx context.Context, sqlText string, args ...any) (*Result, error) {
 	return db.defConn.ExecContext(ctx, sqlText, args...)
-}
-
-// Query runs a SELECT on the default connection and materializes the result.
-// Non-SELECT statements are rejected; use Exec for those.
-func (db *DB) Query(sqlText string, args ...any) (*Result, error) {
-	return db.defConn.Query(sqlText, args...)
 }
 
 // QueryContext runs a SELECT on the default connection, streaming the result
@@ -322,8 +312,11 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, args ...any) (*R
 	return db.defConn.QueryContext(ctx, sqlText, args...)
 }
 
-// ExecScript runs a semicolon-separated script, stopping at the first error.
-func (db *DB) ExecScript(script string) error { return db.defConn.ExecScript(script) }
+// ExecScript runs a semicolon-separated script on the default connection,
+// stopping at the first error.
+func (db *DB) ExecScript(ctx context.Context, script string) error {
+	return db.defConn.ExecScript(ctx, script)
+}
 
 // Analyze refreshes optimizer statistics for a table. Run it after bulk
 // loads so the planner sees realistic cardinalities.
@@ -491,18 +484,12 @@ func (c *Conn) submitWait(req *engine.Request) error {
 	return nil
 }
 
-// Exec runs one statement on this connection. BEGIN/COMMIT/ROLLBACK manage
-// an explicit transaction; other statements auto-commit outside one. `?`
-// placeholders bind the trailing arguments. SELECT results are materialized
-// through the streaming path; use QueryContext to stream them instead.
-func (c *Conn) Exec(sqlText string, args ...any) (*Result, error) {
-	//stagedbvet:ignore ctxflow Exec is the documented context-free convenience wrapper over ExecContext.
-	return c.ExecContext(context.Background(), sqlText, args...)
-}
-
-// ExecContext is Exec with cancellation: a canceled context fails the
-// request between pipeline stages, and an execution in flight stops between
-// pages.
+// ExecContext runs one statement on this connection. BEGIN/COMMIT/ROLLBACK
+// manage an explicit transaction; other statements auto-commit outside one.
+// `?` placeholders bind the trailing arguments. SELECT results are
+// materialized through the streaming path; use QueryContext to stream them
+// instead. A canceled ctx fails the request between pipeline stages, and an
+// execution in flight stops between pages.
 func (c *Conn) ExecContext(ctx context.Context, sqlText string, args ...any) (*Result, error) {
 	req, err := c.request(ctx, sqlText, args, false)
 	if err != nil {
@@ -514,17 +501,6 @@ func (c *Conn) ExecContext(ctx context.Context, sqlText string, args ...any) (*R
 	}
 	res := req.Result
 	return &Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
-}
-
-// Query runs a SELECT and materializes the result. Unlike Exec it rejects
-// non-SELECT statements instead of silently executing DML.
-func (c *Conn) Query(sqlText string, args ...any) (*Result, error) {
-	//stagedbvet:ignore ctxflow Query is the documented context-free convenience wrapper over QueryContext.
-	rows, err := c.QueryContext(context.Background(), sqlText, args...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.materialize()
 }
 
 // QueryContext runs a SELECT, streaming the result as a Rows cursor fed
@@ -559,9 +535,11 @@ func bindArgs(args []any) ([]Value, error) {
 // ExecTxn submits a whole transaction script as one unit of work. On the
 // worker-pool engine this keeps a single worker responsible for the whole
 // transaction, avoiding the pool-wide stall where every worker waits on a
-// lock whose holder's COMMIT is queued (§3.1.1).
-func (c *Conn) ExecTxn(stmts []string) (*Result, error) {
-	req := &engine.Request{Session: c.sess, Script: stmts, Done: make(chan struct{})}
+// lock whose holder's COMMIT is queued (§3.1.1). ctx reaches every
+// statement: a canceled or expired ctx fails the statement it interrupts,
+// a lock wait included, and rolls the transaction back.
+func (c *Conn) ExecTxn(ctx context.Context, stmts []string) (*Result, error) {
+	req := &engine.Request{Session: c.sess, Script: stmts, Ctx: ctx, Done: make(chan struct{})}
 	if err := c.submitWait(req); err != nil {
 		return nil, err
 	}
@@ -569,11 +547,10 @@ func (c *Conn) ExecTxn(stmts []string) (*Result, error) {
 	return &Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
 }
 
-// ExecScript runs each ;-separated statement in order.
-func (c *Conn) ExecScript(script string) error {
-	stmts := splitScript(script)
-	for _, stmt := range stmts {
-		if _, err := c.Exec(stmt); err != nil {
+// ExecScript runs each ;-separated statement in order, each under ctx.
+func (c *Conn) ExecScript(ctx context.Context, script string) error {
+	for _, stmt := range splitScript(script) {
+		if _, err := c.ExecContext(ctx, stmt); err != nil {
 			return fmt.Errorf("stagedb: %q: %w", abbreviate(stmt), err)
 		}
 	}

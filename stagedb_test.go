@@ -9,13 +9,13 @@ import (
 func TestOpenStagedQuickstart(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(t.Context(), `
 		CREATE TABLE t (id INT PRIMARY KEY, name TEXT);
 		INSERT INTO t VALUES (1, 'ann'), (2, 'bob');
 	`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT name FROM t WHERE id = 2")
+	res, err := db.ExecContext(t.Context(), "SELECT name FROM t WHERE id = 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +30,13 @@ func TestOpenStagedQuickstart(t *testing.T) {
 func TestOpenThreadedSameResults(t *testing.T) {
 	for _, mode := range []Mode{Staged, Threaded} {
 		db := mustOpen(t, Options{Mode: mode, Workers: 3})
-		if err := db.ExecScript(`
+		if err := db.ExecScript(t.Context(), `
 			CREATE TABLE n (v INT);
 			INSERT INTO n VALUES (3), (1), (2);
 		`); err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query("SELECT v FROM n ORDER BY v DESC")
+		res, err := db.ExecContext(t.Context(), "SELECT v FROM n ORDER BY v DESC")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,16 +64,16 @@ func TestOpenThreadedSameResults(t *testing.T) {
 func TestConnTransactions(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript("CREATE TABLE acct (id INT, bal INT); INSERT INTO acct VALUES (1, 100)"); err != nil {
+	if err := db.ExecScript(t.Context(), "CREATE TABLE acct (id INT, bal INT); INSERT INTO acct VALUES (1, 100)"); err != nil {
 		t.Fatal(err)
 	}
 	c := db.Conn()
 	for _, q := range []string{"BEGIN", "UPDATE acct SET bal = 0", "ROLLBACK"} {
-		if _, err := c.Exec(q); err != nil {
+		if _, err := c.ExecContext(t.Context(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Query("SELECT bal FROM acct")
+	res, err := db.ExecContext(t.Context(), "SELECT bal FROM acct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestConnTransactions(t *testing.T) {
 func TestConcurrentConns(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript("CREATE TABLE c (id INT PRIMARY KEY)"); err != nil {
+	if err := db.ExecScript(t.Context(), "CREATE TABLE c (id INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -96,9 +96,9 @@ func TestConcurrentConns(t *testing.T) {
 			defer wg.Done()
 			conn := db.Conn()
 			for i := 0; i < 8; i++ {
-				if _, err := conn.Exec(
+				if _, err := conn.ExecContext(t.Context(),
 					// Distinct ids per goroutine.
-					"INSERT INTO c VALUES (" + itoa(g*100+i) + ")"); err != nil {
+					"INSERT INTO c VALUES ("+itoa(g*100+i)+")"); err != nil {
 					errs <- err
 					return
 				}
@@ -110,7 +110,7 @@ func TestConcurrentConns(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT COUNT(*) FROM c")
+	res, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func itoa(v int) string {
 func TestExplain(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript("CREATE TABLE e (id INT PRIMARY KEY, v INT)"); err != nil {
+	if err := db.ExecScript(t.Context(), "CREATE TABLE e (id INT PRIMARY KEY, v INT)"); err != nil {
 		t.Fatal(err)
 	}
 	out, err := db.Explain("SELECT v FROM e WHERE id = 3")
@@ -161,7 +161,7 @@ func TestExplain(t *testing.T) {
 func TestExecScriptErrorsNameStatement(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	err := db.ExecScript("CREATE TABLE s (id INT); INSERT INTO nope VALUES (1)")
+	err := db.ExecScript(t.Context(), "CREATE TABLE s (id INT); INSERT INTO nope VALUES (1)")
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("script error should name the failing statement: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestSplitScriptCommentsAndQuotes(t *testing.T) {
 func TestExecScriptWithCommentsAndEscapes(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
-	if err := db.ExecScript(`
+	if err := db.ExecScript(t.Context(), `
 		-- schema; one table
 		CREATE TABLE notes (id INT, body TEXT);
 		INSERT INTO notes VALUES (1, 'it''s a; note'); -- trailing comment
@@ -218,7 +218,7 @@ func TestExecScriptWithCommentsAndEscapes(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT body FROM notes WHERE id = 1")
+	res, err := db.ExecContext(t.Context(), "SELECT body FROM notes WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +238,13 @@ func TestExecSchedulerOptions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := mustOpen(t, tc.opts)
 			defer db.Close()
-			if err := db.ExecScript(`
+			if err := db.ExecScript(t.Context(), `
 				CREATE TABLE t (id INT PRIMARY KEY, grp INT);
 				INSERT INTO t VALUES (1, 1), (2, 1), (3, 2), (4, 2), (5, 3);
 			`); err != nil {
 				t.Fatal(err)
 			}
-			res, err := db.Query("SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp")
+			res, err := db.ExecContext(t.Context(), "SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp")
 			if err != nil {
 				t.Fatal(err)
 			}

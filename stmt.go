@@ -30,15 +30,18 @@ type Stmt struct {
 }
 
 // Prepare parses and plans sqlText on the default connection.
-func (db *DB) Prepare(sqlText string) (*Stmt, error) { return db.defConn.Prepare(sqlText) }
+func (db *DB) Prepare(ctx context.Context, sqlText string) (*Stmt, error) {
+	return db.defConn.Prepare(ctx, sqlText)
+}
 
 // Prepare parses and plans sqlText, caching the result keyed by the
 // statement text. On the staged engine a cache miss routes through the
-// parse and optimize stages; hits skip both.
-func (c *Conn) Prepare(sqlText string) (*Stmt, error) {
-	p, err := c.db.front.Prepare(c.sess, sqlText)
+// parse and optimize stages; hits skip both. A canceled ctx fails a miss
+// with the context's error and caches nothing.
+func (c *Conn) Prepare(ctx context.Context, sqlText string) (*Stmt, error) {
+	p, err := c.db.front.Prepare(ctx, c.sess, sqlText)
 	if err != nil {
-		return nil, err
+		return nil, normalizeErr(err)
 	}
 	_, isSelect := p.Stmt.(*sql.Select)
 	return &Stmt{conn: c, sqlText: sqlText, numParams: p.NumParams, isSelect: isSelect}, nil
@@ -52,7 +55,7 @@ func (s *Stmt) NumParams() int { return s.numParams }
 // stage: no re-parse, no re-plan.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 	if !s.isSelect {
-		return nil, fmt.Errorf("stagedb: Query requires a SELECT statement; use Exec")
+		return nil, fmt.Errorf("stagedb: QueryContext requires a SELECT statement; use ExecContext")
 	}
 	req, err := s.request(ctx, args, true)
 	if err != nil {
@@ -62,16 +65,6 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	return &Rows{cur: req.Cursor}, nil
-}
-
-// Query is QueryContext with a background context, materialized.
-func (s *Stmt) Query(args ...any) (*Result, error) {
-	//stagedbvet:ignore ctxflow Stmt.Query is the documented context-free convenience wrapper over QueryContext.
-	rows, err := s.QueryContext(context.Background(), args...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.materialize()
 }
 
 // ExecContext executes the prepared statement with args bound. SELECT
@@ -92,12 +85,6 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	return &Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
 }
 
-// Exec is ExecContext with a background context.
-func (s *Stmt) Exec(args ...any) (*Result, error) {
-	//stagedbvet:ignore ctxflow Stmt.Exec is the documented context-free convenience wrapper over ExecContext.
-	return s.ExecContext(context.Background(), args...)
-}
-
 // Close releases the statement handle. The cached plan stays in the
 // engine's plan cache for other holders of the same SQL text.
 func (s *Stmt) Close() error {
@@ -112,9 +99,9 @@ func (s *Stmt) request(ctx context.Context, args []any, stream bool) (*engine.Re
 	if s.closed {
 		return nil, fmt.Errorf("stagedb: statement is closed")
 	}
-	p, err := s.conn.db.front.Prepare(s.conn.sess, s.sqlText)
+	p, err := s.conn.db.front.Prepare(ctx, s.conn.sess, s.sqlText)
 	if err != nil {
-		return nil, err
+		return nil, normalizeErr(err)
 	}
 	vals, err := bindArgs(args)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestPagePoolBalancesAfterQueries(t *testing.T) {
 					defer wg.Done()
 					conn := db.Conn()
 					for _, q := range queries {
-						if _, err := conn.Query(q); err != nil {
+						if _, err := conn.ExecContext(t.Context(), q); err != nil {
 							t.Error(err)
 						}
 					}
@@ -60,7 +60,7 @@ func TestStagesExposePagePoolCounters(t *testing.T) {
 	db := mustOpen(t, Options{})
 	defer db.Close()
 	loadPadded(t, db, 200)
-	if _, err := db.Query("SELECT grp, COUNT(*) FROM padded GROUP BY grp"); err != nil {
+	if _, err := db.ExecContext(t.Context(), "SELECT grp, COUNT(*) FROM padded GROUP BY grp"); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range db.Stages() {

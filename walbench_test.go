@@ -39,7 +39,7 @@ func BenchmarkWALCommit(b *testing.B) {
 				}
 				defer db.Close()
 				for w := 0; w < writers; w++ {
-					if _, err := db.Exec(fmt.Sprintf("CREATE TABLE t%d (id INT PRIMARY KEY, v INT)", w)); err != nil {
+					if _, err := db.ExecContext(b.Context(), fmt.Sprintf("CREATE TABLE t%d (id INT PRIMARY KEY, v INT)", w)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -58,7 +58,7 @@ func BenchmarkWALCommit(b *testing.B) {
 							if i > int64(b.N) {
 								return
 							}
-							if _, err := conn.Exec("INSERT INTO "+table+" VALUES (?, ?)", i, i); err != nil {
+							if _, err := conn.ExecContext(b.Context(), "INSERT INTO "+table+" VALUES (?, ?)", i, i); err != nil {
 								failed.Store(err)
 								return
 							}
