@@ -33,10 +33,14 @@ type Request struct {
 	// executions in flight abort between pages, draining outstanding pages to
 	// the pool.
 	Ctx context.Context
-	// Args bind the statement's `?` placeholders, substituted after parse.
+	// Args bind the statement's `?` placeholders, substituted after parse
+	// on the full itinerary. The stagedb package binds a statement with
+	// arguments through the plan cache (Prepared.Bind) and submits it
+	// pre-parsed instead; it sends Args only for a text whose generic plan
+	// cannot be built.
 	Args []value.Value
-	// QueryOnly rejects non-SELECT statements with an error (QueryContext
-	// must not silently execute DML).
+	// QueryOnly rejects non-SELECT statements with an error at execute
+	// (QueryContext must not silently execute DML).
 	QueryOnly bool
 	// Stream delivers SELECT results as a Cursor instead of materializing
 	// them into Result.
@@ -48,7 +52,8 @@ type Request struct {
 	// otherwise.
 	Stmt sql.Statement
 	// Node, when set on submit, is the pre-bound (prepared, parameter-
-	// substituted) SELECT plan; the optimize stage fills it in otherwise.
+	// substituted) SELECT plan; the optimize stage fills it in otherwise. A
+	// pre-parsed SELECT without one is planned at execute.
 	Node plan.Node
 	// PrepareOnly parses and plans without executing: the packet routes
 	// connect -> parse -> optimize -> disconnect, leaving Stmt and Node for
@@ -63,8 +68,8 @@ type Request struct {
 	Done   chan struct{}
 }
 
-// prepareStmt parses SQL (unless pre-parsed), substitutes placeholder
-// arguments, and enforces QueryOnly: the parse stage's work.
+// prepareStmt parses SQL (unless pre-parsed) and substitutes placeholder
+// arguments: the parse stage's work.
 func (r *Request) prepareStmt() error {
 	nparams := -1 // unknown until counted
 	if r.Stmt == nil {
@@ -91,11 +96,6 @@ func (r *Request) prepareStmt() error {
 			r.Stmt = stmt
 		}
 	}
-	if r.QueryOnly {
-		if _, ok := r.Stmt.(*sql.Select); !ok {
-			return fmt.Errorf("engine: QueryContext requires a SELECT statement, got %s; use ExecContext", r.Stmt)
-		}
-	}
 	return nil
 }
 
@@ -118,8 +118,14 @@ func (r *Request) runScript() {
 
 // dispatch executes the prepared statement on the request's session: a
 // streaming SELECT hands back a Cursor, everything else runs to a Result.
+// It enforces QueryOnly, which both itineraries reach here.
 func (r *Request) dispatch() {
-	if sel, ok := r.Stmt.(*sql.Select); ok && r.Stream {
+	sel, ok := r.Stmt.(*sql.Select)
+	if !ok && r.QueryOnly {
+		r.Err = fmt.Errorf("engine: QueryContext requires a SELECT statement, got %s; use ExecContext", r.Stmt)
+		return
+	}
+	if ok && r.Stream {
 		r.Cursor, r.Err = r.Session.StreamStmt(r.Ctx, sel, r.Node)
 		return
 	}
@@ -366,7 +372,8 @@ func (s *Staged) Prepare(ctx context.Context, sess *Session, sqlText string) (*P
 		return nil, err
 	}
 	p := &Prepared{SQL: sqlText, Stmt: req.Stmt, Node: req.Node,
-		NumParams: sql.CountParams(req.Stmt), version: ver}
+		NumParams: sql.CountParams(req.Stmt), version: ver,
+		probe: genericServes(req.Stmt, req.Node)}
 	s.db.plans.put(p)
 	return p, nil
 }
@@ -462,8 +469,10 @@ func (s *Staged) optimize(req *Request) error {
 // stage, with page-based dataflow (§4.1.2). Streaming SELECTs launch their
 // pipeline and hand the client a cursor over the final exchange without
 // occupying the stage worker; the cursor's Close (or a context cancel)
-// abandons the pipeline and recycles its pages. The statement's own error
-// travels on the request to disconnect.
+// abandons the pipeline and recycles its pages. A point probe
+// (plan.PointProbe) is the exception: runStaged hands it to the Volcano
+// driver, so it launches no pipeline. The statement's own error travels on
+// the request to disconnect.
 func (s *Staged) execute(req *Request) error {
 	// Fairness valve for single-P runtimes: the stage-to-stage handoff chain
 	// wakes exactly one goroutine before every park, so the scheduler's
@@ -488,8 +497,16 @@ func (s *Staged) execute(req *Request) error {
 }
 
 // runStaged is the staged engine's StreamFunc: it launches the plan on the
-// execution-stage pools and returns the cursor over its final exchange.
+// execution-stage pools and returns the cursor over its final exchange. A
+// point probe reads at most one row; §4.1 matches a stage's granularity to
+// its work, and an operator pipeline — a task on iscan, an exchange, a
+// wakeup — costs several times the lookup itself. It runs on the Volcano
+// driver instead, opened by the execute worker and pulled by the client,
+// as the threaded baseline runs every plan.
 func (s *Staged) runStaged(ctx context.Context, node plan.Node, vis exec.VisibleFunc) (exec.Cursor, error) {
+	if plan.PointProbe(node) {
+		return s.db.runVolcano(ctx, node, vis)
+	}
 	return exec.RunStagedCursor(node, s.db, s.pool, exec.StagedOptions{
 		PageRows:    s.db.cfg.PageRows,
 		BufferPages: s.db.cfg.BufferPages,

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 
 	"stagedb/internal/catalog"
 	"stagedb/internal/sql"
@@ -671,23 +672,23 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 	eb := exprBinder{schema: in}
 
 	var groupExprs []Expr
-	var groupReprs []string
+	var groupKeys []string
 	for _, g := range sel.GroupBy {
 		e, err := eb.bind(g)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		groupExprs = append(groupExprs, fold(e))
-		groupReprs = append(groupReprs, g.String())
+		groupKeys = append(groupKeys, exprKey(g))
 	}
 
 	// Collect distinct aggregate calls from SELECT items and HAVING.
 	var aggs []AggSpec
-	var aggReprs []string
+	var aggReprs, aggKeys []string
 	addAgg := func(c *sql.Call) (int, error) {
-		repr := c.String()
-		for i, r := range aggReprs {
-			if r == repr {
+		key := exprKey(c)
+		for i, k := range aggKeys {
+			if k == key {
 				return i, nil
 			}
 		}
@@ -721,7 +722,8 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 			spec.Arg = fold(arg)
 		}
 		aggs = append(aggs, spec)
-		aggReprs = append(aggReprs, repr)
+		aggReprs = append(aggReprs, c.String())
+		aggKeys = append(aggKeys, key)
 		return len(aggs) - 1, nil
 	}
 
@@ -780,26 +782,28 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 	rewrite = func(e sql.Expr) (Expr, error) {
 		// A whole expression equal to a GROUP BY expression maps to its
 		// output column.
-		repr := e.String()
-		for i, gr := range groupReprs {
-			if repr == gr {
+		key := exprKey(e)
+		for i, gk := range groupKeys {
+			if key == gk {
 				return &Column{Idx: i, Name: out[i].Name, Typ: out[i].Type}, nil
 			}
 		}
 		switch x := e.(type) {
 		case *sql.Call:
 			if sql.IsAggregate(x.Name) {
-				for i, ar := range aggReprs {
-					if ar == repr {
+				for i, ak := range aggKeys {
+					if ak == key {
 						idx := len(groupExprs) + i
 						return &Column{Idx: idx, Name: out[idx].Name, Typ: out[idx].Type}, nil
 					}
 				}
-				return nil, fmt.Errorf("plan: aggregate %s not collected", repr)
+				return nil, fmt.Errorf("plan: aggregate %s not collected", e)
 			}
 			return nil, fmt.Errorf("plan: unknown function %s", x.Name)
 		case *sql.Literal:
 			return &Const{Val: x.Val}, nil
+		case *sql.Placeholder:
+			return &Param{Idx: x.Idx}, nil
 		case *sql.ColumnRef:
 			// Allow referring to a group column by bare name.
 			for i := range groupExprs {
@@ -846,6 +850,22 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 		}
 	}
 	return node, out, rewrite, nil
+}
+
+// exprKey identifies an expression when a post-aggregation expression is
+// matched to a GROUP BY expression or an aggregate call: its text plus the
+// ordinals of its `?` placeholders, which all print as "?". Without them a
+// prepared `SUM(v * ?)` and `SUM(v * ?)` over different arguments would
+// share one aggregate.
+func exprKey(e sql.Expr) string {
+	key := e.String()
+	sql.Walk(e, func(x sql.Expr) bool {
+		if ph, ok := x.(*sql.Placeholder); ok {
+			key += "$" + strconv.Itoa(ph.Idx)
+		}
+		return true
+	})
+	return key
 }
 
 // --- expression binding helpers ---

@@ -90,6 +90,56 @@ func (n *IndexScan) Bounds() (lo, hi value.Value, err error) {
 	return lo, hi, err
 }
 
+// PointProbe reports whether n is a point read: an IndexScan over one
+// non-NULL key of a unique index, under nothing but Project, Filter and
+// Limit — no join, aggregate, sort or sequential scan. Such a plan reads at
+// most one row, so its shape and estimate cannot depend on the key's value:
+// a generic plan serves every execution, and the work is too small to be
+// worth an operator pipeline (§4.1's stage granularity). An unbound `col =
+// ?` counts (one Param on both sides of the range); `BETWEEN ? AND ?` counts
+// only once its two bounds are bound to equal values. Bounds are compared by
+// value, not identity: Substitute turns each side into its own Const.
+func PointProbe(n Node) bool {
+	for {
+		switch x := n.(type) {
+		case *Project:
+			n = x.Child
+		case *Filter:
+			n = x.Child
+		case *Limit:
+			n = x.Child
+		case *IndexScan:
+			return x.Index.Unique && x.pointKey()
+		default:
+			return false
+		}
+	}
+}
+
+// pointKey reports whether the scan's range is a single key.
+func (n *IndexScan) pointKey() bool {
+	lo, lok := boundValue(n.Lo, n.LoExpr)
+	hi, hok := boundValue(n.Hi, n.HiExpr)
+	if lok && hok {
+		return value.Equal(lo, hi)
+	}
+	lp, lok := n.LoExpr.(*Param)
+	hp, hok := n.HiExpr.(*Param)
+	return lok && hok && lp.Idx == hp.Idx
+}
+
+// boundValue resolves a range bound that is already a value: the literal
+// bound, or a Const expression overriding it.
+func boundValue(v value.Value, e Expr) (value.Value, bool) {
+	switch x := e.(type) {
+	case nil:
+		return v, true
+	case *Const:
+		return x.Val, true
+	}
+	return value.Value{}, false
+}
+
 // Schema implements Node.
 func (n *IndexScan) Schema() Schema { return n.out }
 

@@ -233,7 +233,10 @@ func (s *session) runQuery(q wire.Query) {
 	// A SELECT through ExecContext arrives materialized; re-page it at the
 	// engine's page granularity so the wire sees the same frame shape. The
 	// frames only accumulate here: a small result leaves with its Done in
-	// one write, a large one in outBufMax pieces.
+	// one write, a large one in outBufMax pieces. A Cancel that lands while
+	// the pieces go out ends the response at the next page: the poke only
+	// reaches a write parked at the moment it arrives, so a write that had
+	// already completed would otherwise leave every later one to run.
 	if len(res.Columns) > 0 {
 		if err := s.putColumns(res.Columns); err != nil {
 			s.failWrite()
@@ -241,6 +244,10 @@ func (s *session) runQuery(q wire.Query) {
 		}
 		const pageRows = 64
 		for off := 0; off < len(res.Rows); off += pageRows {
+			if s.canceled() {
+				s.writeDoneErr(s.canceledDone())
+				return
+			}
 			end := min(off+pageRows, len(res.Rows))
 			if err := s.putPage(res.Rows[off:end]); err != nil {
 				s.failWrite()
@@ -328,11 +335,7 @@ func (s *session) failWrite() {
 	if s.canceled() {
 		// Interrupted by cancellation (or deadline), not a dead client:
 		// answer the terminal Done, which no poke can reach any more.
-		code := codeFor(s.qctx.Err())
-		msg := stagedb.ErrCanceled.Error()
-		if code == wire.ErrCodeTimeout {
-			msg = stagedb.ErrTimeout.Error()
-		}
+		code, msg := s.canceledDone()
 		if s.sendDone(wire.Done{Code: code, Msg: msg}) == nil {
 			return
 		}
@@ -340,6 +343,15 @@ func (s *session) failWrite() {
 		s.srv.adm.counters.Inc("slow_client_aborts")
 	}
 	s.cancel()
+}
+
+// canceledDone is the terminal Done of a query whose context ended:
+// canceled, or timed out.
+func (s *session) canceledDone() (wire.ErrCode, string) {
+	if code := codeFor(s.qctx.Err()); code == wire.ErrCodeTimeout {
+		return code, stagedb.ErrTimeout.Error()
+	}
+	return wire.ErrCodeCanceled, stagedb.ErrCanceled.Error()
 }
 
 // beginFrame starts a frame of type typ in the output buffer and returns

@@ -24,14 +24,16 @@ import (
 )
 
 // recConn records every Write made through it — sizes and bytes — and can be
-// told to fail the next one.
+// told to fail the next one, or to run a hook once the next one has been
+// fully written.
 type recConn struct {
 	net.Conn
 
-	mu       sync.Mutex
-	sizes    []int
-	data     []byte
-	failNext error
+	mu         sync.Mutex
+	sizes      []int
+	data       []byte
+	failNext   error
+	afterWrite func()
 }
 
 func (c *recConn) Write(p []byte) (int, error) {
@@ -43,8 +45,16 @@ func (c *recConn) Write(p []byte) (int, error) {
 	}
 	c.sizes = append(c.sizes, len(p))
 	c.data = append(c.data, p...)
+	// The hook belongs to a write that begins after it was set: a write in
+	// flight when it is set (its bytes possibly already read) runs none.
+	hook := c.afterWrite
+	c.afterWrite = nil
 	c.mu.Unlock()
-	return c.Conn.Write(p)
+	n, err := c.Conn.Write(p)
+	if hook != nil {
+		hook()
+	}
+	return n, err
 }
 
 // take returns what was written since the last take.
@@ -310,6 +320,54 @@ func TestCancelMidFlushKeepsSession(t *testing.T) {
 	}
 	if !bytes.Equal(types, []byte{wire.MsgColumns, wire.MsgPage, wire.MsgDone}) {
 		t.Fatalf("next query answered with frames %#x", types)
+	}
+	assertNoLeaks(t, db)
+}
+
+// TestCancelAfterCompletedWriteStopsResponse delivers the Cancel at the one
+// moment no poke can reach: a write of a large materialized response has
+// just completed and the next has not begun. The response must still end at
+// the next page with Done(canceled) rather than run to Done(ok), and the
+// session serves the next query.
+func TestCancelAfterCompletedWriteStopsResponse(t *testing.T) {
+	srv, db := startServer(t, stagedb.Options{}, Options{})
+	c, _, serverEnd := pipeClient(t, srv)
+	mustExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY, pad TEXT)")
+	fillPadded(t, c, "t", 2000, 256)
+
+	var sess *session
+	srv.mu.Lock()
+	for s := range srv.sessions {
+		if s.conn == serverEnd {
+			sess = s
+		}
+	}
+	srv.mu.Unlock()
+	if sess == nil {
+		t.Fatal("no session on the pipe")
+	}
+	// The hook runs on the session's worker, between two writes of the
+	// response — after the first has returned, before the second begins —
+	// as the reader's Cancel handling would.
+	serverEnd.mu.Lock()
+	serverEnd.afterWrite = sess.cancelInflight
+	serverEnd.mu.Unlock()
+
+	_, err := c.ExecContext(context.Background(), "SELECT id, pad FROM t ORDER BY id")
+	if !errors.Is(err, stagedb.ErrCanceled) {
+		t.Fatalf("ExecContext after a Cancel between writes: err = %v, want ErrCanceled", err)
+	}
+	sizes, _ := serverEnd.take()
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	if total >= 2000*256 {
+		t.Fatalf("%d bytes in %d writes: the whole response went out after the Cancel", total, len(sizes))
+	}
+	res := mustExec(t, c, "SELECT COUNT(*) FROM t")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2000 {
+		t.Fatalf("next query: %v", res.Rows)
 	}
 	assertNoLeaks(t, db)
 }

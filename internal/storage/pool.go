@@ -11,9 +11,14 @@ import (
 // I/O time per access. Reads take only the shared lock, so concurrent scans
 // do not serialize on the simulated disk; writes and allocation exclude all
 // readers.
+//
+// A page's bytes exist in the store only from its first write-back, as the
+// PageStore contract allows: Allocate reserves an id and nothing more. A
+// table that never leaves the buffer pool therefore lives in memory once,
+// in its frames, not also here.
 type Store struct {
 	mu     sync.RWMutex
-	pages  map[PageID][]byte
+	pages  map[PageID][]byte // written pages; reserved ids absent until then
 	nextID PageID
 	reads  atomic.Uint64
 	writes atomic.Uint64
@@ -24,37 +29,46 @@ func NewStore() *Store {
 	return &Store{pages: make(map[PageID][]byte), nextID: 1}
 }
 
-// Allocate reserves a new page id with zeroed content.
+// Allocate reserves a new page id; its content reads as zeros until the
+// first WritePage.
 func (s *Store) Allocate() PageID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.nextID
 	s.nextID++
-	s.pages[id] = make([]byte, PageSize)
 	return id
 }
 
-// ReadPage copies the page contents into dst. Concurrent reads proceed in
-// parallel (shared lock).
+// ReadPage copies the page contents into dst; a page reserved but never
+// written reads as zeros. Concurrent reads proceed in parallel (shared
+// lock).
 func (s *Store) ReadPage(id PageID, dst []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	src, ok := s.pages[id]
-	if !ok {
+	if id == InvalidPage || id >= s.nextID {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
-	copy(dst, src)
+	if src, ok := s.pages[id]; ok {
+		copy(dst, src)
+	} else {
+		clear(dst)
+	}
 	s.reads.Add(1)
 	return nil
 }
 
-// WritePage persists the page contents.
+// WritePage persists the page contents, making the page's buffer on its
+// first write.
 func (s *Store) WritePage(id PageID, src []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if id == InvalidPage || id >= s.nextID {
+		return fmt.Errorf("storage: write of unallocated page %d", id)
+	}
 	dst, ok := s.pages[id]
 	if !ok {
-		return fmt.Errorf("storage: write of unallocated page %d", id)
+		dst = make([]byte, PageSize)
+		s.pages[id] = dst
 	}
 	copy(dst, src)
 	s.writes.Add(1)

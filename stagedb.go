@@ -446,20 +446,37 @@ func (db *DB) SpillStats() SpillStats { return db.kernel.SpillStats() }
 
 // request builds, submits, and waits on one statement request. Every SELECT
 // streams (Stream is always set); callers either hand the cursor out as
-// Rows or materialize it, so there is exactly one delivery path.
+// Rows or materialize it, so there is exactly one delivery path. A text
+// with arguments takes the prepared itinerary: its plan-cache entry (one
+// prepare-only trip through parse and optimize for a new text) is bound to
+// the arguments, reusing the generic plan only for a point probe, and the
+// request enters at execute. A literal text, or one whose generic plan
+// cannot be built, takes the full itinerary.
 func (c *Conn) request(ctx context.Context, sqlText string, args []any, queryOnly bool) (*engine.Request, error) {
-	vals, err := bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
 	req := &engine.Request{
 		Session:   c.sess,
 		SQL:       sqlText,
 		Ctx:       ctx,
-		Args:      vals,
 		QueryOnly: queryOnly,
 		Stream:    true,
 		Done:      make(chan struct{}),
+	}
+	if len(args) > 0 {
+		vals, err := bindArgs(args)
+		if err != nil {
+			return nil, err
+		}
+		if p, err := c.db.front.Prepare(ctx, c.sess, sqlText); err == nil {
+			if err := p.Bind(req, vals, false); err != nil {
+				return nil, err
+			}
+		} else {
+			// No generic plan: the text is wrong, or its shape depends on
+			// the values (`SELECT g + ? ... GROUP BY g + 1`). The full
+			// itinerary binds the values after parse and plans with them,
+			// as it would the literal text, and reports a genuine error.
+			req.Args = vals
+		}
 	}
 	if err := c.submitWait(req); err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"stagedb/internal/engine"
-	"stagedb/internal/plan"
 	"stagedb/internal/sql"
 )
 
@@ -15,8 +14,16 @@ import (
 // pipeline directly at the execute stage (the paper's §4.1 shorter
 // itinerary for precompiled requests). The parse and optimize stages see a
 // prepared statement exactly once, however many times it runs; the cache's
-// hit/miss/invalidation counters appear as the "prepare" pseudo-stage in
-// Stages and the CLI \stages view.
+// hit/miss/invalidation/eviction counters appear as the "prepare"
+// pseudo-stage in Stages and the CLI \stages view.
+//
+// A Stmt's SELECT always runs the generic plan, built before its arguments
+// were known. An ad-hoc ExecContext or QueryContext with arguments uses the
+// same cache but keeps the generic plan only for a point probe (an equality
+// on a unique index); its other SELECTs are planned at execute with the
+// argument values, so range estimates see the real bounds. Either way a
+// point probe runs on the pull (Volcano) driver inside the execute stage
+// rather than as an operator pipeline.
 //
 // DDL and Analyze invalidate cached plans; the next execution re-prepares
 // transparently. A Stmt belongs to its Conn and, like the Conn, is not safe
@@ -117,21 +124,8 @@ func (s *Stmt) request(ctx context.Context, args []any, stream bool) (*engine.Re
 		Stream:  stream,
 		Done:    make(chan struct{}),
 	}
-	if p.Node != nil {
-		// SELECT: bind arguments into a private copy of the cached plan; the
-		// shared AST rides along untouched for lock gathering.
-		node, err := plan.Substitute(p.Node, vals)
-		if err != nil {
-			return nil, err
-		}
-		req.Stmt, req.Node = p.Stmt, node
-	} else {
-		// DML: bind arguments into a private copy of the cached AST.
-		stmt, err := sql.BindParams(p.Stmt, vals)
-		if err != nil {
-			return nil, err
-		}
-		req.Stmt = stmt
+	if err := p.Bind(req, vals, true); err != nil {
+		return nil, err
 	}
 	return req, nil
 }
