@@ -3,7 +3,7 @@
 // resource and staging invariants (page references, spill-file lifecycles,
 // context threading, no blocking under stage locks, hot-path allocations)
 // and the durability/MVCC/locking invariants (WAL-before-data, version-header
-// stamps, lock ordering, atomic-access consistency).
+// stamps, lock ordering).
 //
 // Usage:
 //

@@ -13,9 +13,8 @@
 //     Close/Finish, be stored, forwarded, or returned on every path — the
 //     temp-file leak shapes the memory-bounded-execution PR fixed by hand.
 //   - ctxflow: the context-threaded packages (internal/exec,
-//     internal/engine, stagedb) must not mint context.Background or
-//     context.TODO outside tests, and a function that receives a ctx must
-//     not call the context-free variant of a callee that has one.
+//     internal/engine, internal/server, internal/txn, stagedb) must not mint
+//     context.Background or context.TODO outside tests.
 //   - stageblock: no blocking operation (channel send/receive, select
 //     without default, WaitGroup.Wait, time.Sleep) while a
 //     sync mutex is held — the deadlock class the stage scheduler's parking
@@ -84,7 +83,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{PageRefs, RowRetain, SpillFiles, FsFiles, SyncErr, CtxFlow, StageBlock, HotAlloc, WalBarrier, VerHdr, LockOrder, AtomicMix}
+	return []*Analyzer{PageRefs, RowRetain, SpillFiles, FsFiles, SyncErr, CtxFlow, StageBlock, HotAlloc, WalBarrier, VerHdr, LockOrder}
 }
 
 // ByName resolves a comma-separated analyzer selection against the suite.

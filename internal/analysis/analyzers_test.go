@@ -113,10 +113,6 @@ func TestLockOrderCycle(t *testing.T) {
 	analysistest.Run(t, analysis.LockOrder, "lockorder/storage")
 }
 
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicMix, "atomicmix/counters")
-}
-
 // TestSuppress covers the escape hatch end to end: justified suppressions
 // silence a real pagerefs violation on the same or next line, while
 // malformed ones (no reason, unknown analyzer) are themselves diagnostics

@@ -12,7 +12,10 @@ package analysis
 // ENTRY; clients that need exit states or per-node states re-run the node
 // transfers over a block, which is also how the reporting passes work: solve
 // silently to fixpoint first, then walk reachable blocks once with reporting
-// enabled so diagnostics come out deterministically and exactly once.
+// enabled (replay) so diagnostics come out deterministically, and through a
+// reporter so each comes out exactly once.
+
+import "go/token"
 
 // FlowFuncs supplies the lattice and transfer functions for a forward
 // dataflow over one CFG.
@@ -85,4 +88,41 @@ func ForwardFlow[S any](g *CFG, entry S, fns FlowFuncs[S]) map[*Block]S {
 		}
 	}
 	return in
+}
+
+// replay walks the reachable blocks once in reverse postorder from their
+// fixpoint entry states, applying fns.Node: the reporting pass.
+func replay[S any](g *CFG, in map[*Block]S, fns FlowFuncs[S]) {
+	for _, b := range g.RPO() {
+		s := fns.Clone(in[b])
+		for _, n := range b.Nodes {
+			s = fns.Node(n, s)
+		}
+	}
+}
+
+// reportKey identifies one diagnostic.
+type reportKey struct {
+	pos token.Pos
+	msg string
+}
+
+// reporter emits each (position, message) pair once: a solved flow can reach
+// one site along several paths (a leak seen around a back edge and at exit,
+// the clauses of one select), and that is one diagnostic.
+type reporter struct {
+	pass *Pass
+	seen map[reportKey]bool
+}
+
+func (r *reporter) reportOnce(pos token.Pos, msg string) {
+	k := reportKey{pos, msg}
+	if r.seen[k] {
+		return
+	}
+	if r.seen == nil {
+		r.seen = make(map[reportKey]bool)
+	}
+	r.seen[k] = true
+	r.pass.Report(pos, msg)
 }

@@ -9,8 +9,8 @@ package analysis
 //
 // and the class of bug behind PR 8's abort-path deadlock is exactly an
 // acquisition against that order while another thread acquires with it. The
-// analyzer runs a forward may-held dataflow per function (so branches and
-// loops are covered), reports
+// analyzer runs the shared may-held dataflow (lockset.go) per function, so
+// branches and loops are covered, and reports
 //
 //   - rank inversions: acquiring a lower-ranked class while a higher-ranked
 //     one is held,
@@ -20,8 +20,7 @@ package analysis
 //
 // and accumulates a static acquisition graph across the package; same-rank
 // edges that form a cycle (Pool.mu vs Store.mu taken in both orders, say)
-// are reported even though no rank is violated. Deferred unlocks do not
-// release — the lock is held to function exit, which is the point of defer.
+// are reported even though no rank is violated.
 
 import (
 	"go/ast"
@@ -81,183 +80,37 @@ type lockEdge struct {
 }
 
 type lockChecker struct {
-	pass  *Pass
+	reporter
 	edges map[lockEdge]token.Pos
-	// reporting mirrors resflow's two-phase scheme.
-	reporting bool
-	reported  map[reportKey]bool
 }
 
 func runLockOrder(pass *Pass) error {
-	c := &lockChecker{
-		pass:     pass,
-		edges:    make(map[lockEdge]token.Pos),
-		reported: make(map[reportKey]bool),
-	}
-	// Closures are analyzed as their own functions with an empty held set:
-	// they run on their own call path (goroutine, callback), not under the
-	// locks held at their creation site.
-	var checkAll func(body *ast.BlockStmt)
-	checkAll = func(body *ast.BlockStmt) {
-		c.checkBody(body)
-		ast.Inspect(body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				checkAll(fl.Body)
-				return false
-			}
-			return true
-		})
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkAll(fd.Body)
-				return false
-			}
-			if fl, ok := n.(*ast.FuncLit); ok {
-				checkAll(fl.Body)
-				return false
-			}
-			return true
-		})
-	}
+	c := &lockChecker{reporter: reporter{pass: pass}, edges: make(map[lockEdge]token.Pos)}
+	lf := &lockFlow{classify: c.classifyLockCall, acquire: c.acquire}
+	lf.run(pass.Files)
 	c.reportSameRankCycles()
 	return nil
 }
 
-// heldSet is the dataflow state: lock classes that may be held.
-type heldSet map[string]bool
-
-func cloneHeld(s heldSet) heldSet {
-	c := make(heldSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-func mergeHeld(dst, src heldSet) heldSet {
-	for k := range src {
-		dst[k] = true
-	}
-	return dst
-}
-
-func equalHeld(a, b heldSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// checkBody runs the may-held dataflow over one function body: fixpoint
-// first, then one deterministic reporting walk. Nested closures run with an
-// empty held set — they execute later, on their own goroutine or call path.
-func (c *lockChecker) checkBody(body *ast.BlockStmt) {
-	g := buildCFG(body)
-	fns := FlowFuncs[heldSet]{
-		Clone: cloneHeld,
-		Merge: mergeHeld,
-		Equal: equalHeld,
-		Node:  c.node,
-	}
-	saved := c.reporting
-	c.reporting = false
-	in := ForwardFlow(g, make(heldSet), fns)
-	c.reporting = true
-	for _, b := range g.RPO() {
-		s := cloneHeld(in[b])
-		for _, n := range b.Nodes {
-			s = c.node(n, s)
-		}
-	}
-	c.reporting = saved
-}
-
-// node applies one block node: every lock call in its subtree, in source
-// order, skipping nested closures (their own scope) and treating deferred
-// unlocks as held-to-exit.
-func (c *lockChecker) node(n any, s heldSet) heldSet {
-	node, ok := n.(ast.Node)
-	if !ok {
-		return s
-	}
-	if d, isDefer := n.(*ast.DeferStmt); isDefer {
-		// A deferred unlock holds the lock for the rest of the function; a
-		// deferred acquisition would be nonsense. Scan only the arguments.
-		for _, arg := range d.Call.Args {
-			s = c.scanLockCalls(arg, s)
-		}
-		return s
-	}
-	if rs, isRange := n.(*ast.RangeStmt); isRange {
-		// The header's RangeStmt node stands for the per-iteration key/value
-		// assignment only; X and the body have their own blocks.
-		if rs.Key != nil {
-			s = c.scanLockCalls(rs.Key, s)
-		}
-		if rs.Value != nil {
-			s = c.scanLockCalls(rs.Value, s)
-		}
-		return s
-	}
-	return c.scanLockCalls(node, s)
-}
-
-func (c *lockChecker) scanLockCalls(root ast.Node, s heldSet) heldSet {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if key, acquire, ok := c.classifyLockCall(call); ok {
-			if acquire {
-				c.acquire(key, call.Pos(), s)
-			} else {
-				delete(s, key)
-			}
-		}
-		return true
-	})
-	return s
-}
-
-// acquire updates the held set, records graph edges, and (in the reporting
-// pass) flags recursion and rank inversions.
+// acquire records graph edges and flags recursion and rank inversions.
 func (c *lockChecker) acquire(key string, pos token.Pos, s heldSet) {
 	cls := classByKey(key)
 	if s[key] {
-		if !cls.reentrant && c.reporting {
+		if !cls.reentrant {
 			c.reportOnce(pos, key+" acquired while already held on some path (self-deadlock)")
 		}
 		return
 	}
-	if c.reporting {
-		held := make([]string, 0, len(s))
-		for h := range s {
-			held = append(held, h)
+	for _, h := range s.sorted() {
+		e := lockEdge{from: h, to: key}
+		if _, seen := c.edges[e]; !seen {
+			c.edges[e] = pos
 		}
-		sort.Strings(held)
-		for _, h := range held {
-			e := lockEdge{from: h, to: key}
-			if _, seen := c.edges[e]; !seen {
-				c.edges[e] = pos
-			}
-			if cls.rank < classByKey(h).rank {
-				c.reportOnce(pos, key+" acquired while "+h+" is held: inverts the canonical lock order "+
-					"(admission < table lock < ckptMu < pool/store)")
-			}
+		if cls.rank < classByKey(h).rank {
+			c.reportOnce(pos, key+" acquired while "+h+" is held: inverts the canonical lock order "+
+				"(admission < table lock < ckptMu < pool/store)")
 		}
 	}
-	s[key] = true
 }
 
 // classifyLockCall recognizes acquisitions and releases of the tracked
@@ -356,13 +209,4 @@ func (c *lockChecker) reportSameRankCycles() {
 		c.reportOnce(pe.pos, pe.e.to+" acquired while "+pe.e.from+
 			" is held, and elsewhere the opposite order occurs: lock-order cycle")
 	}
-}
-
-func (c *lockChecker) reportOnce(pos token.Pos, msg string) {
-	k := reportKey{pos, msg}
-	if c.reported[k] {
-		return
-	}
-	c.reported[k] = true
-	c.pass.Report(pos, msg)
 }

@@ -138,16 +138,10 @@ func equalRes(a, b resState) bool {
 // during the fixpoint iteration and on during the single deterministic
 // reporting walk.
 type resFlow struct {
-	pass      *Pass
+	reporter
 	spec      *resSpec
 	state     resState
 	reporting bool
-	reported  map[reportKey]bool
-}
-
-type reportKey struct {
-	pos token.Pos
-	msg string
 }
 
 // runResFlow applies spec to every function in the pass's package.
@@ -172,7 +166,7 @@ func runResFlow(pass *Pass, spec *resSpec) error {
 // reachable blocks once with reporting enabled.
 func analyzeBody(pass *Pass, spec *resSpec, body *ast.BlockStmt) {
 	g := buildCFG(body)
-	rf := &resFlow{pass: pass, spec: spec, reported: make(map[reportKey]bool)}
+	rf := &resFlow{reporter: reporter{pass: pass}, spec: spec}
 	fns := FlowFuncs[resState]{
 		Clone: cloneRes,
 		Merge: mergeRes,
@@ -183,12 +177,7 @@ func analyzeBody(pass *Pass, spec *resSpec, body *ast.BlockStmt) {
 	in := ForwardFlow(g, make(resState), fns)
 
 	rf.reporting = true
-	for _, b := range g.RPO() {
-		s := cloneRes(in[b])
-		for _, n := range b.Nodes {
-			s = rf.node(n, s)
-		}
-	}
+	replay(g, in, fns)
 	// Obligations that reach Exit without passing a return statement fell off
 	// the end of the function: no remaining chance of discharge.
 	if g.Reachable(g.Exit) {
@@ -218,15 +207,6 @@ func (rf *resFlow) reportNever(ob *obligation) {
 func (rf *resFlow) reportReturnPath(ob *obligation, pos token.Pos) {
 	rf.reportOnce(pos, fmt.Sprintf("%s %q from %s is not %s, forwarded, or stored on this return path",
 		rf.spec.desc, ob.name, rf.spec.source, rf.spec.releaseVerb))
-}
-
-func (rf *resFlow) reportOnce(pos token.Pos, msg string) {
-	k := reportKey{pos, msg}
-	if rf.reported[k] {
-		return
-	}
-	rf.reported[k] = true
-	rf.pass.Report(pos, msg)
 }
 
 // edge refines the state along a condition edge: `err != nil` voids the

@@ -1,25 +1,14 @@
 // Golden file for the ctxflow analyzer, in a package whose import path ends
-// in internal/engine (in scope): no fresh Background/TODO contexts, and a
-// function that received a ctx must not call the context-free twin of a
-// *Context API.
+// in internal/engine (in scope): no fresh Background/TODO contexts.
 package engine
 
 import "context"
 
-// DB carries a Query / QueryContext method pair like the client API.
+// DB carries a ctx-first query method like the client API.
 type DB struct{}
 
-// Query is the context-free convenience variant.
-func (db *DB) Query(q string) error { return nil }
-
-// QueryContext is the cancellable variant.
+// QueryContext is the only variant: every statement entry point takes a ctx.
 func (db *DB) QueryContext(ctx context.Context, q string) error { return nil }
-
-// open is a package-level context-free variant.
-func open(name string) error { return nil }
-
-// openContext is its cancellable twin.
-func openContext(ctx context.Context, name string) error { return nil }
 
 // freshBackground mints a context inside the engine.
 func freshBackground() context.Context {
@@ -31,26 +20,7 @@ func freshTODO() context.Context {
 	return context.TODO() // want `context.TODO breaks the cancellation chain`
 }
 
-// dropsCtxOnMethod received a ctx but calls the context-free method.
-func dropsCtxOnMethod(ctx context.Context, db *DB) error {
-	return db.Query("select 1") // want `call to Query drops the ctx this function received; use QueryContext`
-}
-
-// dropsCtxOnFunc received a ctx but calls the context-free function.
-func dropsCtxOnFunc(ctx context.Context) error {
-	return open("db") // want `call to open drops the ctx this function received; use openContext`
-}
-
-// okThreaded forwards the ctx through the *Context twins.
+// okThreaded forwards the caller's ctx.
 func okThreaded(ctx context.Context, db *DB) error {
-	if err := openContext(ctx, "db"); err != nil {
-		return err
-	}
 	return db.QueryContext(ctx, "select 1")
-}
-
-// okNoCtx never received a context, so the context-free variant is the only
-// option it has; twin-checking does not apply.
-func okNoCtx(db *DB) error {
-	return db.Query("select 1")
 }

@@ -6,13 +6,10 @@ package server
 
 import "context"
 
-// Conn mirrors the client-facing Exec / ExecContext method pair.
+// Conn mirrors the client-facing ctx-first Exec.
 type Conn struct{}
 
-// Exec is the context-free convenience variant.
-func (c *Conn) Exec(q string) error { return nil }
-
-// ExecContext is the cancellable variant.
+// ExecContext is the only variant: it takes the caller's ctx.
 func (c *Conn) ExecContext(ctx context.Context, q string) error { return nil }
 
 // session carries a per-connection context like the real server.
@@ -30,13 +27,7 @@ func lazyTODO() context.Context {
 	return context.TODO() // want `context.TODO breaks the cancellation chain`
 }
 
-// dropsQueryCtx received the query's ctx but runs the context-free variant,
-// so the deadline the client sent never reaches the engine.
-func dropsQueryCtx(ctx context.Context, c *Conn) error {
-	return c.Exec("ROLLBACK") // want `call to Exec drops the ctx this function received; use ExecContext`
-}
-
-// okDerived threads the session context through the *Context twin.
+// okDerived threads the session context into the query.
 func okDerived(ctx context.Context, c *Conn) error {
 	qctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -7,14 +7,11 @@ package txn
 
 import "context"
 
-// LockManager mirrors the real manager's Lock / LockContext shape.
+// LockManager mirrors the real manager's ctx-first lock wait.
 type LockManager struct{}
 
-// Lock is the context-free wait (the pre-MVCC signature).
-func (lm *LockManager) Lock(res string) error { return nil }
-
-// LockContext is the cancellable wait.
-func (lm *LockManager) LockContext(ctx context.Context, res string) error { return nil }
+// Lock is the cancellable wait.
+func (lm *LockManager) Lock(ctx context.Context, res string) error { return nil }
 
 // backgroundWait mints a context for a lock wait: the wait can never be
 // abandoned.
@@ -27,20 +24,14 @@ func todoWait() context.Context {
 	return context.TODO() // want `context.TODO breaks the cancellation chain`
 }
 
-// dropsQueryCtx received the query's ctx but waits context-free, so the
-// query's cancellation never removes the waiter from the queue.
-func dropsQueryCtx(ctx context.Context, lm *LockManager) error {
-	return lm.Lock("table:t") // want `call to Lock drops the ctx this function received; use LockContext`
-}
-
 // okThreaded forwards the caller's ctx into the wait.
 func okThreaded(ctx context.Context, lm *LockManager) error {
-	return lm.LockContext(ctx, "table:t")
+	return lm.Lock(ctx, "table:t")
 }
 
 // okJustified: a teardown entry point with no caller context carries a
 // justified suppression — the escape hatch stays visible and auditable.
 func okJustified(lm *LockManager) error {
 	//stagedbvet:ignore ctxflow teardown entry point: session close has no caller context and must not block.
-	return lm.LockContext(context.Background(), "table:t")
+	return lm.Lock(context.Background(), "table:t")
 }

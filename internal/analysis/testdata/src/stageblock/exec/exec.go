@@ -44,6 +44,29 @@ func selectUnderLock(b *box) {
 	b.mu.Unlock()
 }
 
+// selectTwoClausesUnderLock blocks on either clause; the select is one
+// diagnostic, not one per clause.
+func selectTwoClausesUnderLock(b *box, done chan struct{}) {
+	b.mu.Lock()
+	select { // want `blocking select \(no default case\) while mutex b.mu is held`
+	case b.ch <- 1:
+	case <-done:
+	}
+	b.mu.Unlock()
+}
+
+// sendAfterEarlyUnlock unlocks only on the early-return branch: the lock is
+// still held on the path that reaches the send.
+func sendAfterEarlyUnlock(b *box, early bool) {
+	b.mu.Lock()
+	if early {
+		b.mu.Unlock()
+		return
+	}
+	b.ch <- 1 // want `channel send while mutex b.mu is held`
+	b.mu.Unlock()
+}
+
 // sleepUnderLock stalls every other worker queued on the lock.
 func sleepUnderLock(b *box) {
 	b.mu.Lock()
@@ -75,6 +98,26 @@ func okNonBlockingSelect(b *box) bool {
 	case b.ch <- 1:
 		return true
 	default:
+		return false
+	}
+}
+
+// okTrySendShape is the exchange's trySend: a done check, then a select
+// with a default under the lock, unlocking on each clause before the wakeup.
+func okTrySendShape(b *box, done chan struct{}, wake func()) bool {
+	select {
+	case <-done:
+		return false
+	default:
+	}
+	b.mu.Lock()
+	select {
+	case b.ch <- 1:
+		b.mu.Unlock()
+		wake()
+		return true
+	default:
+		b.mu.Unlock()
 		return false
 	}
 }

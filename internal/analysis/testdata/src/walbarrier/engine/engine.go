@@ -38,11 +38,6 @@ func badBranchOnlyAppend(w *txn.WAL, pg *storage.Page, rec []byte, urgent bool) 
 	return pg.PutAt(0, rec) // want `page mutation Page.PutAt is not preceded by a WAL append on every path \(WAL-before-data\)`
 }
 
-// badTruncate drops every page without a record of the drop.
-func badTruncate(h *storage.Heap) {
-	h.Truncate() // want `page mutation Heap.Truncate is not preceded by a WAL append on every path \(WAL-before-data\)`
-}
-
 // okLoggedCallback routes the mutation through the logging callback: the
 // heap appends the record under the page latch and reverts if it fails.
 func okLoggedCallback(h *storage.Heap, m *txn.Manager, rec []byte) error {

@@ -34,9 +34,6 @@ func (h *Heap) Delete(rid RID) error { return nil }
 // DeleteLogged clears the record at rid, calling logf under the page latch.
 func (h *Heap) DeleteLogged(rid RID, logf LogFunc) error { return nil }
 
-// Truncate drops every page.
-func (h *Heap) Truncate() {}
-
 // Page stands in for one slotted page.
 type Page struct{}
 

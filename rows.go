@@ -152,7 +152,7 @@ func (r *Rows) NextBatch() ([]Row, error) {
 }
 
 // Close ends the query. A partially read result abandons the producing
-// pipeline (operators terminate early, shared-scan consumers detach) and
+// pipeline (operators terminate early, synchronized scans deregister) and
 // every outstanding page returns to the pool; the statement's auto-commit
 // transaction finishes, releasing its table locks. Close is idempotent and
 // returns the first execution error, if any.
