@@ -22,9 +22,6 @@ func (h *Heap) Insert(rec []byte) (RID, error) { return RID{}, nil }
 // InsertLogged appends a record, calling logf under the page latch.
 func (h *Heap) InsertLogged(rec []byte, logf LogFunc) (RID, error) { return RID{}, nil }
 
-// Update rewrites the record at rid without logging.
-func (h *Heap) Update(rid RID, rec []byte) (RID, error) { return rid, nil }
-
 // UpdateLogged rewrites the record at rid, calling logf under the page latch.
 func (h *Heap) UpdateLogged(rid RID, rec []byte, logf LogFunc) (bool, error) { return true, nil }
 

@@ -232,7 +232,7 @@ func (c *walChecker) containsAppend(n ast.Node) bool {
 // mutationCall classifies call as a page mutation, returning its site.
 func (c *walChecker) mutationCall(call *ast.CallExpr) (walSite, bool) {
 	info := c.pass.TypesInfo
-	for _, m := range [...]string{"Insert", "Update", "Delete"} {
+	for _, m := range [...]string{"Insert", "Delete"} {
 		if isMethodCall(info, call, "storage", "Heap", m) {
 			return walSite{pos: call.Pos(), name: "Heap." + m}, true
 		}

@@ -165,16 +165,6 @@ func (e *exchange) tryNext(wake func()) (*Page, error) {
 	return nil, errWouldBlock
 }
 
-func (e *exchange) wakeReceiver() {
-	e.mu.Lock()
-	w := e.recvWaiter
-	e.recvWaiter = nil
-	e.mu.Unlock()
-	if w != nil {
-		w()
-	}
-}
-
 func (e *exchange) wakeSender() {
 	e.mu.Lock()
 	w := e.sendWaiter

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"stagedb/internal/catalog"
@@ -47,12 +48,7 @@ func BindSelect(cat Catalog, sel *sql.Select, opt Options) (Node, error) {
 // UPDATE/DELETE and CHECK-style evaluation).
 func BindTableExpr(t *catalog.Table, e sql.Expr) (Expr, error) {
 	schema := scanSchema(t, t.Name)
-	eb := exprBinder{schema: schema}
-	bound, err := eb.bind(e)
-	if err != nil {
-		return nil, err
-	}
-	return fold(bound), nil
+	return exprBinder{schema: schema}.bind(e)
 }
 
 type relation struct {
@@ -145,7 +141,7 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel.filters = append(rel.filters, fold(bound))
+			rel.filters = append(rel.filters, bound)
 			continue
 		}
 		if len(bindings) == 0 && !b.opt.DisablePushdown {
@@ -158,7 +154,7 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel.filters = append(rel.filters, fold(bound))
+			rel.filters = append(rel.filters, bound)
 			continue
 		}
 		multi = append(multi, c)
@@ -223,7 +219,6 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			bound = fold(bound)
 			if lk, rk, ok := equiKey(bound, leftWidth); ok {
 				leftKeys = append(leftKeys, lk)
 				rightKeys = append(rightKeys, rk-leftWidth)
@@ -263,99 +258,76 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 		}
 	}
 
+	// post binds what is evaluated over the projection's input: the select
+	// list, HAVING, and ORDER BY keys that are not select-list names.
 	var projExprs []Expr
 	var projSchema Schema
-	var having Expr
-
+	post := exprBinder{schema: treeSchema}
 	if hasAgg {
-		agg, aggOut, rewriter, err := b.buildAggregate(tree, treeOrigins, sel)
+		agg, above, err := b.buildAggregate(tree, treeOrigins, sel)
 		if err != nil {
 			return nil, err
 		}
-		tree = agg
-		// Bind projections and HAVING over the aggregate output.
-		for _, item := range sel.Items {
-			if item.Star {
+		tree, post = agg, above
+	}
+	for _, item := range sel.Items {
+		if item.Star {
+			if hasAgg {
 				return nil, fmt.Errorf("plan: SELECT * with GROUP BY is not supported")
 			}
-			e, err := rewriter(item.Expr)
-			if err != nil {
-				return nil, err
+			for i, c := range treeSchema {
+				projExprs = append(projExprs, &Column{Idx: i, Name: c.Name, Typ: c.Type})
+				projSchema = append(projSchema, c)
 			}
-			name := item.Alias
-			if name == "" {
-				name = item.Expr.String()
-			}
-			projExprs = append(projExprs, e)
-			projSchema = append(projSchema, ColInfo{Name: name, Type: e.Type()})
+			continue
 		}
-		if sel.Having != nil {
-			having, err = rewriter(sel.Having)
-			if err != nil {
-				return nil, err
+		e, err := post.bind(item.Expr)
+		if err != nil {
+			return nil, err
+		}
+		name := item.Alias
+		if name == "" {
+			name = item.Expr.String()
+			if cr, ok := item.Expr.(*sql.ColumnRef); ok && !hasAgg {
+				name = cr.Name
 			}
 		}
-		_ = aggOut
-	} else {
-		eb := exprBinder{schema: treeSchema}
-		for _, item := range sel.Items {
-			if item.Star {
-				for i, c := range treeSchema {
-					projExprs = append(projExprs, &Column{Idx: i, Name: c.Name, Typ: c.Type})
-					projSchema = append(projSchema, c)
-				}
-				continue
-			}
-			e, err := eb.bind(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			e = fold(e)
-			name := item.Alias
-			if name == "" {
-				if cr, ok := item.Expr.(*sql.ColumnRef); ok {
-					name = cr.Name
-				} else {
-					name = item.Expr.String()
-				}
-			}
-			projExprs = append(projExprs, e)
-			projSchema = append(projSchema, ColInfo{Name: name, Type: e.Type()})
-		}
+		projExprs = append(projExprs, e)
+		projSchema = append(projSchema, ColInfo{Name: name, Type: e.Type()})
 	}
-
-	if having != nil {
+	if sel.Having != nil {
+		having, err := post.bind(sel.Having)
+		if err != nil {
+			return nil, err
+		}
 		tree = &Filter{Child: tree, Pred: having, Est: tree.Rows() * 0.5}
 	}
 
 	// 7. ORDER BY prefers the projection output (aliases visible); keys not
-	// visible there (e.g. ORDER BY a non-projected column) bind against the
-	// pre-projection schema and sort below the Project.
+	// visible there (e.g. ORDER BY a non-projected column, or an aggregate
+	// call) bind like the select list and sort below the Project.
 	var sortAbove, sortBelow []SortKey
-	if len(sel.OrderBy) > 0 {
-		above := exprBinder{schema: projSchema}
-		below := exprBinder{schema: tree.Schema()}
-		for _, item := range sel.OrderBy {
-			if e, err := above.bind(item.Expr); err == nil {
-				if len(sortBelow) > 0 {
-					return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
-				}
-				sortAbove = append(sortAbove, SortKey{Expr: fold(e), Desc: item.Desc})
-				continue
-			}
-			e, err := below.bind(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			if len(sortAbove) > 0 {
+	above := exprBinder{schema: projSchema}
+	for _, item := range sel.OrderBy {
+		if e, err := above.bind(item.Expr); err == nil {
+			if len(sortBelow) > 0 {
 				return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
 			}
-			if sel.Distinct {
-				// The grouping above the Project would not keep this order.
-				return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY keys must appear in the select list")
-			}
-			sortBelow = append(sortBelow, SortKey{Expr: fold(e), Desc: item.Desc})
+			sortAbove = append(sortAbove, SortKey{Expr: e, Desc: item.Desc})
+			continue
 		}
+		e, err := post.bind(item.Expr)
+		if err != nil {
+			return nil, err
+		}
+		if len(sortAbove) > 0 {
+			return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
+		}
+		if sel.Distinct {
+			// The grouping above the Project would not keep this order.
+			return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY keys must appear in the select list")
+		}
+		sortBelow = append(sortBelow, SortKey{Expr: e, Desc: item.Desc})
 	}
 	if len(sortBelow) > 0 {
 		tree = &Sort{Child: tree, Keys: sortBelow}
@@ -663,34 +635,35 @@ func groupsFromStats(rows float64, keys []Expr, origins []colOrigin) float64 {
 	return max(min(rows, groups), 1)
 }
 
-// buildAggregate plans GROUP BY + aggregate calls and returns the node, its
-// schema, and a rewriter that binds post-aggregation expressions (SELECT
-// items, HAVING, ORDER BY inputs) against the aggregate output. origins maps
-// child's columns to the base-table columns they read.
-func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Select) (Node, Schema, func(sql.Expr) (Expr, error), error) {
-	in := child.Schema()
-	eb := exprBinder{schema: in}
+// buildAggregate plans GROUP BY and the aggregate calls of the select list,
+// HAVING and ORDER BY, and returns the node with the binder of what is
+// evaluated above it. That binder's resolve hook maps a GROUP BY expression
+// (matched by exprKey), a collected aggregate call, or a bare group-column
+// name onto the aggregate's output column; every other form binds as it
+// would below an aggregation, over those. origins maps child's columns to
+// the base-table columns they read.
+func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Select) (Node, exprBinder, error) {
+	eb := exprBinder{schema: child.Schema()}
 
 	var groupExprs []Expr
 	var groupKeys []string
 	for _, g := range sel.GroupBy {
 		e, err := eb.bind(g)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, exprBinder{}, err
 		}
-		groupExprs = append(groupExprs, fold(e))
+		groupExprs = append(groupExprs, e)
 		groupKeys = append(groupKeys, exprKey(g))
 	}
 
-	// Collect distinct aggregate calls from SELECT items and HAVING.
+	// Collect distinct aggregate calls from the select list, HAVING and
+	// ORDER BY, in that order.
 	var aggs []AggSpec
 	var aggReprs, aggKeys []string
-	addAgg := func(c *sql.Call) (int, error) {
+	addAgg := func(c *sql.Call) error {
 		key := exprKey(c)
-		for i, k := range aggKeys {
-			if k == key {
-				return i, nil
-			}
+		if slices.Contains(aggKeys, key) {
+			return nil
 		}
 		spec := AggSpec{}
 		switch c.Name {
@@ -709,49 +682,45 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 		case "MAX":
 			spec.Kind = AggMax
 		default:
-			return 0, fmt.Errorf("plan: unknown aggregate %s", c.Name)
+			return fmt.Errorf("plan: unknown aggregate %s", c.Name)
 		}
 		if !c.Star {
 			if len(c.Args) != 1 {
-				return 0, fmt.Errorf("plan: %s takes one argument", c.Name)
+				return fmt.Errorf("plan: %s takes one argument", c.Name)
 			}
 			arg, err := eb.bind(c.Args[0])
 			if err != nil {
-				return 0, err
+				return err
 			}
-			spec.Arg = fold(arg)
+			spec.Arg = arg
 		}
 		aggs = append(aggs, spec)
 		aggReprs = append(aggReprs, c.String())
 		aggKeys = append(aggKeys, key)
-		return len(aggs) - 1, nil
+		return nil
 	}
-
-	collect := func(e sql.Expr) error {
-		var walkErr error
+	var walkErr error
+	collect := func(e sql.Expr) {
 		sql.Walk(e, func(x sql.Expr) bool {
-			if c, ok := x.(*sql.Call); ok && sql.IsAggregate(c.Name) {
-				if _, err := addAgg(c); err != nil {
-					walkErr = err
-				}
-				return false
+			c, ok := x.(*sql.Call)
+			if !ok || !sql.IsAggregate(c.Name) {
+				return true
 			}
-			return true
+			if walkErr == nil {
+				walkErr = addAgg(c)
+			}
+			return false
 		})
-		return walkErr
 	}
 	for _, item := range sel.Items {
-		if item.Star {
-			continue
-		}
-		if err := collect(item.Expr); err != nil {
-			return nil, nil, nil, err
-		}
+		collect(item.Expr)
 	}
-	if sel.Having != nil {
-		if err := collect(sel.Having); err != nil {
-			return nil, nil, nil, err
-		}
+	collect(sel.Having)
+	for _, o := range sel.OrderBy {
+		collect(o.Expr)
+	}
+	if walkErr != nil {
+		return nil, exprBinder{}, walkErr
 	}
 
 	// Output schema: group columns then aggregates. Simple column groups
@@ -776,80 +745,28 @@ func (b *selBinder) buildAggregate(child Node, origins []colOrigin, sel *sql.Sel
 	}
 	node := &Aggregate{Child: child, GroupBy: groupExprs, Aggs: aggs, Est: est, out: out}
 
-	// The rewriter maps a post-aggregation sql.Expr to a bound Expr over the
-	// aggregate's output schema.
-	var rewrite func(e sql.Expr) (Expr, error)
-	rewrite = func(e sql.Expr) (Expr, error) {
-		// A whole expression equal to a GROUP BY expression maps to its
-		// output column.
+	col := func(i int) Expr { return &Column{Idx: i, Name: out[i].Name, Typ: out[i].Type} }
+	resolve := func(e sql.Expr) (Expr, error) {
 		key := exprKey(e)
-		for i, gk := range groupKeys {
-			if key == gk {
-				return &Column{Idx: i, Name: out[i].Name, Typ: out[i].Type}, nil
-			}
+		if i := slices.Index(groupKeys, key); i >= 0 {
+			return col(i), nil
 		}
 		switch x := e.(type) {
 		case *sql.Call:
-			if sql.IsAggregate(x.Name) {
-				for i, ak := range aggKeys {
-					if ak == key {
-						idx := len(groupExprs) + i
-						return &Column{Idx: idx, Name: out[idx].Name, Typ: out[idx].Type}, nil
-					}
-				}
-				return nil, fmt.Errorf("plan: aggregate %s not collected", e)
+			if i := slices.Index(aggKeys, key); i >= 0 {
+				return col(len(groupKeys) + i), nil
 			}
-			return nil, fmt.Errorf("plan: unknown function %s", x.Name)
-		case *sql.Literal:
-			return &Const{Val: x.Val}, nil
-		case *sql.Placeholder:
-			return &Param{Idx: x.Idx}, nil
 		case *sql.ColumnRef:
-			// Allow referring to a group column by bare name.
-			for i := range groupExprs {
+			for i := range groupKeys {
 				if out[i].Name == x.Name {
-					return &Column{Idx: i, Name: out[i].Name, Typ: out[i].Type}, nil
+					return col(i), nil
 				}
 			}
 			return nil, fmt.Errorf("plan: column %s must appear in GROUP BY or an aggregate", x)
-		case *sql.Binary:
-			l, err := rewrite(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rewrite(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return fold(&Binary{Op: x.Op, L: l, R: r}), nil
-		case *sql.Unary:
-			inner, err := rewrite(x.E)
-			if err != nil {
-				return nil, err
-			}
-			if x.Op == "NOT" {
-				return &Not{E: inner}, nil
-			}
-			return &Neg{E: inner}, nil
-		case *sql.Between:
-			v, err := rewrite(x.E)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := rewrite(x.Lo)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := rewrite(x.Hi)
-			if err != nil {
-				return nil, err
-			}
-			return &Between{E: v, Lo: lo, Hi: hi, Negate: x.Not}, nil
-		default:
-			return nil, fmt.Errorf("plan: unsupported post-aggregate expression %s", e)
 		}
+		return nil, nil
 	}
-	return node, out, rewrite, nil
+	return node, exprBinder{resolve: resolve}, nil
 }
 
 // exprKey identifies an expression when a post-aggregation expression is
@@ -870,11 +787,22 @@ func exprKey(e sql.Expr) string {
 
 // --- expression binding helpers ---
 
+// exprBinder binds sql expressions against a schema, folding constants as it
+// builds: every node is built over already-bound (and folded) operands, so a
+// tree folds in one bottom-up pass. resolve, when set, sees every
+// sub-expression first; a non-nil Expr or error it returns stands for that
+// sub-expression (see buildAggregate).
 type exprBinder struct {
-	schema Schema
+	schema  Schema
+	resolve func(sql.Expr) (Expr, error)
 }
 
 func (b exprBinder) bind(e sql.Expr) (Expr, error) {
+	if b.resolve != nil {
+		if r, err := b.resolve(e); r != nil || err != nil {
+			return r, err
+		}
+	}
 	switch x := e.(type) {
 	case *sql.Literal:
 		return &Const{Val: x.Val}, nil
@@ -898,16 +826,16 @@ func (b exprBinder) bind(e sql.Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Binary{Op: x.Op, L: l, R: r}, nil
+		return fold(&Binary{Op: x.Op, L: l, R: r}), nil
 	case *sql.Unary:
 		inner, err := b.bind(x.E)
 		if err != nil {
 			return nil, err
 		}
 		if x.Op == "NOT" {
-			return &Not{E: inner}, nil
+			return fold(&Not{E: inner}), nil
 		}
-		return &Neg{E: inner}, nil
+		return fold(&Neg{E: inner}), nil
 	case *sql.Between:
 		v, err := b.bind(x.E)
 		if err != nil {
@@ -953,53 +881,36 @@ func (b exprBinder) bind(e sql.Expr) (Expr, error) {
 		}
 		return &IsNull{E: v, Negate: x.Not}, nil
 	case *sql.Call:
+		if !sql.IsAggregate(x.Name) {
+			return nil, fmt.Errorf("plan: unknown function %s", x.Name)
+		}
 		return nil, fmt.Errorf("plan: aggregate %s not allowed here", x)
 	}
 	return nil, fmt.Errorf("plan: unsupported expression %T", e)
 }
 
-// fold evaluates constant subtrees.
+// fold replaces a Binary, Not or Neg whose operands are all constants by
+// the constant it evaluates to. Anything else, and an evaluation that fails
+// (it fails again at run time, where the error belongs), comes back as is.
 func fold(e Expr) Expr {
-	switch x := e.(type) {
-	case *Binary:
-		x.L, x.R = fold(x.L), fold(x.R)
-		if isConst(x.L) && isConst(x.R) {
-			if v, err := x.Eval(nil); err == nil {
-				return &Const{Val: v}
-			}
-		}
-	case *Not:
-		x.E = fold(x.E)
-		if isConst(x.E) {
-			if v, err := x.Eval(nil); err == nil {
-				return &Const{Val: v}
-			}
-		}
-	case *Neg:
-		x.E = fold(x.E)
-		if isConst(x.E) {
-			if v, err := x.Eval(nil); err == nil {
-				return &Const{Val: v}
-			}
-		}
-	case *Between:
-		x.E, x.Lo, x.Hi = fold(x.E), fold(x.Lo), fold(x.Hi)
-	case *In:
-		x.E = fold(x.E)
-		for i := range x.List {
-			x.List[i] = fold(x.List[i])
-		}
-	case *Like:
-		x.E, x.Pattern = fold(x.E), fold(x.Pattern)
-	case *IsNull:
-		x.E = fold(x.E)
+	switch e.(type) {
+	case *Binary, *Not, *Neg:
+	default:
+		return e
+	}
+	consts := true
+	mapChildren(e, func(c Expr) Expr {
+		_, ok := c.(*Const)
+		consts = consts && ok
+		return c
+	})
+	if !consts {
+		return e
+	}
+	if v, err := e.Eval(nil); err == nil {
+		return &Const{Val: v}
 	}
 	return e
-}
-
-func isConst(e Expr) bool {
-	_, ok := e.(*Const)
-	return ok
 }
 
 // splitConjuncts flattens nested ANDs into a list.

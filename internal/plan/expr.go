@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"stagedb/internal/value"
 )
@@ -50,6 +51,66 @@ type Expr interface {
 	// String renders for EXPLAIN output.
 	String() string
 }
+
+// mapChildren returns e with every direct operand c replaced by f(c): the
+// one list of each expression kind's operands. It is copy-on-write — a node
+// whose operands all come back unchanged is returned as is, and nothing is
+// allocated — so rewriting a shared tree clones only the spine above the
+// nodes that change. Leaves (Column, Const, Param), nil and kinds defined
+// outside this package come back unchanged.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case *Binary:
+		if l, r := f(x.L), f(x.R); l != x.L || r != x.R {
+			return &Binary{Op: x.Op, L: l, R: r}
+		}
+	case *Not:
+		if v := f(x.E); v != x.E {
+			return &Not{E: v}
+		}
+	case *Neg:
+		if v := f(x.E); v != x.E {
+			return &Neg{E: v}
+		}
+	case *Between:
+		if v, lo, hi := f(x.E), f(x.Lo), f(x.Hi); v != x.E || lo != x.Lo || hi != x.Hi {
+			return &Between{E: v, Lo: lo, Hi: hi, Negate: x.Negate}
+		}
+	case *In:
+		v := f(x.E)
+		if list, changed := mapSlots(x.List, exprSlot, f); changed || v != x.E {
+			return &In{E: v, List: list, Negate: x.Negate}
+		}
+	case *Like:
+		if v, p := f(x.E), f(x.Pattern); v != x.E || p != x.Pattern {
+			return &Like{E: v, Pattern: p, Negate: x.Negate}
+		}
+	case *IsNull:
+		if v := f(x.E); v != x.E {
+			return &IsNull{E: v, Negate: x.Negate}
+		}
+	}
+	return e
+}
+
+// mapSlots maps f over the expression slot (picked by slot) of every
+// element of a list, cloning the list only at its first changed slot.
+func mapSlots[T any](in []T, slot func(*T) *Expr, f func(Expr) Expr) (out []T, changed bool) {
+	out = in
+	for i := range in {
+		e := *slot(&in[i])
+		if ne := f(e); ne != e {
+			if !changed {
+				out, changed = slices.Clone(in), true
+			}
+			*slot(&out[i]) = ne
+		}
+	}
+	return out, changed
+}
+
+// exprSlot is mapSlots' slot for a plain expression list.
+func exprSlot(e *Expr) *Expr { return e }
 
 // Column references an output column of the child by position.
 type Column struct {

@@ -105,7 +105,7 @@ func scanCols(cols []bool) []bool {
 // assumes every column is read. Param and Const read no column.
 func markCols(e Expr, set []bool) bool {
 	switch x := e.(type) {
-	case nil:
+	case nil, *Const, *Param:
 		return true
 	case *Column:
 		if x.Idx < 0 || x.Idx >= len(set) {
@@ -113,27 +113,15 @@ func markCols(e Expr, set []bool) bool {
 		}
 		set[x.Idx] = true
 		return true
-	case *Const, *Param:
-		return true
-	case *Binary:
-		return markCols(x.L, set) && markCols(x.R, set)
-	case *Not:
-		return markCols(x.E, set)
-	case *Neg:
-		return markCols(x.E, set)
-	case *Between:
-		return markCols(x.E, set) && markCols(x.Lo, set) && markCols(x.Hi, set)
-	case *In:
-		for _, item := range x.List {
-			if !markCols(item, set) {
-				return false
-			}
-		}
-		return markCols(x.E, set)
-	case *Like:
-		return markCols(x.E, set) && markCols(x.Pattern, set)
-	case *IsNull:
-		return markCols(x.E, set)
 	}
-	return false
+	// Any other kind reads what its operands read. A kind without an operand
+	// the child map knows of is one defined outside this package: its reads
+	// cannot be vouched for.
+	ok, operands := true, 0
+	mapChildren(e, func(c Expr) Expr {
+		operands++
+		ok = ok && markCols(c, set)
+		return c
+	})
+	return ok && operands > 0
 }

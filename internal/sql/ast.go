@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"stagedb/internal/value"
@@ -312,32 +313,70 @@ func Walk(e Expr, fn func(Expr) bool) {
 	if e == nil || !fn(e) {
 		return
 	}
+	mapChildren(e, func(c Expr) Expr {
+		Walk(c, fn)
+		return c
+	})
+}
+
+// mapChildren returns e with every direct sub-expression c replaced by f(c):
+// the one list of each expression kind's children. It is copy-on-write — a
+// node whose children all come back unchanged is returned as is, and nothing
+// is allocated — so rewriting a shared tree clones only the spine above the
+// nodes that change. Leaves, and nil, come back unchanged.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
 	switch x := e.(type) {
 	case *Binary:
-		Walk(x.L, fn)
-		Walk(x.R, fn)
+		if l, r := f(x.L), f(x.R); l != x.L || r != x.R {
+			return &Binary{Op: x.Op, L: l, R: r}
+		}
 	case *Unary:
-		Walk(x.E, fn)
+		if v := f(x.E); v != x.E {
+			return &Unary{Op: x.Op, E: v}
+		}
 	case *Call:
-		for _, a := range x.Args {
-			Walk(a, fn)
+		if args, changed := mapSlots(x.Args, exprSlot, f); changed {
+			return &Call{Name: x.Name, Star: x.Star, Args: args}
 		}
 	case *Between:
-		Walk(x.E, fn)
-		Walk(x.Lo, fn)
-		Walk(x.Hi, fn)
+		if v, lo, hi := f(x.E), f(x.Lo), f(x.Hi); v != x.E || lo != x.Lo || hi != x.Hi {
+			return &Between{E: v, Lo: lo, Hi: hi, Not: x.Not}
+		}
 	case *InList:
-		Walk(x.E, fn)
-		for _, a := range x.List {
-			Walk(a, fn)
+		v := f(x.E)
+		if list, changed := mapSlots(x.List, exprSlot, f); changed || v != x.E {
+			return &InList{E: v, List: list, Not: x.Not}
 		}
 	case *LikeExpr:
-		Walk(x.E, fn)
-		Walk(x.Pattern, fn)
+		if v, p := f(x.E), f(x.Pattern); v != x.E || p != x.Pattern {
+			return &LikeExpr{E: v, Pattern: p, Not: x.Not}
+		}
 	case *IsNull:
-		Walk(x.E, fn)
+		if v := f(x.E); v != x.E {
+			return &IsNull{E: v, Not: x.Not}
+		}
 	}
+	return e
 }
+
+// mapSlots maps f over the expression slot (picked by slot) of every
+// element of a list, cloning the list only at its first changed slot.
+func mapSlots[T any](in []T, slot func(*T) *Expr, f func(Expr) Expr) (out []T, changed bool) {
+	out = in
+	for i := range in {
+		e := *slot(&in[i])
+		if ne := f(e); ne != e {
+			if !changed {
+				out, changed = slices.Clone(in), true
+			}
+			*slot(&out[i]) = ne
+		}
+	}
+	return out, changed
+}
+
+// exprSlot is mapSlots' slot for a plain expression list.
+func exprSlot(e *Expr) *Expr { return e }
 
 // IsAggregate reports whether the call name is an aggregate function.
 func IsAggregate(name string) bool {

@@ -15,50 +15,73 @@ import (
 // CountParams returns the number of `?` placeholders in stmt.
 func CountParams(stmt Statement) int {
 	max := 0
-	count := func(e Expr) {
+	walkStatement(stmt, func(e Expr) {
 		Walk(e, func(x Expr) bool {
 			if ph, ok := x.(*Placeholder); ok && ph.Idx+1 > max {
 				max = ph.Idx + 1
 			}
 			return true
 		})
-	}
-	walkStatement(stmt, count)
+	})
 	return max
 }
 
 // walkStatement visits every expression tree the statement holds.
 func walkStatement(stmt Statement, fn func(Expr)) {
+	mapStatement(stmt, func(e Expr) Expr {
+		fn(e)
+		return e
+	})
+}
+
+// mapStatement returns stmt with every expression tree it holds replaced by
+// f(tree), absent ones (a missing WHERE) included as nil: the one list of a
+// statement's expression slots. Like mapChildren it is copy-on-write, and
+// returns stmt itself when no tree changes.
+func mapStatement(stmt Statement, f func(Expr) Expr) Statement {
 	switch x := stmt.(type) {
 	case *Insert:
-		for _, row := range x.Rows {
-			for _, e := range row {
-				fn(e)
+		rows, changed := x.Rows, false
+		for i, row := range x.Rows {
+			if r, ch := mapSlots(row, exprSlot, f); ch {
+				if !changed {
+					rows, changed = append([][]Expr(nil), x.Rows...), true
+				}
+				rows[i] = r
 			}
 		}
+		if changed {
+			cp := *x
+			cp.Rows = rows
+			return &cp
+		}
 	case *Update:
-		for _, a := range x.Sets {
-			fn(a.Value)
+		sets, ch := mapSlots(x.Sets, func(a *Assignment) *Expr { return &a.Value }, f)
+		if where := f(x.Where); ch || where != x.Where {
+			cp := *x
+			cp.Sets, cp.Where = sets, where
+			return &cp
 		}
-		fn(x.Where)
 	case *Delete:
-		fn(x.Where)
+		if where := f(x.Where); where != x.Where {
+			cp := *x
+			cp.Where = where
+			return &cp
+		}
 	case *Select:
-		for _, item := range x.Items {
-			fn(item.Expr)
-		}
-		for _, j := range x.Joins {
-			fn(j.On)
-		}
-		fn(x.Where)
-		for _, g := range x.GroupBy {
-			fn(g)
-		}
-		fn(x.Having)
-		for _, o := range x.OrderBy {
-			fn(o.Expr)
+		items, ch1 := mapSlots(x.Items, func(it *SelectItem) *Expr { return &it.Expr }, f)
+		joins, ch2 := mapSlots(x.Joins, func(j *Join) *Expr { return &j.On }, f)
+		where := f(x.Where)
+		groups, ch3 := mapSlots(x.GroupBy, exprSlot, f)
+		having := f(x.Having)
+		order, ch4 := mapSlots(x.OrderBy, func(o *OrderItem) *Expr { return &o.Expr }, f)
+		if ch1 || ch2 || ch3 || ch4 || where != x.Where || having != x.Having {
+			cp := *x
+			cp.Items, cp.Joins, cp.Where, cp.GroupBy, cp.Having, cp.OrderBy = items, joins, where, groups, having, order
+			return &cp
 		}
 	}
+	return stmt
 }
 
 // BindParams returns a copy of stmt with every `?` placeholder replaced by
@@ -74,122 +97,12 @@ func BindParams(stmt Statement, args []value.Value) (Statement, error) {
 	if n == 0 {
 		return stmt, nil
 	}
-	s := substituter{args: args}
-	switch x := stmt.(type) {
-	case *Insert:
-		cp := *x
-		cp.Rows = make([][]Expr, len(x.Rows))
-		for i, row := range x.Rows {
-			cp.Rows[i] = make([]Expr, len(row))
-			for j, e := range row {
-				cp.Rows[i][j] = s.expr(e)
-			}
+	var bind func(Expr) Expr
+	bind = func(e Expr) Expr {
+		if ph, ok := e.(*Placeholder); ok {
+			return &Literal{Val: args[ph.Idx]}
 		}
-		return &cp, nil
-	case *Update:
-		cp := *x
-		cp.Sets = make([]Assignment, len(x.Sets))
-		for i, a := range x.Sets {
-			cp.Sets[i] = Assignment{Column: a.Column, Value: s.expr(a.Value)}
-		}
-		cp.Where = s.expr(x.Where)
-		return &cp, nil
-	case *Delete:
-		cp := *x
-		cp.Where = s.expr(x.Where)
-		return &cp, nil
-	case *Select:
-		cp := *x
-		cp.Items = make([]SelectItem, len(x.Items))
-		for i, item := range x.Items {
-			cp.Items[i] = SelectItem{Star: item.Star, Expr: s.expr(item.Expr), Alias: item.Alias}
-		}
-		cp.Joins = make([]Join, len(x.Joins))
-		for i, j := range x.Joins {
-			cp.Joins[i] = Join{Table: j.Table, On: s.expr(j.On)}
-		}
-		cp.Where = s.expr(x.Where)
-		cp.GroupBy = make([]Expr, len(x.GroupBy))
-		for i, g := range x.GroupBy {
-			cp.GroupBy[i] = s.expr(g)
-		}
-		cp.Having = s.expr(x.Having)
-		cp.OrderBy = make([]OrderItem, len(x.OrderBy))
-		for i, o := range x.OrderBy {
-			cp.OrderBy[i] = OrderItem{Expr: s.expr(o.Expr), Desc: o.Desc}
-		}
-		return &cp, nil
+		return mapChildren(e, bind)
 	}
-	return nil, fmt.Errorf("sql: statement %T does not take parameters", stmt)
-}
-
-type substituter struct {
-	args []value.Value
-}
-
-// expr returns e with placeholders replaced, cloning rewritten nodes.
-// Subtrees without placeholders are shared with the original.
-func (s substituter) expr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *Placeholder:
-		return &Literal{Val: s.args[x.Idx]}
-	case *Binary:
-		l, r := s.expr(x.L), s.expr(x.R)
-		if l == x.L && r == x.R {
-			return x
-		}
-		return &Binary{Op: x.Op, L: l, R: r}
-	case *Unary:
-		inner := s.expr(x.E)
-		if inner == x.E {
-			return x
-		}
-		return &Unary{Op: x.Op, E: inner}
-	case *Call:
-		changed := false
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = s.expr(a)
-			changed = changed || args[i] != a
-		}
-		if !changed {
-			return x
-		}
-		return &Call{Name: x.Name, Star: x.Star, Args: args}
-	case *Between:
-		v, lo, hi := s.expr(x.E), s.expr(x.Lo), s.expr(x.Hi)
-		if v == x.E && lo == x.Lo && hi == x.Hi {
-			return x
-		}
-		return &Between{E: v, Lo: lo, Hi: hi, Not: x.Not}
-	case *InList:
-		changed := false
-		v := s.expr(x.E)
-		changed = v != x.E
-		list := make([]Expr, len(x.List))
-		for i, item := range x.List {
-			list[i] = s.expr(item)
-			changed = changed || list[i] != item
-		}
-		if !changed {
-			return x
-		}
-		return &InList{E: v, List: list, Not: x.Not}
-	case *LikeExpr:
-		v, p := s.expr(x.E), s.expr(x.Pattern)
-		if v == x.E && p == x.Pattern {
-			return x
-		}
-		return &LikeExpr{E: v, Pattern: p, Not: x.Not}
-	case *IsNull:
-		v := s.expr(x.E)
-		if v == x.E {
-			return x
-		}
-		return &IsNull{E: v, Not: x.Not}
-	}
-	return e
+	return mapStatement(stmt, bind), nil
 }

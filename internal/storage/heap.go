@@ -191,36 +191,6 @@ func (h *Heap) DeleteLogged(rid RID, logf LogFunc) error {
 	return err
 }
 
-// Update replaces the record at rid, in place when it fits, otherwise by
-// delete+insert. It returns the (possibly moved) RID.
-func (h *Heap) Update(rid RID, rec []byte) (RID, error) {
-	pg, err := h.pool.Pin(rid.Page)
-	if err != nil {
-		return RID{}, err
-	}
-	h.latch.Lock()
-	ok, err := pg.Update(rid.Slot, rec)
-	if err != nil {
-		h.latch.Unlock()
-		h.pool.Unpin(rid.Page, false)
-		return RID{}, err
-	}
-	if ok {
-		h.latch.Unlock()
-		h.pool.Unpin(rid.Page, true)
-		return rid, nil
-	}
-	if err := pg.Delete(rid.Slot); err != nil {
-		h.latch.Unlock()
-		h.pool.Unpin(rid.Page, false)
-		return RID{}, err
-	}
-	h.latch.Unlock()
-	h.pool.Unpin(rid.Page, true)
-	h.live.Add(-1) // the re-insert below adds it back
-	return h.Insert(rec)
-}
-
 // UpdateLogged replaces the record at rid in place when the new image fits,
 // logging via logf before applying. It reports ok=false (without logging)
 // when the record must move, in which case the caller performs the move as a

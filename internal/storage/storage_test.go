@@ -265,18 +265,8 @@ func TestHeapInsertGetUpdateDeleteScan(t *testing.T) {
 		t.Fatalf("get: %q %v", rec, err)
 	}
 	// Update in place.
-	newRID, err := h.Update(rids[500], []byte("u-500"))
-	if err != nil || newRID != rids[500] {
-		t.Fatalf("in-place update moved: %v %v", newRID, err)
-	}
-	// Update to larger moves the record.
-	big := make([]byte, 300)
-	movedRID, err := h.Update(rids[501], big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if movedRID == rids[501] {
-		t.Fatal("larger update should move")
+	if ok, err := h.UpdateLogged(rids[500], []byte("u-500"), nil); err != nil || !ok {
+		t.Fatalf("in-place update: ok=%v err=%v", ok, err)
 	}
 	if err := h.Delete(rids[502]); err != nil {
 		t.Fatal(err)

@@ -235,8 +235,11 @@ func TestManagerAbortReturnsUndoInReverse(t *testing.T) {
 	id := m.Begin()
 	m.LogOp(Record{Txn: id, Kind: RecInsert, Table: "t", After: []byte("1")})
 	m.LogOp(Record{Txn: id, Kind: RecUpdate, Table: "t", Before: []byte("1"), After: []byte("2")})
-	undo, err := m.Abort(id)
+	undo, err := m.PrepareAbort(id)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FinishAbort(id); err != nil {
 		t.Fatal(err)
 	}
 	if len(undo) != 2 || undo[0].Kind != RecUpdate || undo[1].Kind != RecInsert {
@@ -300,7 +303,10 @@ func TestReadOnlyCommitSkipsDurableLog(t *testing.T) {
 	if err := m.LogDDL(aborted, Record{Kind: RecDropTable, Table: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Abort(aborted); err != nil {
+	if _, err := m.PrepareAbort(aborted); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FinishAbort(aborted); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.ddl) != 0 {

@@ -289,17 +289,6 @@ func (m *Manager) FinishAbort(id ID) error {
 	return err
 }
 
-// Abort ends the transaction and returns its data records in reverse order
-// for the engine to undo. Callers that need the undo applied under the
-// transaction's locks use PrepareAbort/FinishAbort instead.
-func (m *Manager) Abort(id ID) ([]Record, error) {
-	undo, err := m.PrepareAbort(id)
-	if err != nil {
-		return nil, err
-	}
-	return undo, m.FinishAbort(id)
-}
-
 // NextID peeks at the next transaction id without consuming it — the
 // checkpoint snapshots it so restarts never reuse an id already in the log.
 func (m *Manager) NextID() ID {
