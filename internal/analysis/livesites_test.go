@@ -66,21 +66,21 @@ var liveSites = []liveSite{
 		"\t\tp.mu.Unlock()\n\t\t// Queue full: wait for a worker to free a slot, then retry.\n\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t}",
 		"\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t}\n\t\tp.mu.Unlock()"},
 	// UPDATE's per-record walk keeps its conflict error out of line.
-	{HotAlloc, "stagedb/internal/engine", "db.go",
+	{HotAlloc, "stagedb/internal/engine", "dml.go",
 		"w.err = errSuperseded(rid, w.tbl.Name, xmax)",
 		"w.err = fmt.Errorf(\"engine: row %v of %s superseded by concurrent txn %d: %w\", rid, w.tbl.Name, xmax, mvcc.ErrSerializationFailure)"},
-	// INSERT's heap write logs the record from its callback.
-	{WalBarrier, "stagedb/internal/engine", "db.go",
+	// The version writer's heap write logs the record from its callback.
+	{WalBarrier, "stagedb/internal/engine", "dml.go",
 		"rid, err := h.InsertLogged(rec, func(rid storage.RID) (uint64, error) {\n\t\treturn db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecInsert, Table: tbl.Name, RID: rid, After: rec})",
 		"rid, err := h.InsertLogged(rec, func(rid storage.RID) (uint64, error) {\n\t\treturn 0, nil"},
 	// supersede stamps xmax through mvcc.
-	{VerHdr, "stagedb/internal/engine", "db.go",
+	{VerHdr, "stagedb/internal/engine", "dml.go",
 		"dead, err := mvcc.Supersede(oldRec, uint64(id))",
 		"dead, err := storage.WithXmax(oldRec, uint64(id))"},
 	// INSERT takes its table lock before the checkpoint quiesce lock.
-	{LockOrder, "stagedb/internal/engine", "db.go",
-		"\tif err := db.tm.Locks.Lock(ctx, id, \"table:\"+stmt.Table, txn.Exclusive); err != nil {\n\t\treturn nil, err\n\t}\n\tdb.ckptMu.RLock()\n\tdefer db.ckptMu.RUnlock()\n\th, err := db.HeapOf(tbl)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tcolIdx",
-		"\tdb.ckptMu.RLock()\n\tdefer db.ckptMu.RUnlock()\n\tif err := db.tm.Locks.Lock(ctx, id, \"table:\"+stmt.Table, txn.Exclusive); err != nil {\n\t\treturn nil, err\n\t}\n\th, err := db.HeapOf(tbl)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tcolIdx"},
+	{LockOrder, "stagedb/internal/engine", "dml.go",
+		"\tif err := db.tm.Locks.Lock(ctx, id, \"table:\"+stmt.Table, txn.Exclusive); err != nil {\n\t\treturn nil, err\n\t}\n\tdb.ckptMu.RLock()\n\tdefer db.ckptMu.RUnlock()\n\th, err := db.HeapOf(tbl)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\t// colIdx",
+		"\tdb.ckptMu.RLock()\n\tdefer db.ckptMu.RUnlock()\n\tif err := db.tm.Locks.Lock(ctx, id, \"table:\"+stmt.Table, txn.Exclusive); err != nil {\n\t\treturn nil, err\n\t}\n\th, err := db.HeapOf(tbl)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\t// colIdx"},
 }
 
 // TestAnalyzersGuardLiveSites loads each row's real package, checks its

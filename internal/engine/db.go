@@ -182,7 +182,7 @@ func (db *DB) begin() txn.ID {
 func (db *DB) visibleFunc(id txn.ID) exec.VisibleFunc {
 	snap := db.mv.SnapshotOf(uint64(id))
 	if snap == nil {
-		return func(xmin, xmax uint64) bool { return xmax == 0 }
+		return exec.LatestVersions
 	}
 	return func(xmin, xmax uint64) bool { return db.mv.Visible(snap, xmin, xmax) }
 }
@@ -362,9 +362,10 @@ func (s *Session) InTxn() bool { return s.inTxn }
 
 // RunStmt executes a parsed statement with a context checked between result
 // pages. node, when non-nil, is a pre-bound SELECT plan (the prepared path)
-// executed instead of re-planning stmt.
+// executed instead of re-planning stmt. A SELECT is StreamStmt's cursor,
+// drained.
 func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Node) (*Result, error) {
-	switch stmt.(type) {
+	switch x := stmt.(type) {
 	case *sql.Begin:
 		if s.inTxn {
 			return nil, fmt.Errorf("engine: transaction already open")
@@ -384,29 +385,29 @@ func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Nod
 		}
 		s.inTxn = false
 		return &Result{}, s.db.rollback(s.current)
-	}
-
-	// Auto-commit wrapper for single statements.
-	id := s.current
-	auto := !s.inTxn
-	if auto {
-		id = s.db.begin()
-	}
-	res, err := s.db.execInTxn(ctx, id, stmt, node, s.streamFn)
-	if auto {
+	case *sql.Select:
+		cur, err := s.StreamStmt(ctx, x, node)
 		if err != nil {
-			s.db.rollback(id)
-		} else if cerr := s.db.commit(id); cerr != nil {
-			return nil, cerr
+			return nil, err
 		}
-	} else if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, mvcc.ErrSerializationFailure) {
-		// Deadlock victims and first-committer-wins losers are rolled back
-		// whole: their snapshot is stale, so retrying inside the same
-		// transaction could never succeed.
-		s.db.rollback(id)
-		s.inTxn = false
+		rows, err := exec.Drain(cur)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Columns: cur.cols, Rows: rows}, nil
 	}
-	return res, err
+	id, auto := s.stmtTxn()
+	res, err := s.db.execInTxn(ctx, id, stmt)
+	if err != nil {
+		s.stmtFailed(id, auto, err)
+		return nil, err
+	}
+	if auto {
+		if err := s.db.commit(id); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // StreamStmt runs a SELECT as a streaming cursor: result pages flow to the
@@ -415,19 +416,10 @@ func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Nod
 // runs in its own transaction whose locks are held until Close — the query
 // stays covered while the engine reads pages on its behalf.
 func (s *Session) StreamStmt(ctx context.Context, sel *sql.Select, node plan.Node) (*Cursor, error) {
-	id := s.current
-	auto := !s.inTxn
-	if auto {
-		id = s.db.begin()
-	}
+	id, auto := s.stmtTxn()
 	cur, err := s.db.queryCursor(ctx, id, sel, node, s.streamFn)
 	if err != nil {
-		if auto {
-			s.db.rollback(id)
-		} else if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, mvcc.ErrSerializationFailure) {
-			s.db.rollback(id)
-			s.inTxn = false
-		}
+		s.stmtFailed(id, auto, err)
 		return nil, err
 	}
 	if auto {
@@ -442,8 +434,30 @@ func (s *Session) StreamStmt(ctx context.Context, sel *sql.Select, node plan.Nod
 	return cur, nil
 }
 
-// execInTxn dispatches one statement inside transaction id.
-func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement, node plan.Node, stream StreamFunc) (*Result, error) {
+// stmtTxn returns the transaction a statement runs in: the session's open
+// one, or a fresh auto-commit transaction (auto).
+func (s *Session) stmtTxn() (id txn.ID, auto bool) {
+	if s.inTxn {
+		return s.current, false
+	}
+	return s.db.begin(), true
+}
+
+// stmtFailed finishes the transaction of a statement that failed with err.
+// An auto-commit transaction rolls back. So does an explicit one whose
+// statement was a deadlock victim or lost first-committer-wins: its snapshot
+// is stale, so retrying inside the same transaction could never succeed.
+func (s *Session) stmtFailed(id txn.ID, auto bool, err error) {
+	if auto {
+		s.db.rollback(id)
+	} else if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, mvcc.ErrSerializationFailure) {
+		s.db.rollback(id)
+		s.inTxn = false
+	}
+}
+
+// execInTxn dispatches one DDL or DML statement inside transaction id.
+func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement) (*Result, error) {
 	switch x := stmt.(type) {
 	case *sql.CreateTable:
 		return db.createTable(ctx, id, x)
@@ -457,18 +471,6 @@ func (db *DB) execInTxn(ctx context.Context, id txn.ID, stmt sql.Statement, node
 		return db.update(ctx, id, x)
 	case *sql.Delete:
 		return db.delete(ctx, id, x)
-	case *sql.Select:
-		// The materialized form drains the same cursor a streaming client
-		// reads; the transaction's finish stays with the caller (RunStmt).
-		cur, err := db.queryCursor(ctx, id, x, node, stream)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := exec.Drain(cur.src)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Columns: cur.cols, Rows: rows}, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
@@ -485,29 +487,63 @@ func (db *DB) createTable(ctx context.Context, id txn.ID, stmt *sql.CreateTable)
 	for i, c := range stmt.Columns {
 		cols[i] = catalog.Column{Name: c.Name, Type: c.Type, PrimaryKey: c.PrimaryKey}
 	}
-	tbl, err := db.cat.Create(stmt.Name, catalog.Schema{Columns: cols})
+	tbl, err := db.addTable(stmt.Name, cols, storage.NewHeap(db.pool))
 	if err != nil {
 		return nil, err
 	}
-	h := storage.NewHeap(db.pool)
-	db.installHeapHooks(stmt.Name, h)
-	db.mu.Lock()
-	db.heaps[stmt.Name] = h
-	db.mu.Unlock()
 	if pk := tbl.Schema.PrimaryKeyIndex(); pk >= 0 {
-		name := "pk_" + stmt.Name
-		if _, err := db.cat.AddIndex(stmt.Name, name, tbl.Schema.Columns[pk].Name, true); err != nil {
+		if err := db.addIndex(stmt.Name, "pk_"+stmt.Name, tbl.Schema.Columns[pk].Name, true); err != nil {
 			return nil, err
 		}
-		db.mu.Lock()
-		db.indexes[name] = storage.NewBTree()
-		db.mu.Unlock()
 	}
 	if err := db.logCreateTable(id, tbl); err != nil {
 		return nil, err
 	}
 	db.invalidatePlans()
 	return &Result{}, nil
+}
+
+// addTable creates table name in the catalog and registers heap h for it,
+// its page allocations logged. CREATE TABLE and recovery both add tables
+// through here.
+func (db *DB) addTable(name string, cols []catalog.Column, h *storage.Heap) (*catalog.Table, error) {
+	tbl, err := db.cat.Create(name, catalog.Schema{Columns: cols})
+	if err != nil {
+		return nil, err
+	}
+	db.installHeapHooks(name, h)
+	db.mu.Lock()
+	db.heaps[name] = h
+	db.mu.Unlock()
+	return tbl, nil
+}
+
+// addIndex registers index name on table.column with an empty B-tree: the
+// primary-key index of a new table, or a restored index that recovery fills
+// from the heap.
+func (db *DB) addIndex(table, name, column string, unique bool) error {
+	if _, err := db.cat.AddIndex(table, name, column, unique); err != nil {
+		return err
+	}
+	db.mu.Lock()
+	db.indexes[name] = storage.NewBTree()
+	db.mu.Unlock()
+	return nil
+}
+
+// removeTable drops tbl from the catalog and unregisters its heap and
+// indexes. DROP TABLE and its redo both remove tables through here.
+func (db *DB) removeTable(tbl *catalog.Table) error {
+	if err := db.cat.Drop(tbl.Name); err != nil {
+		return err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, ix := range tbl.Indexes {
+		delete(db.indexes, ix.Name)
+	}
+	delete(db.heaps, tbl.Name)
+	return nil
 }
 
 func (db *DB) createIndex(ctx context.Context, id txn.ID, stmt *sql.CreateIndex) (*Result, error) {
@@ -534,41 +570,19 @@ func (db *DB) createIndex(ctx context.Context, id txn.ID, stmt *sql.CreateIndex)
 	if err != nil {
 		return nil, err
 	}
-	bt, err := buildIndex(tbl, h, ix.ColIdx)
-	if err != nil {
+	// Index every version, dead ones included: a reader at an old snapshot
+	// must find superseded versions through the index. Vacuum removes the
+	// entries together with the versions.
+	if err := db.fillIndexes(tbl, h, []*catalog.Index{ix}, nil); err != nil {
 		// A partial index must not be published, nor one with no B-tree.
 		db.cat.RemoveIndex(stmt.Table, stmt.Name)
 		return nil, err
 	}
-	db.mu.Lock()
-	db.indexes[stmt.Name] = bt
-	db.mu.Unlock()
 	if err := db.logCreateIndex(id, ix); err != nil {
 		return nil, err
 	}
 	db.invalidatePlans()
 	return &Result{}, nil
-}
-
-// buildIndex indexes column col of every version in h.
-func buildIndex(tbl *catalog.Table, h *storage.Heap, col int) (*storage.BTree, error) {
-	bt := storage.NewBTree()
-	var scanErr error
-	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
-		// Index every version, dead ones included: a reader at an old
-		// snapshot must find superseded versions through the index. Vacuum
-		// removes the entries together with the versions.
-		row, err := decodeVersioned(tbl.Schema, rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		bt.Insert(row[col], rid)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	return bt, scanErr
 }
 
 func (db *DB) dropTable(ctx context.Context, id txn.ID, stmt *sql.DropTable) (*Result, error) {
@@ -593,444 +607,14 @@ func (db *DB) dropTable(ctx context.Context, id txn.ID, stmt *sql.DropTable) (*R
 	if err != nil {
 		return nil, err
 	}
-	for _, ix := range tbl.Indexes {
-		db.mu.Lock()
-		delete(db.indexes, ix.Name)
-		db.mu.Unlock()
-	}
-	if err := db.cat.Drop(stmt.Name); err != nil {
+	if err := db.removeTable(tbl); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	delete(db.heaps, stmt.Name)
-	db.mu.Unlock()
 	if err := db.logDropTable(id, stmt.Name, h.PageIDs()); err != nil {
 		return nil, err
 	}
 	db.invalidatePlans()
 	return &Result{}, nil
-}
-
-// --- DML ---
-
-func (db *DB) insert(ctx context.Context, id txn.ID, stmt *sql.Insert) (*Result, error) {
-	tbl, err := db.cat.Get(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.tm.Locks.Lock(ctx, id, "table:"+stmt.Table, txn.Exclusive); err != nil {
-		return nil, err
-	}
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	h, err := db.HeapOf(tbl)
-	if err != nil {
-		return nil, err
-	}
-	colIdx := make([]int, len(stmt.Columns))
-	for i, name := range stmt.Columns {
-		ci := tbl.Schema.ColumnIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %s has no column %s", stmt.Table, name)
-		}
-		colIdx[i] = ci
-	}
-	var affected int64
-	for _, exprRow := range stmt.Rows {
-		row := make(value.Row, len(tbl.Schema.Columns))
-		for i := range row {
-			row[i] = value.NewNull()
-		}
-		if len(stmt.Columns) == 0 {
-			if len(exprRow) != len(row) {
-				return nil, fmt.Errorf("engine: INSERT arity mismatch (%d values, %d columns)", len(exprRow), len(row))
-			}
-			for i, e := range exprRow {
-				v, err := evalConstExpr(e)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-		} else {
-			if len(exprRow) != len(stmt.Columns) {
-				return nil, fmt.Errorf("engine: INSERT arity mismatch")
-			}
-			for i, e := range exprRow {
-				v, err := evalConstExpr(e)
-				if err != nil {
-					return nil, err
-				}
-				row[colIdx[i]] = v
-			}
-		}
-		norm, err := tbl.Schema.Validate(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.insertRow(id, tbl, h, norm); err != nil {
-			return nil, err
-		}
-		affected++
-	}
-	return &Result{Affected: affected}, nil
-}
-
-// insertRow encodes, stores, indexes, and logs one row as a new version
-// stamped (xmin=id, xmax=0). The WAL record is written while the heap page
-// is still pinned (the heap reverts the page change if logging fails), so a
-// dirty page never reaches disk carrying a row the log does not know about.
-func (db *DB) insertRow(id txn.ID, tbl *catalog.Table, h *storage.Heap, row value.Row) error {
-	if pk := tbl.Schema.PrimaryKeyIndex(); pk >= 0 {
-		if ixMeta := tbl.IndexOn(tbl.Schema.Columns[pk].Name); ixMeta != nil && ixMeta.Unique {
-			if bt, err := db.IndexOf(ixMeta); err == nil {
-				if err := db.checkPKFree(id, tbl, h, bt, row[pk]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	payload, err := storage.EncodeRow(tbl.Schema, row)
-	if err != nil {
-		return err
-	}
-	rec := mvcc.NewVersion(uint64(id), payload)
-	rid, err := h.InsertLogged(rec, func(rid storage.RID) (uint64, error) {
-		return db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecInsert, Table: tbl.Name, RID: rid, After: rec})
-	})
-	if err != nil {
-		return err
-	}
-	for _, ixMeta := range tbl.Indexes {
-		bt, err := db.IndexOf(ixMeta)
-		if err != nil {
-			return err
-		}
-		bt.Insert(row[ixMeta.ColIdx], rid)
-	}
-	return nil
-}
-
-// checkPKFree enforces primary-key uniqueness against the latest state.
-// Under the table's exclusive lock every version stamp from another
-// transaction is decided (committed, or aborted-and-undone), so each index
-// hit resolves cleanly: a dead version (xmax set) never conflicts, a live
-// version visible to our snapshot (or our own) is a duplicate, and a live
-// version committed after our snapshot began is a first-committer-wins
-// conflict — our snapshot cannot prove the key free, so the insert fails
-// retryably instead of silently double-inserting.
-func (db *DB) checkPKFree(id txn.ID, tbl *catalog.Table, h *storage.Heap, bt *storage.BTree, key value.Value) error {
-	snap := db.mv.SnapshotOf(uint64(id))
-	for _, rid := range bt.Search(key) {
-		rec, ok, err := h.GetIf(rid)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue // slot already vacuumed
-		}
-		xmin, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			return err
-		}
-		if xmax != 0 {
-			continue // deleted or superseded: dead in the latest state
-		}
-		if xmin == uint64(id) {
-			return fmt.Errorf("engine: duplicate primary key %s in %s", key, tbl.Name)
-		}
-		ts, committed := db.mv.CommittedTS(xmin)
-		if !committed {
-			continue // aborted leftover; cannot be active under our X lock
-		}
-		if snap != nil && ts > snap.TS {
-			db.mv.Conflict()
-			return fmt.Errorf("engine: primary key %s in %s inserted by concurrent txn %d: %w",
-				key, tbl.Name, xmin, mvcc.ErrSerializationFailure)
-		}
-		return fmt.Errorf("engine: duplicate primary key %s in %s", key, tbl.Name)
-	}
-	return nil
-}
-
-// mvTarget is one visible version selected for superseding by an UPDATE or
-// DELETE: its location, decoded payload, and the full versioned record (the
-// before-image of the xmax stamp).
-type mvTarget struct {
-	rid storage.RID
-	row value.Row
-	rec []byte
-}
-
-// collectTargets scans the heap for versions visible to transaction id's
-// snapshot that match pred. A visible match that already carries a deleter
-// stamp is a first-committer-wins conflict: under the table's exclusive
-// lock that deleter must have committed, and it did so after our snapshot
-// began (otherwise the version would be invisible) — so the statement fails
-// with ErrSerializationFailure instead of silently overwriting.
-//
-// The walk is predicate-first: each record costs a version-header read and a
-// decode of only the columns pred reads, into one reused probe row; the
-// visibility check, the full decode and the record copy are paid by matches
-// alone. A predicate that fails to evaluate fails the statement only on a
-// version the snapshot sees — an aborted or not-yet-visible version's values
-// are none of the statement's business.
-//
-// The heap callback only collects (mutation under the scan latch is
-// forbidden); callers apply their writes to the returned slice.
-func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, pred plan.Expr) ([]mvTarget, error) {
-	snap := db.mv.SnapshotOf(uint64(id))
-	if snap == nil {
-		return nil, fmt.Errorf("engine: transaction %d has no snapshot", id)
-	}
-	w := &targetWalk{mv: db.mv, snap: snap, tbl: tbl}
-	if pred != nil {
-		width := len(tbl.Schema.Columns)
-		w.match = plan.CompilePredicate(pred)
-		w.cols = plan.ExprCols(pred, width)
-		w.probe = make(value.Row, width)
-	}
-	if err := h.Scan(w.visit); err != nil {
-		return nil, err
-	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.targets, nil
-}
-
-// targetWalk is one collectTargets heap walk: the statement's snapshot, its
-// compiled predicate (nil: every visible version matches) with the columns
-// it reads and the probe row they are decoded into, and what the walk found.
-type targetWalk struct {
-	mv    *mvcc.Manager
-	snap  *mvcc.Snapshot
-	tbl   *catalog.Table
-	match plan.CompiledPredicate
-	cols  []bool
-	probe value.Row
-
-	targets []mvTarget
-	err     error
-}
-
-// visit examines one heap record; it returns false to stop the walk, with
-// w.err set.
-//
-//stagedb:hot
-func (w *targetWalk) visit(rid storage.RID, rec []byte) bool {
-	xmin, xmax, err := storage.VersionOf(rec)
-	if err != nil {
-		w.err = err
-		return false
-	}
-	if w.match != nil {
-		ok, err := w.matches(rec)
-		if err != nil {
-			if w.mv.Visible(w.snap, xmin, xmax) {
-				w.err = err
-				return false
-			}
-			return true
-		}
-		if !ok {
-			return true
-		}
-	}
-	if !w.mv.Visible(w.snap, xmin, xmax) {
-		return true
-	}
-	row, err := decodeVersioned(w.tbl.Schema, rec)
-	if err != nil {
-		w.err = err
-		return false
-	}
-	if xmax != 0 {
-		w.mv.Conflict()
-		w.err = errSuperseded(rid, w.tbl.Name, xmax)
-		return false
-	}
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	w.targets = append(w.targets, mvTarget{rid: rid, row: row, rec: cp})
-	return true
-}
-
-// matches decodes the predicate's columns of the versioned record rec into
-// the probe row and evaluates the predicate on it.
-//
-//stagedb:hot
-func (w *targetWalk) matches(rec []byte) (bool, error) {
-	payload, err := storage.PayloadOf(rec)
-	if err != nil {
-		return false, err
-	}
-	if err := storage.DecodeRowInto(w.tbl.Schema, payload, w.cols, w.probe); err != nil {
-		return false, err
-	}
-	return w.match(w.probe)
-}
-
-// errSuperseded reports a first-committer-wins conflict on the version at
-// rid, kept out of line so the per-record walk holds no fmt call.
-func errSuperseded(rid storage.RID, table string, xmax uint64) error {
-	return fmt.Errorf("engine: row %v of %s superseded by concurrent txn %d: %w",
-		rid, table, xmax, mvcc.ErrSerializationFailure)
-}
-
-// supersede stamps transaction id as the deleter of the version at rid. The
-// before and after images differ only in the 8-byte xmax field of the
-// version header, so the logged update is always in place; both images
-// carry the full record so undo and recovery restore it exactly.
-func (db *DB) supersede(id txn.ID, tbl *catalog.Table, h *storage.Heap, rid storage.RID, oldRec []byte) error {
-	dead, err := mvcc.Supersede(oldRec, uint64(id))
-	if err != nil {
-		return err
-	}
-	inPlace, err := h.UpdateLogged(rid, dead, func(rid storage.RID) (uint64, error) {
-		return db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecUpdate, Table: tbl.Name,
-			RID: rid, Before: oldRec, After: dead})
-	})
-	if err != nil {
-		return err
-	}
-	if !inPlace {
-		return errStampMoved(rid, tbl.Name)
-	}
-	return nil
-}
-
-// errStampMoved reports an xmax stamp, or its undo, that did not stay in
-// place.
-func errStampMoved(rid storage.RID, table string) error {
-	return fmt.Errorf("engine: xmax stamp moved record %v of %s (same-length update must stay in place)", rid, table)
-}
-
-// update implements UPDATE as supersede-plus-insert: each target's current
-// version gets this transaction stamped as its deleter (in place — readers
-// at older snapshots keep seeing it), and a fresh version with the new
-// values is inserted alongside. Index entries for the old version remain
-// until vacuum reclaims it, so index readers at old snapshots still reach
-// it; only the new version gains new entries.
-func (db *DB) update(ctx context.Context, id txn.ID, stmt *sql.Update) (*Result, error) {
-	tbl, err := db.cat.Get(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.tm.Locks.Lock(ctx, id, "table:"+stmt.Table, txn.Exclusive); err != nil {
-		return nil, err
-	}
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	h, err := db.HeapOf(tbl)
-	if err != nil {
-		return nil, err
-	}
-	var pred plan.Expr
-	if stmt.Where != nil {
-		pred, err = plan.BindTableExpr(tbl, stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	sets := make([]struct {
-		col  int
-		expr plan.Expr
-	}, len(stmt.Sets))
-	for i, a := range stmt.Sets {
-		ci := tbl.Schema.ColumnIndex(a.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %s has no column %s", stmt.Table, a.Column)
-		}
-		e, err := plan.BindTableExpr(tbl, a.Value)
-		if err != nil {
-			return nil, err
-		}
-		sets[i].col, sets[i].expr = ci, e
-	}
-
-	targets, err := db.collectTargets(id, tbl, h, pred)
-	if err != nil {
-		return nil, err
-	}
-
-	var affected int64
-	for _, tg := range targets {
-		newRow := tg.row.Clone()
-		for _, set := range sets {
-			v, err := set.expr.Eval(tg.row)
-			if err != nil {
-				return nil, err
-			}
-			newRow[set.col] = v
-		}
-		norm, err := tbl.Schema.Validate(newRow)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := storage.EncodeRow(tbl.Schema, norm)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.supersede(id, tbl, h, tg.rid, tg.rec); err != nil {
-			return nil, err
-		}
-		newRec := mvcc.NewVersion(uint64(id), payload)
-		newRID, err := h.InsertLogged(newRec, func(rid storage.RID) (uint64, error) {
-			return db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecInsert, Table: tbl.Name,
-				RID: rid, After: newRec})
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return nil, err
-			}
-			bt.Insert(norm[ixMeta.ColIdx], newRID)
-		}
-		affected++
-	}
-	return &Result{Affected: affected}, nil
-}
-
-// delete implements DELETE as an xmax stamp: the version stays in the heap
-// (readers at older snapshots keep seeing it) and its index entries stay in
-// place; vacuum reclaims both once no snapshot can see the version.
-func (db *DB) delete(ctx context.Context, id txn.ID, stmt *sql.Delete) (*Result, error) {
-	tbl, err := db.cat.Get(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.tm.Locks.Lock(ctx, id, "table:"+stmt.Table, txn.Exclusive); err != nil {
-		return nil, err
-	}
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	h, err := db.HeapOf(tbl)
-	if err != nil {
-		return nil, err
-	}
-	var pred plan.Expr
-	if stmt.Where != nil {
-		pred, err = plan.BindTableExpr(tbl, stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	targets, err := db.collectTargets(id, tbl, h, pred)
-	if err != nil {
-		return nil, err
-	}
-	var affected int64
-	for _, tg := range targets {
-		if err := db.supersede(id, tbl, h, tg.rid, tg.rec); err != nil {
-			return nil, err
-		}
-		affected++
-	}
-	return &Result{Affected: affected}, nil
 }
 
 // --- SELECT ---
@@ -1060,7 +644,7 @@ func (db *DB) lockQueryTables(ctx context.Context, id txn.ID, stmt *sql.Select) 
 // queryCursor locks the SELECT's tables, plans it unless node is pre-bound,
 // starts the execution and returns a cursor over its result pages without
 // draining them. Transaction finish is the caller's: Session.StreamStmt
-// arranges it on the cursor's Close, RunStmt after execInTxn drained it.
+// arranges it on the cursor's Close.
 func (db *DB) queryCursor(ctx context.Context, id txn.ID, stmt *sql.Select, node plan.Node, stream StreamFunc) (*Cursor, error) {
 	if err := db.lockQueryTables(ctx, id, stmt); err != nil {
 		return nil, err
@@ -1146,116 +730,6 @@ func (db *DB) Plan(stmt *sql.Select) (plan.Node, error) {
 	return plan.BindSelect(db.cat, stmt, db.cfg.PlanOptions)
 }
 
-// --- rollback / recovery ---
-
-// rollback aborts a transaction and applies its undo records, writing a
-// compensation log record (CLR) for every page operation the undo performs
-// — so a crash mid-rollback replays the completed part of the undo instead
-// of redoing the aborted work. The txn's locks stay held until the undo is
-// fully applied (FinishAbort releases them).
-func (db *DB) rollback(id txn.ID) error {
-	// The exclusion must cover PrepareAbort through FinishAbort: a fuzzy
-	// checkpoint between them would snapshot the txn as neither active nor
-	// undone, and recovery would lose the remaining undo.
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	// Stamp aborted before undo starts: from here no snapshot sees the
-	// transaction's versions, so readers never observe a half-undone txn.
-	db.mv.Abort(uint64(id))
-	snap := db.mv.SnapshotOf(uint64(id))
-	undo, err := db.tm.PrepareAbort(id)
-	if err != nil {
-		db.mv.End(snap)
-		return err
-	}
-	for _, rec := range undo {
-		if err := db.undoOne(rec); err != nil {
-			db.tm.FinishAbort(id)
-			// Undo incomplete: keep the aborted status entry unprunable (no
-			// AbortDone) so surviving stamps stay invisible.
-			db.mv.End(snap)
-			return err
-		}
-	}
-	err = db.tm.FinishAbort(id)
-	if len(undo) == 0 {
-		// No version was ever stamped with the id: nothing consults the entry.
-		db.mv.Forget(uint64(id))
-	} else {
-		// Undo complete: no heap record references the id any more, so the
-		// status entry becomes prunable once concurrent snapshots end.
-		db.mv.AbortDone(uint64(id))
-	}
-	db.mv.End(snap)
-	return err
-}
-
-func (db *DB) undoOne(rec txn.Record) error {
-	tbl, err := db.cat.Get(rec.Table)
-	if err != nil {
-		// Table dropped after the op; nothing to undo into.
-		return nil
-	}
-	h, err := db.HeapOf(tbl)
-	if err != nil {
-		return err
-	}
-	switch rec.Kind {
-	case txn.RecInsert:
-		row, err := decodeVersioned(tbl.Schema, rec.After)
-		if err != nil {
-			return err
-		}
-		if err := h.DeleteLogged(rec.RID, func(rid storage.RID) (uint64, error) {
-			return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecDelete, Table: rec.Table,
-				RID: rid, Before: rec.After, UndoOf: rec.LSN})
-		}); err != nil {
-			return err
-		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return err
-			}
-			bt.Delete(row[ixMeta.ColIdx], rec.RID)
-		}
-	case txn.RecDelete:
-		row, err := decodeVersioned(tbl.Schema, rec.Before)
-		if err != nil {
-			return err
-		}
-		rid, err := h.InsertLogged(rec.Before, func(rid storage.RID) (uint64, error) {
-			return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecInsert, Table: rec.Table,
-				RID: rid, After: rec.Before, UndoOf: rec.LSN})
-		})
-		if err != nil {
-			return err
-		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return err
-			}
-			bt.Insert(row[ixMeta.ColIdx], rid)
-		}
-	case txn.RecUpdate:
-		// The one update the engine logs is supersede's xmax stamp: the
-		// before-image has the same length and payload, so it restores in
-		// place and no index key changes.
-		inPlace, err := h.UpdateLogged(rec.RID, rec.Before, func(rid storage.RID) (uint64, error) {
-			return db.tm.AppendCLR(txn.Record{Txn: rec.Txn, Kind: txn.RecUpdate, Table: rec.Table,
-				RID: rid, Before: rec.After, After: rec.Before, UndoOf: rec.LSN})
-		})
-		if err != nil {
-			return err
-		}
-		if !inPlace {
-			return errStampMoved(rec.RID, rec.Table)
-		}
-	}
-	return nil
-}
-
 // Analyze refreshes a table's statistics by scanning it.
 func (db *DB) Analyze(table string) error {
 	tbl, err := db.cat.Get(table)
@@ -1271,22 +745,15 @@ func (db *DB) Analyze(table string) error {
 	for i := range distinct {
 		distinct[i] = make(map[uint64]bool)
 	}
-	var scanErr error
-	if err := h.Scan(func(_ storage.RID, rec []byte) bool {
-		_, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
+	if err := walkVersions(h, func(_ storage.RID, xmax uint64, rec []byte) error {
 		if xmax != 0 {
 			// Superseded or deleted version: statistics describe the latest
 			// state, not the version history.
-			return true
+			return nil
 		}
 		row, err := decodeVersioned(tbl.Schema, rec)
 		if err != nil {
-			scanErr = err
-			return false
+			return err
 		}
 		stats.RowCount++
 		for i, v := range row {
@@ -1306,12 +773,9 @@ func (db *DB) Analyze(table string) error {
 				cs.Max = v
 			}
 		}
-		return true
+		return nil
 	}); err != nil {
 		return err
-	}
-	if scanErr != nil {
-		return scanErr
 	}
 	for i := range stats.Columns {
 		stats.Columns[i].Distinct = int64(len(distinct[i]))
@@ -1319,37 +783,4 @@ func (db *DB) Analyze(table string) error {
 	// Fresh statistics change what the right plan is; cached plans go stale.
 	db.invalidatePlans()
 	return db.cat.UpdateStats(table, stats)
-}
-
-// evalConstExpr evaluates an INSERT value expression (literals and
-// arithmetic over literals).
-func evalConstExpr(e sql.Expr) (value.Value, error) {
-	switch x := e.(type) {
-	case *sql.Literal:
-		return x.Val, nil
-	case *sql.Unary:
-		v, err := evalConstExpr(x.E)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if x.Op == "-" {
-			return value.Arith('-', value.NewInt(0), v)
-		}
-		return value.Value{}, fmt.Errorf("engine: %s not allowed in VALUES", x.Op)
-	case *sql.Binary:
-		l, err := evalConstExpr(x.L)
-		if err != nil {
-			return value.Value{}, err
-		}
-		r, err := evalConstExpr(x.R)
-		if err != nil {
-			return value.Value{}, err
-		}
-		switch x.Op {
-		case "+", "-", "*", "/", "%":
-			return value.Arith(x.Op[0], l, r)
-		}
-		return value.Value{}, fmt.Errorf("engine: operator %s not allowed in VALUES", x.Op)
-	}
-	return value.Value{}, fmt.Errorf("engine: VALUES requires constant expressions, got %T", e)
 }

@@ -477,7 +477,9 @@ func (db *DB) restoreTable(ct *txn.CheckpointTable) error {
 	for i, c := range ct.Columns {
 		cols[i] = catalog.Column{Name: c.Name, Type: value.Type(c.Type), PrimaryKey: c.PrimaryKey}
 	}
-	if _, err := db.cat.Create(ct.Name, catalog.Schema{Columns: cols}); err != nil {
+	h := storage.NewHeap(db.pool)
+	h.RestorePages(u32ToPages(ct.Pages))
+	if _, err := db.addTable(ct.Name, cols, h); err != nil {
 		db.mu.RLock()
 		_, have := db.heaps[ct.Name]
 		db.mu.RUnlock()
@@ -486,12 +488,6 @@ func (db *DB) restoreTable(ct *txn.CheckpointTable) error {
 		}
 		return err
 	}
-	h := storage.NewHeap(db.pool)
-	h.RestorePages(u32ToPages(ct.Pages))
-	db.installHeapHooks(ct.Name, h)
-	db.mu.Lock()
-	db.heaps[ct.Name] = h
-	db.mu.Unlock()
 	for i := range ct.Indexes {
 		if err := db.restoreIndex(ct.Name, &ct.Indexes[i]); err != nil {
 			return err
@@ -501,35 +497,20 @@ func (db *DB) restoreTable(ct *txn.CheckpointTable) error {
 }
 
 func (db *DB) restoreIndex(table string, ci *txn.CheckpointIndex) error {
-	if _, err := db.cat.AddIndex(table, ci.Name, ci.Column, ci.Unique); err != nil {
+	if err := db.addIndex(table, ci.Name, ci.Column, ci.Unique); err != nil {
 		db.mu.RLock()
 		_, have := db.indexes[ci.Name]
 		db.mu.RUnlock()
-		if have {
-			return nil
+		if !have {
+			return err
 		}
-		return err
 	}
-	db.mu.Lock()
-	db.indexes[ci.Name] = storage.NewBTree()
-	db.mu.Unlock()
 	return nil
 }
 
 func (db *DB) redoDropTable(name string) {
-	tbl, err := db.cat.Get(name)
-	if err != nil {
-		return
-	}
-	for _, ix := range tbl.Indexes {
-		db.mu.Lock()
-		delete(db.indexes, ix.Name)
-		db.mu.Unlock()
-	}
-	if db.cat.Drop(name) == nil {
-		db.mu.Lock()
-		delete(db.heaps, name)
-		db.mu.Unlock()
+	if tbl, err := db.cat.Get(name); err == nil {
+		db.removeTable(tbl)
 	}
 }
 
@@ -579,39 +560,14 @@ func (db *DB) rebuildIndexes() error {
 		if h == nil {
 			continue
 		}
-		fresh := make(map[string]*storage.BTree, len(tbl.Indexes))
-		for _, ix := range tbl.Indexes {
-			fresh[ix.Name] = storage.NewBTree()
-		}
-		var scanErr error
 		var dead []storage.RID
-		if err := h.Scan(func(rid storage.RID, rec []byte) bool {
-			_, xmax, err := storage.VersionOf(rec)
-			if err != nil {
-				scanErr = err
-				return false
-			}
+		if err := db.fillIndexes(tbl, h, tbl.Indexes, func(rid storage.RID, xmax uint64) bool {
 			if xmax != 0 {
 				dead = append(dead, rid)
-				return true
 			}
-			if len(fresh) == 0 {
-				return true
-			}
-			row, err := decodeVersioned(tbl.Schema, rec)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			for _, ix := range tbl.Indexes {
-				fresh[ix.Name].Insert(row[ix.ColIdx], rid)
-			}
-			return true
+			return xmax == 0
 		}); err != nil {
 			return err
-		}
-		if scanErr != nil {
-			return scanErr
 		}
 		for _, rid := range dead {
 			//stagedbvet:ignore walbarrier recovery-time sweep of already-superseded versions: idempotent physical cleanup, re-derived from xmax stamps on the next recovery pass, not part of any transaction's redo/undo
@@ -620,11 +576,6 @@ func (db *DB) rebuildIndexes() error {
 			}
 			db.sweptVers.Add(1)
 		}
-		db.mu.Lock()
-		for name, bt := range fresh {
-			db.indexes[name] = bt
-		}
-		db.mu.Unlock()
 	}
 	return nil
 }

@@ -1,30 +1,28 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"stagedb/internal/value"
 )
 
+// shapeCase is one query shape of runShapes: its literal text, the same
+// shape with `?`s and their arguments, and its rows as "col|col", one per
+// line.
+type shapeCase struct {
+	literal string
+	q       string
+	args    []value.Value
+	want    string
+}
+
 // TestPostAggregateExpressions: the select list, HAVING and ORDER BY above
 // a GROUP BY take every expression form WHERE takes — IS NULL, IN, LIKE,
-// aggregate sort keys — over GROUP BY columns and aggregate calls. Each
-// case runs on the staged and the threaded engine, as its literal text, as
-// an ad-hoc `?` text (a custom plan, planned with the values) and as an
-// explicit statement (the generic plan through plan.Substitute), and is
-// checked against rows computed by hand.
+// aggregate sort keys — over GROUP BY columns and aggregate calls.
 func TestPostAggregateExpressions(t *testing.T) {
-	// Groups: g=1 {v 10, 20; s apple, banana}, g=2 {v 5; s cherry},
-	// g=3 {v NULL ×3; s blue, berry, avocado}.
-	const load = `INSERT INTO pa VALUES (1, 1, 10, 'apple'), (2, 1, 20, 'banana'),
-		(3, 2, 5, 'cherry'), (4, 3, NULL, 'blue'), (5, 3, NULL, 'berry'), (6, 3, NULL, 'avocado')`
-	cases := []struct {
-		literal string
-		q       string // the same shape with a `?`
-		args    []value.Value
-		want    string // rows as "col|col", one per line
-	}{
+	runShapes(t, false, []shapeCase{
 		{"SELECT g, COUNT(*) FROM pa GROUP BY g HAVING MAX(v) IS NOT NULL ORDER BY g",
 			"SELECT g, COUNT(*) FROM pa GROUP BY g HAVING MAX(v) IS NOT NULL AND COUNT(*) >= ? ORDER BY g",
 			[]value.Value{value.NewInt(1)},
@@ -53,7 +51,55 @@ func TestPostAggregateExpressions(t *testing.T) {
 			"SELECT g, COUNT(*) FROM pa GROUP BY g HAVING COUNT(*) IN (?, ?) ORDER BY g",
 			[]value.Value{value.NewInt(1), value.NewInt(3)},
 			"2|1\n3|3"},
-	}
+	})
+}
+
+// TestOrderByMixedKeysAndColumnNames: an ORDER BY may mix select-list keys
+// (an alias included) with keys outside the select list, and an unaliased
+// qualified column is named by its column above a GROUP BY as below one.
+func TestOrderByMixedKeysAndColumnNames(t *testing.T) {
+	const byG = "3|'blue'\n3|'berry'\n3|'avocado'\n2|'cherry'\n1|'apple'\n1|'banana'"
+	runShapes(t, true, []shapeCase{
+		{"SELECT v FROM pa ORDER BY v, id",
+			"SELECT v FROM pa WHERE id > ? ORDER BY v, id",
+			[]value.Value{value.NewInt(0)},
+			"v\nNULL\nNULL\nNULL\n5\n10\n20"},
+		{"SELECT g, s FROM pa ORDER BY g DESC, id",
+			"SELECT g, s FROM pa WHERE id > ? ORDER BY g DESC, id",
+			[]value.Value{value.NewInt(0)}, "g|s\n" + byG},
+		{"SELECT g AS k, s FROM pa ORDER BY k DESC, id",
+			"SELECT g AS k, s FROM pa WHERE id > ? ORDER BY k DESC, id",
+			[]value.Value{value.NewInt(0)}, "k|s\n" + byG},
+		{"SELECT g, COUNT(*) FROM pa GROUP BY g ORDER BY g, COUNT(*)",
+			"SELECT g, COUNT(*) FROM pa WHERE id > ? GROUP BY g ORDER BY g, COUNT(*)",
+			[]value.Value{value.NewInt(0)},
+			"g|COUNT(*)\n1|2\n2|1\n3|3"},
+		{"SELECT g, COUNT(*) FROM pa GROUP BY g ORDER BY COUNT(*), g",
+			"SELECT g, COUNT(*) FROM pa WHERE id > ? GROUP BY g ORDER BY COUNT(*), g",
+			[]value.Value{value.NewInt(0)},
+			"g|COUNT(*)\n2|1\n1|2\n3|3"},
+		{"SELECT pa.g, COUNT(*) FROM pa GROUP BY pa.g ORDER BY pa.g",
+			"SELECT pa.g, COUNT(*) FROM pa WHERE id > ? GROUP BY pa.g ORDER BY pa.g",
+			[]value.Value{value.NewInt(0)},
+			"g|COUNT(*)\n1|2\n2|1\n3|3"},
+		{"SELECT pa.g FROM pa WHERE id < 4 ORDER BY pa.g, id",
+			"SELECT pa.g FROM pa WHERE id < ? ORDER BY pa.g, id",
+			[]value.Value{value.NewInt(4)},
+			"g\n1\n1\n2"},
+	})
+}
+
+// runShapes runs each case on the staged and the threaded engine, as its
+// literal text, as an ad-hoc `?` text (a custom plan, planned with the
+// values) and as an explicit statement (the generic plan through
+// plan.Substitute), and checks it against the rows computed by hand over
+// the pa table; with header, want's first line is the column names.
+func runShapes(t *testing.T, header bool, cases []shapeCase) {
+	t.Helper()
+	// Groups: g=1 {v 10, 20; s apple, banana}, g=2 {v 5; s cherry},
+	// g=3 {v NULL ×3; s blue, berry, avocado}.
+	const load = `INSERT INTO pa VALUES (1, 1, 10, 'apple'), (2, 1, 20, 'banana'),
+		(3, 2, 5, 'cherry'), (4, 3, NULL, 'blue'), (5, 3, NULL, 'berry'), (6, 3, NULL, 'avocado')`
 	render := func(res *Result) string {
 		lines := make([]string, len(res.Rows))
 		for i, row := range res.Rows {
@@ -77,20 +123,26 @@ func TestPostAggregateExpressions(t *testing.T) {
 			}
 			defer f.Close()
 			sess := db.NewSession()
+			check := func(c shapeCase, how, q string, res *Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Errorf("%s: %s: %v", how, q, err)
+					return
+				}
+				got := render(res)
+				if header {
+					got = strings.Join(res.Columns, "|") + "\n" + got
+				}
+				if got != c.want {
+					t.Errorf("%s: %s:\n%s\nwant\n%s", how, q, got, c.want)
+				}
+			}
 			for _, c := range cases {
 				res, err := submitSQL(t, f, sess, c.literal)
-				if err != nil {
-					t.Errorf("literal: %s: %v", c.literal, err)
-				} else if got := render(res); got != c.want {
-					t.Errorf("literal: %s:\n%s\nwant\n%s", c.literal, got, c.want)
-				}
+				check(c, "literal", c.literal, res, err)
 				for _, generic := range []bool{false, true} {
 					res, err := runBound(t, f, sess, c.q, generic, c.args...)
-					if err != nil {
-						t.Errorf("generic=%v: %s %v: %v", generic, c.q, c.args, err)
-					} else if got := render(res); got != c.want {
-						t.Errorf("generic=%v: %s %v:\n%s\nwant\n%s", generic, c.q, c.args, got, c.want)
-					}
+					check(c, fmt.Sprintf("generic=%v %v", generic, c.args), c.q, res, err)
 				}
 			}
 		})

@@ -16,7 +16,6 @@ import (
 	"stagedb/internal/mvcc"
 	"stagedb/internal/storage"
 	"stagedb/internal/txn"
-	"stagedb/internal/value"
 )
 
 // mvccCounters renders mvcc.Stats for stage snapshots (the \stages view).
@@ -83,23 +82,15 @@ func (db *DB) TableVersions(table string) (live, dead int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	var scanErr error
-	if err := h.Scan(func(_ storage.RID, rec []byte) bool {
-		_, xmax, verr := storage.VersionOf(rec)
-		if verr != nil {
-			scanErr = verr
-			return false
-		}
+	err = walkVersions(h, func(_ storage.RID, xmax uint64, _ []byte) error {
 		if xmax == 0 {
 			live++
 		} else {
 			dead++
 		}
-		return true
-	}); err != nil {
-		return 0, 0, err
-	}
-	return live, dead, scanErr
+		return nil
+	})
+	return live, dead, err
 }
 
 func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (int64, error) {
@@ -115,58 +106,33 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 	// The horizon is pinned by our own snapshot among others, so it cannot
 	// advance past concurrent readers while we hold it.
 	horizon := db.mv.OldestActiveTS()
-	type victim struct {
-		rid storage.RID
-		row value.Row
-		rec []byte
-	}
-	// Collect first: the scan callback runs under the heap's read latch and
-	// must not mutate.
-	var victims []victim
-	var scanErr error
-	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
-		_, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
+	// Collect first: the walk runs under the heap's read latch and must not
+	// mutate.
+	var victims []mvTarget
+	if err := walkVersions(h, func(rid storage.RID, xmax uint64, rec []byte) error {
 		if xmax == 0 {
-			return true // live in the latest state
+			return nil // live in the latest state
 		}
 		ts, committed := db.mv.CommittedTS(xmax)
 		if !committed || ts > horizon {
-			return true // deleter unresolved or visible to some snapshot
+			return nil // deleter unresolved or visible to some snapshot
 		}
-		row, err := decodeVersioned(tbl.Schema, rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		victims = append(victims, victim{rid: rid, row: row, rec: cp})
-		return true
+		v, err := newTarget(tbl.Schema, rid, rec)
+		victims = append(victims, v)
+		return err
 	}); err != nil {
 		return 0, err
 	}
-	if scanErr != nil {
-		return 0, scanErr
-	}
 	var n int64
 	for _, v := range victims {
-		v := v
 		if err := h.DeleteLogged(v.rid, func(rid storage.RID) (uint64, error) {
 			return db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecDelete, Table: tbl.Name,
 				RID: rid, Before: v.rec})
 		}); err != nil {
 			return n, err
 		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return n, err
-			}
-			bt.Delete(v.row[ixMeta.ColIdx], v.rid)
+		if err := db.indexVersion(tbl, v.row, v.rid, false); err != nil {
+			return n, err
 		}
 		n++
 	}

@@ -186,10 +186,11 @@ func BenchmarkHashJoinStreamLimit(b *testing.B) {
 
 // BenchmarkDecodeRow: the per-row decode of 4096 records of the benchmark's
 // fact table (id, grp, k, val INT, pad TEXT of 64 bytes) per iteration —
-// every column, and the two (grp, val) the aggregate shape reads. "page"
-// decodes the way the scans do, into rows carved from a recycled exchange
-// page's value storage (DecodeRowInto); "alloc" allocates a row per record
-// (DecodeRow, what DML and recovery use).
+// every column, and the two (grp, val) the aggregate shape reads. The
+// records are version records and each decode starts past the header.
+// "page" decodes the way the scans do, into rows carved from a recycled
+// exchange page's value storage (DecodeRowInto); "alloc" allocates a row per
+// record (DecodeRow, what DML and recovery use).
 func BenchmarkDecodeRow(b *testing.B) {
 	schema := catalog.Schema{Columns: []catalog.Column{
 		{Name: "id", Type: value.Int}, {Name: "grp", Type: value.Int}, {Name: "k", Type: value.Int},
@@ -198,14 +199,10 @@ func BenchmarkDecodeRow(b *testing.B) {
 	recs := make([][]byte, 4096)
 	for i := range recs {
 		n := int64(i)
-		rec, err := storage.EncodeRow(schema, value.Row{
+		recs[i] = versionOf(b, schema, value.Row{
 			value.NewInt(n), value.NewInt(n % 10), value.NewInt(n % 50000), value.NewInt(n * 7 % 1000),
 			value.NewText(strings.Repeat("p", 64)),
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		recs[i] = rec
 	}
 	for _, bc := range []struct {
 		name string
@@ -226,7 +223,8 @@ func BenchmarkDecodeRow(b *testing.B) {
 						pg = pool.Get(DefaultPageRows)
 					}
 					row := pg.carve(len(schema.Columns))
-					if err := storage.DecodeRowInto(schema, rec, bc.cols, row); err != nil {
+					payload, _ := storage.PayloadOf(rec)
+					if err := storage.DecodeRowInto(schema, payload, bc.cols, row); err != nil {
 						b.Fatal(err)
 					}
 					pg.Rows = append(pg.Rows, row)
@@ -243,7 +241,8 @@ func BenchmarkDecodeRow(b *testing.B) {
 			var sum int64
 			for i := 0; i < b.N; i++ {
 				for _, rec := range recs {
-					row, err := storage.DecodeRow(schema, rec, bc.cols)
+					payload, _ := storage.PayloadOf(rec)
+					row, err := storage.DecodeRow(schema, payload, bc.cols)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -102,10 +102,10 @@ type BuildConfig struct {
 	TempDir string
 	// Spill accumulates spill counters (nil = discarded).
 	Spill *SpillMetrics
-	// Visible, when set, marks heap records as MVCC-versioned: scans strip
-	// the storage.VerHdrLen version header before decoding and drop versions
-	// the function rejects. Nil means records are raw EncodeRow payloads
-	// (the pre-MVCC layout, still used by exec's own tests).
+	// Visible decides which versions of a heap record the scans return: a
+	// scan reads each record's storage.VerHdrLen version header, drops the
+	// versions the function rejects and decodes the payload after it. Nil
+	// means the latest state (LatestVersions).
 	Visible VisibleFunc
 }
 
@@ -115,8 +115,14 @@ func (c BuildConfig) resolve() BuildConfig {
 		c.PageRows = DefaultPageRows
 	}
 	c.WorkMem = ResolveWorkMem(c.WorkMem)
+	if c.Visible == nil {
+		c.Visible = LatestVersions
+	}
 	return c
 }
+
+// LatestVersions is the visibility of the latest state: live versions only.
+func LatestVersions(xmin, xmax uint64) bool { return xmax == 0 }
 
 // maxPresize bounds operator pre-sizing from planner estimates so a wild
 // estimate cannot allocate an absurd hash table up front.
@@ -333,14 +339,14 @@ func RunCtx(ctx context.Context, op Operator) ([]value.Row, error) {
 // different stage workers. An operator is built per execution, under one
 // snapshot, and is stepped by one worker at a time.
 type visMemo struct {
-	fn       VisibleFunc // nil = unversioned records
+	fn       VisibleFunc
 	lastXmin uint64
 	lastOK   bool
 	valid    bool
 }
 
 // visible reports whether the version stamped (xmin, xmax) is visible to the
-// scan's snapshot. m.fn must be non-nil.
+// scan's snapshot.
 //
 //stagedb:hot
 func (m *visMemo) visible(xmin, xmax uint64) bool {
@@ -359,7 +365,7 @@ type seqScan struct {
 	pageRows int
 	pool     *PagePool
 	pred     plan.CompiledPredicate // compiled pushed-down filter; nil = all
-	vis      visMemo                // MVCC visibility; vis.fn nil = unversioned records
+	vis      visMemo                // MVCC visibility
 
 	// shared, injected by the staged driver when scan sharing is enabled,
 	// synchronizes the walk with the other scans of the heap (see
@@ -395,20 +401,18 @@ func (s *seqScan) Open() error {
 	return nil
 }
 
-// accept strips the version header (versioned mode), applies visibility,
-// decodes the record straight into a row carved from the output page, and
-// applies the pushed-down predicate — giving the slot back if it rejects.
+// accept applies visibility to the record's version header, decodes the
+// payload straight into a row carved from the output page, and applies the
+// pushed-down predicate — giving the slot back if it rejects.
 func (s *seqScan) accept(rec []byte) (bool, error) {
-	if s.vis.fn != nil {
-		xmin, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			return false, err
-		}
-		if !s.vis.visible(xmin, xmax) {
-			return true, nil
-		}
-		rec, _ = storage.PayloadOf(rec)
+	xmin, xmax, err := storage.VersionOf(rec)
+	if err != nil {
+		return false, err
 	}
+	if !s.vis.visible(xmin, xmax) {
+		return true, nil
+	}
+	rec, _ = storage.PayloadOf(rec)
 	out := s.outPage()
 	row := out.carve(len(s.node.Table.Schema.Columns))
 	if err := storage.DecodeRowInto(s.node.Table.Schema, rec, s.node.Cols, row); err != nil {
@@ -516,7 +520,7 @@ type indexScan struct {
 	pageRows int
 	pool     *PagePool
 	pred     plan.CompiledPredicate
-	vis      visMemo // MVCC visibility; vis.fn nil = unversioned records
+	vis      visMemo // MVCC visibility
 
 	cur *storage.TreeCursor
 	out *Page
@@ -536,35 +540,25 @@ func (s *indexScan) Next() (*Page, error) {
 			s.eos = true
 			break
 		}
-		var rec []byte
-		var err error
-		if s.vis.fn != nil {
-			// Index entries reference every version of a key (dead versions
-			// stay indexed until vacuum); the heap record's stamps decide
-			// visibility, and a slot vacuum reclaimed mid-scan was invisible
-			// to this snapshot by the GC horizon rule — skip it.
-			var live bool
-			rec, live, err = s.heap.GetIf(rid)
-			if err != nil {
-				return nil, err
-			}
-			if !live {
-				continue
-			}
-			xmin, xmax, err := storage.VersionOf(rec)
-			if err != nil {
-				return nil, err
-			}
-			if !s.vis.visible(xmin, xmax) {
-				continue
-			}
-			rec, _ = storage.PayloadOf(rec)
-		} else {
-			rec, err = s.heap.Get(rid)
-			if err != nil {
-				return nil, err
-			}
+		// Index entries reference every version of a key (dead versions
+		// stay indexed until vacuum); the heap record's stamps decide
+		// visibility, and a slot vacuum reclaimed mid-scan was invisible to
+		// this snapshot by the GC horizon rule — skip it.
+		rec, live, err := s.heap.GetIf(rid)
+		if err != nil {
+			return nil, err
 		}
+		if !live {
+			continue
+		}
+		xmin, xmax, err := storage.VersionOf(rec)
+		if err != nil {
+			return nil, err
+		}
+		if !s.vis.visible(xmin, xmax) {
+			continue
+		}
+		rec, _ = storage.PayloadOf(rec)
 		if s.out == nil {
 			s.out = s.pool.Get(s.pageRows)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"stagedb/internal/catalog"
+	"stagedb/internal/mvcc"
 	"stagedb/internal/plan"
 	"stagedb/internal/sql"
 	"stagedb/internal/storage"
@@ -60,6 +61,31 @@ func (db *testDB) createTable(t *testing.T, ddl string) {
 	db.heaps[stmt.Name] = storage.NewHeap(db.pool)
 }
 
+// versionOf encodes row as a committed version record (xmin 1, xmax 0): the
+// one heap layout the scans read.
+func versionOf(tb testing.TB, schema catalog.Schema, row value.Row) []byte {
+	tb.Helper()
+	payload, err := storage.EncodeRow(schema, row)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mvcc.NewVersion(1, payload)
+}
+
+// decodeVersion decodes a version record written by versionOf.
+func decodeVersion(tb testing.TB, schema catalog.Schema, rec []byte) value.Row {
+	tb.Helper()
+	payload, err := storage.PayloadOf(rec)
+	if err == nil {
+		var row value.Row
+		if row, err = storage.DecodeRow(schema, payload, nil); err == nil {
+			return row
+		}
+	}
+	tb.Fatal(err)
+	return nil
+}
+
 func (db *testDB) insert(t *testing.T, table string, rows ...value.Row) {
 	t.Helper()
 	tbl, err := db.cat.Get(table)
@@ -72,11 +98,7 @@ func (db *testDB) insert(t *testing.T, table string, rows ...value.Row) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := storage.EncodeRow(tbl.Schema, norm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rid, err := h.Insert(rec)
+		rid, err := h.Insert(versionOf(t, tbl.Schema, norm))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,10 +120,7 @@ func (db *testDB) analyze(t *testing.T, table string) {
 		distinct[i] = make(map[uint64]bool)
 	}
 	h.Scan(func(_ storage.RID, rec []byte) bool {
-		row, err := storage.DecodeRow(tbl.Schema, rec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := decodeVersion(t, tbl.Schema, rec)
 		stats.RowCount++
 		for i, v := range row {
 			if v.IsNull() {
@@ -137,11 +156,7 @@ func (db *testDB) addIndex(t *testing.T, table, name, column string) {
 	bt := storage.NewBTree()
 	tbl, _ := db.cat.Get(table)
 	db.heaps[table].Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := storage.DecodeRow(tbl.Schema, rec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bt.Insert(row[ix.ColIdx], rid)
+		bt.Insert(decodeVersion(t, tbl.Schema, rec)[ix.ColIdx], rid)
 		return true
 	})
 	db.indexes[name] = bt

@@ -140,19 +140,14 @@ func assertJoinLimitReadsPrefix(t *testing.T, q string) {
 	bigTbl, _ := db.cat.Get("big")
 	h := db.heaps["big"]
 	for i := 0; i < 2000; i++ {
-		rec, err := storage.EncodeRow(bigTbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(pad)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.Insert(versionOf(t, bigTbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(pad)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	smallTbl, _ := db.cat.Get("small")
 	hs := db.heaps["small"]
 	for i := 0; i < 200; i++ {
-		rec, _ := storage.EncodeRow(smallTbl.Schema, value.Row{value.NewInt(int64(i))})
-		if _, err := hs.Insert(rec); err != nil {
+		if _, err := hs.Insert(versionOf(t, smallTbl.Schema, value.Row{value.NewInt(int64(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -222,11 +222,7 @@ func TestSyncScanStartsAtReportedPosition(t *testing.T) {
 	// B's first row is the first record of the page A reported.
 	var first value.Row
 	h.ScanPage(pages[reported], func(_ storage.RID, rec []byte) bool {
-		row, err := storage.DecodeRow(node.Table.Schema, rec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first = row
+		first = decodeVersion(t, node.Table.Schema, rec)
 		return false
 	})
 	rowsB, ok := next("B", b, nil)
@@ -437,11 +433,7 @@ func TestStreamingScanLimitReadsPrefix(t *testing.T) {
 	tbl, _ := db.cat.Get("fat")
 	h := db.heaps["fat"]
 	for i := 0; i < 2000; i++ {
-		rec, err := storage.EncodeRow(tbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(string(pad))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.Insert(versionOf(t, tbl.Schema, value.Row{value.NewInt(int64(i)), value.NewText(string(pad))})); err != nil {
 			t.Fatal(err)
 		}
 	}

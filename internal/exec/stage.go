@@ -453,9 +453,8 @@ type StagedOptions struct {
 	TempDir string
 	// Spill accumulates spill counters (nil = discarded).
 	Spill *SpillMetrics
-	// Visible, when set, marks heap records as MVCC-versioned and decides
-	// per-version visibility for this query's snapshot (see
-	// BuildConfig.Visible).
+	// Visible decides per-version visibility for this query's snapshot
+	// (see BuildConfig.Visible; nil = the latest state).
 	Visible VisibleFunc
 	// Ctx, when cancellable, aborts the execution between pages: the
 	// pipeline fails with the context's error, producers stop, and every

@@ -51,6 +51,10 @@ func BindTableExpr(t *catalog.Table, e sql.Expr) (Expr, error) {
 	return exprBinder{schema: schema}.bind(e)
 }
 
+// BindConst binds an expression with no columns in scope (INSERT's VALUES
+// items).
+func BindConst(e sql.Expr) (Expr, error) { return exprBinder{}.bind(e) }
+
 type relation struct {
 	binding string
 	table   *catalog.Table
@@ -285,15 +289,16 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := item.Alias
-		if name == "" {
-			name = item.Expr.String()
-			if cr, ok := item.Expr.(*sql.ColumnRef); ok && !hasAgg {
-				name = cr.Name
-			}
+		// An unaliased column is named by its column, with or without
+		// GROUP BY; its qualifier stays, so ORDER BY t.col binds above.
+		col := ColInfo{Name: item.Alias, Type: e.Type()}
+		if cr, ok := item.Expr.(*sql.ColumnRef); ok && col.Name == "" {
+			col.Table, col.Name = cr.Table, cr.Name
+		} else if col.Name == "" {
+			col.Name = item.Expr.String()
 		}
 		projExprs = append(projExprs, e)
-		projSchema = append(projSchema, ColInfo{Name: name, Type: e.Type()})
+		projSchema = append(projSchema, col)
 	}
 	if sel.Having != nil {
 		having, err := post.bind(sel.Having)
@@ -303,31 +308,46 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 		tree = &Filter{Child: tree, Pred: having, Est: tree.Rows() * 0.5}
 	}
 
-	// 7. ORDER BY prefers the projection output (aliases visible); keys not
-	// visible there (e.g. ORDER BY a non-projected column, or an aggregate
-	// call) bind like the select list and sort below the Project.
+	// 7. ORDER BY binds over the projection output (aliases visible) when
+	// every key does. Otherwise (e.g. ORDER BY a non-projected column, or an
+	// aggregate call) every key binds like the select list and sorts below
+	// the Project, a select-list alias standing for its item's expression.
 	var sortAbove, sortBelow []SortKey
 	above := exprBinder{schema: projSchema}
 	for _, item := range sel.OrderBy {
-		if e, err := above.bind(item.Expr); err == nil {
-			if len(sortBelow) > 0 {
-				return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
-			}
-			sortAbove = append(sortAbove, SortKey{Expr: e, Desc: item.Desc})
-			continue
-		}
-		e, err := post.bind(item.Expr)
+		e, err := above.bind(item.Expr)
 		if err != nil {
-			return nil, err
+			sortAbove = nil
+			break
 		}
-		if len(sortAbove) > 0 {
-			return nil, fmt.Errorf("plan: ORDER BY mixes projected and unprojected keys")
+		sortAbove = append(sortAbove, SortKey{Expr: e, Desc: item.Desc})
+	}
+	if len(sortAbove) < len(sel.OrderBy) {
+		below := post
+		below.resolve = func(e sql.Expr) (Expr, error) {
+			if cr, ok := e.(*sql.ColumnRef); ok && cr.Table == "" {
+				for _, item := range sel.Items {
+					if !item.Star && item.Alias == cr.Name {
+						return post.bind(item.Expr)
+					}
+				}
+			}
+			if post.resolve != nil {
+				return post.resolve(e)
+			}
+			return nil, nil
+		}
+		for _, item := range sel.OrderBy {
+			e, err := below.bind(item.Expr)
+			if err != nil {
+				return nil, err
+			}
+			sortBelow = append(sortBelow, SortKey{Expr: e, Desc: item.Desc})
 		}
 		if sel.Distinct {
 			// The grouping above the Project would not keep this order.
 			return nil, fmt.Errorf("plan: for SELECT DISTINCT, ORDER BY keys must appear in the select list")
 		}
-		sortBelow = append(sortBelow, SortKey{Expr: e, Desc: item.Desc})
 	}
 	if len(sortBelow) > 0 {
 		tree = &Sort{Child: tree, Keys: sortBelow}
