@@ -396,11 +396,10 @@ func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Nod
 		}
 		return &Result{Columns: cur.cols, Rows: rows}, nil
 	}
-	id, auto := s.stmtTxn()
+	id, auto, mark := s.stmtTxn()
 	res, err := s.db.execInTxn(ctx, id, stmt)
 	if err != nil {
-		s.stmtFailed(id, auto, err)
-		return nil, err
+		return nil, s.stmtFailed(id, auto, mark, err)
 	}
 	if auto {
 		if err := s.db.commit(id); err != nil {
@@ -416,11 +415,10 @@ func (s *Session) RunStmt(ctx context.Context, stmt sql.Statement, node plan.Nod
 // runs in its own transaction whose locks are held until Close — the query
 // stays covered while the engine reads pages on its behalf.
 func (s *Session) StreamStmt(ctx context.Context, sel *sql.Select, node plan.Node) (*Cursor, error) {
-	id, auto := s.stmtTxn()
+	id, auto, mark := s.stmtTxn()
 	cur, err := s.db.queryCursor(ctx, id, sel, node, s.streamFn)
 	if err != nil {
-		s.stmtFailed(id, auto, err)
-		return nil, err
+		return nil, s.stmtFailed(id, auto, mark, err)
 	}
 	if auto {
 		db := s.db
@@ -435,25 +433,38 @@ func (s *Session) StreamStmt(ctx context.Context, sel *sql.Select, node plan.Nod
 }
 
 // stmtTxn returns the transaction a statement runs in: the session's open
-// one, or a fresh auto-commit transaction (auto).
-func (s *Session) stmtTxn() (id txn.ID, auto bool) {
+// one, with the undo point the statement rolls back to if it fails (mark),
+// or a fresh auto-commit transaction (auto).
+func (s *Session) stmtTxn() (id txn.ID, auto bool, mark int) {
 	if s.inTxn {
-		return s.current, false
+		return s.current, false, s.db.tm.UndoPoint(s.current)
 	}
-	return s.db.begin(), true
+	return s.db.begin(), true, 0
 }
 
-// stmtFailed finishes the transaction of a statement that failed with err.
-// An auto-commit transaction rolls back. So does an explicit one whose
-// statement was a deadlock victim or lost first-committer-wins: its snapshot
-// is stale, so retrying inside the same transaction could never succeed.
-func (s *Session) stmtFailed(id txn.ID, auto bool, err error) {
-	if auto {
+// stmtFailed finishes a statement that failed with err and returns the
+// error to report. An auto-commit transaction rolls back. So does an
+// explicit one whose statement was a deadlock victim or lost
+// first-committer-wins: its snapshot is stale, so retrying inside the same
+// transaction could never succeed. Any other failure inside an explicit
+// transaction undoes the statement alone, back to its undo point mark: the
+// transaction stays open with its locks and its earlier writes. Should that
+// undo fail, the whole transaction rolls back.
+func (s *Session) stmtFailed(id txn.ID, auto bool, mark int, err error) error {
+	switch {
+	case auto:
 		s.db.rollback(id)
-	} else if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, mvcc.ErrSerializationFailure) {
+	case errors.Is(err, txn.ErrDeadlock) || errors.Is(err, mvcc.ErrSerializationFailure):
 		s.db.rollback(id)
 		s.inTxn = false
+	default:
+		if uerr := s.db.undoStatement(id, mark); uerr != nil {
+			s.db.rollback(id)
+			s.inTxn = false
+			return errors.Join(err, fmt.Errorf("engine: statement undo failed, transaction rolled back: %w", uerr))
+		}
 	}
+	return err
 }
 
 // execInTxn dispatches one DDL or DML statement inside transaction id.

@@ -287,7 +287,9 @@ func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, whe
 		}
 		width := len(tbl.Schema.Columns)
 		w.match = plan.CompilePredicate(pred)
-		w.cols = plan.ExprCols(pred, width)
+		if w.dec, err = storage.NewRowDecoder(tbl.Schema, plan.ExprCols(pred, width)); err != nil {
+			return nil, err
+		}
 		w.probe = make(value.Row, width)
 	}
 	if err := h.Scan(w.visit); err != nil {
@@ -300,14 +302,15 @@ func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, whe
 }
 
 // targetWalk is one collectTargets heap walk: the statement's snapshot, its
-// compiled predicate (nil: every visible version matches) with the columns
-// it reads and the probe row they are decoded into, and what the walk found.
+// compiled predicate (nil: every visible version matches) with the decoder
+// of the columns it reads and the probe row they are decoded into, and what
+// the walk found.
 type targetWalk struct {
 	mv    *mvcc.Manager
 	snap  *mvcc.Snapshot
 	tbl   *catalog.Table
 	match plan.CompiledPredicate
-	cols  []bool
+	dec   storage.RowDecoder
 	probe value.Row
 
 	targets []mvTarget
@@ -325,7 +328,7 @@ func (w *targetWalk) visit(rid storage.RID, rec []byte) bool {
 		return false
 	}
 	if w.match != nil {
-		ok, err := w.matches(rec)
+		ok, err := w.matches(rec[storage.VerHdrLen:])
 		if err != nil {
 			if w.mv.Visible(w.snap, xmin, xmax) {
 				w.err = err
@@ -354,16 +357,12 @@ func (w *targetWalk) visit(rid storage.RID, rec []byte) bool {
 	return true
 }
 
-// matches decodes the predicate's columns of the versioned record rec into
-// the probe row and evaluates the predicate on it.
+// matches decodes the predicate's columns of a record's payload into the
+// probe row and evaluates the predicate on it.
 //
 //stagedb:hot
-func (w *targetWalk) matches(rec []byte) (bool, error) {
-	payload, err := storage.PayloadOf(rec)
-	if err != nil {
-		return false, err
-	}
-	if err := storage.DecodeRowInto(w.tbl.Schema, payload, w.cols, w.probe); err != nil {
+func (w *targetWalk) matches(payload []byte) (bool, error) {
+	if err := w.dec.Decode(payload, w.probe); err != nil {
 		return false, err
 	}
 	return w.match(w.probe)
@@ -491,6 +490,16 @@ func (db *DB) delete(ctx context.Context, id txn.ID, stmt *sql.Delete) (*Result,
 	return &Result{Affected: int64(len(targets))}, nil
 }
 
+// undoStatement rolls transaction id back to undo point mark: the records
+// a failed statement logged are undone newest first, each with a CLR, as
+// rollback undoes them, and leave the transaction's undo chain. Recovery
+// needs nothing more: it skips the records those CLRs compensate.
+func (db *DB) undoStatement(id txn.ID, mark int) error {
+	db.ckptMu.RLock()
+	defer db.ckptMu.RUnlock()
+	return db.tm.RollbackTo(id, mark, db.undoOne)
+}
+
 // rollback aborts a transaction and applies its undo records, writing a
 // compensation log record (CLR) for every page operation the undo performs
 // — so a crash mid-rollback replays the completed part of the undo instead
@@ -506,6 +515,7 @@ func (db *DB) rollback(id txn.ID) error {
 	// transaction's versions, so readers never observe a half-undone txn.
 	db.mv.Abort(uint64(id))
 	snap := db.mv.SnapshotOf(uint64(id))
+	wrote := db.tm.Wrote(id)
 	undo, err := db.tm.PrepareAbort(id)
 	if err != nil {
 		db.mv.End(snap)
@@ -521,7 +531,7 @@ func (db *DB) rollback(id txn.ID) error {
 		}
 	}
 	err = db.tm.FinishAbort(id)
-	if len(undo) == 0 {
+	if !wrote {
 		// No version was ever stamped with the id: nothing consults the entry.
 		db.mv.Forget(uint64(id))
 	} else {

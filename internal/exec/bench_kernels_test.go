@@ -188,9 +188,12 @@ func BenchmarkHashJoinStreamLimit(b *testing.B) {
 // fact table (id, grp, k, val INT, pad TEXT of 64 bytes) per iteration —
 // every column, and the two (grp, val) the aggregate shape reads. The
 // records are version records and each decode starts past the header.
-// "page" decodes the way the scans do, into rows carved from a recycled
-// exchange page's value storage (DecodeRowInto); "alloc" allocates a row per
-// record (DecodeRow, what DML and recovery use).
+// "page" decodes the way the scans do, through one compiled RowDecoder into
+// rows carved from a recycled exchange page's value storage; "alloc"
+// allocates a row per record (DecodeRow, what DML and recovery use).
+// "probe" is UPDATE's target walk: 4096 records of the benchmark's acct
+// table (id, grp, bal INT, pad TEXT of 100 bytes), decoding only the `id`
+// its `WHERE id = ?` reads into one reused row.
 func BenchmarkDecodeRow(b *testing.B) {
 	schema := catalog.Schema{Columns: []catalog.Column{
 		{Name: "id", Type: value.Int}, {Name: "grp", Type: value.Int}, {Name: "k", Type: value.Int},
@@ -213,6 +216,10 @@ func BenchmarkDecodeRow(b *testing.B) {
 	} {
 		b.Run(bc.name+"/page", func(b *testing.B) {
 			b.ReportAllocs()
+			dec, err := storage.NewRowDecoder(schema, bc.cols)
+			if err != nil {
+				b.Fatal(err)
+			}
 			pool := NewPagePool()
 			var sum int64
 			for i := 0; i < b.N; i++ {
@@ -224,7 +231,7 @@ func BenchmarkDecodeRow(b *testing.B) {
 					}
 					row := pg.carve(len(schema.Columns))
 					payload, _ := storage.PayloadOf(rec)
-					if err := storage.DecodeRowInto(schema, payload, bc.cols, row); err != nil {
+					if err := dec.Decode(payload, row); err != nil {
 						b.Fatal(err)
 					}
 					pg.Rows = append(pg.Rows, row)
@@ -254,4 +261,36 @@ func BenchmarkDecodeRow(b *testing.B) {
 			}
 		})
 	}
+	b.Run("probe", func(b *testing.B) {
+		acct := catalog.Schema{Columns: []catalog.Column{
+			{Name: "id", Type: value.Int}, {Name: "grp", Type: value.Int},
+			{Name: "bal", Type: value.Int}, {Name: "pad", Type: value.Text},
+		}}
+		recs := make([][]byte, 4096)
+		for i := range recs {
+			n := int64(i)
+			recs[i] = versionOf(b, acct, value.Row{
+				value.NewInt(n), value.NewInt(n % 10), value.NewInt(n * 100), value.NewText(strings.Repeat("a", 100)),
+			})
+		}
+		b.ReportAllocs()
+		dec, err := storage.NewRowDecoder(acct, []bool{true, false, false, false})
+		if err != nil {
+			b.Fatal(err)
+		}
+		probe := make(value.Row, len(acct.Columns))
+		var sum int64
+		for i := 0; i < b.N; i++ {
+			for _, rec := range recs {
+				payload, _ := storage.PayloadOf(rec)
+				if err := dec.Decode(payload, probe); err != nil {
+					b.Fatal(err)
+				}
+				sum += probe[0].Int()
+			}
+		}
+		if sum == 0 {
+			b.Fatal("decoded nothing")
+		}
+	})
 }

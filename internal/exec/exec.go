@@ -202,9 +202,9 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		if err != nil {
 			return nil, err
 		}
-		s := &seqScan{node: x, heap: h, pageRows: pageRows, pool: pool, vis: visMemo{fn: cfg.Visible}}
-		if x.Filter != nil {
-			s.pred = plan.CompilePredicate(x.Filter)
+		s := &seqScan{node: x, heap: h}
+		if err := s.rows.init(x.Table, x.Cols, x.Filter, cfg); err != nil {
+			return nil, err
 		}
 		return s, nil
 	case *plan.IndexScan:
@@ -228,9 +228,9 @@ func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig)
 		if (x.LoExpr != nil && lo.IsNull()) || (x.HiExpr != nil && hi.IsNull()) {
 			return emptyOp{}, nil
 		}
-		s := &indexScan{node: x, heap: h, tree: bt, lo: lo, hi: hi, pageRows: pageRows, pool: pool, vis: visMemo{fn: cfg.Visible}}
-		if x.Filter != nil {
-			s.pred = plan.CompilePredicate(x.Filter)
+		s := &indexScan{heap: h, tree: bt, lo: lo, hi: hi}
+		if err := s.rows.init(x.Table, x.Cols, x.Filter, cfg); err != nil {
+			return nil, err
 		}
 		return s, nil
 	case *plan.Filter:
@@ -304,10 +304,12 @@ func RunCtx(ctx context.Context, op Operator) ([]value.Row, error) {
 // cursor, each Next decodes just enough records to fill one pooled exchange
 // page, and Close releases the cursor wherever it stands — so LIMIT queries
 // and abandoned producers stop heap iteration early instead of materializing
-// the table (§4.2's fscan stage as an incremental producer). Pushed-down
-// filters run as compiled predicates during the fill, so filtered rows are
-// never copied into a page at all. A scan decodes only the columns its plan
-// node lists (plan.SeqScan.Cols): the rest stay NULL in a full-width row.
+// the table (§4.2's fscan stage as an incremental producer). Both run each
+// record through one filter (scanRows): a pushed-down filter is evaluated
+// on the columns it reads before the record gets a page slot, so filtered
+// rows are never decoded into a page at all. A scan decodes only the
+// columns its plan node lists (plan.SeqScan.Cols): the rest stay NULL in a
+// full-width row.
 
 // visMemo is a scan operator's MVCC visibility check with a one-entry memo
 // on the creator: bulk-loaded tables are long runs of one xmin, and asking
@@ -359,13 +361,136 @@ func (m *visMemo) visible(xmin, xmax uint64) bool {
 	return m.lastOK
 }
 
-type seqScan struct {
-	node     *plan.SeqScan
-	heap     *storage.Heap
-	pageRows int
+// scanRows is the record filter both heap scans share, and the output page
+// it fills. Per record it reads the version header and asks the snapshot
+// (through the visibility memo) first; then, when the scan has a pushed-down
+// filter, it decodes the columns the filter reads into a probe row the
+// operator owns and evaluates the filter on it; only a record that passes
+// gets a row carved from the output page and the node's columns decoded
+// into it. A rejected record costs no page slot.
+//
+// Visibility comes before the filter: a filter that fails to evaluate on a
+// version the snapshot cannot see must not fail the scan.
+type scanRows struct {
+	vis    visMemo
+	dec    storage.RowDecoder // the node's Cols, into the carved row
+	width  int                // the table's column count
+	filter *scanFilter        // nil: every visible record passes
+
 	pool     *PagePool
-	pred     plan.CompiledPredicate // compiled pushed-down filter; nil = all
-	vis      visMemo                // MVCC visibility
+	pageRows int
+	out      *Page // output page under construction
+}
+
+// scanFilter is a scan's compiled pushed-down filter and its probe row.
+// When the node's columns add only fixed-width ones to the filter's, the
+// probe decodes the node's columns instead (a fixed-width column costs one
+// load, never a string) and a passing record's row is copied from the
+// probe rather than decoded a second time: a filter that passes nearly
+// every record then costs one decode per record, not two.
+type scanFilter struct {
+	pred    plan.CompiledPredicate
+	dec     storage.RowDecoder // the filter's columns (or the node's), into probe
+	probe   value.Row
+	copyOut bool // probe holds the node's columns: copy it out on a pass
+}
+
+// init compiles the record filter of a scan of tbl that outputs cols and
+// keeps the rows filter (nil: every visible row) accepts.
+func (r *scanRows) init(tbl *catalog.Table, cols []bool, filter plan.Expr, cfg BuildConfig) error {
+	r.vis = visMemo{fn: cfg.Visible}
+	r.width, r.pool, r.pageRows = len(tbl.Schema.Columns), cfg.Pool, cfg.PageRows
+	var err error
+	if r.dec, err = storage.NewRowDecoder(tbl.Schema, cols); err != nil || filter == nil {
+		return err
+	}
+	f := &scanFilter{pred: plan.CompilePredicate(filter), probe: make(value.Row, r.width)}
+	probeCols := plan.ExprCols(filter, r.width)
+	if f.copyOut = addsOnlyFixed(tbl.Schema, cols, probeCols); f.copyOut {
+		probeCols = cols
+	}
+	if f.dec, err = storage.NewRowDecoder(tbl.Schema, probeCols); err != nil {
+		return err
+	}
+	r.filter = f
+	return nil
+}
+
+// addsOnlyFixed reports whether the column set out (nil: every column)
+// holds every column of filter (nil: every column) and adds only INT,
+// FLOAT and BOOL columns to them.
+func addsOnlyFixed(schema catalog.Schema, out, filter []bool) bool {
+	for i, c := range schema.Columns {
+		inOut, inFilter := out == nil || out[i], filter == nil || filter[i]
+		if inFilter && !inOut || inOut && !inFilter && c.Type == value.Text {
+			return false
+		}
+	}
+	return true
+}
+
+// accept runs the record filter on the versioned record rec, appending its
+// row to the output page when the snapshot sees it and the filter passes.
+//
+//stagedb:hot
+func (r *scanRows) accept(rec []byte) error {
+	xmin, xmax, err := storage.VersionOf(rec)
+	if err != nil {
+		return err
+	}
+	if !r.vis.visible(xmin, xmax) {
+		return nil
+	}
+	payload := rec[storage.VerHdrLen:]
+	f := r.filter
+	if f != nil {
+		if err := f.dec.Decode(payload, f.probe); err != nil {
+			return err
+		}
+		if keep, err := f.pred(f.probe); err != nil || !keep {
+			return err
+		}
+	}
+	if r.out == nil {
+		r.out = r.pool.Get(r.pageRows)
+	}
+	row := r.out.carve(r.width)
+	if f != nil && f.copyOut {
+		copy(row, f.probe)
+	} else if err := r.dec.Decode(payload, row); err != nil {
+		return err
+	}
+	r.out.Rows = append(r.out.Rows, row)
+	return nil
+}
+
+// full reports whether the output page under construction is full.
+func (r *scanRows) full() bool { return r.out != nil && len(r.out.Rows) >= r.pageRows }
+
+// emit hands the page under construction to the caller, transferring
+// ownership. A page every record of which was rejected holds nothing and
+// goes back to the pool: the caller sees nil, end of stream (emit only runs
+// on an empty page once the scan is exhausted).
+func (r *scanRows) emit() *Page {
+	pg := r.out
+	r.out = nil
+	if pg != nil && len(pg.Rows) == 0 {
+		pg.Release()
+		return nil
+	}
+	return pg
+}
+
+// release drops the page under construction.
+func (r *scanRows) release() {
+	r.out.Release()
+	r.out = nil
+}
+
+type seqScan struct {
+	node *plan.SeqScan
+	heap *storage.Heap
+	rows scanRows
 
 	// shared, injected by the staged driver when scan sharing is enabled,
 	// synchronizes the walk with the other scans of the heap (see
@@ -387,12 +512,11 @@ type seqScan struct {
 	pageIdx int
 	left    int
 
-	out *Page // output page under construction
 	eos bool
 }
 
 func (s *seqScan) Open() error {
-	s.out, s.eos, s.walked = nil, false, 0
+	s.rows.out, s.eos, s.walked = nil, false, 0
 	s.pages, s.pageIdx = s.heap.PageIDs(), 0
 	s.left = len(s.pages)
 	if s.shared != nil && s.left > 0 {
@@ -401,70 +525,8 @@ func (s *seqScan) Open() error {
 	return nil
 }
 
-// accept applies visibility to the record's version header, decodes the
-// payload straight into a row carved from the output page, and applies the
-// pushed-down predicate — giving the slot back if it rejects.
-func (s *seqScan) accept(rec []byte) (bool, error) {
-	xmin, xmax, err := storage.VersionOf(rec)
-	if err != nil {
-		return false, err
-	}
-	if !s.vis.visible(xmin, xmax) {
-		return true, nil
-	}
-	rec, _ = storage.PayloadOf(rec)
-	out := s.outPage()
-	row := out.carve(len(s.node.Table.Schema.Columns))
-	if err := storage.DecodeRowInto(s.node.Table.Schema, rec, s.node.Cols, row); err != nil {
-		return false, err
-	}
-	if s.pred != nil {
-		keep, err := s.pred(row)
-		if err != nil {
-			return false, err
-		}
-		if !keep {
-			out.uncarve(len(row))
-			return true, nil
-		}
-	}
-	out.Rows = append(out.Rows, row)
-	return true, nil
-}
-
-// outPage returns the output page under construction, starting one if
-// needed.
-func (s *seqScan) outPage() *Page {
-	if s.out == nil {
-		s.out = s.pool.Get(s.pageRows)
-	}
-	return s.out
-}
-
-// outLen reports the fill level of the page under construction.
-func (s *seqScan) outLen() int {
-	if s.out == nil {
-		return 0
-	}
-	return len(s.out.Rows)
-}
-
-// emit hands the filled page to the caller, transferring ownership. A page
-// every decoded row of which was rejected holds nothing and goes back to the
-// pool: the caller sees nil, end of stream (emit only runs on an empty page
-// once the scan is exhausted).
-func (s *seqScan) emit() *Page {
-	pg := s.out
-	s.out = nil
-	if pg != nil && len(pg.Rows) == 0 {
-		pg.Release()
-		return nil
-	}
-	return pg
-}
-
 func (s *seqScan) Next() (*Page, error) {
-	for !s.eos && s.outLen() < s.pageRows {
+	for !s.eos && !s.rows.full() {
 		if s.left == 0 {
 			s.eos = true
 			s.deregister()
@@ -478,9 +540,8 @@ func (s *seqScan) Next() (*Page, error) {
 		s.left--
 		var accErr error
 		err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
-			ok, err := s.accept(rec)
-			accErr = err
-			return ok
+			accErr = s.rows.accept(rec)
+			return accErr == nil
 		})
 		if err == nil {
 			err = accErr
@@ -493,7 +554,7 @@ func (s *seqScan) Next() (*Page, error) {
 			s.walked++
 		}
 	}
-	return s.emit(), nil
+	return s.rows.emit(), nil
 }
 
 // deregister ends the scan's registration, if any. Idempotent.
@@ -507,34 +568,28 @@ func (s *seqScan) deregister() {
 func (s *seqScan) Close() error {
 	s.deregister()
 	s.pages, s.pageIdx, s.left = nil, 0, 0
-	s.out.Release()
-	s.out = nil
+	s.rows.release()
 	return nil
 }
 
 type indexScan struct {
-	node     *plan.IndexScan
-	heap     *storage.Heap
-	tree     *storage.BTree
-	lo, hi   value.Value // resolved key bounds (NULL = open)
-	pageRows int
-	pool     *PagePool
-	pred     plan.CompiledPredicate
-	vis      visMemo // MVCC visibility
+	heap   *storage.Heap
+	tree   *storage.BTree
+	lo, hi value.Value // resolved key bounds (NULL = open)
+	rows   scanRows
 
 	cur *storage.TreeCursor
-	out *Page
 	eos bool
 }
 
 func (s *indexScan) Open() error {
-	s.out, s.eos = nil, false
+	s.rows.out, s.eos = nil, false
 	s.cur = s.tree.Cursor(s.lo, s.hi)
 	return nil
 }
 
 func (s *indexScan) Next() (*Page, error) {
-	for !s.eos && (s.out == nil || len(s.out.Rows) < s.pageRows) {
+	for !s.eos && !s.rows.full() {
 		_, rid, ok := s.cur.Next()
 		if !ok {
 			s.eos = true
@@ -551,47 +606,16 @@ func (s *indexScan) Next() (*Page, error) {
 		if !live {
 			continue
 		}
-		xmin, xmax, err := storage.VersionOf(rec)
-		if err != nil {
+		if err := s.rows.accept(rec); err != nil {
 			return nil, err
 		}
-		if !s.vis.visible(xmin, xmax) {
-			continue
-		}
-		rec, _ = storage.PayloadOf(rec)
-		if s.out == nil {
-			s.out = s.pool.Get(s.pageRows)
-		}
-		row := s.out.carve(len(s.node.Table.Schema.Columns))
-		if err := storage.DecodeRowInto(s.node.Table.Schema, rec, s.node.Cols, row); err != nil {
-			return nil, err
-		}
-		if s.pred != nil {
-			ok, err := s.pred(row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				s.out.uncarve(len(row))
-				continue
-			}
-		}
-		s.out.Rows = append(s.out.Rows, row)
 	}
-	pg := s.out
-	s.out = nil
-	if pg != nil && len(pg.Rows) == 0 {
-		// Every decoded row was rejected (the loop only ends short at eos).
-		pg.Release()
-		return nil, nil
-	}
-	return pg, nil
+	return s.rows.emit(), nil
 }
 
 func (s *indexScan) Close() error {
 	s.cur = nil
-	s.out.Release()
-	s.out = nil
+	s.rows.release()
 	return nil
 }
 

@@ -591,3 +591,39 @@ func TestConstantFolding(t *testing.T) {
 		t.Fatalf("folded TRUE filter: %v", rows)
 	}
 }
+
+// TestPruneIndexProbeAllocations pins the Volcano point probe's
+// allocations: building the operator of the IndexScan plan `SELECT bal FROM
+// acct WHERE id = ?` binds to, and draining it. A scan with no filter builds
+// no probe row, and its decoder is a value, so going filter-first added
+// nothing here.
+func TestPruneIndexProbeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops recycled pages at random under the race detector")
+	}
+	db := newTestDB()
+	db.createTable(t, "CREATE TABLE acct (id INT PRIMARY KEY, grp INT, bal INT, pad TEXT)")
+	db.addIndex(t, "acct", "pk_acct", "id")
+	for id := int64(0); id < 100; id++ {
+		db.insert(t, "acct", value.Row{value.NewInt(id), value.NewInt(id % 4), value.NewInt(id * 10), value.NewText("pad")})
+	}
+	node, err := plan.Substitute(db.plan(t, "SELECT bal FROM acct WHERE id = ?", plan.Options{}), []value.Value{value.NewInt(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := node.(*plan.Project).Child.(*plan.IndexScan); !ok {
+		t.Fatalf("plan %s is not an index probe", plan.Explain(node))
+	}
+	cfg := BuildConfig{Pool: NewPagePool()}
+	probe := func() {
+		rows, err := runPull(node, db, cfg)
+		if err != nil || len(rows) != 1 || rows[0][0].Int() != 420 {
+			t.Fatalf("probe: %v, %v", rows, err)
+		}
+	}
+	// 14 before scans went filter-first, on this drive.
+	const before = 14
+	if n := testing.AllocsPerRun(500, probe); n > before {
+		t.Fatalf("point probe allocates %.0f times per run, want at most %d", n, before)
+	}
+}

@@ -82,7 +82,7 @@ type Page struct {
 func (p *Page) carve(w int) value.Row { return p.vals.carve(w) }
 
 // uncarve gives back the row just carved (w values), for a producer whose
-// pushed-down predicate (or join residual) rejected it after filling it.
+// join residual rejected it after filling it.
 func (p *Page) uncarve(w int) { p.vals.chunk = p.vals.chunk[:len(p.vals.chunk)-w] }
 
 // Len returns the number of live rows (honoring the selection vector).

@@ -142,12 +142,9 @@ func (h *Heap) GetIf(rid RID) ([]byte, bool, error) {
 	defer h.pool.Unpin(rid.Page, false)
 	h.latch.RLock()
 	defer h.latch.RUnlock()
-	if !pg.Live(rid.Slot) {
+	rec, ok := pg.lookup(rid.Slot)
+	if !ok {
 		return nil, false, nil
-	}
-	rec, err := pg.Get(rid.Slot)
-	if err != nil {
-		return nil, false, err
 	}
 	out := make([]byte, len(rec))
 	copy(out, rec)
@@ -236,35 +233,10 @@ func (h *Heap) UpdateLogged(rid RID, rec []byte, logf LogFunc) (bool, error) {
 // Scan visits every live record in RID order. The rec slice is only valid
 // for the duration of the callback. Returning false stops the scan.
 func (h *Heap) Scan(visit func(rid RID, rec []byte) bool) error {
-	h.mu.Lock()
-	pages := make([]PageID, len(h.pages))
-	copy(pages, h.pages)
-	h.mu.Unlock()
-	for _, id := range pages {
-		pg, err := h.pool.Pin(id)
-		if err != nil {
+	for _, id := range h.PageIDs() {
+		if more, err := h.visitPage(id, visit); err != nil || !more {
 			return err
 		}
-		h.latch.RLock()
-		n := pg.SlotCount()
-		for slot := uint16(0); slot < n; slot++ {
-			if !pg.Live(slot) {
-				continue
-			}
-			rec, err := pg.Get(slot)
-			if err != nil {
-				h.latch.RUnlock()
-				h.pool.Unpin(id, false)
-				return err
-			}
-			if !visit(RID{Page: id, Slot: slot}, rec) {
-				h.latch.RUnlock()
-				h.pool.Unpin(id, false)
-				return nil
-			}
-		}
-		h.latch.RUnlock()
-		h.pool.Unpin(id, false)
 	}
 	return nil
 }
@@ -283,27 +255,28 @@ func (h *Heap) PageIDs() []PageID {
 // slice is only valid for the duration of the callback. Returning false stops
 // the visit (the page is still unpinned).
 func (h *Heap) ScanPage(id PageID, visit func(rid RID, rec []byte) bool) error {
+	_, err := h.visitPage(id, visit)
+	return err
+}
+
+// visitPage is the one slot loop of the heap's walks: it pins page id and,
+// under the read latch, hands visit each live record, reading each slot
+// entry once for both its liveness and its bytes. It reports whether visit
+// asked to go on.
+func (h *Heap) visitPage(id PageID, visit func(rid RID, rec []byte) bool) (bool, error) {
 	pg, err := h.pool.Pin(id)
 	if err != nil {
-		return err
+		return false, err
 	}
-	defer h.pool.Unpin(id, false)
 	h.latch.RLock()
+	defer h.pool.Unpin(id, false)
 	defer h.latch.RUnlock()
-	n := pg.SlotCount()
-	for slot := uint16(0); slot < n; slot++ {
-		if !pg.Live(slot) {
-			continue
-		}
-		rec, err := pg.Get(slot)
-		if err != nil {
-			return err
-		}
-		if !visit(RID{Page: id, Slot: slot}, rec) {
-			return nil
+	for slot, n := uint16(0), pg.SlotCount(); slot < n; slot++ {
+		if rec, ok := pg.record(slot); ok && !visit(RID{Page: id, Slot: slot}, rec) {
+			return false, nil
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // Cursor is a resumable scan over the heap: records come back in RID order,
@@ -350,15 +323,9 @@ func (c *Cursor) Next() (RID, []byte, bool, error) {
 		for c.slot < n {
 			s := c.slot
 			c.slot++
-			if !c.cur.Live(s) {
-				continue
+			if rec, ok := c.cur.record(s); ok {
+				return RID{Page: c.pages[c.idx], Slot: s}, rec, true, nil
 			}
-			rec, err := c.cur.Get(s)
-			if err != nil {
-				c.Close()
-				return RID{}, nil, false, err
-			}
-			return RID{Page: c.pages[c.idx], Slot: s}, rec, true, nil
 		}
 		c.h.pool.Unpin(c.pages[c.idx], false)
 		c.cur = nil

@@ -101,8 +101,8 @@ func (p *Page) FreeSpace() int {
 }
 
 func (p *Page) slotAt(i uint16) (off, length uint16) {
-	base := headerSize + int(i)*slotSize
-	return binary.LittleEndian.Uint16(p.buf[base:]), binary.LittleEndian.Uint16(p.buf[base+2:])
+	entry := binary.LittleEndian.Uint32(p.buf[headerSize+int(i)*slotSize:])
+	return uint16(entry), uint16(entry >> 16)
 }
 
 func (p *Page) setSlot(i uint16, off, length uint16) {
@@ -131,8 +131,26 @@ func (p *Page) Insert(rec []byte) (uint16, error) {
 
 // liveAt reports whether the slot (assumed in range) holds a record.
 func (p *Page) liveAt(slot uint16) bool {
+	_, ok := p.record(slot)
+	return ok
+}
+
+// record returns the bytes of the slot (assumed in range) and whether it
+// holds a live record, from one read of its slot entry.
+func (p *Page) record(slot uint16) ([]byte, bool) {
 	off, length := p.slotAt(slot)
-	return off != 0 && length&deadFlag == 0
+	if off == 0 || length&deadFlag != 0 {
+		return nil, false
+	}
+	return p.buf[off : off+length], true
+}
+
+// lookup is record for any slot number: an out-of-range slot is not live.
+func (p *Page) lookup(slot uint16) ([]byte, bool) {
+	if slot >= p.SlotCount() {
+		return nil, false
+	}
+	return p.record(slot)
 }
 
 // Get returns the record bytes at slot (a view into the page; callers must
@@ -141,11 +159,11 @@ func (p *Page) Get(slot uint16) ([]byte, error) {
 	if slot >= p.SlotCount() {
 		return nil, fmt.Errorf("storage: slot %d out of range on page %d", slot, p.ID())
 	}
-	if !p.liveAt(slot) {
+	rec, ok := p.record(slot)
+	if !ok {
 		return nil, fmt.Errorf("storage: slot %d on page %d is deleted", slot, p.ID())
 	}
-	off, length := p.slotAt(slot)
-	return p.buf[off : off+length], nil
+	return rec, nil
 }
 
 // Delete tombstones the slot. The record bytes and the slot's offset are
@@ -261,7 +279,8 @@ func (p *Page) LiveSlots() int {
 
 // Live reports whether the slot holds a record.
 func (p *Page) Live(slot uint16) bool {
-	return slot < p.SlotCount() && p.liveAt(slot)
+	_, ok := p.lookup(slot)
+	return ok
 }
 
 // Bytes exposes the raw page for the store and WAL.

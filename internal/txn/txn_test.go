@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +245,66 @@ func TestManagerAbortReturnsUndoInReverse(t *testing.T) {
 	}
 	if len(undo) != 2 || undo[0].Kind != RecUpdate || undo[1].Kind != RecInsert {
 		t.Fatalf("undo order wrong: %+v", undo)
+	}
+}
+
+// TestManagerRollbackToUndoesStatement: RollbackTo hands the records logged
+// after the undo point to undo newest first and drops each once undone; an
+// undo error leaves the records not yet undone on the chain, for the whole
+// transaction's rollback. The transaction stays active, and having undone
+// records it commits as a writer even with an empty chain.
+func TestManagerRollbackToUndoesStatement(t *testing.T) {
+	m := NewManager()
+	wrote := map[ID]bool{}
+	m.OnCommit = func(id ID, w bool) { wrote[id] = w }
+	id := m.Begin()
+	logOp := func(v string) {
+		t.Helper()
+		if _, err := m.LogOp(Record{Txn: id, Kind: RecInsert, Table: "t", After: []byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logOp("kept")
+	mark := m.UndoPoint(id)
+	if mark != 1 {
+		t.Fatalf("undo point %d, want 1", mark)
+	}
+	logOp("a")
+	logOp("b")
+	logOp("c")
+	var undone []string
+	failOn := "b"
+	undo := func(r Record) error {
+		if string(r.After) == failOn {
+			return fmt.Errorf("undo of %s failed", r.After)
+		}
+		undone = append(undone, string(r.After))
+		return nil
+	}
+	if err := m.RollbackTo(id, mark, undo); err == nil {
+		t.Fatal("a failing undo did not fail RollbackTo")
+	}
+	if fmt.Sprint(undone) != "[c]" || m.UndoPoint(id) != 3 {
+		t.Fatalf("after a failed undo: undone %v, chain %d long; want [c] and 3", undone, m.UndoPoint(id))
+	}
+	failOn = ""
+	if err := m.RollbackTo(id, mark, undo); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(undone) != "[c b a]" || m.UndoPoint(id) != mark {
+		t.Fatalf("undone %v, chain %d long; want [c b a] and %d", undone, m.UndoPoint(id), mark)
+	}
+	if err := m.RollbackTo(id, mark+1, undo); err == nil {
+		t.Fatal("an undo point past the chain's end was accepted")
+	}
+	if err := m.RollbackTo(id, 0, undo); err != nil || fmt.Sprint(undone) != "[c b a kept]" {
+		t.Fatalf("rolling back to 0: %v, undone %v", err, undone)
+	}
+	if !m.Wrote(id) {
+		t.Fatal("a transaction with undone records reports no write")
+	}
+	if err := m.Commit(id); err != nil || !wrote[id] {
+		t.Fatalf("commit: %v, wrote %v; want a writer's commit", err, wrote[id])
 	}
 }
 

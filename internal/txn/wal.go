@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"stagedb/internal/storage"
@@ -99,6 +100,7 @@ type Manager struct {
 	next   ID
 	active map[ID][]Record // per-txn data records, for undo
 	ddl    map[ID]bool     // active txns that logged a DDL record (LogDDL)
+	undid  map[ID]bool     // active txns that rolled records back (RollbackTo)
 
 	Locks *LockManager
 
@@ -120,6 +122,7 @@ func NewManager() *Manager {
 		next:   1,
 		active: make(map[ID][]Record),
 		ddl:    make(map[ID]bool),
+		undid:  make(map[ID]bool),
 		Locks:  NewLockManager(),
 	}
 }
@@ -238,9 +241,11 @@ func (m *Manager) Commit(id ID) error {
 		m.mu.Unlock()
 		return fmt.Errorf("txn: %d is not active", id)
 	}
-	logged := len(ops) > 0 || m.ddl[id]
+	wrote := len(ops) > 0 || m.undid[id]
+	logged := wrote || m.ddl[id]
 	delete(m.active, id)
 	delete(m.ddl, id)
+	delete(m.undid, id)
 	d := m.durable
 	m.mu.Unlock()
 	var err error
@@ -248,7 +253,7 @@ func (m *Manager) Commit(id ID) error {
 		err = d.Commit(Record{Txn: id, Kind: RecCommit})
 	}
 	if err == nil && m.OnCommit != nil {
-		m.OnCommit(id, len(ops) > 0)
+		m.OnCommit(id, wrote)
 	}
 	m.Locks.ReleaseAll(id)
 	return err
@@ -266,12 +271,62 @@ func (m *Manager) PrepareAbort(id ID) ([]Record, error) {
 	}
 	delete(m.active, id)
 	delete(m.ddl, id)
+	delete(m.undid, id)
 	m.mu.Unlock()
 	undo := make([]Record, 0, len(ops))
 	for i := len(ops) - 1; i >= 0; i-- {
 		undo = append(undo, ops[i])
 	}
 	return undo, nil
+}
+
+// UndoPoint returns the length of transaction id's undo chain: the point a
+// statement starting now rolls back to if it fails (RollbackTo).
+func (m *Manager) UndoPoint(id ID) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.active[id])
+}
+
+// RollbackTo undoes the data records transaction id logged after undo point
+// mark, newest first, passing each to undo (which applies it and writes its
+// CLR), and drops each from the undo chain once undone: a statement's
+// rollback. The transaction stays active and keeps its locks. On an undo
+// error the chain still holds the records not undone, so a rollback of the
+// whole transaction picks up where this one stopped.
+//
+// A transaction that rolled records back counts as a writer (Wrote) even
+// with an empty chain: heap records and readers' copies of them still
+// carry its id, so its commit must stamp a status entry, not forget it.
+func (m *Manager) RollbackTo(id ID, mark int, undo func(Record) error) error {
+	m.mu.Lock()
+	ops, ok := m.active[id]
+	if !ok || mark < 0 || mark > len(ops) {
+		m.mu.Unlock()
+		return fmt.Errorf("txn: %d has no undo point %d", id, mark)
+	}
+	later := slices.Clone(ops[mark:])
+	if len(later) > 0 {
+		m.undid[id] = true
+	}
+	m.mu.Unlock()
+	for i := len(later) - 1; i >= 0; i-- {
+		if err := undo(later[i]); err != nil {
+			return err
+		}
+		m.mu.Lock()
+		m.active[id] = m.active[id][:mark+i]
+		m.mu.Unlock()
+	}
+	return nil
+}
+
+// Wrote reports whether active transaction id logged a data record, counting
+// records a RollbackTo has since undone.
+func (m *Manager) Wrote(id ID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.active[id]) > 0 || m.undid[id]
 }
 
 // FinishAbort logs the abort record (after the engine applied the undo, so
