@@ -515,8 +515,7 @@ func (db *DB) rollback(id txn.ID) error {
 	// transaction's versions, so readers never observe a half-undone txn.
 	db.mv.Abort(uint64(id))
 	snap := db.mv.SnapshotOf(uint64(id))
-	wrote := db.tm.Wrote(id)
-	undo, err := db.tm.PrepareAbort(id)
+	undo, wrote, err := db.tm.PrepareAbort(id)
 	if err != nil {
 		db.mv.End(snap)
 		return err

@@ -363,36 +363,26 @@ func (m *visMemo) visible(xmin, xmax uint64) bool {
 
 // scanRows is the record filter both heap scans share, and the output page
 // it fills. Per record it reads the version header and asks the snapshot
-// (through the visibility memo) first; then, when the scan has a pushed-down
-// filter, it decodes the columns the filter reads into a probe row the
-// operator owns and evaluates the filter on it; only a record that passes
-// gets a row carved from the output page and the node's columns decoded
-// into it. A rejected record costs no page slot.
+// (through the visibility memo) first. Without a pushed-down filter a
+// visible record's columns decode straight into a row carved from the
+// output page. With one, they decode into a probe row the operator owns,
+// the filter runs on it, and only a record that passes gets a row carved
+// and the probe copied into it: a rejected record costs no page slot. The
+// node's Cols always hold the filter's columns (plan's prune pass), so one
+// decoder serves both.
 //
 // Visibility comes before the filter: a filter that fails to evaluate on a
 // version the snapshot cannot see must not fail the scan.
 type scanRows struct {
-	vis    visMemo
-	dec    storage.RowDecoder // the node's Cols, into the carved row
-	width  int                // the table's column count
-	filter *scanFilter        // nil: every visible record passes
+	vis   visMemo
+	dec   storage.RowDecoder     // the node's Cols
+	width int                    // the table's column count
+	pred  plan.CompiledPredicate // nil: every visible record passes
+	probe value.Row              // with pred: the record under test
 
 	pool     *PagePool
 	pageRows int
 	out      *Page // output page under construction
-}
-
-// scanFilter is a scan's compiled pushed-down filter and its probe row.
-// When the node's columns add only fixed-width ones to the filter's, the
-// probe decodes the node's columns instead (a fixed-width column costs one
-// load, never a string) and a passing record's row is copied from the
-// probe rather than decoded a second time: a filter that passes nearly
-// every record then costs one decode per record, not two.
-type scanFilter struct {
-	pred    plan.CompiledPredicate
-	dec     storage.RowDecoder // the filter's columns (or the node's), into probe
-	probe   value.Row
-	copyOut bool // probe holds the node's columns: copy it out on a pass
 }
 
 // init compiles the record filter of a scan of tbl that outputs cols and
@@ -400,33 +390,12 @@ type scanFilter struct {
 func (r *scanRows) init(tbl *catalog.Table, cols []bool, filter plan.Expr, cfg BuildConfig) error {
 	r.vis = visMemo{fn: cfg.Visible}
 	r.width, r.pool, r.pageRows = len(tbl.Schema.Columns), cfg.Pool, cfg.PageRows
+	if filter != nil {
+		r.pred, r.probe = plan.CompilePredicate(filter), make(value.Row, r.width)
+	}
 	var err error
-	if r.dec, err = storage.NewRowDecoder(tbl.Schema, cols); err != nil || filter == nil {
-		return err
-	}
-	f := &scanFilter{pred: plan.CompilePredicate(filter), probe: make(value.Row, r.width)}
-	probeCols := plan.ExprCols(filter, r.width)
-	if f.copyOut = addsOnlyFixed(tbl.Schema, cols, probeCols); f.copyOut {
-		probeCols = cols
-	}
-	if f.dec, err = storage.NewRowDecoder(tbl.Schema, probeCols); err != nil {
-		return err
-	}
-	r.filter = f
-	return nil
-}
-
-// addsOnlyFixed reports whether the column set out (nil: every column)
-// holds every column of filter (nil: every column) and adds only INT,
-// FLOAT and BOOL columns to them.
-func addsOnlyFixed(schema catalog.Schema, out, filter []bool) bool {
-	for i, c := range schema.Columns {
-		inOut, inFilter := out == nil || out[i], filter == nil || filter[i]
-		if inFilter && !inOut || inOut && !inFilter && c.Type == value.Text {
-			return false
-		}
-	}
-	return true
+	r.dec, err = storage.NewRowDecoder(tbl.Schema, cols)
+	return err
 }
 
 // accept runs the record filter on the versioned record rec, appending its
@@ -442,12 +411,11 @@ func (r *scanRows) accept(rec []byte) error {
 		return nil
 	}
 	payload := rec[storage.VerHdrLen:]
-	f := r.filter
-	if f != nil {
-		if err := f.dec.Decode(payload, f.probe); err != nil {
+	if r.pred != nil {
+		if err := r.dec.Decode(payload, r.probe); err != nil {
 			return err
 		}
-		if keep, err := f.pred(f.probe); err != nil || !keep {
+		if keep, err := r.pred(r.probe); err != nil || !keep {
 			return err
 		}
 	}
@@ -455,8 +423,8 @@ func (r *scanRows) accept(rec []byte) error {
 		r.out = r.pool.Get(r.pageRows)
 	}
 	row := r.out.carve(r.width)
-	if f != nil && f.copyOut {
-		copy(row, f.probe)
+	if r.pred != nil {
+		copy(row, r.probe)
 	} else if err := r.dec.Decode(payload, row); err != nil {
 		return err
 	}

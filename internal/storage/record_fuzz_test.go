@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -80,9 +81,10 @@ func refDecodeRow(schema catalog.Schema, rec []byte, cols []bool, dst value.Row)
 
 var fuzzTypes = [4]value.Type{value.Int, value.Float, value.Bool, value.Text}
 
-// fuzzSchema reads a schema of 1–20 columns off types, one byte per column.
+// fuzzSchema reads a schema of 1–40 columns off types, one byte per column:
+// enough for a fixed-width run longer than the decoder's maxPrefix.
 func fuzzSchema(types []byte) catalog.Schema {
-	n := min(max(len(types), 1), 20)
+	n := min(max(len(types), 1), 40)
 	schema := catalog.Schema{Columns: make([]catalog.Column, n)}
 	for i := range schema.Columns {
 		typ := value.Int
@@ -107,12 +109,12 @@ func fuzzCols(colset []byte, n int) []bool {
 	return cols
 }
 
-// fuzzRow builds a row of schema, NULL wherever bit i%32 of nulls is set;
+// fuzzRow builds a row of schema, NULL wherever bit i of nulls is set;
 // TEXT lengths reach past the one-byte varint limit.
-func fuzzRow(schema catalog.Schema, nulls uint32) value.Row {
+func fuzzRow(schema catalog.Schema, nulls uint64) value.Row {
 	row := make(value.Row, len(schema.Columns))
 	for i, c := range schema.Columns {
-		if nulls&(1<<(i%32)) != 0 {
+		if nulls&(1<<i) != 0 {
 			continue
 		}
 		switch c.Type {
@@ -167,25 +169,34 @@ func checkDecode(t *testing.T, schema catalog.Schema, cols []bool, rec []byte) {
 	}
 }
 
-// FuzzRowDecoder: over random schemas of 1–20 columns of every type (so
-// null bitmaps of up to three bytes), random column sets and records — a
+// FuzzRowDecoder: over random schemas of 1–40 columns of every type (so
+// null bitmaps of up to five bytes), random column sets and records — a
 // raw one as the fuzzer mutates it, an encoded row with NULLs wherever
 // nulls says, and that row cut short by cut bytes with extra appended — the
 // compiled decoder (and DecodeRowInto) must agree with the plain reference
-// walk, values and error text alike. The seeds are EncodeRow output with a NULL inside the
-// fixed-width prefix, with TEXT first, and with only fixed-width columns.
+// walk, values and error text alike. The seeds are EncodeRow output with a
+// NULL inside the fixed-width prefix, with TEXT first, with only
+// fixed-width columns, and with a fixed-width run longer than maxPrefix:
+// the prefix cut off at column 32, its four-byte null mask (a NULL in bit
+// 31), its largest offsets, and a NULL in a fixed-width column past the cut.
 func FuzzRowDecoder(f *testing.F) {
 	I, F, B, T := byte(0), byte(1), byte(2), byte(3)
+	// 36 leading INT/FLOAT columns, then TEXT, BOOL, INT, TEXT: 40 in all.
+	long := append(bytes.Repeat([]byte{I, F}, 18), T, B, I, T)
 	seeds := []struct {
 		types []byte
 		cols  []byte
-		nulls uint32
+		nulls uint64
 	}{
 		{[]byte{I, I, I, T}, []byte{0b0001}, 1 << 1},                        // NULL inside the prefix
 		{[]byte{T, I, B, F}, nil, 0},                                        // TEXT first: no prefix
 		{[]byte{I, F, B, I, F, B, I, F, B, I, F, B}, []byte{0x0a, 0x01}, 0}, // all fixed, two-byte bitmap
 		{[]byte{I, I, I, I, I, I, I, I, I, I, T, I, T, B, F, I, I, T, B, I}, []byte{0x81, 0x40, 0x08}, 1 << 9},
 		{[]byte{F, B, T, I}, []byte{0xff}, 1<<0 | 1<<3},
+		{long, []byte{0x81, 0x00, 0x00, 0x84, 0x1f}, 0},       // prefix cut at maxPrefix
+		{long, []byte{0x81, 0x00, 0x00, 0x84, 0x1f}, 1 << 31}, // NULL in the mask's last bit
+		{long, nil, 1 << 34}, // NULL in a fixed column past the cut
+		{long, []byte{0xff}, 1<<31 | 1<<34},
 	}
 	for _, s := range seeds {
 		schema := fuzzSchema(s.types)
@@ -196,7 +207,7 @@ func FuzzRowDecoder(f *testing.F) {
 		f.Add(s.types, s.cols, s.nulls, rec, uint8(0), []byte(nil))
 		f.Add(s.types, s.cols, s.nulls^0x5, rec, uint8(3), []byte{0x01})
 	}
-	f.Fuzz(func(t *testing.T, types, colset []byte, nulls uint32, rec []byte, cut uint8, extra []byte) {
+	f.Fuzz(func(t *testing.T, types, colset []byte, nulls uint64, rec []byte, cut uint8, extra []byte) {
 		schema := fuzzSchema(types)
 		cols := fuzzCols(colset, len(schema.Columns))
 		built, err := EncodeRow(schema, fuzzRow(schema, nulls))

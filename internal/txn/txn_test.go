@@ -236,23 +236,28 @@ func TestManagerAbortReturnsUndoInReverse(t *testing.T) {
 	id := m.Begin()
 	m.LogOp(Record{Txn: id, Kind: RecInsert, Table: "t", After: []byte("1")})
 	m.LogOp(Record{Txn: id, Kind: RecUpdate, Table: "t", Before: []byte("1"), After: []byte("2")})
-	undo, err := m.PrepareAbort(id)
+	undo, wrote, err := m.PrepareAbort(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FinishAbort(id); err != nil {
 		t.Fatal(err)
 	}
-	if len(undo) != 2 || undo[0].Kind != RecUpdate || undo[1].Kind != RecInsert {
-		t.Fatalf("undo order wrong: %+v", undo)
+	if len(undo) != 2 || undo[0].Kind != RecUpdate || undo[1].Kind != RecInsert || !wrote {
+		t.Fatalf("undo order wrong or no write reported: %+v, wrote %v", undo, wrote)
 	}
+	reader := m.Begin()
+	if undo, wrote, err := m.PrepareAbort(reader); err != nil || len(undo) != 0 || wrote {
+		t.Fatalf("a reader's abort: undo %v, wrote %v, err %v; want neither", undo, wrote, err)
+	}
+	m.FinishAbort(reader)
 }
 
 // TestManagerRollbackToUndoesStatement: RollbackTo hands the records logged
 // after the undo point to undo newest first and drops each once undone; an
 // undo error leaves the records not yet undone on the chain, for the whole
 // transaction's rollback. The transaction stays active, and having undone
-// records it commits as a writer even with an empty chain.
+// records it commits, or aborts, as a writer even with an empty chain.
 func TestManagerRollbackToUndoesStatement(t *testing.T) {
 	m := NewManager()
 	wrote := map[ID]bool{}
@@ -300,12 +305,20 @@ func TestManagerRollbackToUndoesStatement(t *testing.T) {
 	if err := m.RollbackTo(id, 0, undo); err != nil || fmt.Sprint(undone) != "[c b a kept]" {
 		t.Fatalf("rolling back to 0: %v, undone %v", err, undone)
 	}
-	if !m.Wrote(id) {
-		t.Fatal("a transaction with undone records reports no write")
-	}
 	if err := m.Commit(id); err != nil || !wrote[id] {
 		t.Fatalf("commit: %v, wrote %v; want a writer's commit", err, wrote[id])
 	}
+	aborted := m.Begin()
+	if _, err := m.LogOp(Record{Txn: aborted, Kind: RecInsert, Table: "t", After: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RollbackTo(aborted, 0, undo); err != nil {
+		t.Fatal(err)
+	}
+	if undo, w, err := m.PrepareAbort(aborted); err != nil || len(undo) != 0 || !w {
+		t.Fatalf("abort after a statement rollback: undo %v, wrote %v, err %v; want an empty writer's undo", undo, w, err)
+	}
+	m.FinishAbort(aborted)
 }
 
 func TestManagerOnCommitReportsWrote(t *testing.T) {
@@ -364,7 +377,7 @@ func TestReadOnlyCommitSkipsDurableLog(t *testing.T) {
 	if err := m.LogDDL(aborted, Record{Kind: RecDropTable, Table: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PrepareAbort(aborted); err != nil {
+	if _, _, err := m.PrepareAbort(aborted); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FinishAbort(aborted); err != nil {

@@ -260,24 +260,26 @@ func (m *Manager) Commit(id ID) error {
 }
 
 // PrepareAbort removes the transaction from the active table and returns
-// its data records newest-first for the engine to undo. Locks stay held
-// until FinishAbort so no one observes half-undone state.
-func (m *Manager) PrepareAbort(id ID) ([]Record, error) {
+// its data records newest-first for the engine to undo, and whether it
+// wrote at all — records a RollbackTo has since undone count. Locks stay
+// held until FinishAbort so no one observes half-undone state.
+func (m *Manager) PrepareAbort(id ID) (undo []Record, wrote bool, err error) {
 	m.mu.Lock()
 	ops, ok := m.active[id]
 	if !ok {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("txn: %d is not active", id)
+		return nil, false, fmt.Errorf("txn: %d is not active", id)
 	}
+	wrote = len(ops) > 0 || m.undid[id]
 	delete(m.active, id)
 	delete(m.ddl, id)
 	delete(m.undid, id)
 	m.mu.Unlock()
-	undo := make([]Record, 0, len(ops))
+	undo = make([]Record, 0, len(ops))
 	for i := len(ops) - 1; i >= 0; i-- {
 		undo = append(undo, ops[i])
 	}
-	return undo, nil
+	return undo, wrote, nil
 }
 
 // UndoPoint returns the length of transaction id's undo chain: the point a
@@ -295,7 +297,7 @@ func (m *Manager) UndoPoint(id ID) int {
 // error the chain still holds the records not undone, so a rollback of the
 // whole transaction picks up where this one stopped.
 //
-// A transaction that rolled records back counts as a writer (Wrote) even
+// A transaction that rolled records back counts as a writer even
 // with an empty chain: heap records and readers' copies of them still
 // carry its id, so its commit must stamp a status entry, not forget it.
 func (m *Manager) RollbackTo(id ID, mark int, undo func(Record) error) error {
@@ -319,14 +321,6 @@ func (m *Manager) RollbackTo(id ID, mark int, undo func(Record) error) error {
 		m.mu.Unlock()
 	}
 	return nil
-}
-
-// Wrote reports whether active transaction id logged a data record, counting
-// records a RollbackTo has since undone.
-func (m *Manager) Wrote(id ID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active[id]) > 0 || m.undid[id]
 }
 
 // FinishAbort logs the abort record (after the engine applied the undo, so
