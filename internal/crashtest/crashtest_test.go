@@ -1,11 +1,13 @@
 // Package crashtest is a subprocess fault-injection harness for the durable
 // engine: a child process runs a mixed insert/update workload against a data
 // directory, acknowledging each commit in a side file only after ExecScript
-// returns; the parent SIGKILLs it at a randomized point — including
-// mid-checkpoint and mid-group-commit — reopens the directory in-process,
-// and verifies that every acknowledged transaction is present and complete,
-// that no transaction is half-applied, and that recovery left no orphaned
-// spill files.
+// returns, while a second connection holds a long transaction open across
+// several checkpoints (log rotations) and then commits or rolls it back; the
+// parent SIGKILLs it at a randomized point — including mid-checkpoint and
+// mid-group-commit — reopens the directory in-process, and verifies that
+// every acknowledged transaction is present and complete, that no
+// transaction is half-applied, and that recovery left no orphaned spill
+// files.
 package crashtest
 
 import (
@@ -29,8 +31,18 @@ import (
 // row 3(k-1) to v += 100. Row ids mod 3 are {0, 1}, update targets are
 // multiples of 3, so the scheme never collides and every row's expected
 // value is a pure function of which transactions committed.
+//
+// Long transaction j runs on a second connection alongside main
+// transactions: it inserts row j*longRange+i (v = id) into lt after each of
+// longSpan main transactions, so it stays open across explicit checkpoints
+// and budget-triggered rotations, then commits when j is even and rolls back
+// when j is odd. A commit is acked as "L<j>" once COMMIT returned.
 
-const ackFile = "acks.log"
+const (
+	ackFile   = "acks.log"
+	longSpan  = 80
+	longRange = 1000
+)
 
 func TestCrashChild(t *testing.T) {
 	dir := os.Getenv("STAGEDB_CRASH_DIR")
@@ -53,14 +65,24 @@ func childMain(ctx context.Context, dir string) error {
 		return fmt.Errorf("open: %w", err)
 	}
 	defer db.Close()
-	if _, err := db.ExecContext(ctx, "CREATE TABLE kv (id INT PRIMARY KEY, v INT)"); err != nil && !strings.Contains(err.Error(), "exists") {
-		return fmt.Errorf("create: %w", err)
+	// lt first: once kv exists, so does lt.
+	for _, table := range []string{"lt", "kv"} {
+		if _, err := db.ExecContext(ctx, "CREATE TABLE "+table+" (id INT PRIMARY KEY, v INT)"); err != nil && !strings.Contains(err.Error(), "exists") {
+			return fmt.Errorf("create %s: %w", table, err)
+		}
 	}
-	start, err := maxVisibleTxn(ctx, db)
+	start, err := maxVisible(ctx, db, "kv", 3)
 	if err != nil {
 		return err
 	}
 	start++
+	j, err := maxVisible(ctx, db, "lt", longRange)
+	if err != nil {
+		return err
+	}
+	j++
+	long := db.Conn()
+	i := 0
 	acks, err := os.OpenFile(filepath.Join(dir, ackFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -83,6 +105,9 @@ func childMain(ctx context.Context, dir string) error {
 		if err := acks.Sync(); err != nil {
 			return err
 		}
+		if err := stepLong(ctx, long, acks, &j, &i); err != nil {
+			return err
+		}
 		// Keep auxiliary machinery live at kill time: an ORDER BY query
 		// (spill path) and an explicit checkpoint (log rotation).
 		if k%7 == 0 {
@@ -98,17 +123,51 @@ func childMain(ctx context.Context, dir string) error {
 	}
 }
 
-// maxVisibleTxn lets a restarted child resume numbering after the rows that
-// already committed (acked or not).
-func maxVisibleTxn(ctx context.Context, db *stagedb.DB) (int, error) {
-	res, err := db.ExecContext(ctx, "SELECT id FROM kv ORDER BY id DESC LIMIT 1")
+// stepLong inserts long transaction *j's row *i, beginning the transaction
+// first and ending it after its last row.
+func stepLong(ctx context.Context, long *stagedb.Conn, acks *os.File, j, i *int) error {
+	if *i == 0 {
+		if _, err := long.ExecContext(ctx, "BEGIN"); err != nil {
+			return fmt.Errorf("long txn %d: %w", *j, err)
+		}
+	}
+	id := *j*longRange + *i
+	if _, err := long.ExecContext(ctx, fmt.Sprintf("INSERT INTO lt VALUES (%d, %d)", id, id)); err != nil {
+		return fmt.Errorf("long txn %d: %w", *j, err)
+	}
+	if *i++; *i < longSpan {
+		return nil
+	}
+	end := "ROLLBACK"
+	if *j%2 == 0 {
+		end = "COMMIT"
+	}
+	if _, err := long.ExecContext(ctx, end); err != nil {
+		return fmt.Errorf("long txn %d %s: %w", *j, end, err)
+	}
+	if end == "COMMIT" {
+		if _, err := fmt.Fprintf(acks, "L%d\n", *j); err != nil {
+			return err
+		}
+		if err := acks.Sync(); err != nil {
+			return err
+		}
+	}
+	*j, *i = *j+1, 0
+	return nil
+}
+
+// maxVisible lets a restarted child resume numbering after the rows that
+// already committed (acked or not): the highest id in table, divided by per.
+func maxVisible(ctx context.Context, db *stagedb.DB, table string, per int) (int, error) {
+	res, err := db.ExecContext(ctx, "SELECT id FROM "+table+" ORDER BY id DESC LIMIT 1")
 	if err != nil {
 		return 0, err
 	}
 	if len(res.Rows) == 0 {
 		return 0, nil
 	}
-	return int(res.Rows[0][0].Int()) / 3, nil
+	return int(res.Rows[0][0].Int()) / per, nil
 }
 
 func TestCrashRecoveryProperty(t *testing.T) {
@@ -137,12 +196,20 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 
 	dir := t.TempDir()
-	prevMaxK := 0
+	prev := seen{long: map[int]bool{}}
 	for i := 0; i < iters; i++ {
 		delay := time.Duration(10+rng.Intn(240)) * time.Millisecond
 		runChildAndKill(t, dir, delay)
-		prevMaxK = verify(t, dir, i, delay, prevMaxK)
+		prev = verify(t, dir, i, delay, prev)
 	}
+	t.Logf("after %d kills: %d main and %d long transactions committed", iters, prev.maxK, len(prev.long))
+}
+
+// seen is what one verification found visible: the highest main
+// transaction and the set of long transactions.
+type seen struct {
+	maxK int
+	long map[int]bool
 }
 
 func runChildAndKill(t *testing.T, dir string, delay time.Duration) {
@@ -164,12 +231,12 @@ func runChildAndKill(t *testing.T, dir string, delay time.Duration) {
 	}
 }
 
-// verify reopens the directory after a kill, checks it, and returns the
-// highest visible transaction. prevMaxK is that figure from the previous
-// iteration.
-func verify(t *testing.T, dir string, iter int, delay time.Duration, prevMaxK int) int {
+// verify reopens the directory after a kill, checks it, and returns what it
+// found visible; prev is that from the previous iteration.
+func verify(t *testing.T, dir string, iter int, delay time.Duration, prev seen) seen {
 	t.Helper()
-	acked := readAcks(t, dir)
+	acked, longAcked := readAcks(t, dir)
+	prevMaxK := prev.maxK
 	db, err := stagedb.Open(stagedb.Options{DataDir: dir})
 	if err != nil {
 		t.Fatalf("iter %d (killed after %v): reopen: %v", iter, delay, err)
@@ -182,7 +249,7 @@ func verify(t *testing.T, dir string, iter int, delay time.Duration, prevMaxK in
 	res, err := db.ExecContext(t.Context(), "SELECT id, v FROM kv ORDER BY id")
 	if err != nil {
 		if acked == 0 && strings.Contains(err.Error(), "kv") {
-			return 0 // killed before CREATE TABLE committed; nothing to check
+			return prev // killed before CREATE TABLE committed; nothing to check
 		}
 		t.Fatalf("iter %d: select: %v", iter, err)
 	}
@@ -246,6 +313,7 @@ func verify(t *testing.T, dir string, iter int, delay time.Duration, prevMaxK in
 			t.Fatalf("iter %d: unexpected row id %d", iter, id)
 		}
 	}
+	long := verifyLong(t, db, iter, delay, longAcked, prev.long)
 	// GC after recovery: with no snapshot open, Vacuum must reclaim every
 	// dead version the update chain left behind, and none may be orphaned.
 	if _, err := db.Vacuum(t.Context()); err != nil {
@@ -274,24 +342,77 @@ func verify(t *testing.T, dir string, iter int, delay time.Duration, prevMaxK in
 			}
 		}
 	}
-	return maxK
+	return seen{maxK: maxK, long: long}
 }
 
-// readAcks returns the highest fully-written ack; a torn last line (the kill
-// can land mid-ack) is ignored.
-func readAcks(t *testing.T, dir string) int {
+// verifyLong checks the long transactions: each visible one is whole and
+// committed (j even), each acked one is visible, no id appears twice, and
+// at most one visible one is new and unacked (the commit in flight at the
+// kill). It returns the visible set.
+func verifyLong(t *testing.T, db *stagedb.DB, iter int, delay time.Duration, acked, prev map[int]bool) map[int]bool {
 	t.Helper()
+	res, err := db.ExecContext(t.Context(), "SELECT id, v FROM lt")
+	if err != nil {
+		t.Fatalf("iter %d: select lt: %v", iter, err)
+	}
+	rows := map[int]int{} // long txn -> rows
+	ids := map[int]bool{}
+	for _, r := range res.Rows {
+		id, v := int(r[0].Int()), int(r[1].Int())
+		if ids[id] {
+			t.Fatalf("iter %d: duplicate visible lt id %d", iter, id)
+		}
+		ids[id] = true
+		j := id / longRange
+		if v != id || id%longRange >= longSpan || j%2 != 0 {
+			t.Fatalf("iter %d: unexpected lt row (%d, %d) (killed after %v)", iter, id, v, delay)
+		}
+		rows[j]++
+	}
+	visible := map[int]bool{}
+	fresh := 0
+	for j, n := range rows {
+		if n != longSpan {
+			t.Fatalf("iter %d: long txn %d half-applied: %d of %d rows (killed after %v)", iter, j, n, longSpan, delay)
+		}
+		visible[j] = true
+		if !acked[j] && !prev[j] {
+			fresh++
+		}
+	}
+	if fresh > 1 {
+		t.Fatalf("iter %d: %d unacked long txns became visible — unacked work leaked", iter, fresh)
+	}
+	for j := range acked {
+		if !visible[j] {
+			t.Fatalf("iter %d: acked long txn %d lost after crash (killed after %v)", iter, j, delay)
+		}
+	}
+	return visible
+}
+
+// readAcks returns the highest fully-written main ack and the set of acked
+// long transactions; a torn last line (the kill can land mid-ack) is
+// ignored.
+func readAcks(t *testing.T, dir string) (int, map[int]bool) {
+	t.Helper()
+	long := map[int]bool{}
 	f, err := os.Open(filepath.Join(dir, ackFile))
 	if err != nil {
-		return 0
+		return 0, long
 	}
 	defer f.Close()
 	max := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if n, err := strconv.Atoi(strings.TrimSpace(sc.Text())); err == nil && n > max {
+		line := strings.TrimSpace(sc.Text())
+		if j, ok := strings.CutPrefix(line, "L"); ok {
+			if n, err := strconv.Atoi(j); err == nil {
+				long[n] = true
+			}
+		} else if n, err := strconv.Atoi(line); err == nil && n > max {
 			max = n
 		}
 	}
-	return max
+	return max, long
 }

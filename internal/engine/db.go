@@ -57,8 +57,8 @@ type Config struct {
 	// SyncEveryCommit disables group commit: each commit fsyncs the log on
 	// its own (the benchmark baseline group commit is measured against).
 	SyncEveryCommit bool
-	// CheckpointBytes triggers a background checkpoint when the log grows
-	// past it (0 = 8 MiB).
+	// CheckpointBytes triggers a background checkpoint when the log has
+	// grown by it since the last checkpoint (0 = 8 MiB).
 	CheckpointBytes int64
 	// FS overrides the filesystem under the data file and log (fault
 	// injection); nil means the real one.
@@ -89,10 +89,11 @@ type DB struct {
 	// the visibility rule. Readers consult it instead of taking table locks.
 	mv *mvcc.Manager
 
-	// ckptMu quiesces page mutations while a fuzzy checkpoint snapshots the
-	// engine: DML and rollback hold it shared for the duration of one
-	// operation (after their table locks are acquired — the hold is short),
-	// the checkpoint holds it exclusively.
+	// ckptMu quiesces the log while a checkpoint snapshots the engine and
+	// rotates: DML, DDL, vacuum, rollback and commit hold it shared for the
+	// duration of one operation (after their table locks are acquired — the
+	// hold is short; a commit's includes its group-commit wait), the
+	// checkpoint holds it exclusively.
 	ckptMu   sync.RWMutex
 	ckptBusy atomic.Bool
 

@@ -506,9 +506,10 @@ func (db *DB) undoStatement(id txn.ID, mark int) error {
 // of redoing the aborted work. The txn's locks stay held until the undo is
 // fully applied (FinishAbort releases them).
 func (db *DB) rollback(id txn.ID) error {
-	// The exclusion must cover PrepareAbort through FinishAbort: a fuzzy
+	// The exclusion must cover PrepareAbort through FinishAbort: a
 	// checkpoint between them would snapshot the txn as neither active nor
-	// undone, and recovery would lose the remaining undo.
+	// undone and rotate its records away, and recovery would lose the
+	// remaining undo.
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
 	// Stamp aborted before undo starts: from here no snapshot sees the

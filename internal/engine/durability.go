@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -13,8 +12,8 @@ import (
 	"stagedb/internal/value"
 )
 
-// defaultCheckpointBytes triggers a background checkpoint once the log
-// outgrows it.
+// defaultCheckpointBytes triggers a background checkpoint once the log has
+// grown by it since the last checkpoint.
 const defaultCheckpointBytes = 8 << 20
 
 // OpenDB opens a database. With an empty DataDir it is NewDB; with one, the
@@ -148,29 +147,47 @@ func (db *DB) commit(id txn.ID) error {
 	return err
 }
 
-// maybeCheckpoint starts a background checkpoint when the log has outgrown
-// its budget; at most one runs at a time.
+// maybeCheckpoint checkpoints once the log has grown by its budget since the
+// last checkpoint; at most one runs at a time. The committer that crossed
+// the budget takes ckptMu itself, so nothing more is logged before the
+// rotation, and hands it to a goroutine: the commit returns without waiting
+// for the flush.
 func (db *DB) maybeCheckpoint() {
 	d := db.tm.Durable()
-	if d == nil || d.Size() < db.cfg.CheckpointBytes {
+	if d == nil || d.Growth() < db.cfg.CheckpointBytes {
 		return
 	}
 	if !db.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
+	db.ckptMu.Lock()
 	go func() {
 		defer db.ckptBusy.Store(false)
+		defer db.ckptMu.Unlock()
 		// A failure poisons the log or leaves the old one in place; either
 		// way the next commit or Close surfaces it.
-		_ = db.Checkpoint()
+		_ = db.checkpointLocked(d)
 	}()
 }
 
 // Checkpoint quiesces mutations, flushes the log and every dirty page,
-// fsyncs the data file, and writes a checkpoint record carrying the engine
-// snapshot. With no transactions in flight the log is rotated — the new log
-// holds only the checkpoint; otherwise (a fuzzy checkpoint) the record is
-// appended, carrying the active txns' undo chains.
+// fsyncs the data file, and rotates the log: the new log holds only a
+// checkpoint record carrying the engine snapshot, open transactions' undo
+// chains included.
+//
+// Rotating past open transactions loses nothing (ARIES log truncation):
+//   - recover reads nothing before the last checkpoint record: its losers
+//     and compensated records come from the records after it, and its
+//     losers' older records from the checkpoint's undo chains. The one
+//     exception, the txn-id counter, restarts from the snapshot's NextTxn.
+//     A CLR written after the rotation compensates a record that now lives
+//     only in a chain, by LSN, the same way.
+//   - The new log starts at the old end LSN, so page LSNs and the write
+//     barrier never see time go backwards.
+//   - Undo chains leave the active table only under ckptMu (statement
+//     undo, rollback from PrepareAbort through FinishAbort, commit), and
+//     every appender holds it (recovery appends before its own checkpoint),
+//     so the snapshot and the rotation see one log.
 func (db *DB) Checkpoint() error {
 	d := db.tm.Durable()
 	if d == nil {
@@ -178,6 +195,11 @@ func (db *DB) Checkpoint() error {
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	return db.checkpointLocked(d)
+}
+
+// checkpointLocked is Checkpoint under an exclusive ckptMu.
+func (db *DB) checkpointLocked(d *txn.DurableWAL) error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
@@ -192,18 +214,7 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	rec := txn.Record{Kind: txn.RecCheckpoint, After: payload}
-	if len(st.Active) == 0 {
-		err := d.Rotate(rec)
-		if err == nil || !errors.Is(err, txn.ErrWALBusy) {
-			return err
-		}
-	}
-	lsn, err := d.Append(rec)
-	if err != nil {
-		return err
-	}
-	return d.WaitDurable(lsn)
+	return d.Rotate(txn.Record{Kind: txn.RecCheckpoint, After: payload})
 }
 
 // checkpointState snapshots everything recovery needs; callers hold ckptMu
@@ -598,7 +609,6 @@ func (db *DB) WALCounters() map[string]int64 {
 		"commit_groups":    int64(s.Groups),
 		"grouped_commits":  int64(s.GroupSum),
 		"group_max":        int64(s.GroupMax),
-		"rotations":        int64(s.Rotations),
 		"checkpoints":      int64(s.Checkpoints),
 		"end_lsn":          int64(s.EndLSN),
 		"flushed_lsn":      int64(s.FlushedLSN),

@@ -195,11 +195,14 @@ func TestDurableCheckpointRotatesLog(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mustExec(t, s, "INSERT INTO kv VALUES ("+itoa(i)+", 'xxxxxxxxxxxxxxxx')")
 	}
-	before := db.tm.Durable().Size()
+	before := walFileSize(t, dir)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	after := db.tm.Durable().Size()
+	if g := db.tm.Durable().Growth(); g != 0 {
+		t.Fatalf("growth right after a checkpoint: %d", g)
+	}
+	after := walFileSize(t, dir)
 	if after >= before {
 		t.Fatalf("checkpoint should rotate to a smaller log: before=%d after=%d", before, after)
 	}

@@ -89,6 +89,53 @@ func TestOrderByMixedKeysAndColumnNames(t *testing.T) {
 	})
 }
 
+// TestOrderByPosition: a bare integer ORDER BY key names an output column,
+// `*` expanded, alone or next to keys outside the select list; an integer
+// inside an expression, or a bound `?`, stays a constant.
+func TestOrderByPosition(t *testing.T) {
+	runShapes(t, true, []shapeCase{
+		{"SELECT id, s FROM pa ORDER BY 2",
+			"SELECT id, s FROM pa WHERE id > ? ORDER BY 2",
+			[]value.Value{value.NewInt(0)},
+			"id|s\n1|'apple'\n6|'avocado'\n2|'banana'\n5|'berry'\n4|'blue'\n3|'cherry'"},
+		{"SELECT id, v FROM pa ORDER BY 1 DESC",
+			"SELECT id, v FROM pa WHERE id > ? ORDER BY 1 DESC",
+			[]value.Value{value.NewInt(0)},
+			"id|v\n6|NULL\n5|NULL\n4|NULL\n3|5\n2|20\n1|10"},
+		{"SELECT * FROM pa WHERE id < 4 ORDER BY 4 DESC",
+			"SELECT * FROM pa WHERE id < ? ORDER BY 4 DESC",
+			[]value.Value{value.NewInt(4)},
+			"id|g|v|s\n3|2|5|'cherry'\n2|1|20|'banana'\n1|1|10|'apple'"},
+		{"SELECT s FROM pa ORDER BY g DESC, 1",
+			"SELECT s FROM pa WHERE id > ? ORDER BY g DESC, 1",
+			[]value.Value{value.NewInt(0)},
+			"s\n'avocado'\n'berry'\n'blue'\n'cherry'\n'apple'\n'banana'"},
+		{"SELECT g, COUNT(*) FROM pa GROUP BY g ORDER BY 2 DESC",
+			"SELECT g, COUNT(*) FROM pa WHERE id > ? GROUP BY g ORDER BY 2 DESC",
+			[]value.Value{value.NewInt(0)},
+			"g|COUNT(*)\n3|3\n1|2\n2|1"},
+		{"SELECT id FROM pa ORDER BY 0 - id",
+			"SELECT id FROM pa ORDER BY ?, 0 - id",
+			[]value.Value{value.NewInt(1)},
+			"id\n6\n5\n4\n3\n2\n1"},
+	})
+	for _, mode := range []string{"staged", "threaded"} {
+		db := NewDB(Config{})
+		mustExec(t, db.NewSession(), "CREATE TABLE pa (id INT PRIMARY KEY, g INT, v INT, s TEXT)")
+		f := NewStaged(db, StagedConfig{})
+		if mode == "threaded" {
+			f = NewThreaded(db, 0)
+		}
+		for _, q := range []string{"SELECT id FROM pa ORDER BY 2", "SELECT id FROM pa ORDER BY 0", "SELECT * FROM pa ORDER BY 5"} {
+			_, err := submitSQL(t, f, db.NewSession(), q)
+			if err == nil || !strings.Contains(err.Error(), "is not in select list") {
+				t.Errorf("%s: %s: want an out-of-range position refused, got %v", mode, q, err)
+			}
+		}
+		f.Close()
+	}
+}
+
 // runShapes runs each case on the staged and the threaded engine, as its
 // literal text, as an ad-hoc `?` text (a custom plan, planned with the
 // values) and as an explicit statement (the generic plan through

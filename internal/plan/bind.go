@@ -312,10 +312,25 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 	// every key does. Otherwise (e.g. ORDER BY a non-projected column, or an
 	// aggregate call) every key binds like the select list and sorts below
 	// the Project, a select-list alias standing for its item's expression.
+	// A bare integer n is the n-th output column, `*` expanded.
+	pos := make([]int, len(sel.OrderBy))
+	for k, item := range sel.OrderBy {
+		pos[k] = -1
+		if item.Position {
+			n := item.Expr.(*sql.Literal).Val.Int()
+			if n < 1 || n > int64(len(projSchema)) {
+				return nil, fmt.Errorf("plan: ORDER BY position %d is not in select list", n)
+			}
+			pos[k] = int(n - 1)
+		}
+	}
 	var sortAbove, sortBelow []SortKey
 	above := exprBinder{schema: projSchema}
-	for _, item := range sel.OrderBy {
+	for k, item := range sel.OrderBy {
 		e, err := above.bind(item.Expr)
+		if i := pos[k]; i >= 0 {
+			e, err = &Column{Idx: i, Name: projSchema[i].Name, Typ: projSchema[i].Type}, nil
+		}
 		if err != nil {
 			sortAbove = nil
 			break
@@ -337,8 +352,11 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 			}
 			return nil, nil
 		}
-		for _, item := range sel.OrderBy {
+		for k, item := range sel.OrderBy {
 			e, err := below.bind(item.Expr)
+			if i := pos[k]; i >= 0 {
+				e, err = projExprs[i], nil
+			}
 			if err != nil {
 				return nil, err
 			}

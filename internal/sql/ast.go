@@ -127,6 +127,9 @@ type SelectItem struct {
 type OrderItem struct {
 	Expr Expr
 	Desc bool
+	// Position marks a key written as an integer literal (ORDER BY 2):
+	// it names an output column. A bound `?` never does.
+	Position bool
 }
 
 // Select is a SELECT query.

@@ -56,27 +56,38 @@ func ParseCounted(src string) (Statement, int, error) {
 	return stmt, p.params, nil
 }
 
-// ParseAll parses a semicolon-separated script.
-func ParseAll(src string) ([]Statement, error) {
-	p := NewParser(src)
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	var out []Statement
-	for p.tok.Kind != TokEOF {
-		if p.tok.Kind == TokSymbol && p.tok.Text == ";" {
-			if err := p.advance(); err != nil {
-				return nil, err
+// Split cuts a script into statements at its `;` tokens: a `;` inside a
+// string literal or a `--` comment is text, not a cut. Each statement's text
+// runs from its first token to the end of its last; a segment with no token
+// (blank or comment-only) is skipped. When the lexer fails, Split returns
+// the statements before the failing one, the failing one's text to the end
+// of the script as rest, and the lexer's error.
+func Split(src string) (stmts []string, rest string, err error) {
+	l := NewLexer(src)
+	from, start, end := 0, -1, 0
+	for {
+		var tok Token
+		if tok, err = l.Next(); err != nil {
+			if start < 0 {
+				start = from
 			}
+			return stmts, strings.TrimSpace(src[start:]), err
+		}
+		if tok.Kind != TokEOF && !(tok.Kind == TokSymbol && tok.Text == ";") {
+			if start < 0 {
+				start = tok.Pos
+			}
+			end = l.pos
 			continue
 		}
-		stmt, err := p.parseStatementInner()
-		if err != nil {
-			return nil, err
+		if start >= 0 {
+			stmts = append(stmts, src[start:end])
 		}
-		out = append(out, stmt)
+		if tok.Kind == TokEOF {
+			return stmts, "", nil
+		}
+		from, start = l.pos, -1
 	}
-	return out, nil
 }
 
 // ParseStatement parses one statement, priming the token stream first.
@@ -604,7 +615,8 @@ func (p *Parser) parseSelect() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			item := OrderItem{Expr: e}
+			lit, ok := e.(*Literal)
+			item := OrderItem{Expr: e, Position: ok && lit.Val.Type() == value.Int}
 			if p.isKeyword("ASC") {
 				if err := p.advance(); err != nil {
 					return nil, err

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,18 +224,102 @@ func TestParseTransactions(t *testing.T) {
 	}
 }
 
+// TestParseAllScript splits a multi-statement script and parses each
+// statement.
 func TestParseAllScript(t *testing.T) {
-	stmts, err := ParseAll(`
+	parts, rest, err := Split(`
 		CREATE TABLE t (a INT);
 		INSERT INTO t VALUES (1);
 		SELECT * FROM t;
 	`)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || rest != "" {
+		t.Fatal(rest, err)
 	}
-	if len(stmts) != 3 {
-		t.Fatalf("got %d statements", len(stmts))
+	if len(parts) != 3 {
+		t.Fatalf("got %d statements", len(parts))
 	}
+	for _, part := range parts {
+		if _, err := Parse(part); err != nil {
+			t.Fatalf("%q: %v", part, err)
+		}
+	}
+}
+
+// splitCases are scripts and the statements Split cuts them into; they
+// also seed FuzzSplit.
+var splitCases = []struct {
+	src  string
+	want []string
+}{
+	{"INSERT INTO t VALUES ('a;b'); SELECT 1 FROM t;", []string{"INSERT INTO t VALUES ('a;b')", "SELECT 1 FROM t"}},
+	// A ; or ' inside a line comment neither cuts nor opens a string.
+	{"SELECT 1 FROM t -- trailing; don't split\nWHERE id = 2; SELECT 2 FROM t;",
+		[]string{"SELECT 1 FROM t -- trailing; don't split\nWHERE id = 2", "SELECT 2 FROM t"}},
+	// A doubled quote is an escaped quote and survives verbatim.
+	{"INSERT INTO t VALUES ('it''s; fine'); SELECT 1 FROM t;", []string{"INSERT INTO t VALUES ('it''s; fine')", "SELECT 1 FROM t"}},
+	// Blank and comment-only segments are not statements.
+	{"-- nothing here;\n", nil},
+	{"SELECT 1 FROM t;\n-- done\n", []string{"SELECT 1 FROM t"}},
+	{" ; ;; -- x\n;", nil},
+	{"\n\t\tCREATE TABLE t (a INT);\n\t\tINSERT INTO t VALUES (1);\n\t\tSELECT * FROM t;\n\t",
+		[]string{"CREATE TABLE t (a INT)", "INSERT INTO t VALUES (1)", "SELECT * FROM t"}},
+	{"-- lead\nSELECT 1 FROM t", []string{"SELECT 1 FROM t"}},
+}
+
+func TestSplitScript(t *testing.T) {
+	for _, c := range splitCases {
+		got, rest, err := Split(c.src)
+		if err != nil || rest != "" || !slices.Equal(got, c.want) {
+			t.Errorf("Split(%q) = %q, %q, %v; want %q", c.src, got, rest, err, c.want)
+		}
+		for _, stmt := range got {
+			if _, err := Parse(stmt); err != nil {
+				t.Errorf("Split(%q): %q does not parse: %v", c.src, stmt, err)
+			}
+		}
+	}
+	// A statement that does not lex ends the split: the ones before it come
+	// back, and it is the rest.
+	got, rest, err := Split("SELECT 1 FROM t; -- c\nSELECT 'open; SELECT 2 FROM t")
+	if !slices.Equal(got, []string{"SELECT 1 FROM t"}) || rest != "SELECT 'open; SELECT 2 FROM t" || err == nil {
+		t.Errorf("malformed split = %q, %q, %v", got, rest, err)
+	}
+	if got, rest, err = Split("SELECT 1 FROM t; SELECT # FROM t; SELECT 2 FROM t"); len(got) != 1 || rest != "SELECT # FROM t; SELECT 2 FROM t" || err == nil {
+		t.Errorf("bad character split = %q, %q, %v", got, rest, err)
+	}
+}
+
+// FuzzSplit holds Split and Parse to their contracts on any input: neither
+// panics, and each statement Split returns lexes cleanly and holds no `;`
+// token.
+func FuzzSplit(f *testing.F) {
+	for _, c := range splitCases {
+		f.Add(c.src)
+	}
+	f.Add("SELECT 'open; SELECT 2")
+	f.Add("SELECT 1e; SELECT 1.2.3; SELECT a <> b FROM t WHERE x != 'y''z' -- ;")
+	f.Fuzz(func(t *testing.T, src string) {
+		stmts, rest, err := Split(src)
+		if err == nil && rest != "" {
+			t.Fatalf("rest %q without an error", rest)
+		}
+		for _, stmt := range stmts {
+			l := NewLexer(stmt)
+			for {
+				tok, err := l.Next()
+				if err != nil {
+					t.Fatalf("statement %q does not lex: %v", stmt, err)
+				}
+				if tok.Kind == TokEOF {
+					break
+				}
+				if tok.Kind == TokSymbol && tok.Text == ";" {
+					t.Fatalf("statement %q holds a ; token", stmt)
+				}
+			}
+			_, _ = Parse(stmt)
+		}
+	})
 }
 
 func TestParseErrors(t *testing.T) {

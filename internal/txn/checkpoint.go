@@ -12,7 +12,9 @@ import (
 // its After image: enough to rebuild the catalog, every heap's page list,
 // the data file's allocation state, and the undo chains of transactions
 // still in flight (a fuzzy checkpoint — DML is quiesced only long enough to
-// take the snapshot, not until the active txns finish).
+// take the snapshot, not until the active txns finish). The record heads
+// the rotated log, so the chains are the only copy of those transactions'
+// older records.
 type CheckpointState struct {
 	NextTxn   uint64
 	NextPage  uint32

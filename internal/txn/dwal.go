@@ -38,6 +38,7 @@ type DurableWAL struct {
 	f              storage.File
 	buf            []byte // appended, not yet written
 	startLSN       uint64 // LSN of the byte at walHeaderSize in the current file
+	rotatedLSN     uint64 // endLSN just after the last rotation (startLSN at open)
 	endLSN         uint64 // next LSN to assign
 	flushedLSN     uint64 // every LSN < flushedLSN is on stable storage
 	fileOff        int64  // file offset where buf will land
@@ -58,7 +59,6 @@ type DurableWAL struct {
 	groups      atomic.Uint64
 	groupSum    atomic.Uint64
 	groupMax    atomic.Uint64
-	rotations   atomic.Uint64
 	checkpoints atomic.Uint64
 }
 
@@ -73,10 +73,6 @@ const (
 
 // ErrWALClosed is returned for appends and waits after Close.
 var ErrWALClosed = errors.New("txn: wal closed")
-
-// ErrWALBusy means appends raced a rotation; the caller should write a
-// non-rotating checkpoint instead.
-var ErrWALBusy = errors.New("txn: wal busy, rotation skipped")
 
 // ScanResult is what reading a log file back yields.
 type ScanResult struct {
@@ -116,7 +112,7 @@ func OpenDurableWAL(fsys storage.FS, path string, syncPerCommit bool) (*DurableW
 			f.Close()
 			return nil, nil, err
 		}
-		w.startLSN, w.endLSN, w.flushedLSN = firstLSN, firstLSN, firstLSN
+		w.startLSN, w.rotatedLSN, w.endLSN, w.flushedLSN = firstLSN, firstLSN, firstLSN, firstLSN
 		w.fileOff = walHeaderSize
 	} else {
 		start, err := readWALHeader(f)
@@ -140,7 +136,7 @@ func OpenDurableWAL(fsys storage.FS, path string, syncPerCommit bool) (*DurableW
 				return nil, nil, fmt.Errorf("txn: sync truncated wal: %w", err)
 			}
 		}
-		w.startLSN = scan.StartLSN
+		w.startLSN, w.rotatedLSN = scan.StartLSN, scan.StartLSN
 		w.endLSN, w.flushedLSN = scan.EndLSN, scan.EndLSN
 		w.fileOff = walHeaderSize + int64(scan.EndLSN-scan.StartLSN)
 	}
@@ -344,9 +340,6 @@ func (w *DurableWAL) Append(rec Record) (uint64, error) {
 		w.pendingCommits++
 		w.commits.Add(1)
 	}
-	if rec.Kind == RecCheckpoint {
-		w.checkpoints.Add(1)
-	}
 	w.appends.Add(1)
 	return lsn, nil
 }
@@ -491,7 +484,8 @@ func (w *DurableWAL) flushOnce(force bool) error {
 // is ckpt (a RecCheckpoint), its start LSN is the old end LSN, and it
 // replaces the old file atomically (write temp, fsync, rename, fsync dir).
 // Callers must have flushed all dirty pages first — rotation discards the
-// old records. Only safe with no active transactions.
+// old records — and must hold every appender off from the snapshot ckpt
+// carries until Rotate returns.
 func (w *DurableWAL) Rotate(ckpt Record) error {
 	if err := w.flushOnce(false); err != nil {
 		return err
@@ -509,10 +503,13 @@ func (w *DurableWAL) Rotate(ckpt Record) error {
 		return ErrWALClosed
 	}
 	if len(w.buf) != 0 {
-		// Appends raced in after our flush; the non-rotating checkpoint path
-		// handles a busy log.
+		// An append raced the checkpoint: its record is not in ckpt's
+		// snapshot and would go with the old file. Fail closed.
+		w.poison = errors.New("txn: append during wal rotation, log poisoned")
+		err := w.poison
+		w.cond.Broadcast()
 		w.mu.Unlock()
-		return ErrWALBusy
+		return err
 	}
 	newStart := w.endLSN
 	w.mu.Unlock()
@@ -563,8 +560,7 @@ func (w *DurableWAL) Rotate(ckpt Record) error {
 	w.startLSN = newStart
 	w.fileOff = walHeaderSize + int64(len(frame))
 	w.endLSN = newStart + uint64(len(frame))
-	w.flushedLSN = w.endLSN
-	w.rotations.Add(1)
+	w.rotatedLSN, w.flushedLSN = w.endLSN, w.endLSN
 	w.checkpoints.Add(1)
 	w.cond.Broadcast()
 	w.mu.Unlock()
@@ -572,12 +568,14 @@ func (w *DurableWAL) Rotate(ckpt Record) error {
 	return nil
 }
 
-// Size reports the log's current logical size in bytes (flushed or not) —
-// the auto-checkpoint trigger reads it.
-func (w *DurableWAL) Size() int64 {
+// Growth reports the log bytes appended since the last rotation (since
+// open, before the first), flushed or not — the auto-checkpoint trigger
+// reads it. The rotated checkpoint record does not count: an open writer's
+// undo chain can make it alone outgrow any budget.
+func (w *DurableWAL) Growth() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return int64(w.endLSN-w.startLSN) + walHeaderSize
+	return int64(w.endLSN - w.rotatedLSN)
 }
 
 // Poisoned returns the sticky flush error, or nil.
@@ -616,8 +614,7 @@ type WALStats struct {
 	Groups      uint64 // flushes that carried >=1 commit
 	GroupSum    uint64 // total commits across those flushes
 	GroupMax    uint64 // largest single group
-	Rotations   uint64 // checkpoint rotations
-	Checkpoints uint64 // checkpoint records written
+	Checkpoints uint64 // checkpoints, each one a rotation
 	EndLSN      uint64
 	FlushedLSN  uint64
 }
@@ -636,7 +633,6 @@ func (w *DurableWAL) Stats() WALStats {
 		Groups:      w.groups.Load(),
 		GroupSum:    w.groupSum.Load(),
 		GroupMax:    w.groupMax.Load(),
-		Rotations:   w.rotations.Load(),
 		Checkpoints: w.checkpoints.Load(),
 		EndLSN:      end,
 		FlushedLSN:  flushed,

@@ -354,8 +354,8 @@ func (m *Manager) ActiveCount() int {
 }
 
 // ActiveSnapshot copies the active-transaction table — the undo chains a
-// fuzzy checkpoint carries so recovery can roll back txns whose early
-// records predate the checkpoint.
+// checkpoint carries into the rotated log so recovery can roll back txns
+// whose early records were rotated away.
 func (m *Manager) ActiveSnapshot() map[ID][]Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -116,8 +116,9 @@ type Options struct {
 	// is configured and off otherwise. DurabilityGroup and DurabilitySync
 	// require a data directory and fail Open without one.
 	Durability Durability
-	// CheckpointBytes triggers a background fuzzy checkpoint once the
-	// write-ahead log outgrows it (0 = 8 MB). Durable mode only.
+	// CheckpointBytes triggers a background checkpoint once the write-ahead
+	// log has grown by it since the last checkpoint (0 = 8 MB). Every
+	// checkpoint rotates the log. Durable mode only.
 	CheckpointBytes int64
 }
 
@@ -286,9 +287,9 @@ func (db *DB) Close() error {
 	return db.kernel.Close()
 }
 
-// Checkpoint flushes the log and all dirty pages to the data file and, when
-// no transactions are in flight, rotates the log down to a single checkpoint
-// record. No-op on an in-memory database.
+// Checkpoint flushes the log and all dirty pages to the data file and
+// rotates the log down to a single checkpoint record, which carries the undo
+// chains of transactions still open. No-op on an in-memory database.
 func (db *DB) Checkpoint() error { return db.kernel.Checkpoint() }
 
 // Durable reports whether the database is backed by a data directory.
@@ -297,7 +298,7 @@ func (db *DB) Durable() bool { return db.kernel.Durable() }
 // WALStats snapshots the write-ahead log and recovery counters (nil map on
 // an in-memory database). The same counters appear as the "wal"
 // pseudo-stage in Stages and the CLI \stages view: log appends, flushes and
-// fsyncs, commit group sizes, rotations, and the last recovery's redo/undo
+// fsyncs, commit group sizes, checkpoints, and the last recovery's redo/undo
 // record counts, truncated torn-tail bytes, and swept spill files.
 func (db *DB) WALStats() map[string]int64 { return db.kernel.WALCounters() }
 
@@ -564,12 +565,17 @@ func (c *Conn) ExecTxn(ctx context.Context, stmts []string) (*Result, error) {
 	return &Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
 }
 
-// ExecScript runs each ;-separated statement in order, each under ctx.
+// ExecScript runs each ;-separated statement in order, each under ctx. The
+// statements before one that does not lex still run.
 func (c *Conn) ExecScript(ctx context.Context, script string) error {
-	for _, stmt := range splitScript(script) {
+	stmts, rest, err := sql.Split(script)
+	for _, stmt := range stmts {
 		if _, err := c.ExecContext(ctx, stmt); err != nil {
 			return fmt.Errorf("stagedb: %q: %w", abbreviate(stmt), err)
 		}
+	}
+	if err != nil {
+		return fmt.Errorf("stagedb: %q: %w", abbreviate(rest), err)
 	}
 	return nil
 }
@@ -584,64 +590,6 @@ func (c *Conn) InTxn() bool { return c.sess.InTxn() }
 // behind its own waiters forever. Abort must not race an in-flight request
 // on this connection.
 func (c *Conn) Abort() error { return normalizeErr(c.sess.Abort()) }
-
-// splitScript splits on semicolons outside string literals and SQL line
-// comments. Inside a string, a doubled quote (”) is an escaped quote, not a
-// string boundary; inside a `-- ...` comment, quotes and semicolons are
-// plain text until the end of the line.
-func splitScript(script string) []string {
-	var out []string
-	var cur strings.Builder
-	hasCode := false // segment contains bytes outside comments and whitespace
-	flush := func() {
-		if s := strings.TrimSpace(cur.String()); s != "" && hasCode {
-			out = append(out, s)
-		}
-		cur.Reset()
-		hasCode = false
-	}
-	inStr := false
-	for i := 0; i < len(script); i++ {
-		ch := script[i]
-		switch {
-		case inStr:
-			if ch == '\'' {
-				if i+1 < len(script) && script[i+1] == '\'' {
-					// Escaped quote: copy both bytes, stay in the string.
-					cur.WriteByte('\'')
-					i++
-				} else {
-					inStr = false
-				}
-			}
-			cur.WriteByte(ch)
-		case ch == '\'':
-			inStr = true
-			hasCode = true
-			cur.WriteByte(ch)
-		case ch == '-' && i+1 < len(script) && script[i+1] == '-':
-			// Line comment: copy through the newline verbatim (the statement
-			// parser skips it); a ; or ' inside must not split or toggle, and
-			// a segment holding only comments is not a statement.
-			for i < len(script) && script[i] != '\n' {
-				cur.WriteByte(script[i])
-				i++
-			}
-			if i < len(script) {
-				cur.WriteByte('\n')
-			}
-		case ch == ';':
-			flush()
-		default:
-			if ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r' {
-				hasCode = true
-			}
-			cur.WriteByte(ch)
-		}
-	}
-	flush()
-	return out
-}
 
 func abbreviate(s string) string {
 	s = strings.Join(strings.Fields(s), " ")

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"stagedb/internal/sql"
 )
 
 func TestOpenStagedQuickstart(t *testing.T) {
@@ -165,21 +167,41 @@ func TestExecScriptErrorsNameStatement(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("script error should name the failing statement: %v", err)
 	}
+	// A statement that does not lex fails the script after the ones before
+	// it ran.
+	err = db.ExecScript(t.Context(), "INSERT INTO s VALUES (1); -- next\nSELECT 'open FROM s; SELECT 1 FROM s")
+	if err == nil || !strings.HasPrefix(err.Error(), `stagedb: "SELECT 'open FROM s; SELECT 1 FROM s": sql: unterminated string`) {
+		t.Fatalf("script error should name the statement that does not lex: %v", err)
+	}
+	if res, err := db.ExecContext(t.Context(), "SELECT COUNT(*) FROM s"); err != nil || res.Rows[0][0].Int() != 1 {
+		t.Fatalf("statement before the malformed one must run: %v %v", res, err)
+	}
+}
+
+// splitScript cuts a script the way ExecScript does, failing the test on a
+// split error.
+func splitScript(t *testing.T, script string) []string {
+	t.Helper()
+	parts, rest, err := sql.Split(script)
+	if err != nil || rest != "" {
+		t.Fatalf("split %q: rest %q, %v", script, rest, err)
+	}
+	return parts
 }
 
 func TestSplitScriptRespectsStrings(t *testing.T) {
-	parts := splitScript("INSERT INTO t VALUES ('a;b'); SELECT 1 FROM t;")
+	parts := splitScript(t, "INSERT INTO t VALUES ('a;b'); SELECT 1 FROM t;")
 	if len(parts) != 2 || !strings.Contains(parts[0], "a;b") {
 		t.Fatalf("split: %q", parts)
 	}
 }
 
-// TestSplitScriptCommentsAndQuotes pins the two lexical edge cases the old
-// splitter got wrong: a semicolon (or quote) inside a `-- ...` line comment
-// must not split (or toggle string state), and a doubled quote (”) is an
-// escaped quote inside the string, not a close-then-open.
+// TestSplitScriptCommentsAndQuotes pins two lexical edge cases of the script
+// splitter: a semicolon (or quote) inside a `-- ...` line comment must not
+// split (or toggle string state), and a doubled quote is an escaped quote
+// inside the string, not a close-then-open.
 func TestSplitScriptCommentsAndQuotes(t *testing.T) {
-	parts := splitScript("SELECT 1 FROM t -- trailing; don't split\nWHERE id = 2; SELECT 2 FROM t;")
+	parts := splitScript(t, "SELECT 1 FROM t -- trailing; don't split\nWHERE id = 2; SELECT 2 FROM t;")
 	if len(parts) != 2 {
 		t.Fatalf("comment split: %q", parts)
 	}
@@ -187,7 +209,7 @@ func TestSplitScriptCommentsAndQuotes(t *testing.T) {
 		t.Fatalf("comment must stay inside its statement: %q", parts)
 	}
 
-	parts = splitScript("INSERT INTO t VALUES ('it''s; fine'); SELECT 1 FROM t;")
+	parts = splitScript(t, "INSERT INTO t VALUES ('it''s; fine'); SELECT 1 FROM t;")
 	if len(parts) != 2 {
 		t.Fatalf("escaped-quote split: %q", parts)
 	}
@@ -197,10 +219,10 @@ func TestSplitScriptCommentsAndQuotes(t *testing.T) {
 
 	// Comment-only segments are not statements: a script ending in a
 	// comment (or made only of comments) must not produce unparsable parts.
-	if parts := splitScript("-- nothing here;\n"); len(parts) != 0 {
+	if parts := splitScript(t, "-- nothing here;\n"); len(parts) != 0 {
 		t.Fatalf("comment-only script: %q", parts)
 	}
-	if parts := splitScript("SELECT 1 FROM t;\n-- done\n"); len(parts) != 1 {
+	if parts := splitScript(t, "SELECT 1 FROM t;\n-- done\n"); len(parts) != 1 {
 		t.Fatalf("trailing comment script: %q", parts)
 	}
 }
