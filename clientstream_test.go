@@ -214,14 +214,26 @@ func TestPlaceholders(t *testing.T) {
 	}
 }
 
-// stageServiced reads one stage's service count from the monitoring surface.
+// stageServiced reads one stage's service count from the monitoring
+// surface once the stage has settled. A stage worker records a service
+// after the packet's Run returns, and Run may already have delivered the
+// caller's result, so a read right after a call can miss that call's
+// service. It waits, up to a bound, until every packet the stage dequeued
+// has its service recorded; past the bound it returns the count as it is.
 func stageServiced(db *DB, name string) int {
-	for _, s := range db.Stages() {
-		if s.Name == name {
-			return s.Serviced
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		serviced, dequeued := 0, int64(0)
+		for _, s := range db.Stages() {
+			if s.Name == name {
+				serviced, dequeued = s.Serviced, s.Dequeued
+			}
 		}
+		if int64(serviced) == dequeued || time.Now().After(deadline) {
+			return serviced
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	return 0
 }
 
 // TestPreparedEntersAtExecute is the prepared-statement acceptance test: a

@@ -38,7 +38,7 @@ func PayloadOf(rec []byte) ([]byte, error) {
 
 type Heap struct{}
 
-func (h *Heap) Get(rid RID) ([]byte, error)         { return nil, nil }
-func (h *Heap) GetIf(rid RID) ([]byte, bool, error) { return nil, false, nil }
-func (h *Heap) Update(rid RID, rec []byte) error    { return nil }
-func (h *Heap) Insert(rec []byte) (RID, error)      { return RID{}, nil }
+func (h *Heap) Get(rid RID) ([]byte, error)                    { return nil, nil }
+func (h *Heap) Visit(rid RID, fn func(rec []byte) error) error { return nil }
+func (h *Heap) Update(rid RID, rec []byte) error               { return nil }
+func (h *Heap) Insert(rec []byte) (RID, error)                 { return RID{}, nil }

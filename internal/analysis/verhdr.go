@@ -16,8 +16,8 @@ package analysis
 //     offset below VerHdrLen, no copy over the record's front, no
 //     binary.PutUintXX into the header region. Record provenance is tracked
 //     per function (results of AppendVersion/WithXmax/NewVersion/Supersede/
-//     Heap.Get/Heap.GetIf, operands of VersionOf/PayloadOf/WithXmax, and
-//     aliases of either).
+//     Heap.Get, operands of VersionOf/PayloadOf/WithXmax, and aliases of
+//     either).
 //
 // Package storage is exempt from both rules — it owns the codec.
 
@@ -200,8 +200,7 @@ func collectVersionedRecords(pass *Pass, body *ast.BlockStmt) map[*types.Var]boo
 						isPkgFuncCall(info, r, "storage", "WithXmax") ||
 						isPkgFuncCall(info, r, "mvcc", "NewVersion") ||
 						isPkgFuncCall(info, r, "mvcc", "Supersede") ||
-						isMethodCall(info, r, "storage", "Heap", "Get") ||
-						isMethodCall(info, r, "storage", "Heap", "GetIf")
+						isMethodCall(info, r, "storage", "Heap", "Get")
 				case *ast.Ident:
 					v := exprVar(info, r)
 					yields = v != nil && tainted[v]

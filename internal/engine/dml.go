@@ -208,16 +208,18 @@ func walkVersions(h *storage.Heap, visit func(rid storage.RID, xmax uint64, rec 
 func (db *DB) checkPKFree(id txn.ID, tbl *catalog.Table, h *storage.Heap, bt *storage.BTree, key value.Value) error {
 	snap := db.mv.SnapshotOf(uint64(id))
 	for _, rid := range bt.Search(key) {
-		rec, ok, err := h.GetIf(rid)
-		if err != nil {
+		live := false
+		var xmin, xmax uint64
+		if err := h.Visit(rid, func(rec []byte) error {
+			var err error
+			xmin, xmax, err = storage.VersionOf(rec)
+			live = true
+			return err
+		}); err != nil {
 			return err
 		}
-		if !ok {
+		if !live {
 			continue // slot already vacuumed
-		}
-		xmin, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			return err
 		}
 		if xmax != 0 {
 			continue // deleted or superseded: dead in the latest state

@@ -566,15 +566,8 @@ func (s *indexScan) Next() (*Page, error) {
 		// Index entries reference every version of a key (dead versions
 		// stay indexed until vacuum); the heap record's stamps decide
 		// visibility, and a slot vacuum reclaimed mid-scan was invisible to
-		// this snapshot by the GC horizon rule — skip it.
-		rec, live, err := s.heap.GetIf(rid)
-		if err != nil {
-			return nil, err
-		}
-		if !live {
-			continue
-		}
-		if err := s.rows.accept(rec); err != nil {
+		// this snapshot by the GC horizon rule — Visit skips it.
+		if err := s.heap.Visit(rid, s.rows.accept); err != nil {
 			return nil, err
 		}
 	}

@@ -621,9 +621,11 @@ func TestPruneIndexProbeAllocations(t *testing.T) {
 			t.Fatalf("probe: %v, %v", rows, err)
 		}
 	}
-	// 14 before scans went filter-first, on this drive.
-	const before = 14
-	if n := testing.AllocsPerRun(500, probe); n > before {
-		t.Fatalf("point probe allocates %.0f times per run, want at most %d", n, before)
+	// 14 before scans went filter-first, on this drive; 13 since the index
+	// scan reads its heap hit in place under the latch (Heap.Visit) instead
+	// of copying the record out.
+	const want = 13
+	if n := testing.AllocsPerRun(500, probe); n > want {
+		t.Fatalf("point probe allocates %.0f times per run, want at most %d", n, want)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -19,6 +20,7 @@ import (
 type session struct {
 	srv      *Server
 	conn     net.Conn
+	in       *bufio.Reader // every read of conn, the handshake's included
 	ctx      context.Context
 	cancel   context.CancelFunc
 	tenant   string
@@ -65,6 +67,11 @@ func (s *session) run() {
 		s.srv.wg.Done()
 	}()
 
+	// One buffer serves every read, so a frame costs one read syscall, not
+	// one for its header and one for its payload. The handshake uses it
+	// first, so bytes a client sent right after Hello stay buffered for the
+	// reader goroutine, its only user after that.
+	s.in = bufio.NewReader(s.conn)
 	if !s.handshake() {
 		return
 	}
@@ -99,7 +106,7 @@ func (s *session) run() {
 // refusing Done). It reports whether the session may proceed.
 func (s *session) handshake() bool {
 	s.conn.SetDeadline(time.Now().Add(s.srv.opts.HandshakeTimeout))
-	typ, payload, err := wire.ReadFrame(s.conn)
+	typ, payload, err := wire.ReadFrame(s.in)
 	if err != nil || typ != wire.MsgHello {
 		return false
 	}
@@ -133,7 +140,7 @@ func (s *session) reader(frames chan<- wire.Query) {
 	defer s.srv.wg.Done()
 	defer close(frames)
 	for {
-		typ, payload, err := wire.ReadFrame(s.conn)
+		typ, payload, err := wire.ReadFrame(s.in)
 		if err != nil {
 			// Disconnect (or hard-stop poke): fail whatever is in flight so
 			// the pipeline stops producing pages nobody will read.

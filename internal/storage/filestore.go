@@ -112,6 +112,10 @@ func (s *FileStore) Allocate() PageID {
 // that was never written (beyond EOF, or a zero hole left by a later page's
 // write) comes back as a freshly formatted empty page: recovery redo
 // reconstructs allocated-but-never-flushed pages from the log.
+//
+// The pool's misses call ReadPage concurrently, outside the pool's mutex.
+// That is safe without s.mu: each call preads into its own pooled frame
+// buffer and writes only its caller's dst.
 func (s *FileStore) ReadPage(id PageID, dst []byte) error {
 	if id == InvalidPage {
 		return fmt.Errorf("storage: read of invalid page 0")

@@ -130,25 +130,24 @@ func (h *Heap) Get(rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// GetIf copies the record at rid when the slot is still live, reporting
-// ok=false (no error) when it has been deleted. MVCC index scans use it: a
-// concurrent vacuum may physically reclaim a version invisible to the
-// reading snapshot between the index lookup and the heap fetch.
-func (h *Heap) GetIf(rid RID) ([]byte, bool, error) {
+// Visit calls fn with the record at rid, under the heap's read latch,
+// when the slot is still live; a deleted slot calls nothing and returns
+// nil. rec aliases the page and is valid only for the duration of fn. MVCC
+// index scans use it: a concurrent vacuum may physically reclaim a version
+// invisible to the reading snapshot between the index lookup and the heap
+// fetch.
+func (h *Heap) Visit(rid RID, fn func(rec []byte) error) error {
 	pg, err := h.pool.Pin(rid.Page)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	defer h.pool.Unpin(rid.Page, false)
 	h.latch.RLock()
+	defer h.pool.Unpin(rid.Page, false)
 	defer h.latch.RUnlock()
-	rec, ok := pg.lookup(rid.Slot)
-	if !ok {
-		return nil, false, nil
+	if rec, ok := pg.lookup(rid.Slot); ok {
+		return fn(rec)
 	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, true, nil
+	return nil
 }
 
 // Delete tombstones the record at rid.

@@ -10,7 +10,8 @@ import (
 // pages. Reads and writes are counted so experiments can charge simulated
 // I/O time per access. Reads take only the shared lock, so concurrent scans
 // do not serialize on the simulated disk; writes and allocation exclude all
-// readers.
+// readers. The pool calls ReadPage with no lock of its own held, so misses
+// on different pages copy their images concurrently.
 //
 // A page's bytes exist in the store only from its first write-back, as the
 // PageStore contract allows: Allocate reserves an id and nothing more. A
@@ -41,7 +42,7 @@ func (s *Store) Allocate() PageID {
 
 // ReadPage copies the page contents into dst; a page reserved but never
 // written reads as zeros. Concurrent reads proceed in parallel (shared
-// lock).
+// lock): the pool's misses call it outside the pool's mutex.
 func (s *Store) ReadPage(id PageID, dst []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -92,6 +93,10 @@ type PageStore interface {
 	Writes() uint64
 }
 
+// frame is one page slot of the pool. id, pins, dirty and the LRU links are
+// guarded by Pool.mu. The page image is written without Pool.mu only by the
+// miss that loads it, while the frame is in flight; every other Pin of that
+// page waits on loaded before touching the image.
 type frame struct {
 	id    PageID
 	page  Page
@@ -100,6 +105,17 @@ type frame struct {
 	// prev and next link the frame into the pool's LRU list while it is
 	// unpinned (evictable). The list is intrusive so Unpin allocates nothing.
 	prev, next *frame
+
+	// loaded is the frame's load latch and its in-flight mark: the miss
+	// that maps the frame adds one under Pool.mu and releases it, without
+	// Pool.mu, once the page image is in. Every hit waits on it after
+	// dropping Pool.mu, which costs one atomic load once the load is done.
+	// It is reused only after every pin is gone, so no Wait is pending
+	// when the next load adds. err is the failed read's error, written
+	// before loaded is released; a frame whose read failed is unmapped
+	// and never reused.
+	loaded sync.WaitGroup
+	err    error
 }
 
 // Pool is a pinning LRU buffer pool over a PageStore. Pin returns the
@@ -112,13 +128,28 @@ type frame struct {
 // a table larger than the pool costs no allocation per page read. That is
 // safe because of the pin protocol: a *Page is only touched between its Pin
 // and the matching Unpin, and a pinned frame is never evicted.
+//
+// A miss reads the page with no pool lock held. Under mu it takes a victim
+// frame, maps the page to it pinned and in flight, and releases mu; it then
+// copies the image in from the store and releases the frame's load latch.
+// Another Pin of that page pins the frame under mu as a hit and waits on
+// the latch outside it, so a miss blocks only its own reader and the Pins of
+// that one page: every other hit, Unpin and miss proceeds meanwhile, and the
+// store sees one read however many Pins wait on it. A failed read unmaps
+// the page (the next Pin reads again) and fails the loader and every
+// waiter. The latch is a WaitGroup, not a lock: nothing is ever acquired
+// while it is held, so it forms no lock order with mu.
+//
+// A dirty victim's write-back and FlushAll still run under mu, the write
+// barrier (the WAL flush through the page's LSN) included. No workload
+// evicts dirty pages in volume, and moving that write out of mu would need
+// the victim to stay mapped while it is written.
 type Pool struct {
 	mu       sync.Mutex
 	store    PageStore
 	capacity int
 	frames   map[PageID]*frame
 	mru, lru *frame // ends of the list of unpinned frames; nil when empty
-	hits     uint64
 	misses   uint64
 
 	// barrier, when set, runs before any dirty page image is written back to
@@ -141,28 +172,42 @@ func NewPool(store PageStore, capacity int) *Pool {
 }
 
 // Pin fetches the page and increments its pin count. Pinned pages are never
-// evicted; every Pin must be paired with Unpin.
+// evicted; every Pin must be paired with Unpin. A Pin that fails holds no
+// pin.
 func (p *Pool) Pin(id PageID) (*Page, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
-		p.hits++
 		if f.pins == 0 {
 			p.unlinkLocked(f)
 		}
 		f.pins++
+		p.mu.Unlock()
+		f.loaded.Wait()
+		if f.err != nil {
+			return nil, f.err
+		}
 		return &f.page, nil
 	}
 	p.misses++
 	f, err := p.frameLocked()
 	if err != nil {
-		return nil, err
-	}
-	if err := p.store.ReadPage(id, f.page.Bytes()); err != nil {
+		p.mu.Unlock()
 		return nil, err
 	}
 	f.id, f.pins, f.dirty = id, 1, false
+	f.loaded.Add(1)
 	p.frames[id] = f
+	p.mu.Unlock()
+
+	if err := p.store.ReadPage(id, f.page.Bytes()); err != nil {
+		f.err = err
+		p.mu.Lock()
+		delete(p.frames, id)
+		p.mu.Unlock()
+		f.loaded.Done()
+		return nil, err
+	}
+	f.loaded.Done()
 	return &f.page, nil
 }
 
@@ -257,7 +302,9 @@ func (p *Pool) frameLocked() (*frame, error) {
 	return f, nil
 }
 
-// FlushAll writes every dirty frame back to the store (checkpoint).
+// FlushAll writes every dirty frame back to the store (checkpoint). A frame
+// in flight is clean — nobody can have modified a page still being read —
+// so the loop never touches an image a miss is writing.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
