@@ -90,11 +90,13 @@ func main() {
 	fmt.Printf("\nstreamed %d rows; first row after %v, closed after a prefix (outstanding pages: %d)\n",
 		n, firstRow, db.PagePoolStats().Outstanding)
 
-	// §4.4(c): the page size for intermediate results is a tuning knob.
-	fmt.Println("\npage-size sweep on the join pipeline (smaller = chattier exchanges):")
+	// §4.4(c): the page size for intermediate results trades per-handoff
+	// overhead against latency; 0 is the engine's own rule (each operator's
+	// pages sized from its row width, 64 to 512 rows).
+	fmt.Println("\npage-size sweep on the join pipeline (smaller = chattier exchanges; 0 = width rule):")
 	join := `SELECT a.ten, COUNT(*) FROM tenktup1 a JOIN tenktup2 b
 	         ON a.unique1 = b.unique1 GROUP BY a.ten`
-	for _, pr := range []int{1, 16, 64, 256} {
+	for _, pr := range []int{1, 16, 64, 256, 0} {
 		db2 := open(ctx, pr)
 		start := time.Now()
 		if _, err := db2.ExecContext(ctx, join); err != nil {

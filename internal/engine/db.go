@@ -33,7 +33,8 @@ import (
 type Config struct {
 	// PoolFrames is the buffer-pool capacity in pages (default 1024).
 	PoolFrames int
-	// PageRows is the executor's rows-per-page exchange unit (§4.4c).
+	// PageRows fixes the executor's rows per exchange page (§4.4c); 0 sizes
+	// each operator's pages from its row width (exec.BuildConfig.PageRows).
 	PageRows int
 	// BufferPages bounds each staged-exchange buffer.
 	BufferPages int

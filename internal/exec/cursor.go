@@ -100,21 +100,20 @@ type stagedCursor struct {
 // surfaces as the cursor's error.
 func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOptions) (Cursor, error) {
 	p := &pipeline{
-		tables: tables,
-		sched:  pool,
-		cfg: BuildConfig{
-			PageRows: opts.PageRows,
-			Pool:     opts.Pool,
-			WorkMem:  opts.WorkMem,
-			TempDir:  opts.TempDir,
-			Spill:    opts.Spill,
-			Visible:  opts.Visible,
-		},
+		tables:      tables,
+		sched:       pool,
 		bufferPages: opts.BufferPages,
 		shared:      opts.Shared,
 		done:        make(chan struct{}),
 	}
-	root, err := p.launch(n)
+	root, err := p.launch(n, BuildConfig{
+		PageRows: opts.PageRows,
+		Pool:     opts.Pool,
+		WorkMem:  opts.WorkMem,
+		TempDir:  opts.TempDir,
+		Spill:    opts.Spill,
+		Visible:  opts.Visible,
+	})
 	if err != nil {
 		p.fail(err)
 		p.running.Wait()

@@ -28,9 +28,38 @@ import (
 	"stagedb/internal/value"
 )
 
-// DefaultPageRows is the default number of rows per exchanged page; §4.4(c)
-// identifies it as a self-tuning knob.
-const DefaultPageRows = 64
+// Exchange page sizing. §4.4(c) names the page size as the parameter that
+// trades per-handoff overhead (a locked exchange send, a worker wake, a park,
+// a page get/put) against latency. Unless BuildConfig.PageRows fixes it, each
+// operator sizes its output pages from the row width it carves (pageRowsFor):
+// min(maxPageRows, max(DefaultPageRows, maxPageValues/width)) rows, so a
+// recycled page keeps its value storage. Three bounds keep a larger page
+// from costing latency or reads:
+//   - every node from a Limit down to the first blocking operator (Sort,
+//     Aggregate, TopN, a join's build side) keeps DefaultPageRows, so a
+//     satisfied LIMIT leaves little read ahead in its buffers;
+//   - a seq scan emits a non-empty page once one Next walked
+//     scanPagesPerPage heap pages, an index scan once it visited
+//     scanEntriesPerPage index entries, so a selective scan's first rows
+//     do not wait for a full page of matches;
+//   - the server cuts every exchange page it streams into wire Page frames
+//     of at most 64 rows.
+const (
+	// DefaultPageRows is the page below a Limit and the floor of the
+	// width rule.
+	DefaultPageRows = 64
+	// maxPageRows caps the width rule.
+	maxPageRows = 512
+
+	scanPagesPerPage   = 64
+	scanEntriesPerPage = 4096
+)
+
+// pageRowsFor is the width rule: the rows of an output page whose rows are
+// width values wide.
+func pageRowsFor(width int) int {
+	return min(maxPageRows, max(DefaultPageRows, maxPageValues/max(width, 1)))
+}
 
 // maxPageValues caps the value storage a recycled exchange page keeps for
 // its next use (8,192 values, 256 KB): enough for a decoded heap page or a
@@ -88,7 +117,9 @@ type VisibleFunc func(xmin, xmax uint64) bool
 
 // BuildConfig parameterizes operator construction.
 type BuildConfig struct {
-	// PageRows is the exchange batch size (0 = DefaultPageRows).
+	// PageRows, when positive, fixes every exchange page at that many rows.
+	// 0 sizes each operator's pages from its row width, keeping
+	// DefaultPageRows below a Limit (see maxPageRows).
 	PageRows int
 	// Pool recycles exchange pages (nil = plain allocation).
 	Pool *PagePool
@@ -107,13 +138,14 @@ type BuildConfig struct {
 	// versions the function rejects and decodes the payload after it. Nil
 	// means the latest state (LatestVersions).
 	Visible VisibleFunc
+
+	// early marks a node whose output a Limit may stop reading after a
+	// few rows: with PageRows 0 it keeps DefaultPageRows.
+	early bool
 }
 
 // resolve fills defaulted fields.
 func (c BuildConfig) resolve() BuildConfig {
-	if c.PageRows <= 0 {
-		c.PageRows = DefaultPageRows
-	}
 	c.WorkMem = ResolveWorkMem(c.WorkMem)
 	if c.Visible == nil {
 		c.Visible = LatestVersions
@@ -166,15 +198,30 @@ type Operator interface {
 	Close() error
 }
 
+// forChild is the configuration child i of node n builds under: a Limit
+// with a row count starts an early-stopping region, a blocking operator
+// (Sort, Aggregate, TopN, a join's build side) consumes its whole input and
+// ends one.
+func (c BuildConfig) forChild(n plan.Node, i int) BuildConfig {
+	switch x := n.(type) {
+	case *plan.Limit:
+		c.early = c.early || x.N >= 0
+	case *plan.Sort, *plan.Aggregate, *plan.TopN:
+		c.early = false
+	case *plan.Join:
+		c.early = c.early && i == 0
+	}
+	return c
+}
+
 // BuildWith converts a plan into an operator tree under the given build
 // configuration (page sizing, page pool, WorkMem budget, spill wiring).
 func BuildWith(n plan.Node, tables Tables, cfg BuildConfig) (Operator, error) {
-	cfg = cfg.resolve()
-	var build func(n plan.Node) (Operator, error)
-	build = func(n plan.Node) (Operator, error) {
+	var build func(n plan.Node, cfg BuildConfig) (Operator, error)
+	build = func(n plan.Node, cfg BuildConfig) (Operator, error) {
 		var children []Operator
-		for _, c := range n.Children() {
-			op, err := build(c)
+		for i, c := range n.Children() {
+			op, err := build(c, cfg.forChild(n, i))
 			if err != nil {
 				return nil, err
 			}
@@ -182,7 +229,7 @@ func BuildWith(n plan.Node, tables Tables, cfg BuildConfig) (Operator, error) {
 		}
 		return BuildNode(n, children, tables, cfg)
 	}
-	return build(n)
+	return build(n, cfg)
 }
 
 // BuildNode constructs the operator for a single plan node over
@@ -191,6 +238,13 @@ func BuildWith(n plan.Node, tables Tables, cfg BuildConfig) (Operator, error) {
 // nodes.
 func BuildNode(n plan.Node, children []Operator, tables Tables, cfg BuildConfig) (Operator, error) {
 	cfg = cfg.resolve()
+	switch {
+	case cfg.PageRows > 0:
+	case cfg.early:
+		cfg.PageRows = DefaultPageRows
+	default:
+		cfg.PageRows = pageRowsFor(len(n.Schema()))
+	}
 	pageRows, pool := cfg.PageRows, cfg.Pool
 	want := len(n.Children())
 	if len(children) != want {
@@ -435,6 +489,9 @@ func (r *scanRows) accept(rec []byte) error {
 // full reports whether the output page under construction is full.
 func (r *scanRows) full() bool { return r.out != nil && len(r.out.Rows) >= r.pageRows }
 
+// started reports whether the output page under construction holds a row.
+func (r *scanRows) started() bool { return r.out != nil && len(r.out.Rows) > 0 }
+
 // emit hands the page under construction to the caller, transferring
 // ownership. A page every record of which was rejected holds nothing and
 // goes back to the pool: the caller sees nil, end of stream (emit only runs
@@ -473,9 +530,11 @@ type seqScan struct {
 	// would alias page bytes across calls, unsafe while MVCC writers mutate
 	// concurrently): the page list is snapshotted at Open — rows a concurrent
 	// writer adds later are invisible to this snapshot anyway — and each Next
-	// drains whole pages until the output fills, so LIMIT queries still read
-	// only a prefix. The walk is circular from pageIdx and covers left more
-	// pages.
+	// drains whole pages until the output fills, or until it walked
+	// scanPagesPerPage pages with a row to show, so LIMIT queries still read
+	// only a prefix and a selective scan's first rows do not wait for a full
+	// page of matches. The walk is circular from pageIdx and covers left
+	// more pages.
 	pages   []storage.PageID
 	pageIdx int
 	left    int
@@ -494,7 +553,10 @@ func (s *seqScan) Open() error {
 }
 
 func (s *seqScan) Next() (*Page, error) {
-	for !s.eos && !s.rows.full() {
+	for n := 0; !s.eos && !s.rows.full(); n++ {
+		if n >= scanPagesPerPage && s.rows.started() {
+			break
+		}
 		if s.left == 0 {
 			s.eos = true
 			s.deregister()
@@ -557,7 +619,10 @@ func (s *indexScan) Open() error {
 }
 
 func (s *indexScan) Next() (*Page, error) {
-	for !s.eos && !s.rows.full() {
+	for visited := 0; !s.eos && !s.rows.full(); visited++ {
+		if visited >= scanEntriesPerPage && s.rows.started() {
+			break
+		}
 		_, rid, ok := s.cur.Next()
 		if !ok {
 			s.eos = true

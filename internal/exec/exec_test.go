@@ -48,7 +48,7 @@ func (db *testDB) IndexOf(ix *catalog.Index) (*storage.BTree, error) {
 	return bt, nil
 }
 
-func (db *testDB) createTable(t *testing.T, ddl string) {
+func (db *testDB) createTable(t testing.TB, ddl string) {
 	t.Helper()
 	stmt := sql.MustParse(ddl).(*sql.CreateTable)
 	cols := make([]catalog.Column, len(stmt.Columns))
@@ -86,7 +86,7 @@ func decodeVersion(tb testing.TB, schema catalog.Schema, rec []byte) value.Row {
 	return nil
 }
 
-func (db *testDB) insert(t *testing.T, table string, rows ...value.Row) {
+func (db *testDB) insert(t testing.TB, table string, rows ...value.Row) {
 	t.Helper()
 	tbl, err := db.cat.Get(table)
 	if err != nil {
@@ -110,7 +110,7 @@ func (db *testDB) insert(t *testing.T, table string, rows ...value.Row) {
 	db.analyze(t, table)
 }
 
-func (db *testDB) analyze(t *testing.T, table string) {
+func (db *testDB) analyze(t testing.TB, table string) {
 	t.Helper()
 	tbl, _ := db.cat.Get(table)
 	h := db.heaps[table]
@@ -202,7 +202,7 @@ func onEachPool(t *testing.T, fn func(t *testing.T, pool *StagePool)) {
 	})
 }
 
-func (db *testDB) plan(t *testing.T, q string, opt plan.Options) plan.Node {
+func (db *testDB) plan(t testing.TB, q string, opt plan.Options) plan.Node {
 	t.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {

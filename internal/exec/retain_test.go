@@ -278,7 +278,9 @@ func TestSharedScanDecodeAllocatesNothingPerRow(t *testing.T) {
 	}
 	db := retainDB(t, 2000, 10)
 	node := scanOf(t, db.plan(t, "SELECT id, k FROM a", plan.Options{DisableIndex: true}))
-	op, err := BuildNode(node, nil, db, BuildConfig{Pool: NewPagePool()})
+	// The premise below — a heap page holds more rows than an output page —
+	// needs a page smaller than the width rule's 512 rows.
+	op, err := BuildNode(node, nil, db, BuildConfig{PageRows: DefaultPageRows, Pool: NewPagePool()})
 	if err != nil {
 		t.Fatal(err)
 	}

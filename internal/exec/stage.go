@@ -27,8 +27,7 @@ var errWouldBlock = errors.New("exec: operator would block")
 // bounded page buffers.
 type pipeline struct {
 	tables      Tables
-	sched       *StagePool  // owns the stage queues and workers the tasks run on
-	cfg         BuildConfig // operator build parameters (pages, pool, WorkMem)
+	sched       *StagePool // owns the stage queues and workers the tasks run on
 	bufferPages int
 	shared      *SharedScans // non-nil: fscan operators synchronize through it
 
@@ -405,17 +404,17 @@ func (p *pipeline) registerExchange(ex *exchange) {
 // stage worker instead of occupying it. Children are launched first:
 // activation proceeds bottom-up with respect to the operator tree, the
 // paper's "page push" model.
-func (p *pipeline) launch(n plan.Node) (*exchange, error) {
+func (p *pipeline) launch(n plan.Node, cfg BuildConfig) (*exchange, error) {
 	t := &opTask{pipe: p, stage: plan.StageOf(n)}
 	var childSources []Operator
-	for _, c := range n.Children() {
-		src, err := p.launch(c)
+	for i, c := range n.Children() {
+		src, err := p.launch(c, cfg.forChild(n, i))
 		if err != nil {
 			return nil, err
 		}
 		childSources = append(childSources, &nbSource{ex: src, task: t})
 	}
-	op, err := BuildNode(n, childSources, p.tables, p.cfg)
+	op, err := BuildNode(n, childSources, p.tables, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +434,8 @@ func (p *pipeline) launch(n plan.Node) (*exchange, error) {
 
 // StagedOptions tunes one staged execution.
 type StagedOptions struct {
-	// PageRows is the rows-per-exchange-page unit (0 = DefaultPageRows).
+	// PageRows fixes the rows per exchange page; 0 sizes them per operator
+	// (see BuildConfig.PageRows).
 	PageRows int
 	// BufferPages bounds each inter-operator page buffer (0 = 4).
 	BufferPages int

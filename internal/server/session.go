@@ -237,8 +237,8 @@ func (s *session) runQuery(q wire.Query) {
 		s.writeDoneErr(codeFor(err), err.Error())
 		return
 	}
-	// A SELECT through ExecContext arrives materialized; re-page it at the
-	// engine's page granularity so the wire sees the same frame shape. The
+	// A SELECT through ExecContext arrives materialized; cut it into Page
+	// frames of framePageRows rows, the frames a stream sends. The
 	// frames only accumulate here: a small result leaves with its Done in
 	// one write, a large one in outBufMax pieces. A Cancel that lands while
 	// the pieces go out ends the response at the next page: the poke only
@@ -249,13 +249,12 @@ func (s *session) runQuery(q wire.Query) {
 			s.failWrite()
 			return
 		}
-		const pageRows = 64
-		for off := 0; off < len(res.Rows); off += pageRows {
+		for off := 0; off < len(res.Rows); off += framePageRows {
 			if s.canceled() {
 				s.writeDoneErr(s.canceledDone())
 				return
 			}
-			end := min(off+pageRows, len(res.Rows))
+			end := min(off+framePageRows, len(res.Rows))
 			if err := s.putPage(res.Rows[off:end]); err != nil {
 				s.failWrite()
 				return
@@ -265,11 +264,16 @@ func (s *session) runQuery(q wire.Query) {
 	s.finish(res.Affected)
 }
 
-// streamQuery is the SELECT fast path: one wire frame per pooled exchange
-// page, written as soon as it is encoded (Columns rides with the first) and
-// pulled from the pipeline only as fast as the client accepts frames. The
-// bounded root exchange turns a stalled write into parked execute-stage
-// producers — backpressure, not buffering.
+// framePageRows bounds the rows of one Page frame, however many the
+// exchange page it comes from holds: wire.MaxFrame is sized for it.
+const framePageRows = 64
+
+// streamQuery is the SELECT fast path: each pooled exchange page goes out as
+// Page frames of at most framePageRows rows in one write, as soon as it is
+// encoded (Columns rides with the first), and pages are pulled from the
+// pipeline only as fast as the client accepts them. The bounded root
+// exchange turns a stalled write into parked execute-stage producers —
+// backpressure, not buffering.
 func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) {
 	rows, err := s.dbc.QueryContext(qctx, sqlText, args...)
 	if err != nil {
@@ -296,7 +300,12 @@ func (s *session) streamQuery(qctx context.Context, sqlText string, args []any) 
 		if batch == nil {
 			break
 		}
-		if err = s.putPage(batch); err == nil {
+		for len(batch) > 0 && err == nil {
+			n := min(len(batch), framePageRows)
+			err = s.putPage(batch[:n])
+			batch = batch[n:]
+		}
+		if err == nil {
 			err = s.flush(len(s.out))
 		}
 		if err != nil {

@@ -421,3 +421,111 @@ func TestWireReadsRetainNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamFramesAtMost64Rows: a streamed result whose exchange pages hold
+// more than 64 rows still reaches the client as Page frames of at most 64
+// rows, with one write per exchange page; a page of 4 KB rows stays far
+// below MaxFrame.
+func TestStreamFramesAtMost64Rows(t *testing.T) {
+	srv, db := startServer(t, stagedb.Options{}, Options{})
+	c, _, serverEnd := pipeClient(t, srv)
+	mustExec(t, c, "CREATE TABLE nar (id INT PRIMARY KEY, v INT)")
+	for lo := 0; lo < 2000; lo += 500 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO nar VALUES ")
+		for i := lo; i < lo+500; i++ {
+			if i > lo {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, i*3)
+		}
+		mustExec(t, c, sb.String())
+	}
+	pad := strings.Repeat("f", 4096)
+	mustExec(t, c, "CREATE TABLE fat (id INT PRIMARY KEY, pad TEXT)")
+	for i := 0; i < 300; i++ {
+		mustExec(t, c, "INSERT INTO fat VALUES (?, ?)", i, pad)
+	}
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		q    string
+		rows int
+		// small: an exchange page's frames fit in outBufMax, so each
+		// page leaves in one write.
+		small bool
+	}{
+		{"SELECT id, v FROM nar ORDER BY id", 2000, true},
+		{"SELECT id, pad FROM fat ORDER BY id", 300, false},
+	} {
+		// The premise: the engine hands this result over in pages of more
+		// than 64 rows.
+		er, err := db.QueryContext(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, largest := 0, 0
+		for {
+			batch, err := er.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch == nil {
+				break
+			}
+			pages++
+			largest = max(largest, len(batch))
+		}
+		er.Close()
+		if largest <= framePageRows {
+			t.Fatalf("%s: largest exchange page holds %d rows; the test needs more than %d", tc.q, largest, framePageRows)
+		}
+
+		serverEnd.take()
+		rows, err := c.QueryContext(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			if id := rows.Row()[0].Int(); id != int64(n) {
+				t.Fatalf("%s: row %d has id %d", tc.q, n, id)
+			}
+			n++
+		}
+		if err := rows.Close(); err != nil || n != tc.rows {
+			t.Fatalf("%s: %d rows, err %v", tc.q, n, err)
+		}
+		writes, data := serverEnd.take()
+		frames, biggest := 0, 0
+		for r := bytes.NewReader(data); r.Len() > 0; {
+			typ, payload, err := wire.ReadFrame(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != wire.MsgPage {
+				continue
+			}
+			page, err := wire.ParsePage(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(page) > framePageRows {
+				t.Fatalf("%s: a Page frame carries %d rows, want at most %d", tc.q, len(page), framePageRows)
+			}
+			frames++
+			biggest = max(biggest, len(payload))
+		}
+		if want := (tc.rows + framePageRows - 1) / framePageRows; frames != want {
+			t.Errorf("%s: %d Page frames, want %d", tc.q, frames, want)
+		}
+		if biggest > wire.MaxFrame/16 {
+			t.Errorf("%s: a %d-byte Page frame is not far below MaxFrame (%d)", tc.q, biggest, wire.MaxFrame)
+		}
+		// One write per exchange page (Columns rides with the first), plus
+		// the Done.
+		if tc.small && len(writes) != pages+1 {
+			t.Errorf("%s: %d exchange pages took %d server writes %v, want %d", tc.q, pages, len(writes), writes, pages+1)
+		}
+	}
+}

@@ -43,9 +43,11 @@ import (
 // a mismatched major version with ErrCodeProto.
 const Proto = 1
 
-// MaxFrame bounds a frame's length field: a page of the default 64 rows is
-// a few KB, so 8 MiB leaves room for very wide rows while keeping a
-// malicious length prefix from allocating unbounded memory.
+// MaxFrame bounds a frame's length field. The server cuts every result page
+// into Page frames of at most 64 rows, however large the exchange page it
+// streams (up to 512 rows): a frame of small rows is a few KB, so 8 MiB
+// leaves room for rows of about 128 KB while keeping a malicious length
+// prefix from allocating unbounded memory.
 const MaxFrame = 8 << 20
 
 // Message types. Client-to-server types have the high bit clear,

@@ -71,8 +71,11 @@ type Options struct {
 	// execute and 2 for the other query stages). The execution-engine
 	// stages take ExecWorkers.
 	Workers int
-	// PageRows is the rows-per-page unit of the staged execution engine's
-	// dataflow (0 = 64). Paper §4.4(c) discusses tuning it.
+	// PageRows fixes the rows of every page the execution engine's
+	// operators exchange. 0 sizes each operator's pages from its row width:
+	// 8,192 values per page, at least 64 rows and at most 512, and 64 rows
+	// below a LIMIT down to the first blocking operator. Paper §4.4(c)
+	// discusses the trade-off.
 	PageRows int
 	// BufferPages bounds each inter-operator page buffer (0 = 4).
 	BufferPages int
