@@ -54,17 +54,16 @@ var liveSites = []liveSite{
 	{CtxFlow, "stagedb/internal/engine", "vacuum.go",
 		"db.tm.Locks.Lock(ctx, id, \"table:\"+tbl.Name, txn.Exclusive)",
 		"db.tm.Locks.Lock(context.Background(), id, \"table:\"+tbl.Name, txn.Exclusive)"},
-	// StagePool.ready wakes a worker with a non-blocking send after
-	// unlocking; the early return for a closed pool unlocks on its own
-	// branch only.
+	// StagePool.ready pings a stage worker after releasing the stage lock;
+	// the fallback for a closed stage unlocks on its own branch only.
 	{StageBlock, "stagedb/internal/exec", "pool.go",
-		"\tps.ready = append(ps.ready, t)\n\tp.mu.Unlock()\n\tselect {\n\tcase ps.notify <- struct{}{}:\n\tdefault:\n\t}",
-		"\tps.ready = append(ps.ready, t)\n\tps.notify <- struct{}{}\n\tp.mu.Unlock()"},
-	// StagePool.Submit waits for queue space only after releasing p.mu,
-	// which every worker's take needs.
+		"\t\t\tps.ready = append(ps.ready, t)\n\t\t\tps.arrivedLocked()\n\t\t\tps.mu.Unlock()\n\t\t\tping(ps.wake)",
+		"\t\t\tps.ready = append(ps.ready, t)\n\t\t\tps.arrivedLocked()\n\t\t\tps.wake <- struct{}{}\n\t\t\tps.mu.Unlock()"},
+	// StagePool.Submit waits for queue space only after releasing the stage
+	// lock, which the worker that frees the space needs.
 	{StageBlock, "stagedb/internal/exec", "pool.go",
-		"\t\tp.mu.Unlock()\n\t\t// Queue full: wait for a worker to free a slot, then retry.\n\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t}",
-		"\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t}\n\t\tp.mu.Unlock()"},
+		"\t\tps.mu.Unlock()\n\t\t// Queue full: wait for a worker to take a task, then retry.\n\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t\tps = nil\n\t\t}",
+		"\t\t// Queue full: wait for a worker to take a task, then retry.\n\t\tselect {\n\t\tcase <-ps.space:\n\t\tcase <-p.stopped:\n\t\t}\n\t\tps.mu.Unlock()"},
 	// UPDATE's per-record walk keeps its conflict error out of line.
 	{HotAlloc, "stagedb/internal/engine", "dml.go",
 		"w.err = errSuperseded(rid, w.tbl.Name, xmax)",

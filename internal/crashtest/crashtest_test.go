@@ -57,8 +57,8 @@ func TestCrashChild(t *testing.T) {
 func childMain(ctx context.Context, dir string) error {
 	db, err := stagedb.Open(stagedb.Options{
 		DataDir: dir,
-		// A small log budget makes background checkpoints (and their log
-		// rotations) frequent, so kills land mid-checkpoint too.
+		// A small log budget makes checkpoints (and their log rotations)
+		// frequent, so kills land mid-checkpoint too.
 		CheckpointBytes: 16 << 10,
 	})
 	if err != nil {

@@ -19,8 +19,8 @@ func walFileSize(t *testing.T, dir string) int64 {
 
 // crashImage copies the data file and log of a running database into a
 // fresh directory, as a crash would leave them: no Close, no final
-// checkpoint. Holding ckptMu keeps a background checkpoint and every
-// mutation out of the copy.
+// checkpoint. Holding ckptMu keeps a checkpoint and every mutation out of
+// the copy.
 func crashImage(t *testing.T, db *DB, dir string) string {
 	t.Helper()
 	db.ckptMu.Lock()
@@ -95,9 +95,7 @@ func TestDurableCheckpointBoundsLog(t *testing.T) {
 				mustExec(t, s, "INSERT INTO kv VALUES ("+itoa(i)+", '"+pad+"')")
 				maxWAL = max(maxWAL, walFileSize(t, dir))
 			}
-			db.ckptMu.Lock() // waits out a background checkpoint
 			n := db.WALCounters()["checkpoints"] - ckpts
-			db.ckptMu.Unlock()
 			if n < 1 || n > 11 {
 				t.Errorf("%d checkpoints over 10 budgets of commits, want 1..11", n)
 			}
@@ -134,9 +132,8 @@ func TestDurableCheckpointBoundsLog(t *testing.T) {
 
 // TestDurableCheckpointConcurrentCommits has several sessions commit at
 // once into tables of their own past a small budget, so the commit that
-// crosses it hands the checkpoint lock to the background checkpoint while
-// the others are mid-statement or parked on a group flush. Every commit
-// must survive a crash image.
+// crosses it runs the checkpoint while the others are mid-statement or
+// parked on a group flush. Every commit must survive a crash image.
 func TestDurableCheckpointConcurrentCommits(t *testing.T) {
 	const writers, rows = 4, 60
 	dir := t.TempDir()

@@ -58,8 +58,8 @@ type Config struct {
 	// SyncEveryCommit disables group commit: each commit fsyncs the log on
 	// its own (the benchmark baseline group commit is measured against).
 	SyncEveryCommit bool
-	// CheckpointBytes triggers a background checkpoint when the log has
-	// grown by it since the last checkpoint (0 = 8 MiB).
+	// CheckpointBytes triggers a checkpoint, run by the commit that crosses
+	// it, when the log has grown by it since the last checkpoint (0 = 8 MiB).
 	CheckpointBytes int64
 	// FS overrides the filesystem under the data file and log (fault
 	// injection); nil means the real one.
@@ -94,7 +94,9 @@ type DB struct {
 	// rotates: DML, DDL, vacuum, rollback and commit hold it shared for the
 	// duration of one operation (after their table locks are acquired — the
 	// hold is short; a commit's includes its group-commit wait), the
-	// checkpoint holds it exclusively.
+	// checkpoint holds it exclusively. ckptBusy admits one committer to run
+	// a checkpoint; the others that see the budget crossed skip it rather
+	// than queue on ckptMu behind it.
 	ckptMu   sync.RWMutex
 	ckptBusy atomic.Bool
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -112,6 +111,45 @@ func assertNothingHeld(t *testing.T, db *DB) {
 	}
 }
 
+// createDoomed creates the table doomed, which a subtest drops to prove its
+// query released the table's ddl: lock; a cleanup drops it if the subtest
+// failed first, so the next subtest can create it again.
+func createDoomed(t *testing.T, db *DB, sess *Session) {
+	t.Helper()
+	mustExec(t, sess, "CREATE TABLE doomed (id INT PRIMARY KEY)")
+	t.Cleanup(func() {
+		if _, err := db.Catalog().Get("doomed"); err == nil {
+			mustExec(t, db.NewSession(), "DROP TABLE doomed")
+		}
+	})
+}
+
+// spillCancelCtx cancels itself the first time its error is read after the
+// database has created a spill file since the context was made. The
+// Volcano and the staged cursor both read it before every page, and a sort
+// writes its runs before its first page, so the cancel lands between pages
+// with the sort's runs written and the output still ahead, on any number of
+// Ps.
+type spillCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	db     *DB
+	before int64
+}
+
+func cancelOnSpill(t *testing.T, parent context.Context, db *DB) *spillCancelCtx {
+	ctx, cancel := context.WithCancel(parent)
+	t.Cleanup(cancel)
+	return &spillCancelCtx{ctx, cancel, db, db.SpillStats().FilesCreated}
+}
+
+func (c *spillCancelCtx) Err() error {
+	if c.db.SpillStats().FilesCreated != c.before {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestSelectDeliveryPath pins the one SELECT delivery path on both drivers:
 // the materialized form is the streamed form drained, it leaves an explicit
 // transaction open, and a SELECT that ends in an error — at run time or by
@@ -190,7 +228,7 @@ func TestSelectDeliveryPath(t *testing.T) {
 			})
 
 			t.Run("failed select releases everything", func(t *testing.T) {
-				mustExec(t, sess, "CREATE TABLE doomed (id INT PRIMARY KEY)")
+				createDoomed(t, db, sess)
 				mustExec(t, sess, "INSERT INTO doomed VALUES (1)")
 				before := db.SpillStats().FilesCreated
 				// The division fails on the last row loaded, by which time the
@@ -214,27 +252,9 @@ func TestSelectDeliveryPath(t *testing.T) {
 			})
 
 			t.Run("cancelled select releases everything", func(t *testing.T) {
-				mustExec(t, sess, "CREATE TABLE doomed (id INT PRIMARY KEY)")
+				createDoomed(t, db, sess)
 				mustExec(t, sess, "INSERT INTO doomed VALUES (1)")
-				cctx, cancel := context.WithCancel(ctx)
-				defer cancel()
-				before := db.SpillStats().FilesCreated
-				stop := make(chan struct{})
-				defer close(stop)
-				go func() {
-					// Cancel once the sort has written its first run: the
-					// drain is then provably under way, with most of the
-					// sort and all of the output still ahead.
-					for db.SpillStats().FilesCreated == before {
-						select {
-						case <-stop:
-							return
-						default:
-							runtime.Gosched()
-						}
-					}
-					cancel()
-				}()
+				cctx := cancelOnSpill(t, ctx, db)
 				_, err := d.exec(cctx, sess, "SELECT f.id, f.pad FROM fat f, doomed d ORDER BY f.grp, f.id")
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled SELECT returned %v, want context.Canceled", err)

@@ -12,8 +12,8 @@ import (
 	"stagedb/internal/value"
 )
 
-// defaultCheckpointBytes triggers a background checkpoint once the log has
-// grown by it since the last checkpoint.
+// defaultCheckpointBytes triggers a checkpoint once the log has grown by it
+// since the last checkpoint.
 const defaultCheckpointBytes = 8 << 20
 
 // OpenDB opens a database. With an empty DataDir it is NewDB; with one, the
@@ -148,10 +148,12 @@ func (db *DB) commit(id txn.ID) error {
 }
 
 // maybeCheckpoint checkpoints once the log has grown by its budget since the
-// last checkpoint; at most one runs at a time. The committer that crossed
-// the budget takes ckptMu itself, so nothing more is logged before the
-// rotation, and hands it to a goroutine: the commit returns without waiting
-// for the flush.
+// last checkpoint. The committer that crossed the budget runs it; one that
+// finds another already at it returns rather than queue on ckptMu for a
+// checkpoint it would not run (a queued writer holds back every new shared
+// holder). The runner takes ckptMu, so nothing more is logged before the
+// rotation, and checks the growth again under it, since the log may have
+// rotated between its read and the lock.
 func (db *DB) maybeCheckpoint() {
 	d := db.tm.Durable()
 	if d == nil || d.Growth() < db.cfg.CheckpointBytes {
@@ -160,14 +162,14 @@ func (db *DB) maybeCheckpoint() {
 	if !db.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
+	defer db.ckptBusy.Store(false)
 	db.ckptMu.Lock()
-	go func() {
-		defer db.ckptBusy.Store(false)
-		defer db.ckptMu.Unlock()
+	defer db.ckptMu.Unlock()
+	if d.Growth() >= db.cfg.CheckpointBytes {
 		// A failure poisons the log or leaves the old one in place; either
 		// way the next commit or Close surfaces it.
 		_ = db.checkpointLocked(d)
-	}()
+	}
 }
 
 // Checkpoint quiesces mutations, flushes the log and every dirty page,

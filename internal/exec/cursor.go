@@ -25,7 +25,9 @@ import (
 type Cursor interface {
 	// NextPage returns the next result page, or nil at end of stream. On
 	// the staged driver a nil page also reports the pipeline's failure, if
-	// any (including context cancellation).
+	// any (including context cancellation). Both drivers check the
+	// execution's context before every page: once it is cancelled, the next
+	// call fails with its error, even if produced pages are still buffered.
 	NextPage() (*Page, error)
 	// Close ends the execution: a partially consumed stream is abandoned
 	// (producers terminate early), buffered pages recycle to the pool, and
@@ -86,7 +88,8 @@ func (c *opCursor) Close() error {
 type stagedCursor struct {
 	p    *pipeline
 	root *exchange
-	stop func() bool // unregisters the cancellation hook; nil without one
+	ctx  context.Context // checked before every page (the NextPage contract); nil when not cancellable
+	stop func() bool     // unregisters the cancellation hook; nil without one
 	done bool
 	err  error
 }
@@ -96,8 +99,9 @@ type stagedCursor struct {
 // final exchange. Close — or end of stream — tears the pipeline down: it
 // waits for every operator task and recycles every page stranded in
 // buffers, so the query returns with its page-pool balance at zero. When
-// opts.Ctx is cancellable, cancellation fails the pipeline between pages and
-// surfaces as the cursor's error.
+// opts.Ctx is cancellable, cancellation fails the pipeline and surfaces as
+// the cursor's error: the cursor checks it before every page, as opCursor
+// does, and a hook wakes a client blocked on a read.
 func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOptions) (Cursor, error) {
 	p := &pipeline{
 		tables:      tables,
@@ -127,6 +131,7 @@ func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOpt
 		// client read returns. The hook costs no goroutine; finish
 		// unregisters it, and one firing after teardown is a no-op (fail
 		// runs once).
+		c.ctx = ctx
 		c.stop = context.AfterFunc(ctx, func() { p.fail(ctx.Err()) })
 	}
 	return c, nil
@@ -135,6 +140,13 @@ func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOpt
 func (c *stagedCursor) NextPage() (*Page, error) {
 	if c.done {
 		return nil, c.err
+	}
+	if c.ctx != nil {
+		if err := c.ctx.Err(); err != nil {
+			c.p.fail(err)
+			c.finish()
+			return nil, c.err
+		}
 	}
 	pg, _ := c.root.Next() // blocking exchange read; never errors
 	if pg == nil {

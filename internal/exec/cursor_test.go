@@ -61,3 +61,44 @@ func TestStagedCursorCancelCostsNoGoroutine(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestCursorsCheckContextBeforeEveryPage pins NextPage's cancellation
+// contract on both drivers: once the context is cancelled, the next call
+// fails with its error although produced pages are still waiting.
+func TestCursorsCheckContextBeforeEveryPage(t *testing.T) {
+	db := shareDB(t, 100)
+	pool := newTestPool(t)
+	q := "SELECT id FROM items"
+	open := map[string]func(ctx context.Context) (Cursor, error){
+		"volcano": func(ctx context.Context) (Cursor, error) {
+			op, err := BuildWith(db.plan(t, q, plan.Options{}), db, BuildConfig{PageRows: 8})
+			if err != nil {
+				return nil, err
+			}
+			return NewCursor(ctx, op)
+		},
+		"staged": func(ctx context.Context) (Cursor, error) {
+			return RunStagedCursor(db.plan(t, q, plan.Options{}), db, pool, StagedOptions{Ctx: ctx, PageRows: 8, BufferPages: 4})
+		},
+	}
+	for name, open := range open {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			c, err := open(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			pg, err := c.NextPage()
+			if pg == nil {
+				t.Fatalf("first page: nil, err = %v", err)
+			}
+			pg.Release()
+			cancel()
+			if pg, err = c.NextPage(); pg != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("NextPage after cancel = page %v, err %v; want nil, context.Canceled", pg != nil, err)
+			}
+		})
+	}
+}

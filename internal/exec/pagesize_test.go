@@ -284,7 +284,7 @@ func TestEmptyScanWalksEveryPageOnce(t *testing.T) {
 // scanEntriesPerPage index entries.
 func TestIndexScanFirstPageVisitsBoundedEntries(t *testing.T) {
 	db, st, heapPages := earlyStopDB(t, 20000)
-	db.addIndex(t, "sel", "pk_sel", "id")
+	db.addIndex(t, "sel", "pk_sel", "id", false)
 	top := db.plan(t, "SELECT * FROM sel WHERE id >= 10 AND v = 0", plan.Options{})
 	node := top.Children()[0]
 	if _, ok := node.(*plan.IndexScan); !ok {

@@ -26,20 +26,21 @@ type StagePoolConfig struct {
 	QueueDepth int
 }
 
-// StagePool is the stage runtime of §4.1: each stage owns a bounded task
-// queue, a dedicated worker pool and a monitor, and its workers serve only its
-// tasks. The front end's query stages (connect/parse/optimize/execute/
-// disconnect) and the execution engine's operator stages (fscan/iscan/filter/
-// sort/join/aggr/exec, §4.3) all run on it. Operator drive loops are
-// resumable (see opTask), so a task blocked on a page exchange yields its
-// worker instead of occupying it — the property that makes bounded pools
-// deadlock-free here.
+// StagePool is the stage runtime of §4.1: each stage owns a task queue, a
+// dedicated worker pool and a monitor, and its workers serve only its tasks.
+// The front end's query stages (connect/parse/optimize/execute/disconnect)
+// and the execution engine's operator stages (fscan/iscan/filter/sort/join/
+// aggr/exec, §4.3) all run on it. Operator drive loops are resumable (see
+// opTask), so a task blocked on a page exchange yields its worker instead of
+// occupying it — the property that makes bounded pools deadlock-free here.
 //
 // A StagePool may be shared by many concurrent pipelines.
 type StagePool struct {
 	cfg StagePoolConfig
 
-	mu     sync.Mutex // guards stages, order, ready lists, closed
+	// mu guards the stage map only: a push looks its stage up under it and
+	// releases it before touching the stage.
+	mu     sync.Mutex
 	stages map[string]*poolStage
 	order  []*poolStage // creation order
 	closed bool
@@ -48,19 +49,36 @@ type StagePool struct {
 	wg      sync.WaitGroup
 }
 
-// poolStage is one stage: bounded submission queue, ready list of woken
-// continuations, worker pool, and monitor.
+// poolStage is one stage (§4.1.1): its queue, the workers that serve it, and
+// the monitor that watches it (§5.2). One mutex guards the queue and the
+// monitor together, so the queue length the monitor reports is the queue's.
 type poolStage struct {
 	pool    *StagePool
 	name    string
 	workers int // fixed for the stage's life
-	stats   *metrics.StageStats
+	depth   int // bound on queued
 
-	submit chan Task     // new tasks; bounded for back-pressure
-	notify chan struct{} // pings sleeping workers about ready-list pushes
-	space  chan struct{} // pings blocked submitters after a submit dequeue
+	// wake (one slot) pings a sleeping worker after each push. A ping is
+	// dropped when the slot is already full, e.g. when two pushes land
+	// while two workers are between finding the lists empty and parking:
+	// one ping wakes one of them. So the worker that takes a task passes
+	// the wake on while tasks remain, and no task waits while a worker
+	// sleeps.
+	wake chan struct{}
+	// space (one slot) pings a submitter waiting on a full queued list after
+	// each take from it; a woken submitter passes it on while room remains,
+	// for the same reason.
+	space chan struct{}
 
-	ready []Task // woken continuations, served before submit; guarded by pool.mu
+	mu     sync.Mutex
+	ready  []Task // woken continuations; served first, never bounded
+	queued []Task // new tasks; at most depth (back-pressure)
+	closed bool   // a worker found the pool stopped and both lists empty
+
+	enqueued, dequeued int64
+	serviced           int
+	busy               time.Duration
+	maxQueue           int
 }
 
 // NewStagePool starts an empty pool; stages not created by AddStage spin up
@@ -88,12 +106,13 @@ func StageClass(stage string) string {
 	return stage
 }
 
-// stageLocked returns (creating if needed, with the given worker count and
-// queue depth, 0 = the pool defaults) the stage of that name. Callers hold
-// p.mu.
-func (p *StagePool) stageLocked(name string, workers, queueDepth int) *poolStage {
-	ps, ok := p.stages[name]
-	if ok {
+// stage returns the named stage, creating it while the pool is open with
+// the given worker count and queue depth (0 = the pool defaults); nil for a
+// stage that does not exist once the pool is closed.
+func (p *StagePool) stage(name string, workers, queueDepth int) *poolStage {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ps, ok := p.stages[name]; ok || p.closed {
 		return ps
 	}
 	if workers <= 0 {
@@ -102,14 +121,13 @@ func (p *StagePool) stageLocked(name string, workers, queueDepth int) *poolStage
 	if queueDepth <= 0 {
 		queueDepth = p.cfg.QueueDepth
 	}
-	ps = &poolStage{
+	ps := &poolStage{
 		pool:    p,
 		name:    name,
-		stats:   metrics.NewStageStats(name),
-		submit:  make(chan Task, queueDepth),
-		notify:  make(chan struct{}, 1),
-		space:   make(chan struct{}, 1),
 		workers: workers,
+		depth:   queueDepth,
+		wake:    make(chan struct{}, 1),
+		space:   make(chan struct{}, 1),
 	}
 	p.stages[name] = ps
 	p.order = append(p.order, ps)
@@ -128,72 +146,77 @@ func (p *StagePool) stageLocked(name string, workers, queueDepth int) *poolStage
 // between already-running goroutines (a closed-loop writer ping-ponging with
 // the front-end stage workers) can starve it until the next GC pause —
 // observed as a multi-hundred-millisecond time-to-first-row spike on the
-// first analytic query. A worker added up front parks on its queue during
+// first analytic query. A worker added up front parks on its stage during
 // engine construction instead, so the first task wakes it by channel send
 // exactly like every later one.
 func (p *StagePool) AddStage(name string, workers, queueDepth int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed {
-		p.stageLocked(name, workers, queueDepth)
-	}
+	p.stage(name, workers, queueDepth)
 }
 
-// Submit admits a task to its stage queue, blocking while the queue is full
-// (back-pressure: the submitting stage freezes, the rest of the system keeps
-// running, §4.1.1). After Close the task runs on a dedicated goroutine so
-// nothing strands. Sends into a queue only happen under p.mu with the pool
-// open, so Close can drain the queues once and know nothing arrives later.
+// Submit admits a task to its stage's queue, blocking while the queue is
+// full (back-pressure: the submitting stage freezes, the rest of the system
+// keeps running, §4.1.1). A task for a stage that has closed, or still
+// waiting for room when the pool stops, runs on a goroutine of its own, so
+// nothing strands.
 func (p *StagePool) Submit(t Task) {
-	class := StageClass(t.Stage())
-	var ps *poolStage // set once the arrival is recorded
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			if ps != nil {
-				// Compensate the arrival we recorded before falling back.
-				ps.stats.OnDequeue()
+	ps := p.stage(StageClass(t.Stage()), 0, 0)
+	for woken := false; ps != nil; woken = true {
+		ps.mu.Lock()
+		if ps.closed {
+			ps.mu.Unlock()
+			break
+		}
+		if len(ps.queued) < ps.depth {
+			ps.queued = append(ps.queued, t)
+			ps.arrivedLocked()
+			room := len(ps.queued) < ps.depth
+			ps.mu.Unlock()
+			ping(ps.wake)
+			if woken && room {
+				ping(ps.space)
 			}
-			go t.Run()
 			return
 		}
-		if ps == nil {
-			ps = p.stageLocked(class, 0, 0)
-			ps.stats.OnEnqueue()
-		}
-		select {
-		case ps.submit <- t:
-			p.mu.Unlock()
-			return
-		default:
-		}
-		p.mu.Unlock()
-		// Queue full: wait for a worker to free a slot, then retry.
+		ps.mu.Unlock()
+		// Queue full: wait for a worker to take a task, then retry.
 		select {
 		case <-ps.space:
 		case <-p.stopped:
+			ps = nil
 		}
+	}
+	go t.Run()
+}
+
+// ready re-enqueues a woken continuation. Ready tasks bypass the bound on
+// queued — a waker must never block — and are served before queued ones.
+func (p *StagePool) ready(t Task) {
+	if ps := p.stage(StageClass(t.Stage()), 0, 0); ps != nil {
+		ps.mu.Lock()
+		if !ps.closed {
+			ps.ready = append(ps.ready, t)
+			ps.arrivedLocked()
+			ps.mu.Unlock()
+			ping(ps.wake)
+			return
+		}
+		ps.mu.Unlock()
+	}
+	go t.Run()
+}
+
+// arrivedLocked counts a push into ready or queued. Callers hold ps.mu.
+func (ps *poolStage) arrivedLocked() {
+	ps.enqueued++
+	if n := len(ps.ready) + len(ps.queued); n > ps.maxQueue {
+		ps.maxQueue = n
 	}
 }
 
-// ready re-enqueues a woken continuation. Ready tasks bypass the bounded
-// submit queue — a waker must never block.
-func (p *StagePool) ready(t Task) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		go t.Run()
-		return
-	}
-	ps := p.stageLocked(StageClass(t.Stage()), 0, 0)
-	// Record the arrival before a worker can take the task and record its
-	// departure: the other order leaves the monitor's queue length one high.
-	ps.stats.OnEnqueue()
-	ps.ready = append(ps.ready, t)
-	p.mu.Unlock()
+// ping sends on a one-slot channel unless a ping is already pending there.
+func ping(ch chan struct{}) {
 	select {
-	case ps.notify <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -202,76 +225,83 @@ func (p *StagePool) ready(t Task) {
 // or moves on to its next stage, repeat.
 func (ps *poolStage) worker() {
 	defer ps.pool.wg.Done()
-	for t := ps.take(); t != nil; t = ps.take() {
-		ps.stats.OnDequeue()
+	for t := ps.take(-1); t != nil; {
 		start := time.Now()
 		t.Run()
-		ps.stats.OnService(time.Since(start))
+		t = ps.take(time.Since(start))
 	}
 }
 
-// take blocks for the next task. It returns nil when the pool stopped and
-// the queues are drained.
-func (ps *poolStage) take() Task {
-	p := ps.pool
-	for {
-		p.mu.Lock()
-		if len(ps.ready) > 0 {
-			t := ps.ready[0]
-			ps.ready = ps.ready[1:]
-			p.mu.Unlock()
-			return t
+// take records the service time of the task the worker just ran (served;
+// negative for none) and blocks for the next task, ready list first. It
+// passes the wake on if tasks remain, so a sleeper whose ping was dropped
+// still gets one. Once the pool has stopped and both lists are empty it
+// marks the stage closed, so a later push runs its task on a goroutine
+// instead, and returns nil.
+func (ps *poolStage) take(served time.Duration) Task {
+	ps.mu.Lock()
+	if served >= 0 {
+		ps.busy += served
+		ps.serviced++
+	}
+	stopped := false
+	for len(ps.ready)+len(ps.queued) == 0 {
+		if ps.closed || stopped {
+			ps.closed = true
+			ps.mu.Unlock()
+			return nil
 		}
-		p.mu.Unlock()
+		ps.mu.Unlock()
 		select {
-		case t := <-ps.submit:
-			ps.signalSpace()
-			return t
-		case <-ps.notify:
-		case <-p.stopped:
-			// Drain remaining work before exiting so close is clean.
-			return ps.tryTake()
+		case <-ps.wake:
+		case <-ps.pool.stopped:
+			stopped = true
 		}
+		ps.mu.Lock()
 	}
+	fromQueued := len(ps.ready) == 0
+	var t Task
+	if fromQueued {
+		t = popFront(&ps.queued)
+	} else {
+		t = popFront(&ps.ready)
+	}
+	ps.dequeued++
+	more := len(ps.ready)+len(ps.queued) > 0
+	ps.mu.Unlock()
+	if more {
+		ping(ps.wake)
+	}
+	if fromQueued {
+		ping(ps.space)
+	}
+	return t
 }
 
-// signalSpace pings one submitter blocked on a full submit queue.
-func (ps *poolStage) signalSpace() {
-	select {
-	case ps.space <- struct{}{}:
-	default:
-	}
-}
-
-// tryTake returns a queued task without blocking, ready list first.
-func (ps *poolStage) tryTake() Task {
-	p := ps.pool
-	p.mu.Lock()
-	if len(ps.ready) > 0 {
-		t := ps.ready[0]
-		ps.ready = ps.ready[1:]
-		p.mu.Unlock()
-		return t
-	}
-	p.mu.Unlock()
-	select {
-	case t := <-ps.submit:
-		ps.signalSpace()
-		return t
-	default:
-		return nil
-	}
+// popFront removes and returns the oldest task of a list. It shifts the rest
+// down rather than reslicing, so a list keeps its backing array and a push
+// allocates only when the list outgrows it.
+func popFront(list *[]Task) Task {
+	l := *list
+	t := l[0]
+	n := copy(l, l[1:])
+	l[n] = nil
+	*list = l[:n]
+	return t
 }
 
 // QueueLen reports the tasks waiting at a stage (queued or woken), 0 if the
 // stage has not been created yet.
 func (p *StagePool) QueueLen(stage string) int {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ps, ok := p.stages[StageClass(stage)]; ok {
-		return len(ps.submit) + len(ps.ready)
+	ps, ok := p.stages[StageClass(stage)]
+	p.mu.Unlock()
+	if !ok {
+		return 0
 	}
-	return 0
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return len(ps.ready) + len(ps.queued)
 }
 
 // Snapshot returns each stage's monitor (queue length, service counts,
@@ -282,15 +312,33 @@ func (p *StagePool) Snapshot() []metrics.StageSnapshot {
 	p.mu.Unlock()
 	out := make([]metrics.StageSnapshot, len(stages))
 	for i, ps := range stages {
-		out[i] = ps.stats.Snapshot()
-		out[i].Workers = ps.workers
+		out[i] = ps.snapshot()
 	}
 	return out
 }
 
-// Close stops the pool. Workers drain queued tasks before exiting, and any
-// task that becomes runnable afterwards (or arrives late) runs on a plain
-// goroutine, so in-flight work always completes. Close is idempotent.
+func (ps *poolStage) snapshot() metrics.StageSnapshot {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	s := metrics.StageSnapshot{
+		Name:     ps.name,
+		Enqueued: ps.enqueued,
+		Dequeued: ps.dequeued,
+		Serviced: ps.serviced,
+		Busy:     ps.busy,
+		QueueLen: len(ps.ready) + len(ps.queued),
+		MaxQueue: ps.maxQueue,
+		Workers:  ps.workers,
+	}
+	if ps.serviced > 0 {
+		s.MeanService = ps.busy / time.Duration(ps.serviced)
+	}
+	return s
+}
+
+// Close stops the pool. Workers drain their stage's lists before exiting,
+// and any task that becomes runnable afterwards (or arrives late) runs on a
+// plain goroutine, so in-flight work always completes. Close is idempotent.
 func (p *StagePool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -301,24 +349,4 @@ func (p *StagePool) Close() {
 	close(p.stopped)
 	p.mu.Unlock()
 	p.wg.Wait()
-	// Strand-proof sweep: tasks readied while the last workers were exiting.
-	p.mu.Lock()
-	var rest []Task
-	for _, ps := range p.order {
-		rest = append(rest, ps.ready...)
-		ps.ready = nil
-		for {
-			select {
-			case t := <-ps.submit:
-				rest = append(rest, t)
-				continue
-			default:
-			}
-			break
-		}
-	}
-	p.mu.Unlock()
-	for _, t := range rest {
-		go t.Run()
-	}
 }

@@ -2,11 +2,14 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"stagedb/internal/metrics"
 	"stagedb/internal/plan"
 	"stagedb/internal/value"
 )
@@ -341,5 +344,330 @@ func TestStagePoolSubmitBackPressure(t *testing.T) {
 	}
 	if fmt.Sprint(names) != "[slow fast]" {
 		t.Fatalf("snapshot order %v, want [slow fast]", names)
+	}
+}
+
+// TestStagePoolMonitorExact drives Submit and ready into a few stages from
+// many goroutines while a sampler reads Snapshot: every snapshot's queue
+// length is its arrivals minus its departures, and the high-water mark
+// covers every queue length seen. At quiescence the queues are empty and
+// every task that arrived was taken and serviced.
+func TestStagePoolMonitorExact(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 3})
+	defer pool.Close()
+	stages := []string{"a", "b", "c"}
+	const goroutines, perGoroutine = 8, 200
+
+	stop := make(chan struct{})
+	sampled := make(chan map[string]int)
+	go func() {
+		seen := map[string]int{}
+		for {
+			for _, s := range pool.Snapshot() {
+				if s.Enqueued-s.Dequeued != int64(s.QueueLen) {
+					t.Errorf("stage %s: enqueued %d - dequeued %d != queue %d", s.Name, s.Enqueued, s.Dequeued, s.QueueLen)
+				}
+				if s.MaxQueue < s.QueueLen {
+					t.Errorf("stage %s: max queue %d below queue %d", s.Name, s.MaxQueue, s.QueueLen)
+				}
+				seen[s.Name] = max(seen[s.Name], s.QueueLen)
+			}
+			select {
+			case <-stop:
+				sampled <- seen
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	wg.Add(goroutines * perGoroutine)
+	for g := range goroutines {
+		go func() {
+			for i := range perGoroutine {
+				task := funcTask{stages[(g+i)%len(stages)], func() { runtime.Gosched(); wg.Done() }}
+				if i%2 == 0 {
+					pool.Submit(task)
+				} else {
+					pool.ready(task)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	seen := <-sampled
+
+	// A worker records a service when it comes back for its next task, just
+	// after the task's Run returned.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var total int64
+		settled := true
+		for _, s := range pool.Snapshot() {
+			total += s.Enqueued
+			settled = settled && s.QueueLen == 0 && s.Enqueued == s.Dequeued && int64(s.Serviced) == s.Dequeued
+		}
+		if settled && total == goroutines*perGoroutine {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stages never settled: %+v", pool.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, s := range pool.Snapshot() {
+		if s.MaxQueue < seen[s.Name] {
+			t.Fatalf("stage %s: max queue %d below a queue length of %d seen", s.Name, s.MaxQueue, seen[s.Name])
+		}
+		if s.Busy <= 0 || s.MeanService != s.Busy/time.Duration(s.Serviced) {
+			t.Fatalf("stage %s: busy %v, mean service %v over %d", s.Name, s.Busy, s.MeanService, s.Serviced)
+		}
+	}
+	if u := (metrics.StageSnapshot{Busy: 5 * time.Millisecond}).Utilization(10 * time.Millisecond); math.Abs(u-0.5) > 1e-9 {
+		t.Fatalf("utilization = %v, want 0.5", u)
+	}
+}
+
+// TestStagePoolReadyBypassesBound fills a one-worker stage's queue behind a
+// blocked task: queued stays at its depth while a further Submit waits, a
+// ready into the full stage returns at once, and the worker serves the
+// woken tasks before the queued ones.
+func TestStagePoolReadyBypassesBound(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{})
+	defer pool.Close()
+	const depth = 2
+	pool.AddStage("s", 1, depth)
+	var mu sync.Mutex
+	var order []string
+	var wg sync.WaitGroup
+	task := func(name string) Task {
+		wg.Add(1)
+		return funcTask{"s", func() {
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+			wg.Done()
+		}}
+	}
+	running, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before pool.Close, so a failed check cannot hang it
+	pool.Submit(funcTask{"s", func() { close(running); <-release }})
+	<-running
+	pool.Submit(task("q0"))
+	pool.Submit(task("q1"))
+	q2 := task("q2")
+	admitted := make(chan struct{})
+	go func() {
+		pool.Submit(q2)
+		close(admitted)
+	}()
+	readied := make(chan struct{})
+	go func() {
+		for _, name := range []string{"r0", "r1", "r2"} {
+			pool.ready(task(name))
+		}
+		close(readied)
+	}()
+	select {
+	case <-readied:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ready blocked on a stage whose queue is full")
+	}
+	ps := pool.stage("s", 0, 0)
+	ps.mu.Lock()
+	queued, ready := len(ps.queued), len(ps.ready)
+	ps.mu.Unlock()
+	if queued != depth || ready != 3 {
+		t.Fatalf("queued %d (depth %d), ready %d, want %d and 3", queued, depth, ready, depth)
+	}
+	if got := pool.QueueLen("s"); got != depth+3 {
+		t.Fatalf("queue length %d, want %d", got, depth+3)
+	}
+	select {
+	case <-admitted:
+		t.Fatal("Submit into a full queue did not block")
+	default:
+	}
+	unblock()
+	<-admitted
+	wg.Wait()
+	if got := fmt.Sprint(order); got != "[r0 r1 r2 q0 q1 q2]" {
+		t.Fatalf("service order %s, want the woken tasks first", got)
+	}
+}
+
+// TestStagePoolWakesEveryWorker queues bursts of tasks at a stage, one per
+// worker, each task waiting until all are running, and submits the next
+// burst as soon as the last one's tasks return — while the workers are
+// between finding their lists empty and parking, the window where a ping
+// finds the last one still in the wake slot and is dropped. Every burst must
+// meet: a worker that takes a task passes the wake on while tasks remain, or
+// a task waits for a push that never comes. TestStagePoolTakePassesWakeOn
+// pins the same rule without relying on the scheduler to open the window.
+func TestStagePoolWakesEveryWorker(t *testing.T) {
+	const workers = 4
+	pool := NewStagePool(StagePoolConfig{})
+	defer pool.Close()
+	pool.AddStage("meet", workers, 0)
+	giveUp := make(chan struct{})
+	defer close(giveUp)
+	for burst := range 1000 {
+		var arrived, returned sync.WaitGroup
+		arrived.Add(workers)
+		returned.Add(workers)
+		all := make(chan struct{})
+		for range workers {
+			pool.Submit(funcTask{"meet", func() {
+				defer returned.Done()
+				arrived.Done()
+				select {
+				case <-all:
+				case <-giveUp:
+				}
+			}})
+		}
+		go func() {
+			arrived.Wait()
+			close(all)
+		}()
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("burst %d: %d tasks queued at a %d-worker stage never ran at once", burst, workers, workers)
+		}
+		returned.Wait()
+	}
+}
+
+// idleStage registers a stage that has no workers, so a test can play a
+// worker's part by calling take itself.
+func idleStage(pool *StagePool, name string, depth int) *poolStage {
+	ps := &poolStage{
+		pool:  pool,
+		name:  name,
+		depth: depth,
+		wake:  make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
+	}
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	pool.stages[name] = ps
+	pool.order = append(pool.order, ps)
+	return ps
+}
+
+// TestStagePoolTakePassesWakeOn replays a lost wake step by step. Two pushes
+// land while two workers are about to park: the first ping fills the wake
+// slot, the second is dropped. One worker wakes on the ping and takes the
+// first task; it must leave a ping for the other, or the second task waits
+// while a worker sleeps. The take of the last task passes nothing on.
+func TestStagePoolTakePassesWakeOn(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{})
+	defer pool.Close()
+	ps := idleStage(pool, "idle", 4)
+	pool.Submit(funcTask{"idle", func() {}})
+	pool.Submit(funcTask{"idle", func() {}}) // its ping finds the slot full
+	<-ps.wake
+	ps.take(-1)
+	if len(ps.wake) != 1 {
+		t.Fatal("a take that left a task waiting passed no wake on")
+	}
+	<-ps.wake
+	ps.take(-1)
+	if len(ps.wake) != 0 {
+		t.Fatal("a take that left no task waiting passed a wake on")
+	}
+}
+
+// TestStagePoolSubmitPassesSpaceOn replays a lost space ping: two takes free
+// two slots of a full queue while two submitters wait, and only one ping
+// reaches them. The submitter admitted on it must leave a ping for the
+// other while room remains.
+func TestStagePoolSubmitPassesSpaceOn(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{})
+	defer pool.Close()
+	ps := idleStage(pool, "idle", 3)
+	for range 3 {
+		pool.Submit(funcTask{"idle", func() {}})
+	}
+	admitted := make(chan struct{})
+	go func() {
+		pool.Submit(funcTask{"idle", func() {}})
+		close(admitted)
+	}()
+	// A probe ping, consumed only by the submitter: once it is gone the
+	// submitter has been woken and will pass a ping on when admitted.
+	ping(ps.space)
+	for len(ps.space) != 0 {
+		runtime.Gosched()
+	}
+	// Two takes free two slots; their pings are lost to other submitters.
+	ps.mu.Lock()
+	popFront(&ps.queued)
+	popFront(&ps.queued)
+	ps.mu.Unlock()
+	select {
+	case <-admitted: // it re-checked after the takes
+	case <-time.After(50 * time.Millisecond): // it parked: one ping reaches it
+		ping(ps.space)
+		<-admitted
+	}
+	if len(ps.space) != 1 {
+		t.Fatal("a woken submitter that left room in the queue passed no space ping on")
+	}
+}
+
+// TestStagePoolLateTasksRunOnce submits and readies tasks into existing and
+// new stages while the pool closes and after it has closed: each runs
+// exactly once, on a worker that drained it or on a goroutine of its own.
+func TestStagePoolLateTasksRunOnce(t *testing.T) {
+	pool := NewStagePool(StagePoolConfig{Workers: 1, QueueDepth: 1})
+	pool.AddStage("old", 1, 1)
+	const goroutines, perGoroutine = 4, 100
+	runs := make([]atomic.Int32, 2*goroutines*perGoroutine)
+	var wg sync.WaitGroup
+	wg.Add(len(runs))
+	push := func(g, i int) {
+		n := g*perGoroutine + i
+		stage := [...]string{"old", "new"}[i%2]
+		pool.Submit(funcTask{stage, func() { runs[2*n].Add(1); wg.Done() }})
+		pool.ready(funcTask{stage, func() { runs[2*n+1].Add(1); wg.Done() }})
+	}
+	var pushers sync.WaitGroup
+	for g := range goroutines {
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			for i := range perGoroutine / 2 {
+				push(g, i)
+			}
+		}()
+	}
+	pool.Close()
+	pushers.Wait()
+	for g := range goroutines {
+		for i := perGoroutine / 2; i < perGoroutine; i++ {
+			push(g, i)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a task submitted or readied around Close never ran")
+	}
+	for n := range runs {
+		if got := runs[n].Load(); got != 1 {
+			t.Fatalf("task %d ran %d times", n, got)
+		}
 	}
 }

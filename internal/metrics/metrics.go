@@ -5,7 +5,7 @@
 //
 // The paper argues (§5.2) that a staged design makes the system easy to
 // monitor because every stage exposes its own queue length, utilization, and
-// service-time statistics; StageStats is that per-stage monitor.
+// service-time statistics; StageSnapshot is what such a monitor reports.
 package metrics
 
 import (
@@ -132,8 +132,8 @@ func (m *Mean) Max() float64 {
 
 // Histogram records duration samples and answers percentile queries. It keeps
 // raw samples: the simulator experiments observe at most a few hundred
-// thousand, so exactness is worth the memory there. A live engine's monitors
-// (StageStats) must not use it.
+// thousand, so exactness is worth the memory there. A live engine's
+// always-on monitors (a StagePool stage's) must not use it.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []time.Duration
@@ -204,72 +204,6 @@ func (h *Histogram) Reset() {
 	h.samples = h.samples[:0]
 	h.sorted = false
 	h.mu.Unlock()
-}
-
-// StageStats is the per-stage monitor of §5.2: queue length, busy time, and
-// serviced packets. It is a fixed set of counters — a monitor that is always
-// on must not grow with the work it watches.
-type StageStats struct {
-	Name string
-
-	mu       sync.Mutex
-	enqueued int64
-	dequeued int64
-	busy     time.Duration
-	serviced int
-	queueLen int
-	maxQueue int
-}
-
-// NewStageStats returns a monitor for the named stage.
-func NewStageStats(name string) *StageStats { return &StageStats{Name: name} }
-
-// OnEnqueue records a packet arrival.
-func (s *StageStats) OnEnqueue() {
-	s.mu.Lock()
-	s.enqueued++
-	s.queueLen++
-	if s.queueLen > s.maxQueue {
-		s.maxQueue = s.queueLen
-	}
-	s.mu.Unlock()
-}
-
-// OnDequeue records a packet departure from the queue into service.
-func (s *StageStats) OnDequeue() {
-	s.mu.Lock()
-	s.dequeued++
-	if s.queueLen > 0 {
-		s.queueLen--
-	}
-	s.mu.Unlock()
-}
-
-// OnService records one completed service of the given duration.
-func (s *StageStats) OnService(d time.Duration) {
-	s.mu.Lock()
-	s.busy += d
-	s.serviced++
-	s.mu.Unlock()
-}
-
-// Snapshot returns a point-in-time copy of the stage's statistics.
-func (s *StageStats) Snapshot() StageSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := StageSnapshot{
-		Name:     s.Name,
-		Enqueued: s.enqueued,
-		Dequeued: s.dequeued,
-		Serviced: s.serviced,
-		Busy:     s.busy,
-		QueueLen: s.queueLen,
-		MaxQueue: s.maxQueue,
-	}
-	if s.serviced > 0 {
-		snap.MeanService = s.busy / time.Duration(s.serviced)
-	}
-	return snap
 }
 
 // StageSnapshot is an immutable view of one stage's counters.

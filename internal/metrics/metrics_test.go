@@ -87,27 +87,6 @@ func TestHistogramObserveAfterPercentile(t *testing.T) {
 	}
 }
 
-func TestStageStatsLifecycle(t *testing.T) {
-	s := NewStageStats("parse")
-	s.OnEnqueue()
-	s.OnEnqueue()
-	s.OnDequeue()
-	s.OnService(5 * time.Millisecond)
-	snap := s.Snapshot()
-	if snap.Name != "parse" {
-		t.Fatalf("name=%q", snap.Name)
-	}
-	if snap.Enqueued != 2 || snap.Dequeued != 1 || snap.QueueLen != 1 || snap.MaxQueue != 2 {
-		t.Fatalf("snapshot=%+v", snap)
-	}
-	if snap.Busy != 5*time.Millisecond || snap.Serviced != 1 {
-		t.Fatalf("busy=%v serviced=%d", snap.Busy, snap.Serviced)
-	}
-	if u := snap.Utilization(10 * time.Millisecond); math.Abs(u-0.5) > 1e-9 {
-		t.Fatalf("utilization=%v, want 0.5", u)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	out := Table([]string{"policy", "rt"}, [][]string{{"PS", "2.00"}, {"T-gated(2)", "1.01"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

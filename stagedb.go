@@ -119,9 +119,10 @@ type Options struct {
 	// is configured and off otherwise. DurabilityGroup and DurabilitySync
 	// require a data directory and fail Open without one.
 	Durability Durability
-	// CheckpointBytes triggers a background checkpoint once the write-ahead
-	// log has grown by it since the last checkpoint (0 = 8 MB). Every
-	// checkpoint rotates the log. Durable mode only.
+	// CheckpointBytes triggers a checkpoint once the write-ahead log has
+	// grown by it since the last checkpoint (0 = 8 MB); the commit that
+	// crosses it runs the checkpoint before it returns. Every checkpoint
+	// rotates the log. Durable mode only.
 	CheckpointBytes int64
 }
 
