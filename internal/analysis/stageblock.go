@@ -5,10 +5,11 @@ package analysis
 // The pooled scheduler has a fixed number of workers per stage; a worker
 // that parks on a channel while holding a lock can deadlock the whole stage
 // (every other worker queues up on the lock, and the wakeup that would
-// release the channel never runs). The exchange layer is built around this —
-// trySend/tryNext register wakers under e.mu but only ever perform
-// non-blocking channel operations (select with a default case) while it is
-// held.
+// release the channel never runs). The exchange layer is built around this:
+// trySend/tryNext move pages and register wakers under e.mu, perform no
+// channel operation while it is held, and fire a waker (which may take a
+// stage lock, or ping the cursor's one-slot channel) only after e.mu is
+// released.
 //
 // Within internal/exec, the analyzer flags, while any sync.Mutex/RWMutex may
 // be held on some path (the shared may-held dataflow of lockset.go, keyed by

@@ -84,14 +84,18 @@ func (c *opCursor) Close() error {
 }
 
 // stagedCursor streams the root exchange of a staged pipeline. The operator
-// tasks keep running on their stages; the client's goroutine only receives.
+// tasks keep running on their stages; the client's goroutine reads the root
+// with tryNext, as a consumer task does, and parks on wake (or on the
+// pipeline's done channel) while the root is empty.
 type stagedCursor struct {
-	p    *pipeline
-	root *exchange
-	ctx  context.Context // checked before every page (the NextPage contract); nil when not cancellable
-	stop func() bool     // unregisters the cancellation hook; nil without one
-	done bool
-	err  error
+	p     *pipeline
+	root  *exchange
+	wake  chan struct{}   // one slot, pinged by waker
+	waker func()          // registered on the root by a read that finds it empty
+	ctx   context.Context // checked before every page (the NextPage contract); nil when not cancellable
+	stop  func() bool     // unregisters the cancellation hook; nil without one
+	done  bool
+	err   error
 }
 
 // RunStagedCursor launches the plan on the staged execution engine (one task
@@ -124,38 +128,49 @@ func RunStagedCursor(n plan.Node, tables Tables, pool *StagePool, opts StagedOpt
 		p.drainPages()
 		return nil, err
 	}
-	c := &stagedCursor{p: p, root: root}
-	if ctx := opts.Ctx; ctx != nil && ctx.Done() != nil {
-		// Cancellation propagates as a pipeline failure: parked tasks wake,
-		// producers stop at their next exchange operation, and the blocked
-		// client read returns. The hook costs no goroutine; finish
-		// unregisters it, and one firing after teardown is a no-op (fail
-		// runs once).
+	return newStagedCursor(opts.Ctx, p, root), nil
+}
+
+// newStagedCursor returns the client's cursor over root, the final exchange
+// of p. When ctx is cancellable, cancellation propagates as a pipeline
+// failure: parked tasks wake, producers stop at their next exchange
+// operation, and a client parked on a read returns. The hook costs no
+// goroutine; finish unregisters it, and one firing after teardown is a
+// no-op (fail runs once).
+func newStagedCursor(ctx context.Context, p *pipeline, root *exchange) *stagedCursor {
+	wake := make(chan struct{}, 1)
+	c := &stagedCursor{p: p, root: root, wake: wake, waker: func() { ping(wake) }}
+	if ctx != nil && ctx.Done() != nil {
 		c.ctx = ctx
 		c.stop = context.AfterFunc(ctx, func() { p.fail(ctx.Err()) })
 	}
-	return c, nil
+	return c
 }
 
 func (c *stagedCursor) NextPage() (*Page, error) {
-	if c.done {
-		return nil, c.err
-	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			c.p.fail(err)
-			c.finish()
-			return nil, c.err
+	for !c.done {
+		if c.ctx != nil {
+			if err := c.ctx.Err(); err != nil {
+				c.p.fail(err)
+				break
+			}
+		}
+		pg, err := c.root.tryNext(c.waker)
+		if err == nil {
+			if pg != nil {
+				return pg, nil
+			}
+			// End of stream or pipeline failure: tear down now so the error
+			// (if any) is reported with the final nil page.
+			break
+		}
+		select {
+		case <-c.wake:
+		case <-c.p.done:
 		}
 	}
-	pg, _ := c.root.Next() // blocking exchange read; never errors
-	if pg == nil {
-		// End of stream or pipeline failure: tear down now so the error (if
-		// any) is reported with the final nil page.
-		c.finish()
-		return nil, c.err
-	}
-	return pg, nil
+	c.finish()
+	return nil, c.err
 }
 
 // finish releases the pipeline: an operator that stopped being read

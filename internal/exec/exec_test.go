@@ -539,9 +539,10 @@ func TestAmbiguousColumn(t *testing.T) {
 
 func TestExplainShape(t *testing.T) {
 	db := seedDB(t)
-	node := db.plan(t, "SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY dept LIMIT 5", plan.Options{})
+	node := db.plan(t, "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept ORDER BY dept LIMIT 5", plan.Options{})
 	out := plan.Explain(node)
-	// ORDER BY + LIMIT fuses into a TopN node (bounded k-heap).
+	// ORDER BY + LIMIT fuses into a TopN node (bounded k-heap), here over
+	// the Project that renames the count.
 	for _, want := range []string{"TopN", "Project", "Aggregate", "SeqScan"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %s:\n%s", want, out)

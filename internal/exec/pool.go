@@ -278,16 +278,18 @@ func (ps *poolStage) take(served time.Duration) Task {
 	return t
 }
 
-// popFront removes and returns the oldest task of a list. It shifts the rest
-// down rather than reslicing, so a list keeps its backing array and a push
-// allocates only when the list outgrows it.
-func popFront(list *[]Task) Task {
+// popFront removes and returns the oldest element of a FIFO list: a stage's
+// tasks or an exchange's pages. It shifts the rest down rather than
+// reslicing, so a list keeps its backing array and a push allocates only
+// when the list outgrows it.
+func popFront[T any](list *[]T) T {
 	l := *list
-	t := l[0]
+	x := l[0]
 	n := copy(l, l[1:])
-	l[n] = nil
+	var zero T
+	l[n] = zero
 	*list = l[:n]
-	return t
+	return x
 }
 
 // QueueLen reports the tasks waiting at a stage (queued or woken), 0 if the

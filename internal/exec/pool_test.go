@@ -309,6 +309,9 @@ func TestStagePoolSubmitBackPressure(t *testing.T) {
 	pool.AddStage("slow", 1, 1)
 	pool.AddStage("fast", 1, 0)
 	running, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before pool.Close, so a failed check cannot hang it
 	pool.Submit(funcTask{"slow", func() { close(running); <-release }})
 	<-running
 	pool.Submit(funcTask{"slow", func() {}})
@@ -332,7 +335,7 @@ func TestStagePoolSubmitBackPressure(t *testing.T) {
 		t.Fatal("Submit into a full queue did not block")
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(release)
+	unblock()
 	select {
 	case <-submitted:
 	case <-time.After(10 * time.Second):

@@ -40,22 +40,22 @@ type pipeline struct {
 	// back in the pool (and no operator outlives the query's table locks).
 	running sync.WaitGroup
 
-	mu        sync.Mutex
-	tasks     []*opTask   // resumable tasks, woken on failure
-	exchanges []*exchange // all inter-operator buffers, drained at teardown
+	mu    sync.Mutex
+	tasks []*opTask // resumable tasks, woken on failure and drained at teardown
 }
 
 // drainPages releases every page still buffered in the pipeline's
-// exchanges. Called after all operator tasks have finished (their exchanges
-// are closed), it is the last step of the page-recycle protocol: a query
-// that stopped reading early (LIMIT, abandonment, failure) leaves pages
-// stranded in its buffers, and those must go back to the pool.
+// exchanges, each of which is one task's output. Called after all operator
+// tasks have finished (their exchanges are closed), it is the last step of
+// the page-recycle protocol: a query that stopped reading early (LIMIT,
+// abandonment, failure) leaves pages stranded in its buffers, and those
+// must go back to the pool.
 func (p *pipeline) drainPages() {
 	p.mu.Lock()
-	exs := append([]*exchange(nil), p.exchanges...)
+	tasks := p.tasks // only ever appended to: the prefix read here is stable
 	p.mu.Unlock()
-	for _, ex := range exs {
-		ex.drainRelease()
+	for _, t := range tasks {
+		t.out.drainRelease()
 	}
 }
 
@@ -82,27 +82,30 @@ const (
 )
 
 // exchange is the intermediate result buffer of §4.1.2: a bounded
-// producer-consumer page queue. A producer that finds the buffer full
-// registers a waker and yields its worker instead of blocking. Each exchange
-// has exactly one producer task and one consumer (a task, or the client
-// draining the root).
+// producer-consumer page queue. A side that cannot make progress registers
+// a waker and gives up its thread instead of blocking. Each exchange has
+// exactly one producer task and one consumer (a task, or the client's
+// cursor on the root).
 type exchange struct {
-	ch   chan *Page
-	done <-chan struct{}
+	done  <-chan struct{}
+	limit int // most pages buffered at once
 
-	// mu orders channel operations against waiter registration so wakeups
-	// are never lost: a side that fails to make progress registers its waker
-	// under the same lock the opposite side uses to act.
+	// mu guards the pages and both wakers. A side that fails to make
+	// progress registers its waker under the same lock the opposite side
+	// takes to act, so no wake is lost; a waker fires only after mu is
+	// released.
 	mu         sync.Mutex
-	sendWaiter func() // producer continuation, fired when space frees
-	recvWaiter func() // consumer continuation, fired when a page arrives
+	pages      []*Page // FIFO, at most limit
+	closed     bool    // the producer finished
+	sendWaiter func()  // producer continuation, fired when space frees
+	recvWaiter func()  // consumer continuation, fired when a page arrives
 }
 
 func newExchange(bufferPages int, done <-chan struct{}) *exchange {
 	if bufferPages <= 0 {
 		bufferPages = 4
 	}
-	return &exchange{ch: make(chan *Page, bufferPages), done: done}
+	return &exchange{done: done, limit: bufferPages, pages: make([]*Page, 0, bufferPages)}
 }
 
 // trySend attempts a non-blocking delivery. On sendBlocked the waker is
@@ -114,30 +117,29 @@ func (e *exchange) trySend(pg *Page, wake func()) int {
 	default:
 	}
 	e.mu.Lock()
-	select {
-	case e.ch <- pg:
-		e.sendWaiter = nil
-		w := e.recvWaiter
-		e.recvWaiter = nil
-		e.mu.Unlock()
-		if w != nil {
-			w()
-		}
-		return sendOK
-	default:
+	if len(e.pages) == e.limit {
 		e.sendWaiter = wake
 		e.mu.Unlock()
 		return sendBlocked
 	}
+	e.pages = append(e.pages, pg)
+	e.sendWaiter = nil
+	w := e.recvWaiter
+	e.recvWaiter = nil
+	e.mu.Unlock()
+	if w != nil {
+		w()
+	}
+	return sendOK
 }
 
-// tryNext is the non-blocking read: it returns errWouldBlock (registering
-// the waker) when the producer has not caught up yet, and (nil, nil) at end
-// of stream or after pipeline failure.
+// tryNext is the one read of an exchange: it returns the oldest buffered
+// page, (nil, nil) at end of stream or once the pipeline has failed with
+// nothing buffered, and otherwise errWouldBlock with the waker registered.
 func (e *exchange) tryNext(wake func()) (*Page, error) {
 	e.mu.Lock()
-	select {
-	case pg, ok := <-e.ch:
+	if len(e.pages) > 0 {
+		pg := popFront(&e.pages)
 		e.recvWaiter = nil
 		w := e.sendWaiter
 		e.sendWaiter = nil
@@ -145,57 +147,41 @@ func (e *exchange) tryNext(wake func()) (*Page, error) {
 		if w != nil {
 			w()
 		}
-		if !ok {
-			return nil, nil
-		}
 		return pg, nil
-	default:
 	}
-	select {
-	case <-e.done:
-		// Pipeline failed with nothing buffered; the error is reported by
-		// RunStaged.
+	if e.closed {
 		e.mu.Unlock()
 		return nil, nil
-	default:
 	}
 	e.recvWaiter = wake
 	e.mu.Unlock()
-	return nil, errWouldBlock
-}
-
-func (e *exchange) wakeSender() {
-	e.mu.Lock()
-	w := e.sendWaiter
-	e.sendWaiter = nil
-	e.mu.Unlock()
-	if w != nil {
-		w()
+	select {
+	case <-e.done:
+		// Failed with nothing buffered; RunStaged reports the error. The
+		// waker left registered is harmless: fail has woken every task.
+		return nil, nil
+	default:
+		return nil, errWouldBlock
 	}
 }
 
-// drainRelease empties whatever pages remain buffered, returning them to
-// their pool. Only called at pipeline teardown, after the producer finished
-// (the channel is closed or will receive nothing more) and the consumer
-// stopped reading; a racing consumer read is harmless — each page is
-// received, and released, exactly once.
+// drainRelease returns the pages still buffered to their pool. Only called
+// at pipeline teardown, once the producer finished and the consumer stopped
+// reading.
 func (e *exchange) drainRelease() {
-	for {
-		select {
-		case pg, ok := <-e.ch:
-			if !ok {
-				return
-			}
-			pg.Release()
-		default:
-			return
-		}
+	e.mu.Lock()
+	pages := e.pages
+	e.pages = nil
+	e.mu.Unlock()
+	for _, pg := range pages {
+		pg.Release()
 	}
 }
 
+// close marks the end of stream and wakes a waiting consumer.
 func (e *exchange) close() {
 	e.mu.Lock()
-	close(e.ch)
+	e.closed = true
 	w := e.recvWaiter
 	e.recvWaiter = nil
 	e.mu.Unlock()
@@ -203,39 +189,6 @@ func (e *exchange) close() {
 		w()
 	}
 }
-
-// Open implements Operator.
-func (e *exchange) Open() error { return nil }
-
-// Next implements Operator: it blocks on the producing stage. Every
-// successful receive wakes a producer that yielded on a full buffer.
-func (e *exchange) Next() (*Page, error) {
-	select {
-	case pg, ok := <-e.ch:
-		e.wakeSender()
-		if !ok {
-			return nil, nil
-		}
-		return pg, nil
-	case <-e.done:
-		// Drain anything already buffered before giving up, so producers
-		// that finished before the failure do not lose pages; the pipeline
-		// error is reported by RunStaged.
-		select {
-		case pg, ok := <-e.ch:
-			e.wakeSender()
-			if !ok {
-				return nil, nil
-			}
-			return pg, nil
-		default:
-			return nil, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (e *exchange) Close() error { return nil }
 
 // nbSource adapts a child exchange for its consumer task: reads are
 // non-blocking, and a read that cannot proceed registers the task's waker
@@ -391,13 +344,6 @@ func (t *opTask) Run() {
 	}
 }
 
-// registerExchange records an inter-operator buffer for teardown draining.
-func (p *pipeline) registerExchange(ex *exchange) {
-	p.mu.Lock()
-	p.exchanges = append(p.exchanges, ex)
-	p.mu.Unlock()
-}
-
 // launch builds the operator for n with its children replaced by exchanges,
 // then schedules it on the node's stage as a resumable opTask whose child
 // reads and output writes are non-blocking, so a blocked operator yields its
@@ -423,7 +369,6 @@ func (p *pipeline) launch(n plan.Node, cfg BuildConfig) (*exchange, error) {
 	}
 	t.op = op
 	t.out = newExchange(p.bufferPages, p.done)
-	p.registerExchange(t.out)
 	p.mu.Lock()
 	p.tasks = append(p.tasks, t)
 	p.mu.Unlock()

@@ -87,8 +87,7 @@ type Manager struct {
 
 	mu     sync.RWMutex
 	txns   map[uint64]*txnStatus
-	active map[uint64]*Snapshot   // open snapshot per transaction id
-	snaps  map[*Snapshot]struct{} // all open snapshots (GC horizon)
+	active map[uint64]*Snapshot // open snapshot per transaction id (GC horizon)
 
 	begins, commits, aborts, conflicts, pruned atomic.Int64
 
@@ -104,7 +103,6 @@ func NewManager(oracle *vclock.Oracle) *Manager {
 		oracle: oracle,
 		txns:   make(map[uint64]*txnStatus),
 		active: make(map[uint64]*Snapshot),
-		snaps:  make(map[*Snapshot]struct{}),
 	}
 }
 
@@ -126,7 +124,6 @@ func (m *Manager) Begin(id uint64) *Snapshot {
 	snap := &Snapshot{TS: m.oracle.Now(), ID: id}
 	m.txns[id] = &txnStatus{state: stateActive}
 	m.active[id] = snap
-	m.snaps[snap] = struct{}{}
 	m.mu.Unlock()
 	m.begins.Add(1)
 	return snap
@@ -146,7 +143,6 @@ func (m *Manager) End(snap *Snapshot) {
 		return
 	}
 	m.mu.Lock()
-	delete(m.snaps, snap)
 	if m.active[snap.ID] == snap {
 		delete(m.active, snap.ID)
 	}
@@ -286,7 +282,7 @@ func (m *Manager) OldestActiveTS() vclock.Time {
 
 func (m *Manager) oldestActiveLocked() vclock.Time {
 	oldest := m.oracle.Now()
-	for snap := range m.snaps {
+	for _, snap := range m.active {
 		if snap.TS < oldest {
 			oldest = snap.TS
 		}
@@ -327,7 +323,7 @@ func (m *Manager) Prune() int {
 func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	s := Stats{
-		ActiveSnapshots: len(m.snaps),
+		ActiveSnapshots: len(m.active),
 		StatusEntries:   len(m.txns),
 		OldestActiveTS:  m.oldestActiveLocked(),
 	}

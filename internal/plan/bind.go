@@ -370,7 +370,9 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 	if len(sortBelow) > 0 {
 		tree = &Sort{Child: tree, Keys: sortBelow}
 	}
-	tree = &Project{Child: tree, Exprs: projExprs, out: projSchema}
+	if !passesThrough(projExprs, projSchema, tree.Schema()) {
+		tree = &Project{Child: tree, Exprs: projExprs, out: projSchema}
+	}
 
 	if sel.Distinct {
 		// DISTINCT is a grouping by every output column with no aggregates.
@@ -392,6 +394,22 @@ func (b *selBinder) bind(sel *sql.Select) (Node, error) {
 		tree = fuseTopN(tree, n, sel.Offset)
 	}
 	return tree, nil
+}
+
+// passesThrough reports whether a projection would hand on its input rows
+// unchanged: its expressions are the input's columns 0..n-1 in order, under
+// the input's names. No Project is built then (SELECT * is the common case),
+// which on the staged driver saves a task, an exchange and a row copy.
+func passesThrough(exprs []Expr, out, in Schema) bool {
+	if len(exprs) != len(in) {
+		return false
+	}
+	for i, e := range exprs {
+		if c, ok := e.(*Column); !ok || c.Idx != i || out[i].Name != in[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // TopNMaxK bounds the fused Top-N heap: the Top-N operator holds k=N+Offset

@@ -261,11 +261,10 @@ func TestAggregateEstimateFromDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, ok := node.(*Project)
-		if !ok {
-			t.Fatalf("%s binds to:\n%s", q, Explain(node))
+		if proj, ok := node.(*Project); ok {
+			node = proj.Child
 		}
-		agg, ok := proj.Child.(*Aggregate)
+		agg, ok := node.(*Aggregate)
 		if !ok {
 			t.Fatalf("%s binds to:\n%s", q, Explain(node))
 		}
@@ -292,5 +291,52 @@ func TestAggregateEstimateFromDistinct(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: estimated %v groups, want %v", tc.q, got, want)
 		}
+	}
+}
+
+// TestPassThroughProjectionIsDropped: a select list that hands on its input
+// unchanged — SELECT *, or every column in order under its own name — binds
+// to no Project; an alias, a reordering or a subset keeps one, and a point
+// read through SELECT * is still a point probe.
+func TestPassThroughProjectionIsDropped(t *testing.T) {
+	cat := catalog.New()
+	if _, err := cat.Create("acct", catalog.Schema{Columns: []catalog.Column{
+		{Name: "id", Type: value.Int, PrimaryKey: true},
+		{Name: "grp", Type: value.Int},
+		{Name: "bal", Type: value.Int},
+		{Name: "pad", Type: value.Text},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.AddIndex("acct", "pk_acct", "id", true); err != nil {
+		t.Fatal(err)
+	}
+	bind := func(q string) Node {
+		t.Helper()
+		node, err := BindSelect(cat, sql.MustParse(q).(*sql.Select), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	for _, tc := range []struct {
+		q       string
+		project bool
+	}{
+		{"SELECT * FROM acct", false},
+		{"SELECT id, grp, bal, pad FROM acct", false},
+		{"SELECT * FROM acct WHERE bal > 3", false},
+		{"SELECT id AS x, grp, bal, pad FROM acct", true},
+		{"SELECT grp, id, bal, pad FROM acct", true},
+		{"SELECT id, grp FROM acct", true},
+		{"SELECT *, id FROM acct", true},
+	} {
+		node := bind(tc.q)
+		if _, ok := node.(*Project); ok != tc.project {
+			t.Errorf("%s: Project at the root is %v, want %v:\n%s", tc.q, ok, tc.project, Explain(node))
+		}
+	}
+	if node := bind("SELECT * FROM acct WHERE id = ?"); !PointProbe(node) {
+		t.Fatalf("SELECT * point read is not a point probe:\n%s", Explain(node))
 	}
 }

@@ -236,3 +236,89 @@ func TestPageSizeAgreement(t *testing.T) {
 		}
 	}
 }
+
+// TestPassThroughSelectKeepsColumns: SELECT * and a select list naming
+// every column in order plan no Project, and still return the rows the
+// aliased form (which keeps its Project) returns, under the table's column
+// names — on both drivers, materialized, streamed and over the wire.
+func TestPassThroughSelectKeepsColumns(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		mode stagedb.Mode
+	}{{"staged", stagedb.Staged}, {"volcano", stagedb.Threaded}} {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx := t.Context()
+			db, err := stagedb.Open(stagedb.Options{Mode: mode.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.ExecScript(ctx, `
+				CREATE TABLE acct (id INT PRIMARY KEY, grp INT, bal INT, pad TEXT);
+				INSERT INTO acct VALUES (1, 10, 100, 'a'), (2, 20, 200, NULL), (3, 10, -5, 'ccc');
+			`); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := server.New(context.Background(), db, server.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve() }()
+			defer func() {
+				srv.Shutdown(context.Background())
+				if err := <-served; err != nil {
+					t.Errorf("Serve: %v", err)
+				}
+			}()
+			wc, err := client.Dial(ctx, srv.Addr(), client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wc.Close()
+
+			rows, err := db.QueryContext(ctx, "SELECT id AS x, grp, bal, pad FROM acct")
+			want := slices.Sorted(slices.Values(collect(t, rows, err)))
+			if len(want) != 3 {
+				t.Fatalf("reference read %d rows, want 3", len(want))
+			}
+			wantCols := []string{"id", "grp", "bal", "pad"}
+			for _, q := range []string{"SELECT * FROM acct", "SELECT id, grp, bal, pad FROM acct"} {
+				if plan, err := db.Explain(q); err != nil || strings.Contains(plan, "Project") {
+					t.Fatalf("%s plans a Project (%v):\n%s", q, err, plan)
+				}
+				check := func(how string, cols, got []string) {
+					t.Helper()
+					if !slices.Equal(cols, wantCols) {
+						t.Errorf("%s %s: columns %v, want %v", how, q, cols, wantCols)
+					}
+					if got = slices.Sorted(slices.Values(got)); !slices.Equal(got, want) {
+						t.Errorf("%s %s: rows %v, want %v", how, q, got, want)
+					}
+				}
+				res, err := db.ExecContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, r := range res.Rows {
+					got = append(got, r.String())
+				}
+				check("materialized", res.Columns, got)
+				rows, err := db.QueryContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cols := rows.Columns()
+				check("streamed", cols, collect(t, rows, nil))
+				wrows, err := wc.QueryContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cols = wrows.Columns()
+				check("wire", cols, collect(t, wrows, nil))
+			}
+			waitQuiet(t, db, "pass-through selects")
+		})
+	}
+}
